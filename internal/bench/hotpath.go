@@ -13,6 +13,7 @@ import (
 	"shahin/internal/linmodel"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
+	"shahin/internal/rf"
 	"shahin/internal/router"
 )
 
@@ -58,6 +59,14 @@ func hotpathBodies(seed int64) (map[string]func(n int), error) {
 	freeze := make([]bool, p)
 	freeze[0], freeze[p/2] = true, true
 	pooled := gen.ForItemset(frozen)
+	scratch := make([]float64, p)
+
+	// A small forest is enough: Predict's allocs/op do not depend on
+	// the ensemble's size.
+	forest, err := rf.Train(data, rf.Config{NumTrees: 10, MaxDepth: 6, Seed: seed + 11})
+	if err != nil {
+		return nil, err
+	}
 
 	// A well-conditioned SPD system for Solve: A = MᵀM + I.
 	const dim = 12
@@ -97,6 +106,17 @@ func hotpathBodies(seed int64) (map[string]func(n int), error) {
 	routerRing := router.NewRing(3, router.DefaultVNodes)
 
 	bodies := map[string]func(n int){
+		"rf.(*Forest).Predict": func(n int) {
+			for i := 0; i < n; i++ {
+				hotSinkInt = forest.Predict(tuple)
+			}
+		},
+		"perturb.(*Generator).FillItemset": func(n int) {
+			for i := 0; i < n; i++ {
+				gen.FillItemset(frozen, scratch)
+			}
+			hotSinkVec = scratch
+		},
 		"perturb.(*Generator).ForItemset": func(n int) {
 			for i := 0; i < n; i++ {
 				hotSinkSample = gen.ForItemset(frozen)

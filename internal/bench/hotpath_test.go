@@ -18,10 +18,12 @@ func TestHotpathBodies(t *testing.T) {
 		"lime.(*Explainer).kernel",
 		"lime.topKByAbs",
 		"linmodel.(*Sym).Solve",
+		"perturb.(*Generator).FillItemset",
 		"perturb.(*Generator).ForItemset",
 		"perturb.(*Generator).ForTuple",
 		"perturb.BinaryEncode",
 		"perturb.MatchesBins",
+		"rf.(*Forest).Predict",
 		"router.(*Ring).Lookup",
 		"router.Signature",
 	}
@@ -55,8 +57,8 @@ func TestHotpathResultsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 10 {
-		t.Fatalf("HotpathResults returned %d entries, want 10", len(results))
+	if len(results) != 12 {
+		t.Fatalf("HotpathResults returned %d entries, want 12", len(results))
 	}
 	names := map[string]bool{}
 	for _, r := range results {

@@ -33,7 +33,7 @@ type Config struct {
 	Precision     float64 // target precision τ (default 0.95)
 	Eps           float64 // bandit tolerance (default 0.1)
 	Delta         float64 // bandit failure probability (default 0.05)
-	BeamWidth     int     // candidates kept per rule size (default 2)
+	BeamWidth     int     // candidates kept per rule size (default 1)
 	MaxPredicates int     // longest rule (default dataset.MaxItemsetLen)
 	BatchPulls    int     // perturbations per bandit pull (default 20)
 	MaxPulls      int     // per-selection pull budget (default 5000)
@@ -90,6 +90,12 @@ type Explainer struct {
 	cls     rf.Classifier
 	gen     *perturb.Generator
 	covRows []dataset.Itemset
+	scratch []float64 // the row of a pull's perturbation that is labelled and dropped
+
+	// pull is (*ruleArm).pull. It is a field only so that the
+	// byte-identity test can run the same search over the Pull that
+	// allocated every perturbation, which it keeps as the reference.
+	pull func(a *ruleArm, n int) int
 }
 
 // New builds an Anchor explainer. covRows is the itemised data sample
@@ -102,6 +108,8 @@ func New(st *dataset.Stats, cls rf.Classifier, covRows []dataset.Itemset, cfg Co
 		cls:     cls,
 		gen:     perturb.NewGenerator(st, rng),
 		covRows: covRows,
+		scratch: make([]float64, st.Schema.NumAttrs()),
+		pull:    (*ruleArm).pull,
 	}
 }
 
@@ -382,19 +390,28 @@ type ruleArm struct {
 }
 
 // Pull implements mab.Arm.
-func (a *ruleArm) Pull(n int) int {
-	hist := make([]int, a.e.cls.NumClasses())
+func (a *ruleArm) Pull(n int) int { return a.e.pull(a, n) }
+
+// pull draws and labels n perturbations. Only one the repository has
+// room for needs a row and items of its own; the rest are drawn into
+// the explainer's scratch row, labelled and dropped.
+func (a *ruleArm) pull(n int) int {
+	e := a.e
+	hist := make([]int, e.cls.NumClasses())
 	var store []perturb.Sample
 	stored, _ := a.sh.Repo.Get(a.items.Key())
-	room := a.e.cfg.StorePerRule - len(stored)
+	room := e.cfg.StorePerRule - len(stored)
 	for i := 0; i < n; i++ {
-		s := a.e.gen.ForItemset(a.items)
-		s.Label = a.e.cls.Predict(s.Row)
-		hist[s.Label]++
-		if room > 0 {
-			store = append(store, s)
-			room--
+		if room <= 0 {
+			e.gen.FillItemset(a.items, e.scratch)
+			hist[e.cls.Predict(e.scratch)]++
+			continue
 		}
+		s := e.gen.ForItemset(a.items)
+		s.Label = e.cls.Predict(s.Row)
+		hist[s.Label]++
+		store = append(store, s)
+		room--
 	}
 	a.rr.AddTrials(hist)
 	if len(store) > 0 {

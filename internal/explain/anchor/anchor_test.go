@@ -2,10 +2,14 @@ package anchor
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"shahin/internal/cache"
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
+	"shahin/internal/explain"
+	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
 
@@ -329,5 +333,116 @@ func BenchmarkExplainSequential(b *testing.B) {
 		if _, err := e.Explain(tup); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// allocatingPull is ruleArm.Pull as it stood before pulls were drawn
+// into a scratch row: every perturbation is allocated and itemised
+// whether or not the repository keeps it.
+func allocatingPull(a *ruleArm, n int) int {
+	hist := make([]int, a.e.cls.NumClasses())
+	var store []perturb.Sample
+	stored, _ := a.sh.Repo.Get(a.items.Key())
+	room := a.e.cfg.StorePerRule - len(stored)
+	for i := 0; i < n; i++ {
+		s := a.e.gen.ForItemset(a.items)
+		s.Label = a.e.cls.Predict(s.Row)
+		hist[s.Label]++
+		if room > 0 {
+			store = append(store, s)
+			room--
+		}
+	}
+	a.rr.AddTrials(hist)
+	if len(store) > 0 {
+		a.sh.Repo.Append(a.items.Key(), store)
+	}
+	return hist[a.target]
+}
+
+// TestScratchPullsChangeNothing: drawing the perturbations that are not
+// kept into a scratch row leaves the whole search as it was — the same
+// rules for 50 tuples over one shared state, the same trials per rule,
+// the same repository, the same classifier calls, and a random stream
+// that stands where it stood.
+func TestScratchPullsChangeNothing(t *testing.T) {
+	spec, err := datagen.Spec("covertype")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := spec.Generate(3000, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, pool := data.Split(1.0/3, rand.New(rand.NewSource(42)))
+	st, err := dataset.Compute(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := rf.Train(train, rf.Config{NumTrees: 15, MaxDepth: 8, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := CoverageRows(st, pool, 300, rand.New(rand.NewSource(44)))
+
+	type outcome struct {
+		rules  []*explain.Rule
+		trials map[dataset.ItemsetKey]cache.RuleResult
+		nRules int
+		repo   cache.Snapshot
+		calls  int64
+		next   int64 // the draw after the last explanation
+	}
+	search := func(pull func(*ruleArm, int) int) outcome {
+		cls := rf.NewCounting(forest)
+		rng := rand.New(rand.NewSource(45))
+		// The benchmark's pull budget; StorePerRule is small enough that
+		// most pulls land on a full repository entry.
+		e := New(st, cls, cov, Config{MaxPulls: 2000, BatchPulls: 25, StorePerRule: 60}, rng)
+		e.pull = pull
+		sh := NewShared(cls.NumClasses(), 0)
+		out := outcome{trials: map[dataset.ItemsetKey]cache.RuleResult{}}
+		for i := 0; i < 50; i++ {
+			rule, err := e.ExplainShared(pool.Row(i, nil), sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.rules = append(out.rules, rule)
+		}
+		for _, key := range sh.Repo.Keys() {
+			rr, _ := sh.Inv.Lookup(key)
+			out.trials[key] = *rr
+		}
+		out.nRules, out.repo, out.calls, out.next = sh.Inv.Len(), sh.Repo.Snapshot(), cls.Invocations(), rng.Int63()
+		return out
+	}
+
+	got, want := search((*ruleArm).pull), search(allocatingPull)
+	if want.calls < 50*100 {
+		t.Fatalf("reference search made only %d classifier calls: the bandit never ran", want.calls)
+	}
+	full := 0
+	for _, samples := range want.repo {
+		if len(samples) == 60 {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no repository entry filled up, so no pull went through the scratch row")
+	}
+	if !reflect.DeepEqual(got.rules, want.rules) {
+		t.Errorf("rules differ:\n got %v\nwant %v", got.rules, want.rules)
+	}
+	if got.nRules != want.nRules || !reflect.DeepEqual(got.trials, want.trials) {
+		t.Errorf("memoised trials differ (%d rules against %d)", got.nRules, want.nRules)
+	}
+	if !reflect.DeepEqual(got.repo, want.repo) {
+		t.Errorf("repository contents differ (%d entries against %d)", len(got.repo), len(want.repo))
+	}
+	if got.calls != want.calls {
+		t.Errorf("%d classifier calls, reference made %d", got.calls, want.calls)
+	}
+	if got.next != want.next {
+		t.Error("the random stream was left at a different draw")
 	}
 }

@@ -242,6 +242,9 @@ func (g *deadlineGuard) PredictCtx(ctx context.Context, x []float64) (int, error
 		err error
 	}
 	done := make(chan result, 1) // buffered: the abandoned attempt must not block
+	// An abandoned attempt may still be reading its row after this call
+	// has returned and the caller has reused the slice, so it gets a copy.
+	x = append([]float64(nil), x...)
 	go func() {
 		y, err := g.inner.PredictCtx(dctx, x)
 		done <- result{y, err}

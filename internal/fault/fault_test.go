@@ -298,6 +298,39 @@ func TestDeadlineGuardTimesOut(t *testing.T) {
 	}
 }
 
+// stalled is an uninterruptible backend: it reads its row only once
+// released, after the guard has given up on it.
+type stalled struct {
+	release chan struct{}
+	saw     chan float64
+}
+
+func (s stalled) NumClasses() int { return 2 }
+
+func (s stalled) PredictCtx(_ context.Context, x []float64) (int, error) {
+	<-s.release
+	s.saw <- x[0]
+	return 0, nil
+}
+
+// TestDeadlineGuardAbandonedAttemptKeepsItsRow: a caller may reuse its
+// row as soon as PredictCtx returns (Anchor labels a scratch row), so
+// the attempt the guard abandons must not be reading the caller's
+// slice.
+func TestDeadlineGuardAbandonedAttemptKeepsItsRow(t *testing.T) {
+	inner := stalled{release: make(chan struct{}), saw: make(chan float64)}
+	g := &deadlineGuard{inner: inner, timeout: 5 * time.Millisecond}
+	row := []float64{1}
+	if _, err := g.PredictCtx(context.Background(), row); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err=%v, want ErrTimeout", err)
+	}
+	row[0] = 2
+	close(inner.release)
+	if got := <-inner.saw; got != 1 {
+		t.Fatalf("abandoned attempt read %v from a row the caller had reused, want 1", got)
+	}
+}
+
 func TestDeadlineGuardParentCancelWins(t *testing.T) {
 	g := &deadlineGuard{inner: slow{d: time.Second}, timeout: time.Minute}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -173,6 +173,11 @@ func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 		order := rankByMean(counts, len(counts))
 		worstIn, bestOut := -1, -1
 		var worstLB, bestUB float64
+		// Outsiders come in descending-mean order and only a strictly
+		// larger bound displaces bestOut, so one with at least as many
+		// pulls as an outsider already seen cannot win (its mean is no
+		// larger and its interval no wider) and its bisection is skipped.
+		fewestOut := math.MaxInt
 		for rank, i := range order {
 			mean := counts[i].Mean()
 			if rank < n {
@@ -180,7 +185,8 @@ func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 				if worstIn == -1 || lb < worstLB {
 					worstIn, worstLB = i, lb
 				}
-			} else {
+			} else if counts[i].Pulls < fewestOut {
+				fewestOut = counts[i].Pulls
 				ub := UpperBound(mean, counts[i].Pulls, b)
 				if bestOut == -1 || ub > bestUB {
 					bestOut, bestUB = i, ub

@@ -48,17 +48,17 @@ func NewGenerator(st *dataset.Stats, rng *rand.Rand) *Generator {
 // Stats returns the training statistics the generator samples from.
 func (g *Generator) Stats() *dataset.Stats { return g.stats }
 
-// ForItemset generates one perturbation with the itemset frozen: every
-// item's attribute receives a value inside the item's bin, and all other
-// attributes are filled from the training distribution. This is the pooled
-// perturbation of Algorithms 1–3.
+// FillItemset writes one perturbation with the itemset frozen into row,
+// which must have one cell per attribute: every item's attribute
+// receives a value inside the item's bin, and all other attributes are
+// filled from the training distribution. It is ForItemset without the
+// allocation and the itemising, for a caller that only needs the row
+// labelled; both consume the same random draws in the same order.
 //
 //shahin:hotpath
-func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
-	n := g.stats.Schema.NumAttrs()
-	row := make([]float64, n)
+func (g *Generator) FillItemset(frozen dataset.Itemset, row []float64) {
 	fi := 0
-	for a := 0; a < n; a++ {
+	for a := range row {
 		if fi < len(frozen) && frozen[fi].Attr() == a {
 			row[a] = g.stats.ValueInBin(a, frozen[fi].Bin(), g.rng)
 			fi++
@@ -66,6 +66,16 @@ func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
 		}
 		row[a] = g.stats.SampleValue(a, g.rng)
 	}
+}
+
+// ForItemset generates one perturbation with the itemset frozen (see
+// FillItemset) as a Sample that owns its row and items. This is the
+// pooled perturbation of Algorithms 1–3.
+//
+//shahin:hotpath
+func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
+	row := make([]float64, g.stats.Schema.NumAttrs())
+	g.FillItemset(frozen, row)
 	return Sample{
 		Row:   row,
 		Items: g.stats.ItemizeRow(row, nil),

@@ -1,0 +1,130 @@
+package rf
+
+import "math"
+
+// flatNode is one tree node in the derived walk layout: 16 bytes, four
+// to a cache line. The left child is the next node (the builder emits
+// trees in pre-order), so only the right child is stored. A leaf loops
+// to itself — threshold -Inf, right = self — which lets a tree be walked
+// for a fixed number of steps with no leaf test.
+type flatNode struct {
+	threshold float64
+	feature   int32
+	right     int32
+}
+
+// flatForest is the walk layout Forest.Predict runs on, derived from
+// Forest.Trees (which stays the source of truth: it is what gob stores,
+// what Tree.Predict walks and what the exact explainer routes covers
+// down). Node indices are forest-wide.
+type flatForest struct {
+	nodes []flatNode
+	class []int32 // class[i] is the label of leaf i; unused for internal nodes
+	roots []int32 // one per laid-out tree
+	depth []int32 // parallel to roots
+	slow  []*Tree // trees that are not in pre-order; walked by Tree.Predict
+}
+
+// flatten derives the walk layout. It trusts nothing about the trees: a
+// tree whose internal nodes do not all have Left == self+1 and a
+// forward, in-range Right (a hand-assembled or hostile-gob tree) goes
+// to slow and keeps the reference walk, so the fast walk never has to
+// bound-check a child or detect a cycle.
+func flatten(trees []*Tree) *flatForest {
+	ff := &flatForest{}
+	for _, t := range trees {
+		d, ok := preorderDepth(t)
+		if !ok || len(ff.nodes)+len(t.Nodes) > math.MaxInt32 {
+			ff.slow = append(ff.slow, t)
+			continue
+		}
+		base := int32(len(ff.nodes))
+		ff.roots = append(ff.roots, base)
+		ff.depth = append(ff.depth, d)
+		for i := range t.Nodes {
+			n := &t.Nodes[i]
+			if n.Feature < 0 {
+				ff.nodes = append(ff.nodes, flatNode{threshold: math.Inf(-1), right: base + int32(i)})
+				ff.class = append(ff.class, n.Class)
+				continue
+			}
+			thr := n.Threshold
+			switch {
+			case thr == 0:
+				thr = 0 // -0 - (+0) is -0, whose sign bit would send x = +0 right
+			case math.IsNaN(thr):
+				thr = math.Inf(-1) // x <= NaN is false for every x: always right
+			}
+			ff.nodes = append(ff.nodes, flatNode{threshold: thr, feature: n.Feature, right: base + n.Right})
+			ff.class = append(ff.class, 0)
+		}
+	}
+	return ff
+}
+
+// preorderDepth reports the tree's depth, and whether every internal
+// node has its left child directly after it and its right child further
+// on and in range — which the builder guarantees and which, all edges
+// pointing forward, rules out cycles.
+func preorderDepth(t *Tree) (int32, bool) {
+	n := len(t.Nodes)
+	if n == 0 {
+		return 0, false
+	}
+	height := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		nd := &t.Nodes[i]
+		if nd.Feature < 0 {
+			continue
+		}
+		if int(nd.Left) != i+1 || int(nd.Right) <= i+1 || int(nd.Right) >= n {
+			return 0, false
+		}
+		height[i] = 1 + max(height[nd.Left], height[nd.Right])
+	}
+	return height[0], true
+}
+
+// step moves one level down from node i of a finite row: the sign bit
+// of threshold - x is 1 exactly when x > threshold (for finite doubles
+// x != y implies x - y != 0, and x == y gives +0), and the child is
+// picked with a mask rather than an if, because the compiler will not
+// emit a conditional move for a value that feeds a load address
+// (golang/go#26306) and the branch it emits instead mispredicts at
+// about every other level.
+func step(nodes []flatNode, i int32, x []float64) int32 {
+	n := &nodes[i]
+	goRight := int32(math.Float64bits(n.threshold-x[n.feature]) >> 63)
+	left := i + 1
+	return left ^ ((left ^ n.right) & -goRight)
+}
+
+// tally adds one vote per laid-out tree for finite row x. Four trees
+// are walked together so that four independent load→compare chains are
+// in flight; a tree shallower than the deepest of its four spins on its
+// leaf meanwhile.
+func (ff *flatForest) tally(x []float64, votes []int) {
+	nodes := ff.nodes
+	k := 0
+	for ; k+4 <= len(ff.roots); k += 4 {
+		r, dp := ff.roots[k:k+4:k+4], ff.depth[k:k+4:k+4]
+		i0, i1, i2, i3 := r[0], r[1], r[2], r[3]
+		for d := max(dp[0], dp[1], dp[2], dp[3]); d > 0; d-- {
+			i0 = step(nodes, i0, x)
+			i1 = step(nodes, i1, x)
+			i2 = step(nodes, i2, x)
+			i3 = step(nodes, i3, x)
+		}
+		votes[ff.class[i0]]++
+		votes[ff.class[i1]]++
+		votes[ff.class[i2]]++
+		votes[ff.class[i3]]++
+	}
+	for ; k < len(ff.roots); k++ {
+		i := ff.roots[k]
+		for d := ff.depth[k]; d > 0; d-- {
+			i = step(nodes, i, x)
+		}
+		votes[ff.class[i]]++
+	}
+}

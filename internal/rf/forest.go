@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"shahin/internal/dataset"
 )
@@ -46,6 +47,11 @@ func (c Config) fill(p int) Config {
 type Forest struct {
 	Trees    []*Tree
 	NClasses int
+
+	// flat is the layout Predict walks (see flatForest), derived from
+	// Trees by Train and Load, and on first use for a Forest assembled
+	// by hand. Trees must not change once it exists.
+	flat atomic.Pointer[flatForest]
 }
 
 var _ Classifier = (*Forest)(nil)
@@ -102,18 +108,29 @@ func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	}
 	close(next)
 	wg.Wait()
+	f.flat.Store(flatten(f.Trees))
 	return f, nil
 }
 
 // NumClasses implements Classifier.
 func (f *Forest) NumClasses() int { return f.NClasses }
 
+// votesOnStack is the largest class count whose vote tally lives in
+// Predict's frame; a forest with more classes pays one allocation per
+// call.
+const votesOnStack = 16
+
 // Predict returns the majority vote over the trees.
+//
+//shahin:hotpath
 func (f *Forest) Predict(x []float64) int {
-	votes := make([]int, f.NClasses)
-	for _, t := range f.Trees {
-		votes[t.Predict(x)]++
+	var buf [votesOnStack]int
+	votes := buf[:]
+	if f.NClasses > votesOnStack {
+		votes = make([]int, f.NClasses)
 	}
+	votes = votes[:f.NClasses]
+	f.tally(x, votes)
 	best, bestN := 0, -1
 	for c, v := range votes {
 		if v > bestN {
@@ -123,15 +140,44 @@ func (f *Forest) Predict(x []float64) int {
 	return best
 }
 
+// tally adds every tree's vote for x to votes, which has one slot per
+// class. Rows of finite cells take the derived layout's walk. A NaN or
+// infinite cell does not survive its sign-bit comparison (NaN has no
+// defined sign; -Inf - -Inf is NaN), so such a row takes the reference
+// walk, which sends NaN right at every split; v-v is +0 for a finite v
+// and NaN otherwise.
+func (f *Forest) tally(x []float64, votes []int) {
+	finite := true
+	for _, v := range x {
+		if v-v != 0 {
+			finite = false
+			break
+		}
+	}
+	trees := f.Trees
+	if finite {
+		ff := f.flat.Load()
+		if ff == nil {
+			// Racing first calls each derive the same layout.
+			ff = flatten(f.Trees)
+			f.flat.Store(ff)
+		}
+		ff.tally(x, votes)
+		trees = ff.slow
+	}
+	for _, t := range trees {
+		votes[t.Predict(x)]++
+	}
+}
+
 // Prob returns the per-class vote fractions. The slice is freshly
 // allocated per call.
 func (f *Forest) Prob(x []float64) []float64 {
+	votes := make([]int, f.NClasses)
+	f.tally(x, votes)
 	p := make([]float64, f.NClasses)
-	for _, t := range f.Trees {
-		p[t.Predict(x)]++
-	}
-	for c := range p {
-		p[c] /= float64(len(f.Trees))
+	for c, v := range votes {
+		p[c] = float64(v) / float64(len(f.Trees))
 	}
 	return p
 }
@@ -167,5 +213,6 @@ func Load(r io.Reader) (*Forest, error) {
 	if len(f.Trees) == 0 || f.NClasses < 2 {
 		return nil, fmt.Errorf("rf: decoded forest is empty or degenerate")
 	}
+	f.flat.Store(flatten(f.Trees))
 	return &f, nil
 }

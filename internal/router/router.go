@@ -79,8 +79,10 @@ type Config struct {
 	// Recorder receives router metrics and per-replica breaker events;
 	// nil disables instrumentation.
 	Recorder *obs.Recorder
-	// Client overrides the forwarding HTTP client (nil uses a default
-	// client; probes and forwards share it).
+	// Client overrides the forwarding HTTP client; probes and forwards
+	// share it. nil uses a client of the router's own that keeps up to
+	// MaxInflight idle connections per replica (a batch forwards its
+	// tuples concurrently) and is shut down by Close.
 	Client *http.Client
 }
 
@@ -136,6 +138,7 @@ type Router struct {
 	ring     *Ring
 	replicas []*replica
 	client   *http.Client
+	owned    *http.Transport // the default client's transport; nil under Config.Client
 	rec      *obs.Recorder
 
 	inflight chan struct{} // admission semaphore, capacity MaxInflight
@@ -160,8 +163,14 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("router: affinity routing needs dataset stats")
 	}
 	client := cfg.Client
+	var owned *http.Transport
 	if client == nil {
-		client = &http.Client{}
+		// http.DefaultTransport keeps two idle connections per host, so
+		// all but two of a batch's concurrent forwards would dial afresh.
+		owned = http.DefaultTransport.(*http.Transport).Clone()
+		owned.MaxIdleConnsPerHost = cfg.MaxInflight
+		owned.MaxIdleConns = cfg.MaxInflight * len(cfg.Replicas)
+		client = &http.Client{Transport: owned}
 	}
 	// The prober's lifecycle is deliberately detached from any request
 	// context: it ends when Close runs, not when a caller gives up.
@@ -170,6 +179,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:       cfg,
 		ring:      NewRing(len(cfg.Replicas), cfg.VNodes),
 		client:    client,
+		owned:     owned,
 		rec:       cfg.Recorder,
 		inflight:  make(chan struct{}, cfg.MaxInflight),
 		lifecycle: ctx,
@@ -193,10 +203,14 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the health prober. It does not touch the replicas.
+// Close stops the health prober and closes the default client's idle
+// connections. It does not touch the replicas.
 func (rt *Router) Close() {
 	rt.endLife()
 	rt.probeWG.Wait()
+	if rt.owned != nil {
+		rt.owned.CloseIdleConnections()
+	}
 }
 
 // route computes the failover sequence for one tuple under the

@@ -2,19 +2,25 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shahin/internal/core"
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
+	"shahin/internal/explain/lime"
 	"shahin/internal/fault"
 	"shahin/internal/obs"
+	"shahin/internal/rf"
 	"shahin/internal/serve"
 )
 
@@ -463,5 +469,183 @@ func TestRouterRoundRobinSpreads(t *testing.T) {
 	}
 	if a.calls.Load() != 3 || b.calls.Load() != 3 {
 		t.Fatalf("round robin split a=%d b=%d, want 3/3", a.calls.Load(), b.calls.Load())
+	}
+}
+
+// postJSON posts body to the router's handler and returns the recorded
+// answer.
+func postJSON(t *testing.T, rt *Router, path string, body any) *httptest.ResponseRecorder {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+	return w
+}
+
+// TestRouterForwardsExplainer: the explainer a caller names reaches the
+// replica, on both endpoints — an exactshap request through the router
+// is answered by the exact path of a real shahin-serve replica, not by
+// its default explainer, and a name the replica refuses comes back as
+// the replica's 400.
+func TestRouterForwardsExplainer(t *testing.T) {
+	spec, err := datagen.Spec("recidivism")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(1500, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.Compute(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := rf.Train(d, rf.Config{NumTrees: 10, MaxDepth: 6, Seed: 81})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := core.NewWarm(st, forest, core.Options{
+		Explainer: core.LIME, LIME: lime.Config{NumSamples: 200}, MinSupport: 0.1, Tau: 50, Seed: 82,
+	}, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(warm, serve.Config{BatchWindow: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(srv.Handler())
+	defer replica.Close()
+	defer srv.Drain(context.Background()) //shahinvet:allow errcheck — nothing is queued when the test ends
+	rt, err := New(Config{Replicas: []string{replica.URL}, Stats: st, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	tuples := d.Rows(0, 4)
+
+	w := postJSON(t, rt, "/v1/explain", serve.ExplainRequest{Tuple: tuples[0], Explainer: "exactshap"})
+	var one ExplainResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &one); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("routed exactshap: HTTP %d, %v: %s", w.Code, err, w.Body)
+	}
+	if one.Source != "exact" || one.Route.Replica != "replica0" {
+		t.Fatalf("routed exactshap answered with source %q by %q, want exact by replica0", one.Source, one.Route.Replica)
+	}
+
+	w = postJSON(t, rt, "/v1/explain/batch", serve.BatchRequest{Tuples: tuples[1:], Explainer: "exactshap"})
+	var batch BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &batch); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("routed exactshap batch: HTTP %d, %v: %s", w.Code, err, w.Body)
+	}
+	if batch.Count != 3 {
+		t.Fatalf("batch answered %d tuples, want 3", batch.Count)
+	}
+	for i, e := range batch.Explanations {
+		if e.Source != "exact" {
+			t.Errorf("batch tuple %d answered with source %q, want exact", i, e.Source)
+		}
+	}
+
+	// No explainer named: the replica's own kind answers, as before.
+	w = postJSON(t, rt, "/v1/explain", serve.ExplainRequest{Tuple: tuples[0]})
+	if err := json.Unmarshal(w.Body.Bytes(), &one); err != nil || w.Code != http.StatusOK || one.Source != "computed" {
+		t.Fatalf("routed default request: HTTP %d, %v, source %q, want 200 computed", w.Code, err, one.Source)
+	}
+
+	for _, name := range []string{"no-such-explainer", "anchor"} {
+		w = postJSON(t, rt, "/v1/explain", serve.ExplainRequest{Tuple: tuples[0], Explainer: name})
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), name) {
+			t.Errorf("routed explainer %q: HTTP %d %s, want the replica's 400 naming it", name, w.Code, w.Body)
+		}
+		w = postJSON(t, rt, "/v1/explain/batch", serve.BatchRequest{Tuples: tuples[:2], Explainer: name})
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("routed batch explainer %q: HTTP %d, want 400", name, w.Code)
+		}
+	}
+}
+
+// TestRouterDefaultClientKeepsBatchConnections: a batch forwards its
+// tuples concurrently, so the router's own client must keep that many
+// idle connections to a replica — the next batch then dials nothing —
+// and Close must shut every one of them.
+func TestRouterDefaultClientKeepsBatchConnections(t *testing.T) {
+	const width = 16
+	var opened, closed atomic.Int64
+	var mu sync.Mutex
+	arrived, gate := 0, make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/explain", func(w http.ResponseWriter, _ *http.Request) {
+		// Hold every forward until the whole batch is in flight, so a
+		// batch needs width connections at once.
+		mu.Lock()
+		arrived++
+		g := gate
+		if arrived%width == 0 {
+			close(gate)
+			gate = make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-g:
+		case <-time.After(10 * time.Second):
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(serve.ExplainResponse{Status: "ok", Source: "computed"}) //shahinvet:allow errcheck — test fixture write
+	})
+	replica := httptest.NewUnstartedServer(mux)
+	replica.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			opened.Add(1)
+		case http.StateClosed:
+			closed.Add(1)
+		}
+	}
+	replica.Start()
+	defer replica.Close()
+
+	st := testStats(t)
+	rt, err := New(Config{Replicas: []string{replica.URL}, Stats: st, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	req := serve.BatchRequest{Tuples: make([][]float64, width)}
+	for i := range req.Tuples {
+		req.Tuples[i] = []float64{float64(i % 4), float64(i % 3), float64(i % 5), 0.25}
+	}
+	batch := func() int64 {
+		before := opened.Load()
+		if w := postJSON(t, rt, "/v1/explain/batch", req); w.Code != http.StatusOK {
+			t.Fatalf("batch: HTTP %d %s", w.Code, w.Body)
+		}
+		return opened.Load() - before
+	}
+	if n := batch(); n != width {
+		t.Fatalf("first batch of %d concurrent forwards opened %d connections", width, n)
+	}
+	// A connection rejoins the idle pool just after its answer has been
+	// read, so the batch right behind the first may still dial a few.
+	reused := false
+	for try := 0; try < 20 && !reused; try++ {
+		reused = batch() == 0
+	}
+	if !reused {
+		t.Fatalf("every batch dialled anew: the client does not keep %d idle connections per replica", width)
+	}
+
+	rt.Close()
+	deadline := time.Now().Add(10 * time.Second) //shahinvet:allow walltime — bounds the wait for the replica to see its connections closed
+	for closed.Load() < opened.Load() {
+		if time.Now().After(deadline) { //shahinvet:allow walltime — see above
+			t.Fatalf("Close left %d of %d connections to the replica open", opened.Load()-closed.Load(), opened.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
