@@ -39,89 +39,19 @@ func SequentialCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, op
 	defer root.End()
 	rec.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
 
-	// Anchor still needs a coverage sample; its cost is part of setup for
-	// both baseline and Shahin, so the comparison stays fair.
-	var covRows []dataset.Itemset
+	eng := newEngineBridge(opts, st, cls, rng, fb)
 	if opts.Explainer == Anchor {
-		covRows = itemizeSample(st, tuples, fim.SampleSize(len(tuples)), rng)
+		// Anchor still needs a coverage sample; its cost is part of setup
+		// for both baseline and Shahin, so the comparison stays fair.
+		eng.setCoverage(itemizeSample(st, tuples, fim.SampleSize(len(tuples)), rng))
 	}
-	eng := newEngineBridge(opts, st, cls, covRows, rng, fb)
-
-	explainSpan := root.Child(obs.StageExplain)
-	var (
-		tupleHist *obs.Histogram
-		doneCtr   *obs.Counter
-	)
-	if rec != nil {
-		tupleHist = rec.Histogram(obs.HistExplainTuple)
-		doneCtr = rec.Counter(obs.CounterTuplesDone)
+	rep := Report{Tuples: len(tuples), ExactFallback: fellBack}
+	step := &tupleStep{eng: eng}
+	out, _, err := step.explainAll(ctx, root, nil, tuples, start, &rep)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Explanation, len(tuples))
-	for i, t := range tuples {
-		if ctx.Err() != nil {
-			for j := i; j < len(tuples); j++ {
-				out[j].Status = StatusFailed
-			}
-			break
-		}
-		eng.beginTuple()
-		var (
-			tupleStart time.Time
-			inv0       int64
-			nv0        int64
-		)
-		if tupleHist != nil {
-			tupleStart = time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram
-			inv0 = eng.invocations()
-			nv0 = eng.nodeVisits()
-		}
-		exp, err := eng.explain(t, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: explaining tuple %d: %w", i, err)
-		}
-		exp.Status = eng.tupleStatus()
-		if tupleHist != nil {
-			dur := time.Since(tupleStart)
-			tupleHist.Observe(dur)
-			doneCtr.Inc()
-			ev := obs.Event{
-				Type: obs.EventTupleExplained, Tuple: i,
-				Explainer: opts.Explainer.String(),
-				Fresh:     eng.invocations() - inv0,
-				DurMS:     float64(dur) / float64(time.Millisecond),
-			}
-			if eng.exact != nil {
-				ev.Type = obs.EventExactShap
-				ev.NodeVisits = eng.nodeVisits() - nv0
-			}
-			if exp.Status != StatusOK {
-				ev.Status = exp.Status.String()
-			}
-			rec.Emit(ev)
-		}
-		out[i] = exp
-	}
-	explainSpan.End()
-	wall := time.Since(start)
-	rep := Report{
-		Tuples:        len(tuples),
-		WallTime:      wall,
-		ExplainTime:   wall,
-		Invocations:   eng.invocations(),
-		NodeVisits:    eng.nodeVisits(),
-		ExactFallback: fellBack,
-	}
-	for i := range out {
-		switch out[i].Status {
-		case StatusDegraded:
-			rep.Degraded++
-		case StatusFailed:
-			rep.Failed++
-		}
-	}
-	if fb != nil {
-		rep.Retries = fb.chain.Stats().Retries
-	}
+	rep.ExplainTime = rep.WallTime
 	return &Result{Explanations: out, Report: rep}, ctx.Err()
 }
 
@@ -154,16 +84,12 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 	out := make([]Explanation, len(tuples))
 	var (
 		rep      Report
-		total    time.Duration
 		machines int
 	)
 	chunk := (len(tuples) + k - 1) / k
 	for w := 0; w < k; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(tuples) {
-			hi = len(tuples)
-		}
+		hi := min(lo+chunk, len(tuples))
 		if lo >= hi {
 			continue
 		}
@@ -171,6 +97,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 			for j := lo; j < len(tuples); j++ {
 				out[j].Status = StatusFailed
 			}
+			rep.Failed += len(tuples) - lo
 			break
 		}
 		wopts := opts
@@ -178,11 +105,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 		res, err := SequentialCtx(ctx, st, cls, wopts, tuples[lo:hi])
 		if res != nil {
 			copy(out[lo:hi], res.Explanations)
-			rep.Invocations += res.Report.Invocations
-			rep.NodeVisits += res.Report.NodeVisits
-			rep.ExactFallback = rep.ExactFallback || res.Report.ExactFallback
-			rep.Retries += res.Report.Retries
-			total += res.Report.WallTime
+			rep.add(res.Report)
 			machines++
 		}
 		if err != nil && ctx.Err() == nil {
@@ -192,20 +115,10 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 	// Each machine's Sequential run set the gauge to its chunk size;
 	// restore the batch-wide total for live progress readers.
 	opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
-	var wall time.Duration
-	if machines > 0 {
-		wall = total / time.Duration(machines)
-	}
 	rep.Tuples = len(tuples)
-	rep.WallTime = wall
-	rep.ExplainTime = wall
-	for i := range out {
-		switch out[i].Status {
-		case StatusDegraded:
-			rep.Degraded++
-		case StatusFailed:
-			rep.Failed++
-		}
+	if machines > 0 {
+		rep.WallTime /= time.Duration(machines)
 	}
+	rep.ExplainTime = rep.WallTime
 	return &Result{Explanations: out, Report: rep}, ctx.Err()
 }

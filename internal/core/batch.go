@@ -7,10 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"shahin/internal/cache"
 	"shahin/internal/dataset"
-	"shahin/internal/explain"
-	"shahin/internal/explain/anchor"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -76,277 +73,45 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	ctx = obs.ContextWithSpan(ctx, root)
 	fb := buildBridge(ctx, opts, b.st, b.cls)
 	rec.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
-
-	// Allocation attribution mirrors the stage clocks: one mark around
-	// the whole run, one around mine + pool build, one around explain.
 	var runMark obs.AllocMark
 	if rec != nil {
 		runMark = obs.NowAllocs()
 	}
+	eng := newEngineBridge(opts, b.st, b.cls, rng, fb)
+	ps := newPoolState(opts, b.st, eng.cls.NumClasses(), len(tuples))
 
-	// Step 1 (overhead): itemise a uniform sample of the batch and mine
-	// frequent itemsets — max(1000, 1%) per the paper's heuristic.
-	mineSpan := root.Child(obs.StageMine)
-	mineStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	var (
-		rows     []dataset.Itemset
-		frequent []fim.Mined
-	)
-	// The exact TreeSHAP path neither perturbs nor pools, so it skips
-	// mining entirely; the empty frequent set flows through Step 2 and
-	// builds an empty (but non-nil) pool the engines never draw from.
-	if opts.Explainer != ExactSHAP {
-		sampleN := fim.SampleSize(len(tuples))
+	// Steps 1–2 (overhead, then pool construction): mine a uniform
+	// sample of the batch — max(1000, 1%) per the paper's heuristic —
+	// and materialise τ labelled perturbations per frequent itemset. The
+	// exact TreeSHAP path neither perturbs nor pools: it mines nothing
+	// and gets an empty pool its engines never draw from.
+	_, rep, err := ps.refresh(ctx, eng, perturb.NewGenerator(b.st, rng), func() []dataset.Itemset {
+		if opts.Explainer == ExactSHAP {
+			return nil
+		}
+		n := fim.SampleSize(len(tuples))
 		switch {
 		case opts.MineSample < 0:
-			sampleN = len(tuples)
+			n = len(tuples)
 		case opts.MineSample > 0:
-			sampleN = opts.MineSample
+			n = opts.MineSample
 		}
-		rows = itemizeSample(b.st, tuples, sampleN, rng)
-		mined, err := fim.Mine(rows, fim.Config{
-			MinSupport:  effectiveSupport(opts.MinSupport, len(rows)),
-			MaxLen:      opts.MaxItemsetLen,
-			MaxPerLevel: 4 * opts.MaxItemsets,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: mining batch sample: %w", err)
-		}
-		frequent = mined.Frequent
-		if len(frequent) > opts.MaxItemsets {
-			frequent = frequent[:opts.MaxItemsets]
-		}
-		// Resource-constrained pool sizing (the paper sets τ "automatically
-		// based on the resource constraints"): never spend more than ~20 % of
-		// the estimated sequential classifier budget on pre-labelling, so
-		// small batches are not swamped by pool construction.
-		if maxSets := poolBudget(opts, len(tuples)) / opts.Tau; !opts.DisablePoolBudget && len(frequent) > maxSets {
-			if maxSets < 10 {
-				maxSets = 10
-			}
-			if len(frequent) > maxSets {
-				frequent = frequent[:maxSets]
-			}
-		}
+		return itemizeSample(b.st, tuples, n, rng)
+	}, false, root)
+	if err != nil {
+		return nil, err
 	}
-	mineTime := time.Since(mineStart)
-	mineSpan.SetAttr("frequent_itemsets", len(frequent))
-	mineSpan.End()
-
-	eng := newEngineBridge(opts, b.st, b.cls, rows, rng, fb)
-	gen := perturb.NewGenerator(b.st, rng)
-
-	// Step 2: materialise and label τ perturbations per frequent itemset.
-	poolSpan := root.Child(obs.StagePoolBuild)
-	preLabelSpan := poolSpan.Child(obs.StagePreLabel)
-	poolStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	var (
-		pool *itemsetPool
-		repo *cache.Repo
-		sets []dataset.Itemset
-		sh   *anchor.Shared
-	)
-	switch opts.Explainer {
-	case Anchor:
-		sh = anchor.NewShared(eng.cls.NumClasses(), opts.CacheBytes)
-		sh.Repo.SetHooks(cacheHooks(rec))
-		seedAnchor(ctx, sh, eng.cls, gen, frequent, opts.Tau, rec)
-		if fb != nil {
-			anchorSets := make([]dataset.Itemset, len(frequent))
-			for i, mnd := range frequent {
-				anchorSets[i] = mnd.Set
-			}
-			fb.setPool(sh.Repo, anchorSets)
-		}
-	default:
-		repo = cache.NewRepo(opts.CacheBytes)
-		repo.SetHooks(cacheHooks(rec))
-		sets = make([]dataset.Itemset, len(frequent))
-		for i, mnd := range frequent {
-			if ctx.Err() != nil {
-				sets = sets[:i]
-				break
-			}
-			var setStart time.Time
-			if rec != nil {
-				setStart = time.Now() //shahinvet:allow walltime — per-itemset pre-label timing feeds the obs event log
-			}
-			inv0 := eng.invocations()
-			samples := make([]perturb.Sample, opts.Tau)
-			for j := range samples {
-				s := gen.ForItemset(mnd.Set)
-				s.Label = eng.cls.Predict(s.Row)
-				samples[j] = s
-			}
-			repo.Put(mnd.Set.Key(), samples)
-			sets[i] = mnd.Set
-			if rec != nil {
-				rec.Emit(obs.Event{
-					Type: obs.EventPreLabel, Tuple: -1, Itemset: mnd.Set.String(),
-					Fresh: eng.invocations() - inv0,
-					DurMS: float64(time.Since(setStart)) / float64(time.Millisecond),
-				})
-			}
-		}
-		pool = newItemsetPool(repo, sets, rec)
-		if fb != nil {
-			fb.setPool(repo, sets)
-		}
-	}
-	poolInv := eng.invocations()
-	poolTime := time.Since(poolStart)
-	var poolAlloc obs.AllocDelta
-	if rec != nil {
-		// The mark at run start also covers mining; folding mine into
-		// the pool column matches how OverheadTime accounts the stage.
-		poolAlloc = runMark.Since()
-	}
-	preLabelSpan.End()
-	poolSpan.SetAttr("pool_invocations", poolInv)
-	poolSpan.End()
-	rec.Counter(obs.CounterPoolInvocations).Add(poolInv)
-	if opts.Explainer != ExactSHAP {
-		rec.Emit(obs.Event{
-			Type: obs.EventPoolBuild, Tuple: -1, Itemsets: len(frequent),
-			Fresh: poolInv, DurMS: float64(poolTime) / float64(time.Millisecond),
-		})
+	eng.setCoverage(ps.cov)
+	if fb != nil {
+		fb.setPool(ps.repo, ps.sets)
 	}
 
 	// Step 3: explain every tuple, reusing pooled work.
-	rep := Report{
-		Tuples:           len(tuples),
-		OverheadTime:     mineTime,
-		MineTime:         mineTime,
-		PoolTime:         poolTime,
-		PoolInvocations:  poolInv,
-		FrequentItemsets: len(frequent),
-		PoolAllocBytes:   poolAlloc.Bytes,
-		PoolAllocObjects: poolAlloc.Objects,
+	rep.Tuples, rep.ExactFallback = len(tuples), b.exactFallback
+	out, bds, err := ps.step(eng).explainAll(ctx, root, ps, tuples, start, &rep)
+	if err != nil {
+		return nil, err
 	}
-	explainSpan := root.Child(obs.StageExplain)
-	explainStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	var explainMark obs.AllocMark
-	if rec != nil {
-		explainMark = obs.NowAllocs()
-	}
-	var (
-		tupleHist *obs.Histogram
-		doneCtr   *obs.Counter
-	)
-	if rec != nil {
-		tupleHist = rec.Histogram(obs.HistExplainTuple)
-		doneCtr = rec.Counter(obs.CounterTuplesDone)
-	}
-	out := make([]Explanation, len(tuples))
-	var bds []obs.StageBreakdown
-	if rec != nil {
-		bds = make([]obs.StageBreakdown, len(tuples))
-	}
-	if pool != nil && opts.Workers > 1 {
-		if err := explainParallel(ctx, b.st, b.cls, tuples, out, bds, repo.Snapshot(), sets, opts, &rep, fb); err != nil {
-			return nil, err
-		}
-		rep.Invocations += poolInv
-	} else {
-		for i, t := range tuples {
-			if ctx.Err() != nil {
-				for j := i; j < len(tuples); j++ {
-					out[j].Status = StatusFailed
-				}
-				break
-			}
-			var pl explain.Pool
-			if pool != nil {
-				pool.beginTuple()
-				pl = pool
-			}
-			eng.beginTuple()
-			var (
-				tupleStart time.Time
-				inv0       int64
-				nv0        int64
-				cls0       time.Duration
-				anchorHits int64
-			)
-			if tupleHist != nil {
-				tupleStart = time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram
-				inv0 = eng.invocations()
-				nv0 = eng.nodeVisits()
-				cls0 = eng.classifyTime()
-				if sh != nil {
-					anchorHits = sh.Repo.Stats().Hits
-				}
-			}
-			exp, err := eng.explain(t, pl, sh)
-			if err != nil {
-				return nil, fmt.Errorf("core: explaining tuple %d: %w", i, err)
-			}
-			exp.Status = eng.tupleStatus()
-			if tupleHist != nil {
-				dur := time.Since(tupleStart)
-				tupleHist.Observe(dur)
-				doneCtr.Inc()
-				ev := obs.Event{
-					Type: obs.EventTupleExplained, Tuple: i,
-					Explainer: opts.Explainer.String(),
-					Fresh:     eng.invocations() - inv0,
-					DurMS:     float64(dur) / float64(time.Millisecond),
-				}
-				if eng.exact != nil {
-					// The exact path's provenance unit is tree-node
-					// visits, not pooled samples.
-					ev.Type = obs.EventExactShap
-					ev.NodeVisits = eng.nodeVisits() - nv0
-				} else if pool != nil {
-					ev.Pooled, ev.CacheHits, ev.Itemset = pool.provenance()
-				} else if sh != nil {
-					ev.CacheHits = sh.Repo.Stats().Hits - anchorHits
-				}
-				if exp.Status != StatusOK {
-					ev.Status = exp.Status.String()
-				}
-				bd := tupleBreakdown(dur, eng.classifyTime()-cls0, pool)
-				if bds != nil {
-					bds[i] = bd
-				}
-				rec.ObserveStages(bd)
-				ev.Stages = &bd
-				rec.Emit(ev)
-			}
-			out[i] = exp
-		}
-		rep.Invocations = eng.invocations()
-		rep.NodeVisits = eng.nodeVisits()
-		if pool != nil {
-			rep.OverheadTime += pool.retrieval
-			rep.ReusedSamples = pool.reused
-		}
-	}
-	rep.ExactFallback = b.exactFallback
-	rep.ExplainTime = time.Since(explainStart)
-	if rec != nil {
-		d := explainMark.Since()
-		rep.ExplainAllocBytes, rep.ExplainAllocObjects = d.Bytes, d.Objects
-	}
-	explainSpan.End()
-	if repo != nil {
-		rep.Cache = repo.Stats()
-	}
-	if sh != nil {
-		rep.Cache = sh.Repo.Stats()
-	}
-	for i := range out {
-		switch out[i].Status {
-		case StatusDegraded:
-			rep.Degraded++
-		case StatusFailed:
-			rep.Failed++
-		}
-	}
-	if fb != nil {
-		rep.Retries = fb.chain.Stats().Retries
-	}
-	rep.WallTime = time.Since(start)
 	if rec != nil {
 		d := runMark.Since()
 		rep.AllocBytes, rep.AllocObjects = d.Bytes, d.Objects
@@ -354,48 +119,26 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	return &Result{Explanations: out, Report: rep, Breakdowns: bds}, ctx.Err()
 }
 
-// explainParallel runs the per-tuple phase on opts.Workers goroutines,
-// filling out in place. Each worker gets its own engine (with an
-// independent RNG and invocation counter), its own pool view over a
-// frozen snapshot of the repository, and — when the run is fallible —
-// its own fork of the bridge (the fault chain underneath is shared and
-// internally locked), so no synchronisation is needed on the hot path.
+// explainParallel runs the per-tuple steps on the pool's Options.Workers
+// goroutines, filling out (and bds, when non-nil) in place. Each worker
+// gets its own engine forked from eng and its own pool view over a
+// frozen snapshot of the repository, so no synchronisation is needed on
+// the hot path; the strided index partition keeps writes disjoint.
 // Cancelling ctx stops every worker between tuples; slots never
-// attempted are marked StatusFailed. Shared by the batch and warm
-// (serving) variants, which is why it is a free function over an
-// immutable snapshot rather than a Batch method.
-// bds, when non-nil, receives each tuple's latency attribution; the
-// strided index partition keeps writes disjoint across workers.
-func explainParallel(ctx context.Context, st *dataset.Stats, cls rf.Classifier, tuples [][]float64, out []Explanation, bds []obs.StageBreakdown, snap cache.Snapshot, sets []dataset.Itemset, opts Options, rep *Report, fb *fallibleBridge) error {
-	workers := opts.Workers
-	if workers > len(tuples) {
-		workers = len(tuples)
-	}
-	rec := opts.Recorder
-	var (
-		tupleHist *obs.Histogram
-		doneCtr   *obs.Counter
-	)
-	if rec != nil {
-		tupleHist = rec.Histogram(obs.HistExplainTuple)
-		doneCtr = rec.Counter(obs.CounterTuplesDone)
-	}
-	engines := make([]*engine, workers)
-	pools := make([]*itemsetPool, workers)
+// attempted are marked StatusFailed.
+func explainParallel(ctx context.Context, eng *engine, ps *poolState, tuples [][]float64, out []Explanation, bds []obs.StageBreakdown, rep *Report) error {
+	workers := min(ps.opts.Workers, len(tuples))
+	snap := ps.repo.Snapshot()
+	steps := make([]*tupleStep, workers)
 	errs := make([]error, workers)
-	attempted := make([][]bool, workers)
+	attempted := make([]bool, len(tuples))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wopts := opts
-		wopts.Seed = opts.Seed + 7919*int64(w+1)
-		var wfb *fallibleBridge
-		if fb != nil {
-			wfb = fb.fork()
-			wfb.setPool(snap, sets)
+	for w := range steps {
+		weng := eng.worker(w)
+		if weng.fb != nil {
+			weng.fb.setPool(snap, ps.sets)
 		}
-		engines[w] = newEngineBridge(wopts, st, cls, nil, rand.New(rand.NewSource(wopts.Seed)), wfb)
-		pools[w] = newItemsetPool(snap, sets, rec)
-		attempted[w] = make([]bool, len(tuples))
+		steps[w] = &tupleStep{eng: weng, pool: newItemsetPool(snap, ps.sets, ps.opts.Recorder)}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -403,55 +146,16 @@ func explainParallel(ctx context.Context, st *dataset.Stats, cls rf.Classifier, 
 				if ctx.Err() != nil {
 					return
 				}
-				attempted[w][i] = true
-				pools[w].beginTuple()
-				engines[w].beginTuple()
-				var (
-					tupleStart time.Time
-					inv0       int64
-					nv0        int64
-					cls0       time.Duration
-				)
-				if tupleHist != nil {
-					tupleStart = time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram
-					inv0 = engines[w].invocations()
-					nv0 = engines[w].nodeVisits()
-					cls0 = engines[w].classifyTime()
-				}
-				exp, err := engines[w].explain(tuples[i], pools[w], nil)
+				attempted[i] = true
+				exp, bd, err := steps[w].run(i, tuples[i])
 				if err != nil {
-					errs[w] = fmt.Errorf("core: explaining tuple %d: %w", i, err)
+					errs[w] = err
 					return
 				}
-				exp.Status = engines[w].tupleStatus()
-				if tupleHist != nil {
-					dur := time.Since(tupleStart)
-					tupleHist.Observe(dur)
-					doneCtr.Inc()
-					ev := obs.Event{
-						Type: obs.EventTupleExplained, Tuple: i,
-						Explainer: opts.Explainer.String(),
-						Fresh:     engines[w].invocations() - inv0,
-						DurMS:     float64(dur) / float64(time.Millisecond),
-					}
-					if engines[w].exact != nil {
-						ev.Type = obs.EventExactShap
-						ev.NodeVisits = engines[w].nodeVisits() - nv0
-					} else {
-						ev.Pooled, ev.CacheHits, ev.Itemset = pools[w].provenance()
-					}
-					if exp.Status != StatusOK {
-						ev.Status = exp.Status.String()
-					}
-					bd := tupleBreakdown(dur, engines[w].classifyTime()-cls0, pools[w])
-					if bds != nil {
-						bds[i] = bd
-					}
-					rec.ObserveStages(bd)
-					ev.Stages = &bd
-					rec.Emit(ev)
-				}
 				out[i] = exp
+				if bds != nil {
+					bds[i] = bd
+				}
 			}
 		}(w)
 	}
@@ -463,19 +167,21 @@ func explainParallel(ctx context.Context, st *dataset.Stats, cls rf.Classifier, 
 	}
 	if ctx.Err() != nil {
 		for i := range out {
-			if !attempted[i%workers][i] {
+			if !attempted[i] {
 				out[i].Status = StatusFailed
 			}
 		}
 	}
-	for w := 0; w < workers; w++ {
-		rep.Invocations += engines[w].invocations()
-		rep.NodeVisits += engines[w].nodeVisits()
-		rep.ReusedSamples += pools[w].reused
-		if pools[w].retrieval > 0 {
-			rep.OverheadTime += pools[w].retrieval / time.Duration(workers)
-		}
+	// Retrieval ran concurrently: its share of the wall is the mean.
+	var sum Report
+	for _, s := range steps {
+		s.collect(&sum)
 	}
+	sum.OverheadTime /= time.Duration(workers)
+	rep.Invocations += sum.Invocations
+	rep.NodeVisits += sum.NodeVisits
+	rep.ReusedSamples += sum.ReusedSamples
+	rep.OverheadTime += sum.OverheadTime
 	return nil
 }
 
@@ -535,43 +241,4 @@ func itemizeSample(st *dataset.Stats, tuples [][]float64, n int, rng *rand.Rand)
 		rows[i] = append(dataset.Itemset(nil), st.ItemizeRow(tuples[ti], nil)...)
 	}
 	return rows
-}
-
-// seedAnchor pre-estimates the precision of every frequent-itemset rule
-// (Algorithm 2, line 3): τ labelled perturbations per rule go into the
-// shared repository, their class histogram into the invariant cache, and
-// the mined support doubles as the rule's coverage. Each seeded rule
-// emits a pre_label provenance event when a recorder is attached.
-// Cancelling ctx stops seeding between itemsets.
-func seedAnchor(ctx context.Context, sh *anchor.Shared, cls rf.Classifier, gen *perturb.Generator, frequent []fim.Mined, tau int, rec *obs.Recorder) {
-	nClasses := cls.NumClasses()
-	for _, mnd := range frequent {
-		if ctx.Err() != nil {
-			return
-		}
-		var setStart time.Time
-		if rec != nil {
-			setStart = time.Now() //shahinvet:allow walltime — per-itemset pre-label timing feeds the obs event log
-		}
-		rr, _ := sh.Inv.Lookup(mnd.Set.Key())
-		hist := make([]int, nClasses)
-		samples := make([]perturb.Sample, tau)
-		for j := range samples {
-			s := gen.ForItemset(mnd.Set)
-			s.Label = cls.Predict(s.Row)
-			hist[s.Label]++
-			samples[j] = s
-		}
-		rr.AddTrials(hist)
-		rr.Coverage = mnd.Support
-		rr.HasCoverage = true
-		sh.Repo.Put(mnd.Set.Key(), samples)
-		if rec != nil {
-			rec.Emit(obs.Event{
-				Type: obs.EventPreLabel, Tuple: -1, Itemset: mnd.Set.String(),
-				Fresh: int64(tau),
-				DurMS: float64(time.Since(setStart)) / float64(time.Millisecond),
-			})
-		}
-	}
 }

@@ -377,7 +377,7 @@ func TestStreamRespectsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if used := s.statsFor().BytesUsed; used > 32<<10 {
+	if used := s.Report().Cache.BytesUsed; used > 32<<10 {
 		t.Fatalf("cache used %d bytes over 32KiB budget", used)
 	}
 }

@@ -20,7 +20,9 @@ import (
 // with the classifier instrumentation every run needs.
 type engine struct {
 	kind Kind
+	opts Options
 	st   *dataset.Stats
+	raw  rf.Classifier // the caller's classifier, below the bridge and the counter
 	cls  *rf.Counting
 	fb   *fallibleBridge // nil on the infallible fast path
 
@@ -29,6 +31,10 @@ type engine struct {
 	// fires on the explainer's own goroutine — no lock needed (each
 	// parallel worker owns its engine).
 	classify time.Duration
+	// tupleHist and doneCtr are the per-explanation latency histogram
+	// and progress counter (nil — and no-ops — without a recorder).
+	tupleHist *obs.Histogram
+	doneCtr   *obs.Counter
 
 	lime   *lime.Explainer
 	anchor *anchor.Explainer
@@ -37,26 +43,21 @@ type engine struct {
 	exact  *exact.Explainer
 }
 
-// newEngine wires up the explainer of the requested kind. covRows feeds
-// Anchor's coverage estimates (may be nil for LIME/SHAP). When a
-// recorder is attached, every Predict through this engine also feeds
-// the recorder's invocation counter and latency histogram.
-func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, covRows []dataset.Itemset, rng *rand.Rand) *engine {
-	return newEngineBridge(opts, st, cls, covRows, rng, nil)
-}
-
-// newEngineBridge is newEngine with an optional fallible bridge between
-// the counting wrapper and the classifier. The counting wrapper sits
-// *above* the bridge so every logical prediction — including ones the
-// degradation ladder answers — counts toward the invocation ledger,
-// keeping the event-reconciliation identity intact under faults.
-func newEngineBridge(opts Options, st *dataset.Stats, cls rf.Classifier, covRows []dataset.Itemset, rng *rand.Rand, fb *fallibleBridge) *engine {
+// newEngineBridge wires up the explainer of the requested kind over
+// cls, with an optional fallible bridge between the counting wrapper and
+// the classifier. The counting wrapper sits *above* the bridge so every
+// logical prediction — including ones the degradation ladder answers —
+// counts toward the invocation ledger, keeping the event-reconciliation
+// identity intact under faults. When a recorder is attached, every
+// Predict through this engine also feeds the recorder's invocation
+// counter and latency histogram. The constructors draw nothing from rng.
+func newEngineBridge(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge) *engine {
 	base := cls
 	if fb != nil {
 		base = fb
 	}
 	counting := rf.NewCounting(base)
-	e := &engine{kind: opts.Explainer, st: st, cls: counting, fb: fb}
+	e := &engine{kind: opts.Explainer, opts: opts, st: st, raw: cls, cls: counting, fb: fb}
 	if rec := opts.Recorder; rec != nil {
 		invocations := rec.Counter(obs.CounterInvocations)
 		latency := rec.Histogram(obs.HistPredict)
@@ -65,12 +66,14 @@ func newEngineBridge(opts Options, st *dataset.Stats, cls rf.Classifier, covRows
 			latency.Observe(d)
 			e.classify += d
 		})
+		e.tupleHist = rec.Histogram(obs.HistExplainTuple)
+		e.doneCtr = rec.Counter(obs.CounterTuplesDone)
 	}
 	switch opts.Explainer {
 	case LIME:
 		e.lime = lime.New(st, counting, opts.LIME, rng)
 	case Anchor:
-		e.anchor = anchor.New(st, counting, covRows, opts.Anchor, rng)
+		e.anchor = anchor.New(st, counting, nil, opts.Anchor, rng)
 	case SHAP:
 		e.shap = shap.New(st, counting, opts.SHAP, rng)
 	case SampleSHAP:
@@ -95,6 +98,28 @@ func newEngineBridge(opts Options, st *dataset.Stats, cls rf.Classifier, covRows
 		e.exact = ex
 	}
 	return e
+}
+
+// worker builds the engine of parallel worker w: its own seed, RNG and
+// invocation counter, and — when the run is fallible — its own fork of
+// the bridge (the fault chain underneath is shared and internally
+// locked).
+func (e *engine) worker(w int) *engine {
+	opts := e.opts
+	opts.Seed += 7919 * int64(w+1)
+	var fb *fallibleBridge
+	if e.fb != nil {
+		fb = e.fb.fork()
+	}
+	return newEngineBridge(opts, e.st, e.raw, rand.New(rand.NewSource(opts.Seed)), fb)
+}
+
+// setCoverage hands Anchor the itemised rows rule coverage is measured
+// against (no-op for the other kinds).
+func (e *engine) setCoverage(rows []dataset.Itemset) {
+	if e.anchor != nil {
+		e.anchor.SetCoverageRows(rows)
+	}
 }
 
 // explain runs one explanation. pool may be nil (sequential); sh is the
@@ -154,21 +179,6 @@ func (e *engine) nodeVisits() int64 {
 // measured). Per-tuple deltas feed the classify stage of latency
 // attribution.
 func (e *engine) classifyTime() time.Duration { return e.classify }
-
-// tupleBreakdown attributes one tuple's explanation time across the
-// core stages: pool sampling, classification, and the solver remainder
-// (clamped at zero against rounding between the measurements).
-func tupleBreakdown(dur, classify time.Duration, pool *itemsetPool) obs.StageBreakdown {
-	bd := obs.StageBreakdown{Classify: classify}
-	if pool != nil {
-		bd.PoolSample = pool.tupleRetrieval
-	}
-	bd.Solve = dur - bd.Classify - bd.PoolSample
-	if bd.Solve < 0 {
-		bd.Solve = 0
-	}
-	return bd
-}
 
 // beginTuple resets the bridge's per-tuple outcome flags (no-op on the
 // infallible fast path).

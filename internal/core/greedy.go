@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -30,56 +31,24 @@ func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float
 		return Sequential(st, cls, opts, tuples)
 	}
 	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	rng := rand.New(rand.NewSource(opts.Seed))
-	eng := newEngine(opts, st, cls, nil, rng)
-
 	rec := opts.Recorder
 	root := rec.StartSpan(obs.StageGreedy)
 	root.SetAttr("tuples", len(tuples))
 	defer root.End()
 	rec.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
-	explainSpan := root.Child(obs.StageExplain)
-	var (
-		tupleHist *obs.Histogram
-		doneCtr   *obs.Counter
-	)
-	if rec != nil {
-		tupleHist = rec.Histogram(obs.HistExplainTuple)
-		doneCtr = rec.Counter(obs.CounterTuplesDone)
-	}
 
 	store := newGreedyStore(budgetBytes)
 	store.reusedCtr = rec.Counter(obs.CounterReusedSamples)
-	out := make([]Explanation, 0, len(tuples))
-	for i, t := range tuples {
-		store.beginTuple()
-		var tupleStart time.Time
-		if tupleHist != nil {
-			tupleStart = time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram
-		}
-		exp, err := eng.explain(t, store, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: explaining tuple %d: %w", i, err)
-		}
-		if tupleHist != nil {
-			tupleHist.Observe(time.Since(tupleStart))
-			doneCtr.Inc()
-		}
-		out = append(out, exp)
+	eng := newEngineBridge(opts, st, cls, rand.New(rand.NewSource(opts.Seed)), nil)
+	rep := Report{Tuples: len(tuples)}
+	step := &tupleStep{eng: eng, pool: store}
+	out, _, err := step.explainAll(context.Background(), root, nil, tuples, start, &rep)
+	if err != nil {
+		return nil, err
 	}
-	explainSpan.End()
-	wall := time.Since(start)
-	return &Result{
-		Explanations: out,
-		Report: Report{
-			Tuples:        len(tuples),
-			WallTime:      wall,
-			ExplainTime:   wall,
-			OverheadTime:  store.retrieval,
-			Invocations:   eng.invocations(),
-			ReusedSamples: store.reused,
-		},
-	}, nil
+	rep.ExplainTime = rep.WallTime
+	rep.NodeVisits = 0
+	return &Result{Explanations: out, Report: rep}, nil
 }
 
 // greedyStore is a flat FIFO of labelled perturbations under a byte
@@ -99,6 +68,10 @@ type greedyStore struct {
 	reused    int64
 	retrieval time.Duration
 	reusedCtr *obs.Counter // live reuse counter; nil (no-op) without a recorder
+
+	// Since beginTuple, for the tuple's provenance event.
+	tupleReused    int64
+	tupleRetrieval time.Duration
 }
 
 type storedSample struct {
@@ -107,7 +80,7 @@ type storedSample struct {
 }
 
 var (
-	_ explain.Pool     = (*greedyStore)(nil)
+	_ tuplePool        = (*greedyStore)(nil)
 	_ explain.Observer = (*greedyStore)(nil)
 )
 
@@ -115,7 +88,30 @@ func newGreedyStore(budget int64) *greedyStore {
 	return &greedyStore{budget: budget, consumed: make(map[int64]bool)}
 }
 
-func (g *greedyStore) beginTuple() { clear(g.consumed) }
+func (g *greedyStore) beginTuple() {
+	clear(g.consumed)
+	g.tupleReused, g.tupleRetrieval = 0, 0
+}
+
+// provenance reports the samples served since beginTuple; the store has
+// no repository hits or itemsets to credit them to.
+func (g *greedyStore) provenance() (pooled, hits int64, matched string) {
+	return g.tupleReused, 0, ""
+}
+
+func (g *greedyStore) retrievalSince() time.Duration { return g.tupleRetrieval }
+
+func (g *greedyStore) totals() (int64, time.Duration) { return g.reused, g.retrieval }
+
+// served accounts for one retrieval of n samples that began at start.
+func (g *greedyStore) served(n int, start time.Time) {
+	d := time.Since(start)
+	g.retrieval += d
+	g.tupleRetrieval += d
+	g.reused += int64(n)
+	g.tupleReused += int64(n)
+	g.reusedCtr.Add(int64(n))
+}
 
 // Observe implements explain.Observer: every fresh labelled perturbation
 // is persisted, evicting oldest entries past the budget.
@@ -143,8 +139,6 @@ func (g *greedyStore) Observe(s perturb.Sample) {
 // fades at larger batches.
 func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
 	startT := time.Now() //shahinvet:allow walltime — retrieval overhead accounting (Figure 5)
-	defer func() { g.retrieval += time.Since(startT) }()
-
 	minMatch := (len(tupleItems) + 1) / 2
 	var out []perturb.Sample
 	for i := len(g.samples) - 1; i >= g.head && len(out) < max; i-- {
@@ -157,8 +151,7 @@ func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 			g.consumed[ss.id] = true
 		}
 	}
-	g.reused += int64(len(out))
-	g.reusedCtr.Add(int64(len(out)))
+	g.served(len(out), startT)
 	return out
 }
 
@@ -170,8 +163,6 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		return nil
 	}
 	startT := time.Now() //shahinvet:allow walltime — retrieval overhead accounting (Figure 5)
-	defer func() { g.retrieval += time.Since(startT) }()
-
 	var out []perturb.Sample
 	for i := len(g.samples) - 1; i >= g.head && len(out) < max; i-- {
 		ss := &g.samples[i]
@@ -183,8 +174,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 			g.consumed[ss.id] = true
 		}
 	}
-	g.reused += int64(len(out))
-	g.reusedCtr.Add(int64(len(out)))
+	g.served(len(out), startT)
 	return out
 }
 

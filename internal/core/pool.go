@@ -6,7 +6,6 @@ import (
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
-	"shahin/internal/explain"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
 )
@@ -42,7 +41,7 @@ type itemsetPool struct {
 
 	reused         int64
 	retrieval      time.Duration
-	tupleRetrieval time.Duration // retrieval since beginTuple; feeds pool_sample attribution
+	tupleRetrieval time.Duration // retrieval since beginTuple
 	reusedCtr      *obs.Counter  // live reuse counter; nil (no-op) without a recorder
 
 	// Per-tuple provenance, reset by beginTuple: samples served, repo
@@ -53,19 +52,24 @@ type itemsetPool struct {
 	matched     dataset.Itemset
 }
 
-var _ explain.Pool = (*itemsetPool)(nil)
+var _ tuplePool = (*itemsetPool)(nil)
 
 func newItemsetPool(repo sampleSource, itemsets []dataset.Itemset, rec *obs.Recorder) *itemsetPool {
-	longest := append([]dataset.Itemset(nil), itemsets...)
-	sort.SliceStable(longest, func(i, j int) bool { return len(longest[i]) > len(longest[j]) })
-	return &itemsetPool{
-		repo:        repo,
-		itemsets:    itemsets,
-		longestView: longest,
-		cursors:     make(map[dataset.ItemsetKey]int),
-		consumed:    make(map[dataset.ItemsetKey][]bool),
-		reusedCtr:   rec.Counter(obs.CounterReusedSamples),
+	p := &itemsetPool{
+		repo:      repo,
+		cursors:   make(map[dataset.ItemsetKey]int),
+		consumed:  make(map[dataset.ItemsetKey][]bool),
+		reusedCtr: rec.Counter(obs.CounterReusedSamples),
 	}
+	p.setItemsets(itemsets)
+	return p
+}
+
+// setItemsets points the pool at the itemsets its source now holds.
+func (p *itemsetPool) setItemsets(itemsets []dataset.Itemset) {
+	p.itemsets = itemsets
+	p.longestView = append([]dataset.Itemset(nil), itemsets...)
+	sort.SliceStable(p.longestView, func(i, j int) bool { return len(p.longestView[i]) > len(p.longestView[j]) })
 }
 
 // beginTuple resets the per-tuple consumption allowance and provenance.
@@ -87,6 +91,13 @@ func (p *itemsetPool) provenance() (pooled, hits int64, matched string) {
 	}
 	return p.tupleReused, p.tupleHits, matched
 }
+
+// retrievalSince reports retrieval time since beginTuple; it feeds the
+// pool_sample stage of latency attribution.
+func (p *itemsetPool) retrievalSince() time.Duration { return p.tupleRetrieval }
+
+// totals reports samples served and retrieval time over the pool's life.
+func (p *itemsetPool) totals() (int64, time.Duration) { return p.reused, p.retrieval }
 
 // ForTuple implements explain.Pool: samples of every pooled itemset the
 // tuple contains, best itemsets first.

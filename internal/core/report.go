@@ -96,6 +96,43 @@ type Report struct {
 	ExplainAllocObjects int64
 }
 
+// add folds another run's report into r: costs and counts sum, the
+// pool's size and cache state are o's (the later run's).
+func (r *Report) add(o Report) {
+	r.Tuples += o.Tuples
+	r.WallTime += o.WallTime
+	r.OverheadTime += o.OverheadTime
+	r.MineTime += o.MineTime
+	r.PoolTime += o.PoolTime
+	r.ExplainTime += o.ExplainTime
+	r.Invocations += o.Invocations
+	r.PoolInvocations += o.PoolInvocations
+	r.ReusedSamples += o.ReusedSamples
+	r.FrequentItemsets = o.FrequentItemsets
+	r.Cache = o.Cache
+	r.NodeVisits += o.NodeVisits
+	r.ExactFallback = r.ExactFallback || o.ExactFallback
+	r.Retries += o.Retries
+	r.Degraded += o.Degraded
+	r.Failed += o.Failed
+	r.AllocBytes += o.AllocBytes
+	r.AllocObjects += o.AllocObjects
+	r.PoolAllocBytes += o.PoolAllocBytes
+	r.PoolAllocObjects += o.PoolAllocObjects
+	r.ExplainAllocBytes += o.ExplainAllocBytes
+	r.ExplainAllocObjects += o.ExplainAllocObjects
+}
+
+// count tallies one explanation's status.
+func (r *Report) count(s Status) {
+	switch s {
+	case StatusDegraded:
+		r.Degraded++
+	case StatusFailed:
+		r.Failed++
+	}
+}
+
 // AllocPerTuple returns the average heap bytes and objects allocated
 // per explanation (zero for an empty or uninstrumented run) — the
 // steady-state number the zero-alloc perturbation work gates on.

@@ -4,13 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
-	"shahin/internal/cache"
 	"shahin/internal/dataset"
-	"shahin/internal/explain"
-	"shahin/internal/explain/anchor"
 	"shahin/internal/fault"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
@@ -30,42 +26,27 @@ type Stream struct {
 	st   *dataset.Stats
 	eng  *engine
 	gen  *perturb.Generator
-
-	repo *cache.Repo
-	pool *itemsetPool
-	sh   *anchor.Shared // Anchor-only persistent shared state
+	ps   *poolState
+	pool *itemsetPool // the perturbation explainers' view of ps; nil for Anchor and the exact path
+	step *tupleStep
 
 	// chain and fb are the failure model: the stream always routes
 	// predictions through a fault chain (a pass-through one when
 	// Options.Fault is nil, preserving byte-identical labels) so any
 	// tuple can be explained under a cancellable context.
-	chain    *fault.Chain
-	fb       *fallibleBridge
-	poolSets []dataset.Itemset // materialised itemsets, for the fallback ladder
-	degraded int
-	failed   int
+	chain *fault.Chain
+	fb    *fallibleBridge
 
-	window    []dataset.Itemset // itemised tuples since the last re-mine
-	tracked   []*trackedSet     // frequent itemsets + negative border
-	mines     int
-	maxPooled int // itemset cap derived from the per-window budget
+	window  []dataset.Itemset // itemised tuples since the last re-mine
+	tracked []*trackedSet     // frequent itemsets + negative border
+	mines   int
 
-	tuples   int
-	wall     time.Duration
-	overhead time.Duration
-	poolInv  int64 // Predict calls spent materialising pooled perturbations
-	// exactFallback records a construction-time downgrade of an
-	// ExactSHAP request to KernelSHAP.
-	exactFallback bool
-
-	// Stage accounting and live instrumentation (root/tupleHist/doneCtr
-	// are nil — and no-ops — without a recorder).
-	mineTime    time.Duration
-	poolTime    time.Duration
-	explainTime time.Duration
-	root        *obs.Span
-	tupleHist   *obs.Histogram
-	doneCtr     *obs.Counter
+	// rep accumulates what is counted as it happens; Report adds what is
+	// read off the engine, the pool and the chain.
+	rep Report
+	// root stays open for the stream's lifetime (nil — and a no-op —
+	// without a recorder); trace dumps report it in-flight.
+	root *obs.Span
 }
 
 // trackedSet is one itemset whose running frequency the stream maintains
@@ -89,52 +70,31 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	s := &Stream{
 		opts: opts,
 		st:   st,
-		repo: cache.NewRepo(opts.CacheBytes),
-		// The stream root span stays open for the explainer's lifetime;
-		// trace dumps report it in-flight with its running duration.
-		root:      rec.StartSpan(obs.StageStream),
-		tupleHist: rec.Histogram(obs.HistExplainTuple),
-		doneCtr:   rec.Counter(obs.CounterTuplesDone),
+		rep:  Report{ExactFallback: fellBack},
+		root: rec.StartSpan(obs.StageStream),
 	}
-	s.exactFallback = fellBack
-	s.repo.SetHooks(cacheHooks(rec))
 	// The stream is fallible from birth: a zero fault.Config builds a
 	// pass-through chain (context honoured, nothing injected) whose
 	// labels are byte-identical to calling the classifier directly, so
-	// ExplainCtx works whether or not faults are configured.
+	// ExplainCtx works whether or not faults are configured. An ExactSHAP
+	// stream keeps the bridge too: a pass-through chain exposes the
+	// ensemble via Inner(), so the unwrap sees the trees while the
+	// walker's single target Predict stays cancellable.
 	var fcfg fault.Config
 	if opts.Fault != nil {
 		fcfg = *opts.Fault
 	}
 	s.chain = fault.Build(cls, fcfg, rec)
 	s.fb = newFallibleBridge(context.Background(), s.chain, st, cls, rec)
-	// Anchor's coverage sample grows with the stream: the engine holds a
-	// reference to the slice header, so rebuild the engine lazily instead.
-	// Simpler: give Anchor the window slice at first mine; coverage of a
-	// rule is memoised on first use, so early tuples use window coverage.
-	// An ExactSHAP stream keeps the bridge too: a pass-through chain
-	// exposes the ensemble via Inner(), so the unwrap sees the trees
-	// while the walker's single target Predict stays cancellable.
-	s.eng = newEngineBridge(opts, st, cls, nil, rng, s.fb)
+	s.eng = newEngineBridge(opts, st, cls, rng, s.fb)
 	s.gen = perturb.NewGenerator(st, rng)
-	// Same resource rule as the batch variant: never spend more than
-	// ~20 % of a window's sequential classifier budget on materialising
-	// pooled perturbations, or small windows drown in pool construction.
-	s.maxPooled = opts.MaxItemsets
-	if cap := poolBudget(opts, opts.StreamRecompute) / opts.Tau; cap < s.maxPooled {
-		if cap < 10 {
-			cap = 10
-		}
-		s.maxPooled = cap
-	}
-	switch opts.Explainer {
-	case Anchor:
-		s.sh = anchor.NewShared(s.eng.cls.NumClasses(), opts.CacheBytes)
-		s.sh.Repo.SetHooks(cacheHooks(rec))
-	case ExactSHAP:
-		// No pool: the exact path neither perturbs nor reuses samples.
-	default:
-		s.pool = newItemsetPool(s.repo, nil, rec)
+	s.ps = newPoolState(opts, st, s.eng.cls.NumClasses(), opts.StreamRecompute)
+	s.step = &tupleStep{eng: s.eng, sh: s.ps.sh}
+	// Anchor reuses through its shared caches, and the exact path neither
+	// perturbs nor reuses samples: no pool view for either.
+	if s.ps.sh == nil && s.eng.exact == nil {
+		s.pool = newItemsetPool(s.ps.repo, nil, rec)
+		s.step.pool = s.pool
 	}
 	return s, nil
 }
@@ -165,346 +125,108 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 	s.fb.ctx = obs.ContextWithSpan(ctx, s.root)
 	defer func() { s.fb.ctx = s.fb.base }()
 	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	defer func() { s.wall += time.Since(start) }()
+	defer func() { s.rep.WallTime += time.Since(start) }()
 
-	trackStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
 	// The exact path never mines, pools, or tracks the border; its only
 	// per-tuple bookkeeping is the walk itself.
 	if s.eng.exact == nil {
-		items := append(dataset.Itemset(nil), s.st.ItemizeRow(t, nil)...)
-		s.window = append(s.window, items)
-		for _, ts := range s.tracked {
-			if ts.set.ContainsAll(items) {
-				ts.count++
+		s.track(t)
+		if len(s.window) >= s.opts.StreamRecompute {
+			span := s.root.Child(obs.StageRemine)
+			border, d, err := s.ps.refresh(ctx, s.eng, s.gen, func() []dataset.Itemset { return s.window }, *s.opts.StreamBorder, span)
+			span.End()
+			s.rep.add(d)
+			// Config is validated at construction, so mining a non-empty
+			// window cannot fail; if it somehow does the old pool stays.
+			if err == nil {
+				emitRemine(s.opts.Recorder, d)
+				s.retrack(border)
+				s.window = s.window[:0]
+				s.mines++
 			}
 		}
-	}
-	// Border promotion between re-mines: an itemset whose running window
-	// frequency clears the threshold gets materialised immediately. The
-	// window must be large enough (and the count high enough in absolute
-	// terms) that small-sample variance does not promote marginal
-	// itemsets, and the pool size cap still applies.
-	if s.eng.exact == nil && *s.opts.StreamBorder && len(s.window) >= 50 {
-		minCount := int(s.opts.MinSupport * float64(len(s.window)))
-		if minCount < 5 {
-			minCount = 5
-		}
-		for _, ts := range s.tracked {
-			if ts.frequent || ts.count < minCount {
-				continue
-			}
-			if s.pooledCount() >= s.maxPooled {
-				break
-			}
-			s.materialize(ts.set, -1)
-			ts.frequent = true
-			s.poolSets = appendItemset(s.poolSets, ts.set)
-			if s.pool != nil {
-				s.pool.itemsets = appendItemset(s.pool.itemsets, ts.set)
-				s.pool.longestView = appendLongest(s.pool.longestView, ts.set)
-			}
-		}
-	}
-	s.overhead += time.Since(trackStart)
-
-	if s.eng.exact == nil && len(s.window) >= s.opts.StreamRecompute {
-		s.remine()
-	}
-
-	var pl explain.Pool
-	if s.pool != nil && len(s.pool.itemsets) > 0 {
-		s.pool.beginTuple()
-		pl = s.pool
 	}
 	// Point the degradation ladder at whatever is materialised right now.
-	if s.sh != nil {
-		s.fb.setPool(s.sh.Repo, s.poolSets)
-	} else {
-		s.fb.setPool(s.repo, s.poolSets)
-	}
-	s.eng.beginTuple()
-	rec := s.opts.Recorder
-	var (
-		inv0       int64
-		nv0        int64
-		anchorHits int64
-	)
-	if rec != nil {
-		inv0 = s.eng.invocations()
-		nv0 = s.eng.nodeVisits()
-		if s.sh != nil {
-			anchorHits = s.sh.Repo.Stats().Hits
-		}
-	}
-	cls0 := s.eng.classifyTime()
-	explainStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	exp, err := s.eng.explain(t, pl, s.sh)
-	dur := time.Since(explainStart)
-	s.explainTime += dur
+	s.fb.setPool(s.ps.repo, s.ps.sets)
+	exp, bd, err := s.step.run(s.rep.Tuples, t)
 	if err != nil {
 		return Explanation{}, err
 	}
-	exp.Status = s.eng.tupleStatus()
-	switch exp.Status {
-	case StatusDegraded:
-		s.degraded++
-	case StatusFailed:
-		s.failed++
-	}
-	s.tupleHist.Observe(dur)
-	s.doneCtr.Inc()
-	if rec != nil {
-		ev := obs.Event{
-			Type: obs.EventTupleExplained, Tuple: s.tuples,
-			Explainer: s.opts.Explainer.String(),
-			Fresh:     s.eng.invocations() - inv0,
-			DurMS:     float64(dur) / float64(time.Millisecond),
-		}
-		if s.eng.exact != nil {
-			ev.Type = obs.EventExactShap
-			ev.NodeVisits = s.eng.nodeVisits() - nv0
-		} else if pl != nil {
-			ev.Pooled, ev.CacheHits, ev.Itemset = s.pool.provenance()
-		} else if s.sh != nil {
-			ev.CacheHits = s.sh.Repo.Stats().Hits - anchorHits
-		}
-		if exp.Status != StatusOK {
-			ev.Status = exp.Status.String()
-		}
-		var tp *itemsetPool
-		if pl != nil {
-			tp = s.pool
-		}
-		bd := tupleBreakdown(dur, s.eng.classifyTime()-cls0, tp)
-		rec.ObserveStages(bd)
-		ev.Stages = &bd
-		rec.Emit(ev)
-	}
-	s.tuples++
+	s.rep.ExplainTime += bd.Total()
+	s.rep.count(exp.Status)
+	s.rep.Tuples++
 	return exp, nil
 }
 
-// remine recomputes the frequent itemsets (and negative border) over the
-// window, materialises newly frequent itemsets, evicts ones that fell out
-// of fashion, and resets the window.
-func (s *Stream) remine() {
-	remineSpan := s.root.Child(obs.StageRemine)
-	defer remineSpan.End()
-	remineStart := time.Now() //shahinvet:allow walltime — re-mine timing feeds the obs event log
-	frequentAfter := 0
-	defer func() {
-		s.opts.Recorder.Emit(obs.Event{
-			Type: obs.EventRemine, Tuple: -1, Itemsets: frequentAfter,
-			DurMS: float64(time.Since(remineStart)) / float64(time.Millisecond),
-		})
-	}()
-	mineSpan := remineSpan.Child(obs.StageMine)
-	mineStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	res, err := fim.Mine(s.window, fim.Config{
-		MinSupport:  effectiveSupport(s.opts.MinSupport, len(s.window)),
-		MaxLen:      s.opts.MaxItemsetLen,
-		WithBorder:  *s.opts.StreamBorder,
-		MaxPerLevel: 4 * s.opts.MaxItemsets,
-	})
-	s.overhead += time.Since(mineStart)
-	s.mineTime += time.Since(mineStart)
-	mineSpan.End()
-	if err != nil {
-		// Config is validated at construction; mining over a non-empty
-		// window cannot fail. Keep the old state if it somehow does.
+// track adds the tuple to the window and to the running counts of the
+// tracked itemsets, and promotes border itemsets between re-mines: one
+// whose running window frequency clears the threshold is materialised
+// immediately. The window must be large enough (and the count high
+// enough in absolute terms) that small-sample variance does not promote
+// marginal itemsets, and the pool size cap still applies.
+func (s *Stream) track(t []float64) {
+	trackStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
+	defer func() { s.rep.OverheadTime += time.Since(trackStart) }()
+	items := append(dataset.Itemset(nil), s.st.ItemizeRow(t, nil)...)
+	s.window = append(s.window, items)
+	for _, ts := range s.tracked {
+		if ts.set.ContainsAll(items) {
+			ts.count++
+		}
+	}
+	if !*s.opts.StreamBorder || len(s.window) < 50 {
 		return
 	}
-	mineSpan.SetAttr("frequent_itemsets", len(res.Frequent))
-	frequent := res.Frequent
-	if len(frequent) > s.maxPooled {
-		frequent = frequent[:s.maxPooled]
-	}
-	frequentAfter = len(frequent)
-
-	// Evict repository entries whose itemset is no longer frequent
-	// ("any frequent itemset that becomes infrequent is kicked out along
-	// its perturbations", §3.5).
-	keep := make(map[dataset.ItemsetKey]bool, len(frequent))
-	for _, m := range frequent {
-		keep[m.Set.Key()] = true
-	}
-	repo := s.repo
-	if s.sh != nil {
-		repo = s.sh.Repo
-	}
-	for _, key := range repo.Keys() {
-		if !keep[key] {
-			repo.Delete(key)
+	minCount := max(5, int(s.opts.MinSupport*float64(len(s.window))))
+	for _, ts := range s.tracked {
+		if ts.frequent || ts.count < minCount {
+			continue
+		}
+		if s.ps.repo.Len() >= s.ps.maxSets {
+			break
+		}
+		s.ps.materialize(s.eng, s.gen, ts.set, -1, &s.rep)
+		ts.frequent = true
+		s.ps.sets = append(s.ps.sets, ts.set)
+		if s.pool != nil {
+			s.pool.setItemsets(s.ps.sets)
 		}
 	}
-
-	// Materialise newly frequent itemsets and rebuild the tracked list
-	// (frequent itemsets + negative border).
-	poolSpan := remineSpan.Child(obs.StagePoolBuild)
-	preLabelSpan := poolSpan.Child(obs.StagePreLabel)
-	poolStart := time.Now() //shahinvet:allow walltime — pool-build timing feeds the obs event log
-	poolInv0 := s.poolInv
-	materialised := 0
-	s.tracked = s.tracked[:0]
-	var sets []dataset.Itemset
-	for _, m := range frequent {
-		if !repo.Contains(m.Set.Key()) {
-			s.materialize(m.Set, m.Support)
-			materialised++
-		}
-		sets = append(sets, m.Set)
-		s.tracked = append(s.tracked, &trackedSet{set: m.Set, frequent: true})
-	}
-	preLabelSpan.End()
-	poolSpan.End()
-	if materialised > 0 {
-		s.opts.Recorder.Emit(obs.Event{
-			Type: obs.EventPoolBuild, Tuple: -1, Itemsets: materialised,
-			Fresh: s.poolInv - poolInv0,
-			DurMS: float64(time.Since(poolStart)) / float64(time.Millisecond),
-		})
-	}
-	if *s.opts.StreamBorder {
-		// Track only the most promising border itemsets (the mined border
-		// is sorted by support within each length); an unbounded border
-		// would make per-tuple count maintenance expensive.
-		border := res.Border
-		if len(border) > s.opts.MaxItemsets {
-			border = border[:s.opts.MaxItemsets]
-		}
-		for _, m := range border {
-			s.tracked = append(s.tracked, &trackedSet{set: m.Set})
-		}
-	}
-	s.poolSets = sets
-	if s.pool != nil {
-		s.pool.itemsets = sets
-		longest := append([]dataset.Itemset(nil), sets...)
-		sort.SliceStable(longest, func(i, j int) bool { return len(longest[i]) > len(longest[j]) })
-		s.pool.longestView = longest
-	}
-	s.window = s.window[:0]
-	s.mines++
 }
 
-// materialize generates and labels τ perturbations for an itemset,
-// storing them in the active repository (and, for Anchor, seeding the
-// invariant cache). support < 0 means unknown (border promotion).
-func (s *Stream) materialize(set dataset.Itemset, support float64) {
-	poolStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	inv0 := s.eng.invocations()
-	defer func() {
-		s.poolTime += time.Since(poolStart)
-		delta := s.eng.invocations() - inv0
-		s.poolInv += delta
-		s.opts.Recorder.Counter(obs.CounterPoolInvocations).Add(delta)
-	}()
-	defer func(inv0 int64, setStart time.Time) {
-		rec := s.opts.Recorder
-		if rec == nil {
-			return
-		}
-		rec.Emit(obs.Event{
-			Type: obs.EventPreLabel, Tuple: -1, Itemset: set.String(),
-			Fresh: s.eng.invocations() - inv0,
-			DurMS: float64(time.Since(setStart)) / float64(time.Millisecond),
-		})
-	}(inv0, poolStart)
-	tau := s.opts.Tau
-	if s.sh != nil {
-		rr, _ := s.sh.Inv.Lookup(set.Key())
-		hist := make([]int, s.eng.cls.NumClasses())
-		samples := make([]perturb.Sample, tau)
-		for j := range samples {
-			smp := s.gen.ForItemset(set)
-			smp.Label = s.eng.cls.Predict(smp.Row)
-			hist[smp.Label]++
-			samples[j] = smp
-		}
-		rr.AddTrials(hist)
-		if support >= 0 {
-			rr.Coverage = support
-			rr.HasCoverage = true
-		}
-		s.sh.Repo.Put(set.Key(), samples)
-	} else {
-		samples := make([]perturb.Sample, tau)
-		for j := range samples {
-			smp := s.gen.ForItemset(set)
-			smp.Label = s.eng.cls.Predict(smp.Row)
-			samples[j] = smp
-		}
-		s.repo.Put(set.Key(), samples)
+// retrack rebuilds the tracked list after a refresh: the pooled
+// itemsets, and the most promising of the mined border (it is sorted by
+// support within each length; an unbounded border would make per-tuple
+// count maintenance expensive).
+func (s *Stream) retrack(border []fim.Mined) {
+	s.tracked = s.tracked[:0]
+	for _, set := range s.ps.sets {
+		s.tracked = append(s.tracked, &trackedSet{set: set, frequent: true})
+	}
+	if len(border) > s.opts.MaxItemsets {
+		border = border[:s.opts.MaxItemsets]
+	}
+	for _, m := range border {
+		s.tracked = append(s.tracked, &trackedSet{set: m.Set})
+	}
+	if s.pool != nil {
+		s.pool.setItemsets(s.ps.sets)
 	}
 }
 
 // Report returns a snapshot of the stream's accumulated cost accounting.
 func (s *Stream) Report() Report {
-	rep := Report{
-		Tuples:          s.tuples,
-		WallTime:        s.wall,
-		OverheadTime:    s.overhead,
-		MineTime:        s.mineTime,
-		PoolTime:        s.poolTime,
-		ExplainTime:     s.explainTime,
-		Invocations:     s.eng.invocations(),
-		PoolInvocations: s.poolInv,
-		NodeVisits:      s.eng.nodeVisits(),
-		ExactFallback:   s.exactFallback,
-	}
-	if s.pool != nil {
-		rep.OverheadTime += s.pool.retrieval
-		rep.ReusedSamples = s.pool.reused
-		rep.Cache = s.repo.Stats()
-		rep.FrequentItemsets = len(s.pool.itemsets)
-	}
-	if s.sh != nil {
-		rep.Cache = s.sh.Repo.Stats()
-		rep.FrequentItemsets = s.sh.Repo.Len()
+	rep := s.rep
+	s.step.collect(&rep)
+	rep.Cache = s.ps.repo.Stats()
+	rep.FrequentItemsets = len(s.ps.sets)
+	if s.ps.sh != nil {
+		rep.FrequentItemsets = s.ps.repo.Len()
 	}
 	rep.Retries = s.chain.Stats().Retries
-	rep.Degraded = s.degraded
-	rep.Failed = s.failed
 	return rep
 }
 
 // Mines reports how many itemset recomputations have run (diagnostics and
 // tests).
 func (s *Stream) Mines() int { return s.mines }
-
-// pooledCount returns how many itemsets currently have materialised
-// perturbations.
-func (s *Stream) pooledCount() int {
-	if s.sh != nil {
-		return s.sh.Repo.Len()
-	}
-	return s.repo.Len()
-}
-
-// appendItemset adds set to list if not already present.
-func appendItemset(list []dataset.Itemset, set dataset.Itemset) []dataset.Itemset {
-	key := set.Key()
-	for _, f := range list {
-		if f.Key() == key {
-			return list
-		}
-	}
-	return append(list, set)
-}
-
-// appendLongest inserts set keeping the longest-first ordering.
-func appendLongest(list []dataset.Itemset, set dataset.Itemset) []dataset.Itemset {
-	list = appendItemset(list, set)
-	sort.SliceStable(list, func(i, j int) bool { return len(list[i]) > len(list[j]) })
-	return list
-}
-
-// statsFor exposes the active repository stats (tests).
-func (s *Stream) statsFor() cache.Stats {
-	if s.sh != nil {
-		return s.sh.Repo.Stats()
-	}
-	return s.repo.Stats()
-}
-
-var _ rf.Classifier = (*rf.Counting)(nil)

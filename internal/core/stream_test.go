@@ -59,7 +59,7 @@ func TestStreamBorderPromotion(t *testing.T) {
 		if _, err := s.Explain(flavourB); err != nil {
 			t.Fatal(err)
 		}
-		if s.Mines() == 1 && s.repo.Contains(key) {
+		if s.Mines() == 1 && s.ps.repo.Contains(key) {
 			promoted = true
 			break
 		}
@@ -97,7 +97,7 @@ func TestStreamBorderDisabled(t *testing.T) {
 		if _, err := s.Explain(flavourB); err != nil {
 			t.Fatal(err)
 		}
-		if s.Mines() == 1 && s.repo.Contains(key) {
+		if s.Mines() == 1 && s.ps.repo.Contains(key) {
 			t.Fatal("promotion happened with border tracking disabled")
 		}
 	}
@@ -121,7 +121,7 @@ func TestStreamEvictsStaleItemsets(t *testing.T) {
 		}
 	}
 	keyA := dataset.Itemset{dataset.MakeItem(0, 0)}.Key()
-	if !s.repo.Contains(keyA) {
+	if !s.ps.repo.Contains(keyA) {
 		t.Fatal("flavour-A itemset not materialised after first window")
 	}
 	// A full window of flavour B: the second re-mine must drop A's
@@ -134,11 +134,11 @@ func TestStreamEvictsStaleItemsets(t *testing.T) {
 	if s.Mines() < 2 {
 		t.Fatalf("mines=%d want >= 2", s.Mines())
 	}
-	if s.repo.Contains(keyA) {
+	if s.ps.repo.Contains(keyA) {
 		t.Fatal("stale itemset survived re-mine eviction")
 	}
 	keyB := dataset.Itemset{dataset.MakeItem(0, 3)}.Key()
-	if !s.repo.Contains(keyB) {
+	if !s.ps.repo.Contains(keyB) {
 		t.Fatal("fresh itemset not materialised")
 	}
 }

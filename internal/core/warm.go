@@ -8,10 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"shahin/internal/cache"
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
-	"shahin/internal/explain/anchor"
 	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
@@ -45,19 +43,14 @@ type Warm struct {
 	st         *dataset.Stats
 	cls        rf.Classifier
 	staleAfter int
-	maxPooled  int
 
 	// gate admits one flush at a time (capacity-1 channel; send to
 	// acquire, receive to release). Everything the flush path mutates —
-	// the repositories and the mining state below — is owned by the
-	// gate holder.
+	// the pool and the mining state below — is owned by the gate holder.
 	gate   chan struct{}
-	repo   *cache.Repo
-	sh     *anchor.Shared // Anchor-only persistent shared state
-	sets   []dataset.Itemset
+	ps     *poolState
 	window []dataset.Itemset // itemised tuples since the last re-mine
-	mined  bool
-	since  int // tuples explained since the last re-mine
+	since  int               // tuples explained since the last re-mine
 
 	// mu guards only the cross-flush counters, held for nanoseconds at
 	// a time so accessors stay responsive mid-flush.
@@ -99,23 +92,9 @@ func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int)
 		cls:        cls,
 		staleAfter: staleAfter,
 		gate:       make(chan struct{}, 1),
-		repo:       cache.NewRepo(opts.CacheBytes),
+		ps:         newPoolState(opts, st, cls.NumClasses(), staleAfter),
 	}
 	w.exactFallback = fellBack
-	w.repo.SetHooks(cacheHooks(opts.Recorder))
-	// Same resource rule as the other variants: cap how many itemsets get
-	// materialised so pool construction never swamps a re-mine window.
-	w.maxPooled = opts.MaxItemsets
-	if cap := poolBudget(opts, staleAfter) / opts.Tau; cap < w.maxPooled {
-		if cap < 10 {
-			cap = 10
-		}
-		w.maxPooled = cap
-	}
-	if opts.Explainer == Anchor {
-		w.sh = anchor.NewShared(cls.NumClasses(), opts.CacheBytes)
-		w.sh.Repo.SetHooks(cacheHooks(opts.Recorder))
-	}
 	return w, nil
 }
 
@@ -178,7 +157,8 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// breaker transitions, degradation rungs) can attach child spans.
 	ctx = obs.ContextWithSpan(ctx, root)
 	fb := buildBridge(ctx, opts, w.st, w.cls)
-	eng := newEngineBridge(opts, w.st, w.cls, w.window, rng, fb)
+	eng := newEngineBridge(opts, w.st, w.cls, rng, fb)
+	eng.setCoverage(w.window)
 
 	// Track the incoming tuples for the next re-mine window. The exact
 	// path never mines or pools, so it skips the window bookkeeping too.
@@ -191,76 +171,58 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 		}
 	}
 
+	// Refresh the pool when it is stale: mine a sample of the recent
+	// window, labelling through eng so pool labels count toward this
+	// flush's invocation ledger.
 	rep := Report{Tuples: len(tuples), ExactFallback: w.exactFallback}
-	if opts.Explainer != ExactSHAP && (!w.mined || w.since >= w.staleAfter) {
-		w.remine(ctx, eng, rng, root, &rep)
+	if opts.Explainer != ExactSHAP && (!w.ps.complete || w.since >= w.staleAfter) {
+		_, d, err := w.ps.refresh(ctx, eng, perturb.NewGenerator(w.st, rng), func() []dataset.Itemset {
+			rows := w.window
+			n := fim.SampleSize(len(rows))
+			if n >= len(rows) {
+				return rows
+			}
+			idx := rng.Perm(len(rows))[:n]
+			sort.Ints(idx)
+			sampled := make([]dataset.Itemset, n)
+			for i, j := range idx {
+				sampled[i] = rows[j]
+			}
+			return sampled
+		}, false, root)
+		rep.add(d)
+		// Mining a non-empty window cannot fail with a validated config;
+		// if it somehow does, the previous pool and window stay.
+		if err == nil {
+			emitRemine(rec, d)
+			w.window = w.window[:0]
+			w.since = 0
+			w.mu.Lock()
+			w.remines++
+			w.mu.Unlock()
+		}
 	}
 	if fb != nil {
-		if w.sh != nil {
-			fb.setPool(w.sh.Repo, w.sets)
-		} else {
-			fb.setPool(w.repo, w.sets)
-		}
+		fb.setPool(w.ps.repo, w.ps.sets)
 	}
 
 	// Explain the flush against the (now fresh enough) warm pool.
-	explainSpan := root.Child(obs.StageExplain)
-	explainStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	var explainMark obs.AllocMark
-	if rec != nil {
-		explainMark = obs.NowAllocs()
+	out, bds, err := w.ps.step(eng).explainAll(ctx, root, w.ps, tuples, start, &rep)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Explanation, len(tuples))
-	var bds []obs.StageBreakdown
-	if rec != nil {
-		bds = make([]obs.StageBreakdown, len(tuples))
-	}
-	poolInv := rep.PoolInvocations
-	if w.sh == nil && opts.Workers > 1 {
-		if err := explainParallel(ctx, w.st, w.cls, tuples, out, bds, w.repo.Snapshot(), w.sets, opts, &rep, fb); err != nil {
-			return nil, err
-		}
-		rep.Invocations += poolInv
-	} else {
-		if err := w.explainSerial(ctx, eng, tuples, out, bds, &rep); err != nil {
-			return nil, err
-		}
-	}
-	rep.ExplainTime = time.Since(explainStart)
-	if rec != nil {
-		d := explainMark.Since()
-		rep.ExplainAllocBytes, rep.ExplainAllocObjects = d.Bytes, d.Objects
-	}
-	explainSpan.End()
 	w.since += len(tuples)
-
-	if w.sh != nil {
-		rep.Cache = w.sh.Repo.Stats()
-	} else {
-		rep.Cache = w.repo.Stats()
-	}
-	rep.FrequentItemsets = len(w.sets)
-	for i := range out {
-		switch out[i].Status {
-		case StatusDegraded:
-			rep.Degraded++
-		case StatusFailed:
-			rep.Failed++
-		}
-	}
-	if fb != nil {
-		rep.Retries = fb.chain.Stats().Retries
-	}
-	rep.WallTime = time.Since(start)
 	if rec != nil {
 		d := runMark.Since()
 		rep.AllocBytes, rep.AllocObjects = d.Bytes, d.Objects
 		// Pool occupancy is owned by the gate holder, so the flush sets
 		// the gauge itself rather than having scrapes contend for the
 		// gate the way PooledItemsets does.
-		rec.Gauge(obs.GaugeWarmPooledItemsets).Set(int64(sampleRepo(w.repo, w.sh).Len()))
+		rec.Gauge(obs.GaugeWarmPooledItemsets).Set(int64(w.ps.repo.Len()))
 	}
-	w.accumulate(rep)
+	w.mu.Lock()
+	w.cum.add(rep)
+	w.mu.Unlock()
 	return &Result{Explanations: out, Report: rep, Breakdowns: bds, Flush: flush}, ctx.Err()
 }
 
@@ -276,269 +238,6 @@ func unadmittedResult(tuples [][]float64) *Result {
 		Explanations: out,
 		Report:       Report{Tuples: len(tuples), Failed: len(tuples)},
 	}
-}
-
-// explainSerial runs the per-tuple phase on the caller's goroutine
-// against the live repository (the path Anchor and Workers == 1 take).
-// bds, when non-nil, receives each tuple's latency attribution.
-func (w *Warm) explainSerial(ctx context.Context, eng *engine, tuples [][]float64, out []Explanation, bds []obs.StageBreakdown, rep *Report) error {
-	opts := w.opts
-	rec := opts.Recorder
-	var (
-		tupleHist *obs.Histogram
-		doneCtr   *obs.Counter
-	)
-	if rec != nil {
-		tupleHist = rec.Histogram(obs.HistExplainTuple)
-		doneCtr = rec.Counter(obs.CounterTuplesDone)
-	}
-	var pool *itemsetPool
-	if w.sh == nil && eng.exact == nil {
-		pool = newItemsetPool(w.repo, w.sets, rec)
-	}
-	for i, t := range tuples {
-		if ctx.Err() != nil {
-			for j := i; j < len(tuples); j++ {
-				out[j].Status = StatusFailed
-			}
-			break
-		}
-		var pl explain.Pool
-		if pool != nil {
-			pool.beginTuple()
-			pl = pool
-		}
-		eng.beginTuple()
-		var (
-			tupleStart time.Time
-			inv0       int64
-			nv0        int64
-			cls0       time.Duration
-			anchorHits int64
-		)
-		if tupleHist != nil {
-			tupleStart = time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram
-			inv0 = eng.invocations()
-			nv0 = eng.nodeVisits()
-			cls0 = eng.classifyTime()
-			if w.sh != nil {
-				anchorHits = w.sh.Repo.Stats().Hits
-			}
-		}
-		exp, err := eng.explain(t, pl, w.sh)
-		if err != nil {
-			return fmt.Errorf("core: explaining tuple %d: %w", i, err)
-		}
-		exp.Status = eng.tupleStatus()
-		if tupleHist != nil {
-			dur := time.Since(tupleStart)
-			tupleHist.Observe(dur)
-			doneCtr.Inc()
-			ev := obs.Event{
-				Type: obs.EventTupleExplained, Tuple: i,
-				Explainer: opts.Explainer.String(),
-				Fresh:     eng.invocations() - inv0,
-				DurMS:     float64(dur) / float64(time.Millisecond),
-			}
-			if eng.exact != nil {
-				ev.Type = obs.EventExactShap
-				ev.NodeVisits = eng.nodeVisits() - nv0
-			} else if pool != nil {
-				ev.Pooled, ev.CacheHits, ev.Itemset = pool.provenance()
-			} else if w.sh != nil {
-				ev.CacheHits = w.sh.Repo.Stats().Hits - anchorHits
-			}
-			if exp.Status != StatusOK {
-				ev.Status = exp.Status.String()
-			}
-			bd := tupleBreakdown(dur, eng.classifyTime()-cls0, pool)
-			if bds != nil {
-				bds[i] = bd
-			}
-			rec.ObserveStages(bd)
-			ev.Stages = &bd
-			rec.Emit(ev)
-		}
-		out[i] = exp
-	}
-	rep.Invocations += eng.invocations()
-	rep.NodeVisits += eng.nodeVisits()
-	if pool != nil {
-		rep.OverheadTime += pool.retrieval
-		rep.ReusedSamples = pool.reused
-	}
-	return nil
-}
-
-// remine recomputes the frequent itemsets over the recent-tuple window,
-// materialises newly frequent itemsets through eng (so pool labels count
-// toward the invocation ledger), evicts no-longer-frequent entries, and
-// resets the staleness clock.
-func (w *Warm) remine(ctx context.Context, eng *engine, rng *rand.Rand, root *obs.Span, rep *Report) {
-	opts := w.opts
-	rec := opts.Recorder
-	var poolMark obs.AllocMark
-	if rec != nil {
-		poolMark = obs.NowAllocs()
-	}
-	mineSpan := root.Child(obs.StageMine)
-	mineStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	rows := w.window
-	if n := fim.SampleSize(len(rows)); n < len(rows) {
-		idx := rng.Perm(len(rows))[:n]
-		sort.Ints(idx)
-		sampled := make([]dataset.Itemset, n)
-		for i, j := range idx {
-			sampled[i] = rows[j]
-		}
-		rows = sampled
-	}
-	mined, err := fim.Mine(rows, fim.Config{
-		MinSupport:  effectiveSupport(opts.MinSupport, len(rows)),
-		MaxLen:      opts.MaxItemsetLen,
-		MaxPerLevel: 4 * opts.MaxItemsets,
-	})
-	rep.MineTime = time.Since(mineStart)
-	rep.OverheadTime += rep.MineTime
-	mineSpan.End()
-	if err != nil {
-		// Mining over a non-empty window cannot fail with a validated
-		// config; keep the previous pool if it somehow does.
-		return
-	}
-	frequent := mined.Frequent
-	if len(frequent) > w.maxPooled {
-		frequent = frequent[:w.maxPooled]
-	}
-	mineSpan.SetAttr("frequent_itemsets", len(frequent))
-
-	repo := sampleRepo(w.repo, w.sh)
-	keep := make(map[dataset.ItemsetKey]bool, len(frequent))
-	for _, m := range frequent {
-		keep[m.Set.Key()] = true
-	}
-	for _, key := range repo.Keys() {
-		if !keep[key] {
-			repo.Delete(key)
-		}
-	}
-
-	poolSpan := root.Child(obs.StagePoolBuild)
-	preLabelSpan := poolSpan.Child(obs.StagePreLabel)
-	poolStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	inv0 := eng.invocations()
-	gen := perturb.NewGenerator(w.st, rng)
-	sets := make([]dataset.Itemset, 0, len(frequent))
-	materialised := 0
-	for _, m := range frequent {
-		if ctx.Err() != nil {
-			break
-		}
-		if !repo.Contains(m.Set.Key()) {
-			w.materialize(eng, gen, m.Set, m.Support)
-			materialised++
-		}
-		sets = append(sets, m.Set)
-	}
-	rep.PoolTime = time.Since(poolStart)
-	rep.PoolInvocations = eng.invocations() - inv0
-	if rec != nil {
-		d := poolMark.Since()
-		rep.PoolAllocBytes, rep.PoolAllocObjects = d.Bytes, d.Objects
-	}
-	preLabelSpan.End()
-	poolSpan.SetAttr("pool_invocations", rep.PoolInvocations)
-	poolSpan.End()
-	rec.Counter(obs.CounterPoolInvocations).Add(rep.PoolInvocations)
-	rec.Emit(obs.Event{
-		Type: obs.EventRemine, Tuple: -1, Itemsets: len(sets),
-		Fresh: rep.PoolInvocations,
-		DurMS: float64(rep.MineTime+rep.PoolTime) / float64(time.Millisecond),
-	})
-	if materialised > 0 {
-		rec.Emit(obs.Event{
-			Type: obs.EventPoolBuild, Tuple: -1, Itemsets: materialised,
-			Fresh: rep.PoolInvocations, DurMS: float64(rep.PoolTime) / float64(time.Millisecond),
-		})
-	}
-	w.sets = sets
-	w.window = w.window[:0]
-	w.since = 0
-	w.mined = true
-	w.mu.Lock()
-	w.remines++
-	w.mu.Unlock()
-}
-
-// materialize generates and labels τ perturbations for one itemset in
-// the persistent repository (and, for Anchor, the invariant cache).
-func (w *Warm) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64) {
-	tau := w.opts.Tau
-	var setStart time.Time
-	rec := w.opts.Recorder
-	if rec != nil {
-		setStart = time.Now() //shahinvet:allow walltime — per-itemset pre-label timing feeds the obs event log
-	}
-	inv0 := eng.invocations()
-	if w.sh != nil {
-		rr, _ := w.sh.Inv.Lookup(set.Key())
-		hist := make([]int, eng.cls.NumClasses())
-		samples := make([]perturb.Sample, tau)
-		for j := range samples {
-			s := gen.ForItemset(set)
-			s.Label = eng.cls.Predict(s.Row)
-			hist[s.Label]++
-			samples[j] = s
-		}
-		rr.AddTrials(hist)
-		rr.Coverage = support
-		rr.HasCoverage = true
-		w.sh.Repo.Put(set.Key(), samples)
-	} else {
-		samples := make([]perturb.Sample, tau)
-		for j := range samples {
-			s := gen.ForItemset(set)
-			s.Label = eng.cls.Predict(s.Row)
-			samples[j] = s
-		}
-		w.repo.Put(set.Key(), samples)
-	}
-	if rec != nil {
-		rec.Emit(obs.Event{
-			Type: obs.EventPreLabel, Tuple: -1, Itemset: set.String(),
-			Fresh: eng.invocations() - inv0,
-			DurMS: float64(time.Since(setStart)) / float64(time.Millisecond),
-		})
-	}
-}
-
-// accumulate folds one flush report into the cumulative one.
-func (w *Warm) accumulate(rep Report) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	c := &w.cum
-	c.Tuples += rep.Tuples
-	c.WallTime += rep.WallTime
-	c.OverheadTime += rep.OverheadTime
-	c.MineTime += rep.MineTime
-	c.PoolTime += rep.PoolTime
-	c.ExplainTime += rep.ExplainTime
-	c.Invocations += rep.Invocations
-	c.PoolInvocations += rep.PoolInvocations
-	c.ReusedSamples += rep.ReusedSamples
-	c.FrequentItemsets = rep.FrequentItemsets
-	c.Cache = rep.Cache
-	c.NodeVisits += rep.NodeVisits
-	c.ExactFallback = c.ExactFallback || rep.ExactFallback
-	c.Retries += rep.Retries
-	c.Degraded += rep.Degraded
-	c.Failed += rep.Failed
-	c.AllocBytes += rep.AllocBytes
-	c.AllocObjects += rep.AllocObjects
-	c.PoolAllocBytes += rep.PoolAllocBytes
-	c.PoolAllocObjects += rep.PoolAllocObjects
-	c.ExplainAllocBytes += rep.ExplainAllocBytes
-	c.ExplainAllocObjects += rep.ExplainAllocObjects
 }
 
 // Report returns the cost accounting accumulated across every flush.
@@ -572,7 +271,7 @@ func (w *Warm) NumAttrs() int { return w.st.NumAttrs() }
 func (w *Warm) PooledItemsets() int {
 	w.gate <- struct{}{}
 	defer func() { <-w.gate }()
-	return sampleRepo(w.repo, w.sh).Len()
+	return w.ps.repo.Len()
 }
 
 // Kind reports the explainer kind this warm explainer was built with
@@ -617,13 +316,4 @@ func (w *Warm) ExplainExact(t []float64) (*explain.Attribution, int64, error) {
 	w.cum.NodeVisits += visits
 	w.mu.Unlock()
 	return at, visits, nil
-}
-
-// sampleRepo picks the active repository: Anchor runs share sh.Repo,
-// everything else the plain perturbation repo.
-func sampleRepo(repo *cache.Repo, sh *anchor.Shared) *cache.Repo {
-	if sh != nil {
-		return sh.Repo
-	}
-	return repo
 }

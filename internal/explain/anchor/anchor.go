@@ -113,6 +113,11 @@ func New(st *dataset.Stats, cls rf.Classifier, covRows []dataset.Itemset, cfg Co
 	}
 }
 
+// SetCoverageRows replaces the coverage sample, for callers whose sample
+// is only known — or keeps changing — after construction. Coverages
+// already memoised in a Shared keep the value they were computed with.
+func (e *Explainer) SetCoverageRows(rows []dataset.Itemset) { e.covRows = rows }
+
 // CoverageRows itemises up to maxRows uniformly sampled rows of d for use
 // as an Explainer's coverage sample.
 func CoverageRows(st *dataset.Stats, d *dataset.Dataset, maxRows int, rng *rand.Rand) []dataset.Itemset {
