@@ -47,7 +47,6 @@ func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float
 		return nil, err
 	}
 	rep.ExplainTime = rep.WallTime
-	rep.NodeVisits = 0
 	return &Result{Explanations: out, Report: rep}, nil
 }
 

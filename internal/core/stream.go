@@ -220,9 +220,6 @@ func (s *Stream) Report() Report {
 	s.step.collect(&rep)
 	rep.Cache = s.ps.repo.Stats()
 	rep.FrequentItemsets = len(s.ps.sets)
-	if s.ps.sh != nil {
-		rep.FrequentItemsets = s.ps.repo.Len()
-	}
 	rep.Retries = s.chain.Stats().Retries
 	return rep
 }
