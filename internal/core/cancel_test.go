@@ -306,3 +306,131 @@ func TestCancelReturnsPromptly(t *testing.T) {
 		t.Errorf("cancelled run took %v", took)
 	}
 }
+
+// checkPoolLabels asserts that every sample a persistent pool holds
+// carries the label the classifier gives its row — none stored from the
+// cancellation fallback's guesses.
+func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
+	t.Helper()
+	for _, key := range ps.repo.Keys() {
+		samples, _ := ps.repo.Get(key)
+		for i, s := range samples {
+			if want := cls.Predict(s.Row); s.Label != want {
+				t.Fatalf("pooled sample %d of an itemset is labelled %d, the classifier says %d", i, s.Label, want)
+			}
+		}
+	}
+}
+
+// TestWarmCancelledRefreshHeals cancels the first flush from inside the
+// classifier while the third itemset of the first pool build is being
+// labelled. The flush itself fails as before; what must not happen is
+// the pool staying three itemsets large — one of them guessed — until
+// the staleness clock runs out: the next flush finishes the refresh,
+// and the pool equals that of a twin that was never cancelled.
+func TestWarmCancelledRefreshHeals(t *testing.T) {
+	env := newEnv(t, 7, 80)
+	opts := smallOpts(LIME, 9) // τ = 50: call 120 is the third itemset's 20th label
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := NewWarm(env.st, &cancelAfter{inner: env.cls, cancel: cancel, after: 120}, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.ExplainAllCtx(ctx, env.tuples[:40])
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	if res.Report.Failed != 40 {
+		t.Fatalf("cancelled flush: Failed=%d, want all 40", res.Report.Failed)
+	}
+	if w.Remines() != 0 {
+		t.Errorf("a refresh cut short counted as a re-mine (Remines=%d)", w.Remines())
+	}
+	healed, err := w.ExplainAll(env.tuples[40:])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The twin sees the same 80 tuples in one uncancelled flush, so it
+	// mines the same window.
+	twin, err := NewWarm(env.st, env.cls, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.ExplainAll(env.tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.PooledItemsets(), twin.PooledItemsets(); got != want || want == 0 {
+		t.Errorf("PooledItemsets=%d after the healing flush, the uncancelled twin has %d", got, want)
+	}
+	if got, want := healed.Report.FrequentItemsets, want.Report.FrequentItemsets; got != want {
+		t.Errorf("FrequentItemsets=%d after the healing flush, the uncancelled twin has %d", got, want)
+	}
+	if w.Remines() != 1 {
+		t.Errorf("Remines=%d after the healing flush, want 1", w.Remines())
+	}
+	checkPoolLabels(t, w.ps, env.cls)
+}
+
+// TestStreamCancelledRemineHeals is the same for Stream: the context of
+// the tuple that triggers the first re-mine dies while the third itemset
+// is being labelled. The re-mine must stop there rather than label every
+// remaining itemset by fallback, and the next tuple must finish it.
+func TestStreamCancelledRemineHeals(t *testing.T) {
+	env := newEnv(t, 7, 21)
+	opts := smallOpts(LIME, 9)
+	opts.DisablePoolBudget = true // the twin's period differs by one; keep the caps equal
+	opts.StreamRecompute = 20
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cls := &cancelAfter{inner: env.cls, cancel: cancel}
+	s, err := NewStream(env.st, cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range env.tuples[:19] {
+		if _, err := s.Explain(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cls.after = cls.n.Load() + 120
+	exp, err := s.ExplainCtx(ctx, env.tuples[19])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Status != StatusFailed {
+		t.Fatalf("the tuple whose re-mine was cancelled has status %v, want failed", exp.Status)
+	}
+	if s.Mines() != 0 {
+		t.Errorf("a re-mine cut short counted as a mine (Mines=%d)", s.Mines())
+	}
+	if _, err := s.Explain(env.tuples[20]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The twin re-mines once, uncancelled, over the same 21 tuples.
+	opts.StreamRecompute = 21
+	twin, err := NewStream(env.st, env.cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range env.tuples {
+		if _, err := twin.Explain(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.ps.repo.Len(), twin.ps.repo.Len(); got != want || want == 0 {
+		t.Errorf("%d itemsets pooled after the healing tuple, the uncancelled twin has %d", got, want)
+	}
+	if got, want := s.Report().FrequentItemsets, twin.Report().FrequentItemsets; got != want {
+		t.Errorf("FrequentItemsets=%d after the healing tuple, the uncancelled twin has %d", got, want)
+	}
+	if s.Mines() != 1 {
+		t.Errorf("Mines=%d after the healing tuple, want 1", s.Mines())
+	}
+	checkPoolLabels(t, s.ps, env.cls)
+}

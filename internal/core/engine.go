@@ -180,13 +180,18 @@ func (e *engine) nodeVisits() int64 {
 // attribution.
 func (e *engine) classifyTime() time.Duration { return e.classify }
 
-// beginTuple resets the bridge's per-tuple outcome flags (no-op on the
-// infallible fast path).
+// beginTuple resets the bridge's outcome flags before a unit of
+// labelling — one tuple's explanation, or one itemset's pre-labelling
+// (no-op on the infallible fast path).
 func (e *engine) beginTuple() {
 	if e.fb != nil {
 		e.fb.beginTuple()
 	}
 }
+
+// canceled reports whether any prediction since beginTuple found the
+// context dead and was answered by a guess.
+func (e *engine) canceled() bool { return e.fb != nil && e.fb.tupleCanceled }
 
 // tupleStatus reports how the current tuple's predictions were answered.
 func (e *engine) tupleStatus() Status {

@@ -33,7 +33,9 @@ type poolState struct {
 	maxSets int
 	// cov is Anchor's coverage sample: the rows last mined.
 	cov []dataset.Itemset
-	// complete records that the last refresh ran to its end.
+	// complete records that the last refresh ran to its end: every itemset
+	// it mined is pooled. A refresh cut short by cancellation leaves it
+	// false, and the runner retries over the same window.
 	complete bool
 }
 
@@ -71,7 +73,8 @@ func poolCap(opts Options, window int) int {
 // perturbations", §3.5), and materialise the ones not yet present. The
 // mine, pool-build and pre-label spans open under parent; the returned
 // report carries what the refresh cost and how many itemsets are pooled.
-// Cancelling ctx stops the fill between itemsets.
+// Cancelling ctx stops the fill at the itemset being labelled, which is
+// not stored; what was pooled before stays, and complete turns false.
 func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, parent *obs.Span) ([]fim.Mined, Report, error) {
 	rec := ps.opts.Recorder
 	var (
@@ -120,11 +123,10 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 	sets := make([]dataset.Itemset, 0, len(frequent))
 	materialised := 0
 	for _, m := range frequent {
-		if ctx.Err() != nil {
-			break
-		}
 		if !ps.repo.Contains(m.Set.Key()) {
-			ps.materialize(eng, gen, m.Set, m.Support, &d)
+			if ctx.Err() != nil || !ps.materialize(eng, gen, m.Set, m.Support, &d) {
+				break
+			}
 			materialised++
 		}
 		sets = append(sets, m.Set)
@@ -142,7 +144,7 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 			Fresh: d.PoolInvocations, DurMS: float64(d.PoolTime) / float64(time.Millisecond),
 		})
 	}
-	ps.sets, ps.cov, ps.complete = sets, rows, true
+	ps.sets, ps.cov, ps.complete = sets, rows, len(sets) == len(frequent)
 	d.FrequentItemsets = len(sets)
 	return mined.Border, d, nil
 }
@@ -152,9 +154,12 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 // 2–4). For Anchor their class histogram also seeds the rule's
 // precision in the invariant cache and the mined support doubles as its
 // coverage (Algorithm 2, line 3); support < 0 means unknown — a border
-// promotion. What the labelling cost is added to rep.
-func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) {
+// promotion. What the labelling cost is added to rep. If the context the
+// engine predicts under died on the way, some labels are the bridge's
+// guesses: nothing is stored and materialize reports false.
+func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) bool {
 	start := time.Now() //shahinvet:allow walltime — pool-build timing feeds the obs report layer and the event log
+	eng.beginTuple()
 	inv0 := eng.invocations()
 	samples := make([]perturb.Sample, ps.opts.Tau)
 	var hist []int
@@ -169,14 +174,17 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 		}
 		samples[j] = s
 	}
-	if ps.sh != nil {
-		rr, _ := ps.sh.Inv.Lookup(set.Key())
-		rr.AddTrials(hist)
-		if support >= 0 {
-			rr.Coverage, rr.HasCoverage = support, true
+	stored := !eng.canceled()
+	if stored {
+		if ps.sh != nil {
+			rr, _ := ps.sh.Inv.Lookup(set.Key())
+			rr.AddTrials(hist)
+			if support >= 0 {
+				rr.Coverage, rr.HasCoverage = support, true
+			}
 		}
+		ps.repo.Put(set.Key(), samples)
 	}
-	ps.repo.Put(set.Key(), samples)
 
 	dur, fresh := time.Since(start), eng.invocations()-inv0
 	rep.PoolTime += dur
@@ -188,6 +196,7 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 			Fresh: fresh, DurMS: float64(dur) / float64(time.Millisecond),
 		})
 	}
+	return stored
 }
 
 // emitRemine records that a long-lived pool was refreshed; d is the

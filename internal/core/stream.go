@@ -141,8 +141,12 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 			if err == nil {
 				emitRemine(s.opts.Recorder, d)
 				s.retrack(border)
-				s.window = s.window[:0]
-				s.mines++
+				// A refresh cut short keeps its window, so the next
+				// tuple's refresh finishes the job.
+				if s.ps.complete {
+					s.window = s.window[:0]
+					s.mines++
+				}
 			}
 		}
 	}
@@ -185,7 +189,9 @@ func (s *Stream) track(t []float64) {
 		if s.ps.repo.Len() >= s.ps.maxSets {
 			break
 		}
-		s.ps.materialize(s.eng, s.gen, ts.set, -1, &s.rep)
+		if !s.ps.materialize(s.eng, s.gen, ts.set, -1, &s.rep) {
+			break
+		}
 		ts.frequent = true
 		s.ps.sets = append(s.ps.sets, ts.set)
 		if s.pool != nil {

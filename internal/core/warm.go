@@ -195,11 +195,15 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 		// if it somehow does, the previous pool and window stay.
 		if err == nil {
 			emitRemine(rec, d)
-			w.window = w.window[:0]
-			w.since = 0
-			w.mu.Lock()
-			w.remines++
-			w.mu.Unlock()
+			// A refresh cut short stays stale and keeps its window, so
+			// the next flush finishes the job.
+			if w.ps.complete {
+				w.window = w.window[:0]
+				w.since = 0
+				w.mu.Lock()
+				w.remines++
+				w.mu.Unlock()
+			}
 		}
 	}
 	if fb != nil {
