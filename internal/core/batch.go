@@ -101,7 +101,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	eng.setCoverage(ps.cov)
+	eng.setCoverage(ps.coverage(nil))
 	if fb != nil {
 		fb.setPool(ps.repo, ps.sets)
 	}

@@ -31,7 +31,7 @@ type poolState struct {
 	// highest support), at most maxSets of them.
 	sets    []dataset.Itemset
 	maxSets int
-	// cov is Anchor's coverage sample: the rows last mined.
+	// cov is the rows last mined (see coverage).
 	cov []dataset.Itemset
 	// complete records that the last refresh ran to its end: every itemset
 	// it mined is pooled. A refresh cut short by cancellation leaves it
@@ -51,6 +51,15 @@ func newPoolState(opts Options, st *dataset.Stats, nClasses, window int) *poolSt
 	}
 	ps.repo.SetHooks(cacheHooks(opts.Recorder))
 	return ps
+}
+
+// coverage returns the sample Anchor measures rule coverage against: the
+// rows last mined or, before the first mine, the runner's window so far.
+func (ps *poolState) coverage(window []dataset.Itemset) []dataset.Itemset {
+	if ps.cov == nil {
+		return window
+	}
+	return ps.cov
 }
 
 // poolCap is how many itemsets a pool may hold: MaxItemsets, and — the

@@ -57,8 +57,9 @@ type trackedSet struct {
 	frequent bool // currently materialised
 }
 
-// NewStream creates a streaming explainer. Coverage rows for Anchor are
-// accumulated from the stream itself.
+// NewStream creates a streaming explainer. Anchor measures rule coverage
+// against the stream itself: the window last mined, or before the first
+// re-mine the tuples seen so far.
 func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, error) {
 	if st == nil || cls == nil {
 		return nil, fmt.Errorf("core: NewStream needs stats and a classifier")
@@ -144,14 +145,17 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 				// A refresh cut short keeps its window, so the next
 				// tuple's refresh finishes the job.
 				if s.ps.complete {
-					s.window = s.window[:0]
+					// The mined rows stay behind as the coverage sample.
+					s.window = make([]dataset.Itemset, 0, len(s.window))
 					s.mines++
 				}
 			}
 		}
 	}
-	// Point the degradation ladder at whatever is materialised right now.
+	// Point the degradation ladder at whatever is materialised right now,
+	// and Anchor at the current coverage sample.
 	s.fb.setPool(s.ps.repo, s.ps.sets)
+	s.eng.setCoverage(s.ps.coverage(s.window))
 	exp, bd, err := s.step.run(s.rep.Tuples, t)
 	if err != nil {
 		return Explanation{}, err

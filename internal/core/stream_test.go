@@ -142,3 +142,37 @@ func TestStreamEvictsStaleItemsets(t *testing.T) {
 		t.Fatal("fresh itemset not materialised")
 	}
 }
+
+// TestStreamAnchorCoverage: once the stream has mined a window, Anchor
+// measures coverage against it, so a rule that holds on a tenth of that
+// window cannot report zero. (The stream's Anchor explainer used to be
+// built with no coverage rows at all, and memoised zero for every rule.)
+func TestStreamAnchorCoverage(t *testing.T) {
+	env := newEnv(t, 7, 39)
+	opts := smallOpts(Anchor, 9)
+	opts.StreamRecompute = 20
+	s, err := NewStream(env.st, env.cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i, tup := range env.tuples {
+		e, err := s.Explain(tup)
+		if err != nil {
+			t.Fatalf("tuple %d: %v", i, err)
+		}
+		if e.Rule.Coverage < 0 || e.Rule.Coverage > 1 {
+			t.Fatalf("tuple %d: coverage %v out of range", i, e.Rule.Coverage)
+		}
+		// Tuple 19 triggers the one re-mine of this run, over tuples 0–19.
+		if i >= 19 && ruleCoverage(env, e.Rule.Items, env.tuples[:20]) >= 0.1 {
+			checked++
+			if e.Rule.Coverage <= 0 {
+				t.Errorf("tuple %d: rule %v holds on a tenth of the mined window but reports coverage %v", i, e.Rule.Items, e.Rule.Coverage)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no rule held on a tenth of the mined window; the check is vacuous")
+	}
+}

@@ -158,7 +158,6 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	ctx = obs.ContextWithSpan(ctx, root)
 	fb := buildBridge(ctx, opts, w.st, w.cls)
 	eng := newEngineBridge(opts, w.st, w.cls, rng, fb)
-	eng.setCoverage(w.window)
 
 	// Track the incoming tuples for the next re-mine window. The exact
 	// path never mines or pools, so it skips the window bookkeeping too.
@@ -198,7 +197,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 			// A refresh cut short stays stale and keeps its window, so
 			// the next flush finishes the job.
 			if w.ps.complete {
-				w.window = w.window[:0]
+				w.window = nil // the mined rows stay behind as the coverage sample
 				w.since = 0
 				w.mu.Lock()
 				w.remines++
@@ -209,6 +208,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	if fb != nil {
 		fb.setPool(w.ps.repo, w.ps.sets)
 	}
+	eng.setCoverage(w.ps.coverage(w.window))
 
 	// Explain the flush against the (now fresh enough) warm pool.
 	out, bds, err := w.ps.step(eng).explainAll(ctx, root, w.ps, tuples, start, &rep)

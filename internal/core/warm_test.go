@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"shahin/internal/dataset"
 	"shahin/internal/obs"
 )
 
@@ -224,5 +225,66 @@ func TestWarmPoolOccupancyGauge(t *testing.T) {
 	}
 	if g.Value() != int64(w.PooledItemsets()) {
 		t.Fatalf("gauge after second flush = %d, PooledItemsets = %d", g.Value(), w.PooledItemsets())
+	}
+}
+
+// ruleCoverage is the fraction of the tuples whose bins satisfy the rule.
+func ruleCoverage(env *testEnv, items dataset.Itemset, tuples [][]float64) float64 {
+	hits := 0
+	for _, tup := range tuples {
+		if items.ContainsAll(env.st.ItemizeRow(tup, nil)) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(tuples))
+}
+
+// TestWarmAnchorCoverageMatchesBatch: a first flush mines the very
+// tuples it explains, as Batch does, so each of its rules must report
+// the coverage Batch reports over the same tuples — the share of them
+// the rule holds on. (The flush's engine used to capture the window
+// before the flush's tuples were appended, and measured against nothing.)
+func TestWarmAnchorCoverageMatchesBatch(t *testing.T) {
+	env := newEnv(t, 7, 40)
+	opts := smallOpts(Anchor, 9)
+
+	b, err := NewBatch(env.st, env.cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := b.ExplainAll(env.tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRule := map[dataset.ItemsetKey]float64{}
+	for i, e := range batch.Explanations {
+		if want := ruleCoverage(env, e.Rule.Items, env.tuples); e.Rule.Coverage != want {
+			t.Fatalf("batch tuple %d: rule %v reports coverage %v, holds on %v of the batch", i, e.Rule.Items, e.Rule.Coverage, want)
+		}
+		byRule[e.Rule.Items.Key()] = e.Rule.Coverage
+	}
+
+	w, err := NewWarm(env.st, env.cls, opts, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := w.ExplainAll(env.tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for i, e := range warm.Explanations {
+		if want := ruleCoverage(env, e.Rule.Items, env.tuples); e.Rule.Coverage != want {
+			t.Errorf("warm tuple %d: rule %v reports coverage %v, holds on %v of the flush", i, e.Rule.Items, e.Rule.Coverage, want)
+		}
+		if want, ok := byRule[e.Rule.Items.Key()]; ok {
+			shared++
+			if e.Rule.Coverage != want {
+				t.Errorf("warm tuple %d: rule %v reports coverage %v, Batch reports %v", i, e.Rule.Items, e.Rule.Coverage, want)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("Warm and Batch emitted no rule in common; the comparison is vacuous")
 	}
 }
