@@ -94,9 +94,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 			continue
 		}
 		if ctx.Err() != nil {
-			for j := lo; j < len(tuples); j++ {
-				out[j].Status = StatusFailed
-			}
+			markFailed(out[lo:])
 			rep.Failed += len(tuples) - lo
 			break
 		}

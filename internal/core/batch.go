@@ -78,7 +78,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 		runMark = obs.NowAllocs()
 	}
 	eng := newEngineBridge(opts, b.st, b.cls, rng, fb)
-	ps := newPoolState(opts, b.st, eng.cls.NumClasses(), len(tuples))
+	ps := newPoolState(opts, eng.cls.NumClasses(), len(tuples))
 
 	// Steps 1–2 (overhead, then pool construction): mine a uniform
 	// sample of the batch — max(1000, 1%) per the paper's heuristic —
@@ -101,7 +101,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	eng.setCoverage(ps.coverage(nil))
+	eng.setCoverage(ps.cov)
 	if fb != nil {
 		fb.setPool(ps.repo, ps.sets)
 	}

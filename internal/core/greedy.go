@@ -98,6 +98,10 @@ func (g *greedyStore) provenance() (pooled, hits int64, matched string) {
 	return g.tupleReused, 0, ""
 }
 
+// empty is never true: even a store with nothing in it observes every
+// perturbation the explainer labels.
+func (g *greedyStore) empty() bool { return false }
+
 func (g *greedyStore) retrievalSince() time.Duration { return g.tupleRetrieval }
 
 func (g *greedyStore) totals() (int64, time.Duration) { return g.reused, g.retrieval }

@@ -20,7 +20,6 @@ import (
 // done with them — mine, cap, evict, fill — is refresh.
 type poolState struct {
 	opts Options
-	st   *dataset.Stats
 
 	// repo holds τ labelled perturbations per pooled itemset. On Anchor
 	// runs it is sh.Repo, which Anchor's own pulls also write to, and sh
@@ -41,8 +40,8 @@ type poolState struct {
 
 // newPoolState creates an empty pool for a classifier with nClasses
 // classes, sized for runs that see window tuples between refreshes.
-func newPoolState(opts Options, st *dataset.Stats, nClasses, window int) *poolState {
-	ps := &poolState{opts: opts, st: st, maxSets: poolCap(opts, window)}
+func newPoolState(opts Options, nClasses, window int) *poolState {
+	ps := &poolState{opts: opts, maxSets: poolCap(opts, window)}
 	if opts.Explainer == Anchor {
 		ps.sh = anchor.NewShared(nClasses, opts.CacheBytes)
 		ps.repo = ps.sh.Repo
@@ -150,7 +149,7 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 	if materialised > 0 {
 		rec.Emit(obs.Event{
 			Type: obs.EventPoolBuild, Tuple: -1, Itemsets: materialised,
-			Fresh: d.PoolInvocations, DurMS: float64(d.PoolTime) / float64(time.Millisecond),
+			Fresh: d.PoolInvocations, DurMS: ms(d.PoolTime),
 		})
 	}
 	ps.sets, ps.cov, ps.complete = sets, rows, len(sets) == len(frequent)
@@ -202,7 +201,7 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 		rec.Counter(obs.CounterPoolInvocations).Add(fresh)
 		rec.Emit(obs.Event{
 			Type: obs.EventPreLabel, Tuple: -1, Itemset: set.String(),
-			Fresh: fresh, DurMS: float64(dur) / float64(time.Millisecond),
+			Fresh: fresh, DurMS: ms(dur),
 		})
 	}
 	return stored
@@ -213,7 +212,7 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 func emitRemine(rec *obs.Recorder, d Report) {
 	rec.Emit(obs.Event{
 		Type: obs.EventRemine, Tuple: -1, Itemsets: d.FrequentItemsets,
-		Fresh: d.PoolInvocations, DurMS: float64(d.MineTime+d.PoolTime) / float64(time.Millisecond),
+		Fresh: d.PoolInvocations, DurMS: ms(d.MineTime + d.PoolTime),
 	})
 }
 
@@ -232,6 +231,9 @@ func (ps *poolState) step(eng *engine) *tupleStep {
 // and say afterwards what it served.
 type tuplePool interface {
 	explain.Pool
+	// empty reports that the pool has nothing to serve and learns nothing
+	// from being asked.
+	empty() bool
 	// beginTuple resets the per-tuple consumption allowance.
 	beginTuple()
 	// provenance reports samples served and repository hits since
@@ -268,8 +270,14 @@ func (s *tupleStep) run(i int, t []float64) (Explanation, obs.StageBreakdown, er
 	if rec != nil && s.sh != nil {
 		hits0 = s.sh.Repo.Stats().Hits
 	}
+	// An explainer handed an empty pool still pays for asking it (SHAP
+	// builds a query per coalition), so it is handed none.
+	var pool explain.Pool
+	if s.pool != nil && !s.pool.empty() {
+		pool = s.pool
+	}
 	start := time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram and the report's explain time
-	exp, err := eng.explain(t, s.pool, s.sh)
+	exp, err := eng.explain(t, pool, s.sh)
 	dur := time.Since(start)
 	if err != nil {
 		return Explanation{}, obs.StageBreakdown{}, fmt.Errorf("core: explaining tuple %d: %w", i, err)
@@ -290,9 +298,10 @@ func (s *tupleStep) run(i int, t []float64) (Explanation, obs.StageBreakdown, er
 		Type: obs.EventTupleExplained, Tuple: i,
 		Explainer: eng.opts.Explainer.String(),
 		Fresh:     eng.invocations() - inv0,
-		DurMS:     float64(dur) / float64(time.Millisecond),
-		Stages:    &bd,
+		DurMS:     ms(dur),
 	}
+	stages := bd // a copy, so bd stays off the heap on uninstrumented runs
+	ev.Stages = &stages
 	switch {
 	case eng.exact != nil:
 		// The exact path's provenance unit is tree-node visits, not
@@ -324,15 +333,20 @@ func (s *tupleStep) collect(rep *Report) {
 	}
 }
 
+// markFailed marks explanations that were never attempted.
+func markFailed(out []Explanation) {
+	for i := range out {
+		out[i].Status = StatusFailed
+	}
+}
+
 // runSerial explains the tuples in order on the caller's goroutine.
 // Cancelling ctx stops it between tuples; the ones not attempted are
 // marked StatusFailed.
 func (s *tupleStep) runSerial(ctx context.Context, tuples [][]float64, out []Explanation, bds []obs.StageBreakdown) error {
 	for i, t := range tuples {
 		if ctx.Err() != nil {
-			for j := i; j < len(tuples); j++ {
-				out[j].Status = StatusFailed
-			}
+			markFailed(out[i:])
 			return nil
 		}
 		exp, bd, err := s.run(i, t)

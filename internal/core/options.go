@@ -1,10 +1,26 @@
-// Package core implements Shahin itself: the batch variant (Algorithms
-// 1–3 of the paper) that mines frequent itemsets over a sample of the
-// batch, materialises and labels τ perturbations per itemset, and reuses
-// them across every tuple's explanation; the streaming variant (§3.5)
-// with a byte-budgeted LRU repository, periodic itemset re-mining, and
-// negative-border promotion; and the two baselines the evaluation
-// compares against (GREEDY and DIST-k).
+// Package core implements Shahin itself, as one pool kernel under five
+// runners.
+//
+// The kernel (kernel.go) is the paper's algorithm in three pieces. The
+// pool state holds a repository of labelled perturbations, the itemsets
+// it is keyed by, and Anchor's coverage sample. Refresh brings it in
+// line with a set of rows: mine their frequent itemsets, cap them, evict
+// what fell infrequent, and materialise — generate, label, store — τ
+// perturbations for each itemset not yet pooled. The step explains one
+// tuple against the pool and does the bookkeeping every explanation
+// gets: status, latency, provenance event, stage breakdown.
+//
+// A runner decides which rows are mined and when. Batch (Algorithms 1–3)
+// refreshes once over a uniform sample of the batch, then runs the step
+// over every tuple, on Options.Workers goroutines if asked. Stream (§3.5)
+// refreshes every StreamRecompute tuples over the window since the last
+// refresh, mines the negative border with it, and promotes border
+// itemsets that turn frequent in between. Warm keeps one pool across
+// calls and refreshes it, over a sample of recent tuples, when enough
+// have been explained since the last refresh — the serving substrate.
+// Sequential, Dist and Greedy are the evaluation's baselines: the step
+// with no pool, split across k simulated machines, or over a store that
+// keeps every perturbation it sees.
 package core
 
 import (

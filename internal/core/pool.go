@@ -92,6 +92,8 @@ func (p *itemsetPool) provenance() (pooled, hits int64, matched string) {
 	return p.tupleReused, p.tupleHits, matched
 }
 
+func (p *itemsetPool) empty() bool { return len(p.itemsets) == 0 }
+
 // retrievalSince reports retrieval time since beginTuple; it feeds the
 // pool_sample stage of latency attribution.
 func (p *itemsetPool) retrievalSince() time.Duration { return p.tupleRetrieval }

@@ -222,9 +222,11 @@ type reportJSON struct {
 	ExplainAllocObjects int64   `json:"explain_alloc_objects,omitempty"`
 }
 
+// ms converts a duration to the milliseconds the JSON and event shapes use.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // MarshalJSON implements json.Marshaler with the flat reportJSON shape.
 func (r Report) MarshalJSON() ([]byte, error) {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return json.Marshal(reportJSON{
 		Tuples:           r.Tuples,
 		WallMS:           ms(r.WallTime),

@@ -89,7 +89,7 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	s.fb = newFallibleBridge(context.Background(), s.chain, st, cls, rec)
 	s.eng = newEngineBridge(opts, st, cls, rng, s.fb)
 	s.gen = perturb.NewGenerator(st, rng)
-	s.ps = newPoolState(opts, st, s.eng.cls.NumClasses(), opts.StreamRecompute)
+	s.ps = newPoolState(opts, s.eng.cls.NumClasses(), opts.StreamRecompute)
 	s.step = &tupleStep{eng: s.eng, sh: s.ps.sh}
 	// Anchor reuses through its shared caches, and the exact path neither
 	// perturbs nor reuses samples: no pool view for either.

@@ -92,7 +92,7 @@ func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int)
 		cls:        cls,
 		staleAfter: staleAfter,
 		gate:       make(chan struct{}, 1),
-		ps:         newPoolState(opts, st, cls.NumClasses(), staleAfter),
+		ps:         newPoolState(opts, cls.NumClasses(), staleAfter),
 	}
 	w.exactFallback = fellBack
 	return w, nil
@@ -235,9 +235,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 // StatusFailed and no warm state was touched.
 func unadmittedResult(tuples [][]float64) *Result {
 	out := make([]Explanation, len(tuples))
-	for i := range out {
-		out[i].Status = StatusFailed
-	}
+	markFailed(out)
 	return &Result{
 		Explanations: out,
 		Report:       Report{Tuples: len(tuples), Failed: len(tuples)},
