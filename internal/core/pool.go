@@ -68,7 +68,7 @@ func newItemsetPool(repo sampleSource, itemsets []dataset.Itemset, rec *obs.Reco
 // setItemsets points the pool at the itemsets its source now holds.
 func (p *itemsetPool) setItemsets(itemsets []dataset.Itemset) {
 	p.itemsets = itemsets
-	p.longestView = append([]dataset.Itemset(nil), itemsets...)
+	p.longestView = append(p.longestView[:0], itemsets...)
 	sort.SliceStable(p.longestView, func(i, j int) bool { return len(p.longestView[i]) > len(p.longestView[j]) })
 }
 
