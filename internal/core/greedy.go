@@ -98,9 +98,9 @@ func (g *greedyStore) provenance() (pooled, hits int64, matched string) {
 	return g.tupleReused, 0, ""
 }
 
-// empty is never true: even a store with nothing in it observes every
-// perturbation the explainer labels.
-func (g *greedyStore) empty() bool { return false }
+// nothingPooled is never true: even a store with nothing in it observes
+// every perturbation the explainer labels.
+func (g *greedyStore) nothingPooled() bool { return false }
 
 func (g *greedyStore) retrievalSince() time.Duration { return g.tupleRetrieval }
 

@@ -231,9 +231,11 @@ func (ps *poolState) step(eng *engine) *tupleStep {
 // and say afterwards what it served.
 type tuplePool interface {
 	explain.Pool
-	// empty reports that the pool has nothing to serve and learns nothing
-	// from being asked.
-	empty() bool
+	// nothingPooled reports that the pool has nothing to serve and learns
+	// nothing from being asked. (Not "empty": the linker keeps every
+	// reachable type's method that shares an interface method's name
+	// and signature, and the standard library has several of those.)
+	nothingPooled() bool
 	// beginTuple resets the per-tuple consumption allowance.
 	beginTuple()
 	// provenance reports samples served and repository hits since
@@ -273,7 +275,7 @@ func (s *tupleStep) run(i int, t []float64) (Explanation, obs.StageBreakdown, er
 	// An explainer handed an empty pool still pays for asking it (SHAP
 	// builds a query per coalition), so it is handed none.
 	var pool explain.Pool
-	if s.pool != nil && !s.pool.empty() {
+	if s.pool != nil && !s.pool.nothingPooled() {
 		pool = s.pool
 	}
 	start := time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram and the report's explain time

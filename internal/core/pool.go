@@ -92,7 +92,7 @@ func (p *itemsetPool) provenance() (pooled, hits int64, matched string) {
 	return p.tupleReused, p.tupleHits, matched
 }
 
-func (p *itemsetPool) empty() bool { return len(p.itemsets) == 0 }
+func (p *itemsetPool) nothingPooled() bool { return len(p.itemsets) == 0 }
 
 // retrievalSince reports retrieval time since beginTuple; it feeds the
 // pool_sample stage of latency attribution.
