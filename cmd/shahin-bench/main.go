@@ -1,6 +1,6 @@
 // Command shahin-bench regenerates the tables and figures of the paper's
-// evaluation section (plus this repo's ablations) on the synthetic
-// dataset twins.
+// evaluation section (plus this repo's ablations and extensions) on the
+// synthetic dataset twins.
 //
 // Usage:
 //
@@ -8,11 +8,11 @@
 //	shahin-bench -exp fig2,fig6      # specific experiments
 //	shahin-bench -full               # larger workloads (minutes)
 //	shahin-bench -list               # available experiments
-//	shahin-bench -smoke -json BENCH_smoke.json   # CI artifact
-//	shahin-bench -compare BENCH_baseline.json BENCH_smoke.json
+//	shahin-bench -json BENCH_full.json   # keep the tables as JSON
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"shahin/internal/bench"
-	"shahin/internal/fault"
 	"shahin/internal/obs"
 )
 
@@ -30,7 +29,6 @@ func main() {
 		exp         = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		full        = flag.Bool("full", false, "larger workloads (closer to paper scale; takes minutes)")
-		smoke       = flag.Bool("smoke", false, "run only the CI smoke experiment at its tiny deterministic scale")
 		rows        = flag.Int("rows", 0, "override dataset rows")
 		batch       = flag.Int("batch", 0, "override single-batch size")
 		seed        = flag.Int64("seed", 1, "master seed")
@@ -39,43 +37,9 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write the JSON span dump to this file when done")
 		chromeTrace = flag.String("chrome-trace", "", "write a Chrome trace-event file (load via chrome://tracing or Perfetto) when done")
 		eventsOut   = flag.String("events-out", "", "write the structured event log as JSONL to this file when done")
-		jsonOut     = flag.String("json", "", "write the run ledger (config, env, metrics, tables) to this file when done")
-		compare     = flag.Bool("compare", false, "compare two ledger files: shahin-bench -compare [-th-...] old.json new.json; exits 1 on regression")
-		thInv       = flag.Float64("th-invocations", 0, "compare: allowed fractional increase in classifier invocations (0 = counts must not grow)")
-		thWall      = flag.Float64("th-wall", 0.5, "compare: allowed fractional increase in wall time")
-		thReuse     = flag.Float64("th-reuse", 0.001, "compare: allowed absolute drop in reuse ratio")
-		thSLO       = flag.Float64("th-slo", 0.01, "compare: allowed absolute drop in per-objective SLO compliance (gated only when the baseline ledger has SLO data)")
-		thAllocs    = flag.Float64("th-allocs", 0.5, "compare: allowed fractional increase in per-benchmark allocs/op (gated only when the baseline ledger has benchmark data)")
-		thBytes     = flag.Float64("th-bytes", 0.5, "compare: allowed fractional increase in per-benchmark bytes/op (gated only when the baseline ledger has benchmark data)")
-		thGCCPU     = flag.Float64("th-gc-cpu", 0.25, "compare: allowed absolute increase in GC CPU fraction (gated only when the baseline ledger has runtime data)")
-
-		hotpathBench  = flag.Bool("hotpath-bench", false, "run -benchmem benchmarks over every //shahin:hotpath function and record them in the ledger")
-		runtimeSample = flag.Duration("runtime-sample", 100*time.Millisecond, "runtime telemetry sampling interval (heap, GC, goroutines, sched latency); 0 disables")
-
-		failRate       = flag.Float64("fail-rate", 0, "fault injection: probability a classifier call fails transiently")
-		spikeRate      = flag.Float64("spike-rate", 0, "fault injection: probability a classifier call stalls for -spike-delay")
-		spikeDelay     = flag.Duration("spike-delay", 20*time.Millisecond, "fault injection: stall duration for latency spikes")
-		faultSeed      = flag.Int64("fault-seed", 0, "fault injection: RNG seed (0 derives one from -seed)")
-		predictTimeout = flag.Duration("predict-timeout", 0, "per-call classifier deadline (0 disables)")
-		retries        = flag.Int("retries", 3, "max retries of a transient classifier failure")
-		breakerThresh  = flag.Int("breaker-threshold", 5, "consecutive failures that open the circuit breaker (-1 disables)")
-		breakerCool    = flag.Duration("breaker-cooldown", 0, "wall-clock open->half-open breaker cooldown (0 = call-counted only)")
-		breakerCalls   = flag.Int64("breaker-cooldown-calls", 200, "rejected calls before an open breaker probes again")
+		jsonOut     = flag.String("json", "", "write the run record (name, env, config, tables) as JSON to this file when done")
 	)
 	flag.Parse()
-
-	if *compare {
-		args := flag.Args()
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "shahin-bench: -compare needs exactly two ledger paths: old.json new.json")
-			os.Exit(bench.CompareMalformed)
-		}
-		th := obs.Thresholds{
-			Invocations: *thInv, Wall: *thWall, Reuse: *thReuse, SLO: *thSLO,
-			AllocsPerOp: *thAllocs, BytesPerOp: *thBytes, GCCPU: *thGCCPU,
-		}
-		os.Exit(bench.CompareFiles(os.Stdout, args[0], args[1], th))
-	}
 
 	if *list {
 		for _, id := range bench.ExperimentIDs() {
@@ -89,9 +53,7 @@ func main() {
 	// atomic operations per tuple, invisible next to the calibrated
 	// per-invocation classifier delay.
 	rec := obs.NewRecorder()
-	if *runtimeSample > 0 {
-		rec.StartRuntimeSampling(*runtimeSample)
-	}
+	rec.StartRuntimeSampling(obs.DefaultRuntimeSampleInterval)
 	if *obsAddr != "" {
 		srv, err := obs.Serve(*obsAddr, rec)
 		if err != nil {
@@ -103,12 +65,6 @@ func main() {
 	}
 
 	cfg := bench.Config{Seed: *seed, Recorder: rec}.Fill()
-	name := "bench"
-	if *smoke {
-		cfg = bench.SmokeConfig(*seed)
-		cfg.Recorder = rec
-		name = "smoke"
-	}
 	if *full {
 		cfg.Rows = 20000
 		cfg.Batch = 1000
@@ -125,37 +81,15 @@ func main() {
 	if *delay > 0 {
 		cfg.Delay = *delay
 	}
-	// A fault config is attached only when a fault flag is actually set,
-	// so plain runs keep the infallible (and byte-identical) fast path.
-	if *failRate > 0 || *spikeRate > 0 || *predictTimeout > 0 {
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed + 17
-		}
-		cfg.Fault = &fault.Config{
-			FailRate:             *failRate,
-			SpikeRate:            *spikeRate,
-			SpikeDelay:           *spikeDelay,
-			Seed:                 fseed,
-			PredictTimeout:       *predictTimeout,
-			MaxRetries:           *retries,
-			BreakerThreshold:     *breakerThresh,
-			BreakerCooldown:      *breakerCool,
-			BreakerCooldownCalls: *breakerCalls,
-		}
-	}
 
-	ids := bench.DefaultOrder()
-	if *smoke {
-		ids = []string{"smoke"}
-	}
+	ids := bench.ExperimentIDs()
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
-	runStart := time.Now() //shahinvet:allow walltime — run wall time recorded in the ledger
 	var tables []*bench.Table
-	for _, id := range ids {
+	for i, id := range ids {
 		id = strings.TrimSpace(id)
+		ids[i] = id
 		e, ok := bench.LookupExperiment(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "shahin-bench: unknown experiment %q (use -list)\n", id)
@@ -171,24 +105,8 @@ func main() {
 		tables = append(tables, tab)
 		fmt.Printf("(%s took %v)\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	wall := time.Since(runStart)
-
-	var benchResults []obs.BenchmarkResult
-	if *hotpathBench {
-		results, err := bench.HotpathResults(*seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shahin-bench: hotpath benchmarks:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\nhotpath benchmarks (-benchmem):")
-		for _, r := range results {
-			fmt.Printf("  %-34s %12.1f ns/op %10d B/op %8d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-		benchResults = results
-	}
-	// Stop before snapshotting so the ledger's runtime section carries a
-	// final sample covering the whole run.
+	// Stop before the dumps so the Chrome trace and event log carry the
+	// sampler's closing heap sample.
 	rec.StopRuntimeSampling()
 
 	fmt.Printf("\nper-stage totals: %s\n", obs.FormatStageTotals(rec.StageTotals()))
@@ -197,15 +115,19 @@ func main() {
 			p.Invocations, p.ReusedSamples, 100*p.ReuseRate)
 	}
 
-	if *jsonOut != "" {
-		l := bench.BuildLedger(name, cfg, ids, tables, wall)
-		l.Benchmarks = benchResults
-		if err := bench.WriteLedgerFile(*jsonOut, l); err != nil {
-			fmt.Fprintln(os.Stderr, "shahin-bench: writing ledger:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("run ledger written to %s\n", *jsonOut)
-	}
+	// The run record is written once and read by nothing in this repo:
+	// it keeps a figure run's tables next to the scale and machine that
+	// produced them.
+	writeArtifact(*jsonOut, "run record", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(struct {
+			Name   string             `json:"name"`
+			Env    obs.EnvFingerprint `json:"env"`
+			Config bench.Config       `json:"config"`
+			Tables []*bench.Table     `json:"tables"`
+		}{strings.Join(ids, ","), obs.Fingerprint(), cfg, tables})
+	})
 	writeArtifact(*traceOut, "span dump", rec.WriteTrace)
 	writeArtifact(*chromeTrace, "chrome trace", rec.WriteChromeTrace)
 	writeArtifact(*eventsOut, "event log", rec.WriteEvents)

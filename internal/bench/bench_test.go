@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,6 +76,44 @@ func TestTablePrinting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in %q", want, out)
 		}
+	}
+}
+
+func TestTableMarshalJSON(t *testing.T) {
+	tab := &Table{
+		Title:  "Figure 5: housekeeping overhead",
+		Header: []string{"Explainer", "Invocations", "ReuseRate"},
+	}
+	tab.AddRow("LIME", "1470", "0.746")
+	tab.AddRow("SHAP", "897", "0.720")
+	tab.AddNote("counts are seed-deterministic")
+
+	data, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Title  string   `json:"title"`
+		Header []string `json:"header"`
+		Rows   [][]any  `json:"rows"`
+		Notes  []string `json:"notes"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Title != tab.Title || len(got.Header) != 3 || len(got.Rows) != 2 || len(got.Notes) != 1 {
+		t.Fatalf("shape %+v", got)
+	}
+	// Cells come back typed: strings stay strings, counts become JSON
+	// numbers, decimals become floats.
+	if got.Rows[0][0] != "LIME" {
+		t.Errorf("string cell %v (%T)", got.Rows[0][0], got.Rows[0][0])
+	}
+	if got.Rows[0][1] != float64(1470) {
+		t.Errorf("integer cell %v (%T)", got.Rows[0][1], got.Rows[0][1])
+	}
+	if got.Rows[1][2] != 0.720 {
+		t.Errorf("float cell %v (%T)", got.Rows[1][2], got.Rows[1][2])
 	}
 }
 

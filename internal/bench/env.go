@@ -22,7 +22,6 @@ import (
 	"shahin/internal/explain/anchor"
 	"shahin/internal/explain/lime"
 	"shahin/internal/explain/shap"
-	"shahin/internal/fault"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
 )
@@ -31,28 +30,22 @@ import (
 // runs laptop-sized workloads; cmd/shahin-bench -full approaches paper
 // scale.
 type Config struct {
-	Rows    int           // dataset rows generated per dataset (default 6000)
-	Batch   int           // default batch size for single-batch experiments (default 200)
-	Batches []int         // batch-size sweep for Figures 2-4 (default 50, 200, 500)
-	Trees   int           // random forest size (default 50)
-	Delay   time.Duration // artificial per-invocation latency (default 20µs)
-	Seed    int64         // master seed (default 1)
+	Rows    int           `json:"rows"`     // dataset rows generated per dataset (default 6000)
+	Batch   int           `json:"batch"`    // default batch size for single-batch experiments (default 200)
+	Batches []int         `json:"batches"`  // batch-size sweep for Figures 2-4 (default 50, 200, 500)
+	Trees   int           `json:"trees"`    // random forest size (default 50)
+	Delay   time.Duration `json:"delay_ns"` // artificial per-invocation latency (default 50µs)
+	Seed    int64         `json:"seed"`     // master seed (default 1)
 
-	LIMESamples int // LIME perturbation budget N (default 400)
-	SHAPSamples int // SHAP coalition budget M (default 256)
-	Tau         int // perturbations per frequent itemset (default 100)
-
-	// Fault, when non-nil, runs every experiment against a fallible
-	// classifier backend: injected transient errors, latency spikes,
-	// outage windows, per-call deadlines, retry/backoff, and the circuit
-	// breaker, all per the config. nil keeps the backend infallible.
-	Fault *fault.Config
+	LIMESamples int `json:"lime_samples"` // LIME perturbation budget N (default 400)
+	SHAPSamples int `json:"shap_samples"` // SHAP coalition budget M (default 256)
+	Tau         int `json:"tau"`          // perturbations per frequent itemset (default 100)
 
 	// Recorder, when non-nil, instruments every run of the suite: spans
 	// per stage, live counters, and latency histograms, servable over
 	// HTTP while experiments are in flight. nil keeps runs uninstrumented
 	// (the zero-overhead default the testing.B benchmarks measure).
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder `json:"-"`
 }
 
 // Fill returns the config with defaults applied.
@@ -116,7 +109,6 @@ func (c Config) Options(kind core.Kind) core.Options {
 		Anchor:    anchor.Config{MaxPulls: 2000, BatchPulls: 25},
 		Tau:       c.Tau,
 		Seed:      c.Seed + 100,
-		Fault:     c.Fault,
 		Recorder:  c.Recorder,
 	}
 }

@@ -1,79 +1,117 @@
 package bench
 
 import (
-	"sort"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestHotpathBodies: every //shahin:hotpath function has a benchmark
-// body, the bodies are deterministic fixtures (no errors at build), and
-// each one actually runs.
-func TestHotpathBodies(t *testing.T) {
-	bodies, err := hotpathBodies(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"exact.(*Explainer).Explain",
-		"lime.(*Explainer).kernel",
-		"lime.topKByAbs",
-		"linmodel.(*Sym).Solve",
-		"perturb.(*Generator).FillItemset",
-		"perturb.(*Generator).ForItemset",
-		"perturb.(*Generator).ForTuple",
-		"perturb.BinaryEncode",
-		"perturb.MatchesBins",
-		"rf.(*Forest).Predict",
-		"router.(*Ring).Lookup",
-		"router.Signature",
-	}
-	var got []string
-	for name := range bodies {
-		got = append(got, name)
-	}
-	sort.Strings(got)
-	if len(got) != len(want) {
-		t.Fatalf("hotpathBodies returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hotpathBodies returned %v, want %v", got, want)
-		}
-	}
-	// Each body must survive a small iteration count without panicking.
-	for name, body := range bodies {
-		name, body := name, body
-		t.Run(name, func(t *testing.T) { body(3) })
-	}
+// hotpathMeasured is the hand-kept list of //shahin:hotpath functions
+// whose allocations per call are pinned exactly by the alloc test of
+// the package that owns them, keyed to that package's directory.
+var hotpathMeasured = map[string]string{
+	"exact.(*Explainer).Explain":       "../explain/exact",
+	"lime.(*Explainer).kernel":         "../explain/lime",
+	"lime.topKByAbs":                   "../explain/lime",
+	"linmodel.(*Sym).Solve":            "../linmodel",
+	"perturb.(*Generator).FillItemset": "../perturb",
+	"perturb.(*Generator).ForItemset":  "../perturb",
+	"perturb.(*Generator).ForTuple":    "../perturb",
+	"perturb.BinaryEncode":             "../perturb",
+	"perturb.MatchesBins":              "../perturb",
+	"rf.(*Forest).Predict":             "../rf",
+	"router.(*Ring).Lookup":            "../router",
+	"router.Signature":                 "../router",
 }
 
-// TestHotpathResultsOne: the testing.Benchmark harness produces sane
-// numbers for a single real body without running the full suite.
-func TestHotpathResultsOne(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real benchmark")
-	}
-	results, err := HotpathResults(2)
+// hotpathInsideExplain are the walker's tagged helpers: they only run
+// inside exact.(*Explainer).Explain, whose row covers them.
+var hotpathInsideExplain = map[string]bool{
+	"exact.(*Explainer).walk": true,
+	"exact.findFeat":          true,
+	"exact.unwoundSum":        true,
+	"exact.unwind":            true,
+}
+
+// taggedHotpaths returns the qualified name of every function under
+// internal/ whose doc comment carries the //shahin:hotpath directive.
+func taggedHotpaths(t *testing.T) map[string]bool {
+	t.Helper()
+	tagged := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("..", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Doc == nil {
+				continue
+			}
+			for _, c := range fn.Doc.List {
+				if strings.TrimSpace(c.Text) != "//shahin:hotpath" {
+					continue
+				}
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					name = "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + name
+				}
+				tagged[f.Name.Name+"."+name] = true
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 12 {
-		t.Fatalf("HotpathResults returned %d entries, want 12", len(results))
-	}
-	names := map[string]bool{}
-	for _, r := range results {
-		if names[r.Name] {
-			t.Errorf("duplicate benchmark name %q", r.Name)
-		}
-		names[r.Name] = true
-		if r.Runs <= 0 || r.NsPerOp <= 0 {
-			t.Errorf("%s: runs=%d ns/op=%v, want positive", r.Name, r.Runs, r.NsPerOp)
-		}
-		if r.AllocsPerOp < 0 || r.BytesPerOp < 0 {
-			t.Errorf("%s: negative allocation stats %+v", r.Name, r)
+	return tagged
+}
+
+// TestHotpathBodies: every //shahin:hotpath function has an exact
+// allocs-per-call assertion. A tag that is neither on the measured list
+// nor covered by Explain fails here, and so does a listed function that
+// lost its tag or whose package test no longer names it.
+func TestHotpathBodies(t *testing.T) {
+	tagged := taggedHotpaths(t)
+	for name := range tagged {
+		if _, ok := hotpathMeasured[name]; !ok && !hotpathInsideExplain[name] {
+			t.Errorf("%s is tagged //shahin:hotpath but has no alloc test: list it here and give it a row in its package's TestHotpathAllocs", name)
 		}
 	}
-	if !sort.SliceIsSorted(results, func(i, j int) bool { return results[i].Name < results[j].Name }) {
-		t.Error("results not sorted by name")
+	for name, dir := range hotpathMeasured {
+		t.Run(name, func(t *testing.T) {
+			if !tagged[name] {
+				t.Fatalf("%s no longer carries the //shahin:hotpath tag", name)
+			}
+			tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range tests {
+				src, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(string(src), `"`+name+`"`) {
+					return
+				}
+			}
+			t.Fatalf("no test file in %s names %q: its alloc test is gone", dir, name)
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
-import "sort"
-
-// Experiment is one runnable entry in the experiment registry: a
+// Experiment is one runnable entry in the experiment list: a
 // human-readable description plus the runner itself.
 type Experiment struct {
 	// Desc is the one-line description shown by `shahin-bench -list`.
@@ -11,62 +9,45 @@ type Experiment struct {
 	Run func(Config) (*Table, error)
 }
 
-// registry maps experiment ids to their runners. It lives in this
-// package (not in cmd/shahin-bench) so every binary that runs
-// experiments — shahin-bench, shahin-prof — shares one source of
-// truth.
-var registry = map[string]Experiment{
-	"table1":       {"Table 1: dataset characteristics + per-tuple seconds", Table1},
-	"fig2":         {"Figure 2: Shahin vs DIST-k and GREEDY baselines", Figure2},
-	"fig3":         {"Figure 3: Shahin-Batch speedup across datasets", Figure3},
-	"fig4":         {"Figure 4: Shahin-Streaming speedup across datasets", Figure4},
-	"fig5":         {"Figure 5: housekeeping overhead", Figure5},
-	"fig6":         {"Figure 6: impact of tau", Figure6},
-	"fig7":         {"Figure 7: impact of cache size", Figure7},
-	"quality":      {"Explanation quality vs sequential baseline", Quality},
-	"abl-sample":   {"Ablation A1: FIM sample-size heuristic", AblationSample},
-	"abl-kernel":   {"Ablation A2: SHAP kernel size sampling", AblationKernel},
-	"abl-border":   {"Ablation A3: streaming negative border", AblationBorder},
-	"ext-sshap":    {"Extension: Sampling-Shapley under Shahin", ExtSampleShapley},
-	"ext-approx":   {"Extension: approximation via reuse fraction", ExtApproximate},
-	"ext-models":   {"Extension: speedup across classifiers", ExtModels},
-	"ext-parallel": {"Extension: worker parallelism", ExtParallel},
-	"smoke":        {"CI smoke: seq/batch/stream cost ledger at tiny scale", Smoke},
-	"exact-shap":   {"Exact TreeSHAP vs sampled KernelSHAP: agreement, determinism, and latency at zero delay", ExactShap},
-	"chaos":        {"Robustness: batch/stream under fault injection, retry, and circuit breaking", Chaos},
-	"serving":      {"Serving: mixed request workload against a live shahin-serve pipeline", Serving},
-	"sharded":      {"Sharded: affinity-routed replica fleet with mid-stream kill, failover, and peer snapshot recovery", Sharded},
-}
-
-// defaultOrder fixes the default execution order. The smoke, exact-shap,
-// chaos, sharded, and serving experiments are CI workloads, selected
-// explicitly.
-var defaultOrder = []string{
-	"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"quality", "abl-sample", "abl-kernel", "abl-border",
-	"ext-sshap", "ext-approx", "ext-models", "ext-parallel",
+// experiments lists the paper's tables and figures, this repo's
+// ablations and its extensions, in the order a bare shahin-bench runs
+// them.
+var experiments = []struct {
+	id string
+	Experiment
+}{
+	{"table1", Experiment{"Table 1: dataset characteristics + per-tuple seconds", Table1}},
+	{"fig2", Experiment{"Figure 2: Shahin vs DIST-k and GREEDY baselines", Figure2}},
+	{"fig3", Experiment{"Figure 3: Shahin-Batch speedup across datasets", Figure3}},
+	{"fig4", Experiment{"Figure 4: Shahin-Streaming speedup across datasets", Figure4}},
+	{"fig5", Experiment{"Figure 5: housekeeping overhead", Figure5}},
+	{"fig6", Experiment{"Figure 6: impact of tau", Figure6}},
+	{"fig7", Experiment{"Figure 7: impact of cache size", Figure7}},
+	{"quality", Experiment{"Explanation quality vs sequential baseline", Quality}},
+	{"abl-sample", Experiment{"Ablation A1: FIM sample-size heuristic", AblationSample}},
+	{"abl-kernel", Experiment{"Ablation A2: SHAP kernel size sampling", AblationKernel}},
+	{"abl-border", Experiment{"Ablation A3: streaming negative border", AblationBorder}},
+	{"ext-sshap", Experiment{"Extension: Sampling-Shapley under Shahin", ExtSampleShapley}},
+	{"ext-approx", Experiment{"Extension: approximation via reuse fraction", ExtApproximate}},
+	{"ext-models", Experiment{"Extension: speedup across classifiers", ExtModels}},
+	{"ext-parallel", Experiment{"Extension: worker parallelism", ExtParallel}},
 }
 
 // LookupExperiment returns the experiment registered under id.
 func LookupExperiment(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
-// ExperimentIDs returns every registered experiment id, sorted.
-func ExperimentIDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.Experiment, true
+		}
 	}
-	sort.Strings(ids)
-	return ids
+	return Experiment{}, false
 }
 
-// DefaultOrder returns the default execution order (paper experiments
-// only; smoke/chaos/serving are opt-in).
-func DefaultOrder() []string {
-	out := make([]string, len(defaultOrder))
-	copy(out, defaultOrder)
-	return out
+// ExperimentIDs returns every experiment id in run order.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"shahin/internal/core"
-	"shahin/internal/rf"
 )
 
 // runSequential runs the sequential baseline over the tuples.
@@ -66,5 +65,3 @@ func secondsPerTuple(rep core.Report) float64 {
 	}
 	return rep.WallTime.Seconds() / float64(rep.Tuples)
 }
-
-var _ rf.Classifier = (*rf.Delayed)(nil)

@@ -64,7 +64,7 @@ func (t *Table) Fprint(w io.Writer) {
 }
 
 // tableJSON is the MarshalJSON shape of a Table: the header names the
-// columns and each row carries typed cells, so ledger consumers can
+// columns and each row carries typed cells, so readers of a -json record can
 // compute over figures without re-parsing rendered text.
 type tableJSON struct {
 	Title  string   `json:"title"`

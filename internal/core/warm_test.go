@@ -162,7 +162,8 @@ func TestWarmCancelMarksUnattempted(t *testing.T) {
 }
 
 // TestWarmEmitsRemineEvents checks the provenance trail: a warm run
-// with a recorder produces re_mine and tuple_explained events.
+// with a recorder produces re_mine and tuple_explained events, and its
+// report attributes allocations to the flush.
 func TestWarmEmitsRemineEvents(t *testing.T) {
 	env := newEnv(t, 6, 20)
 	opts := smallOpts(LIME, 6)
@@ -190,6 +191,9 @@ func TestWarmEmitsRemineEvents(t *testing.T) {
 	}
 	if explained != len(env.tuples) {
 		t.Fatalf("tuple_explained events = %d, want %d", explained, len(env.tuples))
+	}
+	if rep := w.Report(); rep.AllocBytes <= 0 {
+		t.Fatalf("instrumented warm run recorded no allocation attribution (alloc_bytes = %d)", rep.AllocBytes)
 	}
 }
 

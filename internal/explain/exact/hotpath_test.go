@@ -1,0 +1,51 @@
+package exact
+
+import (
+	"runtime"
+	"testing"
+
+	"shahin/internal/datagen"
+	"shahin/internal/explain"
+)
+
+// allocsAndBytes reports what one call of f allocates, heap objects and
+// bytes, exactly (ReadMemStats stops the world) and floored over the
+// runs so a stray runtime allocation cannot round a 0 up.
+func allocsAndBytes(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestHotpathAllocs pins what one exact explanation allocates over a
+// trained forest on the 42-attribute census twin: the Attribution and
+// its weight vector. The walker's helpers (walk, unwind, unwoundSum,
+// findFeat) only run inside Explain, so this one row covers the
+// package's whole hot surface.
+func TestHotpathAllocs(t *testing.T) {
+	spec, err := datagen.Spec("census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(tinyStats(t, d), tinyForest(t, d, 8, 6), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := d.Rows(0, 1)[0]
+	var sink *explain.Attribution
+	allocs, bytes := allocsAndBytes(func() { sink, _ = e.Explain(x) })
+	if allocs != 2 || bytes != 400 {
+		t.Errorf("%s: %d allocs, %d B per call, want 2 allocs, 400 B", "exact.(*Explainer).Explain", allocs, bytes)
+	}
+	_ = sink
+}

@@ -8,7 +8,7 @@ import (
 
 // EventType names the structured events the pipeline emits. Each run
 // stage that creates or consumes reusable work reports itself, so the
-// event log answers the provenance question the cost ledger cannot:
+// event log answers the provenance question the counters cannot:
 // *which* materialised unit served *which* explanation.
 type EventType string
 

@@ -6,36 +6,6 @@ import (
 	"shahin/internal/obs"
 )
 
-// ExampleCompareLedgers diffs a fresh run ledger against a committed
-// baseline the way the CI smoke job does: invocation counts may grow at
-// most 5%, the reuse ratio may drop at most 0.01 absolute. Here the
-// fresh run spends 10% more classifier calls and loses 0.02 reuse, so
-// both gated metrics regress.
-func ExampleCompareLedgers() {
-	baseline := &obs.RunLedger{Metrics: obs.Metrics{Counters: map[string]int64{
-		obs.CounterInvocations:   1000,
-		obs.CounterReusedSamples: 4000,
-	}}}
-	fresh := &obs.RunLedger{Metrics: obs.Metrics{Counters: map[string]int64{
-		obs.CounterInvocations:   1100,
-		obs.CounterReusedSamples: 3900,
-	}}}
-	th := obs.Thresholds{Invocations: 0.05, Reuse: 0.01, Wall: 0.5}
-
-	deltas, regressed := obs.CompareLedgers(baseline, fresh, th)
-	for _, d := range deltas {
-		if d.Gated {
-			fmt.Printf("%s: %.2f -> %.2f regressed=%v\n", d.Metric, d.Old, d.New, d.Regressed)
-		}
-	}
-	fmt.Println("ledger regressed:", regressed)
-	// Output:
-	// classifier_invocations: 1000.00 -> 1100.00 regressed=true
-	// reuse_ratio: 0.80 -> 0.78 regressed=true
-	// wall_ms: 0.00 -> 0.00 regressed=false
-	// ledger regressed: true
-}
-
 // ExampleRecorder_Emit records one structured provenance event and
 // reads it back. The event log is a bounded ring — Events also reports
 // how many older entries the capacity bound dropped.

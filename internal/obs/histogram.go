@@ -170,44 +170,6 @@ type HistogramSnapshot struct {
 	Buckets []HistogramBucket `json:"buckets,omitempty"`
 }
 
-// Quantile re-estimates the q-th quantile from the snapshot's buckets,
-// with the same bucket-resolution and clamping semantics as
-// Histogram.Quantile — so ledger readers can compute any quantile, not
-// just the pre-serialized three. q is clamped to [0, 1]: q <= 0 returns
-// MinNS, q >= 1 MaxNS, and bucket answers land inside [MinNS, MaxNS]
-// (a single-sample snapshot answers that sample for every q). Returns
-// 0 when empty.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q <= 0 || math.IsNaN(q) {
-		return time.Duration(s.MinNS)
-	}
-	if q >= 1 {
-		return time.Duration(s.MaxNS)
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			upper := b.UpperNS
-			if upper > s.MaxNS {
-				upper = s.MaxNS
-			}
-			if upper < s.MinNS {
-				upper = s.MinNS
-			}
-			return time.Duration(upper)
-		}
-	}
-	return time.Duration(s.MaxNS)
-}
-
 // Snapshot captures the histogram's current state (zero value on a nil
 // receiver or when empty).
 func (h *Histogram) Snapshot() HistogramSnapshot {

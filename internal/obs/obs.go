@@ -148,8 +148,7 @@ type Recorder struct {
 	spans    []*Span
 	slo      *SLOTracker
 	// runtime is the attached telemetry sampler (nil when none);
-	// runtimeStatus/runtimeSeen retain its last summary past Stop so
-	// ledgers built after the run still carry the runtime section.
+	// runtimeStatus/runtimeSeen retain its last summary past Stop.
 	runtime       *RuntimeSampler
 	runtimeStatus RuntimeStatus
 	runtimeSeen   bool

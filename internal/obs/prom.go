@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 )
@@ -104,14 +106,46 @@ func promHelpFor(kind, name string) string {
 	return fmt.Sprintf("Shahin %s %q.", kind, name)
 }
 
+// EnvFingerprint pins the environment a binary runs on, so a scraped
+// fleet is attributable to an exact toolchain and commit.
+type EnvFingerprint struct {
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	NumCPU    int    `json:"num_cpu"`
+	GitCommit string `json:"git_commit,omitempty"`
+	GitDirty  bool   `json:"git_dirty,omitempty"`
+}
+
+// Fingerprint captures the current environment. The git commit comes
+// from the binary's embedded build info when available (test binaries
+// and `go run` builds may not carry it).
+func Fingerprint() EnvFingerprint {
+	fp := EnvFingerprint{
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				fp.GitCommit = s.Value
+			case "vcs.modified":
+				fp.GitDirty = s.Value == "true"
+			}
+		}
+	}
+	return fp
+}
+
 // writePromBuildInfo renders the build/environment fingerprint as a
-// constant gauge whose labels match the ledger's env section, so a
-// scraped fleet is attributable to the exact toolchain and commit a
-// ledger was produced on.
+// constant gauge.
 func writePromBuildInfo(w io.Writer) error {
 	fp := Fingerprint()
 	pn := "shahin_build_info"
-	if _, err := fmt.Fprintf(w, "# HELP %s Build and environment fingerprint; the value is always 1 and the labels mirror the ledger env section.\n# TYPE %s gauge\n", pn, pn); err != nil {
+	if _, err := fmt.Fprintf(w, "# HELP %s Build and environment fingerprint; the value is always 1.\n# TYPE %s gauge\n", pn, pn); err != nil {
 		return err
 	}
 	dirty := "false"

@@ -11,8 +11,8 @@ import (
 // The gauges mirror runtime/metrics readings; the histograms accumulate
 // the runtime's own GC-pause and scheduler-latency distributions folded
 // into the recorder's power-of-two buckets, so they render on /metrics
-// (Prometheus included) and in the ledger exactly like the pipeline's
-// latency histograms.
+// (Prometheus included) exactly like the pipeline's latency
+// histograms.
 const (
 	// GaugeRuntimeHeapLive is the live heap (bytes occupied by reachable
 	// plus not-yet-swept objects); GaugeRuntimeHeapGoal the heap size the
@@ -67,10 +67,9 @@ const (
 	runtimeEventStride = 16
 )
 
-// RuntimeStatus is the ledger-facing summary of the sampler's view: the
-// latest gauge readings plus quantiles of the accumulated GC-pause and
-// scheduler-latency distributions. It is the `runtime` section of a
-// schema-3 RunLedger.
+// RuntimeStatus is a summary of the sampler's view: the latest gauge
+// readings plus quantiles of the accumulated GC-pause and
+// scheduler-latency distributions.
 type RuntimeStatus struct {
 	// Samples is how many sampler ticks contributed (including the
 	// initial and final reads).
@@ -106,8 +105,8 @@ type RuntimeStatus struct {
 // and bounded gc_cycle / heap_sample events so Chrome traces show GC
 // activity against request spans. Start it with
 // Recorder.StartRuntimeSampling; it takes one sample immediately, one
-// per tick, and a final one on Stop, so even sub-interval runs populate
-// the runtime section.
+// per tick, and a final one on Stop, so even sub-interval runs are
+// sampled.
 type RuntimeSampler struct {
 	rec      *Recorder
 	interval time.Duration
@@ -211,8 +210,7 @@ func (r *Recorder) StopRuntimeSampling() {
 
 // RuntimeStatus returns the latest runtime telemetry summary and
 // whether a sampler has ever contributed one. It keeps answering after
-// StopRuntimeSampling (the final sample is retained), so ledgers built
-// post-run still carry the runtime section. Nil-safe.
+// StopRuntimeSampling (the final sample is retained). Nil-safe.
 func (r *Recorder) RuntimeStatus() (RuntimeStatus, bool) {
 	if r == nil {
 		return RuntimeStatus{}, false
@@ -261,8 +259,8 @@ func (s *RuntimeSampler) loop() {
 }
 
 // sampleOnce reads every runtime metric, updates the gauges, folds the
-// histogram deltas, emits bounded events, and refreshes the status the
-// ledger reads. final marks the closing sample taken by Stop.
+// histogram deltas, emits bounded events, and refreshes the status.
+// final marks the closing sample taken by Stop.
 func (s *RuntimeSampler) sampleOnce(final bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -27,7 +27,7 @@ func TestRuntimeSamplerLifecycle(t *testing.T) {
 	}
 
 	// Concurrent readers while the sampler ticks: the Prometheus dump,
-	// the ledger snapshot, and the status accessor must all be safe.
+	// the metrics snapshot, and the status accessor must all be safe.
 	var wg sync.WaitGroup
 	stopReaders := make(chan struct{})
 	for i := 0; i < 3; i++ {
@@ -42,7 +42,7 @@ func TestRuntimeSamplerLifecycle(t *testing.T) {
 				}
 				var buf bytes.Buffer
 				_ = r.WritePrometheus(&buf)
-				r.Ledger("race")
+				r.Metrics()
 				r.RuntimeStatus()
 			}
 		}()
@@ -162,154 +162,6 @@ func TestNowAllocs(t *testing.T) {
 	}
 }
 
-// TestLedgerSchema3RoundTrip: a sampled recorder's ledger carries the
-// runtime section and attached benchmarks through write/read.
-func TestLedgerSchema3RoundTrip(t *testing.T) {
-	r := NewRecorder()
-	r.StartRuntimeSampling(time.Millisecond)
-	runtime.GC()
-	r.StopRuntimeSampling()
-
-	l := r.Ledger("schema3")
-	if l.Schema != 3 {
-		t.Fatalf("schema = %d, want 3", l.Schema)
-	}
-	if l.Runtime == nil || l.Runtime.Samples < 1 {
-		t.Fatalf("runtime section missing: %+v", l.Runtime)
-	}
-	l.Benchmarks = []BenchmarkResult{
-		{Name: "pkg.Fast", Runs: 1000, NsPerOp: 120.5, AllocsPerOp: 2, BytesPerOp: 96},
-	}
-
-	var buf bytes.Buffer
-	if err := WriteLedger(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadLedger(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Runtime == nil || back.Runtime.TotalAllocBytes != l.Runtime.TotalAllocBytes {
-		t.Fatalf("runtime section did not round-trip: %+v", back.Runtime)
-	}
-	if len(back.Benchmarks) != 1 || back.Benchmarks[0] != l.Benchmarks[0] {
-		t.Fatalf("benchmarks did not round-trip: %+v", back.Benchmarks)
-	}
-}
-
-// TestReadLedgerAcceptsOlderSchemas: schema 1 and 2 baselines must
-// still parse — the compare gates are conditional on the data they
-// carry, not on the stamp.
-func TestReadLedgerAcceptsOlderSchemas(t *testing.T) {
-	for _, raw := range []string{
-		`{"schema":1,"name":"v1"}`,
-		`{"schema":2,"name":"v2"}`,
-	} {
-		if _, err := ReadLedger(bytes.NewReader([]byte(raw))); err != nil {
-			t.Errorf("ReadLedger(%s): %v", raw, err)
-		}
-	}
-}
-
-// benchLedger builds a schema-3 ledger with one benchmark entry.
-func benchLedger(allocs, bytesPerOp int64) *RunLedger {
-	l := &RunLedger{
-		Schema: LedgerSchemaVersion,
-		Metrics: Metrics{Counters: map[string]int64{
-			CounterInvocations:   1000,
-			CounterReusedSamples: 3000,
-		}},
-		WallMS: 100,
-		Benchmarks: []BenchmarkResult{
-			{Name: "pkg.Hot", Runs: 100, NsPerOp: 50, AllocsPerOp: allocs, BytesPerOp: bytesPerOp},
-		},
-	}
-	return l
-}
-
-// TestCompareLedgersBenchmarkGates: the allocation gates fire on a
-// doubled allocs/op, tolerate slack, skip silently when the baseline
-// has no benchmark data, and treat a dropped benchmark as a
-// regression.
-func TestCompareLedgersBenchmarkGates(t *testing.T) {
-	th := Thresholds{Wall: 10, Reuse: 1, AllocsPerOp: 0.5, BytesPerOp: 0.5}
-
-	// Baseline without benchmarks: no benchmark deltas, no regression,
-	// even when the fresh run carries them — schema-2 baselines compare
-	// cleanly.
-	old := benchLedger(10, 1000)
-	old.Benchmarks = nil
-	deltas, regressed := CompareLedgers(old, benchLedger(99999, 1<<30), th)
-	if regressed {
-		t.Error("benchmark-less baseline regressed on new benchmark data")
-	}
-	for _, d := range deltas {
-		if d.Metric == "bench_pkg.Hot_allocs_per_op" {
-			t.Error("benchmark delta emitted without baseline data")
-		}
-	}
-
-	// A 2x allocs/op regression must fail the gate.
-	if _, regressed := CompareLedgers(benchLedger(10, 1000), benchLedger(20, 1000), th); !regressed {
-		t.Error("2x allocs/op did not regress")
-	}
-	// Within the fractional threshold: fine.
-	if _, regressed := CompareLedgers(benchLedger(10, 1000), benchLedger(14, 1000), th); regressed {
-		t.Error("+40% allocs/op regressed despite 50% threshold")
-	}
-	// 2x bytes/op regression.
-	if _, regressed := CompareLedgers(benchLedger(10, 1000), benchLedger(10, 2000), th); !regressed {
-		t.Error("2x bytes/op did not regress")
-	}
-	// Zero-alloc baseline: one stray alloc (and a few stray bytes) sit
-	// inside the absolute slack; more than that regresses.
-	if _, regressed := CompareLedgers(benchLedger(0, 0), benchLedger(1, 32), th); regressed {
-		t.Error("single-alloc jitter over a zero baseline regressed")
-	}
-	if _, regressed := CompareLedgers(benchLedger(0, 0), benchLedger(2, 256), th); !regressed {
-		t.Error("real growth over a zero baseline did not regress")
-	}
-	// ns/op is recorded but never gated.
-	slow := benchLedger(10, 1000)
-	slow.Benchmarks[0].NsPerOp = 1e9
-	if _, regressed := CompareLedgers(benchLedger(10, 1000), slow, th); regressed {
-		t.Error("ns/op increase regressed; wall-time noise must not gate")
-	}
-	// A benchmark the fresh run dropped is a regression.
-	gone := benchLedger(10, 1000)
-	gone.Benchmarks = nil
-	if _, regressed := CompareLedgers(benchLedger(10, 1000), gone, th); !regressed {
-		t.Error("dropped benchmark did not regress")
-	}
-}
-
-// TestCompareLedgersGCCPUGate: the GC CPU fraction gates on absolute
-// increase, only when the baseline sampled it.
-func TestCompareLedgersGCCPUGate(t *testing.T) {
-	th := Thresholds{Wall: 10, Reuse: 1, GCCPU: 0.25}
-	withGC := func(frac float64) *RunLedger {
-		l := benchLedger(1, 1)
-		l.Benchmarks = nil
-		l.Runtime = &RuntimeStatus{Samples: 5, GCCPUFraction: frac}
-		return l
-	}
-	noRT := benchLedger(1, 1)
-	noRT.Benchmarks = nil
-
-	if _, regressed := CompareLedgers(noRT, withGC(0.99), th); regressed {
-		t.Error("runtime-less baseline regressed on new runtime data")
-	}
-	if _, regressed := CompareLedgers(withGC(0.05), withGC(0.2), th); regressed {
-		t.Error("GC CPU within threshold regressed")
-	}
-	if _, regressed := CompareLedgers(withGC(0.05), withGC(0.5), th); !regressed {
-		t.Error("GC CPU blowup did not regress")
-	}
-	if _, regressed := CompareLedgers(withGC(0.05), noRT, th); !regressed {
-		t.Error("dropped runtime section did not regress")
-	}
-}
-
 // TestHistogramQuantileEdges pins the quantile edge semantics: empty
 // histograms answer 0, single-sample histograms answer that sample for
 // every q, and q is clamped into [0, 1] with min/max at the ends.
@@ -320,21 +172,12 @@ func TestHistogramQuantileEdges(t *testing.T) {
 			t.Errorf("empty.Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty snapshot Quantile = %v, want 0", got)
-	}
 
 	single := newHistogram()
 	single.Observe(100 * time.Nanosecond)
 	for _, q := range []float64{-0.5, 0, 0.25, 0.5, 0.99, 1, 1.5} {
 		if got := single.Quantile(q); got != 100*time.Nanosecond {
 			t.Errorf("single.Quantile(%v) = %v, want 100ns", q, got)
-		}
-	}
-	snap := single.Snapshot()
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := snap.Quantile(q); got != 100*time.Nanosecond {
-			t.Errorf("single snapshot Quantile(%v) = %v, want 100ns", q, got)
 		}
 	}
 
@@ -354,13 +197,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		if got < 10*time.Nanosecond || got > 1000*time.Nanosecond {
 			t.Errorf("Quantile(%v) = %v outside [10ns, 1000ns]", q, got)
 		}
-	}
-	ms := multi.Snapshot()
-	if got := ms.Quantile(0); got != 10*time.Nanosecond {
-		t.Errorf("snapshot Quantile(0) = %v, want min", got)
-	}
-	if got := ms.Quantile(1); got != 1000*time.Nanosecond {
-		t.Errorf("snapshot Quantile(1) = %v, want max", got)
 	}
 }
 

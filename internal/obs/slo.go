@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// SLO objective names as they appear in status JSON, Prometheus export,
-// and ledger deltas.
+// SLO objective names as they appear in status JSON and Prometheus
+// export.
 const (
 	// SLOLatency is the latency objective: fraction of requests at or
 	// under the latency target.
@@ -163,8 +163,7 @@ type SLOObjective struct {
 	Met bool `json:"met"`
 }
 
-// SLOStatus is the tracker's full evaluation, as served by /slo and
-// embedded in run ledgers.
+// SLOStatus is the tracker's full evaluation, as served by /slo.
 type SLOStatus struct {
 	// WindowMS is the rolling window in milliseconds.
 	WindowMS float64 `json:"window_ms"`
@@ -214,8 +213,8 @@ func (t *SLOTracker) Status() SLOStatus {
 }
 
 // SetSLO attaches an SLO tracker to the recorder; the serving layer
-// feeds it via RecordSLO and /slo, Prometheus export, and run ledgers
-// read it back. Nil-safe.
+// feeds it via RecordSLO and /slo and the Prometheus export read it
+// back. Nil-safe.
 func (r *Recorder) SetSLO(t *SLOTracker) {
 	if r == nil {
 		return

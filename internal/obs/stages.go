@@ -48,7 +48,7 @@ const (
 // time divides across the serving stages. Zero fields mean the stage
 // did not occur (a store hit has only Solve; a request that timed out
 // in the queue has only QueueWait). It marshals as milliseconds so HTTP
-// clients and ledgers read it directly.
+// clients read it directly.
 type StageBreakdown struct {
 	// QueueWait — see StageQueueWait.
 	QueueWait time.Duration

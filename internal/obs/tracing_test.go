@@ -431,56 +431,3 @@ func TestChromeTraceFlowEvents(t *testing.T) {
 		t.Fatalf("%d flow events, want 2", flows)
 	}
 }
-
-func TestCompareLedgersSLO(t *testing.T) {
-	mk := func(latency, avail float64) *RunLedger {
-		l := mkLedger(1000, 3000, 100)
-		l.SLO = &SLOStatus{
-			WindowMS: 60000,
-			Objectives: []SLOObjective{
-				{Name: SLOLatency, Goal: 0.99, Compliance: latency, Met: latency >= 0.99},
-				{Name: SLOAvailability, Goal: 0.999, Compliance: avail, Met: avail >= 0.999},
-			},
-		}
-		return l
-	}
-	th := Thresholds{Wall: 10, Reuse: 1, Invocations: 10, SLO: 0.01}
-
-	// Within threshold: not regressed.
-	_, regressed := CompareLedgers(mk(0.995, 1), mk(0.99, 1), th)
-	if regressed {
-		t.Fatal("compliance drop within threshold flagged as regression")
-	}
-	// Beyond threshold: regressed, and the delta is gated.
-	deltas, regressed := CompareLedgers(mk(0.99, 1), mk(0.9, 1), th)
-	if !regressed {
-		t.Fatal("large compliance drop not flagged")
-	}
-	found := false
-	for _, d := range deltas {
-		if d.Metric == "slo_compliance_"+SLOLatency {
-			found = true
-			if !d.Gated || !d.Regressed {
-				t.Fatalf("slo delta %+v", d)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no slo_compliance delta emitted")
-	}
-	// SLO data vanishing from the current run is itself a regression.
-	curr := mkLedger(1000, 3000, 100)
-	if _, regressed := CompareLedgers(mk(1, 1), curr, th); !regressed {
-		t.Fatal("missing SLO in current ledger not flagged")
-	}
-	// A baseline without SLO gates nothing (schema-1 ledgers stay green).
-	deltas, regressed = CompareLedgers(mkLedger(1000, 3000, 100), mk(0.5, 0.5), th)
-	if regressed {
-		t.Fatal("SLO gated without baseline data")
-	}
-	for _, d := range deltas {
-		if strings.HasPrefix(d.Metric, "slo_") {
-			t.Fatalf("unexpected SLO delta %+v without baseline", d)
-		}
-	}
-}

@@ -1,0 +1,71 @@
+package perturb
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"shahin/internal/datagen"
+	"shahin/internal/dataset"
+)
+
+// allocsAndBytes reports what one call of f allocates, heap objects and
+// bytes, exactly (ReadMemStats stops the world) and floored over the
+// runs so a stray runtime allocation cannot round a 0 up.
+func allocsAndBytes(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestHotpathAllocs pins what every //shahin:hotpath function of this
+// package allocates per call on the 42-attribute census twin: the fill,
+// the encode and the bin match nothing, the two sample constructors
+// exactly their Row and Items.
+func TestHotpathAllocs(t *testing.T) {
+	spec, err := datagen.Spec("census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.Compute(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(st, rand.New(rand.NewSource(4)))
+	p := st.Schema.NumAttrs()
+	tuple := d.Rows(0, 1)[0]
+	tItems := st.ItemizeRow(tuple, nil)
+	// The pooled sample is drawn from the frozen itemset, so MatchesBins
+	// takes its all-match path — the one the reuse loop takes.
+	frozen := dataset.Itemset{tItems[0], tItems[p/2]}
+	freeze := make([]bool, p)
+	freeze[0], freeze[p/2] = true, true
+	pooled := g.ForItemset(frozen)
+	row, enc := make([]float64, p), make([]float64, p)
+
+	for _, tc := range []struct {
+		name          string
+		allocs, bytes uint64
+		run           func()
+	}{
+		{"perturb.(*Generator).FillItemset", 0, 0, func() { g.FillItemset(frozen, row) }},
+		{"perturb.(*Generator).ForItemset", 2, 528, func() { benchSample = g.ForItemset(frozen) }},
+		{"perturb.(*Generator).ForTuple", 2, 528, func() { benchSample = g.ForTuple(tuple, freeze) }},
+		{"perturb.BinaryEncode", 0, 0, func() { benchVec = BinaryEncode(tItems, pooled.Items, enc) }},
+		{"perturb.MatchesBins", 0, 0, func() { benchBool = MatchesBins(frozen, pooled.Items) }},
+	} {
+		if allocs, bytes := allocsAndBytes(tc.run); allocs != tc.allocs || bytes != tc.bytes {
+			t.Errorf("%s: %d allocs, %d B per call, want %d allocs, %d B", tc.name, allocs, bytes, tc.allocs, tc.bytes)
+		}
+	}
+}

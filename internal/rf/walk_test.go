@@ -200,7 +200,7 @@ func TestForestPredictAllocs(t *testing.T) {
 	sink := 0
 	for _, x := range [][]float64{{0.1, 2, 1e-311, 0, 0.9}, {0.1, math.NaN(), 1e-311, 0, 0.9}} {
 		if n := testing.AllocsPerRun(200, func() { sink += f.Predict(x) }); n != 0 {
-			t.Errorf("Predict(%v) allocates %v times per call, want 0", x, n)
+			t.Errorf("%s(%v) allocates %v times per call, want 0", "rf.(*Forest).Predict", x, n)
 		}
 	}
 	_ = sink

@@ -113,6 +113,13 @@ func TestServeSingleThenStoreHit(t *testing.T) {
 	if code != http.StatusOK || again.Source != "store" {
 		t.Fatalf("repeat request: HTTP %d source=%q, want store hit", code, again.Source)
 	}
+	// The store is a cache, not an approximation: the repeat carries the
+	// bytes the first request got.
+	a, _ := json.Marshal(first.Explanation)
+	b, _ := json.Marshal(again.Explanation)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("repeat diverged from its original explanation:\n%s\n%s", a, b)
+	}
 	if got := rec.Counter(obs.CounterServeStoreHits).Value(); got != 1 {
 		t.Fatalf("store-hit counter = %d, want 1", got)
 	}

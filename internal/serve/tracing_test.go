@@ -114,6 +114,9 @@ func TestServeTraceReconciliation(t *testing.T) {
 	if sum := rec.RequestsSummary(); sum.Count != n {
 		t.Fatalf("ring retains %d requests, want %d", sum.Count, n)
 	}
+	if got := rec.Histogram(obs.HistServeRequest).Count(); got != n {
+		t.Fatalf("request-latency histogram holds %d observations, want %d", got, n)
+	}
 	for _, d := range rec.Trace() {
 		if d.Name == "request" {
 			t.Fatal("request root leaked into the recorder's span forest")
