@@ -1,7 +1,6 @@
 package linmodel
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -22,35 +21,10 @@ func allocsAndBytes(f func()) (allocs, bytes uint64) {
 }
 
 // TestHotpathAllocs pins what Solve allocates on a well-conditioned
-// 12×12 SPD system (A = MᵀM + I): the packed factor, the forward
-// vector and the solution, nothing else.
+// 12×12 SPD system: the packed factor, the forward vector and the
+// solution, nothing else.
 func TestHotpathAllocs(t *testing.T) {
-	const dim = 12
-	rng := rand.New(rand.NewSource(8))
-	m := make([][]float64, 2*dim)
-	for i := range m {
-		m[i] = make([]float64, dim)
-		for j := range m[i] {
-			m[i][j] = rng.NormFloat64()
-		}
-	}
-	a := NewSym(dim)
-	for i := 0; i < dim; i++ {
-		for j := 0; j <= i; j++ {
-			v := 0.0
-			for _, row := range m {
-				v += row[i] * row[j]
-			}
-			if i == j {
-				v++
-			}
-			a.Set(i, j, v)
-		}
-	}
-	rhs := make([]float64, dim)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
+	a, rhs := spdSystem(12, 8)
 	if _, err := a.Solve(rhs); err != nil {
 		t.Fatalf("fixture not positive definite: %v", err)
 	}

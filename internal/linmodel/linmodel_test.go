@@ -301,10 +301,10 @@ func BenchmarkRidge1000x40(b *testing.B) {
 // benchSolveVec keeps the compiler from eliding the Solve benchmark.
 var benchSolveVec []float64
 
-func BenchmarkSymSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const p = 24
-	// A well-conditioned SPD system: A = MᵀM + I.
+// spdSystem builds a well-conditioned p×p SPD system A = MᵀM + I and a
+// right-hand side, both drawn from seed.
+func spdSystem(p int, seed int64) (*Sym, []float64) {
+	rng := rand.New(rand.NewSource(seed))
 	M := make([][]float64, p)
 	for i := range M {
 		M[i] = make([]float64, p)
@@ -329,6 +329,11 @@ func BenchmarkSymSolve(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
+	return A, rhs
+}
+
+func BenchmarkSymSolve(b *testing.B) {
+	A, rhs := spdSystem(24, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

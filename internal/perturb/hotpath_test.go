@@ -1,11 +1,9 @@
 package perturb
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
-	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 )
 
@@ -29,19 +27,7 @@ func allocsAndBytes(f func()) (allocs, bytes uint64) {
 // the encode and the bin match nothing, the two sample constructors
 // exactly their Row and Items.
 func TestHotpathAllocs(t *testing.T) {
-	spec, err := datagen.Spec("census")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := spec.Generate(600, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dataset.Compute(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGenerator(st, rand.New(rand.NewSource(4)))
+	d, st, g := benchEnv(t)
 	p := st.Schema.NumAttrs()
 	tuple := d.Rows(0, 1)[0]
 	tItems := st.ItemizeRow(tuple, nil)

@@ -203,7 +203,7 @@ var (
 	benchBool   bool
 )
 
-func benchEnv(b *testing.B) (*dataset.Dataset, *dataset.Stats, *Generator) {
+func benchEnv(b testing.TB) (*dataset.Dataset, *dataset.Stats, *Generator) {
 	b.Helper()
 	cfg, err := datagen.Spec("census")
 	if err != nil {

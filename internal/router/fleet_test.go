@@ -67,7 +67,8 @@ func newFleetFixture(t *testing.T) *fleetFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := func(row []float64) uint64 { return Signature(st.ItemizeRow(row, nil)) }
+	fx := &fleetFixture{st: st, forest: forest}
+	sig := fx.sig
 
 	// Centroids must differ after discretisation, or two families would
 	// merge into one ring position with a shared store.
@@ -103,7 +104,13 @@ func newFleetFixture(t *testing.T) *fleetFixture {
 			workload = append(workload, distinct[i])
 		}
 	}
-	return &fleetFixture{st: st, forest: forest, workload: workload, distinct: len(distinct)}
+	fx.workload, fx.distinct = workload, len(distinct)
+	return fx
+}
+
+// sig is the routing signature of a tuple's discretised items.
+func (fx *fleetFixture) sig(row []float64) uint64 {
+	return Signature(fx.st.ItemizeRow(row, nil))
 }
 
 // inBinVariant returns a copy of row with one numeric attribute nudged
@@ -283,9 +290,8 @@ func testFleetAffinityReuse(t *testing.T, fx *fleetFixture) {
 func testFleetKillRestartRecovery(t *testing.T, fx *fleetFixture) {
 	f := newFleet(t, fx, PolicyAffinity, fleetReplicas)
 	ring := NewRing(fleetReplicas, DefaultVNodes)
-	sigOf := func(tuple []float64) uint64 { return Signature(fx.st.ItemizeRow(tuple, nil)) }
-	victim := ring.Lookup(sigOf(fx.workload[0]))
-	fallback := ring.Sequence(sigOf(fx.workload[0]), nil)[1]
+	victim := ring.Lookup(fx.sig(fx.workload[0]))
+	fallback := ring.Sequence(fx.sig(fx.workload[0]), nil)[1]
 	victimName, fallbackName := fmt.Sprintf("replica%d", victim), fmt.Sprintf("replica%d", fallback)
 	killAt := fx.distinct + (len(fx.workload)-fx.distinct)/2
 
@@ -304,7 +310,7 @@ func testFleetKillRestartRecovery(t *testing.T, fx *fleetFixture) {
 	for i := killAt; i < len(fx.workload); i++ {
 		tuple := fx.workload[i]
 		r := f.post(t, i, tuple)
-		if ring.Lookup(sigOf(tuple)) != victim {
+		if ring.Lookup(fx.sig(tuple)) != victim {
 			if r.Route.Degraded {
 				t.Fatalf("request %d degraded though its owner %s is alive", i, r.Route.Replica)
 			}
@@ -338,7 +344,7 @@ func testFleetKillRestartRecovery(t *testing.T, fx *fleetFixture) {
 	storeHits := 0
 	for i := 0; i < fx.distinct; i++ {
 		tuple := fx.workload[i]
-		if ring.Lookup(sigOf(tuple)) != victim {
+		if ring.Lookup(fx.sig(tuple)) != victim {
 			continue
 		}
 		r := f.post(t, i, tuple)
