@@ -21,23 +21,21 @@ import (
 	"time"
 
 	"shahin/internal/bench"
+	"shahin/internal/cli"
 	"shahin/internal/obs"
 )
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		full        = flag.Bool("full", false, "larger workloads (closer to paper scale; takes minutes)")
-		rows        = flag.Int("rows", 0, "override dataset rows")
-		batch       = flag.Int("batch", 0, "override single-batch size")
-		seed        = flag.Int64("seed", 1, "master seed")
-		delay       = flag.Duration("delay", 0, "override per-invocation classifier delay")
-		obsAddr     = flag.String("obs-addr", "", "serve /metrics, /progress, /trace, /events and /debug/pprof on this address while experiments run (\":0\" picks a port)")
-		traceOut    = flag.String("trace-out", "", "write the JSON span dump to this file when done")
-		chromeTrace = flag.String("chrome-trace", "", "write a Chrome trace-event file (load via chrome://tracing or Perfetto) when done")
-		eventsOut   = flag.String("events-out", "", "write the structured event log as JSONL to this file when done")
-		jsonOut     = flag.String("json", "", "write the run record (name, env, config, tables) as JSON to this file when done")
+		exp     = flag.String("exp", "", "comma-separated experiment ids (default: all)")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		full    = flag.Bool("full", false, "larger workloads (closer to paper scale; takes minutes)")
+		rows    = flag.Int("rows", 0, "override dataset rows")
+		batch   = flag.Int("batch", 0, "override single-batch size")
+		seed    = flag.Int64("seed", 1, "master seed")
+		delay   = flag.Duration("delay", 0, "override per-invocation classifier delay")
+		jsonOut = flag.String("json", "", "write the run record (name, env, config, tables) as JSON to this file when done")
+		obsv    = cli.ObsFlags(flag.CommandLine, "trace-out", "chrome-trace", "events-out")
 	)
 	flag.Parse()
 
@@ -52,17 +50,11 @@ func main() {
 	// Every experiment is instrumented: spans and counters cost a few
 	// atomic operations per tuple, invisible next to the calibrated
 	// per-invocation classifier delay.
-	rec := obs.NewRecorder()
-	rec.StartRuntimeSampling(obs.DefaultRuntimeSampleInterval)
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shahin-bench:", err)
-			os.Exit(1)
-		}
-		defer srv.Close() //shahinvet:allow errcheck — best-effort teardown at exit
-		fmt.Printf("observability: http://%s/ (/metrics, /progress, /trace, /events, /debug/pprof/)\n", srv.Addr())
+	rec, err := obsv.Start(true)
+	if err != nil {
+		cli.Fatal(err)
 	}
+	rec.StartRuntimeSampling(obs.DefaultRuntimeSampleInterval)
 
 	cfg := bench.Config{Seed: *seed, Recorder: rec}.Fill()
 	if *full {
@@ -92,14 +84,12 @@ func main() {
 		ids[i] = id
 		e, ok := bench.LookupExperiment(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "shahin-bench: unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("unknown experiment %q (use -list)", id))
 		}
 		start := time.Now() //shahinvet:allow walltime — experiment wall time shown to the user
 		tab, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "shahin-bench: %s: %v\n", id, err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("%s: %w", id, err))
 		}
 		tab.Fprint(os.Stdout)
 		tables = append(tables, tab)
@@ -118,7 +108,7 @@ func main() {
 	// The run record is written once and read by nothing in this repo:
 	// it keeps a figure run's tables next to the scale and machine that
 	// produced them.
-	writeArtifact(*jsonOut, "run record", func(w io.Writer) error {
+	err = cli.WriteArtifact(*jsonOut, "run record", func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(struct {
@@ -128,31 +118,10 @@ func main() {
 			Tables []*bench.Table     `json:"tables"`
 		}{strings.Join(ids, ","), obs.Fingerprint(), cfg, tables})
 	})
-	writeArtifact(*traceOut, "span dump", rec.WriteTrace)
-	writeArtifact(*chromeTrace, "chrome trace", rec.WriteChromeTrace)
-	writeArtifact(*eventsOut, "event log", rec.WriteEvents)
-}
-
-// writeArtifact dumps one observability artifact to path via write,
-// exiting non-zero on failure; empty path means the artifact was not
-// requested.
-func writeArtifact(path, what string, write func(io.Writer) error) {
-	if path == "" {
-		return
+	if err == nil {
+		err = obsv.Finish()
 	}
-	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shahin-bench:", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
-	if err := write(f); err != nil {
-		f.Close() //shahinvet:allow errcheck — close error is secondary; the write error wins
-		fmt.Fprintf(os.Stderr, "shahin-bench: writing %s: %v\n", what, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "shahin-bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s written to %s\n", what, path)
 }

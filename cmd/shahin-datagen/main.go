@@ -9,10 +9,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"shahin"
+	"shahin/internal/cli"
 )
 
 func main() {
@@ -26,29 +28,16 @@ func main() {
 
 	d, err := shahin.GenerateDataset(*name, *rows, *seed)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		w = f
+	write := func(w io.Writer) error { return shahin.WriteCSV(w, d) }
+	if *out == "" {
+		err = write(os.Stdout)
+	} else {
+		err = cli.WriteFile(*out, write)
 	}
-	if err := shahin.WriteCSV(w, d); err != nil {
-		fatal(err)
-	}
-	if w != os.Stdout {
-		// A failed close can lose buffered rows (e.g. ENOSPC); surface it.
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
+	if err != nil {
+		cli.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d rows of %s (%d attributes)\n", d.NumRows(), *name, d.NumAttrs())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "shahin-datagen:", err)
-	os.Exit(1)
 }

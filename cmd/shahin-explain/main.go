@@ -24,41 +24,25 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"strings"
-	"time"
 
 	"shahin"
 	"shahin/internal/cli"
-	"shahin/internal/datagen"
 	"shahin/internal/obs"
 )
 
 func main() {
 	var (
-		name      = flag.String("dataset", "census", "dataset family (schema source): "+strings.Join(shahin.DatasetNames(), ", "))
-		dataPath  = flag.String("data", "", "CSV file to load (default: generate -rows synthetic tuples)")
-		rows      = flag.Int("rows", 5000, "synthetic rows when -data is not given")
-		n         = flag.Int("n", 50, "number of held-out tuples to explain")
-		explainer = flag.String("explainer", "lime", "lime, anchor, shap, or exactshap (exact TreeSHAP over the owned forest; falls back to shap when illegal)")
-		mode      = flag.String("mode", "batch", "batch, stream, or seq")
-		topK      = flag.Int("top", 5, "attributes to print per attribution")
-		seed      = flag.Int64("seed", 1, "seed for data, training and explanation")
-		trees     = flag.Int("trees", 50, "random forest size")
-		workers   = flag.Int("workers", 1, "parallel explanation workers (batch mode, non-Anchor)")
-		exactBG   = flag.Int("exact-background", 256, "background sample size for exactshap cover weights")
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics, /progress, /trace, /events and /debug/pprof on this address during the run (\":0\" picks a port)")
-		traceOut  = flag.String("trace-out", "", "write the JSON span dump to this file when done")
-		tparent   = flag.String("traceparent", "", "W3C traceparent to adopt: the run's root spans join the given trace (e.g. from a calling pipeline)")
-		chromeOut = flag.String("chrome-trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) when done")
-		eventsOut = flag.String("events-out", "", "write the structured event log (per-explanation provenance) as JSONL when done")
+		data   = cli.DataFlags(flag.CommandLine)
+		model  = cli.ModelFlags(flag.CommandLine)
+		faults = cli.FaultFlags(flag.CommandLine)
+		obsv   = cli.ObsFlags(flag.CommandLine, "trace-out", "chrome-trace", "events-out")
 
-		failRate       = flag.Float64("fail-rate", 0, "fault injection: probability a classifier call fails transiently")
-		spikeRate      = flag.Float64("spike-rate", 0, "fault injection: probability a classifier call stalls for -spike-delay")
-		spikeDelay     = flag.Duration("spike-delay", 20*time.Millisecond, "fault injection: stall duration for latency spikes")
-		predictTimeout = flag.Duration("predict-timeout", 0, "per-call classifier deadline (0 disables)")
-		retries        = flag.Int("retries", 3, "max retries of a transient classifier failure")
+		n       = flag.Int("n", 50, "number of held-out tuples to explain")
+		mode    = flag.String("mode", "batch", "batch, stream, or seq")
+		topK    = flag.Int("top", 5, "attributes to print per attribution")
+		workers = flag.Int("workers", 1, "parallel explanation workers (batch mode, non-Anchor)")
+		tparent = flag.String("traceparent", "", "W3C traceparent to adopt: the run's root spans join the given trace (e.g. from a calling pipeline)")
 	)
 	flag.Parse()
 
@@ -70,59 +54,25 @@ func main() {
 	if *tparent != "" {
 		tc, err := obs.ParseTraceparent(*tparent)
 		if err != nil {
-			fatal(fmt.Errorf("-traceparent: %w", err))
+			cli.Fatal(fmt.Errorf("-traceparent: %w", err))
 		}
 		ctx = obs.ContextWithTrace(ctx, tc)
 	}
 
-	var rec *shahin.Recorder
-	if *obsAddr != "" || *traceOut != "" || *chromeOut != "" || *eventsOut != "" {
-		rec = shahin.NewRecorder()
-	}
-	if *obsAddr != "" {
-		srv, err := shahin.ServeMetrics(*obsAddr, rec)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close() //shahinvet:allow errcheck — best-effort teardown at exit
-		fmt.Printf("observability: http://%s/ (/metrics, /progress, /trace, /events, /debug/pprof/)\n", srv.Addr())
-	}
-
-	kind, err := shahin.ParseKind(*explainer)
+	rec, err := obsv.Start(false)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	d, err := loadData(*name, *dataPath, *rows, *seed)
+	env, err := data.Load()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	train, test := shahin.SplitDataset(d, 1.0/3, *seed+1)
-	stats, err := shahin.ComputeStats(train)
-	if err != nil {
-		fatal(err)
+	if err := model.Train(env, faults, rec); err != nil {
+		cli.Fatal(err)
 	}
-	model, err := shahin.TrainForest(train, shahin.ForestConfig{NumTrees: *trees, Seed: *seed + 2})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("model: %d trees, train accuracy %.3f\n", *trees, model.Accuracy(train))
-
-	if *n > test.NumRows() {
-		*n = test.NumRows()
-	}
-	tuples := test.Rows(0, *n)
-	opts := shahin.Options{Explainer: kind, Seed: *seed + 3, Workers: *workers, Recorder: rec}
-	opts.Exact.Background = *exactBG
-	if *failRate > 0 || *spikeRate > 0 || *predictTimeout > 0 {
-		opts.Fault = &shahin.FaultConfig{
-			FailRate:       *failRate,
-			SpikeRate:      *spikeRate,
-			SpikeDelay:     *spikeDelay,
-			Seed:           *seed + 17,
-			PredictTimeout: *predictTimeout,
-			MaxRetries:     *retries,
-		}
-	}
+	env.Options.Workers = *workers
+	fmt.Printf("model: %d trees, train accuracy %.3f\n", len(env.Forest.Trees), env.Forest.Accuracy(env.Train))
+	tuples := env.HeldOut(*n)
 
 	var (
 		explanations []shahin.Explanation
@@ -131,20 +81,20 @@ func main() {
 	)
 	switch *mode {
 	case "batch":
-		b, err := shahin.NewBatch(stats, model, opts)
+		b, err := shahin.NewBatch(env.Stats, env.Forest, env.Options)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		res, err := b.ExplainAllCtx(ctx, tuples)
 		if res == nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		canceled = err != nil
 		explanations, report = res.Explanations, res.Report
 	case "stream":
-		s, err := shahin.NewStream(stats, model, opts)
+		s, err := shahin.NewStream(env.Stats, env.Forest, env.Options)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		for _, tup := range tuples {
 			exp, err := s.ExplainCtx(ctx, tup)
@@ -153,62 +103,33 @@ func main() {
 				break
 			}
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			explanations = append(explanations, exp)
 		}
 		report = s.Report()
 	case "seq":
-		res, err := shahin.SequentialCtx(ctx, stats, model, opts, tuples)
+		res, err := shahin.SequentialCtx(ctx, env.Stats, env.Forest, env.Options, tuples)
 		if res == nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		canceled = err != nil
 		explanations, report = res.Explanations, res.Report
 	default:
-		fatal(fmt.Errorf("unknown mode %q (want batch, stream, or seq)", *mode))
+		cli.Fatal(fmt.Errorf("unknown mode %q (want batch, stream, or seq)", *mode))
 	}
 
 	attempted := cli.FailUnattempted(explanations)
 	for i, e := range explanations {
-		fmt.Printf("tuple %3d: %s%s\n", i, render(e, test.Schema, *topK), statusMark(e.Status))
+		fmt.Printf("tuple %3d: %s%s\n", i, render(e, env.Held.Schema, *topK), statusMark(e.Status))
 	}
 	if canceled {
 		fmt.Printf("\ninterrupted: %d of %d tuples explained before cancellation\n", attempted, len(tuples))
 	}
 	fmt.Printf("\n%s\n", report.String())
-	if *traceOut != "" {
-		if err := writeArtifact(*traceOut, rec.WriteTrace); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("span dump written to %s\n", *traceOut)
+	if err := obsv.Finish(); err != nil {
+		cli.Fatal(err)
 	}
-	if *chromeOut != "" {
-		if err := writeArtifact(*chromeOut, rec.WriteChromeTrace); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("chrome trace written to %s\n", *chromeOut)
-	}
-	if *eventsOut != "" {
-		if err := writeArtifact(*eventsOut, rec.WriteEvents); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("event log written to %s\n", *eventsOut)
-	}
-}
-
-// writeArtifact dumps one recorder artifact (span tree, chrome trace,
-// event log) to path.
-func writeArtifact(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close() //shahinvet:allow errcheck — close error is secondary; the write error wins
-		return err
-	}
-	return f.Close()
 }
 
 // render formats one explanation for the terminal. Tuples left
@@ -238,26 +159,4 @@ func statusMark(s shahin.Status) string {
 		return "  [failed]"
 	}
 	return ""
-}
-
-// loadData reads the CSV when given, else generates synthetic tuples.
-func loadData(name, path string, rows int, seed int64) (*shahin.Dataset, error) {
-	if path == "" {
-		return shahin.GenerateDataset(name, rows, seed)
-	}
-	cfg, err := datagen.Spec(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //shahinvet:allow errcheck — read-only close cannot lose data
-	return shahin.ReadCSV(f, cfg.Schema())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "shahin-explain:", err)
-	os.Exit(1)
 }

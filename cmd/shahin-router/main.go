@@ -13,9 +13,10 @@
 // breaker; a failing replica is failed over in ring order (the answer
 // is marked degraded, never dropped) and requests are refused only
 // when the whole fleet is down. The router must be given the same
-// -dataset/-data/-rows/-seed as its replicas: affinity routing
-// discretises tuples with the replicas' own statistics, and a schema
-// mismatch breaks affinity silently. See OPERATIONS.md.
+// -dataset/-data/-rows/-seed as its replicas: it resolves them through
+// the code the replicas use (internal/cli), so equal flags are equal
+// statistics, and unequal ones break affinity silently. See
+// OPERATIONS.md.
 package main
 
 import (
@@ -24,25 +25,20 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	"os"
 	"strings"
 	"time"
 
-	"shahin"
 	"shahin/internal/cli"
-	"shahin/internal/datagen"
 	"shahin/internal/router"
 )
 
 func main() {
 	var (
+		data = cli.DataFlags(flag.CommandLine)
+		obsv = cli.ObsFlags(flag.CommandLine, "events-out")
+
 		addr     = flag.String("addr", ":8090", "HTTP listen address (\":0\" picks a port)")
 		replicas = flag.String("replicas", "", "comma-separated shahin-serve base URLs, ring order (required)")
-		name     = flag.String("dataset", "census", "dataset family (schema source): "+strings.Join(shahin.DatasetNames(), ", "))
-		dataPath = flag.String("data", "", "CSV file to load (default: generate -rows synthetic tuples)")
-		rows     = flag.Int("rows", 5000, "synthetic rows when -data is not given")
-		seed     = flag.Int64("seed", 1, "seed for data generation; must match the replicas'")
 
 		vnodes      = flag.Int("vnodes", router.DefaultVNodes, "virtual points per replica on the hash ring")
 		policy      = flag.String("policy", string(router.PolicyAffinity), "routing policy: affinity or roundrobin")
@@ -51,14 +47,11 @@ func main() {
 		probeInterval  = flag.Duration("probe-interval", time.Second, "active health-check period")
 		probeTimeout   = flag.Duration("probe-timeout", 0, "health-check deadline (0 = half the probe interval)")
 		forwardTimeout = flag.Duration("forward-timeout", 30*time.Second, "deadline for one forward attempt to one replica")
-
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics, /progress, /trace, /events and /debug/pprof on this address (\":0\" picks a port)")
-		eventsOut = flag.String("events-out", "", "write the structured event log as JSONL on shutdown")
 	)
 	flag.Parse()
 
 	if *replicas == "" {
-		fatal(errors.New("-replicas is required (comma-separated shahin-serve URLs)"))
+		cli.Fatal(errors.New("-replicas is required (comma-separated shahin-serve URLs)"))
 	}
 	urls := strings.Split(*replicas, ",")
 	for i, u := range urls {
@@ -68,31 +61,20 @@ func main() {
 	ctx, stop := cli.Shutdown(context.Background())
 	defer stop()
 
-	rec := shahin.NewRecorder()
-	if *obsAddr != "" {
-		osrv, err := shahin.ServeMetrics(*obsAddr, rec)
-		if err != nil {
-			fatal(err)
-		}
-		defer osrv.Close() //shahinvet:allow errcheck — best-effort teardown at exit
-		fmt.Printf("observability: http://%s/ (/metrics, /progress, /trace, /events, /debug/pprof/)\n", osrv.Addr())
-	}
-
-	// The router discretises tuples with the same statistics its
-	// replicas train on, rebuilt here from the same dataset flags.
-	d, err := loadData(*name, *dataPath, *rows, *seed)
+	rec, err := obsv.Start(true)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	train, _ := shahin.SplitDataset(d, 1.0/3, *seed+1)
-	stats, err := shahin.ComputeStats(train)
+	// The router discretises tuples with the statistics its replicas
+	// train on: the same flag group, resolved by the same code.
+	env, err := data.Load()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	rt, err := router.New(router.Config{
 		Replicas:       urls,
-		Stats:          stats,
+		Stats:          env.Stats,
 		VNodes:         *vnodes,
 		Policy:         router.Policy(*policy),
 		MaxInflight:    *maxInflight,
@@ -102,67 +84,18 @@ func main() {
 		Recorder:       rec,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer rt.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
+	banner := func(a net.Addr) {
+		fmt.Printf("routing dataset %s over %d replicas on http://%s/ (policy %s, %d vnodes)\n",
+			data.Name, len(urls), a, *policy, *vnodes)
 	}
-	hsrv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	fmt.Printf("routing dataset %s over %d replicas on http://%s/ (policy %s, %d vnodes)\n",
-		*name, len(urls), ln.Addr(), *policy, *vnodes)
-	errc := make(chan error, 1)
-	go func() { errc <- hsrv.Serve(ln) }()
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("\nshutdown: closing router")
-	case err := <-errc:
-		fatal(err)
+	if err := cli.Serve(ctx, *addr, rt.Handler(), banner, 10*time.Second, nil); err != nil {
+		cli.Fatal(err)
 	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hsrv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "shahin-router:", err)
+	if err := obsv.Finish(); err != nil {
+		cli.Fatal(err)
 	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteEvents(f); err != nil {
-			f.Close() //shahinvet:allow errcheck — close error is secondary; the write error wins
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("event log written to %s\n", *eventsOut)
-	}
-}
-
-// loadData reads the CSV when given, else generates synthetic tuples —
-// the same resolution shahin-serve performs, so stats match.
-func loadData(name, path string, rows int, seed int64) (*shahin.Dataset, error) {
-	if path == "" {
-		return shahin.GenerateDataset(name, rows, seed)
-	}
-	cfg, err := datagen.Spec(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //shahinvet:allow errcheck — read-only close cannot lose data
-	return shahin.ReadCSV(f, cfg.Schema())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "shahin-router:", err)
-	os.Exit(1)
 }

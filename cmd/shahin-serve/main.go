@@ -24,33 +24,28 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"shahin"
 	"shahin/internal/cli"
-	"shahin/internal/datagen"
 	"shahin/internal/obs"
 	"shahin/internal/serve"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
-		name      = flag.String("dataset", "census", "dataset family (schema source): "+strings.Join(shahin.DatasetNames(), ", "))
-		dataPath  = flag.String("data", "", "CSV file to load (default: generate -rows synthetic tuples)")
-		rows      = flag.Int("rows", 5000, "synthetic rows when -data is not given")
-		explainer = flag.String("explainer", "lime", "lime, anchor, shap, or exactshap (exact TreeSHAP over the owned forest; falls back to shap when illegal)")
-		seed      = flag.Int64("seed", 1, "seed for data, training and explanation")
-		trees     = flag.Int("trees", 50, "random forest size")
-		workers   = flag.Int("workers", 0, "parallel workers sharding each flush (0 = GOMAXPROCS, non-Anchor)")
-		exactBG   = flag.Int("exact-background", 256, "background sample size for exactshap cover weights")
+		data   = cli.DataFlags(flag.CommandLine)
+		model  = cli.ModelFlags(flag.CommandLine)
+		faults = cli.FaultFlags(flag.CommandLine)
+		obsv   = cli.ObsFlags(flag.CommandLine, "events-out")
+
+		addr    = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
+		workers = flag.Int("workers", 0, "parallel workers sharding each flush (0 = GOMAXPROCS, non-Anchor)")
 
 		batchWindow = flag.Duration("batch-window", 10*time.Millisecond, "how long the first queued request waits for companions before its batch flushes")
 		batchMax    = flag.Int("batch-max", 64, "flush a batch immediately at this many queued tuples")
@@ -61,20 +56,12 @@ func main() {
 		warmFrom    = flag.String("warm-from", "", "comma-separated peer URLs to fetch a store snapshot from at startup (first healthy peer wins)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight flushes")
 
-		obsAddr       = flag.String("obs-addr", "", "serve /metrics, /progress, /trace, /events and /debug/pprof on this address (\":0\" picks a port)")
-		eventsOut     = flag.String("events-out", "", "write the structured event log as JSONL on shutdown")
 		runtimeSample = flag.Duration("runtime-sample", time.Second, "runtime telemetry sampling interval (heap, GC, goroutines, sched latency); 0 disables")
 
 		sloWindow    = flag.Duration("slo-window", 5*time.Minute, "rolling window for SLO tracking (0 disables the tracker)")
 		sloLatTarget = flag.Duration("slo-latency-target", 250*time.Millisecond, "latency objective: requests slower than this count against the goal")
 		sloLatGoal   = flag.Float64("slo-latency-goal", 0.99, "latency objective: fraction of requests that must meet -slo-latency-target")
 		sloAvailGoal = flag.Float64("slo-availability-goal", 0.999, "availability objective: fraction of requests that must answer without a 5xx")
-
-		failRate       = flag.Float64("fail-rate", 0, "fault injection: probability a classifier call fails transiently")
-		spikeRate      = flag.Float64("spike-rate", 0, "fault injection: probability a classifier call stalls for -spike-delay")
-		spikeDelay     = flag.Duration("spike-delay", 20*time.Millisecond, "fault injection: stall duration for latency spikes")
-		predictTimeout = flag.Duration("predict-timeout", 0, "per-call classifier deadline (0 disables)")
-		retries        = flag.Int("retries", 3, "max retries of a transient classifier failure")
 	)
 	flag.Parse()
 
@@ -84,7 +71,10 @@ func main() {
 	// The serving stack is always instrumented: request tracing, the
 	// slow-request ring, and SLO tracking need a recorder even when no
 	// observability endpoint is mounted.
-	rec := shahin.NewRecorder()
+	rec, err := obsv.Start(true)
+	if err != nil {
+		cli.Fatal(err)
+	}
 	if *runtimeSample > 0 {
 		rec.StartRuntimeSampling(*runtimeSample)
 		defer rec.StopRuntimeSampling()
@@ -97,49 +87,19 @@ func main() {
 			AvailabilityGoal: *sloAvailGoal,
 		}))
 	}
-	if *obsAddr != "" {
-		osrv, err := shahin.ServeMetrics(*obsAddr, rec)
-		if err != nil {
-			fatal(err)
-		}
-		defer osrv.Close() //shahinvet:allow errcheck — best-effort teardown at exit
-		fmt.Printf("observability: http://%s/ (/metrics, /progress, /trace, /events, /debug/pprof/)\n", osrv.Addr())
-	}
 
-	kind, err := shahin.ParseKind(*explainer)
+	env, err := data.Load()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	d, err := loadData(*name, *dataPath, *rows, *seed)
+	if err := model.Train(env, faults, rec); err != nil {
+		cli.Fatal(err)
+	}
+	fmt.Printf("model: %d trees, train accuracy %.3f\n", len(env.Forest.Trees), env.Forest.Accuracy(env.Train))
+	env.Options.Workers = *workers
+	warm, err := shahin.NewWarm(env.Stats, env.Forest, env.Options, *staleAfter)
 	if err != nil {
-		fatal(err)
-	}
-	train, _ := shahin.SplitDataset(d, 1.0/3, *seed+1)
-	stats, err := shahin.ComputeStats(train)
-	if err != nil {
-		fatal(err)
-	}
-	model, err := shahin.TrainForest(train, shahin.ForestConfig{NumTrees: *trees, Seed: *seed + 2})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("model: %d trees, train accuracy %.3f\n", *trees, model.Accuracy(train))
-
-	opts := shahin.Options{Explainer: kind, Seed: *seed + 3, Workers: *workers, Recorder: rec}
-	opts.Exact.Background = *exactBG
-	if *failRate > 0 || *spikeRate > 0 || *predictTimeout > 0 {
-		opts.Fault = &shahin.FaultConfig{
-			FailRate:       *failRate,
-			SpikeRate:      *spikeRate,
-			SpikeDelay:     *spikeDelay,
-			Seed:           *seed + 17,
-			PredictTimeout: *predictTimeout,
-			MaxRetries:     *retries,
-		}
-	}
-	warm, err := shahin.NewWarm(stats, model, opts, *staleAfter)
-	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	srv, err := serve.New(warm, serve.Config{
 		BatchWindow:    *batchWindow,
@@ -150,7 +110,7 @@ func main() {
 		Recorder:       rec,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *storePath != "" && srv.StoreLen() > 0 {
 		fmt.Printf("store: restored %d explanations from %s\n", srv.StoreLen(), *storePath)
@@ -170,70 +130,19 @@ func main() {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
+	banner := func(a net.Addr) {
+		fmt.Printf("serving %s explanations for dataset %s on http://%s/ (batch window %v, batch max %d)\n",
+			env.Options.Explainer, data.Name, a, *batchWindow, *batchMax)
 	}
-	hsrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	fmt.Printf("serving %s explanations for dataset %s on http://%s/ (batch window %v, batch max %d)\n",
-		kind, *name, ln.Addr(), *batchWindow, *batchMax)
-	errc := make(chan error, 1)
-	go func() { errc <- hsrv.Serve(ln) }()
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("\nshutdown: draining queued requests (second signal forces exit)")
-	case err := <-errc:
-		fatal(err)
-	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "shahin-serve:", err)
-	}
-	if err := hsrv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "shahin-serve:", err)
+	if err := cli.Serve(ctx, *addr, srv.Handler(), banner, *drainWait, srv.Drain); err != nil {
+		cli.Fatal(err)
 	}
 	if *storePath != "" {
 		fmt.Printf("store: %d explanations snapshotted to %s\n", srv.StoreLen(), *storePath)
 	}
 	rep := warm.Report()
 	fmt.Printf("\n%s\n", rep.String())
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteEvents(f); err != nil {
-			f.Close() //shahinvet:allow errcheck — close error is secondary; the write error wins
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("event log written to %s\n", *eventsOut)
+	if err := obsv.Finish(); err != nil {
+		cli.Fatal(err)
 	}
-}
-
-// loadData reads the CSV when given, else generates synthetic tuples.
-func loadData(name, path string, rows int, seed int64) (*shahin.Dataset, error) {
-	if path == "" {
-		return shahin.GenerateDataset(name, rows, seed)
-	}
-	cfg, err := datagen.Spec(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //shahinvet:allow errcheck — read-only close cannot lose data
-	return shahin.ReadCSV(f, cfg.Schema())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "shahin-serve:", err)
-	os.Exit(1)
 }

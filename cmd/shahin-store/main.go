@@ -8,6 +8,11 @@
 //	shahin-store -mode build -dataset census -rows 5000 -n 500 -o exps.gob
 //	shahin-store -mode lookup -dataset census -rows 5000 -store exps.gob -tuple 17
 //
+// Build with the -dataset/-data/-rows/-seed and -trees/-explainer of the
+// shahin-serve that will load the file (-store): the two resolve those
+// flags through the same code, and a stored answer is a claim about one
+// forest.
+//
 // Ctrl-C during a build cancels the batch run and flushes the
 // explanations finished so far, so a long pre-compute interrupted near
 // the end still yields a usable (partial) store.
@@ -17,9 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"shahin"
 	"shahin/internal/cli"
@@ -27,63 +30,38 @@ import (
 
 func main() {
 	var (
+		data  = cli.DataFlags(flag.CommandLine)
+		model = cli.ModelFlags(flag.CommandLine)
+		obsv  = cli.ObsFlags(flag.CommandLine, "trace-out", "events-out")
+
 		mode      = flag.String("mode", "build", "build or lookup")
-		name      = flag.String("dataset", "census", "dataset family: "+strings.Join(shahin.DatasetNames(), ", "))
-		rows      = flag.Int("rows", 5000, "synthetic rows")
 		n         = flag.Int("n", 500, "held-out tuples to pre-compute (build mode)")
-		explainer = flag.String("explainer", "lime", "lime, anchor, shap, or sshap")
 		out       = flag.String("o", "explanations.gob", "store output path (build mode)")
 		storePath = flag.String("store", "explanations.gob", "store path (lookup mode)")
 		tupleIdx  = flag.Int("tuple", 0, "held-out tuple index to look up (lookup mode)")
-		seed      = flag.Int64("seed", 1, "seed for data, training and explanation")
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics, /progress, /trace, /events and /debug/pprof on this address during the build (\":0\" picks a port)")
-		traceOut  = flag.String("trace-out", "", "write the JSON span dump to this file when the build finishes")
-		eventsOut = flag.String("events-out", "", "write the structured event log (per-explanation provenance) as JSONL when the build finishes")
 	)
 	flag.Parse()
 
-	var rec *shahin.Recorder
-	if *obsAddr != "" || *traceOut != "" || *eventsOut != "" {
-		rec = shahin.NewRecorder()
-	}
-	if *obsAddr != "" {
-		srv, err := shahin.ServeMetrics(*obsAddr, rec)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close() //shahinvet:allow errcheck — best-effort teardown at exit
-		fmt.Printf("observability: http://%s/ (/metrics, /progress, /trace, /events, /debug/pprof/)\n", srv.Addr())
-	}
-
-	kind, err := shahin.ParseKind(*explainer)
+	rec, err := obsv.Start(false)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	// Both modes rebuild the same deterministic environment from the
-	// seed, so lookup indexes refer to the same held-out tuples.
-	data, err := shahin.GenerateDataset(*name, *rows, *seed)
+	// Both modes resolve the same flags to the same held-out split, so
+	// lookup indexes refer to the tuples build explained.
+	env, err := data.Load()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	train, test := shahin.SplitDataset(data, 1.0/3, *seed+1)
 
 	switch *mode {
 	case "build":
-		stats, err := shahin.ComputeStats(train)
-		if err != nil {
-			fatal(err)
+		if err := model.Train(env, nil, rec); err != nil {
+			cli.Fatal(err)
 		}
-		model, err := shahin.TrainForest(train, shahin.ForestConfig{NumTrees: 50, Seed: *seed + 2})
+		tuples := env.HeldOut(*n)
+		batch, err := shahin.NewBatch(env.Stats, env.Forest, env.Options)
 		if err != nil {
-			fatal(err)
-		}
-		if *n > test.NumRows() {
-			*n = test.NumRows()
-		}
-		tuples := test.Rows(0, *n)
-		batch, err := shahin.NewBatch(stats, model, shahin.Options{Explainer: kind, Seed: *seed + 3, Recorder: rec})
-		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		// Ctrl-C cancels the run; whatever finished is still flushed. A
 		// second Ctrl-C forces an immediate exit without flushing.
@@ -91,7 +69,7 @@ func main() {
 		res, err := batch.ExplainAllCtx(ctx, tuples)
 		stop()
 		if res == nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		doneTuples, doneExps := tuples, res.Explanations
 		if err != nil {
@@ -100,83 +78,45 @@ func main() {
 		}
 		st, err := shahin.BuildExplanationStore(doneTuples, doneExps)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := st.Save(f); err != nil {
-			f.Close() //shahinvet:allow errcheck — close error is secondary; the save error wins
-			fatal(err)
-		}
-		// A failed close can lose buffered store bytes (e.g. ENOSPC).
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*out, st.Save); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Printf("%s\nstore -> %s\n", res.Report.String(), *out)
-		if *traceOut != "" {
-			if err := writeArtifact(*traceOut, rec.WriteTrace); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("span dump written to %s\n", *traceOut)
-		}
-		if *eventsOut != "" {
-			if err := writeArtifact(*eventsOut, rec.WriteEvents); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("event log written to %s\n", *eventsOut)
+		if err := obsv.Finish(); err != nil {
+			cli.Fatal(err)
 		}
 
 	case "lookup":
 		f, err := os.Open(*storePath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer f.Close() //shahinvet:allow errcheck — read-only close cannot lose data
 		st, err := shahin.LoadExplanationStore(f)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		if *tupleIdx < 0 || *tupleIdx >= test.NumRows() {
-			fatal(fmt.Errorf("tuple index %d outside held-out set [0,%d)", *tupleIdx, test.NumRows()))
+		if *tupleIdx < 0 || *tupleIdx >= env.Held.NumRows() {
+			cli.Fatal(fmt.Errorf("tuple index %d outside held-out set [0,%d)", *tupleIdx, env.Held.NumRows()))
 		}
-		tuple := test.Row(*tupleIdx, nil)
-		exp, ok := st.Get(tuple)
+		exp, ok := st.Get(env.Held.Row(*tupleIdx, nil))
 		if !ok {
-			fatal(fmt.Errorf("tuple %d not in store (was it within -n at build time?)", *tupleIdx))
+			cli.Fatal(fmt.Errorf("tuple %d not in store (was it within -n at build time?)", *tupleIdx))
 		}
 		if exp.Rule != nil {
-			fmt.Println(exp.Rule.Describe(test.Schema))
+			fmt.Println(exp.Rule.Describe(env.Held.Schema))
 			return
 		}
 		att := exp.Attribution
-		fmt.Printf("tuple %d -> class %s:", *tupleIdx, test.Schema.Classes[att.Class])
+		fmt.Printf("tuple %d -> class %s:", *tupleIdx, env.Held.Schema.Classes[att.Class])
 		for _, a := range att.TopK(5) {
-			fmt.Printf(" %s=%.3f", test.Schema.Attrs[a].Name, att.Weights[a])
+			fmt.Printf(" %s=%.3f", env.Held.Schema.Attrs[a].Name, att.Weights[a])
 		}
 		fmt.Println()
 
 	default:
-		fatal(fmt.Errorf("unknown mode %q (want build or lookup)", *mode))
+		cli.Fatal(fmt.Errorf("unknown mode %q (want build or lookup)", *mode))
 	}
-}
-
-// writeArtifact dumps one recorder artifact (span tree, event log) to
-// path.
-func writeArtifact(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close() //shahinvet:allow errcheck — close error is secondary; the write error wins
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "shahin-store:", err)
-	os.Exit(1)
 }

@@ -1,12 +1,3 @@
-// Package cli holds the small pieces of behaviour the shahin binaries
-// share so they cannot drift apart: the two-stage signal protocol
-// (first SIGINT/SIGTERM cancels gracefully, a second one forces exit)
-// and the rule for marking tuples a cancelled run never attempted.
-//
-// Both shahin-explain's Ctrl-C partial print and shahin-serve's
-// graceful drain go through this package, so an unattempted tuple is
-// reported as StatusFailed identically no matter which binary — or
-// which shutdown path — produced it.
 package cli
 
 import (

@@ -4,18 +4,19 @@
 // item is actually mentioned in OPERATIONS.md. The inventory is
 // syntactic (go/parser only, no type checking): a flag registration is
 // any 3-argument String/Bool/Int/Int64/Uint/Uint64/Float64/Duration
-// call whose first argument is a string literal, which covers both the
-// package-level flag.* helpers the binaries use and the
-// flag.FlagSet methods the shahin-vet driver uses.
+// call whose first argument is a string literal, or the 4-argument
+// StringVar/BoolVar/… form whose second is — on the flag package or on
+// a flag.FlagSet, which is how internal/cli registers the groups the
+// binaries share and how benchmark/ registers its own.
 //
 // Coverage is deliberately strict about form: a flag -name counts as
 // documented only when OPERATIONS.md contains `-name` in backticks
 // (optionally opening a `-name=value` or `-name value` span), so prose
 // that happens to contain the substring cannot mask a missing entry.
 // The package's tests run the gate over a drifted fixture (must fail)
-// and over this repository (must pass), so `go test ./...` and the
-// docs CI job both catch a new binary or flag that lands without
-// documentation.
+// and over this repository (must pass), so `go test ./...` catches a
+// new binary or flag that lands without documentation, and a flag that
+// vanishes without the test's count being lowered.
 package docs
 
 import (
@@ -47,7 +48,8 @@ type Inventory struct {
 }
 
 // flagFuncs are the registration method names recognised on both the
-// flag package and a flag.FlagSet.
+// flag package and a flag.FlagSet; each also has a Var form taking the
+// destination first and the name second.
 var flagFuncs = map[string]bool{
 	"String": true, "Bool": true, "Int": true, "Int64": true,
 	"Uint": true, "Uint64": true, "Float64": true, "Duration": true,
@@ -91,14 +93,22 @@ func Scan(root string) (*Inventory, error) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 3 {
+			if !ok {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !flagFuncs[sel.Sel.Name] {
+			if !ok {
 				return true
 			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
+			// String(name, value, usage) or StringVar(&dst, name, value, usage).
+			fn, nameArg := sel.Sel.Name, 0
+			if strings.HasSuffix(fn, "Var") {
+				fn, nameArg = strings.TrimSuffix(fn, "Var"), 1
+			}
+			if !flagFuncs[fn] || len(call.Args) != 3+nameArg {
+				return true
+			}
+			lit, ok := call.Args[nameArg].(*ast.BasicLit)
 			if !ok || lit.Kind != token.STRING {
 				return true
 			}
