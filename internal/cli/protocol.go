@@ -131,7 +131,7 @@ type Env struct {
 // synthetic twin; then the seeded split and the training part's
 // statistics. shahin-router stops here — it needs Stats and nothing else.
 func (d *Data) Load() (*Env, error) {
-	all, err := loadData(d.Name, d.path, d.rows, d.seed)
+	all, err := d.loadData()
 	if err != nil {
 		return nil, err
 	}
@@ -144,15 +144,15 @@ func (d *Data) Load() (*Env, error) {
 }
 
 // loadData reads the CSV when given, else generates synthetic tuples.
-func loadData(name, path string, rows int, seed int64) (*dataset.Dataset, error) {
-	cfg, err := datagen.Spec(name)
+func (d *Data) loadData() (*dataset.Dataset, error) {
+	cfg, err := datagen.Spec(d.Name)
 	if err != nil {
 		return nil, err
 	}
-	if path == "" {
-		return cfg.Generate(rows, seed)
+	if d.path == "" {
+		return cfg.Generate(d.rows, d.seed)
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(d.path)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +31,8 @@ import (
 // inline copies of the derivation made of them at 1c3b48a (captured by
 // a throwaway program running that code, before any of it moved).
 const (
-	pinnedFlags   = "-dataset census -rows 800 -seed 1 -trees 12"
+	pinnedData    = "-dataset census -rows 800 -seed 1" // what the router takes
+	pinnedFlags   = pinnedData + " -trees 12"
 	pinnedStats   = "7483dc9618a0d2b7" // statsDigest
 	pinnedPredict = "8d1198d56f63ad4f" // predictDigest over the first 200 held-out rows
 	pinnedTrain   = 266
@@ -104,7 +106,7 @@ func predictDigest(f *rf.Forest, rows [][]float64) string {
 // before it moved here: change the split fraction or any one seed
 // offset in protocol.go and a row below fails.
 func TestDerivationPinned(t *testing.T) {
-	env := bootstrap(t, "-dataset", "census", "-rows", "800", "-seed", "1", "-trees", "12", "-fail-rate", "0.05")
+	env := bootstrap(t, append(strings.Fields(pinnedFlags), "-fail-rate", "0.05")...)
 	if env.Options.Fault == nil {
 		t.Fatal("-fail-rate 0.05 configured no fault chain")
 	}
@@ -133,7 +135,7 @@ func TestDerivationPinned(t *testing.T) {
 // process, the router's data-group-only load included, and the CSV
 // shahin-datagen writes loads to the Stats of the synthetic path.
 func TestEqualFlagsEqualModel(t *testing.T) {
-	args := []string{"-dataset", "census", "-rows", "800", "-seed", "1", "-trees", "12"}
+	args := strings.Fields(pinnedFlags)
 	a, b := bootstrap(t, args...), bootstrap(t, args...)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Error("two loads of equal flags disagree on Stats")
@@ -142,11 +144,11 @@ func TestEqualFlagsEqualModel(t *testing.T) {
 	if predictDigest(a.Forest, held) != predictDigest(b.Forest, held) {
 		t.Error("two loads of equal flags trained different forests")
 	}
-	if router := statsOnly(t, args[:6]...); !reflect.DeepEqual(router, a.Stats) {
+	if router := statsOnly(t, strings.Fields(pinnedData)...); !reflect.DeepEqual(router, a.Stats) {
 		t.Error("the router-side load (data group only) disagrees with the replica-side Stats")
 	}
 
-	other := bootstrap(t, "-dataset", "census", "-rows", "800", "-seed", "1", "-trees", "13")
+	other := bootstrap(t, append(strings.Fields(pinnedData), "-trees", "13")...)
 	if !reflect.DeepEqual(other.Stats, a.Stats) {
 		t.Error("-trees moved Stats")
 	}
@@ -177,7 +179,7 @@ func TestEqualFlagsEqualModel(t *testing.T) {
 // (-trees 12, which shahin-store could not express before) is answered
 // from, byte for byte, by a server bootstrapped from the same flags.
 func TestStoreBuiltForTheServerThatLoadsIt(t *testing.T) {
-	args := []string{"-dataset", "census", "-rows", "800", "-seed", "1", "-trees", "12"}
+	args := strings.Fields(pinnedFlags)
 
 	// shahin-store -mode build -n 8
 	build := bootstrap(t, args...)
