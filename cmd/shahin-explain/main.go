@@ -119,8 +119,11 @@ func main() {
 		cli.Fatal(fmt.Errorf("unknown mode %q (want batch, stream, or seq)", *mode))
 	}
 
-	attempted := cli.FailUnattempted(explanations)
+	attempted := 0
 	for i, e := range explanations {
+		if e.Status != shahin.StatusFailed {
+			attempted++
+		}
 		fmt.Printf("tuple %3d: %s%s\n", i, render(e, env.Held.Schema, *topK), statusMark(e.Status))
 	}
 	if canceled {

@@ -49,7 +49,7 @@ func main() {
 
 		batchWindow = flag.Duration("batch-window", 10*time.Millisecond, "how long the first queued request waits for companions before its batch flushes")
 		batchMax    = flag.Int("batch-max", 64, "flush a batch immediately at this many queued tuples")
-		queueCap    = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it get 503")
+		queueCap    = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it are shed with 429")
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, queue wait included (0 disables)")
 		staleAfter  = flag.Int("stale-after", 0, "re-mine the itemset pool after this many explained tuples (0 = default 2048)")
 		storePath   = flag.String("store", "", "explanation-store snapshot: loaded at startup, written on graceful shutdown")

@@ -26,6 +26,7 @@ import (
 
 	"shahin"
 	"shahin/internal/cli"
+	"shahin/internal/core"
 )
 
 func main() {
@@ -73,7 +74,7 @@ func main() {
 		}
 		doneTuples, doneExps := tuples, res.Explanations
 		if err != nil {
-			doneTuples, doneExps = cli.Finished(tuples, res.Explanations)
+			doneTuples, doneExps = core.Finished(tuples, res.Explanations)
 			fmt.Printf("interrupted: flushing %d of %d explanations\n", len(doneExps), len(tuples))
 		}
 		st, err := shahin.BuildExplanationStore(doneTuples, doneExps)

@@ -7,8 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-
-	"shahin/internal/core"
 )
 
 // Shutdown returns a context cancelled by the first SIGINT or SIGTERM.
@@ -65,42 +63,4 @@ func shutdownContext(parent context.Context, sigs <-chan os.Signal, exit func(in
 		}
 	}()
 	return ctx, cancel
-}
-
-// Finished keeps only the tuple/explanation pairs a cancelled run
-// actually answered, applying FailUnattempted first so the filter and
-// the status marking can never disagree. shahin-store uses it to flush
-// the partial result of an interrupted pre-compute; shahin-serve's
-// drain path persists through the same status rule.
-func Finished(tuples [][]float64, exps []core.Explanation) ([][]float64, []core.Explanation) {
-	FailUnattempted(exps)
-	var (
-		ts [][]float64
-		es []core.Explanation
-	)
-	for i, e := range exps {
-		if e.Status != core.StatusFailed {
-			ts = append(ts, tuples[i])
-			es = append(es, e)
-		}
-	}
-	return ts, es
-}
-
-// FailUnattempted marks every explanation that carries no payload and
-// no status — the shape a cancelled run leaves behind for tuples it
-// never reached — as StatusFailed, and reports how many explanations
-// were actually attempted (OK or degraded). Explanations that already
-// carry a status are left untouched.
-func FailUnattempted(exps []core.Explanation) (attempted int) {
-	for i := range exps {
-		e := &exps[i]
-		if e.Status == core.StatusOK && e.Attribution == nil && e.Rule == nil {
-			e.Status = core.StatusFailed
-		}
-		if e.Status != core.StatusFailed {
-			attempted++
-		}
-	}
-	return attempted
 }

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"shahin/internal/core"
-	"shahin/internal/explain"
 )
 
 // TestDoubleSignalForcesExit is the regression test for the forced-exit
@@ -69,25 +66,5 @@ func TestShutdownContextParentCancel(t *testing.T) {
 	case code := <-exited:
 		t.Fatalf("exit(%d) called after the parent already finished", code)
 	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-func TestFailUnattempted(t *testing.T) {
-	exps := []core.Explanation{
-		{Attribution: &explain.Attribution{}},                // attempted, ok
-		{Rule: &explain.Rule{}, Status: core.StatusDegraded}, // attempted, degraded
-		{},                          // unattempted → failed
-		{Status: core.StatusFailed}, // already failed
-		{Attribution: &explain.Attribution{}, Status: core.StatusOK}, // attempted
-	}
-	attempted := FailUnattempted(exps)
-	if attempted != 3 {
-		t.Fatalf("attempted = %d, want 3", attempted)
-	}
-	if exps[2].Status != core.StatusFailed {
-		t.Fatalf("unattempted tuple not marked failed: %v", exps[2].Status)
-	}
-	if exps[0].Status != core.StatusOK || exps[1].Status != core.StatusDegraded {
-		t.Fatalf("attempted tuples were rewritten: %v %v", exps[0].Status, exps[1].Status)
 	}
 }

@@ -26,17 +26,10 @@
 // listen→serve→signal→drain loop of shahin-serve and shahin-router;
 // Fatal is how all of them die.
 //
-// Shutdown (cli.go). The two-stage signal protocol (first
-// SIGINT/SIGTERM cancels gracefully, a second one forces exit) and the
-// rule for marking tuples a cancelled run never attempted. Both
-// shahin-explain's Ctrl-C partial print and shahin-serve's graceful
-// drain go through it, so an unattempted tuple is reported as
-// StatusFailed identically no matter which binary — or which shutdown
-// path — produced it.
-//
-// The package is linked into everything that imports internal/serve,
-// the repository benchmark included, so it keeps no package-level
-// state and no init: what a binary does not call, the linker drops.
+// Shutdown (cli.go). The two-stage signal protocol: the first
+// SIGINT/SIGTERM cancels gracefully, a second one forces exit. Which
+// tuples a cancelled run answered is core's rule (core.Finished), not
+// this package's.
 package cli
 
 import (

@@ -53,13 +53,6 @@ func TestBatchAllocAttribution(t *testing.T) {
 	if got := m["alloc_bytes_per_tuple"].(float64); got != bpt {
 		t.Errorf("alloc_bytes_per_tuple = %v, want %v", got, bpt)
 	}
-	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.AllocBytes != rep.AllocBytes || back.ExplainAllocObjects != rep.ExplainAllocObjects {
-		t.Errorf("alloc columns lost in round trip: got %+v", back)
-	}
 }
 
 // TestUninstrumentedReportOmitsAllocColumns: a run without a recorder

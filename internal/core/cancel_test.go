@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"shahin/internal/explain"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
 )
@@ -433,4 +434,132 @@ func TestStreamCancelledRemineHeals(t *testing.T) {
 		t.Errorf("Mines=%d after the healing tuple, want 1", s.Mines())
 	}
 	checkPoolLabels(t, s.ps, env.cls)
+}
+
+// TestCancelAtEveryTuple cancels each runner once inside every tuple of
+// a run (and once inside the pool build before them), at the classifier
+// call an uncancelled run's event log says the tuple starts on. The
+// status rule callers rely on — shahin-explain's partial print,
+// shahin-store's partial flush, serve's store writes — is that a slot
+// never reads StatusOK without a payload: the runners mark every slot
+// they did not reach themselves, and nothing downstream re-marks.
+func TestCancelAtEveryTuple(t *testing.T) {
+	env := newEnv(t, 95, 8)
+	runners := map[string]func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error){
+		"batch": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
+			b, err := NewBatch(env.st, cls, opts)
+			if err != nil {
+				return nil, err
+			}
+			return explanations(b.ExplainAllCtx(ctx, env.tuples))
+		},
+		"batch-workers": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
+			opts.Workers = 3
+			b, err := NewBatch(env.st, cls, opts)
+			if err != nil {
+				return nil, err
+			}
+			return explanations(b.ExplainAllCtx(ctx, env.tuples))
+		},
+		"warm": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
+			w, err := NewWarm(env.st, cls, opts, 0)
+			if err != nil {
+				return nil, err
+			}
+			return explanations(w.ExplainAllCtx(ctx, env.tuples))
+		},
+		"sequential": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
+			return explanations(SequentialCtx(ctx, env.st, cls, opts, env.tuples))
+		},
+		"dist": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
+			return explanations(DistCtx(ctx, env.st, cls, opts, env.tuples, 3))
+		},
+		"stream": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
+			s, err := NewStream(env.st, cls, opts)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]Explanation, len(env.tuples))
+			for i, tup := range env.tuples {
+				// A refusal hands back its slot too; the caller keeps both.
+				if out[i], err = s.ExplainCtx(ctx, tup); err != nil && !errors.Is(err, context.Canceled) {
+					return nil, err
+				}
+			}
+			return out, nil
+		},
+	}
+	for name, run := range runners {
+		t.Run(name, func(t *testing.T) {
+			// The uncancelled run: where each tuple's first call falls.
+			rec := obs.NewRecorder()
+			opts := smallOpts(LIME, 96)
+			opts.StreamRecompute = 4
+			opts.Recorder = rec
+			if _, err := run(context.Background(), env.cls, opts); err != nil {
+				t.Fatal(err)
+			}
+			events, _ := rec.Events()
+			cuts, calls := []int64{1}, int64(0)
+			for _, e := range events {
+				if e.Type == obs.EventTupleExplained && e.Fresh > 0 {
+					cuts = append(cuts, calls+1)
+				}
+				if e.Type == obs.EventTupleExplained || e.Type == obs.EventPreLabel {
+					calls += e.Fresh
+				}
+			}
+			if len(cuts) < len(env.tuples)/2 {
+				t.Fatalf("only %d cut points for %d tuples: the run reuses too much for the test to mean anything", len(cuts), len(env.tuples))
+			}
+			opts.Recorder = nil
+			for _, after := range cuts {
+				ctx, cancel := context.WithCancel(context.Background())
+				out, err := run(ctx, &cancelAfter{inner: env.cls, cancel: cancel, after: after}, opts)
+				cancel()
+				if err != nil {
+					t.Fatalf("cancel at call %d: %v", after, err)
+				}
+				if len(out) != len(env.tuples) {
+					t.Fatalf("cancel at call %d: %d slots for %d tuples", after, len(out), len(env.tuples))
+				}
+				failed := 0
+				for i, e := range out {
+					if e.Status == StatusOK && e.Attribution == nil && e.Rule == nil {
+						t.Errorf("cancel at call %d: slot %d is StatusOK with no payload", after, i)
+					}
+					if e.Status == StatusFailed {
+						failed++
+					}
+				}
+				if failed == 0 {
+					t.Errorf("cancel at call %d failed no tuple: the cut missed the run", after)
+				}
+			}
+		})
+	}
+}
+
+// explanations unwraps a cancelled run's partial result.
+func explanations(res *Result, err error) ([]Explanation, error) {
+	if res == nil {
+		return nil, err
+	}
+	return res.Explanations, nil
+}
+
+// TestFinished: the filter keeps exactly the pairs whose status is not
+// StatusFailed, tuples and explanations in step.
+func TestFinished(t *testing.T) {
+	tuples := [][]float64{{0}, {1}, {2}, {3}}
+	exps := []Explanation{
+		{Attribution: &explain.Attribution{}},
+		{Rule: &explain.Rule{}, Status: StatusDegraded},
+		{Status: StatusFailed},
+		{Attribution: &explain.Attribution{}, Status: StatusFailed}, // cut mid-tuple: fallback labels, not an answer
+	}
+	ts, es := Finished(tuples, exps)
+	if len(ts) != 2 || len(es) != 2 || ts[0][0] != 0 || ts[1][0] != 1 || es[1].Status != StatusDegraded {
+		t.Fatalf("Finished kept tuples %v, explanations %v; want the ok and the degraded pair", ts, es)
+	}
 }

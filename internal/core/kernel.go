@@ -342,6 +342,25 @@ func markFailed(out []Explanation) {
 	}
 }
 
+// Finished keeps the tuple/explanation pairs a cancelled run answered.
+// Every runner marks the slots it did not reach StatusFailed before it
+// returns (TestCancelAtEveryTuple), so the status alone decides: what
+// shahin-store flushes from an interrupted build and what serve writes
+// to its store follow this one rule.
+func Finished(tuples [][]float64, exps []Explanation) ([][]float64, []Explanation) {
+	var (
+		ts [][]float64
+		es []Explanation
+	)
+	for i, e := range exps {
+		if e.Status != StatusFailed {
+			ts = append(ts, tuples[i])
+			es = append(es, e)
+		}
+	}
+	return ts, es
+}
+
 // runSerial explains the tuples in order on the caller's goroutine.
 // Cancelling ctx stops it between tuples; the ones not attempted are
 // marked StatusFailed.

@@ -175,28 +175,22 @@ func (r *Report) ReuseRate() float64 {
 // reportJSON is the MarshalJSON shape: flat snake_case fields with the
 // derived metrics (per-tuple time, reuse rate, overhead fraction)
 // pre-computed, so dashboards need no duration arithmetic. Every
-// duration appears three ways: milliseconds (dashboards), exact
-// nanoseconds (lossless round-trips — the _ns fields are what
-// UnmarshalJSON reads back), and a human-readable string ("1.284s").
+// duration appears twice: milliseconds (dashboards) and a
+// human-readable string ("1.284s").
 type reportJSON struct {
 	Tuples           int         `json:"tuples"`
 	WallMS           float64     `json:"wall_ms"`
-	WallNS           int64       `json:"wall_ns"`
 	Wall             string      `json:"wall"`
 	PerTupleMS       float64     `json:"per_tuple_ms"`
 	PerTuple         string      `json:"per_tuple"`
 	OverheadMS       float64     `json:"overhead_ms"`
-	OverheadNS       int64       `json:"overhead_ns"`
 	Overhead         string      `json:"overhead"`
 	OverheadFraction float64     `json:"overhead_fraction"`
 	MineMS           float64     `json:"mine_ms"`
-	MineNS           int64       `json:"mine_ns"`
 	Mine             string      `json:"mine"`
 	PoolMS           float64     `json:"pool_ms"`
-	PoolNS           int64       `json:"pool_ns"`
 	Pool             string      `json:"pool"`
 	ExplainMS        float64     `json:"explain_ms"`
-	ExplainNS        int64       `json:"explain_ns"`
 	Explain          string      `json:"explain"`
 	Invocations      int64       `json:"invocations"`
 	PoolInvocations  int64       `json:"pool_invocations"`
@@ -211,8 +205,7 @@ type reportJSON struct {
 	Degraded         int         `json:"degraded_tuples,omitempty"`
 	Failed           int         `json:"failed_tuples,omitempty"`
 	// Allocation columns (omitted when the run was uninstrumented, so
-	// pre-existing reports stay byte-identical). The per-tuple bytes
-	// figure is derived on marshal and not read back.
+	// pre-existing reports stay byte-identical).
 	AllocBytes          int64   `json:"alloc_bytes,omitempty"`
 	AllocObjects        int64   `json:"alloc_objects,omitempty"`
 	AllocBytesPerTuple  float64 `json:"alloc_bytes_per_tuple,omitempty"`
@@ -230,22 +223,17 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(reportJSON{
 		Tuples:           r.Tuples,
 		WallMS:           ms(r.WallTime),
-		WallNS:           r.WallTime.Nanoseconds(),
 		Wall:             r.WallTime.String(),
 		PerTupleMS:       ms(r.PerTuple()),
 		PerTuple:         r.PerTuple().String(),
 		OverheadMS:       ms(r.OverheadTime),
-		OverheadNS:       r.OverheadTime.Nanoseconds(),
 		Overhead:         r.OverheadTime.String(),
 		OverheadFraction: r.OverheadFraction(),
 		MineMS:           ms(r.MineTime),
-		MineNS:           r.MineTime.Nanoseconds(),
 		Mine:             r.MineTime.String(),
 		PoolMS:           ms(r.PoolTime),
-		PoolNS:           r.PoolTime.Nanoseconds(),
 		Pool:             r.PoolTime.String(),
 		ExplainMS:        ms(r.ExplainTime),
-		ExplainNS:        r.ExplainTime.Nanoseconds(),
 		Explain:          r.ExplainTime.String(),
 		Invocations:      r.Invocations,
 		PoolInvocations:  r.PoolInvocations,
@@ -270,43 +258,6 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		ExplainAllocBytes:   r.ExplainAllocBytes,
 		ExplainAllocObjects: r.ExplainAllocObjects,
 	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler: the exact _ns duration
-// fields and the raw counts reconstruct the Report losslessly (derived
-// fields — rates, fractions, human strings — are recomputed on demand),
-// so ledgers and stored reports round-trip.
-func (r *Report) UnmarshalJSON(data []byte) error {
-	var j reportJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*r = Report{
-		Tuples:           j.Tuples,
-		WallTime:         time.Duration(j.WallNS),
-		OverheadTime:     time.Duration(j.OverheadNS),
-		MineTime:         time.Duration(j.MineNS),
-		PoolTime:         time.Duration(j.PoolNS),
-		ExplainTime:      time.Duration(j.ExplainNS),
-		Invocations:      j.Invocations,
-		PoolInvocations:  j.PoolInvocations,
-		ReusedSamples:    j.ReusedSamples,
-		FrequentItemsets: j.FrequentItemsets,
-		Cache:            j.Cache,
-		NodeVisits:       j.NodeVisits,
-		ExactFallback:    j.ExactFallback,
-		Retries:          j.Retries,
-		Degraded:         j.Degraded,
-		Failed:           j.Failed,
-
-		AllocBytes:          j.AllocBytes,
-		AllocObjects:        j.AllocObjects,
-		PoolAllocBytes:      j.PoolAllocBytes,
-		PoolAllocObjects:    j.PoolAllocObjects,
-		ExplainAllocBytes:   j.ExplainAllocBytes,
-		ExplainAllocObjects: j.ExplainAllocObjects,
-	}
-	return nil
 }
 
 // String renders the human-readable end-of-run summary the CLIs print.

@@ -106,39 +106,6 @@ func TestReportMarshalJSON(t *testing.T) {
 	}
 }
 
-// TestReportRoundTrip proves MarshalJSON/UnmarshalJSON are lossless: the
-// exact nanosecond fields reconstruct every duration, and the raw counts
-// survive, so a ledger-embedded report equals the original.
-func TestReportRoundTrip(t *testing.T) {
-	orig := Report{
-		Tuples:           40,
-		WallTime:         1284*time.Millisecond + 567*time.Nanosecond,
-		OverheadTime:     93*time.Millisecond + 1,
-		MineTime:         17 * time.Millisecond,
-		PoolTime:         76 * time.Millisecond,
-		ExplainTime:      1191 * time.Millisecond,
-		Invocations:      14700,
-		PoolInvocations:  9500,
-		ReusedSamples:    43200,
-		FrequentItemsets: 95,
-		Cache:            cache.Stats{Hits: 3800, Misses: 95, Entries: 95, BytesUsed: 123456, Budget: 1 << 27, Evictions: 2},
-	}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != orig {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, orig)
-	}
-	if back.ReuseRate() != orig.ReuseRate() {
-		t.Fatalf("derived reuse rate differs after round trip")
-	}
-}
-
 func TestReportString(t *testing.T) {
 	r := Report{
 		Tuples:           5,

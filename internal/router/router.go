@@ -22,8 +22,10 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -32,6 +34,7 @@ import (
 	"shahin/internal/dataset"
 	"shahin/internal/fault"
 	"shahin/internal/obs"
+	"shahin/internal/serve"
 )
 
 // Policy selects how the router spreads tuples over replicas.
@@ -258,29 +261,31 @@ func (rt *Router) orderByHealth(seq, out []int) []int {
 // forwardResult is one replica's answer to a forwarded explain call.
 type forwardResult struct {
 	status int
-	body   []byte
-	header http.Header
+	resp   serve.ExplainResponse
 }
 
 // errReplicaFailed classifies a forward answer that should fail over:
-// transport errors, 5xx, and 429 (another replica may have capacity).
+// transport errors, 5xx, 429 (another replica may have capacity), and a
+// body that is oversized or not the explain protocol's.
 var errReplicaFailed = errors.New("replica failed")
+
+// maxAnswerBytes bounds what the router reads of a replica's answer to
+// one tuple (an explanation is a few KiB).
+const maxAnswerBytes = 1 << 20
 
 // forward posts one explain request to a replica and classifies the
 // outcome: nil error for answers the router should return to the
 // caller (2xx and client-caused 4xx), errReplicaFailed-wrapped errors
 // for answers that should trip the breaker and fail over.
-func (rt *Router) forward(ctx context.Context, rp *replica, path string, body []byte, traceparent string) (forwardResult, error) {
+func (rt *Router) forward(ctx context.Context, rp *replica, body []byte, traceparent string) (forwardResult, error) {
 	fctx, cancel := context.WithTimeout(ctx, rt.cfg.ForwardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, rp.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(fctx, http.MethodPost, rp.base+"/v1/explain", bytes.NewReader(body))
 	if err != nil {
 		return forwardResult{}, fmt.Errorf("%w: building request: %w", errReplicaFailed, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if traceparent != "" {
-		req.Header.Set("Traceparent", traceparent)
-	}
+	req.Header.Set("Traceparent", traceparent)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -289,8 +294,8 @@ func (rt *Router) forward(ctx context.Context, rp *replica, path string, body []
 		return forwardResult{}, fmt.Errorf("%w: %w", errReplicaFailed, err)
 	}
 	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
+	if err != nil {
 		if ctx.Err() != nil {
 			return forwardResult{}, ctx.Err()
 		}
@@ -299,7 +304,14 @@ func (rt *Router) forward(ctx context.Context, rp *replica, path string, body []
 	if resp.StatusCode >= http.StatusInternalServerError || resp.StatusCode == http.StatusTooManyRequests {
 		return forwardResult{}, fmt.Errorf("%w: %s answered %s", errReplicaFailed, rp.name, resp.Status)
 	}
-	return forwardResult{status: resp.StatusCode, body: buf.Bytes(), header: resp.Header}, nil
+	if len(answer) > maxAnswerBytes {
+		return forwardResult{}, fmt.Errorf("%w: %s answered more than the %d-byte cap", errReplicaFailed, rp.name, maxAnswerBytes)
+	}
+	res := forwardResult{status: resp.StatusCode}
+	if err := json.Unmarshal(answer, &res.resp); err != nil {
+		return forwardResult{}, fmt.Errorf("%w: %s answered %s with a body that is not an explain response: %w", errReplicaFailed, rp.name, resp.Status, err)
+	}
+	return res, nil
 }
 
 // explainVia walks the failover sequence, offering the request to each
@@ -307,14 +319,13 @@ func (rt *Router) forward(ctx context.Context, rp *replica, path string, body []
 // answer plus the index of the replica that served it and how many
 // failovers it took. A replica whose breaker is open is skipped in
 // O(1) without a network round trip.
-func (rt *Router) explainVia(ctx context.Context, seq []int, path string, body []byte, traceparent string) (forwardResult, int, int, error) {
+func (rt *Router) explainVia(ctx context.Context, seq []int, body []byte, traceparent string) (forwardResult, int, int, error) {
 	var res forwardResult
-	failovers := 0
 	var lastErr error
-	for n, i := range seq {
+	for n, i := range seq { // n replicas have failed by the time replica i is tried
 		rp := rt.replicas[i]
 		err := rp.breaker.Do(ctx, func(c context.Context) error {
-			r, err := rt.forward(c, rp, path, body, traceparent)
+			r, err := rt.forward(c, rp, body, traceparent)
 			if err == nil {
 				res = r
 			}
@@ -325,17 +336,16 @@ func (rt *Router) explainVia(ctx context.Context, seq []int, path string, body [
 			if n > 0 {
 				rt.rec.Counter(obs.CounterRouterFailovers).Inc()
 			}
-			return res, i, failovers, nil
+			return res, i, n, nil
 		}
 		if ctx.Err() != nil {
-			return forwardResult{}, -1, failovers, ctx.Err()
+			return forwardResult{}, -1, n, ctx.Err()
 		}
 		if !errors.Is(err, fault.ErrBreakerOpen) {
 			rp.setHealthy(false)
 		}
 		lastErr = err
-		failovers++
 	}
 	rt.rec.Counter(obs.CounterRouterUnrouted).Inc()
-	return forwardResult{}, -1, failovers, fmt.Errorf("router: every replica failed: %w", lastErr)
+	return forwardResult{}, -1, len(seq), fmt.Errorf("router: every replica failed: %w", lastErr)
 }

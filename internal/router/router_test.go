@@ -108,11 +108,18 @@ func TestRingDeterminismAndCoverage(t *testing.T) {
 // /v1/explain with a canned answer, a togglable failure mode, and a
 // request count.
 type fakeReplica struct {
-	ts      *httptest.Server
-	calls   atomic.Int64
-	failing atomic.Bool
-	lastTP  atomic.Value // last traceparent header seen
+	ts       *httptest.Server
+	calls    atomic.Int64
+	failing  atomic.Bool
+	flooding atomic.Bool  // answer 200 with floodBytes of body, unless the router hangs up first
+	flooded  atomic.Bool  // a flood was read to the end
+	lastTP   atomic.Value // last traceparent header seen
 }
+
+// floodBytes is what a flooding fakeReplica tries to send: far past the
+// router's answer bound and any socket buffering, small enough that a
+// router which did read it all is a failed test and not a dead machine.
+const floodBytes = 16 * maxAnswerBytes
 
 func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	t.Helper()
@@ -128,6 +135,16 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	mux.HandleFunc("POST /v1/explain", func(w http.ResponseWriter, r *http.Request) {
 		if f.failing.Load() {
 			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		if f.flooding.Load() {
+			chunk := bytes.Repeat([]byte(" "), 64<<10)
+			for sent := 0; sent < floodBytes; sent += len(chunk) {
+				if _, err := w.Write(chunk); err != nil {
+					return // the router hung up
+				}
+			}
+			f.flooded.Store(true)
 			return
 		}
 		f.calls.Add(1)
@@ -314,7 +331,7 @@ func TestRouterAllReplicasDown(t *testing.T) {
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
 		t.Fatalf("Content-Type %q", resp.Header.Get("Content-Type"))
 	}
-	var er errorResponse
+	var er struct{ Error string }
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +340,112 @@ func TestRouterAllReplicasDown(t *testing.T) {
 	}
 	if rec.Counter(obs.CounterRouterUnrouted).Value() == 0 {
 		t.Fatal("unrouted counter not incremented")
+	}
+}
+
+// TestRouterBatchKeepsRefusalText: a tuple no replica answered keeps
+// its slot in the batch, and the slot says what the router would have
+// said had the tuple come alone — not just the status code.
+func TestRouterBatchKeepsRefusalText(t *testing.T) {
+	st := testStats(t)
+	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
+	rt := newTestRouter(t, st, nil, a, b)
+	a.failing.Store(true)
+	b.failing.Store(true)
+	w := postJSON(t, rt, "/v1/explain/batch", serve.BatchRequest{Tuples: [][]float64{{1, 2, 3, 0.25}, {0, 1, 2, 0.5}}})
+	var down BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &down); err != nil || w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+		t.Fatalf("fleet down: HTTP %d, Retry-After %q, %v: %s", w.Code, w.Header().Get("Retry-After"), err, w.Body)
+	}
+	if down.Count != 2 || len(down.Explanations) != 2 {
+		t.Fatalf("fleet down: %d slots, count %d, for 2 tuples", len(down.Explanations), down.Count)
+	}
+	for i, e := range down.Explanations {
+		if e.Status != "failed" || e.Source != "rejected" || !strings.Contains(e.Error, "router: every replica failed") {
+			t.Errorf("fleet down, slot %d: status %q, source %q, error %q", i, e.Status, e.Source, e.Error)
+		}
+	}
+
+	// One real replica, draining: what it already stored it still
+	// answers, what it would have to compute it refuses, and the batch
+	// shows both in place.
+	e := newProtoEnv(t)
+	srv := e.replica(t, rf.Func{Classes: 2, F: firstIsZero}, serve.Config{BatchWindow: time.Millisecond})
+	rt = e.routerOver(t, Config{}, srv)
+	if w := postJSON(t, rt, "/v1/explain", serve.ExplainRequest{Tuple: e.tuples[0]}); w.Code != http.StatusOK {
+		t.Fatalf("priming the store: HTTP %d %s", w.Code, w.Body)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	w = postJSON(t, rt, "/v1/explain/batch", serve.BatchRequest{Tuples: e.tuples[:2]})
+	var draining BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &draining); err != nil || w.Code != http.StatusServiceUnavailable || len(draining.Explanations) != 2 {
+		t.Fatalf("draining replica: HTTP %d, %v: %s", w.Code, err, w.Body)
+	}
+	if got := draining.Explanations[0]; got.Status != "ok" || got.Source != "store" || got.Route.Replica != "replica0" {
+		t.Errorf("draining replica, stored tuple: status %q, source %q, route %+v", got.Status, got.Source, got.Route)
+	}
+	if got := draining.Explanations[1]; got.Status != "failed" || got.Source != "rejected" ||
+		!strings.Contains(got.Error, "router: every replica failed") || !strings.Contains(got.Error, "replica0 answered 503") {
+		t.Errorf("draining replica, new tuple: status %q, source %q, error %q", got.Status, got.Source, got.Error)
+	}
+}
+
+// TestRouterBatchFeedsRequestHistogram: router_request_ns is the
+// router-side latency of a request, and a batch is one request.
+func TestRouterBatchFeedsRequestHistogram(t *testing.T) {
+	rec := obs.NewRecorder()
+	rt := newTestRouter(t, testStats(t), rec, newFakeReplica(t, "a"))
+	w := postJSON(t, rt, "/v1/explain/batch", serve.BatchRequest{Tuples: [][]float64{{1, 2, 3, 0.25}, {0, 1, 2, 0.5}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d %s", w.Code, w.Body)
+	}
+	if n := rec.Histogram(obs.HistRouterRequest).Count(); n != 1 {
+		t.Errorf("%s count = %d after one batch request, want 1", obs.HistRouterRequest, n)
+	}
+	if n := rec.Counter(obs.CounterRouterRequests).Value(); n != 1 {
+		t.Errorf("%s = %d after one batch request, want 1", obs.CounterRouterRequests, n)
+	}
+}
+
+// TestRouterBoundsReplicaAnswer: a replica that answers 200 and then
+// streams far more than an explanation is cut off at the answer bound
+// and treated like any other failed replica — failed over, marked
+// unhealthy — so the caller gets a routed-degraded answer, not a hang
+// or a router that buffers whatever it is sent.
+func TestRouterBoundsReplicaAnswer(t *testing.T) {
+	st := testStats(t)
+	replicas := []*fakeReplica{newFakeReplica(t, "a"), newFakeReplica(t, "b")}
+	rec := obs.NewRecorder()
+	rt := newTestRouter(t, st, rec, replicas...)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	tuple := []float64{1, 2, 3, 0.25}
+	first, _ := postTuple(t, ts.URL, tuple, nil)
+	for i, f := range replicas {
+		if fmt.Sprintf("replica%d", i) == first.Route.Replica {
+			f.flooding.Store(true)
+		}
+	}
+	out, resp := postTuple(t, ts.URL, tuple, nil)
+	if resp.StatusCode != http.StatusOK || !out.Route.Degraded || out.Route.Failovers != 1 || out.Route.Replica == first.Route.Replica {
+		t.Fatalf("flooding owner %s: HTTP %d, route %+v; want a degraded 200 from the other replica", first.Route.Replica, resp.StatusCode, out.Route)
+	}
+	if rec.Counter(obs.CounterRouterFailovers).Value() != 1 {
+		t.Errorf("failover counter = %d, want 1", rec.Counter(obs.CounterRouterFailovers).Value())
+	}
+	for i, s := range rt.Status() {
+		if s.Name != first.Route.Replica {
+			continue
+		}
+		if s.Healthy {
+			t.Errorf("flooding replica still marked healthy: %+v", s)
+		}
+		if replicas[i].flooded.Load() {
+			t.Errorf("the router read all %d bytes of the flood; its bound is %d", floodBytes, maxAnswerBytes)
+		}
 	}
 }
 

@@ -125,7 +125,7 @@ func TestServeExactFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var batch BatchResponse
+	var batch BatchResponse[ExplainResponse]
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatal(err)
 	}

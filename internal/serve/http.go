@@ -3,12 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"shahin/internal/core"
@@ -62,55 +60,41 @@ type ExplainResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// BatchResponse is the POST /v1/explain/batch answer: one
-// ExplainResponse per input tuple, in input order.
-type BatchResponse struct {
-	Explanations []ExplainResponse `json:"explanations"`
-	Count        int               `json:"count"`
+// BatchResponse is the POST /v1/explain/batch answer: one per-tuple
+// answer T — ExplainResponse here, the router's wrapper of it there —
+// per input tuple, in input order.
+type BatchResponse[T any] struct {
+	Explanations []T `json:"explanations"`
+	Count        int `json:"count"`
 }
 
-// errorResponse is the JSON body of every non-2xx answer.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// maxBodyBytes bounds request bodies; a batch of a few thousand wide
-// tuples fits comfortably.
-const maxBodyBytes = 8 << 20
-
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API: the explain protocol
+// (Protocol.Mount lists its endpoints) answered by this server's store,
+// exact path and admission queue, plus
 //
-//	POST /v1/explain        explain one tuple
-//	POST /v1/explain/batch  explain a batch of tuples
-//	GET  /healthz           liveness (200 while the process runs)
-//	GET  /readyz            readiness (503 before start and while draining)
 //	GET  /snapshot          explanation-store snapshot (checksummed, versioned)
 //	GET  /slo               SLO objective status (compliance, burn rate)
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
-//
-// The explain endpoints honour an incoming W3C traceparent header (the
-// response joins the caller's trace as a child) and always echo the
-// resolved identity back via traceparent and X-Shahin-Trace-Id headers.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/explain", s.handleExplain)
-	mux.HandleFunc("POST /v1/explain/batch", s.handleBatch)
+	Protocol[ExplainResponse]{
+		Width:   s.warm.NumAttrs(),
+		Ready:   func() bool { return !s.draining.Load() },
+		Unready: "draining",
+		Bind: func(explainer string) (func(context.Context, []float64, obs.TraceContext, string) (ExplainResponse, int, error), error) {
+			wantExact, err := s.resolveExplainer(explainer)
+			if err != nil {
+				return nil, err
+			}
+			return func(ctx context.Context, tuple []float64, tc obs.TraceContext, parent string) (ExplainResponse, int, error) {
+				resp, code := s.explainOne(ctx, tuple, wantExact, tc, parent)
+				return resp, code, nil
+			}, nil
+		},
+	}.Mount(mux)
 	mux.HandleFunc("GET /snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /slo", obs.SLOHandler(s.rec))
 	mux.HandleFunc("GET /requests", obs.RequestsHandler(s.rec))
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !s.ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
 	return mux
 }
 
@@ -145,89 +129,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	w.Write(buf.Bytes()) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
 }
 
-// setRetryAfter marks shed and draining answers as retryable so
-// clients and front tiers back off instead of hammering.
-func setRetryAfter(w http.ResponseWriter, code int) {
-	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-}
-
-// handleExplain answers POST /v1/explain.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.checkTuple(req.Tuple); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	wantExact, err := s.resolveExplainer(req.Explainer)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tc, parent := requestTrace(r)
-	setTraceHeaders(w, tc)
-	resp, code := s.explainOne(r, req.Tuple, wantExact, tc, parent)
-	setRetryAfter(w, code)
-	writeJSON(w, code, resp)
-}
-
-// handleBatch answers POST /v1/explain/batch. The tuples are admitted
-// individually — so they micro-batch with concurrent requests exactly
-// like singles do — and the response preserves input order. The overall
-// HTTP status is the worst per-tuple status.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Tuples) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty tuple batch"))
-		return
-	}
-	for i, tuple := range req.Tuples {
-		if err := s.checkTuple(tuple); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("tuple %d: %w", i, err))
-			return
-		}
-	}
-	wantExact, err := s.resolveExplainer(req.Explainer)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The batch shares one trace: the batch identity (echoed in the
-	// response headers) parents one child trace context per tuple, so
-	// every tuple's span carries the same trace ID with its own span ID.
-	tc, _ := requestTrace(r)
-	setTraceHeaders(w, tc)
-	resp := BatchResponse{Explanations: make([]ExplainResponse, len(req.Tuples)), Count: len(req.Tuples)}
-	codes := make([]int, len(req.Tuples))
-	var wg sync.WaitGroup
-	for i, tuple := range req.Tuples {
-		itc := tc.Child()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp.Explanations[i], codes[i] = s.explainOne(r, tuple, wantExact, itc, tc.SpanID)
-		}()
-	}
-	wg.Wait()
-	code := http.StatusOK
-	for _, c := range codes {
-		if c > code {
-			code = c
-		}
-	}
-	setRetryAfter(w, code)
-	writeJSON(w, code, resp)
-}
-
 // resolveExplainer validates a request's optional explainer field
 // against the server's configuration. An exact-SHAP request is always
 // admissible (it degrades to the queue when the backend does not
@@ -251,31 +152,85 @@ func (s *Server) resolveExplainer(name string) (wantExact bool, err error) {
 	return false, nil
 }
 
-// checkTuple validates a request tuple's width against the explainer's
-// schema so malformed requests get 400 instead of a failed flush.
-func (s *Server) checkTuple(tuple []float64) error {
-	if want := s.warm.NumAttrs(); len(tuple) != want {
-		return fmt.Errorf("tuple has %d cells, schema expects %d", len(tuple), want)
-	}
-	return nil
-}
-
-// explainOne runs one tuple through the exact fast path, the store fast
-// path, or the admission queue, and maps the outcome to an HTTP status
-// code. Every path — exact, hit, computed, rejected, timed out — closes
-// the request's detached root span, offers it to the slow-request ring,
-// and feeds the SLO tracker.
-func (s *Server) explainOne(r *http.Request, tuple []float64, wantExact bool, tc obs.TraceContext, parent string) (ExplainResponse, int) {
+// explainOne answers one tuple and accounts for it. answer picks the
+// path — exact, store, queue — and reports what happened as one outcome;
+// everything a request leaves behind is built from that outcome here:
+// the response, the request histogram and SLO sample (availability
+// counts 5xx answers as bad), and the detached root span with its
+// stage children, offered to the slow-request exemplar ring.
+func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool, tc obs.TraceContext, parent string) (ExplainResponse, int) {
 	start := time.Now() //shahinvet:allow walltime — request latency feeds the serving histograms
 	s.rec.Counter(obs.CounterServeRequests).Inc()
 	root := s.rec.StartDetachedSpan("request")
+	defer root.End() // idempotent: the traced path below closes the span itself, before dumping it
 	root.SetTrace(tc.TraceID, tc.SpanID, parent)
-	defer func() {
-		if s.rec != nil {
-			s.rec.Histogram(obs.HistServeRequest).Observe(time.Since(start))
-		}
-	}()
 
+	out := s.answer(ctx, tuple, wantExact, start)
+
+	elapsed := time.Since(start)
+	if s.rec != nil {
+		s.rec.Histogram(obs.HistServeRequest).Observe(elapsed)
+	}
+	s.rec.RecordSLO(elapsed, out.code < http.StatusInternalServerError)
+	status := out.exp.Status.String()
+	if out.code != http.StatusOK {
+		status = core.StatusFailed.String()
+	}
+	resp := ExplainResponse{
+		Explanation: out.exp,
+		Status:      status,
+		Source:      out.source,
+		WaitMS:      float64(elapsed) / float64(time.Millisecond),
+		TraceID:     tc.TraceID,
+	}
+	if out.err != nil {
+		resp.Error = out.err.Error()
+	}
+	if !out.bd.IsZero() {
+		// Time the stages cannot see (admission before enqueue, wake-up
+		// after delivery, store-lookup bookkeeping) is serving overhead
+		// too: it is folded into the stage that owns the path, so the
+		// breakdown explains the whole wait, measured by the same clock
+		// reading as wait_ms.
+		if residual := elapsed - out.bd.Total(); residual > 0 {
+			if out.source == "computed" {
+				out.bd.BatchAssembly += residual
+			} else {
+				out.bd.Solve += residual
+			}
+		}
+		bd := out.bd // a copy, so only the breakdown moves to the heap
+		resp.Stages = &bd
+	}
+	if root != nil {
+		addStageChildren(root, start, out.bd)
+		root.SetAttr("source", out.source)
+		root.SetAttr("status", status)
+		if out.flush > 0 {
+			root.SetAttr("flush", out.flush)
+		}
+		root.End()
+		s.rec.OfferRequest(obs.RequestTrace{
+			TraceID:  tc.TraceID,
+			SpanID:   tc.SpanID,
+			ParentID: parent,
+			Name:     "request",
+			Source:   out.source,
+			Status:   status,
+			Flush:    out.flush,
+			DurMS:    resp.WaitMS,
+			Stages:   out.bd,
+			Root:     root.Dump(),
+		})
+	}
+	return resp, out.code
+}
+
+// answer runs one tuple through the exact fast path, the store fast
+// path, or the admission queue, and maps what happened to a source and
+// an HTTP status code. It never hangs: a refusal or a deadline is an
+// outcome too.
+func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, start time.Time) outcome {
 	// An exact-SHAP request bypasses both the store (which holds the
 	// server kind's answers) and the admission queue: the polynomial
 	// tree walk is cheaper than either. When the backend does not
@@ -291,17 +246,7 @@ func (s *Server) explainOne(r *http.Request, tuple []float64, wantExact bool, tc
 				NodeVisits: visits,
 				DurMS:      float64(dur) / float64(time.Millisecond),
 			})
-			exp := core.Explanation{Attribution: at, Status: core.StatusOK}
-			bd := obs.StageBreakdown{Solve: dur}
-			wait := s.finishRequest(root, tc, parent, start, &bd, "exact", exp.Status.String(), 0, http.StatusOK)
-			return ExplainResponse{
-				Explanation: exp,
-				Status:      exp.Status.String(),
-				Source:      "exact",
-				WaitMS:      wait,
-				TraceID:     tc.TraceID,
-				Stages:      stagesPtr(bd),
-			}, http.StatusOK
+			return outcome{exp: core.Explanation{Attribution: at}, source: "exact", code: http.StatusOK, bd: obs.StageBreakdown{Solve: dur}}
 		}
 	}
 
@@ -309,19 +254,9 @@ func (s *Server) explainOne(r *http.Request, tuple []float64, wantExact bool, tc
 		s.rec.Counter(obs.CounterServeStoreHits).Inc()
 		// A store hit never queues or classifies: the whole elapsed time
 		// is lookup, attributed to the solve stage so coverage stays total.
-		bd := obs.StageBreakdown{Solve: time.Since(start)}
-		wait := s.finishRequest(root, tc, parent, start, &bd, "store", exp.Status.String(), 0, http.StatusOK)
-		return ExplainResponse{
-			Explanation: exp,
-			Status:      exp.Status.String(),
-			Source:      "store",
-			WaitMS:      wait,
-			TraceID:     tc.TraceID,
-			Stages:      stagesPtr(bd),
-		}, http.StatusOK
+		return outcome{exp: exp, source: "store", code: http.StatusOK, bd: obs.StageBreakdown{Solve: time.Since(start)}}
 	}
 
-	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel func()
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -332,95 +267,29 @@ func (s *Server) explainOne(r *http.Request, tuple []float64, wantExact bool, tc
 		// Draining is 503 (the replica is going away; a front tier
 		// should fail over); a full queue is 429 load shedding (the
 		// replica is alive but saturated; the caller should back off).
-		// Both answer a JSON body naming the reason, never a hang.
+		// Both answer a JSON body naming the reason.
 		code := http.StatusServiceUnavailable
 		if errors.Is(err, errQueueFull) {
 			code = http.StatusTooManyRequests
 		}
-		wait := s.finishRequest(root, tc, parent, start, nil, "rejected", core.StatusFailed.String(), 0, code)
-		return ExplainResponse{Status: core.StatusFailed.String(), Source: "rejected", WaitMS: wait, TraceID: tc.TraceID, Error: err.Error()},
-			code
+		return outcome{source: "rejected", code: code, err: err}
 	}
 	select {
 	case out := <-req.done:
-		if out.err != nil {
-			wait := s.finishRequest(root, tc, parent, start, nil, "computed", core.StatusFailed.String(), out.flush, http.StatusGatewayTimeout)
-			return ExplainResponse{Status: core.StatusFailed.String(), Source: "computed", WaitMS: wait, TraceID: tc.TraceID},
-				http.StatusGatewayTimeout
+		out.source, out.code = "computed", http.StatusOK
+		switch {
+		case out.err != nil:
+			// Nobody was waiting by the time the flush ran; the answer
+			// names no reason, like the deadline below.
+			out.code, out.err = http.StatusGatewayTimeout, nil
+		case out.exp.Status == core.StatusFailed:
+			out.code = http.StatusInternalServerError
 		}
-		code := http.StatusOK
-		if out.exp.Status == core.StatusFailed {
-			code = http.StatusInternalServerError
-		}
-		bd := out.bd
-		wait := s.finishRequest(root, tc, parent, start, &bd, "computed", out.exp.Status.String(), out.flush, code)
-		return ExplainResponse{
-			Explanation: out.exp,
-			Status:      out.exp.Status.String(),
-			Source:      "computed",
-			WaitMS:      wait,
-			TraceID:     tc.TraceID,
-			Stages:      stagesPtr(bd),
-		}, code
+		return out
 	case <-ctx.Done():
 		s.rec.Counter(obs.CounterServeTimeouts).Inc()
-		wait := s.finishRequest(root, tc, parent, start, nil, "computed", core.StatusFailed.String(), 0, http.StatusGatewayTimeout)
-		return ExplainResponse{Status: core.StatusFailed.String(), Source: "computed", WaitMS: wait, TraceID: tc.TraceID},
-			http.StatusGatewayTimeout
+		return outcome{source: "computed", code: http.StatusGatewayTimeout}
 	}
-}
-
-// finishRequest closes a request's root span, lays its non-zero stages
-// out as sequential child spans, offers the trace to the slow-request
-// exemplar ring, and records the outcome against the SLO objectives
-// (availability counts 5xx answers as bad). It returns the request's
-// wall time in milliseconds for the response's wait_ms field.
-//
-// When bd is a non-zero breakdown it is topped up in place: time the
-// stages cannot see (admission before enqueue, wake-up after delivery,
-// store-lookup bookkeeping) is serving overhead too, folded into the
-// stage that owns the path so the breakdown explains the whole wait
-// measured by the same clock reading that produces wait_ms.
-func (s *Server) finishRequest(root *obs.Span, tc obs.TraceContext, parent string, start time.Time, bd *obs.StageBreakdown, source, status string, flush, code int) float64 {
-	elapsed := time.Since(start)
-	s.rec.RecordSLO(elapsed, code < http.StatusInternalServerError)
-	ms := float64(elapsed) / float64(time.Millisecond)
-	var sbd obs.StageBreakdown
-	if bd != nil && !bd.IsZero() {
-		if residual := elapsed - bd.Total(); residual > 0 {
-			if source == "store" || source == "exact" {
-				bd.Solve += residual
-			} else {
-				bd.BatchAssembly += residual
-			}
-		}
-		sbd = *bd
-	}
-	if root == nil {
-		return ms
-	}
-	addStageChildren(root, start, sbd)
-	root.SetAttr("source", source)
-	if status != "" {
-		root.SetAttr("status", status)
-	}
-	if flush > 0 {
-		root.SetAttr("flush", flush)
-	}
-	root.End()
-	s.rec.OfferRequest(obs.RequestTrace{
-		TraceID:  tc.TraceID,
-		SpanID:   tc.SpanID,
-		ParentID: parent,
-		Name:     "request",
-		Source:   source,
-		Status:   status,
-		Flush:    flush,
-		DurMS:    ms,
-		Stages:   sbd,
-		Root:     root.Dump(),
-	})
-	return ms
 }
 
 // addStageChildren lays the request's non-zero stages under root as
@@ -449,56 +318,4 @@ func addStageChildren(root *obs.Span, start time.Time, bd obs.StageBreakdown) {
 		root.AddChild(st.name, t, st.d, nil)
 		t = t.Add(st.d)
 	}
-}
-
-// requestTrace resolves a request's trace identity: a child of the
-// caller's W3C traceparent header when a valid one is present (the
-// service's spans join the caller's trace), otherwise a fresh root
-// trace. parent is the caller's span ID, empty for fresh traces.
-func requestTrace(r *http.Request) (tc obs.TraceContext, parent string) {
-	if in, err := obs.ParseTraceparent(r.Header.Get("traceparent")); err == nil {
-		return in.Child(), in.SpanID
-	}
-	return obs.NewTraceContext(), ""
-}
-
-// setTraceHeaders echoes the resolved trace identity on the response:
-// the full traceparent for propagation-aware callers and the bare trace
-// ID for humans correlating against GET /requests.
-func setTraceHeaders(w http.ResponseWriter, tc obs.TraceContext) {
-	w.Header().Set("Traceparent", tc.Traceparent())
-	w.Header().Set("X-Shahin-Trace-Id", tc.TraceID)
-}
-
-// stagesPtr boxes a non-zero breakdown for the response's omitempty
-// stages field (nil hides the field entirely on zero breakdowns).
-func stagesPtr(bd obs.StageBreakdown) *obs.StageBreakdown {
-	if bd.IsZero() {
-		return nil
-	}
-	return &bd
-}
-
-// decodeBody parses a bounded JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
-}
-
-// writeJSON writes v with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
-}
-
-// writeError writes a JSON error body with the given status code.
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
 }

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shahin/internal/cli"
 	"shahin/internal/core"
 	"shahin/internal/obs"
 	"shahin/internal/store"
@@ -48,7 +47,7 @@ type Config struct {
 	// queued, without waiting out the window (default 64).
 	BatchMax int
 	// QueueCap bounds the admission queue; requests beyond it are
-	// rejected with 503 instead of queuing unboundedly (default 1024).
+	// shed with 429 instead of queuing unboundedly (default 1024).
 	QueueCap int
 	// RequestTimeout bounds how long one request may wait for its
 	// explanation, queue time included. The latest deadline of a flush's
@@ -89,10 +88,18 @@ type request struct {
 	done  chan outcome
 }
 
-// outcome is what a flush delivers back to a waiting request.
+// outcome is what became of one tuple. A flush delivers exp, bd and
+// flush (or err) back to the waiting request; answer adds where the
+// tuple was answered from and the HTTP status that says how it went.
 type outcome struct {
 	exp core.Explanation
+	// err is why there is no explanation: from a flush, the error that
+	// stopped it; from answer, a refusal's reason, which the response
+	// carries to the caller.
 	err error
+	// source is "exact", "store", "computed" or "rejected".
+	source string
+	code   int
 	// bd is the request's latency attribution: queue wait and batch
 	// assembly measured here, pool/classify/solve inherited from the
 	// flush's core breakdowns (zero when the run had no recorder).
@@ -125,7 +132,6 @@ type Server struct {
 	endLife   context.CancelFunc
 	batcherWG sync.WaitGroup
 
-	ready    atomic.Bool
 	draining atomic.Bool
 	drainOne sync.Once
 	drainErr error
@@ -172,7 +178,6 @@ func New(warm *core.Warm, cfg Config) (*Server, error) {
 	s.rec.Gauge(obs.GaugeServeStoreSize).Set(int64(st.Len()))
 	s.batcherWG.Add(1)
 	go s.runBatcher()
-	s.ready.Store(true)
 	return s, nil
 }
 
@@ -191,7 +196,7 @@ func (s *Server) lookup(tuple []float64) (core.Explanation, bool) {
 }
 
 // admit enqueues one tuple for the next flush. It fails when the server
-// is draining or the queue is full; the caller maps both to 503.
+// is draining (the caller's 503) or the queue is full (its 429).
 func (s *Server) admit(ctx context.Context, tuple []float64) (*request, error) {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
@@ -305,7 +310,6 @@ func (s *Server) flush(batch []*request) {
 		}
 		return
 	}
-	cli.FailUnattempted(res.Explanations)
 
 	s.storeMu.Lock()
 	for i, req := range live {
@@ -364,7 +368,6 @@ func (s *Server) flush(batch []*request) {
 // attempted so answered work is never lost.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOne.Do(func() {
-		s.ready.Store(false)
 		s.admitMu.Lock()
 		s.draining.Store(true)
 		close(s.queue)

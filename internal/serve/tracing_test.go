@@ -223,7 +223,7 @@ func TestServeTraceparentEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch BatchResponse
+	var batch BatchResponse[ExplainResponse]
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatal(err)
 	}
