@@ -70,7 +70,8 @@ func (o *Obs) Start(always bool) (*obs.Recorder, error) {
 	return o.rec, nil
 }
 
-// Finish writes the artifacts the flags asked for and closes the
+// Finish writes the artifacts the flags asked for — saying, of the
+// event log, how much of the run it still holds — and closes the
 // -obs-addr endpoint.
 func (o *Obs) Finish() error {
 	defer o.srv.Close() //shahinvet:allow errcheck — best-effort teardown at exit; nil-safe
@@ -80,7 +81,13 @@ func (o *Obs) Finish() error {
 	if err := WriteArtifact(o.chromeOut, "chrome trace", o.rec.WriteChromeTrace); err != nil {
 		return err
 	}
-	return WriteArtifact(o.eventsOut, "event log", o.rec.WriteEvents)
+	if err := WriteArtifact(o.eventsOut, "event log", o.rec.WriteEvents); err != nil || o.eventsOut == "" {
+		return err
+	}
+	// A log that dropped events no longer reconciles with the report.
+	events, dropped := o.rec.Events()
+	fmt.Printf("event log: %d events retained, %d dropped to the capacity bound\n", len(events), dropped)
+	return nil
 }
 
 // WriteArtifact writes one run artifact through WriteFile and says so

@@ -29,30 +29,24 @@ func SequentialCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, op
 	}
 	opts = opts.withDefaults()
 	opts, fellBack := applyExactFallback(opts, cls)
-	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
 	rng := rand.New(rand.NewSource(opts.Seed))
-	fb := buildBridge(ctx, opts, st, cls)
+	f := beginRun(ctx, opts, st, cls, rng, obs.StageSequential, len(tuples), false)
+	defer f.span.End()
 
-	rec := opts.Recorder
-	root := rec.StartSpan(obs.StageSequential)
-	root.SetAttr("tuples", len(tuples))
-	defer root.End()
-	rec.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
-
-	eng := newEngineBridge(opts, st, cls, rng, fb)
 	if opts.Explainer == Anchor {
 		// Anchor still needs a coverage sample; its cost is part of setup
 		// for both baseline and Shahin, so the comparison stays fair.
-		eng.setCoverage(itemizeSample(st, tuples, fim.SampleSize(len(tuples)), rng))
+		f.eng.setCoverage(itemizeSample(st, tuples, fim.SampleSize(len(tuples)), rng))
 	}
 	rep := Report{Tuples: len(tuples), ExactFallback: fellBack}
-	step := &tupleStep{eng: eng}
-	out, _, err := step.explainAll(ctx, root, nil, tuples, start, &rep)
+	step := &tupleStep{eng: f.eng}
+	out, costs, err := step.explainAll(f, nil, tuples, &rep)
 	if err != nil {
 		return nil, err
 	}
+	rep.WallTime, _ = f.end()
 	rep.ExplainTime = rep.WallTime
-	return &Result{Explanations: out, Report: rep}, ctx.Err()
+	return &Result{Explanations: out, Report: rep, Costs: costs}, ctx.Err()
 }
 
 // Dist is the paper's DIST-k baseline: the batch is split evenly across k
@@ -84,8 +78,12 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 	out := make([]Explanation, len(tuples))
 	var (
 		rep      Report
+		costs    []Cost
 		machines int
 	)
+	if opts.Recorder != nil {
+		costs = make([]Cost, len(tuples))
+	}
 	chunk := (len(tuples) + k - 1) / k
 	for w := 0; w < k; w++ {
 		lo := w * chunk
@@ -94,8 +92,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 			continue
 		}
 		if ctx.Err() != nil {
-			markFailed(out[lo:])
-			rep.Failed += len(tuples) - lo
+			markFailed(out[lo:], &rep)
 			break
 		}
 		wopts := opts
@@ -103,6 +100,9 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 		res, err := SequentialCtx(ctx, st, cls, wopts, tuples[lo:hi])
 		if res != nil {
 			copy(out[lo:hi], res.Explanations)
+			if costs != nil {
+				copy(costs[lo:hi], res.Costs)
+			}
 			rep.add(res.Report)
 			machines++
 		}
@@ -118,5 +118,5 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 		rep.WallTime /= time.Duration(machines)
 	}
 	rep.ExplainTime = rep.WallTime
-	return &Result{Explanations: out, Report: rep}, ctx.Err()
+	return &Result{Explanations: out, Report: rep, Costs: costs}, ctx.Err()
 }

@@ -56,28 +56,11 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 		return nil, fmt.Errorf("core: empty batch")
 	}
 	opts := b.opts
-	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
 	rng := rand.New(rand.NewSource(opts.Seed))
-
-	rec := opts.Recorder
-	root := rec.StartSpan(obs.StageBatch)
-	root.SetAttr("tuples", len(tuples))
-	root.SetAttr("explainer", opts.Explainer.String())
-	defer root.End()
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		c := tc.Child()
-		root.SetTrace(c.TraceID, c.SpanID, tc.SpanID)
-	}
-	// The batch span rides the context so the fault chain (retries,
-	// breaker transitions, degradation rungs) can attach child spans.
-	ctx = obs.ContextWithSpan(ctx, root)
-	fb := buildBridge(ctx, opts, b.st, b.cls)
-	rec.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
-	var runMark obs.AllocMark
-	if rec != nil {
-		runMark = obs.NowAllocs()
-	}
-	eng := newEngineBridge(opts, b.st, b.cls, rng, fb)
+	f := beginRun(ctx, opts, b.st, b.cls, rng, obs.StageBatch, len(tuples), false)
+	defer f.span.End()
+	f.span.SetAttr("explainer", opts.Explainer.String())
+	eng := f.eng
 	ps := newPoolState(opts, eng.cls.NumClasses(), len(tuples))
 
 	// Steps 1–2 (overhead, then pool construction): mine a uniform
@@ -85,7 +68,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	// and materialise τ labelled perturbations per frequent itemset. The
 	// exact TreeSHAP path neither perturbs nor pools: it mines nothing
 	// and gets an empty pool its engines never draw from.
-	_, rep, err := ps.refresh(ctx, eng, perturb.NewGenerator(b.st, rng), func() []dataset.Itemset {
+	_, rep, err := ps.refresh(f.ctx, eng, perturb.NewGenerator(b.st, rng), func() []dataset.Itemset {
 		if opts.Explainer == ExactSHAP {
 			return nil
 		}
@@ -97,65 +80,53 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 			n = opts.MineSample
 		}
 		return itemizeSample(b.st, tuples, n, rng)
-	}, false, root)
+	}, false, f.span)
 	if err != nil {
 		return nil, err
 	}
 	eng.setCoverage(ps.cov)
-	if fb != nil {
-		fb.setPool(ps.repo, ps.sets)
+	if eng.fb != nil {
+		eng.fb.setPool(ps.repo, ps.sets)
 	}
 
 	// Step 3: explain every tuple, reusing pooled work.
 	rep.Tuples, rep.ExactFallback = len(tuples), b.exactFallback
-	out, bds, err := ps.step(eng).explainAll(ctx, root, ps, tuples, start, &rep)
+	out, costs, err := ps.step(eng).explainAll(f, ps, tuples, &rep)
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		d := runMark.Since()
-		rep.AllocBytes, rep.AllocObjects = d.Bytes, d.Objects
-	}
-	return &Result{Explanations: out, Report: rep, Breakdowns: bds}, ctx.Err()
+	var a obs.AllocDelta
+	rep.WallTime, a = f.end()
+	rep.AllocBytes, rep.AllocObjects = a.Bytes, a.Objects
+	return &Result{Explanations: out, Report: rep, Costs: costs}, ctx.Err()
 }
 
 // explainParallel runs the per-tuple steps on the pool's Options.Workers
-// goroutines, filling out (and bds, when non-nil) in place. Each worker
-// gets its own engine forked from eng and its own pool view over a
-// frozen snapshot of the repository, so no synchronisation is needed on
-// the hot path; the strided index partition keeps writes disjoint.
-// Cancelling ctx stops every worker between tuples; slots never
-// attempted are marked StatusFailed.
-func explainParallel(ctx context.Context, eng *engine, ps *poolState, tuples [][]float64, out []Explanation, bds []obs.StageBreakdown, rep *Report) error {
+// goroutines, filling out (and costs, when non-nil) in place. Each worker
+// gets its own engine forked from eng, its own pool view over a frozen
+// snapshot of the repository and its own report to charge, so no
+// synchronisation is needed on the hot path; the strided index partition
+// keeps writes disjoint. Cancelling ctx stops every worker between
+// tuples; slots never attempted are marked StatusFailed.
+func explainParallel(ctx context.Context, eng *engine, ps *poolState, tuples [][]float64, out []Explanation, costs []Cost, rep *Report) error {
 	workers := min(ps.opts.Workers, len(tuples))
 	snap := ps.repo.Snapshot()
-	steps := make([]*tupleStep, workers)
+	reps := make([]Report, workers)
 	errs := make([]error, workers)
 	attempted := make([]bool, len(tuples))
 	var wg sync.WaitGroup
-	for w := range steps {
+	for w := range reps {
 		weng := eng.worker(w)
 		if weng.fb != nil {
 			weng.fb.setPool(snap, ps.sets)
 		}
-		steps[w] = &tupleStep{eng: weng, pool: newItemsetPool(snap, ps.sets, ps.opts.Recorder)}
+		step := &tupleStep{eng: weng, pool: newItemsetPool(snap, ps.sets)}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(tuples); i += workers {
-				if ctx.Err() != nil {
-					return
-				}
+			for i := w; i < len(tuples) && ctx.Err() == nil && errs[w] == nil; i += workers {
 				attempted[i] = true
-				exp, bd, err := steps[w].run(i, tuples[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = exp
-				if bds != nil {
-					bds[i] = bd
-				}
+				errs[w] = step.into(i, tuples[i], out, costs, &reps[w])
 			}
 		}(w)
 	}
@@ -165,23 +136,20 @@ func explainParallel(ctx context.Context, eng *engine, ps *poolState, tuples [][
 			return err
 		}
 	}
+	// Retrieval ran concurrently: its share of the wall is the mean.
+	var sum Report
+	for _, r := range reps {
+		sum.add(r)
+	}
+	sum.OverheadTime /= time.Duration(workers)
+	rep.add(sum)
 	if ctx.Err() != nil {
 		for i := range out {
 			if !attempted[i] {
-				out[i].Status = StatusFailed
+				markFailed(out[i:i+1], rep)
 			}
 		}
 	}
-	// Retrieval ran concurrently: its share of the wall is the mean.
-	var sum Report
-	for _, s := range steps {
-		s.collect(&sum)
-	}
-	sum.OverheadTime /= time.Duration(workers)
-	rep.Invocations += sum.Invocations
-	rep.NodeVisits += sum.NodeVisits
-	rep.ReusedSamples += sum.ReusedSamples
-	rep.OverheadTime += sum.OverheadTime
 	return nil
 }
 

@@ -45,8 +45,8 @@ func checkEventStages(t *testing.T, rec *obs.Recorder, wantTuples int) time.Dura
 }
 
 // TestBatchBreakdowns checks latency attribution on the batch pipeline:
-// one aligned breakdown per tuple, agreeing with the stamps on the
-// tuple_explained events and the stage histograms.
+// one aligned cost record per tuple, its stages agreeing with the stamps
+// on the tuple_explained events and the stage histograms.
 func TestBatchBreakdowns(t *testing.T) {
 	env := newEnv(t, 51, 30)
 	rec := obs.NewRecorder()
@@ -61,15 +61,15 @@ func TestBatchBreakdowns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Breakdowns) != len(res.Explanations) {
-		t.Fatalf("%d breakdowns for %d explanations", len(res.Breakdowns), len(res.Explanations))
+	if len(res.Costs) != len(res.Explanations) {
+		t.Fatalf("%d cost records for %d explanations", len(res.Costs), len(res.Explanations))
 	}
 	var resultSolve time.Duration
-	for i, bd := range res.Breakdowns {
-		if bd.QueueWait != 0 || bd.BatchAssembly != 0 {
-			t.Errorf("tuple %d: core stamped serving-only stages %+v", i, bd)
+	for i, c := range res.Costs {
+		if c.Stages.QueueWait != 0 || c.Stages.BatchAssembly != 0 {
+			t.Errorf("tuple %d: core stamped serving-only stages %+v", i, c.Stages)
 		}
-		resultSolve += bd.Solve
+		resultSolve += c.Stages.Solve
 	}
 	eventSolve := checkEventStages(t, rec, len(res.Explanations))
 	if eventSolve != resultSolve {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
@@ -22,19 +21,9 @@ type engine struct {
 	kind Kind
 	opts Options
 	st   *dataset.Stats
-	raw  rf.Classifier // the caller's classifier, below the bridge and the counter
-	cls  *rf.Counting
+	raw  rf.Classifier // the caller's classifier, below the bridge and the meter
+	cls  *meter
 	fb   *fallibleBridge // nil on the infallible fast path
-
-	// classify accumulates in-classifier time via the predict hook.
-	// The counting wrapper sits at the top of the chain, so the hook
-	// fires on the explainer's own goroutine — no lock needed (each
-	// parallel worker owns its engine).
-	classify time.Duration
-	// tupleHist and doneCtr are the per-explanation latency histogram
-	// and progress counter (nil — and no-ops — without a recorder).
-	tupleHist *obs.Histogram
-	doneCtr   *obs.Counter
 
 	lime   *lime.Explainer
 	anchor *anchor.Explainer
@@ -43,56 +32,67 @@ type engine struct {
 	exact  *exact.Explainer
 }
 
-// newEngineBridge wires up the explainer of the requested kind over
-// cls, with an optional fallible bridge between the counting wrapper and
-// the classifier. The counting wrapper sits *above* the bridge so every
-// logical prediction — including ones the degradation ladder answers —
-// counts toward the invocation ledger, keeping the event-reconciliation
-// identity intact under faults. When a recorder is attached, every
-// Predict through this engine also feeds the recorder's invocation
-// counter and latency histogram. The constructors draw nothing from rng.
-func newEngineBridge(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge) *engine {
-	base := cls
+// meter tops an engine's classifier chain and charges every Predict to
+// the cost record of the unit in progress: counted always, timed — into
+// the record's classify stage and the predict-latency histogram — only
+// with a recorder. It sits *above* the bridge, so predictions the
+// degradation ladder answers are charged too and the reconciliation
+// identity holds under faults. The explainer calls it on its own
+// goroutine and each parallel worker owns its engine: no lock.
+type meter struct {
+	rf.Classifier
+	cost    Cost
+	latency *obs.Histogram // nil without a recorder
+}
+
+// Predict implements rf.Classifier.
+func (m *meter) Predict(x []float64) int {
+	m.cost.Fresh++
+	if m.latency == nil {
+		return m.Classifier.Predict(x)
+	}
+	sw := stopwatch()
+	y := m.Classifier.Predict(x)
+	d, _ := sw.end()
+	m.latency.Observe(d)
+	m.cost.Stages.Classify += d
+	return y
+}
+
+// Inner lets the exact walker unwrap to the trees underneath.
+func (m *meter) Inner() rf.Classifier { return m.Classifier }
+
+// newEngine wires up the explainer of the requested kind over cls, with
+// an optional fallible bridge between the meter and the classifier. The
+// constructors draw nothing from rng.
+func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge) *engine {
+	m := &meter{Classifier: cls, latency: opts.Recorder.Histogram(obs.HistPredict)}
 	if fb != nil {
-		base = fb
+		m.Classifier = fb
 	}
-	counting := rf.NewCounting(base)
-	e := &engine{kind: opts.Explainer, opts: opts, st: st, raw: cls, cls: counting, fb: fb}
-	if rec := opts.Recorder; rec != nil {
-		invocations := rec.Counter(obs.CounterInvocations)
-		latency := rec.Histogram(obs.HistPredict)
-		counting.SetPredictHook(func(d time.Duration) {
-			invocations.Inc()
-			latency.Observe(d)
-			e.classify += d
-		})
-		e.tupleHist = rec.Histogram(obs.HistExplainTuple)
-		e.doneCtr = rec.Counter(obs.CounterTuplesDone)
-	}
+	e := &engine{kind: opts.Explainer, opts: opts, st: st, raw: cls, cls: m, fb: fb}
 	switch opts.Explainer {
 	case LIME:
-		e.lime = lime.New(st, counting, opts.LIME, rng)
+		e.lime = lime.New(st, m, opts.LIME, rng)
 	case Anchor:
-		e.anchor = anchor.New(st, counting, nil, opts.Anchor, rng)
+		e.anchor = anchor.New(st, m, nil, opts.Anchor, rng)
 	case SHAP:
-		e.shap = shap.New(st, counting, opts.SHAP, rng)
+		e.shap = shap.New(st, m, opts.SHAP, rng)
 	case SampleSHAP:
-		e.sshap = sshap.New(st, counting, opts.SSHAP, rng)
+		e.sshap = sshap.New(st, m, opts.SSHAP, rng)
 	case ExactSHAP:
-		ex, err := exact.New(st, counting, opts.Exact)
+		ex, err := exact.New(st, m, opts.Exact)
 		if err != nil {
 			// Eligibility is decided at the run entry points (see
 			// exactEligible); an unchecked caller degrades to KernelSHAP
 			// rather than crashing mid-run. The marker event keeps even
 			// this defensive degrade visible in provenance.
-			if rec := opts.Recorder; rec != nil {
-				rec.Emit(obs.Event{
-					Type: obs.EventExactFallback, Tuple: -1,
-					Explainer: ExactSHAP.String(), State: "unsupported_classifier",
-				})
-			}
+			opts.Recorder.Emit(obs.Event{
+				Type: obs.EventExactFallback, Tuple: -1,
+				Explainer: ExactSHAP.String(), State: "unsupported_classifier",
+			})
 			e.kind = SHAP
-			e.shap = shap.New(st, counting, opts.SHAP, rng)
+			e.shap = shap.New(st, m, opts.SHAP, rng)
 			break
 		}
 		e.exact = ex
@@ -111,7 +111,7 @@ func (e *engine) worker(w int) *engine {
 	if e.fb != nil {
 		fb = e.fb.fork()
 	}
-	return newEngineBridge(opts, e.st, e.raw, rand.New(rand.NewSource(opts.Seed)), fb)
+	return newEngine(opts, e.st, e.raw, rand.New(rand.NewSource(opts.Seed)), fb)
 }
 
 // setCoverage hands Anchor the itemised rows rule coverage is measured
@@ -124,73 +124,52 @@ func (e *engine) setCoverage(rows []dataset.Itemset) {
 
 // explain runs one explanation. pool may be nil (sequential); sh is the
 // Anchor shared state — nil makes Anchor run with fresh per-tuple caches.
+// The two explainers that report their work only as a lifetime counter
+// are converted to the unit's record here, at the call.
 func (e *engine) explain(t []float64, pool explain.Pool, sh *anchor.Shared) (Explanation, error) {
+	var (
+		exp Explanation
+		err error
+	)
 	switch e.kind {
 	case LIME:
-		att, err := e.lime.ExplainWithPool(t, pool)
-		if err != nil {
-			return Explanation{}, err
-		}
-		return Explanation{Attribution: att}, nil
+		exp.Attribution, err = e.lime.ExplainWithPool(t, pool)
 	case Anchor:
-		rule, err := e.anchor.ExplainShared(t, sh)
-		if err != nil {
-			return Explanation{}, err
+		var hits int64
+		if sh != nil {
+			hits = sh.Repo.Stats().Hits
 		}
-		return Explanation{Rule: rule}, nil
+		exp.Rule, err = e.anchor.ExplainShared(t, sh)
+		if sh != nil {
+			e.cls.cost.CacheHits = sh.Repo.Stats().Hits - hits
+		}
 	case SHAP:
-		att, err := e.shap.ExplainWithPool(t, pool)
-		if err != nil {
-			return Explanation{}, err
-		}
-		return Explanation{Attribution: att}, nil
+		exp.Attribution, err = e.shap.ExplainWithPool(t, pool)
 	case SampleSHAP:
-		att, err := e.sshap.ExplainWithPool(t, pool)
-		if err != nil {
-			return Explanation{}, err
-		}
-		return Explanation{Attribution: att}, nil
+		exp.Attribution, err = e.sshap.ExplainWithPool(t, pool)
 	case ExactSHAP:
-		att, err := e.exact.Explain(t)
-		if err != nil {
-			return Explanation{}, err
-		}
-		return Explanation{Attribution: att}, nil
+		visits := e.exact.NodeVisits()
+		exp.Attribution, err = e.exact.Explain(t)
+		e.cls.cost.NodeVisits = e.exact.NodeVisits() - visits
 	default:
-		return Explanation{}, fmt.Errorf("core: unknown explainer kind %d", e.kind)
+		err = fmt.Errorf("core: unknown explainer kind %d", e.kind)
 	}
+	return exp, err
 }
 
-// invocations reports the classifier calls made through this engine.
-func (e *engine) invocations() int64 { return e.cls.Invocations() }
-
-// nodeVisits reports the cumulative tree nodes walked by the exact
-// explainer (0 for sampled kinds); per-tuple deltas ride exact_shap
-// provenance events.
-func (e *engine) nodeVisits() int64 {
-	if e.exact == nil {
-		return 0
-	}
-	return e.exact.NodeVisits()
-}
-
-// classifyTime reports cumulative in-classifier time through this
-// engine (0 without a recorder — the predict hook is where timing is
-// measured). Per-tuple deltas feed the classify stage of latency
-// attribution.
-func (e *engine) classifyTime() time.Duration { return e.classify }
-
-// beginTuple resets the bridge's outcome flags before a unit of
-// labelling — one tuple's explanation, or one itemset's pre-labelling
-// (no-op on the infallible fast path).
-func (e *engine) beginTuple() {
+// begin opens a unit of labelling — one tuple's explanation, or one
+// itemset's pre-labelling — and returns the record it is charged to,
+// zeroed; the bridge's outcome flags start over with it.
+func (e *engine) begin() *Cost {
+	e.cls.cost = Cost{}
 	if e.fb != nil {
 		e.fb.beginTuple()
 	}
+	return &e.cls.cost
 }
 
-// canceled reports whether any prediction since beginTuple found the
-// context dead and was answered by a guess.
+// canceled reports whether any prediction since begin found the context
+// dead and was answered by a guess.
 func (e *engine) canceled() bool { return e.fb != nil && e.fb.tupleCanceled }
 
 // tupleStatus reports how the current tuple's predictions were answered.

@@ -299,12 +299,12 @@ func TestWarmExactSHAP(t *testing.T) {
 	if res.Report.NodeVisits == 0 || res.Report.PoolInvocations != 0 {
 		t.Fatalf("warm flush: visits=%d pool=%d", res.Report.NodeVisits, res.Report.PoolInvocations)
 	}
-	at, visits, err := w.ExplainExact(env.tuples[8])
+	exp, cost, err := w.ExplainExact(env.tuples[8])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at == nil || visits <= 0 {
-		t.Fatalf("ExplainExact: at=%v visits=%d", at, visits)
+	if exp.Attribution == nil || cost.NodeVisits <= 0 {
+		t.Fatalf("ExplainExact: at=%v visits=%d", exp.Attribution, cost.NodeVisits)
 	}
 	cum := w.Report()
 	if cum.Tuples != 9 {
@@ -323,8 +323,74 @@ func TestWarmExactSHAP(t *testing.T) {
 	if !wl.ExactAvailable() {
 		t.Fatal("LIME warm server over a forest should still offer exact one-offs")
 	}
-	if _, visits, err := wl.ExplainExact(env.tuples[0]); err != nil || visits <= 0 {
-		t.Fatalf("LIME-kind ExplainExact: visits=%d err=%v", visits, err)
+	if _, cost, err := wl.ExplainExact(env.tuples[0]); err != nil || cost.NodeVisits <= 0 {
+		t.Fatalf("LIME-kind ExplainExact: visits=%d err=%v", cost.NodeVisits, err)
+	}
+}
+
+// TestWarmExplainExactAccounting: the side door is the same per-tuple
+// step as every other path, so a server answering only exact one-offs
+// still moves the progress counters, the latency histogram and the
+// report's clock, and its events name the tuples they belong to.
+func TestWarmExplainExactAccounting(t *testing.T) {
+	env := newExactEnv(t, 65, 8)
+	rec := obs.NewRecorder()
+	opts := smallOpts(LIME, 66)
+	opts.Recorder = rec
+	w, err := NewWarm(env.st, env.forest, opts, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	var sum Cost
+	for _, tup := range env.tuples[:n] {
+		exp, c, err := w.ExplainExact(tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp.Attribution == nil || exp.Status != StatusOK {
+			t.Fatalf("ExplainExact answered %+v", exp)
+		}
+		if c.Stages.Total() != c.Duration {
+			t.Errorf("stages %v do not sum to the duration %v", c.Stages, c.Duration)
+		}
+		sum.Fresh += c.Fresh
+		sum.NodeVisits += c.NodeVisits
+		sum.Duration += c.Duration
+	}
+	for _, m := range []struct {
+		name string
+		got  int64
+	}{
+		{obs.CounterTuplesDone, rec.Counter(obs.CounterTuplesDone).Value()},
+		{obs.CounterInvocations, rec.Counter(obs.CounterInvocations).Value()},
+		{obs.HistExplainTuple, rec.Histogram(obs.HistExplainTuple).Count()},
+		{"fresh calls over the returned costs", sum.Fresh},
+	} {
+		if m.got != n {
+			t.Errorf("%s = %d after %d exact answers", m.name, m.got, n)
+		}
+	}
+	events, _ := rec.Events()
+	next := 0
+	for _, e := range events {
+		if e.Type != obs.EventExactShap {
+			continue
+		}
+		if e.Tuple != next || e.Fresh != 1 || e.NodeVisits <= 0 || e.Stages == nil {
+			t.Errorf("exact_shap event %d: %+v", next, e)
+		}
+		next++
+	}
+	if next != n {
+		t.Errorf("%d exact_shap events for %d answers", next, n)
+	}
+	rep := w.Report()
+	if rep.Tuples != n || rep.Invocations != n || rep.NodeVisits != sum.NodeVisits {
+		t.Errorf("cumulative report %+v, want %d tuples and invocations, %d visits", rep, n, sum.NodeVisits)
+	}
+	if rep.WallTime != sum.Duration || rep.PerTuple() <= 0 {
+		t.Errorf("WallTime = %v (PerTuple %v), want the answers' %v", rep.WallTime, rep.PerTuple(), sum.Duration)
 	}
 }
 

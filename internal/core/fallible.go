@@ -83,11 +83,11 @@ const bridgeLabelCacheCap = 8192
 //     a frequent itemset containing the row;
 //  3. the running majority class of all successful predictions.
 //
-// The bridge sits *below* the rf.Counting wrapper, so every logical
-// prediction — including degraded ones — still counts toward the
-// invocation ledger and the event-reconciliation identity holds
-// unchanged. One bridge serves one goroutine; parallel workers fork
-// their own (the chain underneath is shared and internally locked).
+// The bridge sits *below* the engine's meter, so every logical
+// prediction — including degraded ones — is still charged to the unit's
+// cost record and the event-reconciliation identity holds unchanged.
+// One bridge serves one goroutine; parallel workers fork their own (the
+// chain underneath is shared and internally locked).
 type fallibleBridge struct {
 	ctx   context.Context
 	base  context.Context // construction-time context; ctx resets to it between tuples
@@ -332,9 +332,10 @@ func hashRow(x []float64) uint64 {
 
 // buildBridge assembles the fault chain and bridge for a run, or nil
 // when the run is infallible and uncancellable (opts.Fault unset and a
-// background context) — the hot path then pays nothing at all.
-func buildBridge(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier) *fallibleBridge {
-	if opts.Fault == nil && ctx.Done() == nil {
+// background context) and the caller does not insist — the hot path then
+// pays nothing at all.
+func buildBridge(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier, always bool) *fallibleBridge {
+	if opts.Fault == nil && ctx.Done() == nil && !always {
 		return nil
 	}
 	var cfg fault.Config

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
@@ -30,24 +29,19 @@ func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float
 		// Run it as sequential so the comparison is still well defined.
 		return Sequential(st, cls, opts, tuples)
 	}
-	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	rec := opts.Recorder
-	root := rec.StartSpan(obs.StageGreedy)
-	root.SetAttr("tuples", len(tuples))
-	defer root.End()
-	rec.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
+	opts.Fault = nil // the baseline is measured on a healthy backend: GREEDY has never run behind the fault bridge
+	f := beginRun(context.Background(), opts, st, cls, rand.New(rand.NewSource(opts.Seed)), obs.StageGreedy, len(tuples), false)
+	defer f.span.End()
 
-	store := newGreedyStore(budgetBytes)
-	store.reusedCtr = rec.Counter(obs.CounterReusedSamples)
-	eng := newEngineBridge(opts, st, cls, rand.New(rand.NewSource(opts.Seed)), nil)
 	rep := Report{Tuples: len(tuples)}
-	step := &tupleStep{eng: eng, pool: store}
-	out, _, err := step.explainAll(context.Background(), root, nil, tuples, start, &rep)
+	step := &tupleStep{eng: f.eng, pool: newGreedyStore(budgetBytes)}
+	out, costs, err := step.explainAll(f, nil, tuples, &rep)
 	if err != nil {
 		return nil, err
 	}
+	rep.WallTime, _ = f.end()
 	rep.ExplainTime = rep.WallTime
-	return &Result{Explanations: out, Report: rep}, nil
+	return &Result{Explanations: out, Report: rep, Costs: costs}, nil
 }
 
 // greedyStore is a flat FIFO of labelled perturbations under a byte
@@ -63,14 +57,8 @@ type greedyStore struct {
 	nextID  int64
 	head    int // index of the oldest live sample
 
-	consumed  map[int64]bool // per-tuple allowance
-	reused    int64
-	retrieval time.Duration
-	reusedCtr *obs.Counter // live reuse counter; nil (no-op) without a recorder
-
-	// Since beginTuple, for the tuple's provenance event.
-	tupleReused    int64
-	tupleRetrieval time.Duration
+	consumed map[int64]bool // per-tuple allowance
+	cost     *Cost          // the tuple being explained
 }
 
 type storedSample struct {
@@ -87,34 +75,14 @@ func newGreedyStore(budget int64) *greedyStore {
 	return &greedyStore{budget: budget, consumed: make(map[int64]bool)}
 }
 
-func (g *greedyStore) beginTuple() {
+func (g *greedyStore) beginTuple(c *Cost) {
 	clear(g.consumed)
-	g.tupleReused, g.tupleRetrieval = 0, 0
-}
-
-// provenance reports the samples served since beginTuple; the store has
-// no repository hits or itemsets to credit them to.
-func (g *greedyStore) provenance() (pooled, hits int64, matched string) {
-	return g.tupleReused, 0, ""
+	g.cost = c
 }
 
 // nothingPooled is never true: even a store with nothing in it observes
 // every perturbation the explainer labels.
 func (g *greedyStore) nothingPooled() bool { return false }
-
-func (g *greedyStore) retrievalSince() time.Duration { return g.tupleRetrieval }
-
-func (g *greedyStore) totals() (int64, time.Duration) { return g.reused, g.retrieval }
-
-// served accounts for one retrieval of n samples that began at start.
-func (g *greedyStore) served(n int, start time.Time) {
-	d := time.Since(start)
-	g.retrieval += d
-	g.tupleRetrieval += d
-	g.reused += int64(n)
-	g.tupleReused += int64(n)
-	g.reusedCtr.Add(int64(n))
-}
 
 // Observe implements explain.Observer: every fresh labelled perturbation
 // is persisted, evicting oldest entries past the budget.
@@ -141,7 +109,7 @@ func (g *greedyStore) Observe(s perturb.Sample) {
 // as the cache grows) is exactly why the paper finds GREEDY's speedup
 // fades at larger batches.
 func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
-	startT := time.Now() //shahinvet:allow walltime — retrieval overhead accounting (Figure 5)
+	sw := stopwatch()
 	minMatch := (len(tupleItems) + 1) / 2
 	var out []perturb.Sample
 	for i := len(g.samples) - 1; i >= g.head && len(out) < max; i-- {
@@ -154,7 +122,7 @@ func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 			g.consumed[ss.id] = true
 		}
 	}
-	g.served(len(out), startT)
+	g.cost.served(len(out), sw)
 	return out
 }
 
@@ -165,7 +133,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 	if len(required) > 3 {
 		return nil
 	}
-	startT := time.Now() //shahinvet:allow walltime — retrieval overhead accounting (Figure 5)
+	sw := stopwatch()
 	var out []perturb.Sample
 	for i := len(g.samples) - 1; i >= g.head && len(out) < max; i-- {
 		ss := &g.samples[i]
@@ -177,7 +145,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 			g.consumed[ss.id] = true
 		}
 	}
-	g.served(len(out), startT)
+	g.cost.served(len(out), sw)
 	return out
 }
 

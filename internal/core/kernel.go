@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
+	"math/rand"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
@@ -12,6 +12,7 @@ import (
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
+	"shahin/internal/rf"
 )
 
 // poolState is the pool of pre-labelled perturbations a runner maintains:
@@ -79,21 +80,14 @@ func poolCap(opts Options, window int) int {
 // first maxSets, evict repository entries that fell infrequent ("any
 // frequent itemset that becomes infrequent is kicked out along its
 // perturbations", §3.5), and materialise the ones not yet present. The
-// mine, pool-build and pre-label spans open under parent; the returned
-// report carries what the refresh cost and how many itemsets are pooled.
+// mine and pool-build stages open under parent; the returned report
+// carries what the refresh cost and how many itemsets are pooled.
 // Cancelling ctx stops the fill at the itemset being labelled, which is
 // not stored; what was pooled before stays, and complete turns false.
 func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, parent *obs.Span) ([]fim.Mined, Report, error) {
 	rec := ps.opts.Recorder
-	var (
-		d    Report
-		mark obs.AllocMark
-	)
-	if rec != nil {
-		mark = obs.NowAllocs()
-	}
-	mineSpan := parent.Child(obs.StageMine)
-	mineStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
+	var d Report
+	mine := beginStage(rec, parent, obs.StageMine)
 	rows := window()
 	mined, err := fim.Mine(rows, fim.Config{
 		MinSupport:  effectiveSupport(ps.opts.MinSupport, len(rows)),
@@ -101,19 +95,19 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 		WithBorder:  border,
 		MaxPerLevel: 4 * ps.opts.MaxItemsets,
 	})
-	d.MineTime = time.Since(mineStart)
+	var frequent []fim.Mined
+	if err == nil {
+		frequent = mined.Frequent[:min(len(mined.Frequent), ps.maxSets)]
+		mine.span.SetAttr("frequent_itemsets", len(frequent))
+	}
+	var mineAllocs obs.AllocDelta
+	d.MineTime, mineAllocs = mine.end()
 	d.OverheadTime = d.MineTime
 	if err != nil {
-		mineSpan.End()
 		return nil, d, fmt.Errorf("core: mining frequent itemsets: %w", err)
 	}
-	frequent := mined.Frequent
-	if len(frequent) > ps.maxSets {
-		frequent = frequent[:ps.maxSets]
-	}
-	mineSpan.SetAttr("frequent_itemsets", len(frequent))
-	mineSpan.End()
 
+	build := beginStage(rec, parent, obs.StagePoolBuild)
 	if ps.repo.Len() > 0 {
 		keep := make(map[dataset.ItemsetKey]bool, len(frequent))
 		for _, m := range frequent {
@@ -125,9 +119,7 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 			}
 		}
 	}
-
-	poolSpan := parent.Child(obs.StagePoolBuild)
-	preLabelSpan := poolSpan.Child(obs.StagePreLabel)
+	preLabelSpan := build.span.Child(obs.StagePreLabel)
 	sets := make([]dataset.Itemset, 0, len(frequent))
 	materialised := 0
 	for _, m := range frequent {
@@ -140,12 +132,10 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 		sets = append(sets, m.Set)
 	}
 	preLabelSpan.End()
-	poolSpan.SetAttr("pool_invocations", d.PoolInvocations)
-	poolSpan.End()
-	if rec != nil {
-		a := mark.Since()
-		d.PoolAllocBytes, d.PoolAllocObjects = a.Bytes, a.Objects
-	}
+	build.span.SetAttr("pool_invocations", d.PoolInvocations)
+	_, buildAllocs := build.end()
+	d.PoolAllocBytes = mineAllocs.Bytes + buildAllocs.Bytes
+	d.PoolAllocObjects = mineAllocs.Objects + buildAllocs.Objects
 	if materialised > 0 {
 		rec.Emit(obs.Event{
 			Type: obs.EventPoolBuild, Tuple: -1, Itemsets: materialised,
@@ -158,17 +148,18 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 }
 
 // materialize generates τ perturbations frozen on set, labels them
-// through eng's counting classifier and stores them (Algorithm 1, lines
-// 2–4). For Anchor their class histogram also seeds the rule's
-// precision in the invariant cache and the mined support doubles as its
-// coverage (Algorithm 2, line 3); support < 0 means unknown — a border
-// promotion. What the labelling cost is added to rep. If the context the
-// engine predicts under died on the way, some labels are the bridge's
-// guesses: nothing is stored and materialize reports false.
+// through eng's meter and stores them (Algorithm 1, lines 2–4). For
+// Anchor their class histogram also seeds the rule's precision in the
+// invariant cache and the mined support doubles as its coverage
+// (Algorithm 2, line 3); support < 0 means unknown — a border promotion.
+// The itemset's cost record is folded into rep, the recorder's counters
+// and its pre_label event. If the context the engine predicts under died
+// on the way, some labels are the bridge's guesses: nothing is stored and
+// materialize reports false.
 func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) bool {
-	start := time.Now() //shahinvet:allow walltime — pool-build timing feeds the obs report layer and the event log
-	eng.beginTuple()
-	inv0 := eng.invocations()
+	c := eng.begin()
+	c.Itemset = set
+	sw := stopwatch()
 	samples := make([]perturb.Sample, ps.opts.Tau)
 	var hist []int
 	if ps.sh != nil {
@@ -193,15 +184,17 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 		}
 		ps.repo.Put(set.Key(), samples)
 	}
+	c.Duration, _ = sw.end()
 
-	dur, fresh := time.Since(start), eng.invocations()-inv0
-	rep.PoolTime += dur
-	rep.PoolInvocations += fresh
+	rep.PoolTime += c.Duration
+	rep.PoolInvocations += c.Fresh
+	rep.Invocations += c.Fresh
 	if rec := ps.opts.Recorder; rec != nil {
-		rec.Counter(obs.CounterPoolInvocations).Add(fresh)
+		rec.Counter(obs.CounterInvocations).Add(c.Fresh)
+		rec.Counter(obs.CounterPoolInvocations).Add(c.Fresh)
 		rec.Emit(obs.Event{
 			Type: obs.EventPreLabel, Tuple: -1, Itemset: set.String(),
-			Fresh: fresh, DurMS: ms(dur),
+			Fresh: c.Fresh, DurMS: ms(c.Duration),
 		})
 	}
 	return stored
@@ -222,13 +215,13 @@ func emitRemine(rec *obs.Recorder, d Report) {
 func (ps *poolState) step(eng *engine) *tupleStep {
 	s := &tupleStep{eng: eng, sh: ps.sh}
 	if ps.sh == nil {
-		s.pool = newItemsetPool(ps.repo, ps.sets, ps.opts.Recorder)
+		s.pool = newItemsetPool(ps.repo, ps.sets)
 	}
 	return s
 }
 
 // tuplePool is what the per-tuple step needs of a pool: serve samples,
-// and say afterwards what it served.
+// charging them to the tuple at hand.
 type tuplePool interface {
 	explain.Pool
 	// nothingPooled reports that the pool has nothing to serve and learns
@@ -236,16 +229,46 @@ type tuplePool interface {
 	// reachable type's method that shares an interface method's name
 	// and signature, and the standard library has several of those.)
 	nothingPooled() bool
-	// beginTuple resets the per-tuple consumption allowance.
-	beginTuple()
-	// provenance reports samples served and repository hits since
-	// beginTuple, and the first itemset that served ("" for none).
-	provenance() (pooled, hits int64, matched string)
-	// retrievalSince reports time spent retrieving since beginTuple.
-	retrievalSince() time.Duration
-	// totals reports samples served and retrieval time over the pool's
-	// lifetime.
-	totals() (reused int64, retrieval time.Duration)
+	// beginTuple resets the per-tuple consumption allowance and charges
+	// what the pool serves from here on to c.
+	beginTuple(c *Cost)
+}
+
+// frame is what every run executes in: the root stage (span, wall clock,
+// run-wide allocation mark) with the caller's trace adopted onto it, the
+// context that carries the span to the fault chain, and the engine over
+// the run's fault bridge.
+type frame struct {
+	stage
+	ctx context.Context
+	eng *engine
+}
+
+// beginRun opens a run named name. total is how many tuples the whole run
+// will explain, when that is known up front: it is what live progress is
+// measured against (0 for a stream, and for one flush of a warm pool).
+// The bridge is built when the run can fail or be cancelled — or, for a
+// stream, which learns that one call at a time, always.
+func beginRun(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, name string, total int, always bool) *frame {
+	f := &frame{stage: beginStage(opts.Recorder, nil, name)}
+	if total > 0 {
+		f.span.SetAttr("tuples", total)
+		opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(total))
+	}
+	f.ctx = f.enter(ctx)
+	f.eng = newEngine(opts, st, cls, rng, buildBridge(f.ctx, opts, st, cls, always))
+	return f
+}
+
+// enter adopts the trace ctx carries onto the run's root span and returns
+// ctx carrying that span, so the fault chain (retries, breaker
+// transitions, degradation rungs) can attach child spans under it.
+func (f *frame) enter(ctx context.Context) context.Context {
+	if tc, ok := obs.TraceFromContext(ctx); ok {
+		c := tc.Child()
+		f.span.SetTrace(c.TraceID, c.SpanID, tc.SpanID)
+	}
+	return obs.ContextWithSpan(ctx, f.span)
 }
 
 // tupleStep explains one tuple: it owns what one worker owns — an
@@ -253,93 +276,80 @@ type tuplePool interface {
 // the bookkeeping every explanation gets wherever it runs.
 type tupleStep struct {
 	eng  *engine
-	pool tuplePool      // nil: nothing pooled (Sequential, Anchor, the exact path on a stream)
+	pool tuplePool      // nil: nothing pooled (Sequential, Anchor, the exact path)
 	sh   *anchor.Shared // nil: Anchor (if that is the kind) runs on fresh per-tuple caches
 }
 
-// run explains tuple number i: the timed explanation, its status, the
-// latency histogram and done counter, the provenance event, and the
-// attribution of its time across pool sampling, classification and the
-// solver remainder (which sums to the explanation's duration).
-func (s *tupleStep) run(i int, t []float64) (Explanation, obs.StageBreakdown, error) {
-	eng, rec := s.eng, s.eng.opts.Recorder
-	if s.pool != nil {
-		s.pool.beginTuple()
-	}
-	eng.beginTuple()
-	inv0, nv0, cls0 := eng.invocations(), eng.nodeVisits(), eng.classifyTime()
-	var hits0 int64
-	if rec != nil && s.sh != nil {
-		hits0 = s.sh.Repo.Stats().Hits
-	}
+// run explains tuple number i and returns the explanation with what it
+// cost. The record is filled as the explanation runs; what remains of
+// its duration after pool sampling and classification is the solver's.
+// With a recorder the record is also folded into the live counters, the
+// latency and stage histograms and the tuple's provenance event; the
+// caller folds it into its report.
+func (s *tupleStep) run(i int, t []float64) (Explanation, Cost, error) {
+	eng := s.eng
+	c := eng.begin()
 	// An explainer handed an empty pool still pays for asking it (SHAP
 	// builds a query per coalition), so it is handed none.
 	var pool explain.Pool
-	if s.pool != nil && !s.pool.nothingPooled() {
-		pool = s.pool
+	if s.pool != nil {
+		s.pool.beginTuple(c)
+		if !s.pool.nothingPooled() {
+			pool = s.pool
+		}
 	}
-	start := time.Now() //shahinvet:allow walltime — per-tuple latency feeds the obs histogram and the report's explain time
+	sw := stopwatch()
 	exp, err := eng.explain(t, pool, s.sh)
-	dur := time.Since(start)
+	c.Duration, _ = sw.end()
 	if err != nil {
-		return Explanation{}, obs.StageBreakdown{}, fmt.Errorf("core: explaining tuple %d: %w", i, err)
+		return Explanation{}, Cost{}, fmt.Errorf("core: explaining tuple %d: %w", i, err)
 	}
-	exp.Status = eng.tupleStatus()
+	c.Status = eng.tupleStatus()
+	exp.Status = c.Status
+	c.Stages.Solve = c.Duration - c.Stages.Classify - c.Stages.PoolSample
 
-	bd := obs.StageBreakdown{Classify: eng.classifyTime() - cls0}
-	if s.pool != nil {
-		bd.PoolSample = s.pool.retrievalSince()
+	if rec := eng.opts.Recorder; rec != nil {
+		rec.Counter(obs.CounterInvocations).Add(c.Fresh)
+		rec.Counter(obs.CounterReusedSamples).Add(c.Pooled)
+		rec.Counter(obs.CounterTuplesDone).Inc()
+		rec.Histogram(obs.HistExplainTuple).Observe(c.Duration)
+		rec.ObserveStages(c.Stages)
+		stages := c.Stages // a copy: the record is the engine's, and the next tuple's
+		ev := obs.Event{
+			Type: obs.EventTupleExplained, Tuple: i,
+			Explainer: eng.opts.Explainer.String(),
+			Fresh:     c.Fresh, Pooled: c.Pooled, CacheHits: c.CacheHits,
+			NodeVisits: c.NodeVisits,
+			DurMS:      ms(c.Duration),
+			Stages:     &stages,
+		}
+		if eng.exact != nil {
+			ev.Type = obs.EventExactShap
+		}
+		if c.Itemset != nil {
+			ev.Itemset = c.Itemset.String()
+		}
+		if c.Status != StatusOK {
+			ev.Status = c.Status.String()
+		}
+		rec.Emit(ev)
 	}
-	bd.Solve = max(0, dur-bd.Classify-bd.PoolSample)
-	if rec == nil {
-		return exp, bd, nil
-	}
-	eng.tupleHist.Observe(dur)
-	eng.doneCtr.Inc()
-	ev := obs.Event{
-		Type: obs.EventTupleExplained, Tuple: i,
-		Explainer: eng.opts.Explainer.String(),
-		Fresh:     eng.invocations() - inv0,
-		DurMS:     ms(dur),
-	}
-	stages := bd // a copy, so bd stays off the heap on uninstrumented runs
-	ev.Stages = &stages
-	switch {
-	case eng.exact != nil:
-		// The exact path's provenance unit is tree-node visits, not
-		// pooled samples.
-		ev.Type = obs.EventExactShap
-		ev.NodeVisits = eng.nodeVisits() - nv0
-	case s.pool != nil:
-		ev.Pooled, ev.CacheHits, ev.Itemset = s.pool.provenance()
-	case s.sh != nil:
-		ev.CacheHits = s.sh.Repo.Stats().Hits - hits0
-	}
-	if exp.Status != StatusOK {
-		ev.Status = exp.Status.String()
-	}
-	rec.ObserveStages(bd)
-	rec.Emit(ev)
-	return exp, bd, nil
+	return exp, *c, nil
 }
 
-// collect adds what the step's engine and pool counted over their
-// lifetime to rep.
-func (s *tupleStep) collect(rep *Report) {
-	rep.Invocations += s.eng.invocations()
-	rep.NodeVisits += s.eng.nodeVisits()
-	if s.pool != nil {
-		reused, retrieval := s.pool.totals()
-		rep.ReusedSamples += reused
-		rep.OverheadTime += retrieval
+// into explains tuple i into its slot of out (and of costs, when the run
+// keeps them) and charges rep.
+func (s *tupleStep) into(i int, t []float64, out []Explanation, costs []Cost, rep *Report) error {
+	exp, c, err := s.run(i, t)
+	if err != nil {
+		return err
 	}
-}
-
-// markFailed marks explanations that were never attempted.
-func markFailed(out []Explanation) {
-	for i := range out {
-		out[i].Status = StatusFailed
+	out[i] = exp
+	if costs != nil {
+		costs[i] = c
 	}
+	rep.charge(c)
+	return nil
 }
 
 // Finished keeps the tuple/explanation pairs a cancelled run answered.
@@ -364,65 +374,46 @@ func Finished(tuples [][]float64, exps []Explanation) ([][]float64, []Explanatio
 // runSerial explains the tuples in order on the caller's goroutine.
 // Cancelling ctx stops it between tuples; the ones not attempted are
 // marked StatusFailed.
-func (s *tupleStep) runSerial(ctx context.Context, tuples [][]float64, out []Explanation, bds []obs.StageBreakdown) error {
+func (s *tupleStep) runSerial(ctx context.Context, tuples [][]float64, out []Explanation, costs []Cost, rep *Report) error {
 	for i, t := range tuples {
 		if ctx.Err() != nil {
-			markFailed(out[i:])
+			markFailed(out[i:], rep)
 			return nil
 		}
-		exp, bd, err := s.run(i, t)
-		if err != nil {
+		if err := s.into(i, t, out, costs, rep); err != nil {
 			return err
-		}
-		out[i] = exp
-		if bds != nil {
-			bds[i] = bd
 		}
 	}
 	return nil
 }
 
 // explainAll is the explain phase of every runner that is handed its
-// tuples up front: the explain span, the per-tuple steps — on
+// tuples up front: the explain stage, the per-tuple steps — on
 // Options.Workers goroutines over a frozen snapshot when ps is a
 // perturbation pool, serially through s otherwise — and the report
 // fields that follow from the explanations. ps is nil for runners that
-// maintain no pool. start is when the run began.
-func (s *tupleStep) explainAll(ctx context.Context, parent *obs.Span, ps *poolState, tuples [][]float64, start time.Time, rep *Report) ([]Explanation, []obs.StageBreakdown, error) {
+// maintain no pool. The per-tuple costs are kept only with a recorder.
+func (s *tupleStep) explainAll(f *frame, ps *poolState, tuples [][]float64, rep *Report) ([]Explanation, []Cost, error) {
 	rec := s.eng.opts.Recorder
-	span := parent.Child(obs.StageExplain)
-	defer span.End()
-	explainStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
+	st := beginStage(rec, f.span, obs.StageExplain)
+	defer st.span.End()
 	out := make([]Explanation, len(tuples))
-	var (
-		bds  []obs.StageBreakdown
-		mark obs.AllocMark
-	)
+	var costs []Cost
 	if rec != nil {
-		bds = make([]obs.StageBreakdown, len(tuples))
-		mark = obs.NowAllocs()
+		costs = make([]Cost, len(tuples))
 	}
 	var err error
 	if ps != nil && ps.sh == nil && ps.opts.Workers > 1 {
-		// s.eng only built the pool; its calls count once, the workers'
-		// engines count their own.
-		rep.Invocations += s.eng.invocations()
-		err = explainParallel(ctx, s.eng, ps, tuples, out, bds, rep)
+		err = explainParallel(f.ctx, s.eng, ps, tuples, out, costs, rep)
 	} else {
-		err = s.runSerial(ctx, tuples, out, bds)
-		s.collect(rep)
+		err = s.runSerial(f.ctx, tuples, out, costs, rep)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.ExplainTime = time.Since(explainStart)
-	if rec != nil {
-		a := mark.Since()
-		rep.ExplainAllocBytes, rep.ExplainAllocObjects = a.Bytes, a.Objects
-	}
-	for i := range out {
-		rep.count(out[i].Status)
-	}
+	var a obs.AllocDelta
+	rep.ExplainTime, a = st.end()
+	rep.ExplainAllocBytes, rep.ExplainAllocObjects = a.Bytes, a.Objects
 	if fb := s.eng.fb; fb != nil {
 		rep.Retries = fb.chain.Stats().Retries
 	}
@@ -430,6 +421,5 @@ func (s *tupleStep) explainAll(ctx context.Context, parent *obs.Span, ps *poolSt
 		rep.Cache = ps.repo.Stats()
 		rep.FrequentItemsets = len(ps.sets)
 	}
-	rep.WallTime = time.Since(start)
-	return out, bds, nil
+	return out, costs, nil
 }

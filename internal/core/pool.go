@@ -2,11 +2,9 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
-	"shahin/internal/obs"
 	"shahin/internal/perturb"
 )
 
@@ -25,8 +23,9 @@ var (
 // itemsetPool serves Shahin's materialised perturbations to the
 // explainers. It fronts the sample source with per-tuple consumption
 // tracking (a pooled sample is served at most once per explanation, but
-// freely again for the next tuple) and accounts retrieval time toward the
-// housekeeping overhead of Figure 5.
+// freely again for the next tuple) and charges what it serves, and the
+// time retrieval takes — the housekeeping overhead of Figure 5 — to the
+// tuple's cost record.
 type itemsetPool struct {
 	repo sampleSource
 	// itemsets the pool materialised, in mining priority order (shortest
@@ -39,27 +38,16 @@ type itemsetPool struct {
 	cursors  map[dataset.ItemsetKey]int    // ForTuple consumption
 	consumed map[dataset.ItemsetKey][]bool // ForItemset consumption
 
-	reused         int64
-	retrieval      time.Duration
-	tupleRetrieval time.Duration // retrieval since beginTuple
-	reusedCtr      *obs.Counter  // live reuse counter; nil (no-op) without a recorder
-
-	// Per-tuple provenance, reset by beginTuple: samples served, repo
-	// hits, and the first itemset that served this tuple (the unit the
-	// tuple_explained event credits the reuse to).
-	tupleReused int64
-	tupleHits   int64
-	matched     dataset.Itemset
+	cost *Cost // the tuple being explained
 }
 
 var _ tuplePool = (*itemsetPool)(nil)
 
-func newItemsetPool(repo sampleSource, itemsets []dataset.Itemset, rec *obs.Recorder) *itemsetPool {
+func newItemsetPool(repo sampleSource, itemsets []dataset.Itemset) *itemsetPool {
 	p := &itemsetPool{
-		repo:      repo,
-		cursors:   make(map[dataset.ItemsetKey]int),
-		consumed:  make(map[dataset.ItemsetKey][]bool),
-		reusedCtr: rec.Counter(obs.CounterReusedSamples),
+		repo:     repo,
+		cursors:  make(map[dataset.ItemsetKey]int),
+		consumed: make(map[dataset.ItemsetKey][]bool),
 	}
 	p.setItemsets(itemsets)
 	return p
@@ -72,45 +60,29 @@ func (p *itemsetPool) setItemsets(itemsets []dataset.Itemset) {
 	sort.SliceStable(p.longestView, func(i, j int) bool { return len(p.longestView[i]) > len(p.longestView[j]) })
 }
 
-// beginTuple resets the per-tuple consumption allowance and provenance.
-func (p *itemsetPool) beginTuple() {
+// beginTuple resets the per-tuple consumption allowance and charges
+// what follows to c.
+func (p *itemsetPool) beginTuple(c *Cost) {
 	clear(p.cursors)
 	clear(p.consumed)
-	p.tupleReused = 0
-	p.tupleHits = 0
-	p.tupleRetrieval = 0
-	p.matched = nil
-}
-
-// provenance reports what the pool did for the current tuple since
-// beginTuple: samples served, repository hits, and the first matched
-// itemset ("" when nothing hit).
-func (p *itemsetPool) provenance() (pooled, hits int64, matched string) {
-	if p.matched != nil {
-		matched = p.matched.String()
-	}
-	return p.tupleReused, p.tupleHits, matched
+	p.cost = c
 }
 
 func (p *itemsetPool) nothingPooled() bool { return len(p.itemsets) == 0 }
 
-// retrievalSince reports retrieval time since beginTuple; it feeds the
-// pool_sample stage of latency attribution.
-func (p *itemsetPool) retrievalSince() time.Duration { return p.tupleRetrieval }
-
-// totals reports samples served and retrieval time over the pool's life.
-func (p *itemsetPool) totals() (int64, time.Duration) { return p.reused, p.retrieval }
+// hit charges one repository entry that served the tuple; the first is
+// the itemset the tuple's reuse is credited to.
+func (p *itemsetPool) hit(f dataset.Itemset) {
+	p.cost.CacheHits++
+	if p.cost.Itemset == nil {
+		p.cost.Itemset = f
+	}
+}
 
 // ForTuple implements explain.Pool: samples of every pooled itemset the
 // tuple contains, best itemsets first.
 func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
-	start := time.Now() //shahinvet:allow walltime — retrieval overhead accounting (Figure 5)
-	defer func() {
-		d := time.Since(start)
-		p.retrieval += d
-		p.tupleRetrieval += d
-	}()
-
+	sw := stopwatch()
 	var out []perturb.Sample
 	for _, f := range p.itemsets {
 		if len(out) >= max {
@@ -124,10 +96,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		if !ok {
 			continue
 		}
-		p.tupleHits++
-		if p.matched == nil {
-			p.matched = f
-		}
+		p.hit(f)
 		cur := p.cursors[key]
 		for cur < len(samples) && len(out) < max {
 			out = append(out, samples[cur])
@@ -135,9 +104,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		}
 		p.cursors[key] = cur
 	}
-	p.reused += int64(len(out))
-	p.tupleReused += int64(len(out))
-	p.reusedCtr.Add(int64(len(out)))
+	p.cost.served(len(out), sw)
 	return out
 }
 
@@ -145,13 +112,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 // are subsets of the required items, filtered to rows matching all
 // required items.
 func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sample {
-	start := time.Now() //shahinvet:allow walltime — retrieval overhead accounting (Figure 5)
-	defer func() {
-		d := time.Since(start)
-		p.retrieval += d
-		p.tupleRetrieval += d
-	}()
-
+	sw := stopwatch()
 	var out []perturb.Sample
 	for _, f := range p.longestView {
 		if len(out) >= max {
@@ -172,10 +133,7 @@ func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		if !ok {
 			continue
 		}
-		p.tupleHits++
-		if p.matched == nil {
-			p.matched = f
-		}
+		p.hit(f)
 		used := p.consumed[key]
 		if used == nil {
 			used = make([]bool, len(samples))
@@ -196,8 +154,6 @@ func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 			}
 		}
 	}
-	p.reused += int64(len(out))
-	p.tupleReused += int64(len(out))
-	p.reusedCtr.Add(int64(len(out)))
+	p.cost.served(len(out), sw)
 	return out
 }

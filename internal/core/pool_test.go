@@ -26,12 +26,12 @@ func poolWith(t *testing.T) (*itemsetPool, dataset.Itemset, dataset.Itemset) {
 	repo := cache.NewRepo(0)
 	repo.Put(f1.Key(), []perturb.Sample{mk(1, 1, 0, 0, 0), mk(0, 1, 2, 3, 0)})
 	repo.Put(f2.Key(), []perturb.Sample{mk(1, 1, 2, 0, 1), mk(1, 1, 2, 2, 2)})
-	return newItemsetPool(repo, []dataset.Itemset{f1, f2}, nil), f1, f2
+	return newItemsetPool(repo, []dataset.Itemset{f1, f2}), f1, f2
 }
 
 func TestPoolForTupleServesContainedItemsets(t *testing.T) {
 	p, _, _ := poolWith(t)
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	// Tuple contains both f1 and f2.
 	tuple := []dataset.Item{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2),
@@ -42,7 +42,7 @@ func TestPoolForTupleServesContainedItemsets(t *testing.T) {
 		t.Fatalf("served %d samples want 4", len(got))
 	}
 	// Tuple containing only f1.
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	tuple2 := []dataset.Item{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 9),
 		dataset.MakeItem(2, 9), dataset.MakeItem(3, 9),
@@ -51,7 +51,7 @@ func TestPoolForTupleServesContainedItemsets(t *testing.T) {
 		t.Fatalf("served %d samples want 2 (only f1)", len(got))
 	}
 	// Tuple containing neither.
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	tuple3 := []dataset.Item{
 		dataset.MakeItem(0, 0), dataset.MakeItem(1, 0),
 		dataset.MakeItem(2, 0), dataset.MakeItem(3, 0),
@@ -62,8 +62,9 @@ func TestPoolForTupleServesContainedItemsets(t *testing.T) {
 }
 
 func TestPoolForTupleConsumption(t *testing.T) {
-	p, _, _ := poolWith(t)
-	p.beginTuple()
+	p, f1, _ := poolWith(t)
+	var c1, c2 Cost
+	p.beginTuple(&c1)
 	tuple := []dataset.Item{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2),
 		dataset.MakeItem(2, 9), dataset.MakeItem(3, 9),
@@ -73,19 +74,24 @@ func TestPoolForTupleConsumption(t *testing.T) {
 	if len(first) != 3 || len(second) != 1 {
 		t.Fatalf("consumption wrong: %d then %d", len(first), len(second))
 	}
-	// A new tuple resets the allowance.
-	p.beginTuple()
+	// A new tuple resets the allowance, and is charged to its own record.
+	p.beginTuple(&c2)
 	if got := p.ForTuple(tuple, 10); len(got) != 4 {
 		t.Fatalf("after reset served %d want 4", len(got))
 	}
-	if p.reused != int64(3+1+4) {
-		t.Fatalf("reused counter=%d", p.reused)
+	if c1.Pooled != 3+1 || c2.Pooled != 4 {
+		t.Fatalf("pooled samples charged %d then %d, want 4 and 4", c1.Pooled, c2.Pooled)
+	}
+	// Both requests of the first tuple found both entries; the reuse is
+	// credited to the first that served.
+	if c1.CacheHits != 4 || c2.CacheHits != 2 || c1.Itemset.Key() != f1.Key() {
+		t.Fatalf("hits %d then %d, itemset %v", c1.CacheHits, c2.CacheHits, c1.Itemset)
 	}
 }
 
 func TestPoolForItemsetMatchesRequired(t *testing.T) {
 	p, f1, f2 := poolWith(t)
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	// Required exactly f2: both f2 samples match; f1's second sample
 	// (bins 1,2,3,0) also contains f2's items.
 	got := p.ForItemset(f2, 10)
@@ -100,7 +106,7 @@ func TestPoolForItemsetMatchesRequired(t *testing.T) {
 	// Required f1 only: f2-frozen samples are NOT eligible even though
 	// their rows contain f1 — their extra frozen attribute biases the
 	// coalition's free attributes. Only f1's own samples qualify.
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	if got := p.ForItemset(f1, 10); len(got) != 2 {
 		t.Fatalf("served %d want 2", len(got))
 	}
@@ -113,8 +119,8 @@ func TestPoolForItemsetSkipsHopelessRequirements(t *testing.T) {
 	f1 := dataset.Itemset{dataset.MakeItem(0, 1)}
 	repo := cache.NewRepo(0)
 	repo.Put(f1.Key(), []perturb.Sample{mk(1, 1, 2, 0, 1)})
-	p := newItemsetPool(repo, []dataset.Itemset{f1}, nil)
-	p.beginTuple()
+	p := newItemsetPool(repo, []dataset.Itemset{f1})
+	p.beginTuple(new(Cost))
 	required := dataset.Itemset{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2),
 		dataset.MakeItem(2, 0), dataset.MakeItem(3, 1),
@@ -123,7 +129,7 @@ func TestPoolForItemsetSkipsHopelessRequirements(t *testing.T) {
 		t.Fatalf("hopeless requirement served %d samples", len(got))
 	}
 	// A 3-item requirement (gap exactly 2) is scanned and hits.
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	req3 := dataset.Itemset{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2), dataset.MakeItem(3, 1),
 	}
@@ -134,7 +140,7 @@ func TestPoolForItemsetSkipsHopelessRequirements(t *testing.T) {
 
 func TestPoolForItemsetConsumption(t *testing.T) {
 	p, f1, _ := poolWith(t)
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	a := p.ForItemset(f1, 1)
 	b := p.ForItemset(f1, 10)
 	if len(a) != 1 || len(b) != 1 {
@@ -144,7 +150,7 @@ func TestPoolForItemsetConsumption(t *testing.T) {
 		t.Fatalf("exhausted itemset served %d", len(got))
 	}
 	// A new tuple resets the allowance.
-	p.beginTuple()
+	p.beginTuple(new(Cost))
 	if got := p.ForItemset(f1, 10); len(got) != 2 {
 		t.Fatalf("after reset served %d want 2", len(got))
 	}
@@ -169,7 +175,7 @@ func TestGreedyStoreNewestFirst(t *testing.T) {
 	g := newGreedyStore(0)
 	g.Observe(mk(0, 1, 5, 5, 5))
 	g.Observe(mk(1, 1, 5, 5, 5))
-	g.beginTuple()
+	g.beginTuple(new(Cost))
 	// The tuple agrees with the stored samples on 2 of 4 attributes,
 	// meeting the 50% locality threshold.
 	tuple := []dataset.Item{
@@ -190,7 +196,7 @@ func TestGreedyStoreNewestFirst(t *testing.T) {
 func TestGreedyStoreForItemsetGuard(t *testing.T) {
 	g := newGreedyStore(0)
 	g.Observe(mk(1, 1, 2, 3, 0))
-	g.beginTuple()
+	g.beginTuple(new(Cost))
 	big := dataset.Itemset{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2),
 		dataset.MakeItem(2, 3), dataset.MakeItem(3, 0),

@@ -8,7 +8,6 @@ import (
 
 	"shahin/internal/cache"
 	"shahin/internal/explain"
-	"shahin/internal/obs"
 )
 
 // Explanation is the per-tuple output: an attribution for LIME/SHAP or a
@@ -30,9 +29,11 @@ type Report struct {
 	// WallTime is the end-to-end time of the run, including pool
 	// construction.
 	WallTime time.Duration
-	// OverheadTime is the housekeeping share: frequent itemset mining and
-	// retrieval of pooled perturbations (not their generation or
-	// labelling, which replace baseline work rather than adding to it).
+	// OverheadTime is the housekeeping share: frequent itemset mining
+	// (the mine stage), a stream's window tracking, and retrieval of
+	// pooled perturbations (the sum of the tuples' pool_sample stages;
+	// the mean over workers on a parallel run) — not their generation or
+	// labelling, which replace baseline work rather than adding to it.
 	OverheadTime time.Duration
 
 	// MineTime, PoolTime, and ExplainTime break the wall time into
@@ -121,16 +122,6 @@ func (r *Report) add(o Report) {
 	r.PoolAllocObjects += o.PoolAllocObjects
 	r.ExplainAllocBytes += o.ExplainAllocBytes
 	r.ExplainAllocObjects += o.ExplainAllocObjects
-}
-
-// count tallies one explanation's status.
-func (r *Report) count(s Status) {
-	switch s {
-	case StatusDegraded:
-		r.Degraded++
-	case StatusFailed:
-		r.Failed++
-	}
 }
 
 // AllocPerTuple returns the average heap bytes and objects allocated
@@ -321,11 +312,11 @@ func formatBytes(n int64) string {
 type Result struct {
 	Explanations []Explanation
 	Report       Report
-	// Breakdowns is the per-tuple latency attribution aligned with
-	// Explanations (pool_sample / classify / solve); nil when the run
-	// had no recorder. It lives beside Explanations rather than on them
-	// so explanation JSON stays byte-identical across same-seed runs.
-	Breakdowns []obs.StageBreakdown
+	// Costs is what each tuple cost, aligned with Explanations — the
+	// records Report is the fold of; nil when the run had no recorder.
+	// It lives beside Explanations rather than on them so explanation
+	// JSON stays byte-identical across same-seed runs.
+	Costs []Cost
 	// Flush is the warm-flush sequence number that produced this result
 	// (0 for plain batch runs); the serving layer stamps it onto request
 	// spans so traces join the shared flush fan-in.

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"shahin/internal/dataset"
-	"shahin/internal/fault"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -24,29 +22,24 @@ import (
 type Stream struct {
 	opts Options
 	st   *dataset.Stats
-	eng  *engine
+	// f is the stream's one long run: its root span stays open for the
+	// stream's lifetime (trace dumps report it in-flight), and its engine
+	// always predicts through a fault bridge — a pass-through one when
+	// Options.Fault is nil, preserving byte-identical labels — so any
+	// tuple can be explained under a cancellable context.
+	f    *frame
 	gen  *perturb.Generator
 	ps   *poolState
 	pool *itemsetPool // the perturbation explainers' view of ps; nil for Anchor and the exact path
 	step *tupleStep
 
-	// chain and fb are the failure model: the stream always routes
-	// predictions through a fault chain (a pass-through one when
-	// Options.Fault is nil, preserving byte-identical labels) so any
-	// tuple can be explained under a cancellable context.
-	chain *fault.Chain
-	fb    *fallibleBridge
-
 	window  []dataset.Itemset // itemised tuples since the last re-mine
 	tracked []*trackedSet     // frequent itemsets + negative border
 	mines   int
 
-	// rep accumulates what is counted as it happens; Report adds what is
-	// read off the engine, the pool and the chain.
+	// rep accumulates every cost as it is charged; Report adds the pool's
+	// and the chain's current state.
 	rep Report
-	// root stays open for the stream's lifetime (nil — and a no-op —
-	// without a recorder); trace dumps report it in-flight.
-	root *obs.Span
 }
 
 // trackedSet is one itemset whose running frequency the stream maintains
@@ -67,34 +60,22 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	opts = opts.withDefaults()
 	opts, fellBack := applyExactFallback(opts, cls)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	rec := opts.Recorder
+	// An ExactSHAP stream keeps the bridge too: a pass-through chain
+	// exposes the ensemble via Inner(), so the unwrap sees the trees while
+	// the walker's single target Predict stays cancellable.
 	s := &Stream{
 		opts: opts,
 		st:   st,
 		rep:  Report{ExactFallback: fellBack},
-		root: rec.StartSpan(obs.StageStream),
+		f:    beginRun(context.Background(), opts, st, cls, rng, obs.StageStream, 0, true),
 	}
-	// The stream is fallible from birth: a zero fault.Config builds a
-	// pass-through chain (context honoured, nothing injected) whose
-	// labels are byte-identical to calling the classifier directly, so
-	// ExplainCtx works whether or not faults are configured. An ExactSHAP
-	// stream keeps the bridge too: a pass-through chain exposes the
-	// ensemble via Inner(), so the unwrap sees the trees while the
-	// walker's single target Predict stays cancellable.
-	var fcfg fault.Config
-	if opts.Fault != nil {
-		fcfg = *opts.Fault
-	}
-	s.chain = fault.Build(cls, fcfg, rec)
-	s.fb = newFallibleBridge(context.Background(), s.chain, st, cls, rec)
-	s.eng = newEngineBridge(opts, st, cls, rng, s.fb)
 	s.gen = perturb.NewGenerator(st, rng)
-	s.ps = newPoolState(opts, s.eng.cls.NumClasses(), opts.StreamRecompute)
-	s.step = &tupleStep{eng: s.eng, sh: s.ps.sh}
+	s.ps = newPoolState(opts, cls.NumClasses(), opts.StreamRecompute)
+	s.step = &tupleStep{eng: s.f.eng, sh: s.ps.sh}
 	// Anchor reuses through its shared caches, and the exact path neither
 	// perturbs nor reuses samples: no pool view for either.
-	if s.ps.sh == nil && s.eng.exact == nil {
-		s.pool = newItemsetPool(s.ps.repo, nil, rec)
+	if s.ps.sh == nil && s.f.eng.exact == nil {
+		s.pool = newItemsetPool(s.ps.repo, nil)
 		s.step.pool = s.pool
 	}
 	return s, nil
@@ -119,22 +100,22 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 	// children (degrade markers, retry spans) attach under it, and adopt
 	// the caller's trace identity when one is present (last caller wins —
 	// the root is shared across the stream's lifetime).
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		c := tc.Child()
-		s.root.SetTrace(c.TraceID, c.SpanID, tc.SpanID)
-	}
-	s.fb.ctx = obs.ContextWithSpan(ctx, s.root)
-	defer func() { s.fb.ctx = s.fb.base }()
-	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	defer func() { s.rep.WallTime += time.Since(start) }()
+	eng, fb := s.f.eng, s.f.eng.fb
+	fb.ctx = s.f.enter(ctx)
+	defer func() { fb.ctx = fb.base }()
+	sw := stopwatch()
+	defer func() {
+		d, _ := sw.end()
+		s.rep.WallTime += d
+	}()
 
 	// The exact path never mines, pools, or tracks the border; its only
 	// per-tuple bookkeeping is the walk itself.
-	if s.eng.exact == nil {
+	if eng.exact == nil {
 		s.track(t)
 		if len(s.window) >= s.opts.StreamRecompute {
-			span := s.root.Child(obs.StageRemine)
-			border, d, err := s.ps.refresh(ctx, s.eng, s.gen, func() []dataset.Itemset { return s.window }, *s.opts.StreamBorder, span)
+			span := s.f.span.Child(obs.StageRemine)
+			border, d, err := s.ps.refresh(ctx, eng, s.gen, func() []dataset.Itemset { return s.window }, *s.opts.StreamBorder, span)
 			span.End()
 			s.rep.add(d)
 			// Config is validated at construction, so mining a non-empty
@@ -154,14 +135,14 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 	}
 	// Point the degradation ladder at whatever is materialised right now,
 	// and Anchor at the current coverage sample.
-	s.fb.setPool(s.ps.repo, s.ps.sets)
-	s.eng.setCoverage(s.ps.coverage(s.window))
-	exp, bd, err := s.step.run(s.rep.Tuples, t)
+	fb.setPool(s.ps.repo, s.ps.sets)
+	eng.setCoverage(s.ps.coverage(s.window))
+	exp, c, err := s.step.run(s.rep.Tuples, t)
 	if err != nil {
 		return Explanation{}, err
 	}
-	s.rep.ExplainTime += bd.Total()
-	s.rep.count(exp.Status)
+	s.rep.charge(c)
+	s.rep.ExplainTime += c.Duration
 	s.rep.Tuples++
 	return exp, nil
 }
@@ -173,8 +154,11 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 // enough in absolute terms) that small-sample variance does not promote
 // marginal itemsets, and the pool size cap still applies.
 func (s *Stream) track(t []float64) {
-	trackStart := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
-	defer func() { s.rep.OverheadTime += time.Since(trackStart) }()
+	sw := stopwatch()
+	defer func() {
+		d, _ := sw.end()
+		s.rep.OverheadTime += d
+	}()
 	items := append(dataset.Itemset(nil), s.st.ItemizeRow(t, nil)...)
 	s.window = append(s.window, items)
 	for _, ts := range s.tracked {
@@ -193,7 +177,7 @@ func (s *Stream) track(t []float64) {
 		if s.ps.repo.Len() >= s.ps.maxSets {
 			break
 		}
-		if !s.ps.materialize(s.eng, s.gen, ts.set, -1, &s.rep) {
+		if !s.ps.materialize(s.f.eng, s.gen, ts.set, -1, &s.rep) {
 			break
 		}
 		ts.frequent = true
@@ -227,10 +211,9 @@ func (s *Stream) retrack(border []fim.Mined) {
 // Report returns a snapshot of the stream's accumulated cost accounting.
 func (s *Stream) Report() Report {
 	rep := s.rep
-	s.step.collect(&rep)
 	rep.Cache = s.ps.repo.Stats()
 	rep.FrequentItemsets = len(s.ps.sets)
-	rep.Retries = s.chain.Stats().Retries
+	rep.Retries = s.f.eng.fb.chain.Stats().Retries
 	return rep
 }
 

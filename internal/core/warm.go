@@ -6,10 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"shahin/internal/dataset"
-	"shahin/internal/explain"
 	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
@@ -65,9 +63,9 @@ type Warm struct {
 	// exactMu guards the lazily built per-request exact engine serving
 	// layers use through ExplainExact (separate from the flush gate so
 	// single-tuple exact answers never queue behind a flush).
-	exactMu  sync.Mutex
-	exactEng *exact.Explainer
-	exactCls *rf.Counting
+	exactMu   sync.Mutex
+	exact     *tupleStep
+	exactDone int // tuples ExplainExact has answered: the next one's index
 }
 
 // DefaultStaleAfter is the re-mine staleness threshold (in explained
@@ -129,7 +127,6 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	defer func() { <-w.gate }()
 
 	opts := w.opts
-	start := time.Now() //shahinvet:allow walltime — stage timing feeds the obs report layer
 	w.mu.Lock()
 	w.flushes++
 	flush := w.flushes
@@ -138,26 +135,11 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// index, so the same sequence of flush compositions reproduces
 	// byte-identical explanations regardless of wall-clock timing.
 	rng := rand.New(rand.NewSource(opts.Seed + 104729*int64(flush)))
-	rec := opts.Recorder
-	// Allocation attribution mirrors the stage clocks: one mark around
-	// the whole flush, one around each stage (remine takes its own).
-	var runMark obs.AllocMark
-	if rec != nil {
-		runMark = obs.NowAllocs()
-	}
-	root := rec.StartSpan(obs.StageWarmFlush)
-	root.SetAttr("tuples", len(tuples))
-	root.SetAttr("flush", flush)
-	defer root.End()
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		c := tc.Child()
-		root.SetTrace(c.TraceID, c.SpanID, tc.SpanID)
-	}
-	// The flush span rides the context so the fault chain (retries,
-	// breaker transitions, degradation rungs) can attach child spans.
-	ctx = obs.ContextWithSpan(ctx, root)
-	fb := buildBridge(ctx, opts, w.st, w.cls)
-	eng := newEngineBridge(opts, w.st, w.cls, rng, fb)
+	f := beginRun(ctx, opts, w.st, w.cls, rng, obs.StageWarmFlush, 0, false)
+	defer f.span.End()
+	f.span.SetAttr("tuples", len(tuples))
+	f.span.SetAttr("flush", flush)
+	rec, eng := opts.Recorder, f.eng
 
 	// Track the incoming tuples for the next re-mine window. The exact
 	// path never mines or pools, so it skips the window bookkeeping too.
@@ -175,7 +157,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// flush's invocation ledger.
 	rep := Report{Tuples: len(tuples), ExactFallback: w.exactFallback}
 	if opts.Explainer != ExactSHAP && (!w.ps.complete || w.since >= w.staleAfter) {
-		_, d, err := w.ps.refresh(ctx, eng, perturb.NewGenerator(w.st, rng), func() []dataset.Itemset {
+		_, d, err := w.ps.refresh(f.ctx, eng, perturb.NewGenerator(w.st, rng), func() []dataset.Itemset {
 			rows := w.window
 			n := fim.SampleSize(len(rows))
 			if n >= len(rows) {
@@ -188,7 +170,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 				sampled[i] = rows[j]
 			}
 			return sampled
-		}, false, root)
+		}, false, f.span)
 		rep.add(d)
 		// Mining a non-empty window cannot fail with a validated config;
 		// if it somehow does, the previous pool and window stay.
@@ -205,41 +187,37 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 			}
 		}
 	}
-	if fb != nil {
-		fb.setPool(w.ps.repo, w.ps.sets)
+	if eng.fb != nil {
+		eng.fb.setPool(w.ps.repo, w.ps.sets)
 	}
 	eng.setCoverage(w.ps.coverage(w.window))
 
 	// Explain the flush against the (now fresh enough) warm pool.
-	out, bds, err := w.ps.step(eng).explainAll(ctx, root, w.ps, tuples, start, &rep)
+	out, costs, err := w.ps.step(eng).explainAll(f, w.ps, tuples, &rep)
 	if err != nil {
 		return nil, err
 	}
 	w.since += len(tuples)
-	if rec != nil {
-		d := runMark.Since()
-		rep.AllocBytes, rep.AllocObjects = d.Bytes, d.Objects
-		// Pool occupancy is owned by the gate holder, so the flush sets
-		// the gauge itself rather than having scrapes contend for the
-		// gate the way PooledItemsets does.
-		rec.Gauge(obs.GaugeWarmPooledItemsets).Set(int64(w.ps.repo.Len()))
-	}
+	var a obs.AllocDelta
+	rep.WallTime, a = f.end()
+	rep.AllocBytes, rep.AllocObjects = a.Bytes, a.Objects
+	// Pool occupancy is owned by the gate holder, so the flush sets the
+	// gauge itself rather than having scrapes contend for the gate the
+	// way PooledItemsets does.
+	rec.Gauge(obs.GaugeWarmPooledItemsets).Set(int64(w.ps.repo.Len()))
 	w.mu.Lock()
 	w.cum.add(rep)
 	w.mu.Unlock()
-	return &Result{Explanations: out, Report: rep, Breakdowns: bds, Flush: flush}, ctx.Err()
+	return &Result{Explanations: out, Report: rep, Costs: costs, Flush: flush}, ctx.Err()
 }
 
 // unadmittedResult is the partial result for a flush cancelled before
 // it acquired the flush slot: nothing was attempted, so every tuple is
 // StatusFailed and no warm state was touched.
 func unadmittedResult(tuples [][]float64) *Result {
-	out := make([]Explanation, len(tuples))
-	markFailed(out)
-	return &Result{
-		Explanations: out,
-		Report:       Report{Tuples: len(tuples), Failed: len(tuples)},
-	}
+	res := &Result{Explanations: make([]Explanation, len(tuples)), Report: Report{Tuples: len(tuples)}}
+	markFailed(res.Explanations, &res.Report)
+	return res
 }
 
 // Report returns the cost accounting accumulated across every flush.
@@ -290,32 +268,36 @@ func (w *Warm) ExactAvailable() bool {
 
 // ExplainExact answers one tuple with the exact TreeSHAP fast path,
 // bypassing the flush gate, the batching queue, and the perturbation
-// pool entirely. The exact engine is built lazily on first use and
-// reused under its own lock. It returns the attribution and the number
-// of tree nodes the recursion visited (the exact path's provenance
-// unit); the tuple and its single classifier invocation are folded into
-// the cumulative Report. Callers must check ExactAvailable first.
-func (w *Warm) ExplainExact(t []float64) (*explain.Attribution, int64, error) {
+// pool entirely: the same per-tuple step every runner uses, over an
+// exact engine of its own, built lazily on first use and reused under
+// its own lock. It returns the explanation and what it cost (one
+// classifier invocation, and the tree nodes the recursion visited — the
+// exact path's provenance unit); the tuple is folded into the cumulative
+// Report and, with a recorder, into the counters, histograms and
+// exact_shap events like any other. Callers must check ExactAvailable
+// first.
+func (w *Warm) ExplainExact(t []float64) (Explanation, Cost, error) {
 	w.exactMu.Lock()
 	defer w.exactMu.Unlock()
-	if w.exactEng == nil {
-		cnt := rf.NewCounting(w.cls)
-		ex, err := exact.New(w.st, cnt, w.opts.Exact)
-		if err != nil {
-			return nil, 0, err
+	if w.exact == nil {
+		opts := w.opts
+		opts.Explainer = ExactSHAP
+		eng := newEngine(opts, w.st, w.cls, nil, nil)
+		if eng.exact == nil {
+			return Explanation{}, Cost{}, fmt.Errorf("core: exact path unavailable for this classifier")
 		}
-		w.exactCls, w.exactEng = cnt, ex
+		w.exact = &tupleStep{eng: eng}
 	}
-	inv0, nv0 := w.exactCls.Invocations(), w.exactEng.NodeVisits()
-	at, err := w.exactEng.Explain(t)
+	exp, c, err := w.exact.run(w.exactDone, t)
 	if err != nil {
-		return nil, 0, err
+		return Explanation{}, Cost{}, err
 	}
-	visits := w.exactEng.NodeVisits() - nv0
+	w.exactDone++
 	w.mu.Lock()
 	w.cum.Tuples++
-	w.cum.Invocations += w.exactCls.Invocations() - inv0
-	w.cum.NodeVisits += visits
+	w.cum.WallTime += c.Duration
+	w.cum.ExplainTime += c.Duration
+	w.cum.charge(c)
 	w.mu.Unlock()
-	return at, visits, nil
+	return exp, c, nil
 }

@@ -30,10 +30,12 @@ const (
 	// tuple was not answered cleanly — its degradation Status.
 	EventTupleExplained EventType = "tuple_explained"
 	// EventExactShap is the per-explanation provenance record of the
-	// exact TreeSHAP fast path, emitted in place of tuple_explained:
-	// Tuple index, Explainer, NodeVisits = tree nodes walked by the path
-	// recursion (the exact path's unit of work, replacing pooled sample
-	// counts), Fresh = the single target-class invocation, DurMS, Stages.
+	// exact TreeSHAP fast path, emitted in place of tuple_explained on
+	// every path that takes it (a warm server's one-off answers count
+	// from 0 in arrival order): Tuple index, Explainer, NodeVisits = tree
+	// nodes walked by the path recursion (the exact path's unit of work,
+	// replacing pooled sample counts), Fresh = the single target-class
+	// invocation, DurMS, Stages.
 	EventExactShap EventType = "exact_shap"
 	// EventExactFallback records that a run requested the exact
 	// explainer but the backend did not qualify (fault chain installed,
@@ -103,7 +105,7 @@ type Event struct {
 	// degraded (pooled/cached labels) or failed; empty means ok.
 	Status string `json:"status,omitempty"`
 	// Stages is the per-tuple latency attribution stamped onto
-	// tuple_explained events when a recorder is measuring stages.
+	// tuple_explained and exact_shap events; it sums to DurMS.
 	Stages *StageBreakdown `json:"stages,omitempty"`
 }
 
@@ -118,9 +120,9 @@ type eventLog struct {
 	mu      sync.Mutex
 	buf     []Event // ring storage, len == capacity once full
 	cap     int
-	next    int   // ring write position once len(buf) == cap
-	seq     int64 // total events ever emitted
-	dropped int64
+	next    int      // ring write position once len(buf) == cap
+	seq     int64    // total events ever emitted
+	dropped *Counter // the recorder's events_dropped: overwritten events
 }
 
 // emit appends one event, stamping its sequence number, and overwrites
@@ -134,7 +136,7 @@ func (l *eventLog) emit(e Event) {
 	} else {
 		l.buf[l.next] = e
 		l.next = (l.next + 1) % l.cap
-		l.dropped++
+		l.dropped.Inc()
 	}
 	l.mu.Unlock()
 }
@@ -147,7 +149,7 @@ func (l *eventLog) snapshot() ([]Event, int64) {
 	out := make([]Event, 0, len(l.buf))
 	out = append(out, l.buf[l.next:]...)
 	out = append(out, l.buf[:l.next]...)
-	return out, l.dropped
+	return out, l.dropped.Value()
 }
 
 // Emit appends one structured event to the run's event log, stamping
@@ -188,7 +190,8 @@ func (r *Recorder) SetEventCapacity(n int) {
 }
 
 // WriteEvents drains the retained events as JSONL, one event per line
-// in emission order. A nil recorder writes nothing.
+// in emission order; what the capacity bound dropped before them is the
+// events_dropped counter. A nil recorder writes nothing.
 func (r *Recorder) WriteEvents(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -209,6 +212,5 @@ func (r *Recorder) EventsDropped() int64 {
 	if r == nil {
 		return 0
 	}
-	_, dropped := r.events.snapshot()
-	return dropped
+	return r.events.dropped.Value()
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -50,6 +51,18 @@ func TestEventLogBoundedCapacityDrops(t *testing.T) {
 	}
 	if r.EventsDropped() != 6 {
 		t.Fatalf("EventsDropped = %d, want 6", r.EventsDropped())
+	}
+	// A truncated log is visible to whoever scrapes the run, in both
+	// formats.
+	if got := r.Metrics().Counters["events_dropped"]; got != 6 {
+		t.Fatalf("events_dropped metric = %d, want 6", got)
+	}
+	var prom bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\nshahin_events_dropped 6\n") {
+		t.Fatalf("Prometheus exposition lacks shahin_events_dropped 6:\n%s", prom.String())
 	}
 	if len(events) != 4 {
 		t.Fatalf("retained %d events, want 4", len(events))

@@ -59,6 +59,10 @@ const (
 	CounterCacheHits      = "cache_hits"
 	CounterCacheMisses    = "cache_misses"
 	CounterCacheEvictions = "cache_evictions"
+	// counterEventsDropped counts events the log's capacity bound
+	// overwrote: nonzero means an event dump no longer reconciles with
+	// the report. Registered from birth, so every scrape carries it.
+	counterEventsDropped = "events_dropped"
 	// GaugeTuplesTotal is the batch size when known up front (0 for an
 	// unbounded stream).
 	GaugeTuplesTotal = "tuples_total"
@@ -156,11 +160,12 @@ type Recorder struct {
 
 // NewRecorder returns an empty recorder; its uptime clock starts now.
 func NewRecorder() *Recorder {
+	dropped := &Counter{}
 	return &Recorder{
 		start:    time.Now(),
-		events:   &eventLog{cap: DefaultEventCapacity},
+		events:   &eventLog{cap: DefaultEventCapacity, dropped: dropped},
 		requests: newRequestRing(0),
-		counters: make(map[string]*Counter),
+		counters: map[string]*Counter{counterEventsDropped: dropped},
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}

@@ -60,21 +60,24 @@ func postExplainKind(t *testing.T, url string, tuple []float64, kind string) (Ex
 
 // TestServeExactFastPath requests exact SHAP from a LIME-kind server
 // over an owned forest: the answer must come from the exact path —
-// never the queue — and leave the exact_shap provenance event.
+// never the queue — and be accounted like any other explanation: the
+// exact_shap provenance event, the progress counters, the split stages.
+// Core and the server share one recorder, as in shahin-serve.
 func TestServeExactFastPath(t *testing.T) {
 	env := newForestEnv(t, 70, 6)
+	rec := obs.NewRecorder()
 	opts := core.Options{
 		Explainer:  core.LIME,
 		LIME:       lime.Config{NumSamples: 300},
 		MinSupport: 0.1,
 		Tau:        50,
 		Seed:       71,
+		Recorder:   rec,
 	}
 	warm, err := core.NewWarm(env.st, env.cls, opts, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder()
 	s, err := New(warm, Config{BatchWindow: time.Millisecond, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -91,21 +94,26 @@ func TestServeExactFastPath(t *testing.T) {
 		t.Fatalf("exact request: source=%q status=%q attribution=%v",
 			out.Source, out.Status, out.Explanation.Attribution)
 	}
-	if out.Stages == nil || out.Stages.Solve <= 0 {
-		t.Fatalf("exact request missing solve-stage attribution: %+v", out.Stages)
+	if out.Stages == nil || out.Stages.Solve <= 0 || out.Stages.Classify <= 0 {
+		t.Fatalf("exact request missing solve- and classify-stage attribution: %+v", out.Stages)
 	}
 	events, _ := rec.Events()
 	found := false
 	for _, e := range events {
 		if e.Type == obs.EventExactShap {
 			found = true
-			if e.NodeVisits <= 0 || e.Fresh != 1 {
-				t.Fatalf("exact_shap event visits=%d fresh=%d", e.NodeVisits, e.Fresh)
+			if e.NodeVisits <= 0 || e.Fresh != 1 || e.Tuple != 0 {
+				t.Fatalf("exact_shap event tuple=%d visits=%d fresh=%d", e.Tuple, e.NodeVisits, e.Fresh)
 			}
 		}
 	}
 	if !found {
 		t.Fatal("no exact_shap event emitted")
+	}
+	done := rec.Counter(obs.CounterTuplesDone)
+	calls := rec.Counter(obs.CounterInvocations)
+	if done.Value() != 1 || calls.Value() != 1 {
+		t.Fatalf("after one exact answer: tuples_done=%d classifier_invocations=%d, want 1 and 1", done.Value(), calls.Value())
 	}
 
 	// The same tuple without the field still goes through the server's
@@ -116,6 +124,7 @@ func TestServeExactFastPath(t *testing.T) {
 	}
 
 	// Batch requests carry the field too.
+	doneBefore, callsBefore := done.Value(), calls.Value()
 	body, err := json.Marshal(BatchRequest{Tuples: env.tuples[1:4], Explainer: "exactshap"})
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +145,11 @@ func TestServeExactFastPath(t *testing.T) {
 		if e.Source != "exact" || e.Explanation.Attribution == nil {
 			t.Fatalf("batch tuple %d: source=%q", i, e.Source)
 		}
+	}
+	// With the single request above that is four exact answers: each is
+	// one tuple done and one classifier call.
+	if d, c := done.Value()-doneBefore, calls.Value()-callsBefore; d != 3 || c != 3 {
+		t.Errorf("a batch of three exact answers moved tuples_done by %d and classifier_invocations by %d", d, c)
 	}
 }
 

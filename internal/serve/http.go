@@ -237,16 +237,8 @@ func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, st
 	// qualify, the request silently degrades to the normal queue path —
 	// the serving analogue of core's exact_fallback.
 	if wantExact && s.warm.ExactAvailable() {
-		if at, visits, err := s.warm.ExplainExact(tuple); err == nil {
-			dur := time.Since(start)
-			s.rec.Emit(obs.Event{
-				Type: obs.EventExactShap, Tuple: -1,
-				Explainer:  core.ExactSHAP.String(),
-				Fresh:      1,
-				NodeVisits: visits,
-				DurMS:      float64(dur) / float64(time.Millisecond),
-			})
-			return outcome{exp: core.Explanation{Attribution: at}, source: "exact", code: http.StatusOK, bd: obs.StageBreakdown{Solve: dur}}
+		if exp, cost, err := s.warm.ExplainExact(tuple); err == nil {
+			return outcome{exp: exp, source: "exact", code: http.StatusOK, bd: cost.Stages}
 		}
 	}
 

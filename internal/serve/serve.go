@@ -330,8 +330,8 @@ func (s *Server) flush(batch []*request) {
 	flushDur := deliver.Sub(start)
 	for i, req := range live {
 		var bd obs.StageBreakdown
-		if res.Breakdowns != nil {
-			bd = res.Breakdowns[i]
+		if res.Costs != nil {
+			bd = res.Costs[i].Stages
 		}
 		bd.QueueWait = start.Sub(req.enq)
 		if bd.QueueWait < 0 {

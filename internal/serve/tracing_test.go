@@ -39,16 +39,32 @@ func postTraced(url string, tuple []float64, traceparent string) (ExplainRespons
 	return out, resp.StatusCode, resp.Header, err
 }
 
+// checkTimeIdentity asserts an answer's stages are the whole of its
+// reported wait: explainOne folds what no stage saw into the stage that
+// owns the path, off the same clock reading as wait_ms, so the two
+// differ only by the wire's float milliseconds.
+func checkTimeIdentity(t *testing.T, label string, r ExplainResponse) {
+	t.Helper()
+	if r.Stages == nil {
+		t.Fatalf("%s: no stage breakdown", label)
+	}
+	wait := time.Duration(r.WaitMS * float64(time.Millisecond))
+	if diff := r.Stages.Total() - wait; diff > time.Microsecond || diff < -time.Microsecond {
+		t.Fatalf("%s (%s): stages sum to %v, wait is %v", label, r.Source, r.Stages.Total(), wait)
+	}
+}
+
 // TestServeTraceReconciliation fires concurrent requests and reconciles
 // every answer against the tracing surfaces: each request carries a
 // unique trace ID, resolves to exactly one retained root span whose
 // children's durations sum to no more than the root's, its stage
-// breakdown explains at least 90% of the reported wait, the exemplar
-// ring retains one entry per request, no request root leaks into the
-// recorder's span forest, and the SLO tracker saw every request.
+// breakdown sums to the reported wait — for computed, store and exact
+// answers alike — the exemplar ring retains one entry per request, no
+// request root leaks into the recorder's span forest, and the SLO
+// tracker saw every request.
 func TestServeTraceReconciliation(t *testing.T) {
 	const n = 16
-	env := newEnv(t, 3, n)
+	env := newForestEnv(t, 3, n)
 	rec := obs.NewRecorder()
 	rec.SetSLO(obs.NewSLOTracker(obs.SLOConfig{Window: time.Minute, LatencyTarget: 2 * time.Second}))
 	s, err := New(newWarm(t, env, 3), Config{BatchWindow: 2 * time.Millisecond, Recorder: rec})
@@ -102,13 +118,10 @@ func TestServeTraceReconciliation(t *testing.T) {
 		if childSum > rt.Root.DurMS*1.001+0.01 {
 			t.Fatalf("request %d: children sum %.3fms exceeds root %.3fms", i, childSum, rt.Root.DurMS)
 		}
-		if r.Stages == nil {
-			t.Fatalf("request %d: no stage breakdown", i)
+		if r.Source != "computed" {
+			t.Fatalf("request %d: source %q, want computed", i, r.Source)
 		}
-		stageSum := float64(r.Stages.Total()) / float64(time.Millisecond)
-		if stageSum < 0.9*r.WaitMS {
-			t.Fatalf("request %d: stages %.3fms explain <90%% of wait %.3fms", i, stageSum, r.WaitMS)
-		}
+		checkTimeIdentity(t, fmt.Sprintf("request %d", i), r)
 	}
 
 	if sum := rec.RequestsSummary(); sum.Count != n {
@@ -126,6 +139,18 @@ func TestServeTraceReconciliation(t *testing.T) {
 	if !ok || st.Objectives[0].Total != n {
 		t.Fatalf("SLO tracker saw %d requests (ok=%v), want %d", st.Objectives[0].Total, ok, n)
 	}
+
+	// The two paths that never queue keep the same identity.
+	replay, code := postExplain(t, ts.URL, env.tuples[0])
+	if code != http.StatusOK || replay.Source != "store" {
+		t.Fatalf("replay: HTTP %d source=%q, want store", code, replay.Source)
+	}
+	checkTimeIdentity(t, "replay", replay)
+	exact, code := postExplainKind(t, ts.URL, env.tuples[1], "exactshap")
+	if code != http.StatusOK || exact.Source != "exact" {
+		t.Fatalf("exact request: HTTP %d source=%q, want exact", code, exact.Source)
+	}
+	checkTimeIdentity(t, "exact", exact)
 }
 
 // TestServeTraceparentEcho checks W3C trace propagation end to end: an
