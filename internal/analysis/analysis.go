@@ -26,8 +26,8 @@
 //   - ctxflow: incoming contexts must be forwarded to context-accepting
 //     callees; context.Background/TODO is forbidden on serve, fault,
 //     and *Ctx paths.
-//   - spanend: every StartSpan/StartDetachedSpan result is ended on all
-//     normal control-flow paths or explicitly handed off.
+//   - spanend: every StartSpan result is ended on all normal
+//     control-flow paths or explicitly handed off.
 //   - lockguard: no mutex copies, no lock leaked on any path, no
 //     blocking operation (channels, network, PredictCtx, Sleep) while a
 //     lock is held.

@@ -8,8 +8,8 @@ import (
 )
 
 // SpanEnd is the span-lifecycle analyzer: every span obtained from
-// StartSpan or StartDetachedSpan must be ended on every normal
-// control-flow path out of the function that started it. A span that
+// StartSpan must be ended on every normal control-flow path out of the
+// function that started it. A span that
 // escapes — returned, passed to another function, stored in a struct,
 // captured by a non-deferred closure — transfers the obligation to the
 // new owner and stops being tracked (the package-level approximation:
@@ -22,7 +22,7 @@ import (
 // (see cfg.go for the trade-off).
 var SpanEnd = &Analyzer{
 	Name: "spanend",
-	Doc:  "require StartSpan/StartDetachedSpan results to be ended on all control-flow paths",
+	Doc:  "require StartSpan results to be ended on all control-flow paths",
 	Run:  runSpanEnd,
 }
 
@@ -31,8 +31,7 @@ var SpanEnd = &Analyzer{
 // internal/obs (the fixture loader resolves imports as stdlib only),
 // and no other type in this module declares methods with these names.
 var spanStarters = map[string]bool{
-	"StartSpan":         true,
-	"StartDetachedSpan": true,
+	"StartSpan": true,
 }
 
 func runSpanEnd(pass *Pass) {

@@ -1,6 +1,6 @@
 // Package spanend exercises the span-lifecycle analyzer with a
 // self-contained tracer (fixtures cannot import internal/obs; the
-// analyzer matches StartSpan/StartDetachedSpan by method name).
+// analyzer matches StartSpan by method name).
 package spanend
 
 // Span is a stand-in for the obs span type.
@@ -17,9 +17,6 @@ type Tracer struct{}
 
 // StartSpan opens a span.
 func (t *Tracer) StartSpan(name string) *Span { return &Span{} }
-
-// StartDetachedSpan opens a detached span.
-func (t *Tracer) StartDetachedSpan(name string) *Span { return &Span{} }
 
 func work() {}
 
@@ -47,7 +44,7 @@ func endedEverywhere(t *Tracer, cond bool) {
 // deferredEnd discharges the obligation at the defer statement, which
 // covers every later exit: no finding.
 func deferredEnd(t *Tracer, cond bool) {
-	s := t.StartDetachedSpan("d")
+	s := t.StartSpan("d")
 	defer s.End()
 	if cond {
 		return

@@ -35,7 +35,7 @@ type Obs struct {
 // take: a server has no span tree worth dumping at exit.
 func ObsFlags(fs *flag.FlagSet, artifacts ...string) *Obs {
 	o := &Obs{}
-	fs.StringVar(&o.addr, "obs-addr", "", "serve /metrics, /progress, /trace, /events and /debug/pprof on this address while the process runs (\":0\" picks a port)")
+	fs.StringVar(&o.addr, "obs-addr", "", "serve the observability endpoints on this address while the process runs; GET / lists them (\":0\" picks a port)")
 	for _, a := range artifacts {
 		switch a {
 		case "trace-out":
@@ -52,10 +52,11 @@ func ObsFlags(fs *flag.FlagSet, artifacts ...string) *Obs {
 }
 
 // Start returns the run's recorder and mounts it on -obs-addr, printing
-// the bound address. A binary that has its own readers (request
-// tracing, SLOs, stage totals) passes always; otherwise the recorder
-// exists only when a flag of the group will read it, and is nil — which
-// every core entry point accepts — when none will.
+// the URL of the index that lists its endpoints. A binary that has its
+// own readers (request tracing, SLOs, stage totals) passes always;
+// otherwise the recorder exists only when a flag of the group will read
+// it, and is nil — which every core entry point accepts — when none
+// will.
 func (o *Obs) Start(always bool) (*obs.Recorder, error) {
 	if always || o.addr != "" || o.traceOut != "" || o.chromeOut != "" || o.eventsOut != "" {
 		o.rec = obs.NewRecorder()
@@ -65,7 +66,7 @@ func (o *Obs) Start(always bool) (*obs.Recorder, error) {
 		if o.srv, err = obs.Serve(o.addr, o.rec); err != nil {
 			return nil, err
 		}
-		fmt.Printf("observability: http://%s/ (/metrics, /progress, /trace, /events, /debug/pprof/)\n", o.srv.Addr())
+		fmt.Printf("observability: http://%s/\n", o.srv.Addr())
 	}
 	return o.rec, nil
 }

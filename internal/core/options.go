@@ -161,11 +161,12 @@ type Options struct {
 
 	// Recorder receives live observability data from the run:
 	// stage-scoped spans (mine, pool-build, pre-label, explain), atomic
-	// progress counters, and latency histograms for classifier Predict
-	// calls and per-tuple explain times. nil — the default — disables
-	// all instrumentation; the pipeline's hot paths then pay only nil
-	// checks. The same recorder may be shared across runs (counters
-	// accumulate) and served over HTTP with obs.Serve.
+	// progress counters, latency histograms for classifier Predict
+	// calls and per-tuple explain times, and one provenance event per
+	// explanation. nil — the default — disables all instrumentation; the
+	// pipeline's hot paths then pay only nil checks. The same recorder
+	// may be shared across runs (counters accumulate) and served over
+	// HTTP with obs.Serve, whose index lists the views of it.
 	Recorder *obs.Recorder
 
 	// Fault configures the failure model of the classifier backend:

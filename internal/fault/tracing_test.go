@@ -25,7 +25,7 @@ func retryChildren(d *obs.SpanDump) []*obs.SpanDump {
 // marker child per reattempt, stamped with the 1-based attempt number.
 func TestRetrySpans(t *testing.T) {
 	rec := obs.NewRecorder()
-	root := rec.StartDetachedSpan("request")
+	root := rec.StartSpan("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	inner := &scripted{errs: []error{ErrInjected, ErrInjected, nil}}
@@ -35,7 +35,7 @@ func TestRetrySpans(t *testing.T) {
 	}
 	root.End()
 
-	got := retryChildren(root.Dump())
+	got := retryChildren(rec.Trace()[0])
 	if len(got) != 2 {
 		t.Fatalf("retry spans=%d, want 2", len(got))
 	}
@@ -64,7 +64,7 @@ func TestRetrySpansWithoutContextSpan(t *testing.T) {
 // while the retry counter keeps the true total.
 func TestRetrySpanCap(t *testing.T) {
 	rec := obs.NewRecorder()
-	root := rec.StartDetachedSpan("request")
+	root := rec.StartSpan("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	const calls = 40 // 2 retries each = 80 attempts, past the 64-span cap
@@ -83,7 +83,7 @@ func TestRetrySpanCap(t *testing.T) {
 	if got := r.retries.Load(); got != 2*calls {
 		t.Fatalf("retries=%d, want %d", got, 2*calls)
 	}
-	got := retryChildren(root.Dump())
+	got := retryChildren(rec.Trace()[0])
 	if len(got) != maxRetrySpans {
 		t.Fatalf("retry spans=%d, want cap %d", len(got), maxRetrySpans)
 	}
@@ -98,7 +98,7 @@ func TestRetrySpanCap(t *testing.T) {
 // the span carried by the triggering call's context.
 func TestBreakerTransitionSpans(t *testing.T) {
 	rec := obs.NewRecorder()
-	root := rec.StartDetachedSpan("request")
+	root := rec.StartSpan("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	inner := &scripted{errs: []error{ErrInjected, ErrInjected}}
@@ -119,7 +119,7 @@ func TestBreakerTransitionSpans(t *testing.T) {
 
 	want := []string{"closed->open", "open->half-open", "half-open->closed"}
 	var got []string
-	for _, c := range root.Dump().Children {
+	for _, c := range rec.Trace()[0].Children {
 		if c.Name == "breaker" {
 			got = append(got, c.Attrs["state"].(string))
 		}

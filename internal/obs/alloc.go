@@ -21,16 +21,10 @@ type AllocDelta struct {
 	Objects int64
 }
 
-// allocSampleNames is the fixed read order for NowAllocs.
-var allocSampleNames = [2]string{sampleAllocBytes, sampleAllocObjs}
-
 // NowAllocs reads the cumulative allocation counters. Safe for
 // concurrent use; each call reads fresh samples.
 func NowAllocs() AllocMark {
-	var s [2]metrics.Sample
-	for i, name := range allocSampleNames {
-		s[i].Name = name
-	}
+	s := [2]metrics.Sample{{Name: sampleNames[idxAllocBytes]}, {Name: sampleNames[idxAllocObjs]}}
 	metrics.Read(s[:])
 	return AllocMark{
 		Bytes:   sampleUint64(s[0]),

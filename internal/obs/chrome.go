@@ -28,20 +28,6 @@ type ChromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// attrInt reads a numeric span attribute regardless of how it was
-// stored (int in memory, float64 after a JSON round trip).
-func attrInt(attrs map[string]any, key string) (int, bool) {
-	switch v := attrs[key].(type) {
-	case int:
-		return v, true
-	case int64:
-		return int(v), true
-	case float64:
-		return int(v), true
-	}
-	return 0, false
-}
-
 // ChromeTrace converts the recorded span forest into Chrome trace
 // events: each root span and its descendants share one tid (so nested
 // stages render as a flame on that track), events are sorted by start
@@ -95,7 +81,7 @@ func (r *Recorder) ChromeTrace() []ChromeEvent {
 	for _, root := range r.Trace() {
 		tid++
 		if root.Name == StageWarmFlush {
-			if n, ok := attrInt(root.Attrs, "flush"); ok {
+			if n, ok := root.Attrs["flush"].(int); ok {
 				flushTracks[n] = flushMark{tid: tid, ts: root.StartMS * 1000}
 			}
 		}
@@ -103,9 +89,6 @@ func (r *Recorder) ChromeTrace() []ChromeEvent {
 	}
 	flows := []ChromeEvent{}
 	for _, rt := range r.Requests() {
-		if rt.Root == nil {
-			continue
-		}
 		tid++
 		walk(rt.Root, tid)
 		mark, ok := flushTracks[rt.Flush]

@@ -109,9 +109,8 @@ type Event struct {
 	Stages *StageBreakdown `json:"stages,omitempty"`
 }
 
-// DefaultEventCapacity bounds the event log unless SetEventCapacity
-// overrides it. A full log drops the oldest events (the live tail is
-// the useful part) and counts every drop.
+// DefaultEventCapacity bounds the event log. A full log drops the oldest
+// events (the live tail is the useful part) and counts every drop.
 const DefaultEventCapacity = 8192
 
 // eventLog is a bounded ring of events. Guarded by its own mutex so
@@ -159,7 +158,7 @@ func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	e.TMS = r.sinceStartMS()
+	e.TMS = r.uptimeMS()
 	r.events.emit(e)
 }
 
@@ -170,23 +169,6 @@ func (r *Recorder) Events() ([]Event, int64) {
 		return nil, 0
 	}
 	return r.events.snapshot()
-}
-
-// SetEventCapacity resizes the event log bound (minimum 1), dropping
-// retained events. Call before the run starts. Nil-safe.
-func (r *Recorder) SetEventCapacity(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	l := r.events
-	l.mu.Lock()
-	l.cap = n
-	l.buf = l.buf[:0]
-	l.next = 0
-	l.mu.Unlock()
 }
 
 // WriteEvents drains the retained events as JSONL, one event per line
@@ -204,13 +186,4 @@ func (r *Recorder) WriteEvents(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// EventsDropped reports how many events the capacity bound has
-// discarded so far (0 on a nil receiver).
-func (r *Recorder) EventsDropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.events.dropped.Value()
 }

@@ -41,7 +41,7 @@ func TestEventLogOrderAndFields(t *testing.T) {
 
 func TestEventLogBoundedCapacityDrops(t *testing.T) {
 	r := NewRecorder()
-	r.SetEventCapacity(4)
+	r.events.cap = 4
 	for i := 0; i < 10; i++ {
 		r.Emit(Event{Type: EventTupleExplained, Tuple: i})
 	}
@@ -49,8 +49,8 @@ func TestEventLogBoundedCapacityDrops(t *testing.T) {
 	if dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", dropped)
 	}
-	if r.EventsDropped() != 6 {
-		t.Fatalf("EventsDropped = %d, want 6", r.EventsDropped())
+	if got := r.Counter(counterEventsDropped).Value(); got != 6 {
+		t.Fatalf("events_dropped counter = %d, want 6", got)
 	}
 	// A truncated log is visible to whoever scrapes the run, in both
 	// formats.
@@ -112,12 +112,11 @@ func TestEventLogJSONL(t *testing.T) {
 func TestEventLogNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Emit(Event{Type: EventPoolBuild})
-	r.SetEventCapacity(2)
 	events, dropped := r.Events()
 	if events != nil || dropped != 0 {
 		t.Fatalf("nil recorder events = %v, %d", events, dropped)
 	}
-	if r.EventsDropped() != 0 {
+	if r.Counter(counterEventsDropped).Value() != 0 {
 		t.Fatal("nil recorder should report 0 drops")
 	}
 	if err := r.WriteEvents(io.Discard); err != nil {
@@ -130,7 +129,7 @@ func TestEventLogNilSafety(t *testing.T) {
 // and retained + dropped must account for every emission.
 func TestEventLogConcurrent(t *testing.T) {
 	r := NewRecorder()
-	r.SetEventCapacity(64)
+	r.events.cap = 64
 	var wg sync.WaitGroup
 	const workers, per = 8, 500
 	for w := 0; w < workers; w++ {

@@ -37,37 +37,13 @@ func bucketOf(ns int64) int {
 }
 
 // Observe records one duration. No-op on a nil receiver.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	h.count.Add(1)
-	h.sum.Add(ns)
-	h.buckets[bucketOf(ns)].Add(1)
-	for {
-		cur := h.min.Load()
-		if ns >= cur || h.min.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-}
+func (h *Histogram) Observe(d time.Duration) { h.observeBucketed(d.Nanoseconds(), 1) }
 
-// observeBucketed folds n observations of approximately ns nanoseconds
-// into the histogram in one shot — the runtime sampler uses it to
-// replay runtime/metrics bucket-count deltas (which can be thousands of
-// scheduler-latency events per tick) without n individual Observes.
-// Bucket placement, min/max, count, and sum all update as if Observe
-// had been called n times with ns.
+// observeBucketed is the one histogram update: n observations of ns
+// nanoseconds each (negative clamps to 0). Observe is n = 1; the runtime
+// sampler replays runtime/metrics bucket-count deltas (which can be
+// thousands of scheduler-latency events per tick) with larger n. No-op
+// on a nil receiver or n <= 0.
 func (h *Histogram) observeBucketed(ns, n int64) {
 	if h == nil || n <= 0 {
 		return

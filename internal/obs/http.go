@@ -10,23 +10,74 @@ import (
 	"time"
 )
 
-// Server exposes a recorder over HTTP while a run is in flight:
-//
-//	/metrics   JSON snapshot of every counter, gauge, and histogram
-//	           (?format=prom switches to Prometheus text exposition)
-//	/progress  tuples done, reuse rate, invocations so far
-//	/trace     the span dump (same shape as -trace-out;
-//	           ?format=chrome emits Chrome trace-event JSON for Perfetto)
-//	/events    the structured event log as JSONL (same shape as -events-out)
-//	/slo       rolling-window SLO status (latency/availability, burn rates)
-//	/requests  slow-request exemplar ring (?trace=<id> for one full span dump)
-//	/debug/pprof/  the standard Go profiling endpoints
-//
-// Use Serve with addr ":0" to pick a free port; Addr reports the bound
-// address.
+// Server exposes a recorder over HTTP while a run is in flight. What it
+// mounts is the endpoints table below, which GET / lists. Use Serve
+// with addr ":0" to pick a free port; Addr reports the bound address.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
+}
+
+// endpoint is one mounted path: query is the parameter the index shows
+// beside it.
+type endpoint struct {
+	path, query string
+	h           http.HandlerFunc
+}
+
+// endpoints is the one list of what Serve mounts for rec; both the mux
+// and the index body at / are built from it.
+func endpoints(rec *Recorder) []endpoint {
+	// The pprof index serves the named profiles; these four have handlers
+	// of their own under the same prefix.
+	prof := http.NewServeMux()
+	prof.HandleFunc("/debug/pprof/", pprof.Index)
+	prof.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	prof.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	prof.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	prof.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return []endpoint{
+		// JSON snapshot of every counter, gauge and histogram, or the
+		// Prometheus text exposition.
+		{"/metrics", "format=prom", func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Query().Get("format") == "prom" {
+				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+				if err := rec.WritePrometheus(w); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+				}
+				return
+			}
+			writeJSON(w, http.StatusOK, rec.Metrics())
+		}},
+		// Tuples done, reuse rate, invocations so far.
+		{"/progress", "", func(w http.ResponseWriter, req *http.Request) {
+			writeJSON(w, http.StatusOK, rec.Progress())
+		}},
+		// The span dump (same shape as -trace-out), or Chrome trace-event
+		// JSON for Perfetto.
+		{"/trace", "format=chrome", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			var err error
+			if req.URL.Query().Get("format") == "chrome" {
+				err = rec.WriteChromeTrace(w)
+			} else {
+				err = rec.WriteTrace(w)
+			}
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		}},
+		// The structured event log as JSONL (same shape as -events-out).
+		{"/events", "", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			if err := rec.WriteEvents(w); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		}},
+		{"/slo", "", SLOHandler(rec)},
+		{"/requests", "trace=<id>", RequestsHandler(rec)},
+		{"/debug/pprof/", "", prof.ServeHTTP},
+	}
 }
 
 // Serve binds addr and serves rec's endpoints on a background
@@ -40,51 +91,22 @@ func Serve(addr string, rec *Recorder) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
+	index := "shahin observability\n\n"
+	for _, e := range endpoints(rec) {
+		mux.HandleFunc(e.path, e.h)
+		index += e.path
+		if e.query != "" {
+			index += " (?" + e.query + ")"
+		}
+		index += "\n"
+	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "shahin observability\n\n/metrics (?format=prom)\n/progress\n/trace (?format=chrome)\n/events\n/slo\n/requests (?trace=<id>)\n/debug/pprof/\n")
+		fmt.Fprint(w, index)
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := rec.WritePrometheus(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		writeJSON(w, rec.Metrics())
-	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, rec.Progress())
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var err error
-		if req.URL.Query().Get("format") == "chrome" {
-			err = rec.WriteChromeTrace(w)
-		} else {
-			err = rec.WriteTrace(w)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := rec.WriteEvents(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/slo", SLOHandler(rec))
-	mux.HandleFunc("/requests", RequestsHandler(rec))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	s := &Server{
 		ln:  ln,
@@ -110,13 +132,17 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// writeJSON answers code with v as indented JSON, or 500 when v does
+// not encode.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(body, '\n')) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
 }
 
 // sloResponse is the /slo body: Enabled reports whether a tracker is
@@ -132,7 +158,7 @@ type sloResponse struct {
 func SLOHandler(rec *Recorder) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		st, ok := rec.SLOStatus()
-		writeJSON(w, sloResponse{Enabled: ok, SLOStatus: st})
+		writeJSON(w, http.StatusOK, sloResponse{Enabled: ok, SLOStatus: st})
 	}
 }
 
@@ -146,21 +172,12 @@ func RequestsHandler(rec *Recorder) http.HandlerFunc {
 		if traceID := req.URL.Query().Get("trace"); traceID != "" {
 			rt, ok := rec.RequestByTrace(traceID)
 			if !ok {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusNotFound)
-				writeJSONBody(w, map[string]string{"error": "trace id not retained: " + traceID})
+				writeJSON(w, http.StatusNotFound, map[string]string{"error": "trace id not retained: " + traceID})
 				return
 			}
-			writeJSON(w, rt)
+			writeJSON(w, http.StatusOK, rt)
 			return
 		}
-		writeJSON(w, rec.RequestsSummary())
+		writeJSON(w, http.StatusOK, rec.RequestsSummary())
 	}
-}
-
-// writeJSONBody encodes v after the status line has been written.
-func writeJSONBody(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
 }

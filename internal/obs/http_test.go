@@ -72,8 +72,21 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("trace %+v", tf.Spans)
 	}
 
-	get("/")             // index
-	get("/debug/pprof/") // pprof index
+	// The index and the mux are one table: everything mounted answers
+	// and is listed.
+	index := string(get("/"))
+	for _, e := range endpoints(rec) {
+		get(e.path)
+		if !strings.Contains(index, "\n"+e.path) {
+			t.Errorf("index does not list %s:\n%s", e.path, index)
+		}
+	}
+	// The four that hand-kept lists of the endpoints used to leave out.
+	for _, path := range []string{"/slo", "/requests", "/events", "/debug/pprof/"} {
+		if !strings.Contains(index, "\n"+path) {
+			t.Errorf("index does not list %s:\n%s", path, index)
+		}
+	}
 	if resp, err := http.Get(base + "/nope"); err == nil {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("/nope status %d", resp.StatusCode)

@@ -1,8 +1,13 @@
 // Package obs is the observability substrate of the explanation
 // pipeline: stage-scoped spans with nested timings, an atomic
-// counter/gauge registry, log-scale latency histograms, and an opt-in
-// HTTP endpoint serving /metrics, /progress, /trace, and /debug/pprof.
-// It is stdlib-only and safe for concurrent use.
+// counter/gauge registry, log-scale latency histograms, a bounded event
+// log, a slow-request exemplar ring, and an opt-in HTTP server (Serve)
+// whose index at / lists what it mounts. It is stdlib-only and safe for
+// concurrent use.
+//
+// Each fact is held once: a reading is its registry entry and a served
+// request its RequestTrace; /metrics in both formats, /progress, the
+// Chrome trace and a request's span tree are folds of those.
 //
 // Everything is nil-receiver-safe: a nil *Recorder — and the nil
 // *Counter, *Gauge, *Histogram, and *Span values it hands out — turns
@@ -151,17 +156,14 @@ type Recorder struct {
 	hists    map[string]*Histogram
 	spans    []*Span
 	slo      *SLOTracker
-	// runtime is the attached telemetry sampler (nil when none);
-	// runtimeStatus/runtimeSeen retain its last summary past Stop.
-	runtime       *RuntimeSampler
-	runtimeStatus RuntimeStatus
-	runtimeSeen   bool
+	// runtime is the attached telemetry sampler (nil when none).
+	runtime *RuntimeSampler
 }
 
 // NewRecorder returns an empty recorder; its uptime clock starts now.
 func NewRecorder() *Recorder {
 	dropped := &Counter{}
-	return &Recorder{
+	r := &Recorder{
 		start:    time.Now(),
 		events:   &eventLog{cap: DefaultEventCapacity, dropped: dropped},
 		requests: newRequestRing(0),
@@ -169,14 +171,16 @@ func NewRecorder() *Recorder {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
+	r.requests.epoch = r.start
+	return r
 }
 
-// sinceStartMS returns milliseconds since the recorder's epoch.
-func (r *Recorder) sinceStartMS() float64 {
+// uptimeMS returns milliseconds since the recorder's epoch.
+func (r *Recorder) uptimeMS() float64 {
 	if r == nil {
 		return 0
 	}
-	return float64(time.Since(r.start)) / float64(time.Millisecond)
+	return durToMS(time.Since(r.start))
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -225,6 +229,30 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
+// find returns the metric registered under name in one of the
+// recorder's three maps, or nil: the read paths' lookup, which must not
+// register what it looks for.
+func find[T any](r *Recorder, m map[string]*T, name string) *T {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return m[name]
+}
+
+// getOrCreate is find that registers mk's metric on a miss.
+func getOrCreate[T any](r *Recorder, m map[string]*T, name string, mk func() *T) *T {
+	if v := find(r, m, name); v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := m[name]
+	if v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns the named counter, creating it on first use. Returns
 // nil (whose methods no-op) on a nil receiver. Resolve once outside hot
 // loops: the lookup takes a read lock.
@@ -232,19 +260,7 @@ func (r *Recorder) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use. Nil-safe
@@ -253,19 +269,7 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -274,19 +278,7 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = newHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return getOrCreate(r, r.hists, name, newHistogram)
 }
 
 // Metrics is a point-in-time JSON-friendly snapshot of every registered
@@ -308,7 +300,7 @@ func (r *Recorder) Metrics() Metrics {
 	if r == nil {
 		return m
 	}
-	m.UptimeMS = float64(time.Since(r.start)) / float64(time.Millisecond)
+	m.UptimeMS = r.uptimeMS()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
@@ -344,29 +336,30 @@ type Progress struct {
 }
 
 // Progress reads the well-known counters back into a Progress snapshot
-// (zero value on a nil receiver).
+// (zero value on a nil receiver). A metric no run has touched reads as
+// zero and stays unregistered.
 func (r *Recorder) Progress() Progress {
 	if r == nil {
 		return Progress{}
 	}
+	count := func(name string) int64 { return find(r, r.counters, name).Value() }
 	p := Progress{
-		TuplesDone:     r.Counter(CounterTuplesDone).Value(),
-		TuplesTotal:    r.Gauge(GaugeTuplesTotal).Value(),
-		Invocations:    r.Counter(CounterInvocations).Value(),
-		ReusedSamples:  r.Counter(CounterReusedSamples).Value(),
-		CacheHits:      r.Counter(CounterCacheHits).Value(),
-		CacheMisses:    r.Counter(CounterCacheMisses).Value(),
-		CacheEvictions: r.Counter(CounterCacheEvictions).Value(),
-		UptimeMS:       float64(time.Since(r.start)) / float64(time.Millisecond),
+		TuplesDone:     count(CounterTuplesDone),
+		TuplesTotal:    find(r, r.gauges, GaugeTuplesTotal).Value(),
+		Invocations:    count(CounterInvocations),
+		ReusedSamples:  count(CounterReusedSamples),
+		CacheHits:      count(CounterCacheHits),
+		CacheMisses:    count(CounterCacheMisses),
+		CacheEvictions: count(CounterCacheEvictions),
+		UptimeMS:       r.uptimeMS(),
 	}
 	if total := p.ReusedSamples + p.Invocations; total > 0 {
 		p.ReuseRate = float64(p.ReusedSamples) / float64(total)
 	}
-	h := r.Histogram(HistExplainTuple)
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	p.ExplainP50MS = ms(h.Quantile(0.50))
-	p.ExplainP95MS = ms(h.Quantile(0.95))
-	p.ExplainP99MS = ms(h.Quantile(0.99))
+	h := find(r, r.hists, HistExplainTuple)
+	p.ExplainP50MS = durToMS(h.Quantile(0.50))
+	p.ExplainP95MS = durToMS(h.Quantile(0.95))
+	p.ExplainP99MS = durToMS(h.Quantile(0.99))
 	return p
 }
 

@@ -215,6 +215,16 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 }
 
 func TestProgress(t *testing.T) {
+	// A read must not write: asking an untouched recorder for progress
+	// registers nothing beside the counter it was born with.
+	fresh := NewRecorder()
+	if p := fresh.Progress(); p.TuplesDone != 0 || p.ExplainP99MS != 0 {
+		t.Fatalf("fresh progress %+v", p)
+	}
+	if m := fresh.Metrics(); len(m.Counters) != 1 || m.Counters[counterEventsDropped] != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
+		t.Fatalf("Progress() registered metrics: %+v", m)
+	}
+
 	r := NewRecorder()
 	r.Counter(CounterTuplesDone).Add(30)
 	r.Gauge(GaugeTuplesTotal).Set(100)

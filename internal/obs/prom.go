@@ -21,42 +21,14 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	m := r.Metrics()
-
-	names := make([]string, 0, len(m.Counters))
-	for name := range m.Counters {
-		names = append(names, name)
+	if err := writePromKind(w, "counter", "", m.Counters, writePromInt); err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := "shahin_" + promName(name)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			pn, promHelpFor("counter", name), pn, pn, m.Counters[name]); err != nil {
-			return err
-		}
+	if err := writePromKind(w, "gauge", "", m.Gauges, writePromInt); err != nil {
+		return err
 	}
-
-	names = names[:0]
-	for name := range m.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := "shahin_" + promName(name)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-			pn, promHelpFor("gauge", name), pn, pn, m.Gauges[name]); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for name := range m.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := writePromHistogram(w, name, m.Histograms[name]); err != nil {
-			return err
-		}
+	if err := writePromKind(w, "histogram", " (power-of-two ns buckets)", m.Histograms, writePromHistogram); err != nil {
+		return err
 	}
 
 	if st, ok := r.SLOStatus(); ok {
@@ -75,10 +47,41 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	return err
 }
 
+// writePromKind renders every metric of one kind in name order: the
+// HELP line — curated, or the generic one naming the metric, its kind
+// and the kind's note — the TYPE line, then the series body writes.
+func writePromKind[V any](w io.Writer, kind, note string, metrics map[string]V, body func(w io.Writer, pn string, v V) error) error {
+	names := make([]string, 0, len(metrics))
+	for name := range metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pn := "shahin_" + promName(name)
+		help, ok := promHelp[name]
+		if !ok {
+			help = fmt.Sprintf("Shahin %s %q%s.", kind, name, note)
+		}
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", pn, help, pn, kind); err != nil {
+			return err
+		}
+		if err := body(w, pn, metrics[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writePromInt is a counter's or a gauge's one series.
+func writePromInt(w io.Writer, pn string, v int64) error {
+	_, err := fmt.Fprintf(w, "%s %d\n", pn, v)
+	return err
+}
+
 // promHelp carries curated HELP text for the well-known metric names;
-// anything unlisted falls back to a generic line via promHelpFor. The
-// map is only ever looked up by key — never iterated — so its order
-// cannot leak into the (deterministic) output.
+// anything unlisted gets writePromKind's generic line. The map is only
+// ever looked up by key — never iterated — so its order cannot leak
+// into the (deterministic) output.
 var promHelp = map[string]string{
 	CounterInvocations:       "Classifier Predict calls, including pool pre-labelling.",
 	CounterReusedSamples:     "Pooled samples served in place of fresh classifier calls.",
@@ -95,15 +98,6 @@ var promHelp = map[string]string{
 	GaugeRuntimeGCCPUPPM:     "Fraction of available CPU spent in the garbage collector, in parts per million.",
 	HistRuntimeGCPause:       "GC stop-the-world pause distribution folded from runtime/metrics.",
 	HistRuntimeSchedLatency:  "Goroutine scheduling latency distribution folded from runtime/metrics.",
-}
-
-// promHelpFor returns the curated HELP text for a metric, or a generic
-// line naming the metric and its kind.
-func promHelpFor(kind, name string) string {
-	if h, ok := promHelp[name]; ok {
-		return h
-	}
-	return fmt.Sprintf("Shahin %s %q.", kind, name)
 }
 
 // EnvFingerprint pins the environment a binary runs on, so a scraped
@@ -148,12 +142,8 @@ func writePromBuildInfo(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# HELP %s Build and environment fingerprint; the value is always 1.\n# TYPE %s gauge\n", pn, pn); err != nil {
 		return err
 	}
-	dirty := "false"
-	if fp.GitDirty {
-		dirty = "true"
-	}
-	_, err := fmt.Fprintf(w, "%s{dirty=%q,goarch=%q,goos=%q,goversion=%q,num_cpu=\"%d\",revision=%q} 1\n",
-		pn, dirty, fp.GOARCH, fp.GOOS, fp.GoVersion, fp.NumCPU, fp.GitCommit)
+	_, err := fmt.Fprintf(w, "%s{dirty=\"%t\",goarch=%q,goos=%q,goversion=%q,num_cpu=\"%d\",revision=%q} 1\n",
+		pn, fp.GitDirty, fp.GOARCH, fp.GOOS, fp.GoVersion, fp.NumCPU, fp.GitCommit)
 	return err
 }
 
@@ -195,18 +185,9 @@ func writePromSLO(w io.Writer, st SLOStatus) error {
 	return err
 }
 
-// writePromHistogram renders one histogram snapshot as a prometheus
-// histogram: cumulative bucket counts keyed by upper bound, then sum
-// and count.
-func writePromHistogram(w io.Writer, name string, s HistogramSnapshot) error {
-	pn := "shahin_" + promName(name)
-	help, ok := promHelp[name]
-	if !ok {
-		help = fmt.Sprintf("Shahin histogram %q (power-of-two ns buckets).", name)
-	}
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", pn, help, pn); err != nil {
-		return err
-	}
+// writePromHistogram is a histogram's series: cumulative bucket counts
+// keyed by upper bound, then sum and count.
+func writePromHistogram(w io.Writer, pn string, s HistogramSnapshot) error {
 	var cum int64
 	for _, b := range s.Buckets {
 		cum += b.Count

@@ -3,15 +3,17 @@ package obs
 import (
 	"sort"
 	"sync"
+	"time"
 )
 
 // DefaultRequestCapacity bounds the slow-request exemplar ring: the
 // ring keeps the top-K served requests by duration, so a long-lived
-// server holds at most this many request span trees.
+// server holds at most this many exemplars.
 const DefaultRequestCapacity = 512
 
-// RequestTrace is one served request's exemplar: trace identity,
-// outcome, stage attribution, and the full root span dump.
+// RequestTrace is one served request's exemplar, and the only record of
+// it: trace identity, outcome, start and stage attribution. Its span
+// tree is a view of those fields, built when a reader asks.
 type RequestTrace struct {
 	// TraceID keys the exemplar; /requests?trace=<id> resolves it.
 	TraceID string `json:"trace_id"`
@@ -35,8 +37,41 @@ type RequestTrace struct {
 	DurMS float64 `json:"dur_ms"`
 	// Stages is the request's latency attribution.
 	Stages StageBreakdown `json:"stages"`
-	// Root is the request's full span dump (omitted in ring listings).
+	// Start is when the request arrived; on the wire it is the root's
+	// start_ms.
+	Start time.Time `json:"-"`
+	// Root is the request's span dump: the ring fills it in for
+	// RequestByTrace and Requests, and ignores it on OfferRequest.
 	Root *SpanDump `json:"root,omitempty"`
+}
+
+// root renders the exemplar as the span tree a traced request would have
+// left: a root carrying the identity and, as attrs, the outcome, over
+// one child per non-zero stage. The children inherit the trace ID and
+// lie end to end from the request's start — the real work interleaves
+// with the shared flush — so they never outlast the root. Times are
+// relative to epoch.
+func (rt RequestTrace) root(epoch time.Time) *SpanDump {
+	d := &SpanDump{
+		Name:     rt.Name,
+		TraceID:  rt.TraceID,
+		SpanID:   rt.SpanID,
+		ParentID: rt.ParentID,
+		StartMS:  durToMS(rt.Start.Sub(epoch)),
+		DurMS:    rt.DurMS,
+		Attrs:    map[string]any{"source": rt.Source, "status": rt.Status},
+	}
+	if rt.Flush > 0 {
+		d.Attrs["flush"] = rt.Flush
+	}
+	at := d.StartMS
+	for _, st := range rt.Stages.each() {
+		if st.d > 0 {
+			d.Children = append(d.Children, &SpanDump{Name: st.name, TraceID: rt.TraceID, StartMS: at, DurMS: durToMS(st.d)})
+			at += durToMS(st.d)
+		}
+	}
+	return d
 }
 
 // requestRing keeps the top-K slowest requests seen so far, retrievable
@@ -45,7 +80,8 @@ type RequestTrace struct {
 type requestRing struct {
 	mu      sync.Mutex
 	cap     int
-	entries []RequestTrace
+	epoch   time.Time      // the recorder's start, which span dumps count from
+	entries []RequestTrace // stored without Root
 	byID    map[string]int // trace ID -> index in entries
 }
 
@@ -66,6 +102,7 @@ func (g *requestRing) offer(rt RequestTrace) {
 	if g == nil || rt.TraceID == "" {
 		return
 	}
+	rt.Root = nil
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if i, ok := g.byID[rt.TraceID]; ok {
@@ -93,22 +130,24 @@ func (g *requestRing) offer(rt RequestTrace) {
 	g.byID[rt.TraceID] = min
 }
 
-// byTrace returns the entry for a trace ID.
+// byTrace returns the entry for a trace ID, span dump included.
 func (g *requestRing) byTrace(traceID string) (RequestTrace, bool) {
 	if g == nil {
 		return RequestTrace{}, false
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if i, ok := g.byID[traceID]; ok {
-		return g.entries[i], true
+	i, ok := g.byID[traceID]
+	if !ok {
+		return RequestTrace{}, false
 	}
-	return RequestTrace{}, false
+	rt := g.entries[i]
+	rt.Root = rt.root(g.epoch)
+	return rt, true
 }
 
-// snapshot returns the ring's entries sorted slowest-first. When
-// withRoots is false the span dumps are stripped, keeping listings
-// light.
+// snapshot returns the ring's entries sorted slowest-first, with their
+// span dumps when withRoots asks; listings go without.
 func (g *requestRing) snapshot(withRoots bool) []RequestTrace {
 	if g == nil {
 		return nil
@@ -117,9 +156,9 @@ func (g *requestRing) snapshot(withRoots bool) []RequestTrace {
 	out := make([]RequestTrace, len(g.entries))
 	copy(out, g.entries)
 	g.mu.Unlock()
-	if !withRoots {
+	if withRoots {
 		for i := range out {
-			out[i].Root = nil
+			out[i].Root = out[i].root(g.epoch)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].DurMS > out[j].DurMS })

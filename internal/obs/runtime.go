@@ -38,21 +38,6 @@ const (
 	HistRuntimeSchedLatency = "runtime_sched_latency_ns"
 )
 
-// runtime/metrics sample names the sampler reads, all present since
-// go1.20 so the go.mod floor (1.22) is safe.
-const (
-	sampleHeapLive   = "/memory/classes/heap/objects:bytes"
-	sampleHeapGoal   = "/gc/heap/goal:bytes"
-	sampleAllocBytes = "/gc/heap/allocs:bytes"
-	sampleAllocObjs  = "/gc/heap/allocs:objects"
-	sampleGoroutines = "/sched/goroutines:goroutines"
-	sampleGCCycles   = "/gc/cycles/total:gc-cycles"
-	sampleGCPauses   = "/gc/pauses:seconds"
-	sampleSchedLat   = "/sched/latencies:seconds"
-	sampleGCCPU      = "/cpu/classes/gc/total:cpu-seconds"
-	sampleTotalCPU   = "/cpu/classes/total:cpu-seconds"
-)
-
 // DefaultRuntimeSampleInterval is the sampler tick used when
 // StartRuntimeSampling is given a non-positive interval.
 const DefaultRuntimeSampleInterval = 100 * time.Millisecond
@@ -66,39 +51,6 @@ const (
 	runtimeEventDense  = 512
 	runtimeEventStride = 16
 )
-
-// RuntimeStatus is a summary of the sampler's view: the latest gauge
-// readings plus quantiles of the accumulated GC-pause and
-// scheduler-latency distributions.
-type RuntimeStatus struct {
-	// Samples is how many sampler ticks contributed (including the
-	// initial and final reads).
-	Samples int64 `json:"samples"`
-	// IntervalMS is the configured tick interval.
-	IntervalMS float64 `json:"interval_ms"`
-	// HeapLiveBytes / HeapGoalBytes are the latest heap readings.
-	HeapLiveBytes uint64 `json:"heap_live_bytes"`
-	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
-	// TotalAllocBytes / TotalAllocObjects are cumulative since process
-	// start (not since the sampler started).
-	TotalAllocBytes   uint64 `json:"total_alloc_bytes"`
-	TotalAllocObjects uint64 `json:"total_alloc_objects"`
-	// Goroutines is the latest live goroutine count.
-	Goroutines int64 `json:"goroutines"`
-	// GCCycles is the number of completed GC cycles since process start.
-	GCCycles uint64 `json:"gc_cycles"`
-	// GCCPUFraction is the fraction of available CPU spent in the
-	// garbage collector since process start (0..1).
-	GCCPUFraction float64 `json:"gc_cpu_fraction"`
-	// GC pause quantiles (bucket-resolution) over every pause the
-	// sampler has folded in.
-	GCPauseP50NS int64 `json:"gc_pause_p50_ns"`
-	GCPauseP95NS int64 `json:"gc_pause_p95_ns"`
-	GCPauseMaxNS int64 `json:"gc_pause_max_ns"`
-	// Scheduler latency quantiles (bucket-resolution).
-	SchedLatencyP50NS int64 `json:"sched_latency_p50_ns"`
-	SchedLatencyP99NS int64 `json:"sched_latency_p99_ns"`
-}
 
 // RuntimeSampler periodically reads runtime/metrics into a recorder:
 // heap and GC gauges, GC-pause and scheduler-latency histogram deltas,
@@ -124,16 +76,10 @@ type RuntimeSampler struct {
 	prevSched  []uint64
 	prevCycles uint64
 	ticks      int64
-	status     RuntimeStatus
 }
 
-// sampleNames is the fixed read order; indexes below must match.
-var sampleNames = []string{
-	sampleHeapLive, sampleHeapGoal, sampleAllocBytes, sampleAllocObjs,
-	sampleGoroutines, sampleGCCycles, sampleGCPauses, sampleSchedLat,
-	sampleGCCPU, sampleTotalCPU,
-}
-
+// The runtime/metrics samples the sampler reads, by read position. All
+// are present since go1.20, so the go.mod floor (1.22) is safe.
 const (
 	idxHeapLive = iota
 	idxHeapGoal
@@ -147,6 +93,19 @@ const (
 	idxTotalCPU
 )
 
+var sampleNames = []string{
+	idxHeapLive:   "/memory/classes/heap/objects:bytes",
+	idxHeapGoal:   "/gc/heap/goal:bytes",
+	idxAllocBytes: "/gc/heap/allocs:bytes",
+	idxAllocObjs:  "/gc/heap/allocs:objects",
+	idxGoroutines: "/sched/goroutines:goroutines",
+	idxGCCycles:   "/gc/cycles/total:gc-cycles",
+	idxGCPauses:   "/gc/pauses:seconds",
+	idxSchedLat:   "/sched/latencies:seconds",
+	idxGCCPU:      "/cpu/classes/gc/total:cpu-seconds",
+	idxTotalCPU:   "/cpu/classes/total:cpu-seconds",
+}
+
 // StartRuntimeSampling attaches a runtime telemetry sampler to the
 // recorder and starts its tick loop (interval <= 0 selects
 // DefaultRuntimeSampleInterval). Idempotent: if a sampler is already
@@ -158,33 +117,35 @@ func (r *Recorder) StartRuntimeSampling(interval time.Duration) *RuntimeSampler 
 	if interval <= 0 {
 		interval = DefaultRuntimeSampleInterval
 	}
-	r.mu.Lock()
-	if r.runtime != nil {
-		s := r.runtime
-		r.mu.Unlock()
-		return s
-	}
+	// Resolved before the registry lock below: the accessors take it.
 	s := &RuntimeSampler{
 		rec:        r,
 		interval:   interval,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		heapLive:   r.gaugeLocked(GaugeRuntimeHeapLive),
-		heapGoal:   r.gaugeLocked(GaugeRuntimeHeapGoal),
-		allocBytes: r.gaugeLocked(GaugeRuntimeAllocBytes),
-		allocObjs:  r.gaugeLocked(GaugeRuntimeAllocObjects),
-		goroutines: r.gaugeLocked(GaugeRuntimeGoroutines),
-		gcCycles:   r.gaugeLocked(GaugeRuntimeGCCycles),
-		gcCPU:      r.gaugeLocked(GaugeRuntimeGCCPUPPM),
-		pauseHist:  r.histogramLocked(HistRuntimeGCPause),
-		schedHist:  r.histogramLocked(HistRuntimeSchedLatency),
+		heapLive:   r.Gauge(GaugeRuntimeHeapLive),
+		heapGoal:   r.Gauge(GaugeRuntimeHeapGoal),
+		allocBytes: r.Gauge(GaugeRuntimeAllocBytes),
+		allocObjs:  r.Gauge(GaugeRuntimeAllocObjects),
+		goroutines: r.Gauge(GaugeRuntimeGoroutines),
+		gcCycles:   r.Gauge(GaugeRuntimeGCCycles),
+		gcCPU:      r.Gauge(GaugeRuntimeGCCPUPPM),
+		pauseHist:  r.Histogram(HistRuntimeGCPause),
+		schedHist:  r.Histogram(HistRuntimeSchedLatency),
 		samples:    make([]metrics.Sample, len(sampleNames)),
 	}
 	for i, name := range sampleNames {
 		s.samples[i].Name = name
 	}
-	r.runtime = s
+	r.mu.Lock()
+	running := r.runtime
+	if running == nil {
+		r.runtime = s
+	}
 	r.mu.Unlock()
+	if running != nil {
+		return running
+	}
 	s.sampleOnce(false)
 	go s.loop()
 	return s
@@ -192,7 +153,7 @@ func (r *Recorder) StartRuntimeSampling(interval time.Duration) *RuntimeSampler 
 
 // StopRuntimeSampling stops the attached sampler after one final
 // sample, blocking until its goroutine exits. Idempotent and nil-safe;
-// the final RuntimeStatus stays readable after stopping.
+// the final readings stay in the registry after stopping.
 func (r *Recorder) StopRuntimeSampling() {
 	if r == nil {
 		return
@@ -206,39 +167,6 @@ func (r *Recorder) StopRuntimeSampling() {
 	}
 	close(s.stop)
 	<-s.done
-}
-
-// RuntimeStatus returns the latest runtime telemetry summary and
-// whether a sampler has ever contributed one. It keeps answering after
-// StopRuntimeSampling (the final sample is retained). Nil-safe.
-func (r *Recorder) RuntimeStatus() (RuntimeStatus, bool) {
-	if r == nil {
-		return RuntimeStatus{}, false
-	}
-	r.mu.RLock()
-	st, ok := r.runtimeStatus, r.runtimeSeen
-	r.mu.RUnlock()
-	return st, ok
-}
-
-// gaugeLocked and histogramLocked are Gauge/Histogram with the
-// recorder's registry lock already held by the caller.
-func (r *Recorder) gaugeLocked(name string) *Gauge {
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-func (r *Recorder) histogramLocked(name string) *Histogram {
-	h := r.hists[name]
-	if h == nil {
-		h = newHistogram()
-		r.hists[name] = h
-	}
-	return h
 }
 
 // loop is the sampler goroutine: one sample per tick until stopped,
@@ -259,29 +187,24 @@ func (s *RuntimeSampler) loop() {
 }
 
 // sampleOnce reads every runtime metric, updates the gauges, folds the
-// histogram deltas, emits bounded events, and refreshes the status.
-// final marks the closing sample taken by Stop.
+// histogram deltas, and emits bounded events. final marks the closing
+// sample taken by Stop.
 func (s *RuntimeSampler) sampleOnce(final bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	metrics.Read(s.samples)
 
-	heapLive := sampleUint64(s.samples[idxHeapLive])
-	heapGoal := sampleUint64(s.samples[idxHeapGoal])
-	allocB := sampleUint64(s.samples[idxAllocBytes])
-	allocO := sampleUint64(s.samples[idxAllocObjs])
+	heapLive := int64(sampleUint64(s.samples[idxHeapLive]))
 	goroutines := int64(sampleUint64(s.samples[idxGoroutines]))
 	cycles := sampleUint64(s.samples[idxGCCycles])
 
-	s.heapLive.Set(int64(heapLive))
-	s.heapGoal.Set(int64(heapGoal))
-	s.allocBytes.Set(int64(allocB))
-	s.allocObjs.Set(int64(allocO))
+	s.heapLive.Set(heapLive)
+	s.heapGoal.Set(int64(sampleUint64(s.samples[idxHeapGoal])))
+	s.allocBytes.Set(int64(sampleUint64(s.samples[idxAllocBytes])))
+	s.allocObjs.Set(int64(sampleUint64(s.samples[idxAllocObjs])))
 	s.goroutines.Set(goroutines)
 	s.gcCycles.Set(int64(cycles))
-
-	gcFrac := cpuFraction(s.samples[idxGCCPU], s.samples[idxTotalCPU])
-	s.gcCPU.Set(int64(gcFrac * 1e6))
+	s.gcCPU.Set(int64(cpuFraction(s.samples[idxGCCPU], s.samples[idxTotalCPU]) * 1e6))
 
 	var maxPause int64
 	s.prevPause, maxPause = foldFloat64Histogram(s.samples[idxGCPauses], s.prevPause, s.pauseHist)
@@ -294,42 +217,19 @@ func (s *RuntimeSampler) sampleOnce(final bool) {
 		s.rec.Emit(Event{
 			Type: EventGCCycle, Tuple: -1,
 			Itemsets: int(cycles - s.prevCycles),
-			Bytes:    int64(heapLive),
-			DurMS:    float64(maxPause) / float64(time.Millisecond),
+			Bytes:    heapLive,
+			DurMS:    durToMS(time.Duration(maxPause)),
 		})
 	}
 	s.prevCycles = cycles
 	if s.ticks < runtimeEventDense || s.ticks%runtimeEventStride == 0 || final {
 		s.rec.Emit(Event{
 			Type: EventHeapSample, Tuple: -1,
-			Bytes:      int64(heapLive),
+			Bytes:      heapLive,
 			Goroutines: goroutines,
 		})
 	}
 	s.ticks++
-
-	st := RuntimeStatus{
-		Samples:           s.ticks,
-		IntervalMS:        float64(s.interval) / float64(time.Millisecond),
-		HeapLiveBytes:     heapLive,
-		HeapGoalBytes:     heapGoal,
-		TotalAllocBytes:   allocB,
-		TotalAllocObjects: allocO,
-		Goroutines:        goroutines,
-		GCCycles:          cycles,
-		GCCPUFraction:     gcFrac,
-		GCPauseP50NS:      s.pauseHist.Quantile(0.50).Nanoseconds(),
-		GCPauseP95NS:      s.pauseHist.Quantile(0.95).Nanoseconds(),
-		GCPauseMaxNS:      s.pauseHist.Quantile(1).Nanoseconds(),
-		SchedLatencyP50NS: s.schedHist.Quantile(0.50).Nanoseconds(),
-		SchedLatencyP99NS: s.schedHist.Quantile(0.99).Nanoseconds(),
-	}
-	s.status = st
-	rec := s.rec
-	rec.mu.Lock()
-	rec.runtimeStatus = st
-	rec.runtimeSeen = true
-	rec.mu.Unlock()
 }
 
 // sampleUint64 reads a numeric sample defensively: the kinds here are

@@ -101,14 +101,6 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	return t
 }
 
-// Config returns the tracker's effective (defaulted) configuration.
-func (t *SLOTracker) Config() SLOConfig {
-	if t == nil {
-		return SLOConfig{}
-	}
-	return t.cfg
-}
-
 // bucket returns the live bucket for now, recycling stale slots in
 // place. Caller holds t.mu.
 func (t *SLOTracker) bucket(now time.Time) *sloBucket {

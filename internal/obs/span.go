@@ -27,29 +27,22 @@ type Span struct {
 	children []*Span
 }
 
+// newSpan opens a span now, its dump times relative to epoch.
+func newSpan(name string, epoch time.Time) *Span {
+	return &Span{name: name, start: time.Now(), epoch: epoch}
+}
+
 // StartSpan opens a root span. Returns nil (whose methods no-op) on a
 // nil receiver.
 func (r *Recorder) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	s := &Span{name: name, start: time.Now(), epoch: r.start}
+	s := newSpan(name, r.start)
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
 	r.mu.Unlock()
 	return s
-}
-
-// StartDetachedSpan opens a root span that is NOT added to the
-// recorder's trace forest. Request-scoped roots use this: a long-lived
-// server would otherwise accumulate one span per request forever, so
-// request roots instead go to the bounded exemplar ring after End.
-// Returns nil on a nil receiver.
-func (r *Recorder) StartDetachedSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{name: name, start: time.Now(), epoch: r.start}
 }
 
 // Child opens a nested span under s, inheriting the trace ID. Nil-safe.
@@ -57,30 +50,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), epoch: s.epoch}
-	s.mu.Lock()
-	c.traceID = s.traceID
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
-
-// AddChild attaches an already-measured child span: the serving layer
-// synthesises one child per attributed stage (queue wait, batch
-// assembly, …) onto a request's root after the flush reports its
-// breakdown. The child is created ended, with the given start and
-// duration. Nil-safe; returns the child.
-func (s *Span) AddChild(name string, start time.Time, dur time.Duration, attrs map[string]any) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, start: start, epoch: s.epoch, dur: dur, ended: true}
-	if len(attrs) > 0 {
-		c.attrs = make(map[string]any, len(attrs))
-		for k, v := range attrs {
-			c.attrs[k] = v
-		}
-	}
+	c := newSpan(name, s.epoch)
 	s.mu.Lock()
 	c.traceID = s.traceID
 	s.children = append(s.children, c)
@@ -159,17 +129,9 @@ type SpanDump struct {
 	Children []*SpanDump    `json:"children,omitempty"`
 }
 
-// Dump snapshots the span subtree (nil on a nil receiver). Safe to call
-// on a live span; open descendants are marked in-flight.
-func (s *Span) Dump() *SpanDump {
-	if s == nil {
-		return nil
-	}
-	return s.dump()
-}
-
-// dump snapshots the span subtree. Lock order is strictly parent before
-// child, so recursion cannot deadlock.
+// dump snapshots the span subtree; open descendants are marked
+// in-flight. Lock order is strictly parent before child, so recursion
+// cannot deadlock.
 func (s *Span) dump() *SpanDump {
 	s.mu.Lock()
 	d := &SpanDump{
@@ -177,14 +139,14 @@ func (s *Span) dump() *SpanDump {
 		TraceID:  s.traceID,
 		SpanID:   s.spanID,
 		ParentID: s.parentID,
-		StartMS:  float64(s.start.Sub(s.epoch)) / float64(time.Millisecond),
+		StartMS:  durToMS(s.start.Sub(s.epoch)),
 	}
 	dur := s.dur
 	if !s.ended {
 		dur = time.Since(s.start)
 		d.InFlight = true
 	}
-	d.DurMS = float64(dur) / float64(time.Millisecond)
+	d.DurMS = durToMS(dur)
 	if len(s.attrs) > 0 {
 		d.Attrs = make(map[string]any, len(s.attrs))
 		for k, v := range s.attrs {
@@ -226,12 +188,9 @@ type traceFile struct {
 // WriteTrace writes the span dump as indented JSON. A nil recorder
 // writes an empty trace.
 func (r *Recorder) WriteTrace(w io.Writer) error {
-	tf := traceFile{Spans: r.Trace()}
+	tf := traceFile{UptimeMS: r.uptimeMS(), Spans: r.Trace()}
 	if tf.Spans == nil {
 		tf.Spans = []*SpanDump{}
-	}
-	if r != nil {
-		tf.UptimeMS = float64(time.Since(r.start)) / float64(time.Millisecond)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -248,7 +207,7 @@ func (r *Recorder) StageTotals() map[string]time.Duration {
 	totals := make(map[string]time.Duration)
 	var walk func(d *SpanDump)
 	walk = func(d *SpanDump) {
-		totals[d.Name] += time.Duration(d.DurMS * float64(time.Millisecond))
+		totals[d.Name] += msToDur(d.DurMS)
 		for _, c := range d.Children {
 			walk(c)
 		}

@@ -62,10 +62,33 @@ type StageBreakdown struct {
 	Solve time.Duration
 }
 
+// stageShare is one stage of a breakdown: its span name, its histogram
+// and its duration.
+type stageShare struct {
+	name, hist string
+	d          time.Duration
+}
+
+// each lists b's stages in pipeline order: the one statement of that
+// order.
+func (b StageBreakdown) each() [5]stageShare {
+	return [5]stageShare{
+		{StageQueueWait, HistStageQueueWait, b.QueueWait},
+		{StageBatchAssembly, HistStageBatchAssembly, b.BatchAssembly},
+		{StagePoolSample, HistStagePoolSample, b.PoolSample},
+		{StageClassify, HistStageClassify, b.Classify},
+		{StageSolve, HistStageSolve, b.Solve},
+	}
+}
+
 // Total sums the attributed stages; comparing it to wall latency gives
 // the attribution coverage ratio the serving benchmark asserts on.
 func (b StageBreakdown) Total() time.Duration {
-	return b.QueueWait + b.BatchAssembly + b.PoolSample + b.Classify + b.Solve
+	var sum time.Duration
+	for _, st := range b.each() {
+		sum += st.d
+	}
+	return sum
 }
 
 // IsZero reports whether no stage was attributed.
@@ -82,7 +105,8 @@ type stageBreakdownJSON struct {
 	SolveMS         float64 `json:"solve_ms"`
 }
 
-// durToMS converts for the wire shape.
+// durToMS is the one duration-to-milliseconds conversion; every *_ms
+// field obs writes goes through it.
 func durToMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // msToDur converts from the wire shape.
@@ -123,19 +147,9 @@ func (r *Recorder) ObserveStages(b StageBreakdown) {
 	if r == nil {
 		return
 	}
-	if b.QueueWait > 0 {
-		r.Histogram(HistStageQueueWait).Observe(b.QueueWait)
-	}
-	if b.BatchAssembly > 0 {
-		r.Histogram(HistStageBatchAssembly).Observe(b.BatchAssembly)
-	}
-	if b.PoolSample > 0 {
-		r.Histogram(HistStagePoolSample).Observe(b.PoolSample)
-	}
-	if b.Classify > 0 {
-		r.Histogram(HistStageClassify).Observe(b.Classify)
-	}
-	if b.Solve > 0 {
-		r.Histogram(HistStageSolve).Observe(b.Solve)
+	for _, st := range b.each() {
+		if st.d > 0 {
+			r.Histogram(st.hist).Observe(st.d)
+		}
 	}
 }

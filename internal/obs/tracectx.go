@@ -33,20 +33,7 @@ func (tc TraceContext) Valid() bool {
 // validHexID checks an n-character lowercase-hex ID that is not all
 // zeros, per the traceparent grammar.
 func validHexID(s string, n int) bool {
-	if len(s) != n {
-		return false
-	}
-	zero := true
-	for i := 0; i < n; i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
-		if c != '0' {
-			zero = false
-		}
-	}
-	return !zero
+	return len(s) == n && isHex(s) && strings.Trim(s, "0") != ""
 }
 
 // Traceparent renders the context as a version-00 W3C traceparent

@@ -219,13 +219,10 @@ func TestRequestRingDuplicateTrace(t *testing.T) {
 
 func TestRecorderRequests(t *testing.T) {
 	rec := NewRecorder()
-	root := rec.StartDetachedSpan("request")
-	root.SetTrace(strings.Repeat("c", 32), strings.Repeat("1", 16), "")
-	root.Child("queue_wait").End()
-	root.End()
 	rec.OfferRequest(RequestTrace{
 		TraceID: strings.Repeat("c", 32), SpanID: strings.Repeat("1", 16),
-		Name: "request", Source: "computed", DurMS: 4, Root: root.Dump(),
+		Name: "request", Source: "computed", DurMS: 4,
+		Start: time.Now(), Stages: StageBreakdown{QueueWait: time.Millisecond},
 	})
 
 	sum := rec.RequestsSummary()
@@ -246,10 +243,10 @@ func TestRecorderRequests(t *testing.T) {
 		t.Fatal("RequestByTrace resolved an unknown trace")
 	}
 
-	// Detached roots must not leak into the recorder's span forest.
+	// Request roots must not leak into the recorder's span forest.
 	for _, d := range rec.Trace() {
 		if d.Name == "request" {
-			t.Fatal("detached request root landed in the trace forest")
+			t.Fatal("request root landed in the trace forest")
 		}
 	}
 
@@ -312,13 +309,14 @@ func TestSpanTraceIdentity(t *testing.T) {
 	s.SetTrace("trace-1", "span-1", "parent-1")
 	c := s.Child("child")
 	g := c.Child("grandchild")
-	a := s.AddChild("stage", time.Now(), time.Millisecond, map[string]any{"k": 1})
+	a := s.Child("stage")
+	a.SetAttr("k", 1)
 	g.End()
 	c.End()
 	a.End()
 	s.End()
 
-	d := s.Dump()
+	d := s.dump()
 	if d.TraceID != "trace-1" || d.SpanID != "span-1" || d.ParentID != "parent-1" {
 		t.Fatalf("root dump %+v", d)
 	}
@@ -328,7 +326,7 @@ func TestSpanTraceIdentity(t *testing.T) {
 		}
 	}
 	if d.Children[1].Attrs["k"] != 1 {
-		t.Fatalf("AddChild attrs %+v", d.Children[1].Attrs)
+		t.Fatalf("child attrs %+v", d.Children[1].Attrs)
 	}
 	if d.Children[0].Children[0].TraceID != "trace-1" {
 		t.Fatal("grandchild lost trace identity")
@@ -350,8 +348,9 @@ func TestSpanDrainRace(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c := root.Child("work")
 				c.SetAttr("i", i)
-				gc := c.AddChild("sub", time.Now(), time.Microsecond, nil)
-				_ = gc.Dump()
+				gc := c.Child("sub")
+				gc.End()
+				_ = gc.dump()
 				c.End()
 			}
 		}()
@@ -360,14 +359,14 @@ func TestSpanDrainRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_ = root.Dump()
+			_ = root.dump()
 			_ = rec.Trace()
 			root.SetTrace(strings.Repeat("d", 32), strings.Repeat("2", 16), "")
 		}
 	}()
 	wg.Wait()
 	root.End()
-	d := root.Dump()
+	d := root.dump()
 	if len(d.Children) != 8*50 {
 		t.Fatalf("root holds %d children, want %d", len(d.Children), 8*50)
 	}
@@ -380,17 +379,12 @@ func TestChromeTraceFlowEvents(t *testing.T) {
 	flush.End()
 
 	traceID := strings.Repeat("e", 32)
-	root := rec.StartDetachedSpan("request")
-	root.SetTrace(traceID, strings.Repeat("3", 16), "")
-	root.AddChild(StageQueueWait, time.Now(), time.Millisecond, nil)
-	root.End()
 	rec.OfferRequest(RequestTrace{
-		TraceID: traceID, Name: "request", Flush: 3, DurMS: 5, Root: root.Dump(),
+		TraceID: traceID, SpanID: strings.Repeat("3", 16), Name: "request", Flush: 3, DurMS: 5,
+		Start: time.Now(), Stages: StageBreakdown{QueueWait: time.Millisecond},
 	})
 	// A store hit (flush 0) must not grow a flow arrow.
-	hit := rec.StartDetachedSpan("request")
-	hit.End()
-	rec.OfferRequest(RequestTrace{TraceID: strings.Repeat("f", 32), Name: "request", DurMS: 1, Root: hit.Dump()})
+	rec.OfferRequest(RequestTrace{TraceID: strings.Repeat("f", 32), Name: "request", DurMS: 1, Start: time.Now()})
 
 	events := rec.ChromeTrace()
 	var start, finish *ChromeEvent

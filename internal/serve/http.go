@@ -156,14 +156,11 @@ func (s *Server) resolveExplainer(name string) (wantExact bool, err error) {
 // path — exact, store, queue — and reports what happened as one outcome;
 // everything a request leaves behind is built from that outcome here:
 // the response, the request histogram and SLO sample (availability
-// counts 5xx answers as bad), and the detached root span with its
-// stage children, offered to the slow-request exemplar ring.
+// counts 5xx answers as bad), and the exemplar offered to the
+// slow-request ring, which is also the request's span tree.
 func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool, tc obs.TraceContext, parent string) (ExplainResponse, int) {
 	start := time.Now() //shahinvet:allow walltime — request latency feeds the serving histograms
 	s.rec.Counter(obs.CounterServeRequests).Inc()
-	root := s.rec.StartDetachedSpan("request")
-	defer root.End() // idempotent: the traced path below closes the span itself, before dumping it
-	root.SetTrace(tc.TraceID, tc.SpanID, parent)
 
 	out := s.answer(ctx, tuple, wantExact, start)
 
@@ -202,27 +199,18 @@ func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool
 		bd := out.bd // a copy, so only the breakdown moves to the heap
 		resp.Stages = &bd
 	}
-	if root != nil {
-		addStageChildren(root, start, out.bd)
-		root.SetAttr("source", out.source)
-		root.SetAttr("status", status)
-		if out.flush > 0 {
-			root.SetAttr("flush", out.flush)
-		}
-		root.End()
-		s.rec.OfferRequest(obs.RequestTrace{
-			TraceID:  tc.TraceID,
-			SpanID:   tc.SpanID,
-			ParentID: parent,
-			Name:     "request",
-			Source:   out.source,
-			Status:   status,
-			Flush:    out.flush,
-			DurMS:    resp.WaitMS,
-			Stages:   out.bd,
-			Root:     root.Dump(),
-		})
-	}
+	s.rec.OfferRequest(obs.RequestTrace{
+		TraceID:  tc.TraceID,
+		SpanID:   tc.SpanID,
+		ParentID: parent,
+		Name:     "request",
+		Source:   out.source,
+		Status:   status,
+		Flush:    out.flush,
+		DurMS:    resp.WaitMS,
+		Stages:   out.bd,
+		Start:    start,
+	})
 	return resp, out.code
 }
 
@@ -281,33 +269,5 @@ func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, st
 	case <-ctx.Done():
 		s.rec.Counter(obs.CounterServeTimeouts).Inc()
 		return outcome{source: "computed", code: http.StatusGatewayTimeout}
-	}
-}
-
-// addStageChildren lays the request's non-zero stages under root as
-// sequential child spans. The layout is synthesised after the fact —
-// the real work interleaves with the shared flush — so children line up
-// end to end from the request's start and their sum never exceeds the
-// root's duration.
-func addStageChildren(root *obs.Span, start time.Time, bd obs.StageBreakdown) {
-	if root == nil || bd.IsZero() {
-		return
-	}
-	t := start
-	for _, st := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{obs.StageQueueWait, bd.QueueWait},
-		{obs.StageBatchAssembly, bd.BatchAssembly},
-		{obs.StagePoolSample, bd.PoolSample},
-		{obs.StageClassify, bd.Classify},
-		{obs.StageSolve, bd.Solve},
-	} {
-		if st.d <= 0 {
-			continue
-		}
-		root.AddChild(st.name, t, st.d, nil)
-		t = t.Add(st.d)
 	}
 }

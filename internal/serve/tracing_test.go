@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"shahin/internal/core"
+	"shahin/internal/explain/lime"
 	"shahin/internal/obs"
 )
 
@@ -276,5 +282,170 @@ func TestServeTraceparentEcho(t *testing.T) {
 	}
 	if fresh.TraceID == upTrace || out.TraceID != fresh.TraceID {
 		t.Fatalf("fresh trace %+v vs body %q", fresh, out.TraceID)
+	}
+}
+
+// exemplarTimes masks what differs between two runs of one request —
+// every millisecond reading that is not zero — so the rest of an
+// exemplar compares as bytes.
+var exemplarTimes = regexp.MustCompile(`("[a-z_]*_ms": )[0-9.e+-]*[1-9][0-9.e+-]*`)
+
+// TestRequestExemplarGolden pins what a served request leaves behind,
+// one row per path: the body of GET /requests?trace=<id> and the request
+// track of the Chrome trace with its flow pair to the flush that served
+// it. Ids are the ones the test sent; times are masked, and checked
+// instead for what they must add up to.
+func TestRequestExemplarGolden(t *testing.T) {
+	env := newForestEnv(t, 80, 2)
+	rec := obs.NewRecorder()
+	warm, err := core.NewWarm(env.st, env.cls, core.Options{
+		Explainer:  core.LIME,
+		LIME:       lime.Config{NumSamples: 300},
+		MinSupport: 0.1,
+		Tau:        50,
+		Seed:       81,
+		Recorder:   rec,
+	}, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(warm, Config{BatchWindow: time.Millisecond, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+
+	const caller = "b7ad6b7169203331"
+	rows := []struct {
+		trace, kind, source string
+		body, track         string
+	}{
+		{
+			trace: "c0000000000000000000000000000001", source: "computed",
+			body: `{ "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "name": "request", "source": "computed", "status": "ok", "flush": 1, "dur_ms": T,` +
+				` "stages": { "queue_wait_ms": T, "batch_assembly_ms": T, "pool_sample_ms": T, "classify_ms": T, "solve_ms": T },` +
+				` "root": { "name": "request", "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "start_ms": T, "dur_ms": T,` +
+				` "attrs": { "flush": 1, "source": "computed", "status": "ok" }, "children": [` +
+				` { "name": "queue_wait", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
+				` { "name": "batch_assembly", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
+				` { "name": "pool_sample", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
+				` { "name": "classify", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
+				` { "name": "solve", "trace_id": "TRACE", "start_ms": T, "dur_ms": T } ] } }`,
+			track: `X request{flush=1 source=computed status=ok trace_id=TRACE} X queue_wait{trace_id=TRACE} X batch_assembly{trace_id=TRACE}` +
+				` X pool_sample{trace_id=TRACE} X classify{trace_id=TRACE} X solve{trace_id=TRACE} s request-flush f request-flush bp=e on warm-flush 1`,
+		},
+		{
+			trace: "50000000000000000000000000000002", source: "store",
+			body: `{ "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "name": "request", "source": "store", "status": "ok", "dur_ms": T,` +
+				` "stages": { "queue_wait_ms": 0, "batch_assembly_ms": 0, "pool_sample_ms": 0, "classify_ms": 0, "solve_ms": T },` +
+				` "root": { "name": "request", "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "start_ms": T, "dur_ms": T,` +
+				` "attrs": { "source": "store", "status": "ok" }, "children": [` +
+				` { "name": "solve", "trace_id": "TRACE", "start_ms": T, "dur_ms": T } ] } }`,
+			track: `X request{source=store status=ok trace_id=TRACE} X solve{trace_id=TRACE}`,
+		},
+		{
+			trace: "e0000000000000000000000000000003", kind: "exactshap", source: "exact",
+			body: `{ "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "name": "request", "source": "exact", "status": "ok", "dur_ms": T,` +
+				` "stages": { "queue_wait_ms": 0, "batch_assembly_ms": 0, "pool_sample_ms": 0, "classify_ms": T, "solve_ms": T },` +
+				` "root": { "name": "request", "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "start_ms": T, "dur_ms": T,` +
+				` "attrs": { "source": "exact", "status": "ok" }, "children": [` +
+				` { "name": "classify", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
+				` { "name": "solve", "trace_id": "TRACE", "start_ms": T, "dur_ms": T } ] } }`,
+			track: `X request{source=exact status=ok trace_id=TRACE} X classify{trace_id=TRACE} X solve{trace_id=TRACE}`,
+		},
+	}
+	for _, row := range rows {
+		body, err := json.Marshal(ExplainRequest{Tuple: env.tuples[0], Explainer: row.kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/explain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", "00-"+row.trace+"-"+caller+"-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ExplainResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || out.Source != row.source {
+			t.Fatalf("%s request: HTTP %d source=%q, %v", row.source, resp.StatusCode, out.Source, err)
+		}
+	}
+
+	chrome := rec.ChromeTrace()
+	for _, row := range rows {
+		resp, err := http.Get(ts.URL + "/requests?trace=" + row.trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET /requests?trace: HTTP %d, %v", row.source, resp.StatusCode, err)
+		}
+		var rt obs.RequestTrace
+		if err := json.Unmarshal(raw, &rt); err != nil {
+			t.Fatal(err)
+		}
+		ids := strings.NewReplacer(row.trace, "TRACE", rt.SpanID, "SPAN", caller, "CALLER")
+		got := exemplarTimes.ReplaceAllString(ids.Replace(strings.Join(strings.Fields(string(raw)), " ")), "${1}T")
+		if got != row.body {
+			t.Errorf("%s exemplar:\n got %s\nwant %s", row.source, got, row.body)
+		}
+
+		// The children lie end to end from the request's start and never
+		// outlast the root.
+		at, sum := rt.Root.StartMS, 0.0
+		for _, c := range rt.Root.Children {
+			if c.StartMS < at-0.01 {
+				t.Errorf("%s: child %s starts at %.4fms, before %.4fms", row.source, c.Name, c.StartMS, at)
+			}
+			at, sum = c.StartMS+c.DurMS, sum+c.DurMS
+		}
+		if sum > rt.Root.DurMS*1.001+0.01 {
+			t.Errorf("%s: children sum %.3fms exceeds root %.3fms", row.source, sum, rt.Root.DurMS)
+		}
+
+		// Its Chrome track: one complete event per span of the dump, in
+		// dump order, then — for the one request a flush served — the flow
+		// pair from the request's track to that flush's.
+		spans := map[string]obs.ChromeEvent{}
+		var flows []string
+		flushTID := 0
+		for _, ev := range chrome {
+			switch {
+			case ev.Name == obs.StageWarmFlush && ev.Args["flush"] == rt.Flush:
+				flushTID = ev.TID
+			case ev.Args["trace_id"] == row.trace && ev.Cat == "shahin":
+				spans[ev.Name] = ev
+			case ev.ID == row.trace && ev.Ph == "s" && ev.TID == spans["request"].TID:
+				flows = append(flows, "s "+ev.Name)
+			case ev.ID == row.trace && ev.Ph == "f" && ev.TID == flushTID:
+				flows = append(flows, fmt.Sprintf("f %s bp=%s on %s %d", ev.Name, ev.BP, obs.StageWarmFlush, rt.Flush))
+			}
+		}
+		var track []string
+		for _, d := range append([]*obs.SpanDump{rt.Root}, rt.Root.Children...) {
+			ev := spans[d.Name]
+			if ev.TID != spans["request"].TID {
+				t.Errorf("%s: span %s is on track %d, its root on %d", row.source, d.Name, ev.TID, spans["request"].TID)
+			}
+			args := make([]string, 0, len(ev.Args))
+			for k, v := range ev.Args {
+				args = append(args, fmt.Sprintf("%s=%v", k, v))
+			}
+			sort.Strings(args)
+			track = append(track, fmt.Sprintf("%s %s{%s}", ev.Ph, ev.Name, ids.Replace(strings.Join(args, " "))))
+		}
+		track = append(track, flows...)
+		if got := strings.Join(track, " "); got != row.track {
+			t.Errorf("%s chrome track:\n got %s\nwant %s", row.source, got, row.track)
+		}
 	}
 }

@@ -165,8 +165,8 @@ type (
 	// Recorder collects spans, counters, and histograms; nil disables
 	// all instrumentation at zero cost.
 	Recorder = obs.Recorder
-	// MetricsServer serves a Recorder's /metrics, /progress, /trace, and
-	// /debug/pprof endpoints.
+	// MetricsServer serves a Recorder's live endpoints; GET / on it
+	// lists them.
 	MetricsServer = obs.Server
 	// RecorderMetrics is the /metrics JSON snapshot shape.
 	RecorderMetrics = obs.Metrics
