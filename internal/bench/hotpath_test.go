@@ -18,7 +18,10 @@ var hotpathMeasured = map[string]string{
 	"exact.(*Explainer).Explain":       "../explain/exact",
 	"lime.(*Explainer).kernel":         "../explain/lime",
 	"lime.topKByAbs":                   "../explain/lime",
+	"linmodel.(*BinaryFit).Add":        "../linmodel",
+	"linmodel.(*BinaryFit).Solve":      "../linmodel",
 	"linmodel.(*Sym).Solve":            "../linmodel",
+	"linmodel.cholSolve":               "../linmodel",
 	"perturb.(*Generator).FillItemset": "../perturb",
 	"perturb.(*Generator).ForItemset":  "../perturb",
 	"perturb.(*Generator).ForTuple":    "../perturb",

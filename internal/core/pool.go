@@ -37,6 +37,7 @@ type itemsetPool struct {
 
 	cursors  map[dataset.ItemsetKey]int    // ForTuple consumption
 	consumed map[dataset.ItemsetKey][]bool // ForItemset consumption
+	window   []perturb.Sample              // what the last ForTuple/ForItemset returned
 
 	cost *Cost // the tuple being explained
 }
@@ -83,7 +84,7 @@ func (p *itemsetPool) hit(f dataset.Itemset) {
 // tuple contains, best itemsets first.
 func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
 	sw := stopwatch()
-	var out []perturb.Sample
+	out := p.window[:0]
 	for _, f := range p.itemsets {
 		if len(out) >= max {
 			break
@@ -105,6 +106,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		p.cursors[key] = cur
 	}
 	p.cost.served(len(out), sw)
+	p.window = out
 	return out
 }
 
@@ -113,7 +115,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 // required items.
 func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sample {
 	sw := stopwatch()
-	var out []perturb.Sample
+	out := p.window[:0]
 	for _, f := range p.longestView {
 		if len(out) >= max {
 			break
@@ -155,5 +157,6 @@ func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		}
 	}
 	p.cost.served(len(out), sw)
+	p.window = out
 	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"shahin/internal/alloctest"
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
 	"shahin/internal/perturb"
@@ -58,6 +59,28 @@ func TestPoolForTupleServesContainedItemsets(t *testing.T) {
 	}
 	if got := p.ForTuple(tuple3, 10); len(got) != 0 {
 		t.Fatalf("served %d samples want 0", len(got))
+	}
+}
+
+// TestPoolWindowAllocs: once its window has grown to what a tuple is
+// served, the pool hands samples out without allocating.
+func TestPoolWindowAllocs(t *testing.T) {
+	p, _, _ := poolWith(t)
+	tuple := []dataset.Item{
+		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2),
+		dataset.MakeItem(2, 9), dataset.MakeItem(3, 9),
+	}
+	cost := new(Cost)
+	p.beginTuple(cost)
+	p.ForTuple(tuple, 10)
+	allocs, bytes := alloctest.PerCall(func() {
+		p.beginTuple(cost)
+		if got := p.ForTuple(tuple, 10); len(got) != 4 {
+			t.Fatalf("served %d samples want 4", len(got))
+		}
+	})
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("core.(*itemsetPool).ForTuple: %d allocs, %d B per call once warm, want 0 allocs, 0 B", allocs, bytes)
 	}
 }
 

@@ -1,27 +1,12 @@
 package exact
 
 import (
-	"runtime"
 	"testing"
 
+	"shahin/internal/alloctest"
 	"shahin/internal/datagen"
 	"shahin/internal/explain"
 )
-
-// allocsAndBytes reports what one call of f allocates, heap objects and
-// bytes, exactly (ReadMemStats stops the world) and floored over the
-// runs so a stray runtime allocation cannot round a 0 up.
-func allocsAndBytes(f func()) (allocs, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
-}
 
 // TestHotpathAllocs pins what one exact explanation allocates over a
 // trained forest on the 42-attribute census twin: the Attribution and
@@ -43,7 +28,7 @@ func TestHotpathAllocs(t *testing.T) {
 	}
 	x := d.Rows(0, 1)[0]
 	var sink *explain.Attribution
-	allocs, bytes := allocsAndBytes(func() { sink, _ = e.Explain(x) })
+	allocs, bytes := alloctest.PerCall(func() { sink, _ = e.Explain(x) })
 	if allocs != 2 || bytes != 400 {
 		t.Errorf("%s: %d allocs, %d B per call, want 2 allocs, 400 B", "exact.(*Explainer).Explain", allocs, bytes)
 	}

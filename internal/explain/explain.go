@@ -108,7 +108,9 @@ func (r *Rule) Describe(schema *dataset.Schema) string {
 // Pool supplies pre-labelled perturbations for reuse. A nil Pool means
 // sequential operation (no reuse). Implementations consume samples from a
 // per-tuple allowance so the same pooled sample is not handed out twice
-// for one explanation.
+// for one explanation. The slice either method returns is a window the
+// pool may own and overwrite: it is valid until the pool's next call, so a
+// caller ranges over it at once and keeps only samples it copies out.
 type Pool interface {
 	// ForTuple returns up to max labelled samples reusable for a tuple
 	// with the given full-row item encoding: samples whose frozen itemset

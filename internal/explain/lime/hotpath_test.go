@@ -1,48 +1,44 @@
 package lime
 
 import (
-	"runtime"
+	"math/rand"
 	"testing"
+
+	"shahin/internal/alloctest"
+	"shahin/internal/explain"
+	"shahin/internal/rf"
 )
 
-// allocsAndBytes reports what one call of f allocates, heap objects and
-// bytes, exactly (ReadMemStats stops the world) and floored over the
-// runs so a stray runtime allocation cannot round a 0 up.
-func allocsAndBytes(f func()) (allocs, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
-}
-
-// TestHotpathAllocs pins what the two //shahin:hotpath functions of
-// the surrogate fit allocate per call at the census twin's width: the
-// kernel nothing, the top-k selection its index and result slices.
+// TestHotpathAllocs pins what the surrogate fit allocates at the census
+// twin's width: the kernel nothing, the top-k selection its index and
+// result slices, and one whole steady-state explanation only what it
+// hands out — the Attribution and its weights, the tuple's items, and a
+// row and an item slice per fresh sample. The fit itself, and a pool's
+// window, cost nothing once warm.
 func TestHotpathAllocs(t *testing.T) {
-	const p = 42
-	// kernel reads only cfg.KernelWidth, so a bare Explainer with
-	// filled defaults is a faithful harness.
-	e := &Explainer{cfg: Config{}.fill(p)}
-	z, v := make([]float64, p), make([]float64, p)
-	for i := range z {
-		z[i] = float64((i + 1) % 2)
+	const p, samples = 42, 200
+	st, tuples := censusEnv(t, 600, 1, 1)
+	cls := rf.Func{Classes: 2, F: func(x []float64) int { return int(x[0]) & 1 }}
+	e := New(st, cls, Config{NumSamples: samples}, rand.New(rand.NewSource(2)))
+	v := make([]float64, p)
+	for i := range v {
 		v[i] = float64((i*7)%13) - 6
 	}
+	var sink *explain.Attribution
 	for _, tc := range []struct {
 		name          string
 		allocs, bytes uint64
 		run           func()
 	}{
-		{"lime.(*Explainer).kernel", 0, 0, func() { benchKernel = e.kernel(z) }},
+		{"lime.(*Explainer).kernel", 0, 0, func() { benchKernel = e.kernel(p / 2) }},
 		{"lime.topKByAbs", 2, 224, func() { benchTopK = topKByAbs(v, p/2) }},
+		// Attribution 48 B + weights 352 B + tuple items 176 B, then per
+		// sample a 352 B row and 176 B of items.
+		{"lime.(*Explainer).ExplainWithPool", 3 + 2*samples, 576 + 528*samples, func() { sink, _ = e.ExplainWithPool(tuples[0], nil) }},
 	} {
-		if allocs, bytes := allocsAndBytes(tc.run); allocs != tc.allocs || bytes != tc.bytes {
+		if allocs, bytes := alloctest.PerCall(tc.run); allocs != tc.allocs || bytes != tc.bytes {
 			t.Errorf("%s: %d allocs, %d B per call, want %d allocs, %d B", tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
+	_ = sink
 }

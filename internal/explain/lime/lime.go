@@ -64,21 +64,30 @@ func (c Config) fill(p int) Config {
 }
 
 // Explainer produces LIME attributions against a fixed classifier and
-// training distribution. It is not safe for concurrent use.
+// training distribution. It is not safe for concurrent use: the surrogate
+// fit's storage is reused from one explanation to the next.
 type Explainer struct {
 	cfg Config
 	st  *dataset.Stats
 	cls rf.Classifier
 	gen *perturb.Generator
+
+	fit      *linmodel.BinaryFit
+	on       []int  // the sample being added: attributes in the tuple's bin
+	noFreeze []bool // all false: classic LIME freezes nothing
 }
 
 // New builds a LIME explainer. rng drives all perturbation sampling.
 func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Explainer {
+	p := st.Schema.NumAttrs()
 	return &Explainer{
-		cfg: cfg.fill(st.Schema.NumAttrs()),
-		st:  st,
-		cls: cls,
-		gen: perturb.NewGenerator(st, rng),
+		cfg:      cfg.fill(p),
+		st:       st,
+		cls:      cls,
+		gen:      perturb.NewGenerator(st, rng),
+		fit:      linmodel.NewBinaryFit(p),
+		on:       make([]int, p),
+		noFreeze: make([]bool, p),
 	}
 }
 
@@ -90,7 +99,8 @@ func (e *Explainer) Explain(t []float64) (*explain.Attribution, error) {
 
 // ExplainWithPool generates the LIME attribution for t, serving as much of
 // the perturbation budget as possible from the pool (Algorithm 1, lines
-// 6–8) before generating and labelling fresh samples.
+// 6–8) before generating and labelling fresh samples. No design matrix is
+// built: each sample is folded into the surrogate fit as it arrives.
 func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.Attribution, error) {
 	p := e.st.Schema.NumAttrs()
 	if len(t) != p {
@@ -98,84 +108,70 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 	target := e.cls.Predict(t)
 	tItems := e.st.ItemizeRow(t, nil)
-
-	n := e.cfg.NumSamples
-	X := make([][]float64, 0, n+1)
-	y := make([]float64, 0, n+1)
-	w := make([]float64, 0, n+1)
-
-	addSample := func(items []dataset.Item, label int) {
-		z := perturb.BinaryEncode(tItems, items, nil)
-		X = append(X, z)
-		if label == target {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
-		}
-		w = append(w, e.kernel(z))
-	}
+	e.fit.Reset()
 
 	// The instance itself anchors the local fit (z = all ones), as in the
 	// reference implementation.
-	addSample(tItems, target)
+	e.add(tItems, tItems, true)
+	n := e.cfg.NumSamples
 
 	// Reused, already-labelled perturbations first.
 	if pool != nil {
-		maxReuse := int(e.cfg.MaxReuse * float64(n))
-		for _, s := range pool.ForTuple(tItems, maxReuse) {
-			addSample(s.Items, s.Label)
+		for _, s := range pool.ForTuple(tItems, int(e.cfg.MaxReuse*float64(n))) {
+			e.add(tItems, s.Items, s.Label == target)
+			n--
 		}
 	}
 
 	// Fresh perturbations for the remaining budget: classic LIME sampling
 	// (every attribute drawn independently from the training marginal).
 	obs, _ := pool.(explain.Observer)
-	noFreeze := make([]bool, p)
-	for len(X) < n+1 {
-		s := e.gen.ForTuple(t, noFreeze)
+	for ; n > 0; n-- {
+		s := e.gen.ForTuple(t, e.noFreeze)
 		s.Label = e.cls.Predict(s.Row)
-		addSample(s.Items, s.Label)
+		e.add(tItems, s.Items, s.Label == target)
 		if obs != nil {
 			obs.Observe(s)
 		}
 	}
 
-	m, err := linmodel.Ridge(X, y, w, e.cfg.Lambda)
+	weights := make([]float64, p)
+	intercept, err := e.fit.Solve(nil, e.cfg.Lambda, weights)
 	if err != nil {
 		return nil, fmt.Errorf("lime: surrogate fit: %w", err)
 	}
-	weights, intercept := m.Coef, m.Intercept
+	// LIME's "highest weights" feature selection: keep the k largest-|weight|
+	// attributes of the pilot fit, refit on just those columns of the same
+	// sums, and report zeros elsewhere.
 	if k := e.cfg.TopFeatures; k > 0 && k < p {
-		weights, intercept, err = e.refitTop(X, y, w, m.Coef, k)
-		if err != nil {
+		if intercept, err = e.fit.Solve(topKByAbs(weights, k), e.cfg.Lambda, weights); err != nil {
 			return nil, fmt.Errorf("lime: top-%d refit: %w", k, err)
 		}
 	}
 	return &explain.Attribution{Weights: weights, Intercept: intercept, Class: target}, nil
 }
 
-// refitTop implements LIME's "highest weights" feature selection: keep
-// the k largest-|weight| attributes of the pilot fit, refit the
-// surrogate on just those columns, and report zeros elsewhere.
-func (e *Explainer) refitTop(X [][]float64, y, w, pilot []float64, k int) ([]float64, float64, error) {
-	keep := topKByAbs(pilot, k)
-	Xk := make([][]float64, len(X))
-	for i, row := range X {
-		sub := make([]float64, k)
-		for j, a := range keep {
-			sub[j] = row[a]
+// add folds one labelled sample into the surrogate fit. Its interpretable
+// representation is 1 on the attributes whose bin is the tuple's (both
+// slices are canonical per-attribute encodings, as Stats.ItemizeRow makes
+// them), its target whether the classifier gave it the tuple's class.
+func (e *Explainer) add(tItems, items []dataset.Item, sameClass bool) {
+	// Every attribute is written at the cursor and the cursor moves only
+	// past a match: a match is a coin flip the branch predictor loses.
+	on, q := e.on[:len(tItems)], 0
+	for a, it := range tItems {
+		on[q] = a
+		var match int
+		if items[a] == it {
+			match = 1
 		}
-		Xk[i] = sub
+		q += match
 	}
-	m, err := linmodel.Ridge(Xk, y, w, e.cfg.Lambda)
-	if err != nil {
-		return nil, 0, err
+	y := 0.0
+	if sameClass {
+		y = 1
 	}
-	out := make([]float64, len(pilot))
-	for j, a := range keep {
-		out[a] = m.Coef[j]
-	}
-	return out, m.Intercept, nil
+	e.fit.Add(on[:q], y, e.kernel(len(tItems)-q))
 }
 
 // topKByAbs returns the indices of the k largest-|v| entries.
@@ -205,12 +201,6 @@ func topKByAbs(v []float64, k int) []int {
 // differs from the instance.
 //
 //shahin:hotpath
-func (e *Explainer) kernel(z []float64) float64 {
-	d2 := 0.0
-	for _, v := range z {
-		if v == 0 {
-			d2++
-		}
-	}
-	return math.Exp(-d2 / (e.cfg.KernelWidth * e.cfg.KernelWidth))
+func (e *Explainer) kernel(differing int) float64 {
+	return math.Exp(-float64(differing) / (e.cfg.KernelWidth * e.cfg.KernelWidth))
 }

@@ -8,6 +8,7 @@ import (
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
+	"shahin/internal/linmodel"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
@@ -29,6 +30,25 @@ func env(t *testing.T, seed int64) *dataset.Stats {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// censusEnv builds stats over the 42-attribute census twin and returns
+// them with the twin's first n rows as tuples to explain.
+func censusEnv(t *testing.T, rows int, seed int64, n int) (*dataset.Stats, [][]float64) {
+	t.Helper()
+	spec, err := datagen.Spec("census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(rows, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.Compute(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, d.Rows(0, n)
 }
 
 // attr0Classifier predicts 1 iff categorical attribute 0 equals v.
@@ -304,13 +324,134 @@ func BenchmarkTopKByAbs(b *testing.B) {
 func BenchmarkKernel(b *testing.B) {
 	const p = 40
 	e := &Explainer{cfg: Config{}.fill(p)}
-	z := make([]float64, p)
-	for i := range z {
-		z[i] = float64(i % 2)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchKernel = e.kernel(z)
+		benchKernel = e.kernel(i % p)
+	}
+}
+
+// referenceExplain is LIME as it was before the surrogate fit became a
+// one-pass accumulator, kept as the oracle: encode every sample into a
+// dense row of the design matrix, fit linmodel.Ridge on it, and for
+// TopFeatures copy the kept columns out and fit again. It draws from rng
+// what ExplainWithPool draws from its own generator, in the same order.
+func referenceExplain(t *testing.T, st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand, tup []float64, pool explain.Pool) *explain.Attribution {
+	t.Helper()
+	p := st.Schema.NumAttrs()
+	cfg = cfg.fill(p)
+	gen := perturb.NewGenerator(st, rng)
+	target := cls.Predict(tup)
+	tItems := st.ItemizeRow(tup, nil)
+	var X [][]float64
+	var y, w []float64
+	add := func(items []dataset.Item, label int) {
+		z := perturb.BinaryEncode(tItems, items, nil)
+		d2 := 0.0
+		for _, v := range z {
+			d2 += 1 - v
+		}
+		X = append(X, z)
+		y = append(y, map[bool]float64{true: 1}[label == target])
+		w = append(w, math.Exp(-d2/(cfg.KernelWidth*cfg.KernelWidth)))
+	}
+	add(tItems, target)
+	if pool != nil {
+		for _, s := range pool.ForTuple(tItems, int(cfg.MaxReuse*float64(cfg.NumSamples))) {
+			add(s.Items, s.Label)
+		}
+	}
+	for len(X) < cfg.NumSamples+1 {
+		s := gen.ForTuple(tup, make([]bool, p))
+		add(s.Items, cls.Predict(s.Row))
+	}
+	m, err := linmodel.Ridge(X, y, w, cfg.Lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := cfg.TopFeatures; k > 0 && k < p {
+		keep := topKByAbs(m.Coef, k)
+		Xk := make([][]float64, len(X))
+		for i, row := range X {
+			for _, a := range keep {
+				Xk[i] = append(Xk[i], row[a])
+			}
+		}
+		sub, err := linmodel.Ridge(Xk, y, w, cfg.Lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = &linmodel.Model{Coef: make([]float64, p), Intercept: sub.Intercept}
+		for j, a := range keep {
+			m.Coef[a] = sub.Coef[j]
+		}
+	}
+	return &explain.Attribution{Weights: m.Coef, Intercept: m.Intercept, Class: target}
+}
+
+// TestLIMEMatchesReferenceFit bounds how far the accumulator moved LIME's
+// answers: on the 42-attribute census twin, the same seeded samples
+// through ExplainWithPool and through BinaryEncode + dense Ridge give
+// weights and intercept equal to 1e-9 — with and without TopFeatures,
+// pooled and unpooled, and on an Explainer that has fitted before.
+func TestLIMEMatchesReferenceFit(t *testing.T) {
+	st, tuples := censusEnv(t, 1500, 23, 3)
+	// A classifier of three attributes' bins, so the weights have a few
+	// large entries for TopFeatures to keep and many near zero.
+	ref := st.ItemizeRow(tuples[0], nil)
+	cls := rf.Func{Classes: 2, F: func(x []float64) int {
+		it := st.ItemizeRow(x, nil)
+		if it[1] == ref[1] || (it[7] == ref[7] && it[20] != ref[20]) {
+			return 1
+		}
+		return 0
+	}}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		pooled bool
+	}{
+		{"full", Config{NumSamples: 600}, false},
+		{"full/pooled", Config{NumSamples: 600}, true},
+		{"top5", Config{NumSamples: 600, TopFeatures: 5}, false},
+		{"top5/pooled", Config{NumSamples: 600, TopFeatures: 5, MaxReuse: 0.5}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(st, cls, tc.cfg, rand.New(rand.NewSource(24)))
+			refRng := rand.New(rand.NewSource(24))
+			for _, tup := range tuples {
+				var pool, refPool explain.Pool
+				if tc.pooled {
+					gen := perturb.NewGenerator(st, rand.New(rand.NewSource(25)))
+					frozen := dataset.Itemset{st.ItemizeRow(tup, nil)[1]}
+					pooled := make([]perturb.Sample, 250)
+					for i := range pooled {
+						pooled[i] = gen.ForItemset(frozen)
+						pooled[i].Label = cls.Predict(pooled[i].Row)
+					}
+					pool, refPool = &fakePool{samples: pooled}, &fakePool{samples: pooled}
+				}
+				got, err := e.ExplainWithPool(tup, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceExplain(t, st, cls, tc.cfg, refRng, tup, refPool)
+				if got.Class != want.Class || math.Abs(got.Intercept-want.Intercept) > 1e-9 {
+					t.Fatalf("class %d intercept %.15g, reference class %d intercept %.15g", got.Class, got.Intercept, want.Class, want.Intercept)
+				}
+				nonZero := 0
+				for a := range want.Weights {
+					if math.Abs(got.Weights[a]-want.Weights[a]) > 1e-9 {
+						t.Errorf("attribute %d: weight %.15g, reference %.15g", a, got.Weights[a], want.Weights[a])
+					}
+					if got.Weights[a] != 0 {
+						nonZero++
+					}
+				}
+				if k := tc.cfg.TopFeatures; k > 0 && nonZero != k {
+					t.Errorf("TopFeatures=%d left %d non-zero weights", k, nonZero)
+				}
+			}
+		})
 	}
 }

@@ -180,6 +180,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// before paying a classifier call check whether the coalition is a
 	// superset of a pooled itemset with a matching cached perturbation
 	// (Algorithm 3, lines 9–13).
+	obs, _ := pool.(explain.Observer)
 	freeze := make([]bool, m)
 	for len(masks) < e.cfg.NumSamples {
 		size := 1 + e.sizeSampler.Draw(e.rng)
@@ -202,7 +203,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 		}
 		s := e.gen.ForTuple(t, freeze)
 		s.Label = e.cls.Predict(s.Row)
-		if obs, ok := pool.(explain.Observer); ok {
+		if obs != nil {
 			obs.Observe(s)
 		}
 		addSample(s.Items, s.Label)

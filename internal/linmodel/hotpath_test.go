@@ -1,35 +1,54 @@
 package linmodel
 
 import (
-	"runtime"
+	"math/rand"
 	"testing"
+
+	"shahin/internal/alloctest"
 )
 
-// allocsAndBytes reports what one call of f allocates, heap objects and
-// bytes, exactly (ReadMemStats stops the world) and floored over the
-// runs so a stray runtime allocation cannot round a 0 up.
-func allocsAndBytes(f func()) (allocs, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
-}
-
-// TestHotpathAllocs pins what Solve allocates on a well-conditioned
-// 12×12 SPD system: the packed factor, the forward vector and the
-// solution, nothing else.
+// TestHotpathAllocs pins what the package's //shahin:hotpath functions
+// allocate per call: Solve on a well-conditioned 12×12 SPD system the
+// packed factor and the solution, the in-place kernel under it nothing,
+// and the accumulator, at the census
+// twin's width, nothing — neither per sample nor per fit, full or on a
+// subset of the columns.
 func TestHotpathAllocs(t *testing.T) {
 	a, rhs := spdSystem(12, 8)
 	if _, err := a.Solve(rhs); err != nil {
 		t.Fatalf("fixture not positive definite: %v", err)
 	}
-	allocs, bytes := allocsAndBytes(func() { benchSolveVec, _ = a.Solve(rhs) })
-	if allocs != 3 || bytes != 832 {
-		t.Errorf("%s: %d allocs, %d B per call, want 3 allocs, 832 B", "linmodel.(*Sym).Solve", allocs, bytes)
+	const p = 42
+	design, y, w := binaryDesign(rand.New(rand.NewSource(3)), 200, p)
+	fit := NewBinaryFit(p)
+	for i, on := range design {
+		fit.Add(on, y[i], w[i])
+	}
+	coef, keep := make([]float64, p), []int{40, 3, 17, 8, 21}
+	fac, x := make([]float64, len(a.data)), make([]float64, len(rhs))
+	for _, tc := range []struct {
+		name          string
+		allocs, bytes uint64
+		run           func()
+	}{
+		{"linmodel.(*Sym).Solve", 2, 736, func() { benchSolveVec, _ = a.Solve(rhs) }},
+		{"linmodel.cholSolve", 0, 0, func() {
+			if err := a.solveInto(rhs, fac, x); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"linmodel.(*BinaryFit).Add", 0, 0, func() { fit.Add(design[7], y[7], w[7]) }},
+		{"linmodel.(*BinaryFit).Solve", 0, 0, func() {
+			if _, err := fit.Solve(nil, 1, coef); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fit.Solve(keep, 1, coef); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if allocs, bytes := alloctest.PerCall(tc.run); allocs != tc.allocs || bytes != tc.bytes {
+			t.Errorf("%s: %d allocs, %d B per call, want %d allocs, %d B", tc.name, allocs, bytes, tc.allocs, tc.bytes)
+		}
 	}
 }

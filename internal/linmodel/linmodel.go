@@ -1,8 +1,9 @@
 // Package linmodel implements the small dense linear algebra the
 // explainers need: weighted ridge regression via normal equations and a
 // Cholesky solver for symmetric positive-definite systems. LIME fits its
-// interpretable surrogate with Ridge; KernelSHAP solves a constrained
-// weighted least squares built on Solve.
+// interpretable surrogate with BinaryFit, which never builds the design
+// matrix; KernelSHAP solves a constrained weighted least squares built on
+// Solve; Ridge, the dense fit, is the reference BinaryFit is tested against.
 package linmodel
 
 import (
@@ -63,7 +64,7 @@ func Ridge(X [][]float64, y, w []float64, lambda float64) (*Model, error) {
 		totalW += weight(w, i)
 	}
 	if totalW <= 0 {
-		return nil, fmt.Errorf("linmodel: weights sum to %g", totalW)
+		return nil, weightSumError(totalW)
 	}
 	xbar := make([]float64, p)
 	ybar := 0.0
@@ -102,18 +103,9 @@ func Ridge(X [][]float64, y, w []float64, lambda float64) (*Model, error) {
 		A.Add(j, j, lambda)
 	}
 
-	coef, err := A.Solve(b)
-	if err != nil {
-		// Singular normal matrix (collinear or constant features): retry
-		// with a small diagonal jitter scaled to the matrix.
-		jitter := 1e-10 * (1 + A.MaxDiag())
-		for j := 0; j < p; j++ {
-			A.Add(j, j, jitter)
-		}
-		coef, err = A.Solve(b)
-		if err != nil {
-			return nil, fmt.Errorf("linmodel: normal equations singular: %w", err)
-		}
+	coef := make([]float64, p)
+	if err := A.solveJittered(b, make([]float64, len(A.data)), coef); err != nil {
+		return nil, err
 	}
 	intercept := ybar
 	for j := 0; j < p; j++ {
@@ -194,47 +186,77 @@ func (s *Sym) Solve(b []float64) ([]float64, error) {
 	if len(b) != s.n {
 		return nil, badRHSError(len(b), s.n)
 	}
-	n := s.n
-	// L is the packed lower-triangular Cholesky factor.
-	L := make([]float64, len(s.data))
-	copy(L, s.data)
-	at := func(i, j int) float64 { return L[i*(i+1)/2+j] }
-	set := func(i, j int, v float64) { L[i*(i+1)/2+j] = v }
+	x := make([]float64, s.n)
+	if err := s.solveInto(b, make([]float64, len(s.data)), x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// solveInto is Solve with its storage supplied: fac (as long as the
+// packed triangle) receives the factor and x the solution.
+func (s *Sym) solveInto(b, fac, x []float64) error {
+	copy(fac, s.data)
+	copy(x, b)
+	return cholSolve(fac, x)
+}
+
+// solveJittered is solveInto for normal equations, where a singular
+// matrix means collinear or constant features: it retries once with a
+// small diagonal jitter scaled to the matrix, which it leaves in s.
+func (s *Sym) solveJittered(b, fac, x []float64) error {
+	err := s.solveInto(b, fac, x)
+	if err != nil {
+		jitter := 1e-10 * (1 + s.MaxDiag())
+		for j := 0; j < s.n; j++ {
+			s.Add(j, j, jitter)
+		}
+		if err = s.solveInto(b, fac, x); err != nil {
+			return fmt.Errorf("linmodel: normal equations singular: %w", err)
+		}
+	}
+	return nil
+}
+
+// cholSolve overwrites the packed lower triangle a with its Cholesky
+// factor L and the right-hand side x with the solution of A x = b:
+// forward substitution L z = b, then back substitution Lᵀ x = z, both
+// in x. This is the package's one factorisation.
+//
+//shahin:hotpath
+func cholSolve(a, x []float64) error {
+	n := len(x)
 	for i := 0; i < n; i++ {
+		ri := a[i*(i+1)/2 : i*(i+1)/2+i+1]
 		for j := 0; j <= i; j++ {
-			sum := at(i, j)
+			rj := a[j*(j+1)/2 : j*(j+1)/2+j+1]
+			sum := ri[j]
 			for k := 0; k < j; k++ {
-				sum -= at(i, k) * at(j, k)
+				sum -= ri[k] * rj[k]
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
-					return nil, notPDError(i, sum)
+					return notPDError(i, sum)
 				}
-				set(i, j, math.Sqrt(sum))
+				ri[j] = math.Sqrt(sum)
 			} else {
-				set(i, j, sum/at(j, j))
+				ri[j] = sum / rj[j]
 			}
 		}
-	}
-	// Forward substitution L z = b.
-	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
+		sum := x[i]
 		for k := 0; k < i; k++ {
-			sum -= at(i, k) * z[k]
+			sum -= ri[k] * x[k]
 		}
-		z[i] = sum / at(i, i)
+		x[i] = sum / ri[i]
 	}
-	// Back substitution Lᵀ x = z.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
-		sum := z[i]
+		sum := x[i]
 		for k := i + 1; k < n; k++ {
-			sum -= at(k, i) * x[k]
+			sum -= a[k*(k+1)/2+i] * x[k]
 		}
-		x[i] = sum / at(i, i)
+		x[i] = sum / a[i*(i+1)/2+i]
 	}
-	return x, nil
+	return nil
 }
 
 // badRHSError and notPDError build Solve's failure values on the cold

@@ -1,26 +1,11 @@
 package perturb
 
 import (
-	"runtime"
 	"testing"
 
+	"shahin/internal/alloctest"
 	"shahin/internal/dataset"
 )
-
-// allocsAndBytes reports what one call of f allocates, heap objects and
-// bytes, exactly (ReadMemStats stops the world) and floored over the
-// runs so a stray runtime allocation cannot round a 0 up.
-func allocsAndBytes(f func()) (allocs, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
-}
 
 // TestHotpathAllocs pins what every //shahin:hotpath function of this
 // package allocates per call on the 42-attribute census twin: the fill,
@@ -50,7 +35,7 @@ func TestHotpathAllocs(t *testing.T) {
 		{"perturb.BinaryEncode", 0, 0, func() { benchVec = BinaryEncode(tItems, pooled.Items, enc) }},
 		{"perturb.MatchesBins", 0, 0, func() { benchBool = MatchesBins(frozen, pooled.Items) }},
 	} {
-		if allocs, bytes := allocsAndBytes(tc.run); allocs != tc.allocs || bytes != tc.bytes {
+		if allocs, bytes := alloctest.PerCall(tc.run); allocs != tc.allocs || bytes != tc.bytes {
 			t.Errorf("%s: %d allocs, %d B per call, want %d allocs, %d B", tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
