@@ -30,6 +30,9 @@ var hotpathMeasured = map[string]string{
 	"rf.(*Forest).Predict":             "../rf",
 	"router.(*Ring).Lookup":            "../router",
 	"router.Signature":                 "../router",
+	"shap.(*fit).add":                  "../explain/shap",
+	"shap.(*fit).solve":                "../explain/shap",
+	"shap.pick":                        "../explain/shap",
 }
 
 // hotpathInsideExplain are the walker's tagged helpers: they only run

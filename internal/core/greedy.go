@@ -57,8 +57,9 @@ type greedyStore struct {
 	nextID  int64
 	head    int // index of the oldest live sample
 
-	consumed map[int64]bool // per-tuple allowance
-	cost     *Cost          // the tuple being explained
+	consumed map[int64]bool   // per-tuple allowance
+	window   []perturb.Sample // what the last ForTuple/ForItemset returned
+	cost     *Cost            // the tuple being explained
 }
 
 type storedSample struct {
@@ -111,7 +112,7 @@ func (g *greedyStore) Observe(s perturb.Sample) {
 func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
 	sw := stopwatch()
 	minMatch := (len(tupleItems) + 1) / 2
-	var out []perturb.Sample
+	out := g.window[:0]
 	for i := len(g.samples) - 1; i >= g.head && len(out) < max; i-- {
 		ss := &g.samples[i]
 		if g.consumed[ss.id] {
@@ -123,6 +124,7 @@ func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		}
 	}
 	g.cost.served(len(out), sw)
+	g.window = out
 	return out
 }
 
@@ -134,7 +136,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		return nil
 	}
 	sw := stopwatch()
-	var out []perturb.Sample
+	out := g.window[:0]
 	for i := len(g.samples) - 1; i >= g.head && len(out) < max; i-- {
 		ss := &g.samples[i]
 		if g.consumed[ss.id] {
@@ -146,6 +148,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		}
 	}
 	g.cost.served(len(out), sw)
+	g.window = out
 	return out
 }
 

@@ -118,7 +118,8 @@ type Pool interface {
 	ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample
 	// ForItemset returns up to max labelled samples whose rows contain
 	// all the required items (used by KernelSHAP's subset reuse and
-	// Anchor's precision bootstrap).
+	// Anchor's precision bootstrap). required is the caller's scratch,
+	// overwritten for its next call: the pool must not retain it.
 	ForItemset(required dataset.Itemset, max int) []perturb.Sample
 }
 

@@ -14,11 +14,9 @@ package shap
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
-	"shahin/internal/linmodel"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
 	"shahin/internal/sample"
@@ -70,6 +68,14 @@ type Explainer struct {
 
 	sizeSampler *sample.Alias // coalition sizes 1..m-1 ∝ SHAP kernel mass
 
+	// Scratch one explanation after another reuses: the regression, the
+	// coalition draw's permutation (the identity between draws) and its
+	// swap log, the freeze flags and the frozen items.
+	fit         *fit
+	perm, swaps []int
+	freeze      []bool
+	required    dataset.Itemset
+
 	// baseRate caches E[1{C(x)=class}] under the product marginal: a
 	// tuple-independent invariant (paper §3.4), computed once per class.
 	baseRate  []float64
@@ -103,6 +109,14 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 			}
 		}
 		e.sizeSampler = sample.MustAlias(w)
+
+		e.fit = newFit(m, e.cfg.NumSamples)
+		e.perm, e.swaps = make([]int, m), make([]int, m)
+		for a := range e.perm {
+			e.perm[a] = a
+		}
+		e.freeze = make([]bool, m)
+		e.required = make(dataset.Itemset, m)
 	}
 	return e
 }
@@ -148,31 +162,18 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	const fx = 1.0 // f(t) = 1{C(t)=target} by construction
 
 	// Coalition masks use the bin-agreement convention for discretised
-	// tabular data: mask[a] = 1 when the perturbation agrees with the
-	// tuple's bin on attribute a, whether because a was frozen or because
-	// the imputed value landed in the same bin. This makes pooled and
-	// fresh samples exchangeable.
-	masks := make([][]bool, 0, e.cfg.NumSamples)
-	ys := make([]float64, 0, e.cfg.NumSamples)
-	addSample := func(items []dataset.Item, label int) {
-		mask := make([]bool, m)
-		for a := 0; a < m; a++ {
-			mask[a] = items[a] == tItems[a]
-		}
-		masks = append(masks, mask)
-		if label == target {
-			ys = append(ys, 1)
-		} else {
-			ys = append(ys, 0)
-		}
-	}
+	// tabular data: z_a = 1 when the perturbation agrees with the tuple's
+	// bin on attribute a, whether because a was frozen or because the
+	// imputed value landed in the same bin. This makes pooled and fresh
+	// samples exchangeable.
+	e.fit.begin(phi0, fx)
 
 	// Algorithm 3, lines 7–8: pooled perturbations of frequent itemsets
 	// the tuple contains fill the budget first, already labelled.
 	if pool != nil {
 		maxReuse := int(e.cfg.MaxReuse * float64(e.cfg.NumSamples))
 		for _, s := range pool.ForTuple(tItems, maxReuse) {
-			addSample(s.Items, s.Label)
+			e.fit.add(tItems, s.Items, s.Label == target)
 		}
 	}
 
@@ -181,39 +182,52 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// superset of a pooled itemset with a matching cached perturbation
 	// (Algorithm 3, lines 9–13).
 	obs, _ := pool.(explain.Observer)
-	freeze := make([]bool, m)
-	for len(masks) < e.cfg.NumSamples {
-		size := 1 + e.sizeSampler.Draw(e.rng)
-		attrs := sample.UniformIndices(e.rng, m, size)
-		sort.Ints(attrs)
-		for a := range freeze {
-			freeze[a] = false
-		}
-		required := make(dataset.Itemset, 0, size)
-		for _, a := range attrs {
-			freeze[a] = true
-			required = append(required, tItems[a])
-		}
-
+	for e.fit.n < e.cfg.NumSamples {
+		required := e.drawCoalition(tItems, 1+e.sizeSampler.Draw(e.rng))
 		if pool != nil {
 			if got := pool.ForItemset(required, 1); len(got) == 1 {
-				addSample(got[0].Items, got[0].Label)
+				e.fit.add(tItems, got[0].Items, got[0].Label == target)
 				continue
 			}
 		}
-		s := e.gen.ForTuple(t, freeze)
+		s := e.gen.ForTuple(t, e.freeze)
 		s.Label = e.cls.Predict(s.Row)
 		if obs != nil {
 			obs.Observe(s)
 		}
-		addSample(s.Items, s.Label)
+		e.fit.add(tItems, s.Items, s.Label == target)
 	}
 
-	phi, err := solveConstrained(masks, ys, phi0, fx, e.cfg.Ridge)
-	if err != nil {
+	phi := make([]float64, m)
+	if err := e.fit.solve(e.cfg.Ridge, phi); err != nil {
 		return nil, fmt.Errorf("shap: %w", err)
 	}
 	return &explain.Attribution{Weights: phi, Intercept: phi0, Class: target}, nil
+}
+
+// drawCoalition freezes size attributes chosen uniformly — the ones
+// sample.UniformIndices(e.rng, m, size) would return — and lists the
+// tuple's items on them, ascending by attribute, in scratch the next
+// draw overwrites.
+func (e *Explainer) drawCoalition(tItems []dataset.Item, size int) dataset.Itemset {
+	pick(e.rng, e.perm, e.swaps, size)
+	clear(e.freeze)
+	for _, a := range e.perm[:size] {
+		e.freeze[a] = true
+	}
+	unpick(e.perm, e.swaps, size)
+	// Write at the cursor, advance by the flag: a frozen attribute is a
+	// coin flip no branch predictor learns.
+	k := 0
+	for a, frozen := range e.freeze {
+		e.required[k] = tItems[a]
+		var kept int
+		if frozen {
+			kept = 1
+		}
+		k += kept
+	}
+	return e.required[:k]
 }
 
 // base returns the cached base rate for a class, measuring it on first
@@ -223,9 +237,10 @@ func (e *Explainer) base(class int) float64 {
 		return e.baseRate[class]
 	}
 	hits := 0
+	row := make([]float64, e.st.Schema.NumAttrs())
 	for i := 0; i < e.cfg.BaseSamples; i++ {
-		s := e.gen.ForItemset(nil)
-		if e.cls.Predict(s.Row) == class {
+		e.gen.FillItemset(nil, row)
+		if e.cls.Predict(row) == class {
 			hits++
 		}
 		e.basePulls++
@@ -238,66 +253,3 @@ func (e *Explainer) base(class int) float64 {
 // BaseInvocations reports the classifier calls spent estimating base
 // rates (for overhead accounting).
 func (e *Explainer) BaseInvocations() int64 { return e.basePulls }
-
-// solveConstrained solves the KernelSHAP regression
-//
-//	y_i ≈ φ0 + Σ_j φ_j z_ij   subject to   Σ_j φ_j = fx − φ0
-//
-// with unit sample weights (the kernel is folded into the coalition
-// sampling distribution). The constraint is enforced by eliminating the
-// last feature, leaving an (m−1)-dimensional ordinary least squares that
-// is solved via Cholesky with a tiny ridge.
-func solveConstrained(masks [][]bool, ys []float64, phi0, fx, ridge float64) ([]float64, error) {
-	if len(masks) == 0 {
-		return nil, fmt.Errorf("no coalition samples")
-	}
-	m := len(masks[0])
-	p := m - 1
-	A := linmodel.NewSym(p)
-	bvec := make([]float64, p)
-	feat := make([]float64, p)
-	for i, mask := range masks {
-		zm := 0.0
-		if mask[m-1] {
-			zm = 1
-		}
-		for j := 0; j < p; j++ {
-			zj := 0.0
-			if mask[j] {
-				zj = 1
-			}
-			feat[j] = zj - zm
-		}
-		target := ys[i] - phi0 - zm*(fx-phi0)
-		for j := 0; j < p; j++ {
-			if feat[j] == 0 {
-				continue
-			}
-			bvec[j] += feat[j] * target
-			for k := 0; k <= j; k++ {
-				if feat[k] != 0 {
-					A.Add(j, k, feat[j]*feat[k])
-				}
-			}
-		}
-	}
-	scale := A.MaxDiag()
-	if scale == 0 {
-		scale = 1
-	}
-	for j := 0; j < p; j++ {
-		A.Add(j, j, ridge*scale)
-	}
-	head, err := A.Solve(bvec)
-	if err != nil {
-		return nil, err
-	}
-	phi := make([]float64, m)
-	copy(phi, head)
-	last := fx - phi0
-	for _, v := range head {
-		last -= v
-	}
-	phi[m-1] = last
-	return phi, nil
-}

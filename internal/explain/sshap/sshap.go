@@ -134,9 +134,10 @@ func (e *Explainer) base(class int) float64 {
 		return e.baseRate[class]
 	}
 	hits := 0
+	row := make([]float64, e.st.Schema.NumAttrs())
 	for i := 0; i < e.cfg.BaseSamples; i++ {
-		s := e.gen.ForItemset(nil)
-		if e.cls.Predict(s.Row) == class {
+		e.gen.FillItemset(nil, row)
+		if e.cls.Predict(row) == class {
 			hits++
 		}
 		e.basePulls++

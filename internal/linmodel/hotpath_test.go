@@ -33,7 +33,7 @@ func TestHotpathAllocs(t *testing.T) {
 	}{
 		{"linmodel.(*Sym).Solve", 2, 736, func() { benchSolveVec, _ = a.Solve(rhs) }},
 		{"linmodel.cholSolve", 0, 0, func() {
-			if err := a.solveInto(rhs, fac, x); err != nil {
+			if err := a.SolveInto(rhs, fac, x); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -2,8 +2,8 @@
 // explainers need: weighted ridge regression via normal equations and a
 // Cholesky solver for symmetric positive-definite systems. LIME fits its
 // interpretable surrogate with BinaryFit, which never builds the design
-// matrix; KernelSHAP solves a constrained weighted least squares built on
-// Solve; Ridge, the dense fit, is the reference BinaryFit is tested against.
+// matrix; KernelSHAP builds its normal matrix from bit counts and solves it
+// with SolveInto; Ridge, the dense fit, is the reference BinaryFit is tested against.
 package linmodel
 
 import (
@@ -187,31 +187,32 @@ func (s *Sym) Solve(b []float64) ([]float64, error) {
 		return nil, badRHSError(len(b), s.n)
 	}
 	x := make([]float64, s.n)
-	if err := s.solveInto(b, make([]float64, len(s.data)), x); err != nil {
+	if err := s.SolveInto(b, make([]float64, len(s.data)), x); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// solveInto is Solve with its storage supplied: fac (as long as the
-// packed triangle) receives the factor and x the solution.
-func (s *Sym) solveInto(b, fac, x []float64) error {
+// SolveInto is Solve with its storage supplied, for a caller that solves
+// one system after another: fac (as long as the packed triangle) receives
+// the factor and x (as long as b) the solution.
+func (s *Sym) SolveInto(b, fac, x []float64) error {
 	copy(fac, s.data)
 	copy(x, b)
 	return cholSolve(fac, x)
 }
 
-// solveJittered is solveInto for normal equations, where a singular
+// solveJittered is SolveInto for normal equations, where a singular
 // matrix means collinear or constant features: it retries once with a
 // small diagonal jitter scaled to the matrix, which it leaves in s.
 func (s *Sym) solveJittered(b, fac, x []float64) error {
-	err := s.solveInto(b, fac, x)
+	err := s.SolveInto(b, fac, x)
 	if err != nil {
 		jitter := 1e-10 * (1 + s.MaxDiag())
 		for j := 0; j < s.n; j++ {
 			s.Add(j, j, jitter)
 		}
-		if err = s.solveInto(b, fac, x); err != nil {
+		if err = s.SolveInto(b, fac, x); err != nil {
 			return fmt.Errorf("linmodel: normal equations singular: %w", err)
 		}
 	}
