@@ -22,6 +22,8 @@ var hotpathMeasured = map[string]string{
 	"linmodel.(*BinaryFit).Solve":      "../linmodel",
 	"linmodel.(*Sym).Solve":            "../linmodel",
 	"linmodel.cholSolve":               "../linmodel",
+	"anchor.(*ruleArm).pull":           "../explain/anchor",
+	"perturb.(*Generator).fill":        "../perturb",
 	"perturb.(*Generator).FillItemset": "../perturb",
 	"perturb.(*Generator).ForItemset":  "../perturb",
 	"perturb.(*Generator).ForTuple":    "../perturb",

@@ -236,8 +236,8 @@ func TestConstantNumericColumn(t *testing.T) {
 	if st.Bin(0, 5) != 0 {
 		t.Fatal("constant column value not in bin 0")
 	}
-	if v := st.ValueInBin(0, 0, rand.New(rand.NewSource(1))); v != 5 {
-		t.Fatalf("ValueInBin on constant column = %g want 5", v)
+	if bin := st.FillPlan().Bins[0]; bin.Lo != 5 || bin.Width != 0 {
+		t.Fatalf("constant column's bin draws from %g + f·%g, want 5 and nothing drawn", bin.Lo, bin.Width)
 	}
 }
 
@@ -248,13 +248,26 @@ func TestBinRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	// Any value drawn from ValueInBin must discretise back to that bin.
+	plan := st.FillPlan()
+	// Any value drawn inside a bin of the fill plan must discretise back
+	// to that bin.
 	for a := 0; a < d.NumAttrs(); a++ {
+		at := plan.Attrs[a]
+		if int(at.K) != st.NumBins(a) {
+			t.Fatalf("attr %d: plan has %d bins, Stats %d", a, at.K, st.NumBins(a))
+		}
 		for b := 0; b < st.NumBins(a); b++ {
+			bin := plan.Bins[int(at.Off)+b]
 			for trial := 0; trial < 20; trial++ {
-				v := st.ValueInBin(a, b, rng)
+				v := float64(b)
+				if at.Numeric {
+					v = bin.Lo + rng.Float64()*bin.Width
+					if !(v > bin.Below && v <= bin.Above) {
+						t.Fatalf("attr %d bin %d: %g outside (%g, %g]", a, b, v, bin.Below, bin.Above)
+					}
+				}
 				if got := st.Bin(a, v); got != b {
-					t.Fatalf("attr %d: ValueInBin(%d) -> %g -> Bin %d", a, b, v, got)
+					t.Fatalf("attr %d: value %g drawn in bin %d -> Bin %d", a, v, b, got)
 				}
 			}
 		}
@@ -270,8 +283,14 @@ func TestSampleValueMatchesDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 60000
 	counts := make([]int, st.NumBins(0))
+	// The alias columns of the fill plan, drawn as perturb draws them.
+	at, bins := st.FillPlan().Attrs[0], st.FillPlan().Bins
 	for i := 0; i < n; i++ {
-		counts[int(st.SampleValue(0, rng))]++
+		b := rng.Intn(int(at.K))
+		if col := bins[int(at.Off)+b]; rng.Float64() >= col.Keep {
+			b = int(col.Alias)
+		}
+		counts[b]++
 	}
 	for v := range counts {
 		got := float64(counts[v]) / n

@@ -3,10 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
-
-	"shahin/internal/sample"
 )
 
 // Stats holds the training-distribution statistics all perturbation-based
@@ -25,7 +22,7 @@ type Stats struct {
 	Lo     []float64   // per attr: min observed value (numeric only)
 	Hi     []float64   // per attr: max observed value (numeric only)
 
-	samplers []*sample.Alias // per attr, over bins
+	plan *FillPlan // what perturb draws from; see FillPlan
 }
 
 // Compute derives Stats from a (training) dataset. The dataset must be
@@ -35,14 +32,13 @@ func Compute(d *Dataset) (*Stats, error) {
 		return nil, fmt.Errorf("dataset: Compute on empty dataset")
 	}
 	s := &Stats{
-		Schema:   d.Schema,
-		Freq:     make([][]float64, d.NumAttrs()),
-		Mean:     make([]float64, d.NumAttrs()),
-		Std:      make([]float64, d.NumAttrs()),
-		Edges:    make([][]float64, d.NumAttrs()),
-		Lo:       make([]float64, d.NumAttrs()),
-		Hi:       make([]float64, d.NumAttrs()),
-		samplers: make([]*sample.Alias, d.NumAttrs()),
+		Schema: d.Schema,
+		Freq:   make([][]float64, d.NumAttrs()),
+		Mean:   make([]float64, d.NumAttrs()),
+		Std:    make([]float64, d.NumAttrs()),
+		Edges:  make([][]float64, d.NumAttrs()),
+		Lo:     make([]float64, d.NumAttrs()),
+		Hi:     make([]float64, d.NumAttrs()),
 	}
 	n := float64(d.NumRows())
 	for a := range d.Cols {
@@ -72,11 +68,9 @@ func Compute(d *Dataset) (*Stats, error) {
 			}
 			s.Freq[a] = freq
 		}
-		al, err := sample.NewAlias(s.Freq[a])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: attribute %q: %v", attr.Name, err)
-		}
-		s.samplers[a] = al
+	}
+	if err := s.compile(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -169,42 +163,5 @@ func (s *Stats) Bin(a int, v float64) int {
 	return binOf(s.Edges[a], v)
 }
 
-// SampleBin draws a bin for attribute a from the training frequency
-// distribution.
-func (s *Stats) SampleBin(a int, rng *rand.Rand) int {
-	return s.samplers[a].Draw(rng)
-}
-
 // BinProb returns the training-frequency probability of (a, bin).
 func (s *Stats) BinProb(a, bin int) float64 { return s.Freq[a][bin] }
-
-// SampleValue draws a raw cell value for attribute a from the training
-// distribution: categorical attributes get a value index, numeric
-// attributes get a bin drawn by frequency and then a value within the bin.
-func (s *Stats) SampleValue(a int, rng *rand.Rand) float64 {
-	bin := s.SampleBin(a, rng)
-	return s.ValueInBin(a, bin, rng)
-}
-
-// ValueInBin draws a raw value for attribute a that falls in the given
-// bin. For categorical attributes the bin is the value. For numeric
-// attributes a value is drawn uniformly within the bin's edges (the
-// outermost bins are clamped to the observed min/max), which is the
-// standard "undiscretise" step of tabular LIME.
-func (s *Stats) ValueInBin(a, bin int, rng *rand.Rand) float64 {
-	if s.Schema.Attrs[a].Kind == Categorical {
-		return float64(bin)
-	}
-	edges := s.Edges[a]
-	lo, hi := s.Lo[a], s.Hi[a]
-	if bin > 0 {
-		lo = edges[bin-1]
-	}
-	if bin < len(edges) {
-		hi = edges[bin]
-	}
-	if hi <= lo {
-		return lo
-	}
-	return lo + rng.Float64()*(hi-lo)
-}

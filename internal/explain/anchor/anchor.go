@@ -91,6 +91,7 @@ type Explainer struct {
 	gen     *perturb.Generator
 	covRows []dataset.Itemset
 	scratch []float64 // the row of a pull's perturbation that is labelled and dropped
+	hist    []int     // a pull's predicted-class histogram
 
 	// pull is (*ruleArm).pull. It is a field only so that the
 	// byte-identity test can run the same search over the Pull that
@@ -109,6 +110,7 @@ func New(st *dataset.Stats, cls rf.Classifier, covRows []dataset.Itemset, cfg Co
 		gen:     perturb.NewGenerator(st, rng),
 		covRows: covRows,
 		scratch: make([]float64, st.Schema.NumAttrs()),
+		hist:    make([]int, cls.NumClasses()),
 		pull:    (*ruleArm).pull,
 	}
 }
@@ -333,13 +335,16 @@ func (e *Explainer) verify(rule dataset.Itemset, rr *cache.RuleResult, target in
 	round := 1
 	for {
 		mean := rr.Precision(target)
-		lb := mab.LowerBound(mean, rr.Pulls, verifyBeta(round, e.cfg.Delta))
-		ub := mab.UpperBound(mean, rr.Pulls, verifyBeta(round, e.cfg.Delta))
-		if rr.Pulls > 0 && lb > tau-e.cfg.Eps {
-			return true
-		}
-		if rr.Pulls > 0 && ub < tau-e.cfg.Eps {
-			return false
+		// The lower bound first: an accepted rule never pays for the
+		// upper bound's bisection.
+		if rr.Pulls > 0 {
+			beta := verifyBeta(round, e.cfg.Delta)
+			if mab.LowerBound(mean, rr.Pulls, beta) > tau-e.cfg.Eps {
+				return true
+			}
+			if mab.UpperBound(mean, rr.Pulls, beta) < tau-e.cfg.Eps {
+				return false
+			}
 		}
 		if rr.Pulls >= e.cfg.MaxPulls {
 			return mean >= tau-e.cfg.Eps
@@ -399,13 +404,20 @@ func (a *ruleArm) Pull(n int) int { return a.e.pull(a, n) }
 
 // pull draws and labels n perturbations. Only one the repository has
 // room for needs a row and items of its own; the rest are drawn into
-// the explainer's scratch row, labelled and dropped.
+// the explainer's scratch row, labelled and dropped. The histogram is
+// the explainer's too: AddTrials folds it in and keeps no reference.
+//
+//shahin:hotpath
 func (a *ruleArm) pull(n int) int {
 	e := a.e
-	hist := make([]int, e.cls.NumClasses())
+	hist := e.hist
+	clear(hist)
 	var store []perturb.Sample
 	stored, _ := a.sh.Repo.Get(a.items.Key())
 	room := e.cfg.StorePerRule - len(stored)
+	if room > 0 {
+		store = make([]perturb.Sample, 0, min(room, n))
+	}
 	for i := 0; i < n; i++ {
 		if room <= 0 {
 			e.gen.FillItemset(a.items, e.scratch)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"shahin/internal/alloctest"
 	"shahin/internal/cache"
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
@@ -444,5 +445,44 @@ func TestScratchPullsChangeNothing(t *testing.T) {
 	}
 	if got.next != want.next {
 		t.Error("the random stream was left at a different draw")
+	}
+}
+
+// TestHotpathAllocs pins what one pull allocates: nothing once the
+// rule's repository entry is full, and while it has room the two
+// slices of every sample it keeps and the one slice that hands them
+// over.
+func TestHotpathAllocs(t *testing.T) {
+	_, st, cov := env(t, 51)
+	const pulled = 5
+	e := New(st, attr0Classifier(1), cov, Config{StorePerRule: 1000}, rand.New(rand.NewSource(52)))
+	sh := NewShared(2, 0)
+	arm := func(items dataset.Itemset, stored []perturb.Sample) *ruleArm {
+		rr, _ := sh.Inv.Lookup(items.Key())
+		// An entry with capacity to spare, so that what Append's own
+		// growth would allocate stays out of the row.
+		sh.Repo.Put(items.Key(), stored)
+		return &ruleArm{e: e, sh: sh, items: items, rr: rr, target: 1}
+	}
+	full := arm(dataset.Itemset{dataset.MakeItem(0, 1)}, make([]perturb.Sample, 1000))
+	room := arm(dataset.Itemset{dataset.MakeItem(1, 2)}, make([]perturb.Sample, 0, 1000))
+
+	for _, tc := range []struct {
+		name          string
+		arm           *ruleArm
+		allocs, bytes uint64
+	}{
+		{"anchor.(*ruleArm).pull", full, 0, 0},
+		// 4 attributes: a 32 B row and a 16 B item slice per sample, 56 B
+		// per Sample header in the store.
+		{"anchor.(*ruleArm).pull with room", room, 2*pulled + 1, pulled*(32+16) + 288},
+	} {
+		allocs, bytes := alloctest.PerCall(func() { tc.arm.pull(pulled) })
+		if allocs != tc.allocs || bytes != tc.bytes {
+			t.Errorf("%s: %d allocs, %d B per call, want %d allocs, %d B", tc.name, allocs, bytes, tc.allocs, tc.bytes)
+		}
+	}
+	if got, _ := sh.Repo.Get(room.items.Key()); len(got) != 100*pulled {
+		t.Fatalf("the entry with room holds %d samples after 100 pulls of %d", len(got), pulled)
 	}
 }

@@ -31,6 +31,10 @@ func arms(rng *rand.Rand, ps ...float64) []Arm {
 }
 
 func TestKLBernoulliBasics(t *testing.T) {
+	klBernoulli := func(p, q float64) float64 {
+		p = clampProb(p)
+		return klBernoulli(p, 1-p, q)
+	}
 	if got := klBernoulli(0.5, 0.5); got > 1e-12 {
 		t.Fatalf("KL(p,p)=%g want 0", got)
 	}
@@ -57,6 +61,85 @@ func TestBoundsBracketMean(t *testing.T) {
 				t.Fatalf("bounds outside [0,1]: [%g, %g]", lb, ub)
 			}
 		}
+	}
+}
+
+// parentKL, parentUpperBound and parentLowerBound are the bounds as they
+// were before the clamp became two compares and the p side left the
+// loop.
+func parentKL(p, q float64) float64 {
+	const eps = 1e-15
+	p = math.Min(math.Max(p, eps), 1-eps)
+	q = math.Min(math.Max(q, eps), 1-eps)
+	return p*math.Log(p/q) + (1-p)*math.Log((1-p)/(1-q))
+}
+
+func parentUpperBound(mean float64, n int, beta float64) float64 {
+	if n == 0 {
+		return 1
+	}
+	lo, hi := mean, 1.0
+	level := beta / float64(n)
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if parentKL(mean, mid) > level {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+func parentLowerBound(mean float64, n int, beta float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	lo, hi := 0.0, mean
+	level := beta / float64(n)
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if parentKL(mean, mid) > level {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestBoundsBitsUnchanged: the bounds feed bestUB − worstLB ≤ ε, so they
+// must be the parent's to the bit — every success count of every pull
+// count Anchor can reach on a coarse grid, the means 0 and 1 included,
+// under exploration rates from the first round to a late one.
+func TestBoundsBitsUnchanged(t *testing.T) {
+	pulls := []int{0, 1, 2, 3, 7, 10, 20, 33, 100, 640, 1000, 4999, 5000}
+	betas := []float64{beta(1, 1, 0.05), beta(53, 1, 0.05), beta(53, 40, 0.05), beta(2, 250, 0.05), 0.5, 30}
+	checked := 0
+	for _, n := range pulls {
+		step := 1
+		if n > 200 {
+			step = 7
+		}
+		for succ := 0; ; succ += step {
+			succ = min(succ, n) // always end on mean 1
+			mean := Counts{Pulls: n, Successes: succ}.Mean()
+			for _, b := range betas {
+				if got, want := UpperBound(mean, n, b), parentUpperBound(mean, n, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("UpperBound(%d/%d, β=%g) = %v, parent %v", succ, n, b, got, want)
+				}
+				if got, want := LowerBound(mean, n, b), parentLowerBound(mean, n, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("LowerBound(%d/%d, β=%g) = %v, parent %v", succ, n, b, got, want)
+				}
+				checked++
+			}
+			if succ == n {
+				break
+			}
+		}
+	}
+	if checked < 5000 {
+		t.Fatalf("grid shrank to %d points", checked)
 	}
 }
 

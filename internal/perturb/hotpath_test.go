@@ -22,13 +22,14 @@ func TestHotpathAllocs(t *testing.T) {
 	freeze := make([]bool, p)
 	freeze[0], freeze[p/2] = true, true
 	pooled := g.ForItemset(frozen)
-	row, enc := make([]float64, p), make([]float64, p)
+	row, enc, items := make([]float64, p), make([]float64, p), make([]dataset.Item, p)
 
 	for _, tc := range []struct {
 		name          string
 		allocs, bytes uint64
 		run           func()
 	}{
+		{"perturb.(*Generator).fill", 0, 0, func() { g.fill(frozen[1:], tuple, freeze, row, items) }},
 		{"perturb.(*Generator).FillItemset", 0, 0, func() { g.FillItemset(frozen, row) }},
 		{"perturb.(*Generator).ForItemset", 2, 528, func() { benchSample = g.ForItemset(frozen) }},
 		{"perturb.(*Generator).ForTuple", 2, 528, func() { benchSample = g.ForTuple(tuple, freeze) }},

@@ -13,6 +13,7 @@
 package perturb
 
 import (
+	"math"
 	"math/rand"
 
 	"shahin/internal/dataset"
@@ -57,15 +58,7 @@ func (g *Generator) Stats() *dataset.Stats { return g.stats }
 //
 //shahin:hotpath
 func (g *Generator) FillItemset(frozen dataset.Itemset, row []float64) {
-	fi := 0
-	for a := range row {
-		if fi < len(frozen) && frozen[fi].Attr() == a {
-			row[a] = g.stats.ValueInBin(a, frozen[fi].Bin(), g.rng)
-			fi++
-			continue
-		}
-		row[a] = g.stats.SampleValue(a, g.rng)
-	}
+	g.fill(frozen, nil, nil, row, nil)
 }
 
 // ForItemset generates one perturbation with the itemset frozen (see
@@ -74,13 +67,10 @@ func (g *Generator) FillItemset(frozen dataset.Itemset, row []float64) {
 //
 //shahin:hotpath
 func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
-	row := make([]float64, g.stats.Schema.NumAttrs())
-	g.FillItemset(frozen, row)
-	return Sample{
-		Row:   row,
-		Items: g.stats.ItemizeRow(row, nil),
-		Label: -1,
-	}
+	n := g.stats.NumAttrs()
+	s := Sample{Row: make([]float64, n), Items: make([]dataset.Item, n), Label: -1}
+	g.fill(frozen, nil, nil, s.Row, s.Items)
+	return s
 }
 
 // ForTuple generates one perturbation of tuple t with the attributes in
@@ -90,18 +80,98 @@ func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
 //
 //shahin:hotpath
 func (g *Generator) ForTuple(t []float64, freeze []bool) Sample {
-	row := make([]float64, len(t))
-	for a := range t {
-		if freeze[a] {
+	s := Sample{Row: make([]float64, len(t)), Items: make([]dataset.Item, len(t)), Label: -1}
+	g.fill(nil, t, freeze, s.Row, s.Items)
+	return s
+}
+
+// fill is the one perturbation loop. Attribute a of row is t[a] where
+// freeze[a] is set, a value inside the frozen item's bin where frozen
+// has an item on a, and otherwise a bin drawn by the alias method and a
+// value inside it; items, unless nil, receives what Stats.ItemizeRow
+// would make of row. A nil t means no freeze mask.
+//
+// The draws are math/rand's, restated over rng.Int63 so that the loop
+// makes one dynamic call per draw and none per attribute: Int31n(K) is
+// the top 31 bits masked, or rejected above Max and reduced mod K;
+// Float64 is Int63/2⁶³, redrawn when that rounds to 1. The stream a
+// Generator consumes is therefore (*Alias).Draw's and Float64's, draw
+// for draw, for any rand.Source.
+//
+// The bin a value was drawn in is its item's bin, except where the
+// value sits on an edge — a draw of 0 yields the bin's lower edge, which
+// belongs to the bin below, and rounding can reach the upper one — so
+// two compares guard it and Stats.Bin decides the rest.
+//
+//shahin:hotpath
+func (g *Generator) fill(frozen dataset.Itemset, t []float64, freeze []bool, row []float64, items []dataset.Item) {
+	plan := g.stats.FillPlan()
+	rng, bins := g.rng, plan.Bins
+	attrs := plan.Attrs[:len(row)]
+	fi := 0
+	for a := range attrs {
+		if t != nil && freeze[a] {
 			row[a] = t[a]
-		} else {
-			row[a] = g.stats.SampleValue(a, g.rng)
+			if items != nil {
+				items[a] = dataset.MakeItem(a, g.stats.Bin(a, t[a]))
+			}
+			continue
 		}
-	}
-	return Sample{
-		Row:   row,
-		Items: g.stats.ItemizeRow(row, nil),
-		Label: -1,
+		at := &attrs[a]
+		var b int32
+		if fi < len(frozen) && frozen[fi].Attr() == a {
+			b = int32(frozen[fi].Bin())
+			fi++
+			if at.Numeric {
+				// A bin the attribute does not have panics here rather
+				// than read the neighbouring attribute's.
+				_ = bins[at.Off : at.Off+at.K][b]
+			}
+		} else {
+			v := int32(rng.Int63() >> 32)
+			if at.Mask >= 0 {
+				b = v & at.Mask
+			} else {
+				for v > at.Max {
+					v = int32(rng.Int63() >> 32)
+				}
+				b = v % at.K
+			}
+			f := float64(rng.Int63()) / (1 << 63)
+			for f == 1 {
+				f = float64(rng.Int63()) / (1 << 63)
+			}
+			// Keep the column when f < Keep, else take its alias — a
+			// coin toss, so it is picked by mask, not by branch: the
+			// sign bit of f - Keep is set exactly when f < Keep (both
+			// are finite, and x != y implies x - y != 0).
+			col := &bins[at.Off+b]
+			keep := int32(math.Float64bits(f-col.Keep) >> 63)
+			b = col.Alias ^ ((col.Alias ^ b) & -keep)
+		}
+		if !at.Numeric {
+			row[a] = float64(b)
+			if items != nil {
+				items[a] = dataset.Item(uint32(a)<<16 | uint32(b))
+			}
+			continue
+		}
+		bin := &bins[at.Off+b]
+		v := bin.Lo
+		if bin.Width > 0 {
+			f := float64(rng.Int63()) / (1 << 63)
+			for f == 1 {
+				f = float64(rng.Int63()) / (1 << 63)
+			}
+			v += f * bin.Width
+		}
+		row[a] = v
+		if items != nil {
+			if !(v > bin.Below && v <= bin.Above) {
+				b = int32(g.stats.Bin(a, v))
+			}
+			items[a] = dataset.Item(uint32(a)<<16 | uint32(b))
+		}
 	}
 }
 

@@ -99,32 +99,66 @@ func step(nodes []flatNode, i int32, x []float64) int32 {
 	return left ^ ((left ^ n.right) & -goRight)
 }
 
-// tally adds one vote per laid-out tree for finite row x. Four trees
-// are walked together so that four independent load→compare chains are
-// in flight; a tree shallower than the deepest of its four spins on its
-// leaf meanwhile.
-func (ff *flatForest) tally(x []float64, votes []int) {
-	nodes := ff.nodes
+// group is how many trees tally walks together: that many independent
+// load→compare chains are in flight at once.
+const group = 8
+
+// tally adds one vote per laid-out tree for finite row x; a tree
+// shallower than the deepest of its group spins on its leaf meanwhile.
+// With stopDecided it returns true after the first group that leaves
+// the vote decided: the leader ahead of the runner-up by more than the
+// trees not yet walked, the slow ones counted. The margin is strict, so
+// the leader is the argmax of the full tally whatever the unwalked
+// trees would have said, and a tie is never decided early — the
+// lowest-index rule sees every vote of a tie.
+func (ff *flatForest) tally(x []float64, votes []int, stopDecided bool) bool {
+	nodes, class := ff.nodes, ff.class
 	k := 0
-	for ; k+4 <= len(ff.roots); k += 4 {
-		r, dp := ff.roots[k:k+4:k+4], ff.depth[k:k+4:k+4]
-		i0, i1, i2, i3 := r[0], r[1], r[2], r[3]
-		for d := max(dp[0], dp[1], dp[2], dp[3]); d > 0; d-- {
+	for ; k+group <= len(ff.roots); k += group {
+		r, dp := ff.roots[k:k+group:k+group], ff.depth[k:k+group:k+group]
+		i0, i1, i2, i3, i4, i5, i6, i7 := r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]
+		for d := max(dp[0], dp[1], dp[2], dp[3], dp[4], dp[5], dp[6], dp[7]); d > 0; d-- {
 			i0 = step(nodes, i0, x)
 			i1 = step(nodes, i1, x)
 			i2 = step(nodes, i2, x)
 			i3 = step(nodes, i3, x)
+			i4 = step(nodes, i4, x)
+			i5 = step(nodes, i5, x)
+			i6 = step(nodes, i6, x)
+			i7 = step(nodes, i7, x)
 		}
-		votes[ff.class[i0]]++
-		votes[ff.class[i1]]++
-		votes[ff.class[i2]]++
-		votes[ff.class[i3]]++
+		votes[class[i0]]++
+		votes[class[i1]]++
+		votes[class[i2]]++
+		votes[class[i3]]++
+		votes[class[i4]]++
+		votes[class[i5]]++
+		votes[class[i6]]++
+		votes[class[i7]]++
+		if stopDecided && decided(votes, len(ff.roots)-k-group+len(ff.slow)) {
+			return true
+		}
 	}
 	for ; k < len(ff.roots); k++ {
 		i := ff.roots[k]
 		for d := ff.depth[k]; d > 0; d-- {
 			i = step(nodes, i, x)
 		}
-		votes[ff.class[i]]++
+		votes[class[i]]++
 	}
+	return false
+}
+
+// decided reports whether the leading class is more votes ahead of the
+// runner-up than there are votes left to cast.
+func decided(votes []int, left int) bool {
+	first, second := 0, 0
+	for _, v := range votes {
+		if v > first {
+			first, second = v, first
+		} else if v > second {
+			second = v
+		}
+	}
+	return first-second > left
 }

@@ -120,7 +120,9 @@ func (f *Forest) NumClasses() int { return f.NClasses }
 // call.
 const votesOnStack = 16
 
-// Predict returns the majority vote over the trees.
+// Predict returns the majority vote over the trees, the lowest class
+// among tied leaders. It walks only until the vote is decided (see
+// flatForest.tally).
 //
 //shahin:hotpath
 func (f *Forest) Predict(x []float64) int {
@@ -130,7 +132,7 @@ func (f *Forest) Predict(x []float64) int {
 		votes = make([]int, f.NClasses)
 	}
 	votes = votes[:f.NClasses]
-	f.tally(x, votes)
+	f.tally(x, votes, true)
 	best, bestN := 0, -1
 	for c, v := range votes {
 		if v > bestN {
@@ -141,12 +143,13 @@ func (f *Forest) Predict(x []float64) int {
 }
 
 // tally adds every tree's vote for x to votes, which has one slot per
-// class. Rows of finite cells take the derived layout's walk. A NaN or
-// infinite cell does not survive its sign-bit comparison (NaN has no
-// defined sign; -Inf - -Inf is NaN), so such a row takes the reference
-// walk, which sends NaN right at every split; v-v is +0 for a finite v
-// and NaN otherwise.
-func (f *Forest) tally(x []float64, votes []int) {
+// class — or, with stopDecided, only the votes cast before the argmax
+// was settled (see flatForest.tally). Rows of finite cells take the
+// derived layout's walk. A NaN or infinite cell does not survive its
+// sign-bit comparison (NaN has no defined sign; -Inf - -Inf is NaN), so
+// such a row takes the reference walk, which sends NaN right at every
+// split; v-v is +0 for a finite v and NaN otherwise.
+func (f *Forest) tally(x []float64, votes []int, stopDecided bool) {
 	finite := true
 	for _, v := range x {
 		if v-v != 0 {
@@ -162,7 +165,9 @@ func (f *Forest) tally(x []float64, votes []int) {
 			ff = flatten(f.Trees)
 			f.flat.Store(ff)
 		}
-		ff.tally(x, votes)
+		if ff.tally(x, votes, stopDecided) {
+			return
+		}
 		trees = ff.slow
 	}
 	for _, t := range trees {
@@ -174,7 +179,7 @@ func (f *Forest) tally(x []float64, votes []int) {
 // allocated per call.
 func (f *Forest) Prob(x []float64) []float64 {
 	votes := make([]int, f.NClasses)
-	f.tally(x, votes)
+	f.tally(x, votes, false)
 	p := make([]float64, f.NClasses)
 	for c, v := range votes {
 		p[c] = float64(v) / float64(len(f.Trees))

@@ -3,6 +3,7 @@ package rf
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,10 +75,11 @@ type namedForest struct {
 
 // walkForests returns the forests the equivalence tests run on: one
 // trained, its gob round trip, a pure (depth-0) one, one with more
-// classes than the stack tally holds, and one assembled by hand with a
+// classes than the stack tally holds, one assembled by hand with a
 // -0 threshold, a NaN threshold, an infinite threshold, a one-node tree
 // and a tree that is not in pre-order (which must keep the reference
-// walk).
+// walk), and the first 1 to 17 trees of a trained forest, so that every
+// split of a forest into groups of eight and a remainder is walked.
 func walkForests(tb testing.TB) []namedForest {
 	tb.Helper()
 	trained, err := Train(walkData(600, 31), Config{NumTrees: 11, MaxDepth: 7, Seed: 32})
@@ -131,7 +133,15 @@ func walkForests(tb testing.TB) []namedForest {
 		{NClasses: 3, Nodes: []treeNode{
 			{Feature: 0, Threshold: math.MaxFloat64, Left: 1, Right: 2}, leaf(2), leaf(1)}},
 	}}
-	return []namedForest{{"trained", trained}, {"loaded", loaded}, {"depth0", depth0}, {"wide", wide}, {"hand", hand}}
+	out := []namedForest{{"trained", trained}, {"loaded", loaded}, {"depth0", depth0}, {"wide", wide}, {"hand", hand}}
+	seventeen, err := Train(walkData(600, 36), Config{NumTrees: 2*group + 1, MaxDepth: 6, Seed: 37})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for n := 1; n <= len(seventeen.Trees); n++ {
+		out = append(out, namedForest{fmt.Sprintf("first%d", n), &Forest{Trees: seventeen.Trees[:n], NClasses: seventeen.NClasses}})
+	}
+	return out
 }
 
 // thresholds lists every split threshold of the forest.
@@ -189,6 +199,99 @@ func TestForestPredictMatchesReference(t *testing.T) {
 			}
 			assertWalkMatches(t, name, f, row)
 		}
+	}
+}
+
+// votingForest assembles one stump per vote: tree i sends a row with
+// x[0] <= 0 to a leaf of class votes[i] and any other row to a leaf of
+// the class after it, so one forest casts two vote sequences. A tree
+// listed in slow has its children swapped out of pre-order and keeps
+// the reference walk.
+func votingForest(nClasses int, votes []int32, slow ...int) *Forest {
+	f := &Forest{NClasses: nClasses}
+	for _, c := range votes {
+		next := (c + 1) % int32(nClasses)
+		f.Trees = append(f.Trees, &Tree{NClasses: nClasses, Nodes: []treeNode{
+			{Feature: 0, Threshold: 0, Left: 1, Right: 2}, {Feature: -1, Class: c}, {Feature: -1, Class: next}}})
+	}
+	for _, i := range slow {
+		n := f.Trees[i].Nodes
+		n[0].Left, n[0].Right, n[1], n[2] = 2, 1, n[2], n[1]
+	}
+	return f
+}
+
+// repeatVotes concatenates runs: repeatVotes(1, 8, 0, 8) is eight votes
+// for class 1 and then eight for class 0.
+func repeatVotes(classAndCount ...int) []int32 {
+	var out []int32
+	for i := 0; i < len(classAndCount); i += 2 {
+		for n := classAndCount[i+1]; n > 0; n-- {
+			out = append(out, int32(classAndCount[i]))
+		}
+	}
+	return out
+}
+
+// TestPredictStopsOnlyWhenDecided: Predict, which leaves the walk once
+// the vote is decided, names the class the full tally names — the
+// lowest index among the leaders — on forests built so that a stop one
+// vote too early would name another: ties that the higher class leads
+// until the last tree, and deciding votes in the last group, in the
+// remainder under eight, and in a tree outside the layout.
+func TestPredictStopsOnlyWhenDecided(t *testing.T) {
+	many := votesOnStack + 3
+	for _, tc := range []struct {
+		name string
+		f    *Forest
+	}{
+		{"unanimous", votingForest(3, repeatVotes(2, 24))},
+		{"two-class tie, higher class first", votingForest(2, repeatVotes(1, 8, 0, 8))},
+		{"two-class tie, alternating", votingForest(2, repeatVotes(1, 1, 0, 1, 1, 1, 0, 1, 1, 3, 0, 3, 1, 3, 0, 3))},
+		{"three-way tie", votingForest(3, repeatVotes(2, 8, 1, 8, 0, 8))},
+		{"three-way tie with remainder", votingForest(3, repeatVotes(2, 9, 1, 9, 0, 9))},
+		{"margin equals the trees left", votingForest(3, repeatVotes(1, 8, 0, 8, 2, 3))},
+		{"decided by the last group", votingForest(3, repeatVotes(2, 8, 1, 8, 0, 4, 1, 4))},
+		{"decided by the last vote of the last group", votingForest(2, repeatVotes(1, 8, 0, 7, 1, 1))},
+		{"decided in the remainder", votingForest(2, repeatVotes(1, 4, 0, 4, 0, 2, 1, 3))},
+		{"decided by the last vote of the remainder", votingForest(2, repeatVotes(1, 8, 0, 8, 0, 3, 1, 4))},
+		{"tied until a slow tree", votingForest(2, repeatVotes(0, 8, 1, 8, 1, 1), 16)},
+		{"slow trees tie it", votingForest(2, repeatVotes(1, 8, 0, 8), 8, 9, 10, 11, 12, 13, 14, 15)},
+		{"slow trees overturn the first group", votingForest(3, repeatVotes(2, 1, 1, 8, 2, 8), 0, 9, 10, 11, 12, 13, 14, 15, 16)},
+		{"more classes than the stack tally, tie", votingForest(many, repeatVotes(many-1, 8, many-2, 8, 0, 1))},
+		{"more classes than the stack tally, decided late", votingForest(many, repeatVotes(many-1, 8, 3, 8, 3, 1))},
+	} {
+		ff := flatten(tc.f.Trees)
+		for _, x := range []float64{-1, 0, 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			row := []float64{x}
+			assertWalkMatches(t, tc.name, tc.f, row)
+			if x-x != 0 {
+				continue // not a row for the layout
+			}
+			// The stop itself: taken only with the winner settled.
+			full, part := referenceVotes(tc.f, row), make([]int, tc.f.NClasses)
+			if !ff.tally(row, part, true) {
+				continue
+			}
+			walked, lead := 0, 0
+			for c, v := range part {
+				walked += v
+				if v > part[lead] {
+					lead = c
+				}
+			}
+			for c, v := range full {
+				if c != lead && full[lead] <= v {
+					t.Errorf("%s, x=%v: stopped after %d of %d trees with class %d leading, full tally %v", tc.name, x, walked, len(tc.f.Trees), lead, full)
+				}
+			}
+		}
+	}
+	// And it does stop: a unanimous forest of three groups is decided
+	// when two are in (8 ahead with 16 to come is not).
+	votes := make([]int, 3)
+	if f := votingForest(3, repeatVotes(2, 24)); !flatten(f.Trees).tally([]float64{-1}, votes, true) || votes[2] != 2*group {
+		t.Errorf("unanimous forest of 24: tally %v, want the walk to stop after %d trees", votes, 2*group)
 	}
 }
 

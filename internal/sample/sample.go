@@ -101,6 +101,10 @@ func (a *Alias) K() int { return len(a.prob) }
 // Prob returns the normalised probability of category i.
 func (a *Alias) Prob(i int) float64 { return a.pmf[i] }
 
+// Column returns column i of the table: the probability that a draw
+// landing on i keeps i, and the category it takes otherwise.
+func (a *Alias) Column(i int) (keep float64, alias int) { return a.prob[i], int(a.alias[i]) }
+
 // Draw samples a category index according to the distribution.
 func (a *Alias) Draw(rng *rand.Rand) int {
 	i := rng.Intn(len(a.prob))
