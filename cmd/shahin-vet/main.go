@@ -1,9 +1,8 @@
-// Command shahin-vet runs the project's static-analysis suite: eleven
+// Command shahin-vet runs the project's static-analysis suite: nine
 // analyzers enforcing the determinism, error-handling, nil-recorder,
-// and documentation invariants the reproduction depends on, plus the
-// CFG-backed flow checks — context propagation (ctxflow), span and
-// lock lifecycles (spanend, lockguard), hot-path allocation discipline
-// (hotalloc), and an audit of the suppression inventory itself
+// and documentation invariants the reproduction depends on, plus
+// context propagation (ctxflow), the CFG-backed lock lifecycle check
+// (lockguard), and an audit of the suppression inventory itself
 // (allowaudit). See internal/analysis. It prints go-vet-style
 // diagnostics (or JSON with -json) and exits non-zero when anything is
 // flagged:
@@ -11,7 +10,7 @@
 //	go run ./cmd/shahin-vet ./...
 //	go run ./cmd/shahin-vet -json ./internal/...
 //	go run ./cmd/shahin-vet -run walltime,maporder ./internal/core
-//	go run ./cmd/shahin-vet -tests ./internal/serve
+//	go run ./cmd/shahin-vet -tests -run detrand,maporder ./...
 //
 // Findings are suppressed per line with //shahinvet:allow <analyzer>;
 // allowaudit flags any such directive that no longer suppresses

@@ -59,6 +59,7 @@ func auditDirective(pass *Pass, known map[string]bool, pos token.Pos, text strin
 	if !isDirectiveComment(text) {
 		return
 	}
+	pass.InScope()
 	names, ok := parseDirective(text)
 	if !ok {
 		pass.Reportf(pos, "shahinvet:allow directive names no analyzers and suppresses nothing; name the analyzers or delete it")

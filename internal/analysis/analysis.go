@@ -17,26 +17,25 @@
 //   - pkgdoc: every package has a package comment and every exported
 //     identifier a doc comment, so godoc stays complete as the API
 //     grows.
-//
-// On top of the single-node checks sits a lightweight flow framework
-// (cfg.go, dataflow.go, callgraph.go): an intraprocedural CFG over
-// go/ast, a forward may-analysis engine, and a package-level call
-// graph. Four analyzers use it:
-//
 //   - ctxflow: incoming contexts must be forwarded to context-accepting
 //     callees; context.Background/TODO is forbidden on serve, fault,
-//     and *Ctx paths.
-//   - spanend: every StartSpan result is ended on all normal
-//     control-flow paths or explicitly handed off.
-//   - lockguard: no mutex copies, no lock leaked on any path, no
-//     blocking operation (channels, network, PredictCtx, Sleep) while a
-//     lock is held.
-//   - hotalloc: functions tagged //shahin:hotpath may not contain
-//     fmt.Sprintf-style formatting, uncapped appends in loops,
-//     interface boxing, or capturing closures in loops.
+//     and *Ctx paths (derivation is a per-declaration fixpoint over
+//     assignments, no CFG).
 //
-// A fifth, allowaudit, audits the suppression inventory itself: a
+// One analyzer needs control flow, and the flow framework (cfg.go,
+// dataflow.go, callgraph.go: an intraprocedural CFG over go/ast, a
+// forward may-analysis engine, a package-level call graph) exists for
+// it alone:
+//
+//   - lockguard: no lock leaked on any path, no blocking operation
+//     (channels, network, PredictCtx, Sleep) while a lock is held.
+//
+// The ninth, allowaudit, audits the suppression inventory itself: a
 // //shahinvet:allow directive that suppresses nothing is a finding.
+// What another gate already checks is not checked again here: mutex
+// copies are go vet's copylocks, and allocation in //shahin:hotpath
+// functions is measured exactly by the TestHotpathAllocs rows that
+// TestHotpathBodies requires of every tagged function.
 //
 // Findings can be suppressed per line with a
 //
@@ -81,14 +80,13 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// All returns the full suite in a stable order. The flow-aware checks
-// (ctxflow, spanend, lockguard, hotalloc) run on the CFG/dataflow
-// framework in cfg.go; allowaudit always executes last within an
-// invocation so it can see which directives the others consumed.
+// All returns the full suite in a stable order. allowaudit always
+// executes last within an invocation so it can see which directives
+// the others consumed.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AllowAudit, CtxFlow, DetRand, ErrCheck, HotAlloc, LockGuard,
-		MapOrder, NilRecv, PkgDoc, SpanEnd, WallTime,
+		AllowAudit, CtxFlow, DetRand, ErrCheck, LockGuard,
+		MapOrder, NilRecv, PkgDoc, WallTime,
 	}
 }
 
@@ -109,6 +107,7 @@ type Pass struct {
 
 	allow map[string]map[int]bool // file -> lines with an allow directive
 	diags []Diagnostic
+	sites int // InScope calls
 
 	// usage records which directive lines suppressed a finding, shared
 	// across the invocation's passes; ran is the set of analyzer names
@@ -116,6 +115,12 @@ type Pass struct {
 	usage map[directiveUse]bool
 	ran   map[string]bool
 }
+
+// InScope counts one site the analyzer judged its rule to apply to (a
+// lock call, a map range, a call with an error result, ...), finding
+// or not. An analyzer whose count over the whole module is zero
+// examines nothing, and TestRepoSelfClean fails it.
+func (p *Pass) InScope() { p.sites++ }
 
 // Reportf records a finding at pos unless a directive suppresses it,
 // in which case the consumed directive line is marked used.
@@ -142,11 +147,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // RunPackage runs the given analyzers over one loaded package and
-// returns the surviving findings sorted by position. allowaudit, if
+// returns the surviving findings sorted by position, and per analyzer
+// name the number of sites it judged in scope. allowaudit, if
 // selected, runs after every other analyzer regardless of its slice
 // position, so directive-usage information is complete when it audits.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]int) {
 	usage := make(map[directiveUse]bool)
+	sites := make(map[string]int)
 	ran := make(map[string]bool)
 	var audit *Analyzer
 	ordered := make([]*Analyzer, 0, len(analyzers))
@@ -172,9 +179,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		an.Run(pass)
 		diags = append(diags, pass.diags...)
+		sites[an.Name] += pass.sites
 	}
 	sortDiagnostics(diags)
-	return diags
+	return diags, sites
 }
 
 func sortDiagnostics(diags []Diagnostic) {

@@ -10,8 +10,8 @@ import (
 // no golang.org/x/tools dependency. The CFG is deliberately small —
 // straight-line statements share a block, and only control transfers
 // (if/for/range/switch/select, return, break/continue/goto/fallthrough,
-// panic) introduce edges — but it is precise about the constructs the
-// flow analyzers care about:
+// panic) introduce edges — but it is precise about the constructs
+// lockguard, its one client, cares about:
 //
 //   - branch and loop edges, including labeled break and continue;
 //   - a single synthetic normal Exit reached by returns and by falling
@@ -21,8 +21,8 @@ import (
 //     after a deliberate panic (the documented soundness trade-off:
 //     resources leaked only on panic paths are not reported — in this
 //     codebase a panic is a crash, and deferred cleanup still runs);
-//   - defer statements appear as ordinary nodes in their block; the
-//     flow analyzers model "defer x.End()" as closing x at the point
+//   - defer statements appear as ordinary nodes in their block;
+//     lockguard models "defer mu.Unlock()" as releasing mu at the point
 //     the defer executes, which is sound for must-release properties
 //     because the deferred call runs on every exit of any path that
 //     executed the defer.
@@ -472,64 +472,4 @@ func (g *FuncCFG) ReversePostorder() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// LoopBlocks returns the set of blocks that lie on a cycle — i.e. are
-// part of some loop body (including heads and post blocks). Computed
-// with Tarjan's strongly-connected components over the reachable graph:
-// a block loops iff its SCC has more than one member or it has a
-// self-edge. goto-formed loops count, which is why this lives on the
-// CFG instead of pattern-matching for/range syntax.
-func (g *FuncCFG) LoopBlocks() map[*Block]bool {
-	index := make(map[*Block]int)
-	low := make(map[*Block]int)
-	onStack := make(map[*Block]bool)
-	var stack []*Block
-	next := 0
-	out := make(map[*Block]bool)
-
-	var strongconnect func(v *Block)
-	strongconnect = func(v *Block) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range v.Succs {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []*Block
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			if len(scc) > 1 {
-				for _, w := range scc {
-					out[w] = true
-				}
-			} else {
-				w := scc[0]
-				for _, s := range w.Succs {
-					if s == w {
-						out[w] = true
-					}
-				}
-			}
-		}
-	}
-	strongconnect(g.Entry)
-	return out
 }

@@ -21,8 +21,8 @@ func buildTestCFG(t *testing.T, body string) *FuncCFG {
 	return BuildCFG(fd.Body)
 }
 
-// reachable returns the blocks reachable from the entry.
-func reachable(g *FuncCFG) map[*Block]bool {
+// reachableFrom returns start and every block its Succs edges lead to.
+func reachableFrom(start *Block) map[*Block]bool {
 	out := make(map[*Block]bool)
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
@@ -34,14 +34,26 @@ func reachable(g *FuncCFG) map[*Block]bool {
 			dfs(s)
 		}
 	}
-	dfs(g.Entry)
+	dfs(start)
 	return out
+}
+
+// reaches reports whether to can be reached from from over one or more
+// Succs edges; reaches(b, b) is "b lies on a cycle", loops formed by
+// goto included.
+func reaches(from, to *Block) bool {
+	for _, s := range from.Succs {
+		if reachableFrom(s)[to] {
+			return true
+		}
+	}
+	return false
 }
 
 // findBlock returns the first reachable block containing a node for
 // which pred returns true, or nil.
 func findBlock(g *FuncCFG, pred func(ast.Node) bool) *Block {
-	for blk := range reachable(g) {
+	for blk := range reachableFrom(g.Entry) {
 		for _, n := range blk.Nodes {
 			if pred(n) {
 				return blk
@@ -129,16 +141,12 @@ for i := 0; i < 10; i++ {
 	total += i
 }
 _ = total`)
-	loops := g.LoopBlocks()
-	if len(loops) == 0 {
-		t.Fatal("for loop produced no loop blocks")
-	}
 	body := findBlock(g, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		return ok && as.Tok == token.ADD_ASSIGN
 	})
-	if body == nil || !loops[body] {
-		t.Error("loop body block not classified as being in a loop")
+	if body == nil || !reaches(body, body) {
+		t.Error("loop body block has no path back to itself")
 	}
 	after := findBlock(g, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -151,8 +159,8 @@ _ = total`)
 	if after == nil {
 		t.Fatal("statement after the loop not recorded")
 	}
-	if loops[after] {
-		t.Error("block after the loop classified as in-loop")
+	if reaches(after, after) || reaches(after, body) {
+		t.Error("block after the loop flows back into it")
 	}
 }
 
@@ -163,13 +171,12 @@ for _, it := range items {
 	n += it
 }
 _ = n`)
-	loops := g.LoopBlocks()
 	body := findBlock(g, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		return ok && as.Tok == token.ADD_ASSIGN
 	})
-	if body == nil || !loops[body] {
-		t.Error("range body block not classified as in-loop")
+	if body == nil || !reaches(body, body) {
+		t.Error("range body block has no path back to itself")
 	}
 }
 
@@ -232,30 +239,12 @@ _ = sum`)
 	if brk == nil || after == nil {
 		t.Fatal("break outer or trailing statement not recorded")
 	}
-	reachesAfter := false
-	var dfs func(b *Block, seen map[*Block]bool)
-	dfs = func(b *Block, seen map[*Block]bool) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		if b == after {
-			reachesAfter = true
-		}
-		for _, s := range b.Succs {
-			dfs(s, seen)
-		}
-	}
-	dfs(brk, make(map[*Block]bool))
-	if !reachesAfter {
+	if !reaches(brk, after) {
 		t.Error("break outer does not reach the code after the loop")
 	}
 	// The break must not loop back to either head.
-	loops := g.LoopBlocks()
-	for _, s := range brk.Succs {
-		if loops[s] {
-			t.Error("break outer flows back into a loop block")
-		}
+	if reaches(brk, brk) {
+		t.Error("break outer flows back into a loop block")
 	}
 }
 
@@ -267,9 +256,12 @@ if i < 3 {
 	goto loop
 }
 _ = i`)
-	loops := g.LoopBlocks()
-	if len(loops) == 0 {
-		t.Fatal("goto-formed loop produced no loop blocks; LoopBlocks must be CFG-based, not syntax-based")
+	inc := findBlock(g, func(n ast.Node) bool {
+		_, ok := n.(*ast.IncDecStmt)
+		return ok
+	})
+	if inc == nil || !reaches(inc, inc) {
+		t.Fatal("goto-formed loop has no cycle through the labeled block")
 	}
 	if len(g.Exit.Preds) == 0 {
 		t.Error("goto loop never reaches the exit")
@@ -332,21 +324,29 @@ _ = x`)
 		}
 		seen[b] = true
 	}
-	if want := len(reachable(g)); len(rpo) != want {
+	if want := len(reachableFrom(g.Entry)); len(rpo) != want {
 		t.Errorf("reverse postorder has %d blocks, reachable set has %d", len(rpo), want)
 	}
-	// A predecessor outside any loop must precede its successor.
+	// Only a loop's back edge may go backward: its target leads to its
+	// source again.
 	pos := make(map[*Block]int)
 	for i, b := range rpo {
 		pos[b] = i
 	}
-	loops := g.LoopBlocks()
+	backward := 0
 	for _, b := range rpo {
 		for _, s := range b.Succs {
-			if !loops[b] && !loops[s] && pos[s] < pos[b] {
+			if pos[s] > pos[b] {
+				continue
+			}
+			backward++
+			if !reaches(s, b) {
 				t.Errorf("non-loop edge %d -> %d goes backward in reverse postorder", b.Index, s.Index)
 			}
 		}
+	}
+	if backward != 1 {
+		t.Errorf("%d backward edges in reverse postorder, want the for loop's one", backward)
 	}
 }
 

@@ -92,7 +92,7 @@ func checkCtxDecl(pass *Pass, info *types.Info, fd *ast.FuncDecl, bannedPkg bool
 				if !ok || id.Name == "_" {
 					continue
 				}
-				obj := spanObjOf(info, id)
+				obj := info.ObjectOf(id)
 				if obj == nil || !isContextType(obj.Type()) {
 					continue
 				}
@@ -120,6 +120,9 @@ func checkCtxDecl(pass *Pass, info *types.Info, fd *ast.FuncDecl, bannedPkg bool
 
 	hasCtxParam := len(params) > 0
 	bannedFunc := bannedPkg || strings.HasSuffix(fd.Name.Name, "Ctx")
+	if hasCtxParam || bannedFunc {
+		pass.InScope()
+	}
 	reported := make(map[ast.Node]bool)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

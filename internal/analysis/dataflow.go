@@ -3,14 +3,14 @@ package analysis
 import "go/token"
 
 // This file is the dataflow half of the flow framework: a small forward
-// engine over FuncCFG, specialised to the fact shape both lifecycle
-// analyzers (spanend, lockguard) need — a set of "open" resources keyed
-// by a stable string, each remembering where it was opened.
+// engine over FuncCFG, specialised to the fact shape lockguard needs —
+// a set of "open" resources keyed by a stable string, each remembering
+// where it was opened.
 //
 // The engine runs a may-analysis: facts are joined by set union, so a
 // resource is "open" at a point if it is open along ANY path reaching
-// it. For must-release properties ("every span is ended on all paths",
-// "every lock is unlocked on all paths") that is exactly the check:
+// it. For a must-release property ("every lock is unlocked on all
+// paths") that is exactly the check:
 // anything still open in the set flowing into the normal Exit block is
 // open on at least one path, which is a violation. Paths into PanicExit
 // are deliberately not checked (see cfg.go).

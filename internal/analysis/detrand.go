@@ -39,6 +39,7 @@ func runDetRand(pass *Pass) {
 					return true
 				}
 			}
+			pass.InScope()
 			if detrandConstructors[fn.Name()] {
 				for _, arg := range call.Args {
 					if containsCallTo(info, arg, "time", "Now") {

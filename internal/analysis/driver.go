@@ -10,26 +10,18 @@ import (
 
 // Check loads the packages matching patterns under the module rooted
 // at dir and runs the given analyzers (nil means the full suite) over
-// each, returning all surviving findings sorted by position. Test
-// files are excluded; CheckTests includes them.
-func Check(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return check(dir, patterns, analyzers, false)
-}
-
-// CheckTests is Check with each package's in-package _test.go files
-// included in the analyzed unit (the -tests flag of shahin-vet).
-func CheckTests(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return check(dir, patterns, analyzers, true)
-}
-
-func check(dir string, patterns []string, analyzers []*Analyzer, includeTests bool) ([]Diagnostic, error) {
+// each, returning all surviving findings sorted by position and each
+// analyzer's in-scope site count (Pass.InScope). includeTests adds each
+// package's in-package _test.go files to the analyzed unit (the -tests
+// flag of shahin-vet).
+func Check(dir string, patterns []string, analyzers []*Analyzer, includeTests bool) ([]Diagnostic, map[string]int, error) {
 	modPath, err := ReadModulePath(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	loader, err := NewLoader(dir, modPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	loader.IncludeTests = includeTests
 	if len(patterns) == 0 {
@@ -40,18 +32,23 @@ func check(dir string, patterns []string, analyzers []*Analyzer, includeTests bo
 	}
 	paths, err := loader.Packages(patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var diags []Diagnostic
+	sites := make(map[string]int)
 	for _, p := range paths {
 		pkg, err := loader.Load(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		diags = append(diags, RunPackage(pkg, analyzers)...)
+		d, n := RunPackage(pkg, analyzers)
+		diags = append(diags, d...)
+		for name, c := range n {
+			sites[name] += c
+		}
 	}
 	sortDiagnostics(diags)
-	return diags, nil
+	return diags, sites, nil
 }
 
 // Main is the shahin-vet entry point. It returns the process exit
@@ -84,7 +81,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "shahin-vet:", err)
 		return 2
 	}
-	diags, err := check(*dir, fs.Args(), analyzers, *tests)
+	diags, _, err := Check(*dir, fs.Args(), analyzers, *tests)
 	if err != nil {
 		fmt.Fprintln(stderr, "shahin-vet:", err)
 		return 2

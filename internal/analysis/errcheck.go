@@ -36,7 +36,11 @@ func runErrCheck(pass *Pass) {
 			case *ast.DeferStmt:
 				call = stmt.Call
 			}
-			if call == nil || !hasErrorResult(info, call) || errcheckExemptCall(info, call) {
+			if call == nil || !hasErrorResult(info, call) {
+				return true
+			}
+			pass.InScope()
+			if errcheckExemptCall(info, call) {
 				return true
 			}
 			pass.Reportf(call.Pos(),

@@ -61,9 +61,7 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"pkgdoc", "pkgdoc", []*Analyzer{PkgDoc}},
 		{"ctxflow", "ctxflow", []*Analyzer{CtxFlow}},
 		{"ctxflow-serve", "ctxflow/serve", []*Analyzer{CtxFlow}},
-		{"spanend", "spanend", []*Analyzer{SpanEnd}},
 		{"lockguard", "lockguard", []*Analyzer{LockGuard}},
-		{"hotalloc", "hotalloc", []*Analyzer{HotAlloc}},
 		// allowaudit needs a companion analyzer so one directive in the
 		// fixture is genuinely consumed (a used directive is the
 		// deliberate non-finding).
@@ -72,7 +70,7 @@ func TestAnalyzersGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg := loadFixture(t, tc.fixture)
-			diags := RunPackage(pkg, tc.analyzers)
+			diags, _ := RunPackage(pkg, tc.analyzers)
 			wants := parseWants(pkg)
 
 			matched := make(map[string]int)

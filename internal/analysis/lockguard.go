@@ -7,15 +7,13 @@ import (
 	"strings"
 )
 
-// LockGuard is the lock-lifecycle analyzer. Three invariants, all
-// flow-aware where it matters:
+// LockGuard is the lock-lifecycle analyzer. Two invariants, both
+// flow-aware (a mutex passed by value is go vet's copylocks, which CI
+// runs):
 //
-//  1. no mutex is copied by value (value receivers, value parameters,
-//     and dereference copies of types that contain a sync.Mutex or
-//     sync.RWMutex);
-//  2. every Lock/RLock is released on every normal control-flow path
+//  1. every Lock/RLock is released on every normal control-flow path
 //     (defer counts, panic paths are exempt — see cfg.go);
-//  3. no potentially blocking operation runs while a lock may be held:
+//  2. no potentially blocking operation runs while a lock may be held:
 //     channel sends/receives, selects without a default clause,
 //     net/http calls, time.Sleep, sync.WaitGroup.Wait, PredictCtx (the
 //     classifier backend may stall), and calls to same-package
@@ -23,114 +21,44 @@ import (
 //     call-graph approximation; cross-package callees are assumed
 //     non-blocking).
 //
-// For invariant 3 a deferred unlock does NOT release the lock — the
-// lock is held until function exit — while for invariant 2 it does.
+// For invariant 2 a deferred unlock does NOT release the lock — the
+// lock is held until function exit — while for invariant 1 it does.
 // The two passes therefore run with different transfer functions over
 // the same CFG.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
-	Doc:  "forbid mutex copies, locks not released on all paths, and blocking calls under a held lock",
+	Doc:  "forbid locks not released on all paths and blocking calls under a held lock",
 	Run:  runLockGuard,
 }
 
 func runLockGuard(pass *Pass) {
 	blocking := blockingFuncs(pass.Pkg)
-	forEachFuncBody(pass.Pkg, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
+	forEachFuncBody(pass.Pkg, func(body *ast.BlockStmt) {
 		checkLockFlow(pass, body, blocking)
 	})
-	checkMutexCopies(pass)
 }
 
-// ---- invariant 1: mutex copies ----
-
-// containsMutex reports whether t (passed by value) embeds a
-// sync.Mutex or sync.RWMutex anywhere.
-func containsMutex(t types.Type) bool {
-	return containsMutexRec(t, make(map[types.Type]bool))
-}
-
-func containsMutexRec(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex" || obj.Name() == "WaitGroup" || obj.Name() == "Once") {
-			return true
-		}
-		return containsMutexRec(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsMutexRec(t.Field(i).Type(), seen) {
+// forEachFuncBody visits every function body in the package: each
+// top-level declaration with a body, and each function literal nested
+// inside one (literals are opaque to the enclosing CFG, so each is its
+// own unit).
+func forEachFuncBody(pkg *Package, visit func(body *ast.BlockStmt)) {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			visit(fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					visit(lit.Body)
+				}
 				return true
-			}
+			})
 		}
-	case *types.Array:
-		return containsMutexRec(t.Elem(), seen)
-	}
-	return false
-}
-
-// checkMutexCopies flags value receivers, value parameters, and
-// dereference assignments whose type carries a lock.
-func checkMutexCopies(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				fields := []*ast.Field{}
-				if n.Recv != nil {
-					fields = append(fields, n.Recv.List...)
-				}
-				if n.Type.Params != nil {
-					fields = append(fields, n.Type.Params.List...)
-				}
-				for _, field := range fields {
-					tv, ok := info.Types[field.Type]
-					if !ok {
-						continue
-					}
-					if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-						continue
-					}
-					if containsMutex(tv.Type) {
-						pass.Reportf(field.Pos(),
-							"%s passes a lock by value: %s contains a sync mutex; use a pointer",
-							funcKind(n), types.TypeString(tv.Type, types.RelativeTo(pass.Pkg.Types)))
-					}
-				}
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					star, ok := ast.Unparen(rhs).(*ast.StarExpr)
-					if !ok {
-						continue
-					}
-					if tv, ok := info.Types[star]; ok && containsMutex(tv.Type) {
-						pass.Reportf(rhs.Pos(),
-							"assignment copies a lock: dereferencing %s copies its sync mutex",
-							types.ExprString(star.X))
-					}
-				}
-			}
-			return true
-		})
 	}
 }
-
-// funcKind names the declaration form for the copy diagnostic.
-func funcKind(fd *ast.FuncDecl) string {
-	if fd.Recv != nil {
-		return "method " + fd.Name.Name
-	}
-	return "function " + fd.Name.Name
-}
-
-// ---- invariants 2 and 3: lock flow ----
 
 // lockOp classifies one mutex method call.
 type lockOp struct {
@@ -207,10 +135,11 @@ func checkLockFlow(pass *Pass, body *ast.BlockStmt, blocking map[*types.Func]boo
 	if !usesLocks(info, body) {
 		return
 	}
+	pass.InScope()
 	g := BuildCFG(body)
 	nonBlockingComm := nonBlockingSelectStmts(body)
 
-	// Pass A (invariant 2): deferred unlocks release. Anything still
+	// Pass A (invariant 1): deferred unlocks release. Anything still
 	// held at the normal exit is a leak on some path.
 	leak := func(blk *Block, in Facts) Facts {
 		for _, n := range blk.Nodes {
@@ -230,7 +159,7 @@ func checkLockFlow(pass *Pass, body *ast.BlockStmt, blocking map[*types.Func]boo
 			name, name, verb)
 	}
 
-	// Pass B (invariant 3): deferred unlocks do NOT release — the lock
+	// Pass B (invariant 2): deferred unlocks do NOT release — the lock
 	// is held until exit. At every node reached with a non-empty held
 	// set, blocking operations are findings.
 	held := func(blk *Block, in Facts) Facts {

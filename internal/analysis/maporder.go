@@ -35,6 +35,7 @@ func runMapOrder(pass *Pass) {
 				funcs = append(funcs, n)
 			case *ast.RangeStmt:
 				if _, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
+					pass.InScope()
 					checkMapRange(pass, n, enclosingBody(funcs))
 				}
 			}

@@ -49,6 +49,7 @@ func runNilRecv(pass *Pass) {
 			if _, ok := sig.Recv().Type().(*types.Pointer); !ok {
 				continue // value receivers cannot be nil pointers
 			}
+			pass.InScope()
 			checkNilGuard(pass, fd)
 		}
 	}

@@ -26,6 +26,7 @@ func runPkgDoc(pass *Pass) {
 	if len(files) == 0 {
 		return
 	}
+	pass.InScope()
 	// The package comment may live in any file of the package; files
 	// arrive in sorted filename order, so the report (if any) anchors
 	// deterministically at the first file's package clause.

@@ -1,5 +1,5 @@
-// Package lockguard exercises the lock-lifecycle analyzer: mutex
-// copies, leaks on a branch, and blocking operations under a held lock.
+// Package lockguard exercises the lock-lifecycle analyzer: leaks on a
+// branch and blocking operations under a held lock.
 package lockguard
 
 import (
@@ -7,15 +7,10 @@ import (
 	"time"
 )
 
-// counter carries a mutex, so passing it by value copies the lock.
+// counter carries the mutex the cases below lock.
 type counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-// byValue copies the receiver (and its mutex) on every call.
-func (c counter) byValue() int { // want "lockguard: method byValue passes a lock by value"
-	return c.n
 }
 
 // byPointer is the correct form: no finding.

@@ -39,6 +39,7 @@ func runWallTime(pass *Pass) {
 				return true
 			}
 			if fn, ok := calleeFromPackage(info, call, "time"); ok && fn.Name() == "Now" {
+				pass.InScope()
 				pass.Reportf(call.Pos(),
 					"time.Now outside the obs/bench layer; route timing through obs or annotate the site with //shahinvet:allow walltime")
 			}

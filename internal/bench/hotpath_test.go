@@ -11,32 +11,6 @@ import (
 	"testing"
 )
 
-// hotpathMeasured is the hand-kept list of //shahin:hotpath functions
-// whose allocations per call are pinned exactly by the alloc test of
-// the package that owns them, keyed to that package's directory.
-var hotpathMeasured = map[string]string{
-	"exact.(*Explainer).Explain":       "../explain/exact",
-	"lime.(*Explainer).kernel":         "../explain/lime",
-	"lime.topKByAbs":                   "../explain/lime",
-	"linmodel.(*BinaryFit).Add":        "../linmodel",
-	"linmodel.(*BinaryFit).Solve":      "../linmodel",
-	"linmodel.(*Sym).Solve":            "../linmodel",
-	"linmodel.cholSolve":               "../linmodel",
-	"anchor.(*ruleArm).pull":           "../explain/anchor",
-	"perturb.(*Generator).fill":        "../perturb",
-	"perturb.(*Generator).FillItemset": "../perturb",
-	"perturb.(*Generator).ForItemset":  "../perturb",
-	"perturb.(*Generator).ForTuple":    "../perturb",
-	"perturb.BinaryEncode":             "../perturb",
-	"perturb.MatchesBins":              "../perturb",
-	"rf.(*Forest).Predict":             "../rf",
-	"router.(*Ring).Lookup":            "../router",
-	"router.Signature":                 "../router",
-	"shap.(*fit).add":                  "../explain/shap",
-	"shap.(*fit).solve":                "../explain/shap",
-	"shap.pick":                        "../explain/shap",
-}
-
 // hotpathInsideExplain are the walker's tagged helpers: they only run
 // inside exact.(*Explainer).Explain, whose row covers them.
 var hotpathInsideExplain = map[string]bool{
@@ -47,10 +21,11 @@ var hotpathInsideExplain = map[string]bool{
 }
 
 // taggedHotpaths returns the qualified name of every function under
-// internal/ whose doc comment carries the //shahin:hotpath directive.
-func taggedHotpaths(t *testing.T) map[string]bool {
+// internal/ whose doc comment carries the //shahin:hotpath directive,
+// keyed to the directory of the file that declares it.
+func taggedHotpaths(t *testing.T) map[string]string {
 	t.Helper()
-	tagged := map[string]bool{}
+	tagged := map[string]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("..", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -79,7 +54,7 @@ func taggedHotpaths(t *testing.T) map[string]bool {
 				if fn.Recv != nil {
 					name = "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + name
 				}
-				tagged[f.Name.Name+"."+name] = true
+				tagged[f.Name.Name+"."+name] = filepath.Dir(path)
 			}
 		}
 		return nil
@@ -91,21 +66,22 @@ func taggedHotpaths(t *testing.T) map[string]bool {
 }
 
 // TestHotpathBodies: every //shahin:hotpath function has an exact
-// allocs-per-call assertion. A tag that is neither on the measured list
-// nor covered by Explain fails here, and so does a listed function that
-// lost its tag or whose package test no longer names it.
+// allocs-per-call assertion. The tag is the list: a tagged function
+// that no test file of its own package names, and that Explain's row
+// does not cover, fails here — whether the row was never written or
+// the test stopped naming the function.
 func TestHotpathBodies(t *testing.T) {
 	tagged := taggedHotpaths(t)
-	for name := range tagged {
-		if _, ok := hotpathMeasured[name]; !ok && !hotpathInsideExplain[name] {
-			t.Errorf("%s is tagged //shahin:hotpath but has no alloc test: list it here and give it a row in its package's TestHotpathAllocs", name)
+	for name := range hotpathInsideExplain {
+		if _, ok := tagged[name]; !ok {
+			t.Errorf("%s no longer carries the //shahin:hotpath tag; drop it from hotpathInsideExplain", name)
 		}
 	}
-	for name, dir := range hotpathMeasured {
+	for name, dir := range tagged {
+		if hotpathInsideExplain[name] {
+			continue
+		}
 		t.Run(name, func(t *testing.T) {
-			if !tagged[name] {
-				t.Fatalf("%s no longer carries the //shahin:hotpath tag", name)
-			}
 			tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 			if err != nil {
 				t.Fatal(err)
@@ -119,7 +95,7 @@ func TestHotpathBodies(t *testing.T) {
 					return
 				}
 			}
-			t.Fatalf("no test file in %s names %q: its alloc test is gone", dir, name)
+			t.Fatalf("%s is tagged //shahin:hotpath but no test file in %s names %q: give it a row in its package's TestHotpathAllocs", name, dir, name)
 		})
 	}
 }

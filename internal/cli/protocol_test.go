@@ -211,7 +211,7 @@ func TestStoreBuiltForTheServerThatLoadsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Drain(context.Background()) //shahinvet:allow errcheck — test teardown
+	defer srv.Drain(context.Background())
 	if srv.StoreLen() != len(tuples) {
 		t.Fatalf("server restored %d explanations, want %d", srv.StoreLen(), len(tuples))
 	}
@@ -228,7 +228,7 @@ func TestStoreBuiltForTheServerThatLoadsIt(t *testing.T) {
 		}
 		var got serve.ExplainResponse
 		err = json.NewDecoder(resp.Body).Decode(&got)
-		resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -293,7 +293,7 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now() //shahinvet:allow walltime — the test bounds post-cancel latency
+	start := time.Now()
 	res, err := b.ExplainAllCtx(ctx, env.tuples)
 	took := time.Since(start)
 	if !errors.Is(err, context.Canceled) {

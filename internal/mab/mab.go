@@ -7,7 +7,7 @@
 // candidate rule, invokes the classifier, and counts how many predictions
 // match the target class. The package provides the two primitives Anchor
 // needs: selecting the top-n arms by mean with (ε, δ) guarantees, and
-// deciding whether a single arm's mean clears a threshold.
+// the KL confidence bounds it compares with its precision threshold.
 package mab
 
 import (
@@ -243,37 +243,4 @@ func rankByMean(counts []Counts, k int) []int {
 		}
 	}
 	return order[:k]
-}
-
-// AboveThreshold decides whether an arm's true mean exceeds tau, pulling
-// until the (1-delta) confidence interval clears tau on one side or the
-// interval is narrower than eps. It returns the decision, the final
-// counts, and whether the decision is confident (false when the budget ran
-// out with tau inside the interval).
-func AboveThreshold(arm Arm, tau float64, cfg Config) (above, confident bool, counts Counts) {
-	c := cfg.fill()
-	pull := func(k int) {
-		counts.Successes += arm.Pull(k)
-		counts.Pulls += k
-	}
-	pull(c.InitPulls)
-	round := 1
-	for counts.Pulls < c.MaxPulls {
-		b := beta(1, round, c.Delta)
-		mean := counts.Mean()
-		lb := LowerBound(mean, counts.Pulls, b)
-		ub := UpperBound(mean, counts.Pulls, b)
-		if lb > tau {
-			return true, true, counts
-		}
-		if ub < tau {
-			return false, true, counts
-		}
-		if ub-lb < c.Eps {
-			return mean >= tau, true, counts
-		}
-		pull(c.Batch)
-		round++
-	}
-	return counts.Mean() >= tau, false, counts
 }

@@ -258,41 +258,6 @@ func TestTopNBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestAboveThresholdClearCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	above, confident, counts := AboveThreshold(&bern{p: 0.9, rng: rng}, 0.5, Config{})
-	if !above || !confident {
-		t.Fatalf("p=0.9 vs tau=0.5: above=%v confident=%v", above, confident)
-	}
-	if counts.Pulls == 0 {
-		t.Fatal("no pulls recorded")
-	}
-	above, confident, _ = AboveThreshold(&bern{p: 0.1, rng: rng}, 0.5, Config{})
-	if above || !confident {
-		t.Fatalf("p=0.1 vs tau=0.5: above=%v confident=%v", above, confident)
-	}
-}
-
-func TestAboveThresholdBorderline(t *testing.T) {
-	// Mean exactly at tau: must terminate via the eps narrow-interval rule
-	// or budget, never loop forever.
-	rng := rand.New(rand.NewSource(7))
-	_, _, counts := AboveThreshold(&bern{p: 0.5, rng: rng}, 0.5, Config{Eps: 0.05, MaxPulls: 50000})
-	if counts.Pulls > 50000+10 {
-		t.Fatalf("budget overrun: %d", counts.Pulls)
-	}
-}
-
-func TestAboveThresholdAdaptive(t *testing.T) {
-	// A clear case should need far fewer pulls than a borderline one.
-	rng := rand.New(rand.NewSource(8))
-	_, _, easy := AboveThreshold(&bern{p: 0.99, rng: rng}, 0.5, Config{})
-	_, _, hard := AboveThreshold(&bern{p: 0.55, rng: rng}, 0.5, Config{Eps: 0.01})
-	if easy.Pulls >= hard.Pulls {
-		t.Fatalf("easy case used %d pulls, hard %d; not adaptive", easy.Pulls, hard.Pulls)
-	}
-}
-
 func BenchmarkTopN10Arms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))

@@ -66,7 +66,7 @@ func (e *protoEnv) replica(t *testing.T, cls rf.Classifier, cfg serve.Config) *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Drain(context.Background()) }) //shahinvet:allow errcheck — teardown; drain errors surface in serve's drain test
+	t.Cleanup(func() { srv.Drain(context.Background()) })
 	return srv
 }
 

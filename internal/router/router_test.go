@@ -150,7 +150,7 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 		f.calls.Add(1)
 		f.lastTP.Store(r.Header.Get("traceparent"))
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(serve.ExplainResponse{Status: "ok", Source: name}) //shahinvet:allow errcheck — test fixture write
+		json.NewEncoder(w).Encode(serve.ExplainResponse{Status: "ok", Source: name})
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
@@ -197,7 +197,7 @@ func postTuple(t *testing.T, url string, tuple []float64, header http.Header) (E
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	defer resp.Body.Close()
 	var out ExplainResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -324,7 +324,7 @@ func TestRouterAllReplicasDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP %d, want 503", resp.StatusCode)
 	}
@@ -475,7 +475,7 @@ func TestRouterShedsPastMaxInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("HTTP %d, want 429", resp.StatusCode)
 	}
@@ -534,7 +534,7 @@ func TestRouterReadyzAndReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz HTTP %d with a healthy replica", resp.StatusCode)
 	}
@@ -547,7 +547,7 @@ func TestRouterReadyzAndReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz HTTP %d with no healthy replicas, want 503", resp.StatusCode)
 	}
@@ -556,7 +556,7 @@ func TestRouterReadyzAndReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	defer resp.Body.Close()
 	var status []ReplicaStatus
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
@@ -642,7 +642,7 @@ func TestRouterForwardsExplainer(t *testing.T) {
 	}
 	replica := httptest.NewServer(srv.Handler())
 	defer replica.Close()
-	defer srv.Drain(context.Background()) //shahinvet:allow errcheck — nothing is queued when the test ends
+	defer srv.Drain(context.Background())
 	rt, err := New(Config{Replicas: []string{replica.URL}, Stats: st, ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -719,7 +719,7 @@ func TestRouterDefaultClientKeepsBatchConnections(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(serve.ExplainResponse{Status: "ok", Source: "computed"}) //shahinvet:allow errcheck — test fixture write
+		json.NewEncoder(w).Encode(serve.ExplainResponse{Status: "ok", Source: "computed"})
 	})
 	replica := httptest.NewUnstartedServer(mux)
 	replica.Config.ConnState = func(_ net.Conn, s http.ConnState) {
@@ -764,9 +764,9 @@ func TestRouterDefaultClientKeepsBatchConnections(t *testing.T) {
 	}
 
 	rt.Close()
-	deadline := time.Now().Add(10 * time.Second) //shahinvet:allow walltime — bounds the wait for the replica to see its connections closed
+	deadline := time.Now().Add(10 * time.Second)
 	for closed.Load() < opened.Load() {
-		if time.Now().After(deadline) { //shahinvet:allow walltime — see above
+		if time.Now().After(deadline) {
 			t.Fatalf("Close left %d of %d connections to the replica open", opened.Load()-closed.Load(), opened.Load())
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -1,8 +1,8 @@
 // Package sample provides the sampling primitives the rest of the system is
 // built on: an alias-method sampler for drawing from categorical frequency
 // distributions in O(1), a bounded Zipf sampler used by the synthetic data
-// generators, and uniform / reservoir sampling helpers used by the frequent
-// itemset miner.
+// generators, and uniform sampling helpers used by the frequent itemset
+// miner.
 //
 // All functions take an explicit *rand.Rand so that every experiment in the
 // repository is reproducible from a seed.
@@ -182,46 +182,4 @@ func UniformIndices(rng *rand.Rand, total, n int) []int {
 		swapped[i] = vj
 	}
 	return out
-}
-
-// Reservoir maintains a uniform sample of size k over a stream of items.
-// It backs the streaming variant's itemset re-mining.
-type Reservoir[T any] struct {
-	items []T
-	k     int
-	seen  int
-	rng   *rand.Rand
-}
-
-// NewReservoir creates a reservoir of capacity k fed by rng.
-func NewReservoir[T any](k int, rng *rand.Rand) *Reservoir[T] {
-	if k <= 0 {
-		panic("sample: NewReservoir k must be positive")
-	}
-	return &Reservoir[T]{items: make([]T, 0, k), k: k, rng: rng}
-}
-
-// Add offers one stream element to the reservoir.
-func (r *Reservoir[T]) Add(item T) {
-	r.seen++
-	if len(r.items) < r.k {
-		r.items = append(r.items, item)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.k {
-		r.items[j] = item
-	}
-}
-
-// Seen returns how many elements have been offered.
-func (r *Reservoir[T]) Seen() int { return r.seen }
-
-// Items returns the current sample. The returned slice is owned by the
-// reservoir; callers must not modify it.
-func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Reset empties the reservoir without reallocating.
-func (r *Reservoir[T]) Reset() {
-	r.items = r.items[:0]
-	r.seen = 0
 }

@@ -185,51 +185,6 @@ func TestUniformIndicesUnbiased(t *testing.T) {
 	}
 }
 
-func TestReservoirBasics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := NewReservoir[int](3, rng)
-	for i := 0; i < 2; i++ {
-		r.Add(i)
-	}
-	if len(r.Items()) != 2 || r.Seen() != 2 {
-		t.Fatalf("reservoir below capacity: items=%v seen=%d", r.Items(), r.Seen())
-	}
-	for i := 2; i < 100; i++ {
-		r.Add(i)
-	}
-	if len(r.Items()) != 3 {
-		t.Fatalf("reservoir over capacity holds %d items", len(r.Items()))
-	}
-	r.Reset()
-	if len(r.Items()) != 0 || r.Seen() != 0 {
-		t.Fatal("Reset did not clear reservoir")
-	}
-}
-
-// Property: after many streams, each of N elements is retained with
-// probability k/N.
-func TestReservoirUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const N, k, trials = 10, 3, 30000
-	counts := make([]int, N)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](k, rng)
-		for i := 0; i < N; i++ {
-			r.Add(i)
-		}
-		for _, v := range r.Items() {
-			counts[v]++
-		}
-	}
-	want := float64(k) / N
-	for i, c := range counts {
-		got := float64(c) / trials
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("element %d retained with freq %.3f want %.3f", i, got, want)
-		}
-	}
-}
-
 func BenchmarkAliasDraw(b *testing.B) {
 	w := make([]float64, 1000)
 	for i := range w {

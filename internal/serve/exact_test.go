@@ -84,7 +84,7 @@ func TestServeExactFastPath(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	out, code := postExplainKind(t, ts.URL, env.tuples[0], "exactshap")
 	if code != http.StatusOK {
@@ -164,7 +164,7 @@ func TestServeExactFallsThroughToQueue(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	out, code := postExplainKind(t, ts.URL, env.tuples[0], "exactshap")
 	if code != http.StatusOK {
@@ -185,7 +185,7 @@ func TestServeExplainerMismatch(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	if _, code := postExplainKind(t, ts.URL, env.tuples[0], "anchor"); code != http.StatusBadRequest {
 		t.Fatalf("mismatched explainer: HTTP %d, want 400", code)

@@ -29,7 +29,7 @@ func postJSON(url, body string) (httpBody, error) {
 	if err != nil {
 		return httpBody{}, err
 	}
-	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return httpBody{}, err
@@ -188,7 +188,7 @@ func TestSnapshotEndpointAndPeerRestore(t *testing.T) {
 	}
 	tsA := httptest.NewServer(a.Handler())
 	defer tsA.Close()
-	defer a.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer a.Drain(t.Context())
 
 	if _, code := postExplain(t, tsA.URL, env.tuples[0]); code != http.StatusOK {
 		t.Fatalf("seeding request: HTTP %d", code)
@@ -198,7 +198,7 @@ func TestSnapshotEndpointAndPeerRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //shahinvet:allow errcheck — read-only close cannot lose data
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/snapshot: HTTP %d", resp.StatusCode)
 	}
@@ -230,7 +230,7 @@ func TestSnapshotEndpointAndPeerRestore(t *testing.T) {
 	}
 	tsB := httptest.NewServer(b.Handler())
 	defer tsB.Close()
-	defer b.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer b.Drain(t.Context())
 	n, err := b.RestoreFromPeers(t.Context(), []string{tsA.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestSnapshotEndpointAndPeerRestore(t *testing.T) {
 	// must name the checksum, not a gob panic.
 	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set(headerStoreChecksum, "0000000000000000")
-		w.Write(raw) //shahinvet:allow errcheck — test fixture write
+		w.Write(raw)
 	}))
 	defer corrupt.Close()
 	if _, err := b.RestoreFromPeers(t.Context(), []string{corrupt.URL}, nil); err == nil || !strings.Contains(err.Error(), "checksum") {

@@ -100,7 +100,7 @@ func TestServeSingleThenStoreHit(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	first, code := postExplain(t, ts.URL, env.tuples[0])
 	if code != http.StatusOK {
@@ -141,7 +141,7 @@ func TestServeBatchSharesFlushes(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	var wg sync.WaitGroup
 	codes := make([]int, len(env.tuples))
@@ -179,7 +179,7 @@ func TestServeBatchEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	body, err := json.Marshal(BatchRequest{Tuples: env.tuples})
 	if err != nil {
@@ -292,7 +292,7 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	defer s2.Drain(t.Context()) //shahinvet:allow errcheck — second drain is teardown only
+	defer s2.Drain(t.Context())
 	if s2.StoreLen() != len(env.tuples) {
 		t.Fatalf("restored store holds %d explanations, want %d", s2.StoreLen(), len(env.tuples))
 	}
@@ -337,7 +337,7 @@ func TestServeRequestTimeout(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	out, code := postExplain(t, ts.URL, env.tuples[0])
 	if code != http.StatusGatewayTimeout || out.Status != "failed" {
@@ -361,7 +361,7 @@ func TestServeRejectsWhenQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	// Fill the queue directly (the batcher takes one for its pending
 	// batch, so overfill by a few to guarantee a rejection).
@@ -411,7 +411,7 @@ func TestServeStoreSizeGauge(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	g := rec.Gauge(obs.GaugeServeStoreSize)
 	if g.Value() != 0 {

@@ -79,7 +79,7 @@ func TestServeTraceReconciliation(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	resps := make([]ExplainResponse, n)
 	errs := make([]error, n)
@@ -174,7 +174,7 @@ func TestServeTraceparentEcho(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	const (
 		upTrace = "0af7651916cd43dd8448eb211c80319c"
@@ -315,7 +315,7 @@ func TestRequestExemplarGolden(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Drain(t.Context()) //shahinvet:allow errcheck — drain errors surface in the dedicated drain test
+	defer s.Drain(t.Context())
 
 	const caller = "b7ad6b7169203331"
 	rows := []struct {
