@@ -15,9 +15,9 @@ import (
 // inside exact.(*Explainer).Explain, whose row covers them.
 var hotpathInsideExplain = map[string]bool{
 	"exact.(*Explainer).walk": true,
-	"exact.findFeat":          true,
-	"exact.unwoundSum":        true,
-	"exact.unwind":            true,
+	"exact.(*Explainer).leaf": true,
+	"exact.extend":            true,
+	"exact.divide":            true,
 }
 
 // taggedHotpaths returns the qualified name of every function under

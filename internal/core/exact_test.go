@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -223,6 +225,57 @@ func TestExactFallbackFaultChain(t *testing.T) {
 		t.Fatalf("fault-chain run recorded %d node visits", res.Report.NodeVisits)
 	}
 	assertFallbackEvent(t, rec, "fault_chain")
+}
+
+// TestExactFallbackTreeNotInPreorder: a forest that decodes fine but
+// holds a tree outside the builders' pre-order — here a right child that
+// points backward — passes exact.Supported, which looks at the type
+// only; exact.New refuses it, and the engine must degrade to KernelSHAP
+// with the marker rather than fail or walk it.
+func TestExactFallbackTreeNotInPreorder(t *testing.T) {
+	env := newEnv(t, 61, 6)
+	type node struct {
+		Feature, Class int32
+		Threshold      float64
+		Left, Right    int32
+	}
+	type tree struct {
+		Nodes    []node
+		NClasses int
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		Trees    []*tree
+		NClasses int
+	}{NClasses: 2, Trees: []*tree{
+		{NClasses: 2, Nodes: []node{{Threshold: 0.5, Left: 1, Right: 2}, {Feature: -1, Class: 1}, {Feature: -1}}},
+		{NClasses: 2, Nodes: []node{
+			{Threshold: 0.5, Left: 1, Right: 3}, {Feature: -1, Class: 1}, {Feature: -1},
+			{Feature: 1, Threshold: 0.5, Left: 4, Right: 2}, {Feature: -1, Class: 1},
+		}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	forest, err := rf.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	opts := smallOpts(ExactSHAP, 62)
+	opts.Recorder = rec
+	res, err := Sequential(env.st, forest, opts, env.tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.NodeVisits != 0 {
+		t.Fatalf("fallback run recorded %d node visits", res.Report.NodeVisits)
+	}
+	for i, e := range res.Explanations {
+		if e.Attribution == nil {
+			t.Fatalf("tuple %d unanswered after fallback", i)
+		}
+	}
+	assertFallbackEvent(t, rec, "unsupported_classifier")
 }
 
 func assertFallbackEvent(t *testing.T, rec *obs.Recorder, reason string) {

@@ -1,10 +1,11 @@
 // Package exact computes exact Shapley attributions for the tree
 // ensembles this repository owns end-to-end (the random forest in
 // internal/rf and the boosted ensemble in internal/gbt) in polynomial
-// time, using the TreeSHAP path-weight recursion (Lundberg et al.,
-// "Consistent Individualized Feature Attribution for Tree Ensembles";
-// see also "On the Tractability of SHAP Explanations" in PAPERS.md for
-// why tree families admit this).
+// time: TreeSHAP (Lundberg et al., "Consistent Individualized Feature
+// Attribution for Tree Ensembles") with its leaf rule restated so that
+// only the features the tuple follows are unwound (Yang, "Fast
+// TreeSHAP"), in multiply-adds alone; see "On the Tractability of SHAP
+// Explanations" in PAPERS.md for why tree families admit this.
 //
 // Where KernelSHAP estimates Shapley values from perturbation samples —
 // and therefore pays the classifier-invocation cost the paper shows
@@ -24,14 +25,14 @@
 // ensemble this package can walk. Remote or fault-injected backends do
 // not, and callers (internal/core) fall back to KernelSHAP for them.
 //
-// An Explainer is not safe for concurrent use: it reuses an internal
-// path arena across calls. Build one per goroutine, like
-// perturb.Generator.
+// An Explainer is not safe for concurrent use: the walk's state is the
+// Explainer's. Build one per goroutine, like perturb.Generator.
 package exact
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"shahin/internal/dataset"
@@ -71,42 +72,48 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pathElem is one entry of the TreeSHAP unique path: the feature that
-// split at this depth, the fraction of background cover that follows
-// the split (z), the indicator that the explained tuple follows it (o),
-// and the accumulated permutation weight (w).
-type pathElem struct {
-	feat int32
+// pathEntry is one feature of the unique path. The tuple either follows
+// every split on it so far (hot: o = 1, and z is the share of background
+// cover that does too) or has left it (cold: o = 0; a cold z lives only
+// in the walk's running product).
+type pathEntry struct {
 	z    float64
-	o    float64
-	w    float64
-}
-
-// shNode is the unified flat node representation the walker operates
-// on, built once at New from either ensemble's trees.
-type shNode struct {
-	feature   int32 // split attribute, -1 for leaves
-	class     int32 // rf leaf class
-	left      int32
-	right     int32
-	threshold float64
-	value     float64 // gbt leaf value
-	cover     float64 // background rows routed through this node
+	feat int32
+	hot  bool
 }
 
 // Explainer computes exact Shapley attributions over one owned tree
 // ensemble. It is not safe for concurrent use; build one per goroutine.
 type Explainer struct {
-	predict  rf.Classifier // full instrumentation chain: one Predict per Explain
-	trees    [][]shNode
-	gbt      bool
-	nclasses int
-	nattrs   int
-	rate     float64 // gbt shrinkage (1 for rf)
-	bias     float64 // gbt initial log-odds
-	base     []float64
-	arena    [][]pathElem
-	visits   int64
+	predict rf.Classifier // full instrumentation chain: one Predict per Explain
+
+	// The ensemble in rf's derived pre-order layout: node indices are
+	// ensemble-wide, the left child of node i is i+1, a leaf has
+	// Right == i. For a forest these are the forest's own slices.
+	nodes []rf.FlatNode
+	class []int32   // forest: class of each leaf; nil for gbt
+	value []float64 // gbt: value of each leaf; nil for a forest
+	roots []int32
+	// What only this walk needs, under the same node index.
+	frac []float64 // share of the parent's background cover that reaches the node
+	mask []uint64  // bit c%64: a leaf of class c lies at or below the node (a superset past 64 classes; all ones for gbt)
+
+	nattrs  int
+	scale   float64     // per-tree sums to output: 1/trees, or gbt's shrinkage
+	base    []float64   // background expectation: per class, or gbt's one margin
+	weights [][]float64 // weights[d][k] = k!(d-1-k)!/d!
+
+	// Walk state, sized in New: the tuple, its attribution and target,
+	// the unique path and where each attribute sits on it (-1: nowhere),
+	// and two rows of coefficients per level (row 0 is the constant 1).
+	x, phi []float64
+	target int32
+	bit    uint64
+	path   []pathEntry
+	slot   []int32
+	poly   []float64
+	stride int
+	visits int64
 }
 
 // unwrapper is implemented by instrumentation wrappers (rf.Counting,
@@ -143,143 +150,151 @@ func Supported(cls rf.Classifier) bool {
 // passed classifier is kept for the single target-class Predict each
 // Explain issues, so invocation counters and calibrated delays still
 // apply to that one call; the tree structure is read from the unwrapped
-// model. It returns an error wrapping ErrUnsupported when cls does not
-// unwrap to an owned ensemble.
+// model's pre-order layout. It returns an error wrapping ErrUnsupported
+// when cls does not unwrap to an owned ensemble, or when one of its
+// trees is not in pre-order (hand-assembled or hostile: it may not even
+// be a tree), so New terminates on any input.
 func New(st *dataset.Stats, cls rf.Classifier, cfg Config) (*Explainer, error) {
 	cfg = cfg.withDefaults()
 	e := &Explainer{predict: cls, nattrs: st.Schema.NumAttrs()}
-	maxDepth := 0
+	laidOut := false
 	switch m := unwrap(cls).(type) {
 	case *rf.Forest:
-		e.nclasses = m.NClasses
-		e.rate = 1
-		e.trees = make([][]shNode, len(m.Trees))
-		for i, t := range m.Trees {
-			e.trees[i] = convertRF(t)
-			if d := t.Depth(); d > maxDepth {
-				maxDepth = d
-			}
-		}
+		e.nodes, e.class, e.roots, laidOut = m.Flat()
+		e.scale = 1 / float64(len(e.roots))
+		e.base = make([]float64, m.NClasses)
 	case *gbt.Model:
-		e.gbt = true
-		e.nclasses = 2
-		e.rate = m.Rate
-		e.bias = m.Bias
-		e.trees = make([][]shNode, len(m.Trees))
-		for i := range m.Trees {
-			e.trees[i] = convertGBT(&m.Trees[i])
-		}
-		maxDepth = m.MaxDepth()
+		e.nodes, e.value, e.roots, laidOut = layoutGBT(m)
+		e.scale = m.Rate
+		e.base = []float64{m.Bias}
 	default:
 		return nil, fmt.Errorf("%w (got %T)", ErrUnsupported, m)
 	}
-
-	e.computeCovers(st, cfg)
-	e.computeBase()
-
-	// One path row per recursion level. A path can hold at most one
-	// element per ancestor split plus the sentinel, so depth+2 rows of
-	// capacity depth+2 cover the deepest tree.
-	e.arena = make([][]pathElem, maxDepth+2)
-	for i := range e.arena {
-		e.arena[i] = make([]pathElem, maxDepth+2)
+	if !laidOut {
+		return nil, fmt.Errorf("%w: a tree is not in pre-order", ErrUnsupported)
 	}
+
+	depth := e.annotate(e.covers(st, cfg), float64(cfg.Background))
+
+	e.weights = make([][]float64, depth+1)
+	for d := 1; d <= depth; d++ {
+		w := make([]float64, d)
+		w[0] = 1 / float64(d)
+		for k := 1; k < d; k++ {
+			w[k] = w[k-1] * float64(k) / float64(d-k)
+		}
+		e.weights[d] = w
+	}
+	// A path holds at most one entry per ancestor split, its hot ones at
+	// most depth+1 coefficients; every level above the leaves writes two
+	// rows.
+	e.path = make([]pathEntry, depth)
+	e.slot = make([]int32, e.nattrs)
+	for i := range e.slot {
+		e.slot[i] = -1
+	}
+	e.stride = depth + 1
+	e.poly = make([]float64, (2*depth+1)*e.stride)
+	e.poly[0] = 1
 	return e, nil
 }
 
-// convertRF flattens one forest tree into the unified node form.
-func convertRF(t *rf.Tree) []shNode {
-	nodes := make([]shNode, len(t.Nodes))
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		nodes[i] = shNode{
-			feature:   n.Feature,
-			class:     n.Class,
-			left:      n.Left,
-			right:     n.Right,
-			threshold: n.Threshold,
+// layoutGBT emits the boosted trees in rf's derived form, leaf values
+// beside the nodes. ok is false when a tree fails the check rf's flatten
+// makes: every internal node's left child directly after it, its right
+// child further on and in range.
+func layoutGBT(m *gbt.Model) (nodes []rf.FlatNode, value []float64, roots []int32, ok bool) {
+	for t := range m.Trees {
+		tree := m.Trees[t].Nodes
+		base := len(nodes)
+		if len(tree) == 0 || base+len(tree) > math.MaxInt32 {
+			return nil, nil, nil, false
+		}
+		roots = append(roots, int32(base))
+		for i := range tree {
+			n := &tree[i]
+			if n.Feature < 0 {
+				nodes = append(nodes, rf.FlatNode{Threshold: math.Inf(-1), Right: int32(base + i)})
+				value = append(value, n.Value)
+				continue
+			}
+			if int(n.Left) != i+1 || int(n.Right) <= i+1 || int(n.Right) >= len(tree) {
+				return nil, nil, nil, false
+			}
+			nodes = append(nodes, rf.FlatNode{Threshold: n.Threshold, Feature: n.Feature, Right: int32(base) + n.Right})
+			value = append(value, 0)
 		}
 	}
-	return nodes
+	return nodes, value, roots, true
 }
 
-// convertGBT flattens one regression tree into the unified node form.
-func convertGBT(t *gbt.RegTree) []shNode {
-	nodes := make([]shNode, len(t.Nodes))
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		nodes[i] = shNode{
-			feature:   n.Feature,
-			left:      n.Left,
-			right:     n.Right,
-			threshold: n.Threshold,
-			value:     n.Value,
-		}
-	}
-	return nodes
-}
-
-// computeCovers draws the background sample and routes every row down
-// every tree once, recording per-node visit counts.
-func (e *Explainer) computeCovers(st *dataset.Stats, cfg Config) {
+// covers draws the background sample and routes every row down every
+// tree once, returning per-node visit counts.
+func (e *Explainer) covers(st *dataset.Stats, cfg Config) []float64 {
+	cover := make([]float64, len(e.nodes))
 	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(cfg.Seed)))
 	for b := 0; b < cfg.Background; b++ {
 		// A nil frozen itemset yields a pure draw from the training
 		// product distribution — the same background every sampled
 		// explainer perturbs against.
 		row := gen.ForItemset(nil).Row
-		for _, nodes := range e.trees {
-			j := int32(0)
+		for _, i := range e.roots {
 			for {
-				nodes[j].cover++
-				n := &nodes[j]
-				if n.feature < 0 {
+				cover[i]++
+				n := &e.nodes[i]
+				if n.Right == i {
 					break
 				}
-				if row[n.feature] <= n.threshold {
-					j = n.left
+				if row[n.Feature] <= n.Threshold {
+					i++
 				} else {
-					j = n.right
+					i = n.Right
 				}
 			}
 		}
 	}
+	return cover
 }
 
-// computeBase precomputes the background expectation of the model
-// output: per-class leaf-indicator expectations for the forest, the
-// expected margin for the boosted ensemble.
-func (e *Explainer) computeBase() {
-	if e.gbt {
-		base := e.bias
-		for _, nodes := range e.trees {
-			root := nodes[0].cover
-			if root == 0 {
-				continue
+// annotate derives from the covers, in one sweep from the last node to
+// the first (children come after their parent), each node's frac and
+// mask and the background expectation of the model output that base
+// starts from: per-class leaf-indicator expectations for the forest, the
+// expected margin for gbt — every background row passes every root, so a
+// leaf's share of its tree is its cover over their number. It returns
+// the depth of the deepest tree.
+func (e *Explainer) annotate(cover []float64, background float64) int {
+	n := len(e.nodes)
+	e.frac = make([]float64, n)
+	e.mask = make([]uint64, n)
+	height := make([]int32, n)
+	nt := float64(len(e.roots))
+	for i := n - 1; i >= 0; i-- {
+		l, r := i+1, int(e.nodes[i].Right)
+		switch {
+		case r != i:
+			e.mask[i] = e.mask[l] | e.mask[r]
+			height[i] = 1 + max(height[l], height[r])
+			if cover[i] > 0 {
+				e.frac[l], e.frac[r] = cover[l]/cover[i], cover[r]/cover[i]
 			}
-			for i := range nodes {
-				if nodes[i].feature < 0 {
-					base += e.rate * nodes[i].value * nodes[i].cover / root
-				}
-			}
-		}
-		e.base = []float64{base}
-		return
-	}
-	e.base = make([]float64, e.nclasses)
-	nt := float64(len(e.trees))
-	for _, nodes := range e.trees {
-		root := nodes[0].cover
-		if root == 0 {
-			continue
-		}
-		for i := range nodes {
-			if nodes[i].feature < 0 {
-				e.base[nodes[i].class] += nodes[i].cover / root / nt
-			}
+		case e.value != nil:
+			e.mask[i] = ^uint64(0)
+			e.base[0] += e.scale * e.value[i] * cover[i] / background
+		default:
+			e.mask[i] = classBit(e.class[i])
+			e.base[e.class[i]] += cover[i] / background / nt
 		}
 	}
+	depth := 0
+	for _, r := range e.roots {
+		depth = max(depth, int(height[r]))
+	}
+	return depth
 }
+
+// classBit is class c's bit in a node mask.
+func classBit(c int32) uint64 { return 1 << (uint32(c) % 64) }
 
 // NodeVisits returns the cumulative number of tree nodes visited by the
 // path recursion across all Explain calls. Provenance events report the
@@ -288,7 +303,7 @@ func (e *Explainer) computeBase() {
 func (e *Explainer) NodeVisits() int64 { return e.visits }
 
 // NumTrees returns the number of trees the explainer walks per tuple.
-func (e *Explainer) NumTrees() int { return len(e.trees) }
+func (e *Explainer) NumTrees() int { return len(e.roots) }
 
 // Explain computes the exact Shapley attribution of x toward the
 // model's predicted class. For the forest the explained output is the
@@ -304,158 +319,162 @@ func (e *Explainer) Explain(x []float64) (*explain.Attribution, error) {
 	}
 	target := e.predict.Predict(x)
 	phi := make([]float64, e.nattrs)
-	for _, nodes := range e.trees {
-		e.walk(nodes, x, phi, int32(target), 0, nil, 0, 1, 1, -1)
+	e.x, e.phi, e.target, e.bit = x, phi, int32(target), classBit(int32(target))
+	for _, r := range e.roots {
+		if e.mask[r]&e.bit != 0 {
+			e.walk(r, 0, e.poly[:1], 0, 1)
+		}
 	}
 	return e.finish(phi, target), nil
 }
 
 // finish scales the per-tree sums into the final attribution for the
-// given target class.
+// given target class; gbt's margin is signed toward it.
 func (e *Explainer) finish(phi []float64, target int) *explain.Attribution {
-	if e.gbt {
-		sign := 1.0
-		if target == 0 {
-			sign = -1
-		}
-		for i := range phi {
-			phi[i] *= sign * e.rate
-		}
-		return &explain.Attribution{Weights: phi, Intercept: sign * e.base[0], Class: target}
+	scale, base := e.scale, e.base[0]
+	switch {
+	case e.value == nil:
+		base = e.base[target]
+	case target == 0:
+		scale, base = -scale, -base
 	}
-	nt := float64(len(e.trees))
 	for i := range phi {
-		phi[i] /= nt
+		phi[i] *= scale
 	}
-	return &explain.Attribution{Weights: phi, Intercept: e.base[target], Class: target}
+	return &explain.Attribution{Weights: phi, Intercept: base, Class: target}
 }
 
-// walk implements the TreeSHAP recursion over one tree. parent is the
-// unique path accumulated above node j (it shrinks when a feature
-// reappears, so it is passed explicitly rather than implied by depth);
-// pz/po/pf describe the split that led here. Each level copies the
-// parent path into its own arena row before extending, so unwinding
-// never corrupts ancestors.
+// walk carries the unique path down from node i at recursion level lvl.
+// With every o either 0 or 1, the path's coalition-size polynomial
+// Π(z_j + o_j·y) is zc·Π_hot(z_j + y): p holds the coefficients of the
+// hot product (p[len(p)-1] = 1), zc the product of the cold z's, d the
+// number of path entries. A child is entered only if a leaf of the
+// target class lies below it; the cold one also needs background cover
+// (without it every weight below is zero). A feature that splits again
+// keeps its one entry: a hot one is divided out of p and re-enters with
+// the folded fraction, on either side; a cold one stays cold and only
+// zc shrinks. Entries are changed in place and put back on return; p is
+// never written, each level has two rows of its own for what it derives.
 //
 //shahin:hotpath
-func (e *Explainer) walk(nodes []shNode, x, phi []float64, target int32, depth int, parent []pathElem, j int32, pz, po float64, pf int32) {
+func (e *Explainer) walk(i int32, lvl int, p []float64, d int, zc float64) {
 	e.visits++
-	l := len(parent)
-	m := e.arena[depth][:l+1]
-	copy(m, parent)
-	// Extend the path with the incoming split, redistributing the
-	// permutation weights over the longer subsets.
-	m[l] = pathElem{feat: pf, z: pz, o: po}
-	if l == 0 {
-		m[l].w = 1
-	}
-	for i := l - 1; i >= 0; i-- {
-		m[i+1].w += po * m[i].w * float64(i+1) / float64(l+1)
-		m[i].w = pz * m[i].w * float64(l-i) / float64(l+1)
-	}
-
-	n := &nodes[j]
-	if n.feature < 0 {
-		v := n.value
-		if !e.gbt {
-			if n.class == target {
-				v = 1
-			} else {
-				v = 0
-			}
-		}
-		for i := 1; i < len(m); i++ {
-			phi[m[i].feat] += unwoundSum(m, i) * (m[i].o - m[i].z) * v
-		}
+	n := &e.nodes[i]
+	if n.Right == i {
+		e.leaf(i, p, d, zc)
 		return
 	}
-
-	hot, cold := n.left, n.right
-	if x[n.feature] > n.threshold {
-		hot, cold = n.right, n.left
+	f := n.Feature
+	hot, cold := i+1, n.Right
+	// The model's own predicate: NaN goes right. (rf's layout holds a NaN
+	// threshold as -Inf; the two part ways on a -Inf cell only.)
+	if !(e.x[f] <= n.Threshold) {
+		hot, cold = cold, hot
 	}
-	var hotZ, coldZ float64
-	if n.cover > 0 {
-		hotZ = nodes[hot].cover / n.cover
-		coldZ = nodes[cold].cover / n.cover
-	}
-	// If this feature already split above, undo its previous extension
-	// and fold its fractions into the new one (each feature appears on
-	// the unique path at most once).
-	iz, io := 1.0, 1.0
-	if k := findFeat(m, n.feature); k >= 0 {
-		iz, io = m[k].z, m[k].o
-		m = unwind(m, k)
-	}
-	// A branch whose zero and one fractions both vanish zeroes every
-	// path weight below it and contributes nothing; skip it.
-	if hotZ*iz != 0 || io != 0 {
-		e.walk(nodes, x, phi, target, depth+1, m, hot, hotZ*iz, io, n.feature)
-	}
-	if coldZ*iz != 0 {
-		e.walk(nodes, x, phi, target, depth+1, m, cold, coldZ*iz, 0, n.feature)
+	hz, cz := e.frac[hot], e.frac[cold]
+	goHot, goCold := e.mask[hot]&e.bit != 0, e.mask[cold]&e.bit != 0
+	row := e.poly[(2*lvl+1)*e.stride:]
+	k := e.slot[f]
+	switch {
+	case k < 0:
+		e.slot[f] = int32(d)
+		if goHot {
+			e.path[d] = pathEntry{z: hz, feat: f, hot: true}
+			e.walk(hot, lvl+1, extend(row, p, hz), d+1, zc)
+		}
+		if goCold && cz != 0 {
+			e.path[d] = pathEntry{feat: f}
+			e.walk(cold, lvl+1, p, d+1, zc*cz)
+		}
+		e.slot[f] = -1
+	case e.path[k].hot:
+		was := e.path[k]
+		q := divide(row, p, was.z)
+		if goHot {
+			e.path[k].z = was.z * hz
+			e.walk(hot, lvl+1, extend(row[e.stride:], q, was.z*hz), d, zc)
+		}
+		if z := was.z * cz; goCold && z != 0 {
+			e.path[k] = pathEntry{feat: f}
+			e.walk(cold, lvl+1, q, d, zc*z)
+		}
+		e.path[k] = was
+	default:
+		if goHot && hz != 0 {
+			e.walk(hot, lvl+1, p, d, zc*hz)
+		}
+		if goCold && cz != 0 {
+			e.walk(cold, lvl+1, p, d, zc*cz)
+		}
 	}
 }
 
-// findFeat returns the path index holding feature f, or -1. Index 0 is
-// the sentinel root element (feat -1) and never matches.
+// extend writes p·(y + z) into dst and returns it.
 //
 //shahin:hotpath
-func findFeat(m []pathElem, f int32) int {
-	for i := 1; i < len(m); i++ {
-		if m[i].feat == f {
-			return i
-		}
+func extend(dst, p []float64, z float64) []float64 {
+	h := len(p) - 1
+	dst = dst[:h+2]
+	dst[h+1] = p[h]
+	for k := h; k >= 1; k-- {
+		dst[k] = p[k-1] + z*p[k]
 	}
-	return -1
+	dst[0] = z * p[0]
+	return dst
 }
 
-// unwoundSum returns the total permutation weight the path would carry
-// with element i removed, without mutating the path. This is the leaf
-// contribution weight for element i's feature.
+// divide writes p ÷ (y + z) into dst and returns it: synthetic division
+// from the leading coefficient down, so it multiplies by z where the
+// other direction would divide by it.
 //
 //shahin:hotpath
-func unwoundSum(m []pathElem, i int) float64 {
-	ud := len(m) - 1
-	one, zero := m[i].o, m[i].z
-	total := 0.0
-	if one != 0 {
-		next := m[ud].w
-		for j := ud - 1; j >= 0; j-- {
-			tmp := next / (float64(j+1) * one)
-			total += tmp
-			next = m[j].w - tmp*zero*float64(ud-j)
-		}
-	} else if zero != 0 {
-		for j := ud - 1; j >= 0; j-- {
-			total += m[j].w / (zero * float64(ud-j))
-		}
+func divide(dst, p []float64, z float64) []float64 {
+	h := len(p) - 1
+	dst = dst[:h]
+	q := p[h]
+	for k := h - 1; k >= 0; k-- {
+		dst[k] = q
+		q = p[k] - z*q
 	}
-	return total * float64(ud+1)
+	return dst
 }
 
-// unwind removes element k from the path, redistributing the
-// permutation weights back over the shorter subsets, and returns the
-// shortened path. It is the inverse of the extension in walk.
+// leaf adds leaf i's share to every path feature. With v the leaf value
+// times zc and w = weights[d], a cold feature's Shapley sum is
+// -v·Σ w[k]·p[k], the same for all of them; a hot feature's is
+// v·(1-z)·Σ w[k]·q[k] with q = p ÷ (y + z), summed as divide produces
+// it. A forest leaf of another class is worth 0 and returns first (the
+// mask already kept the walk from all of them that do not alias).
 //
 //shahin:hotpath
-func unwind(m []pathElem, k int) []pathElem {
-	ud := len(m) - 1
-	one, zero := m[k].o, m[k].z
-	next := m[ud].w
-	for j := ud - 1; j >= 0; j-- {
-		if one != 0 {
-			tmp := m[j].w
-			m[j].w = next * float64(ud+1) / (float64(j+1) * one)
-			next = tmp - m[j].w*zero*float64(ud-j)/float64(ud+1)
-		} else {
-			m[j].w = m[j].w * float64(ud+1) / (zero * float64(ud-j))
+func (e *Explainer) leaf(i int32, p []float64, d int, zc float64) {
+	v := zc
+	if e.value != nil {
+		v *= e.value[i]
+	} else if e.class[i] != e.target {
+		return
+	}
+	h := len(p) - 1
+	w := e.weights[d]
+	cold := 0.0
+	if h < d {
+		for k, c := range p {
+			cold += w[k] * c
 		}
+		cold *= v
 	}
-	for j := k; j < ud; j++ {
-		m[j].feat, m[j].z, m[j].o = m[j+1].feat, m[j+1].z, m[j+1].o
+	for _, en := range e.path[:d] {
+		if !en.hot {
+			e.phi[en.feat] -= cold
+			continue
+		}
+		q, sum := 1.0, w[h-1]
+		for k := h - 1; k >= 1; k-- {
+			q = p[k] - en.z*q
+			sum += w[k-1] * q
+		}
+		e.phi[en.feat] += v * (1 - en.z) * sum
 	}
-	return m[:ud]
 }
 
 // maxBruteForceAttrs bounds BruteForce's subset enumeration; beyond ~20
@@ -481,8 +500,8 @@ func (e *Explainer) BruteForce(x []float64) (*explain.Attribution, error) {
 	vals := make([]float64, 1<<p)
 	for mask := range vals {
 		v := 0.0
-		for _, nodes := range e.trees {
-			v += e.condExp(nodes, x, uint32(mask), int32(target), 0)
+		for _, r := range e.roots {
+			v += e.condExp(x, uint32(mask), int32(target), r)
 		}
 		vals[mask] = v
 	}
@@ -509,30 +528,27 @@ func (e *Explainer) BruteForce(x []float64) (*explain.Attribution, error) {
 }
 
 // condExp returns the cover-weighted conditional expectation of the
-// subtree at node j: features in mask follow x, the rest mix children
+// subtree at node i: features in mask follow x, the rest mix children
 // by background cover.
-func (e *Explainer) condExp(nodes []shNode, x []float64, mask uint32, target, j int32) float64 {
-	n := &nodes[j]
-	if n.feature < 0 {
-		if e.gbt {
-			return n.value
+func (e *Explainer) condExp(x []float64, mask uint32, target, i int32) float64 {
+	n := &e.nodes[i]
+	l, r := i+1, n.Right
+	if r == i {
+		if e.value != nil {
+			return e.value[i]
 		}
-		if n.class == target {
+		if e.class[i] == target {
 			return 1
 		}
 		return 0
 	}
-	if mask&(1<<uint32(n.feature)) != 0 {
-		if x[n.feature] <= n.threshold {
-			return e.condExp(nodes, x, mask, target, n.left)
+	if mask&(1<<uint32(n.Feature)) != 0 {
+		if x[n.Feature] <= n.Threshold {
+			return e.condExp(x, mask, target, l)
 		}
-		return e.condExp(nodes, x, mask, target, n.right)
+		return e.condExp(x, mask, target, r)
 	}
-	if n.cover == 0 {
-		return 0
-	}
-	return nodes[n.left].cover/n.cover*e.condExp(nodes, x, mask, target, n.left) +
-		nodes[n.right].cover/n.cover*e.condExp(nodes, x, mask, target, n.right)
+	return e.frac[l]*e.condExp(x, mask, target, l) + e.frac[r]*e.condExp(x, mask, target, r)
 }
 
 func popcount(m uint32) int {

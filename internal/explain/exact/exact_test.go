@@ -1,13 +1,17 @@
 package exact
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"shahin/internal/datagen"
 	"shahin/internal/dataset"
+	"shahin/internal/explain"
 	"shahin/internal/gbt"
 	"shahin/internal/rf"
 )
@@ -15,7 +19,7 @@ import (
 // tinyData builds a 4-feature binary dataset whose label mixes an XOR
 // of the first two features with a threshold on the third, so trained
 // trees split on repeated features along one path (exercising the
-// unwind logic).
+// re-entry fold).
 func tinyData(n int, seed int64) *dataset.Dataset {
 	s := &dataset.Schema{
 		Attrs: []dataset.Attr{
@@ -48,7 +52,7 @@ func tinyForest(t *testing.T, d *dataset.Dataset, trees, depth int) *rf.Forest {
 	return f
 }
 
-func tinyStats(t *testing.T, d *dataset.Dataset) *dataset.Stats {
+func tinyStats(t testing.TB, d *dataset.Dataset) *dataset.Stats {
 	t.Helper()
 	st, err := dataset.Compute(d)
 	if err != nil {
@@ -57,76 +61,218 @@ func tinyStats(t *testing.T, d *dataset.Dataset) *dataset.Stats {
 	return st
 }
 
-// TestMatchesBruteForceRF checks the fast path against the exponential
-// Shapley definition over the identical value function on a ≤4-feature,
-// ≤3-tree forest.
-func TestMatchesBruteForceRF(t *testing.T) {
-	d := tinyData(400, 1)
-	st := tinyStats(t, d)
-	f := tinyForest(t, d, 3, 4)
-	e, err := New(st, f, Config{Background: 64, Seed: 5})
+// node mirrors rf's tree node field for field (gob matches by name, so a
+// forest of these decodes through rf.Load, the way a stored or hostile
+// forest arrives) and carries gbt's leaf value beside them.
+type node struct {
+	Feature   int32
+	Class     int32
+	Threshold float64
+	Left      int32
+	Right     int32
+	Value     float64
+}
+
+// split and leaf assemble a tree as a nested literal; emit writes it in
+// the builders' pre-order.
+type shape struct {
+	feature   int32
+	threshold float64
+	left      *shape
+	right     *shape
+	class     int32
+	value     float64
+}
+
+func split(f int32, thr float64, l, r *shape) *shape {
+	return &shape{feature: f, threshold: thr, left: l, right: r}
+}
+func leaf(class int32) *shape     { return &shape{class: class, value: float64(class) - 0.25} }
+func (s *shape) preorder() []node { return s.emit(nil) }
+
+func (s *shape) emit(nodes []node) []node {
+	if s.left == nil {
+		return append(nodes, node{Feature: -1, Class: s.class, Value: s.value})
+	}
+	self := len(nodes)
+	nodes = append(nodes, node{Feature: s.feature, Threshold: s.threshold, Left: int32(self + 1)})
+	nodes = s.left.emit(nodes)
+	nodes[self].Right = int32(len(nodes))
+	return s.right.emit(nodes)
+}
+
+// handForest decodes the given trees into an rf.Forest.
+func handForest(t testing.TB, nclasses int, trees ...[]node) *rf.Forest {
+	t.Helper()
+	type tree struct {
+		Nodes    []node
+		NClasses int
+	}
+	wire := struct {
+		Trees    []*tree
+		NClasses int
+	}{NClasses: nclasses}
+	for _, nodes := range trees {
+		wire.Trees = append(wire.Trees, &tree{Nodes: nodes, NClasses: nclasses})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	f, err := rf.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		fast, err := e.Explain(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := e.BruteForce(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Class != slow.Class {
-			t.Fatalf("trial %d: class %d vs %d", trial, fast.Class, slow.Class)
-		}
-		if math.Abs(fast.Intercept-slow.Intercept) > 1e-9 {
-			t.Fatalf("trial %d: intercept %g vs %g", trial, fast.Intercept, slow.Intercept)
-		}
-		for i := range fast.Weights {
-			if math.Abs(fast.Weights[i]-slow.Weights[i]) > 1e-9 {
-				t.Fatalf("trial %d attr %d: fast %g brute %g", trial, i, fast.Weights[i], slow.Weights[i])
-			}
+	return f
+}
+
+func regTree(nodes []node) gbt.RegTree {
+	var t gbt.RegTree
+	for _, n := range nodes {
+		t.Nodes = append(t.Nodes, gbt.RegNode{Feature: n.Feature, Threshold: n.Threshold, Left: n.Left, Right: n.Right, Value: n.Value})
+	}
+	return t
+}
+
+// assertClose fails unless got and want name the same class and agree on
+// the intercept and every weight within tol.
+func assertClose(t testing.TB, what string, got, want *explain.Attribution, tol float64) {
+	t.Helper()
+	if got.Class != want.Class {
+		t.Fatalf("%s: class %d vs %d", what, got.Class, want.Class)
+	}
+	if math.Abs(got.Intercept-want.Intercept) > tol {
+		t.Fatalf("%s: intercept %g vs %g", what, got.Intercept, want.Intercept)
+	}
+	for i := range got.Weights {
+		if !(math.Abs(got.Weights[i]-want.Weights[i]) <= tol) {
+			t.Fatalf("%s attr %d: %g vs %g", what, i, got.Weights[i], want.Weights[i])
 		}
 	}
 }
 
-// TestMatchesBruteForceGBT does the same over a small boosted ensemble.
+// assertMatchesBruteForce compares Explain with BruteForce on x at 1e-9.
+func assertMatchesBruteForce(t testing.TB, what string, e *Explainer, x []float64) {
+	t.Helper()
+	fast, err := e.Explain(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := e.BruteForce(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertClose(t, what, fast, slow, 1e-9)
+}
+
+// handShapes are trees built to take every branch of the walk: a feature
+// that splits again below its own hot side and below its own cold side
+// (hot-then-hot, hot-then-cold, cold-then-hot, cold-then-cold, three
+// deep), a side no background row reaches (hot for the probes with
+// x3 beyond 1e9, with more splits and the same feature again below it),
+// and a tree that is one leaf.
+func handShapes() []*shape {
+	return []*shape{
+		split(0, 0,
+			split(1, 0,
+				split(0, -1, leaf(0), leaf(1)),
+				split(0, -0.5, leaf(1), leaf(0))),
+			split(0, 1,
+				leaf(1),
+				split(2, 0, leaf(0), split(0, 2, leaf(1), leaf(0))))),
+		split(3, 1e9, split(2, 0.3, leaf(0), leaf(1)), leaf(1)),
+		split(3, 1e9, leaf(0), split(1, 0, leaf(1), split(3, 2.5e9, leaf(0), leaf(1)))),
+		split(1, 0.2, leaf(0), split(3, 1e9, split(1, 1, leaf(1), leaf(0)), split(3, 2.5e9, leaf(1), leaf(0)))),
+		leaf(1),
+	}
+}
+
+// probes are n tuples over tinyData's four attributes; two in three have
+// x3 past the thresholds no background row reaches.
+func probes(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = []float64{rng.NormFloat64() * 1.5, rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		if i%3 > 0 {
+			out[i][3] = float64(i%3) * 2e9
+		}
+	}
+	return out
+}
+
+// TestMatchesBruteForceRF checks the fast path against the exponential
+// Shapley definition over the identical value function: on a trained
+// ≤4-feature, ≤3-tree forest, and on hand-built ones that reach what a
+// trained one may not.
+func TestMatchesBruteForceRF(t *testing.T) {
+	d := tinyData(400, 1)
+	st := tinyStats(t, d)
+	var shapes [][]node
+	for _, s := range handShapes() {
+		shapes = append(shapes, s.preorder())
+	}
+	for _, tc := range []struct {
+		name string
+		f    *rf.Forest
+	}{
+		{"trained", tinyForest(t, d, 3, 4)},
+		{"branches", handForest(t, 2, shapes...)},
+		// Classes 3 and 67 share a mask bit: the mask lets the walk into
+		// leaves of the other one, the leaf rule must turn it away.
+		{"aliased classes", handForest(t, 70,
+			split(0, 0, leaf(3), split(1, 0, leaf(67), leaf(5))).preorder(),
+			split(1, 0.5, split(0, -0.5, leaf(67), leaf(3)), leaf(67)).preorder(),
+			split(2, 0, leaf(3), split(0, 0.5, leaf(3), leaf(67))).preorder())},
+		// Tree 0 has no leaf of class 2, which the other two elect.
+		{"class absent from a tree", handForest(t, 3,
+			split(0, 0, leaf(0), leaf(1)).preorder(),
+			split(1, 0, leaf(2), split(0, 1, leaf(2), leaf(0))).preorder(),
+			split(2, 5, leaf(2), leaf(1)).preorder())},
+	} {
+		e, err := New(st, tc.f, Config{Background: 64, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range probes(60, 9) {
+			assertMatchesBruteForce(t, tc.name, e, x)
+		}
+		if e.NodeVisits() == 0 {
+			t.Fatalf("%s: no node visited", tc.name)
+		}
+	}
+}
+
+// TestMatchesBruteForceGBT does the same over boosted ensembles.
 func TestMatchesBruteForceGBT(t *testing.T) {
 	d := tinyData(400, 2)
 	st := tinyStats(t, d)
-	m, err := gbt.Train(d, gbt.Config{Rounds: 3, MaxDepth: 3, Seed: 13})
+	trained, err := gbt.Train(d, gbt.Config{Rounds: 3, MaxDepth: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(st, m, Config{Background: 64, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	hand := &gbt.Model{Bias: -0.4, Rate: 0.3}
+	for _, s := range handShapes() {
+		hand.Trees = append(hand.Trees, regTree(s.preorder()))
 	}
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		fast, err := e.Explain(x)
+	for _, tc := range []struct {
+		name string
+		m    *gbt.Model
+	}{{"trained", trained}, {"branches", hand}} {
+		e, err := New(st, tc.m, Config{Background: 64, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := e.BruteForce(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range fast.Weights {
-			if math.Abs(fast.Weights[i]-slow.Weights[i]) > 1e-9 {
-				t.Fatalf("trial %d attr %d: fast %g brute %g", trial, i, fast.Weights[i], slow.Weights[i])
-			}
+		for _, x := range probes(60, 17) {
+			assertMatchesBruteForce(t, tc.name, e, x)
 		}
 	}
 }
 
 // TestEfficiencyIdentity checks Σφ + intercept equals the explained
 // model output exactly: the target-class vote fraction for the forest,
-// the signed margin for the boosted ensemble.
+// the signed margin for the boosted ensemble. Every other tuple carries a
+// NaN, which both models send right at each split that reads it.
 func TestEfficiencyIdentity(t *testing.T) {
 	d := tinyData(400, 3)
 	st := tinyStats(t, d)
@@ -144,37 +290,115 @@ func TestEfficiencyIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		if trial%2 == 1 {
+			x[trial/2%4] = math.NaN()
+		}
 
 		at, err := ef.Explain(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := at.Intercept
-		for _, w := range at.Weights {
-			sum += w
-		}
-		want := f.Prob(x)[at.Class]
-		if math.Abs(sum-want) > 1e-9 {
-			t.Fatalf("rf trial %d: Σφ+b = %g, vote fraction %g", trial, sum, want)
+		if got, want := outputSum(at), f.Prob(x)[at.Class]; !(math.Abs(got-want) <= 1e-9) {
+			t.Fatalf("rf trial %d: Σφ+b = %g, vote fraction %g", trial, got, want)
 		}
 
 		ag, err := eg.Explain(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum = ag.Intercept
-		for _, w := range ag.Weights {
-			sum += w
-		}
-		want = m.Score(x)
+		want := m.Score(x)
 		if ag.Class == 0 {
 			want = -want
 		}
-		if math.Abs(sum-want) > 1e-9 {
-			t.Fatalf("gbt trial %d: Σφ+b = %g, signed margin %g", trial, sum, want)
+		if got := outputSum(ag); !(math.Abs(got-want) <= 1e-9) {
+			t.Fatalf("gbt trial %d: Σφ+b = %g, signed margin %g", trial, got, want)
 		}
+	}
+}
+
+// outputSum is the model output an attribution claims: Σφ + intercept.
+func outputSum(at *explain.Attribution) float64 {
+	sum := at.Intercept
+	for _, w := range at.Weights {
+		sum += w
+	}
+	return sum
+}
+
+// twin generates a named synthetic dataset and splits off the last
+// probe rows as tuples to explain.
+func twin(t testing.TB, family string, train, probe int) (*dataset.Dataset, [][]float64) {
+	t.Helper()
+	spec, err := datagen.Spec(family)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(train+probe, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainD, probeD := d.Split(float64(train)/float64(train+probe), rand.New(rand.NewSource(2)))
+	return trainD, probeD.Rows(0, probeD.NumRows())
+}
+
+// TestWalkMatchesReference holds the walker to the recursion it replaced
+// (reference_test.go) where BruteForce cannot go: the benchmark's census
+// twin forest (42 attributes, 50 trees of depth 10), a seven-class
+// covertype twin and a boosted ensemble. Every weight and the intercept
+// agree within 1e-12, and the walk enters no node the reference did not.
+func TestWalkMatchesReference(t *testing.T) {
+	census, censusProbes := twin(t, "census", 4000, 512)
+	cover, coverProbes := twin(t, "covertype", 3000, 512)
+	// The generator plants two classes; covertype has seven. Spread the
+	// label over seven with two of the widest categorical attributes.
+	seven := &dataset.Schema{Attrs: cover.Schema.Attrs, Classes: []string{"a", "b", "c", "d", "e", "f", "g"}}
+	cover = &dataset.Dataset{Schema: seven, Cols: cover.Cols, Labels: append([]int(nil), cover.Labels...)}
+	for i := range cover.Labels {
+		cover.Labels[i] = (cover.Labels[i] + int(cover.Cols[43][i]) + 3*int(cover.Cols[38][i])) % 7
+	}
+	boosted, err := gbt.Train(census, gbt.Config{Rounds: 30, MaxDepth: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		data    *dataset.Dataset
+		cls     rf.Classifier
+		probes  [][]float64
+		classes int // at least this many are explained
+	}{
+		{"census forest", census, tinyForest(t, census, 50, 10), censusProbes, 2},
+		{"covertype forest", cover, tinyForest(t, cover, 20, 9), coverProbes, 5},
+		{"census gbt", census, boosted, censusProbes, 2},
+	} {
+		st := tinyStats(t, tc.data)
+		e, err := New(st, tc.cls, Config{Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReference(st, tc.cls, Config{Seed: 31})
+		classes, worst := map[int]bool{}, 0.0
+		for _, x := range tc.probes {
+			got, err := e.Explain(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes[got.Class] = true
+			want := ref.explain(x, got.Class)
+			assertClose(t, tc.name, got, want, 1e-12)
+			for i, w := range got.Weights {
+				worst = max(worst, math.Abs(w-want.Weights[i]))
+			}
+		}
+		if e.NodeVisits() == 0 || e.NodeVisits() > ref.visits {
+			t.Errorf("%s: %d node visits, the reference made %d", tc.name, e.NodeVisits(), ref.visits)
+		}
+		if len(classes) < tc.classes {
+			t.Errorf("%s: the probes were explained toward %d classes, want %d", tc.name, len(classes), tc.classes)
+		}
+		t.Logf("%s: %d probes, %d classes, max |Δφ| %.1e, %d visits (reference %d)", tc.name, len(tc.probes), len(classes), worst, e.NodeVisits(), ref.visits)
 	}
 }
 
@@ -252,6 +476,27 @@ func TestUnsupportedClassifier(t *testing.T) {
 	}
 	if _, err := New(st, opaque, Config{}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("New error = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestNewRejectsTreesNotInPreorder: New reads only the pre-order layout,
+// so a tree that has none — here a two-node cycle and a right child that
+// points backward, as a hand-assembled or hostile-gob ensemble may hold —
+// is ErrUnsupported at once instead of a walk that never ends.
+func TestNewRejectsTreesNotInPreorder(t *testing.T) {
+	st := tinyStats(t, tinyData(100, 8))
+	good := split(0, 0, leaf(0), leaf(1)).preorder()
+	for name, bad := range map[string][]node{ // the cases are independent: order is immaterial
+		"cycle":          {{Left: 1, Right: 1}, {Left: 0, Right: 0}},
+		"backward right": {{Left: 1, Right: 3}, {Feature: -1}, {Feature: -1, Class: 1}, {Left: 4, Right: 2}, {Feature: -1}},
+	} {
+		if _, err := New(st, handForest(t, 2, good, bad), Config{}); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("forest with a %s: New error = %v, want ErrUnsupported", name, err)
+		}
+		m := &gbt.Model{Rate: 0.1, Trees: []gbt.RegTree{regTree(good), regTree(bad)}}
+		if _, err := New(st, m, Config{}); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("gbt with a %s: New error = %v, want ErrUnsupported", name, err)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // TestHotpathAllocs pins what one exact explanation allocates over a
 // trained forest on the 42-attribute census twin: the Attribution and
-// its weight vector. The walker's helpers (walk, unwind, unwoundSum,
-// findFeat) only run inside Explain, so this one row covers the
-// package's whole hot surface.
+// its weight vector — the walk's scratch is the Explainer's, sized in
+// New. The walker's helpers (walk, leaf, extend, divide) only run inside
+// Explain, so this one row covers the package's whole hot surface.
 func TestHotpathAllocs(t *testing.T) {
 	spec, err := datagen.Spec("census")
 	if err != nil {

@@ -151,19 +151,6 @@ func (m *Model) Accuracy(d *dataset.Dataset) float64 {
 	return float64(correct) / float64(d.NumRows())
 }
 
-// MaxDepth returns the depth of the deepest tree in the ensemble (a
-// root-only tree has depth 0). The exact TreeSHAP walker sizes its path
-// arena with it.
-func (m *Model) MaxDepth() int {
-	max := 0
-	for i := range m.Trees {
-		if d := m.Trees[i].depth(0); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // NumTrees returns the number of boosting rounds fitted.
 func (m *Model) NumTrees() int { return len(m.Trees) }
 
@@ -172,19 +159,6 @@ func (m *Model) NumTrees() int { return len(m.Trees) }
 // explainers (internal/explain/exact) can walk the fitted trees.
 type RegTree struct {
 	Nodes []RegNode
-}
-
-// depth returns the depth of the subtree rooted at node i.
-func (t *RegTree) depth(i int32) int {
-	nd := &t.Nodes[i]
-	if nd.Feature < 0 {
-		return 0
-	}
-	l, r := t.depth(nd.Left), t.depth(nd.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 // RegNode is one flat-array tree node; Feature -1 marks a leaf.

@@ -2,23 +2,23 @@ package rf
 
 import "math"
 
-// flatNode is one tree node in the derived walk layout: 16 bytes, four
+// FlatNode is one tree node in the derived walk layout: 16 bytes, four
 // to a cache line. The left child is the next node (the builder emits
 // trees in pre-order), so only the right child is stored. A leaf loops
-// to itself — threshold -Inf, right = self — which lets a tree be walked
+// to itself — Threshold -Inf, Right = self — which lets a tree be walked
 // for a fixed number of steps with no leaf test.
-type flatNode struct {
-	threshold float64
-	feature   int32
-	right     int32
+type FlatNode struct {
+	Threshold float64
+	Feature   int32
+	Right     int32
 }
 
-// flatForest is the walk layout Forest.Predict runs on, derived from
-// Forest.Trees (which stays the source of truth: it is what gob stores,
-// what Tree.Predict walks and what the exact explainer routes covers
-// down). Node indices are forest-wide.
+// flatForest is the walk layout Forest.Predict and the exact explainer
+// (through Forest.Flat) run on, derived from Forest.Trees (which stays
+// the source of truth: it is what gob stores and what Tree.Predict
+// walks). Node indices are forest-wide.
 type flatForest struct {
-	nodes []flatNode
+	nodes []FlatNode
 	class []int32 // class[i] is the label of leaf i; unused for internal nodes
 	roots []int32 // one per laid-out tree
 	depth []int32 // parallel to roots
@@ -44,7 +44,7 @@ func flatten(trees []*Tree) *flatForest {
 		for i := range t.Nodes {
 			n := &t.Nodes[i]
 			if n.Feature < 0 {
-				ff.nodes = append(ff.nodes, flatNode{threshold: math.Inf(-1), right: base + int32(i)})
+				ff.nodes = append(ff.nodes, FlatNode{Threshold: math.Inf(-1), Right: base + int32(i)})
 				ff.class = append(ff.class, n.Class)
 				continue
 			}
@@ -55,7 +55,7 @@ func flatten(trees []*Tree) *flatForest {
 			case math.IsNaN(thr):
 				thr = math.Inf(-1) // x <= NaN is false for every x: always right
 			}
-			ff.nodes = append(ff.nodes, flatNode{threshold: thr, feature: n.Feature, right: base + n.Right})
+			ff.nodes = append(ff.nodes, FlatNode{Threshold: thr, Feature: n.Feature, Right: base + n.Right})
 			ff.class = append(ff.class, 0)
 		}
 	}
@@ -92,11 +92,11 @@ func preorderDepth(t *Tree) (int32, bool) {
 // emit a conditional move for a value that feeds a load address
 // (golang/go#26306) and the branch it emits instead mispredicts at
 // about every other level.
-func step(nodes []flatNode, i int32, x []float64) int32 {
+func step(nodes []FlatNode, i int32, x []float64) int32 {
 	n := &nodes[i]
-	goRight := int32(math.Float64bits(n.threshold-x[n.feature]) >> 63)
+	goRight := int32(math.Float64bits(n.Threshold-x[n.Feature]) >> 63)
 	left := i + 1
-	return left ^ ((left ^ n.right) & -goRight)
+	return left ^ ((left ^ n.Right) & -goRight)
 }
 
 // group is how many trees tally walks together: that many independent

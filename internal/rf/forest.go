@@ -159,12 +159,7 @@ func (f *Forest) tally(x []float64, votes []int, stopDecided bool) {
 	}
 	trees := f.Trees
 	if finite {
-		ff := f.flat.Load()
-		if ff == nil {
-			// Racing first calls each derive the same layout.
-			ff = flatten(f.Trees)
-			f.flat.Store(ff)
-		}
+		ff := f.layout()
 		if ff.tally(x, votes, stopDecided) {
 			return
 		}
@@ -173,6 +168,27 @@ func (f *Forest) tally(x []float64, votes []int, stopDecided bool) {
 	for _, t := range trees {
 		votes[t.Predict(x)]++
 	}
+}
+
+// layout returns the derived layout, deriving it on first use; racing
+// first calls each derive the same one.
+func (f *Forest) layout() *flatForest {
+	ff := f.flat.Load()
+	if ff == nil {
+		ff = flatten(f.Trees)
+		f.flat.Store(ff)
+	}
+	return ff
+}
+
+// Flat exposes the derived layout, read-only, to the exact explainer:
+// every laid-out tree's nodes in pre-order (indices forest-wide, the
+// left child of node i is i+1, a leaf has Right == i), the class of each
+// leaf and the root of each tree. ok is false when some tree could not
+// be laid out (see flatten) and so has no bounded walk.
+func (f *Forest) Flat() (nodes []FlatNode, class, roots []int32, ok bool) {
+	ff := f.layout()
+	return ff.nodes, ff.class, ff.roots, len(ff.slow) == 0
 }
 
 // Prob returns the per-class vote fractions. The slice is freshly
