@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shahin/internal/dataset"
+	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
@@ -27,10 +28,15 @@ func SequentialCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, op
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	opts = opts.withDefaults()
-	opts, fellBack := applyExactFallback(opts, cls)
+	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
+	return sequential(ctx, st, cls, opts, proto, fellBack, tuples)
+}
+
+// sequential is the loop behind Sequential and each of Dist's machines,
+// over options already defaulted and an exact path already resolved.
+func sequential(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Options, proto *exact.Explainer, fellBack bool, tuples [][]float64) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	f := beginRun(ctx, opts, st, cls, rng, obs.StageSequential, len(tuples), false)
+	f := beginRun(ctx, opts, st, cls, proto, rng, obs.StageSequential, len(tuples), false)
 	defer f.span.End()
 
 	if opts.Explainer == Anchor {
@@ -70,7 +76,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	opts = opts.withDefaults()
+	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
 	if k > len(tuples) {
 		k = len(tuples)
 	}
@@ -97,7 +103,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 		}
 		wopts := opts
 		wopts.Seed = opts.Seed + int64(w)*1_000_003
-		res, err := SequentialCtx(ctx, st, cls, wopts, tuples[lo:hi])
+		res, err := sequential(ctx, st, cls, wopts, proto, fellBack, tuples[lo:hi])
 		if res != nil {
 			copy(out[lo:hi], res.Explanations)
 			if costs != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"shahin/internal/dataset"
+	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -23,8 +24,9 @@ type Batch struct {
 	opts Options
 	st   *dataset.Stats
 	cls  rf.Classifier
-	// exactFallback records that an ExactSHAP request was downgraded to
-	// KernelSHAP at construction (fault chain, or not an owned ensemble).
+	// What resolveExact decided at construction: the prototype the run's
+	// engines fork, and whether an ExactSHAP request was downgraded.
+	proto         *exact.Explainer
 	exactFallback bool
 }
 
@@ -34,8 +36,8 @@ func NewBatch(st *dataset.Stats, cls rf.Classifier, opts Options) (*Batch, error
 	if st == nil || cls == nil {
 		return nil, fmt.Errorf("core: NewBatch needs stats and a classifier")
 	}
-	opts, fellBack := applyExactFallback(opts.withDefaults(), cls)
-	return &Batch{opts: opts, st: st, cls: cls, exactFallback: fellBack}, nil
+	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
+	return &Batch{opts: opts, st: st, cls: cls, proto: proto, exactFallback: fellBack}, nil
 }
 
 // ExplainAll explains every tuple of the batch and returns the
@@ -57,7 +59,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	}
 	opts := b.opts
 	rng := rand.New(rand.NewSource(opts.Seed))
-	f := beginRun(ctx, opts, b.st, b.cls, rng, obs.StageBatch, len(tuples), false)
+	f := beginRun(ctx, opts, b.st, b.cls, b.proto, rng, obs.StageBatch, len(tuples), false)
 	defer f.span.End()
 	f.span.SetAttr("explainer", opts.Explainer.String())
 	eng := f.eng

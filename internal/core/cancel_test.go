@@ -310,7 +310,7 @@ func TestCancelReturnsPromptly(t *testing.T) {
 
 // checkPoolLabels asserts that every sample a persistent pool holds
 // carries the label the classifier gives its row — none stored from the
-// cancellation fallback's guesses.
+// degradation ladder's guesses.
 func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
 	t.Helper()
 	for _, key := range ps.repo.Keys() {

@@ -18,7 +18,6 @@ import (
 // engine bundles one configured explainer of the selected kind together
 // with the classifier instrumentation every run needs.
 type engine struct {
-	kind Kind
 	opts Options
 	st   *dataset.Stats
 	raw  rf.Classifier // the caller's classifier, below the bridge and the meter
@@ -59,18 +58,16 @@ func (m *meter) Predict(x []float64) int {
 	return y
 }
 
-// Inner lets the exact walker unwrap to the trees underneath.
-func (m *meter) Inner() rf.Classifier { return m.Classifier }
-
 // newEngine wires up the explainer of the requested kind over cls, with
 // an optional fallible bridge between the meter and the classifier. The
-// constructors draw nothing from rng.
-func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge) *engine {
+// constructors draw nothing from rng. proto is what buildExact built;
+// an ExactSHAP engine walks a fork of it that predicts through the meter.
+func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge, proto *exact.Explainer) *engine {
 	m := &meter{Classifier: cls, latency: opts.Recorder.Histogram(obs.HistPredict)}
 	if fb != nil {
 		m.Classifier = fb
 	}
-	e := &engine{kind: opts.Explainer, opts: opts, st: st, raw: cls, cls: m, fb: fb}
+	e := &engine{opts: opts, st: st, raw: cls, cls: m, fb: fb}
 	switch opts.Explainer {
 	case LIME:
 		e.lime = lime.New(st, m, opts.LIME, rng)
@@ -81,21 +78,7 @@ func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Ran
 	case SampleSHAP:
 		e.sshap = sshap.New(st, m, opts.SSHAP, rng)
 	case ExactSHAP:
-		ex, err := exact.New(st, m, opts.Exact)
-		if err != nil {
-			// Eligibility is decided at the run entry points (see
-			// exactEligible); an unchecked caller degrades to KernelSHAP
-			// rather than crashing mid-run. The marker event keeps even
-			// this defensive degrade visible in provenance.
-			opts.Recorder.Emit(obs.Event{
-				Type: obs.EventExactFallback, Tuple: -1,
-				Explainer: ExactSHAP.String(), State: "unsupported_classifier",
-			})
-			e.kind = SHAP
-			e.shap = shap.New(st, m, opts.SHAP, rng)
-			break
-		}
-		e.exact = ex
+		e.exact = proto.Fork(m)
 	}
 	return e
 }
@@ -111,7 +94,7 @@ func (e *engine) worker(w int) *engine {
 	if e.fb != nil {
 		fb = e.fb.fork()
 	}
-	return newEngine(opts, e.st, e.raw, rand.New(rand.NewSource(opts.Seed)), fb)
+	return newEngine(opts, e.st, e.raw, rand.New(rand.NewSource(opts.Seed)), fb, e.exact)
 }
 
 // setCoverage hands Anchor the itemised rows rule coverage is measured
@@ -131,7 +114,7 @@ func (e *engine) explain(t []float64, pool explain.Pool, sh *anchor.Shared) (Exp
 		exp Explanation
 		err error
 	)
-	switch e.kind {
+	switch e.opts.Explainer {
 	case LIME:
 		exp.Attribution, err = e.lime.ExplainWithPool(t, pool)
 	case Anchor:
@@ -152,7 +135,7 @@ func (e *engine) explain(t []float64, pool explain.Pool, sh *anchor.Shared) (Exp
 		exp.Attribution, err = e.exact.Explain(t)
 		e.cls.cost.NodeVisits = e.exact.NodeVisits() - visits
 	default:
-		err = fmt.Errorf("core: unknown explainer kind %d", e.kind)
+		err = fmt.Errorf("core: unknown explainer kind %d", e.opts.Explainer)
 	}
 	return exp, err
 }

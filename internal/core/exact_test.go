@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -229,9 +230,10 @@ func TestExactFallbackFaultChain(t *testing.T) {
 
 // TestExactFallbackTreeNotInPreorder: a forest that decodes fine but
 // holds a tree outside the builders' pre-order — here a right child that
-// points backward — passes exact.Supported, which looks at the type
-// only; exact.New refuses it, and the engine must degrade to KernelSHAP
-// with the marker rather than fail or walk it.
+// points backward — is an owned ensemble by type, and exact.New refuses
+// it by layout. The runner must degrade to KernelSHAP as it does for any
+// other refusal: the report marked, one exact_fallback event however
+// many engines the run builds, and every tuple answered.
 func TestExactFallbackTreeNotInPreorder(t *testing.T) {
 	env := newEnv(t, 61, 6)
 	type node struct {
@@ -260,32 +262,51 @@ func TestExactFallbackTreeNotInPreorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder()
-	opts := smallOpts(ExactSHAP, 62)
-	opts.Recorder = rec
-	res, err := Sequential(env.st, forest, opts, env.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.NodeVisits != 0 {
-		t.Fatalf("fallback run recorded %d node visits", res.Report.NodeVisits)
-	}
-	for i, e := range res.Explanations {
-		if e.Attribution == nil {
-			t.Fatalf("tuple %d unanswered after fallback", i)
+	for name, run := range map[string]func(Options) (*Result, error){ // independent cases: order is immaterial
+		"sequential": func(opts Options) (*Result, error) { return Sequential(env.st, forest, opts, env.tuples) },
+		"batch-w4": func(opts Options) (*Result, error) {
+			opts.Workers = 4
+			b, err := NewBatch(env.st, forest, opts)
+			if err != nil {
+				return nil, err
+			}
+			return b.ExplainAll(env.tuples)
+		},
+	} {
+		rec := obs.NewRecorder()
+		opts := smallOpts(ExactSHAP, 62)
+		opts.Recorder = rec
+		res, err := run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Report.ExactFallback {
+			t.Errorf("%s: Report.ExactFallback not set for a forest exact.New refuses", name)
+		}
+		if res.Report.NodeVisits != 0 {
+			t.Errorf("%s: fallback run recorded %d node visits", name, res.Report.NodeVisits)
+		}
+		for i, e := range res.Explanations {
+			if e.Attribution == nil {
+				t.Fatalf("%s: tuple %d unanswered after fallback", name, i)
+			}
+		}
+		if n := assertFallbackEvent(t, rec, "unsupported_classifier"); n != 1 {
+			t.Errorf("%s: %d exact_fallback events, want 1", name, n)
 		}
 	}
-	assertFallbackEvent(t, rec, "unsupported_classifier")
 }
 
-func assertFallbackEvent(t *testing.T, rec *obs.Recorder, reason string) {
+// assertFallbackEvent checks the run left exact_fallback events naming
+// reason and no exact_shap ones, and returns how many.
+func assertFallbackEvent(t *testing.T, rec *obs.Recorder, reason string) int {
 	t.Helper()
 	events, _ := rec.Events()
-	found := false
+	found := 0
 	for _, e := range events {
 		switch e.Type {
 		case obs.EventExactFallback:
-			found = true
+			found++
 			if e.State != reason {
 				t.Errorf("exact_fallback reason %q, want %q", e.State, reason)
 			}
@@ -293,9 +314,91 @@ func assertFallbackEvent(t *testing.T, rec *obs.Recorder, reason string) {
 			t.Error("fallback run still emitted exact_shap")
 		}
 	}
-	if !found {
+	if found == 0 {
 		t.Error("no exact_fallback event emitted")
 	}
+	return found
+}
+
+// unwrapCounter is an instrumentation wrapper like rf.Counting. exact.New
+// unwraps through Inner once per build and nothing else in core unwraps,
+// so the count is the number of explainers built.
+type unwrapCounter struct {
+	rf.Classifier
+	unwraps *int
+}
+
+func (u unwrapCounter) Inner() rf.Classifier {
+	*u.unwraps++
+	return u.Classifier
+}
+
+// TestExactBuiltOncePerRunner: the background draw and cover annotation
+// are tuple-independent work, so a runner pays for them once — not per
+// parallel worker, per warm flush, per ExplainExact or per Dist machine.
+func TestExactBuiltOncePerRunner(t *testing.T) {
+	env := newExactEnv(t, 67, 20)
+	for _, tc := range []struct {
+		name string
+		kind Kind
+		run  func(cls rf.Classifier, opts Options) error
+	}{
+		{"batch-w4", ExactSHAP, func(cls rf.Classifier, opts Options) error {
+			opts.Workers = 4
+			b, err := NewBatch(env.st, cls, opts)
+			if err != nil {
+				return err
+			}
+			_, err = b.ExplainAll(env.tuples)
+			return err
+		}},
+		{"warm", ExactSHAP, func(cls rf.Classifier, opts Options) error { return warmFlushesAndSideDoor(env, cls, opts) }},
+		{"warm, LIME kind", LIME, func(cls rf.Classifier, opts Options) error { return warmFlushesAndSideDoor(env, cls, opts) }},
+		{"dist-k3", ExactSHAP, func(cls rf.Classifier, opts Options) error {
+			_, err := Dist(env.st, cls, opts, env.tuples, 3)
+			return err
+		}},
+		{"stream", ExactSHAP, func(cls rf.Classifier, opts Options) error {
+			s, err := NewStream(env.st, cls, opts)
+			if err != nil {
+				return err
+			}
+			for _, tup := range env.tuples {
+				if _, err := s.Explain(tup); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		built := 0
+		if err := tc.run(unwrapCounter{env.forest, &built}, smallOpts(tc.kind, 68)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if built != 1 {
+			t.Errorf("%s: %d exact explainers built, want 1", tc.name, built)
+		}
+	}
+}
+
+// warmFlushesAndSideDoor runs three flushes and five ExplainExact calls
+// through one warm explainer.
+func warmFlushesAndSideDoor(env *exactEnv, cls rf.Classifier, opts Options) error {
+	w, err := NewWarm(env.st, cls, opts, 10)
+	if err != nil {
+		return err
+	}
+	for f := 0; f < 3; f++ {
+		if _, err := w.ExplainAll(env.tuples[5*f : 5*f+5]); err != nil {
+			return err
+		}
+	}
+	for _, tup := range env.tuples[15:] {
+		if _, _, err := w.ExplainExact(tup); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestStreamExactSHAP smoke-tests the per-tuple entry point: no pool or
@@ -342,9 +445,6 @@ func TestWarmExactSHAP(t *testing.T) {
 	if w.Kind() != ExactSHAP {
 		t.Fatalf("Kind = %v", w.Kind())
 	}
-	if !w.ExactAvailable() {
-		t.Fatal("ExactAvailable false on an owned forest")
-	}
 	res, err := w.ExplainAll(env.tuples[:8])
 	if err != nil {
 		t.Fatal(err)
@@ -373,11 +473,31 @@ func TestWarmExactSHAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wl.ExactAvailable() {
-		t.Fatal("LIME warm server over a forest should still offer exact one-offs")
-	}
 	if _, cost, err := wl.ExplainExact(env.tuples[0]); err != nil || cost.NodeVisits <= 0 {
 		t.Fatalf("LIME-kind ExplainExact: visits=%d err=%v", cost.NodeVisits, err)
+	}
+
+	// An opaque classifier, or a fault chain over the forest, has no side
+	// door, and a LIME server that downgraded nothing says nothing.
+	rec := obs.NewRecorder()
+	opts := smallOpts(LIME, 64)
+	opts.Recorder = rec
+	opaque, err := NewWarm(env.st, rf.Func{Classes: 2, F: func([]float64) int { return 0 }}, opts, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Fault = chaosFaults(64)
+	faulty, err := NewWarm(env.st, env.forest, opts, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*Warm{"opaque": opaque, "fault chain": faulty} { // independent cases
+		if _, _, err := w.ExplainExact(env.tuples[0]); !errors.Is(err, ErrExactUnavailable) {
+			t.Errorf("%s: ExplainExact error = %v, want ErrExactUnavailable", name, err)
+		}
+	}
+	if events, _ := rec.Events(); len(events) != 0 {
+		t.Errorf("LIME-kind warm servers without a side door emitted %d events", len(events))
 	}
 }
 
@@ -449,9 +569,9 @@ func TestWarmExplainExactAccounting(t *testing.T) {
 
 // TestExactUnderCancellableContext pins the CLI shape: a cancellable
 // context forces the cancellation bridge between the engine and the
-// classifier even with no fault config, and the exact path must see
-// through it (via Inner) rather than silently degrading to pool-free
-// KernelSHAP.
+// classifier even with no fault config, and the exact path — resolved
+// on the caller's classifier, below the bridge — must not degrade to
+// pool-free KernelSHAP because of it.
 func TestExactUnderCancellableContext(t *testing.T) {
 	env := newExactEnv(t, 64, 12)
 	rec := obs.NewRecorder()

@@ -93,8 +93,7 @@ type fallibleBridge struct {
 	base  context.Context // construction-time context; ctx resets to it between tuples
 	chain *fault.Chain
 	st    *dataset.Stats
-	inner rf.Classifier // the pre-chain classifier the bridge was built over
-	track bool          // bookkeeping only when the chain can actually fail
+	track bool // bookkeeping only when the chain can actually fail
 
 	// Fallback sources: the live repository (or a frozen snapshot) and
 	// the itemsets it has materialised samples for.
@@ -127,13 +126,12 @@ const maxDegradeSpans = 32
 
 var _ rf.Classifier = (*fallibleBridge)(nil)
 
-func newFallibleBridge(ctx context.Context, chain *fault.Chain, st *dataset.Stats, inner rf.Classifier, rec *obs.Recorder) *fallibleBridge {
+func newFallibleBridge(ctx context.Context, chain *fault.Chain, st *dataset.Stats, rec *obs.Recorder) *fallibleBridge {
 	fb := &fallibleBridge{
 		ctx:         ctx,
 		base:        ctx,
 		chain:       chain,
 		st:          st,
-		inner:       inner,
 		track:       chain.CanFail(),
 		degradedCtr: rec.Counter(obs.CounterDegradedAnswers),
 		failedCtr:   rec.Counter(obs.CounterFailedAnswers),
@@ -153,7 +151,6 @@ func (fb *fallibleBridge) fork() *fallibleBridge {
 		base:        fb.base,
 		chain:       fb.chain,
 		st:          fb.st,
-		inner:       fb.inner,
 		track:       fb.track,
 		pooled:      fb.pooled,
 		poolSets:    fb.poolSets,
@@ -342,18 +339,5 @@ func buildBridge(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Cl
 	if opts.Fault != nil {
 		cfg = *opts.Fault
 	}
-	return newFallibleBridge(ctx, fault.Build(cls, cfg, opts.Recorder), st, cls, opts.Recorder)
-}
-
-// Inner exposes the wrapped classifier to instrumentation unwrappers
-// (see exact.Supported) — but only when the chain cannot fail, i.e. the
-// bridge exists purely for context cancellation. A bridge with a live
-// fault configuration stays opaque: the exact TreeSHAP walker must not
-// see through the degradation ladder to trees it would read without
-// fault handling.
-func (fb *fallibleBridge) Inner() rf.Classifier {
-	if fb.track {
-		return nil
-	}
-	return fb.inner
+	return newFallibleBridge(ctx, fault.Build(cls, cfg, opts.Recorder), st, opts.Recorder)
 }

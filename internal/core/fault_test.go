@@ -217,7 +217,7 @@ func TestBridgeFallbackLadder(t *testing.T) {
 	env := newEnv(t, 72, 4)
 	cfg := fault.Config{FailRate: 1, Seed: 1} // everything fails, no retries
 	chain := fault.Build(env.cls, cfg, nil)
-	fb := newFallibleBridge(context.Background(), chain, env.st, env.cls, nil)
+	fb := newFallibleBridge(context.Background(), chain, env.st, nil)
 	fb.beginTuple()
 
 	// Nothing seen yet: the ladder has no rung and the tuple fails.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +15,9 @@ import (
 
 	"shahin/internal/dataset"
 	"shahin/internal/fault"
+	"shahin/internal/fim"
 	"shahin/internal/obs"
+	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
 
@@ -47,33 +51,35 @@ func goldenFaults(seed int64) *fault.Config {
 
 // goldenRunner is one way of driving the tuples through core. reps holds
 // every report the run produced; the last is the headline the golden
-// line spells out.
+// line spells out. A runner that keeps its pool returns it.
 type goldenRunner struct {
 	name string
 	// faults reports whether the runner honours Options.Fault on one
 	// goroutine (parallel workers share a call-indexed injector, so
 	// their fault order depends on scheduling; Greedy has no bridge).
 	faults bool
-	run    func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error)
+	run    goldenRun
 }
 
+type goldenRun func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error)
+
 func goldenRunners() []goldenRunner {
-	batch := func(workers int) func(*dataset.Stats, rf.Classifier, Options, [][]float64) ([]Explanation, []Report, error) {
-		return func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error) {
+	batch := func(workers int) goldenRun {
+		return func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			opts.Workers = workers
 			b, err := NewBatch(st, cls, opts)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			res, err := b.ExplainAll(tuples[:40])
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			return res.Explanations, []Report{res.Report}, nil
+			return res.Explanations, []Report{res.Report}, nil, nil // the pool goes with the run: see batchPool
 		}
 	}
-	stream := func(border bool, recompute int) func(*dataset.Stats, rf.Classifier, Options, [][]float64) ([]Explanation, []Report, error) {
-		return func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error) {
+	stream := func(border bool, recompute int) goldenRun {
+		return func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			opts.StreamRecompute = recompute
 			if recompute >= 50 {
 				opts.Tau = 20 // a small τ lifts the itemset cap, leaving room to promote
@@ -81,17 +87,17 @@ func goldenRunners() []goldenRunner {
 			opts.StreamBorder = &border
 			s, err := NewStream(st, cls, opts)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			exps := make([]Explanation, 0, 120)
 			for _, tup := range tuples[:120] {
 				e, err := s.Explain(tup)
 				if err != nil {
-					return nil, nil, err
+					return nil, nil, nil, err
 				}
 				exps = append(exps, e)
 			}
-			return exps, []Report{s.Report()}, nil
+			return exps, []Report{s.Report()}, s.ps, nil
 		}
 	}
 	return []goldenRunner{
@@ -103,10 +109,10 @@ func goldenRunners() []goldenRunner {
 		// reaches; these two differ exactly by the border promotions.
 		{"stream-border-r60", true, stream(true, 60)},
 		{"stream-noborder-r60", true, stream(false, 60)},
-		{"warm", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error) {
+		{"warm", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			w, err := NewWarm(st, cls, opts, 30)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			var (
 				exps []Explanation
@@ -115,33 +121,33 @@ func goldenRunners() []goldenRunner {
 			for f := 0; f < 3; f++ {
 				res, err := w.ExplainAll(tuples[20*f : 20*f+20])
 				if err != nil {
-					return nil, nil, err
+					return nil, nil, nil, err
 				}
 				exps = append(exps, res.Explanations...)
 				reps = append(reps, res.Report)
 			}
-			return exps, append(reps, w.Report()), nil
+			return exps, append(reps, w.Report()), w.ps, nil
 		}},
-		{"sequential", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error) {
+		{"sequential", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			res, err := Sequential(st, cls, opts, tuples[:25])
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			return res.Explanations, []Report{res.Report}, nil
+			return res.Explanations, []Report{res.Report}, nil, nil
 		}},
-		{"dist-k3", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error) {
+		{"dist-k3", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			res, err := Dist(st, cls, opts, tuples[:30], 3)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			return res.Explanations, []Report{res.Report}, nil
+			return res.Explanations, []Report{res.Report}, nil, nil
 		}},
-		{"greedy", false, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, error) {
+		{"greedy", false, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			res, err := Greedy(st, cls, opts, tuples[:30], 1<<20)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			return res.Explanations, []Report{res.Report}, nil
+			return res.Explanations, []Report{res.Report}, nil, nil
 		}},
 	}
 }
@@ -172,6 +178,90 @@ func goldenLine(t *testing.T, exps []Explanation, reps []Report) string {
 		hex.EncodeToString(counts.Sum(nil)[:8]), goldenCounts(reps[len(reps)-1]))
 }
 
+// goldenEnv returns what each kind's golden runs explain: the exact
+// walker needs owned trees; every other kind runs on the shared opaque
+// test classifier.
+func goldenEnv(t *testing.T) func(Kind) (*dataset.Stats, rf.Classifier, [][]float64) {
+	plain := newEnv(t, 7, 120)
+	owned := newExactEnv(t, 7, 120)
+	return func(kind Kind) (*dataset.Stats, rf.Classifier, [][]float64) {
+		if kind == ExactSHAP {
+			return owned.st, owned.forest, owned.tuples
+		}
+		return plain.st, plain.cls, plain.tuples
+	}
+}
+
+// batchPool rebuilds the pool a serial Batch run over tuples built and
+// dropped: ExplainAllCtx's own steps up to the first tuple (a
+// perturbation explainer adds nothing to the repository after them). ran
+// is that run's report; a pool built at another cost is not its pool.
+func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64, ran Report) *poolState {
+	t.Helper()
+	b, err := NewBatch(st, cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(b.opts.Seed))
+	f := beginRun(context.Background(), b.opts, st, cls, b.proto, rng, obs.StageBatch, len(tuples), false)
+	defer f.span.End()
+	ps := newPoolState(b.opts, cls.NumClasses(), len(tuples))
+	_, rep, err := ps.refresh(f.ctx, f.eng, perturb.NewGenerator(st, rng), func() []dataset.Itemset {
+		return itemizeSample(st, tuples, fim.SampleSize(len(tuples)), rng)
+	}, false, f.span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PoolInvocations != ran.PoolInvocations || rep.FrequentItemsets != ran.FrequentItemsets {
+		t.Fatalf("batchPool labelled %d samples for %d itemsets, the run %d for %d: it no longer follows ExplainAllCtx",
+			rep.PoolInvocations, rep.FrequentItemsets, ran.PoolInvocations, ran.FrequentItemsets)
+	}
+	return ps
+}
+
+// TestPooledLabelsAreClassifierLabels: a pooled label is served to every
+// later tuple as the classifier's own, so after a seeded fault run every
+// sample a runner's pool holds must carry the label the classifier gives
+// its row — none the degradation ladder supplied while the backend was
+// failing. (ExactSHAP under a fault chain runs as pooled KernelSHAP.)
+// Anchor is left out, and materialize keeps the old rule for it: its
+// repository is also where its own pulls keep samples (anchor.pull
+// appends whatever label it was answered, and a rule it has sampled
+// counts as pooled once it turns frequent), so an entry there is not
+// materialize's alone to vouch for.
+func TestPooledLabelsAreClassifierLabels(t *testing.T) {
+	env := goldenEnv(t)
+	degraded := 0
+	for _, kind := range AllKinds() {
+		if kind == Anchor {
+			continue
+		}
+		st, cls, tuples := env(kind)
+		for _, rn := range goldenRunners() {
+			if !rn.faults {
+				continue
+			}
+			opts := smallOpts(kind, 9)
+			opts.Fault = goldenFaults(13)
+			_, reps, ps, err := rn.run(st, cls, opts, tuples)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", rn.name, kind, err)
+			}
+			if rn.name == "batch-w1" {
+				ps = batchPool(t, st, cls, opts, tuples[:40], reps[0])
+			}
+			if ps == nil {
+				continue // Sequential and Dist pool nothing
+			}
+			degraded += reps[len(reps)-1].Degraded
+			t.Run(fmt.Sprintf("%s/%s", rn.name, kind), func(t *testing.T) { checkPoolLabels(t, ps, cls) })
+		}
+	}
+	if degraded == 0 {
+		t.Error("no answer of any run was degraded: the profile no longer exercises the ladder")
+	}
+}
+
 // TestRunnersGolden pins every runner's answers and counters against
 // values generated by the commit before the pool kernel existed: Batch
 // (serial and parallel), Stream (border on and off), Warm (three flushes
@@ -180,18 +270,11 @@ func goldenLine(t *testing.T, exps []Explanation, reps []Report) string {
 // runners — with and without injected faults. The determinism tests
 // compare a run with itself; this compares it with the last commit.
 func TestRunnersGolden(t *testing.T) {
-	plain := newEnv(t, 7, 120)
-	owned := newExactEnv(t, 7, 120)
-
+	env := goldenEnv(t)
 	got := map[string]string{}
 	var names []string // in generation order, so failures print deterministically
 	for _, kind := range AllKinds() {
-		// The exact walker needs owned trees; every other kind runs on
-		// the shared opaque test classifier.
-		st, cls, tuples := plain.st, plain.cls, plain.tuples
-		if kind == ExactSHAP {
-			st, cls, tuples = owned.st, rf.Classifier(owned.forest), owned.tuples
-		}
+		st, cls, tuples := env(kind)
 		for _, rn := range goldenRunners() {
 			for _, recorded := range []bool{false, true} {
 				for _, faulty := range []bool{false, true} {
@@ -206,7 +289,7 @@ func TestRunnersGolden(t *testing.T) {
 					if faulty {
 						opts.Fault = goldenFaults(13)
 					}
-					exps, reps, err := rn.run(st, cls, opts, tuples)
+					exps, reps, _, err := rn.run(st, cls, opts, tuples)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

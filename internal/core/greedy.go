@@ -30,10 +30,11 @@ func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float
 		return Sequential(st, cls, opts, tuples)
 	}
 	opts.Fault = nil // the baseline is measured on a healthy backend: GREEDY has never run behind the fault bridge
-	f := beginRun(context.Background(), opts, st, cls, rand.New(rand.NewSource(opts.Seed)), obs.StageGreedy, len(tuples), false)
+	opts, proto, fellBack := resolveExact(opts, st, cls)
+	f := beginRun(context.Background(), opts, st, cls, proto, rand.New(rand.NewSource(opts.Seed)), obs.StageGreedy, len(tuples), false)
 	defer f.span.End()
 
-	rep := Report{Tuples: len(tuples)}
+	rep := Report{Tuples: len(tuples), ExactFallback: fellBack}
 	step := &tupleStep{eng: f.eng, pool: newGreedyStore(budgetBytes)}
 	out, costs, err := step.explainAll(f, nil, tuples, &rep)
 	if err != nil {

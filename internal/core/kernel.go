@@ -9,6 +9,7 @@ import (
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
 	"shahin/internal/explain/anchor"
+	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -28,8 +29,10 @@ type poolState struct {
 	repo *cache.Repo
 	sh   *anchor.Shared
 	// sets are the pooled itemsets in mining order (shortest first, then
-	// highest support), at most maxSets of them.
+	// highest support), at most maxSets of them; pool is the perturbation
+	// explainers' view of repo and sets (nil for Anchor). setSets moves both.
 	sets    []dataset.Itemset
+	pool    *itemsetPool
 	maxSets int
 	// cov is the rows last mined (see coverage).
 	cov []dataset.Itemset
@@ -48,9 +51,18 @@ func newPoolState(opts Options, nClasses, window int) *poolState {
 		ps.repo = ps.sh.Repo
 	} else {
 		ps.repo = cache.NewRepo(opts.CacheBytes)
+		ps.pool = newItemsetPool(ps.repo, nil)
 	}
 	ps.repo.SetHooks(cacheHooks(opts.Recorder))
 	return ps
+}
+
+// setSets records which itemsets the repository now holds.
+func (ps *poolState) setSets(sets []dataset.Itemset) {
+	ps.sets = sets
+	if ps.pool != nil {
+		ps.pool.setItemsets(sets)
+	}
 }
 
 // coverage returns the sample Anchor measures rule coverage against: the
@@ -82,8 +94,9 @@ func poolCap(opts Options, window int) int {
 // perturbations", §3.5), and materialise the ones not yet present. The
 // mine and pool-build stages open under parent; the returned report
 // carries what the refresh cost and how many itemsets are pooled.
-// Cancelling ctx stops the fill at the itemset being labelled, which is
-// not stored; what was pooled before stays, and complete turns false.
+// Cancelling ctx, or a label the classifier did not give, stops the fill
+// at the itemset being labelled, which is not stored; what was pooled
+// before stays, and complete turns false.
 func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, parent *obs.Span) ([]fim.Mined, Report, error) {
 	rec := ps.opts.Recorder
 	var d Report
@@ -142,7 +155,8 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 			Fresh: d.PoolInvocations, DurMS: ms(d.PoolTime),
 		})
 	}
-	ps.sets, ps.cov, ps.complete = sets, rows, len(sets) == len(frequent)
+	ps.setSets(sets)
+	ps.cov, ps.complete = rows, len(sets) == len(frequent)
 	d.FrequentItemsets = len(sets)
 	return mined.Border, d, nil
 }
@@ -153,9 +167,13 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 // invariant cache and the mined support doubles as its coverage
 // (Algorithm 2, line 3); support < 0 means unknown — a border promotion.
 // The itemset's cost record is folded into rep, the recorder's counters
-// and its pre_label event. If the context the engine predicts under died
-// on the way, some labels are the bridge's guesses: nothing is stored and
-// materialize reports false.
+// and its pre_label event. If any label is the bridge's guess — the
+// backend was failing, or the context the engine predicts under died on
+// the way — nothing is stored and materialize reports false: a pooled
+// label is served to every later tuple as the classifier's own. Anchor
+// still stores unless cancelled: its repository also takes the labels
+// its own pulls were answered, guessed ones included, so refusing here
+// alone would vouch for nothing (ROADMAP item 1).
 func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) bool {
 	c := eng.begin()
 	c.Itemset = set
@@ -173,7 +191,10 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 		}
 		samples[j] = s
 	}
-	stored := !eng.canceled()
+	stored := eng.tupleStatus() == StatusOK
+	if ps.sh != nil {
+		stored = !eng.canceled()
+	}
 	if stored {
 		if ps.sh != nil {
 			rr, _ := ps.sh.Inv.Lookup(set.Key())
@@ -210,12 +231,12 @@ func emitRemine(rec *obs.Recorder, d Report) {
 }
 
 // step returns the per-tuple step that explains against the live
-// repository through eng: a pool view for the perturbation explainers,
+// repository through eng: the pool view for the perturbation explainers,
 // the shared caches for Anchor.
 func (ps *poolState) step(eng *engine) *tupleStep {
 	s := &tupleStep{eng: eng, sh: ps.sh}
-	if ps.sh == nil {
-		s.pool = newItemsetPool(ps.repo, ps.sets)
+	if ps.pool != nil { // a nil *itemsetPool would make a non-nil tuplePool
+		s.pool = ps.pool
 	}
 	return s
 }
@@ -244,19 +265,20 @@ type frame struct {
 	eng *engine
 }
 
-// beginRun opens a run named name. total is how many tuples the whole run
-// will explain, when that is known up front: it is what live progress is
-// measured against (0 for a stream, and for one flush of a warm pool).
+// beginRun opens a run named name over the runner's resolved exact
+// prototype (nil off the exact path). total is how many tuples the whole
+// run will explain, when that is known up front: it is what live progress
+// is measured against (0 for a stream, and for one flush of a warm pool).
 // The bridge is built when the run can fail or be cancelled — or, for a
 // stream, which learns that one call at a time, always.
-func beginRun(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, name string, total int, always bool) *frame {
+func beginRun(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier, proto *exact.Explainer, rng *rand.Rand, name string, total int, always bool) *frame {
 	f := &frame{stage: beginStage(opts.Recorder, nil, name)}
 	if total > 0 {
 		f.span.SetAttr("tuples", total)
 		opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(total))
 	}
 	f.ctx = f.enter(ctx)
-	f.eng = newEngine(opts, st, cls, rng, buildBridge(f.ctx, opts, st, cls, always))
+	f.eng = newEngine(opts, st, cls, rng, buildBridge(f.ctx, opts, st, cls, always), proto)
 	return f
 }
 

@@ -55,9 +55,9 @@ const (
 	// ExactSHAP produces exact Shapley-value attributions by walking the
 	// owned tree ensemble directly (TreeSHAP): polynomial time, zero
 	// perturbation sampling, one classifier invocation per tuple. Only
-	// legal on a local tree backend — runs whose classifier does not
-	// unwrap to an owned ensemble, or with a fault chain installed, fall
-	// back to (Kernel)SHAP and record an exact_fallback event.
+	// legal on a local tree backend — runs whose classifier exact.New
+	// refuses, or with a fault chain installed, fall back to (Kernel)SHAP
+	// and record an exact_fallback event.
 	ExactSHAP
 )
 
@@ -86,7 +86,8 @@ func Kinds() []Kind { return []Kind{LIME, Anchor, SHAP} }
 // AllKinds additionally includes the extension explainers.
 func AllKinds() []Kind { return []Kind{LIME, Anchor, SHAP, SampleSHAP, ExactSHAP} }
 
-// ParseKind converts a name ("lime", "anchor", "shap", any case) to a Kind.
+// ParseKind converts a name ("lime", "anchor", "shap", "sshap",
+// "exactshap", any case) to a Kind.
 func ParseKind(s string) (Kind, error) {
 	switch lower(s) {
 	case "lime":
@@ -100,7 +101,7 @@ func ParseKind(s string) (Kind, error) {
 	case "exact", "exactshap", "treeshap":
 		return ExactSHAP, nil
 	default:
-		return 0, fmt.Errorf("core: unknown explainer %q (want lime, anchor, or shap)", s)
+		return 0, fmt.Errorf("core: unknown explainer %q (want lime, anchor, shap, sshap, or exactshap)", s)
 	}
 }
 
@@ -214,16 +215,11 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.Explainer == ExactSHAP {
-		// Pin the background seed before per-worker seed perturbation so
-		// parallel workers and distributed machines draw the identical
-		// background sample (parallel == serial, byte for byte).
-		if o.Exact.Seed == 0 {
-			o.Exact.Seed = o.Seed + 31
-		}
-		if o.Exact.Background <= 0 {
-			o.Exact.Background = 256
-		}
+	if o.Explainer == ExactSHAP && o.Exact.Seed == 0 {
+		// The background is drawn once per runner (buildExact); the
+		// derivation stays Seed+31 so the ExactSHAP golden rows keep
+		// their bytes.
+		o.Exact.Seed = o.Seed + 31
 	}
 	return o
 }

@@ -30,7 +30,6 @@ type Stream struct {
 	f    *frame
 	gen  *perturb.Generator
 	ps   *poolState
-	pool *itemsetPool // the perturbation explainers' view of ps; nil for Anchor and the exact path
 	step *tupleStep
 
 	window  []dataset.Itemset // itemised tuples since the last re-mine
@@ -57,27 +56,17 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	if st == nil || cls == nil {
 		return nil, fmt.Errorf("core: NewStream needs stats and a classifier")
 	}
-	opts = opts.withDefaults()
-	opts, fellBack := applyExactFallback(opts, cls)
+	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	// An ExactSHAP stream keeps the bridge too: a pass-through chain
-	// exposes the ensemble via Inner(), so the unwrap sees the trees while
-	// the walker's single target Predict stays cancellable.
 	s := &Stream{
 		opts: opts,
 		st:   st,
 		rep:  Report{ExactFallback: fellBack},
-		f:    beginRun(context.Background(), opts, st, cls, rng, obs.StageStream, 0, true),
+		f:    beginRun(context.Background(), opts, st, cls, proto, rng, obs.StageStream, 0, true),
 	}
 	s.gen = perturb.NewGenerator(st, rng)
 	s.ps = newPoolState(opts, cls.NumClasses(), opts.StreamRecompute)
-	s.step = &tupleStep{eng: s.f.eng, sh: s.ps.sh}
-	// Anchor reuses through its shared caches, and the exact path neither
-	// perturbs nor reuses samples: no pool view for either.
-	if s.ps.sh == nil && s.f.eng.exact == nil {
-		s.pool = newItemsetPool(s.ps.repo, nil)
-		s.step.pool = s.pool
-	}
+	s.step = s.ps.step(s.f.eng)
 	return s, nil
 }
 
@@ -181,10 +170,7 @@ func (s *Stream) track(t []float64) {
 			break
 		}
 		ts.frequent = true
-		s.ps.sets = append(s.ps.sets, ts.set)
-		if s.pool != nil {
-			s.pool.setItemsets(s.ps.sets)
-		}
+		s.ps.setSets(append(s.ps.sets, ts.set))
 	}
 }
 
@@ -202,9 +188,6 @@ func (s *Stream) retrack(border []fim.Mined) {
 	}
 	for _, m := range border {
 		s.tracked = append(s.tracked, &trackedSet{set: m.Set})
-	}
-	if s.pool != nil {
-		s.pool.setItemsets(s.ps.sets)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -57,12 +58,15 @@ type Warm struct {
 	remines int
 	cum     Report
 
-	// exactFallback records a construction-time downgrade of an
-	// ExactSHAP request to KernelSHAP (stamped onto every flush report).
+	// Decided at construction: the prototype ExactSHAP flushes and
+	// ExplainExact's step fork (buildExact, whatever the kind), and whether an
+	// ExactSHAP request was downgraded to KernelSHAP (resolveExact;
+	// stamped onto every flush report).
+	proto         *exact.Explainer
 	exactFallback bool
-	// exactMu guards the lazily built per-request exact engine serving
-	// layers use through ExplainExact (separate from the flush gate so
-	// single-tuple exact answers never queue behind a flush).
+	// exactMu guards the per-request exact step serving layers use
+	// through ExplainExact (separate from the flush gate so single-tuple
+	// exact answers never queue behind a flush); nil step: unavailable.
 	exactMu   sync.Mutex
 	exact     *tupleStep
 	exactDone int // tuples ExplainExact has answered: the next one's index
@@ -79,8 +83,12 @@ func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int)
 	if st == nil || cls == nil {
 		return nil, fmt.Errorf("core: NewWarm needs stats and a classifier")
 	}
-	opts = opts.withDefaults()
-	opts, fellBack := applyExactFallback(opts, cls)
+	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
+	if proto == nil && !fellBack {
+		// ExplainExact is open whatever the kind; with no request to
+		// downgrade, a refusal is silent.
+		proto, _ = buildExact(opts, st, cls)
+	}
 	if staleAfter <= 0 {
 		staleAfter = DefaultStaleAfter
 	}
@@ -91,8 +99,14 @@ func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int)
 		staleAfter: staleAfter,
 		gate:       make(chan struct{}, 1),
 		ps:         newPoolState(opts, cls.NumClasses(), staleAfter),
+
+		proto:         proto,
+		exactFallback: fellBack,
 	}
-	w.exactFallback = fellBack
+	if proto != nil {
+		opts.Explainer = ExactSHAP
+		w.exact = &tupleStep{eng: newEngine(opts, st, cls, nil, nil, proto)}
+	}
 	return w, nil
 }
 
@@ -135,7 +149,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// index, so the same sequence of flush compositions reproduces
 	// byte-identical explanations regardless of wall-clock timing.
 	rng := rand.New(rand.NewSource(opts.Seed + 104729*int64(flush)))
-	f := beginRun(ctx, opts, w.st, w.cls, rng, obs.StageWarmFlush, 0, false)
+	f := beginRun(ctx, opts, w.st, w.cls, w.proto, rng, obs.StageWarmFlush, 0, false)
 	defer f.span.End()
 	f.span.SetAttr("tuples", len(tuples))
 	f.span.SetAttr("flush", flush)
@@ -258,36 +272,26 @@ func (w *Warm) PooledItemsets() int {
 // (after any construction-time exact fallback).
 func (w *Warm) Kind() Kind { return w.opts.Explainer }
 
-// ExactAvailable reports whether single-tuple exact TreeSHAP answers
-// are legal for this explainer's backend: no fault chain and a
-// classifier that unwraps to an owned tree ensemble. Serving layers
-// check it before routing a request to ExplainExact.
-func (w *Warm) ExactAvailable() bool {
-	return w.opts.Fault == nil && exact.Supported(w.cls)
-}
+// ErrExactUnavailable is what ExplainExact answers when the exact
+// TreeSHAP path is not legal for the explainer's backend: a fault chain,
+// or a classifier exact.New refused at construction.
+var ErrExactUnavailable = errors.New("core: exact path unavailable for this classifier")
 
 // ExplainExact answers one tuple with the exact TreeSHAP fast path,
 // bypassing the flush gate, the batching queue, and the perturbation
 // pool entirely: the same per-tuple step every runner uses, over an
-// exact engine of its own, built lazily on first use and reused under
-// its own lock. It returns the explanation and what it cost (one
-// classifier invocation, and the tree nodes the recursion visited — the
-// exact path's provenance unit); the tuple is folded into the cumulative
-// Report and, with a recorder, into the counters, histograms and
-// exact_shap events like any other. Callers must check ExactAvailable
-// first.
+// exact engine of its own, built at construction whatever the
+// explainer's kind and used under its own lock. It returns the
+// explanation and what it cost (one classifier invocation, and the tree
+// nodes the recursion visited — the exact path's provenance unit); the
+// tuple is folded into the cumulative Report and, with a recorder, into
+// the counters, histograms and exact_shap events like any other.
 func (w *Warm) ExplainExact(t []float64) (Explanation, Cost, error) {
+	if w.exact == nil {
+		return Explanation{}, Cost{}, ErrExactUnavailable
+	}
 	w.exactMu.Lock()
 	defer w.exactMu.Unlock()
-	if w.exact == nil {
-		opts := w.opts
-		opts.Explainer = ExactSHAP
-		eng := newEngine(opts, w.st, w.cls, nil, nil)
-		if eng.exact == nil {
-			return Explanation{}, Cost{}, fmt.Errorf("core: exact path unavailable for this classifier")
-		}
-		w.exact = &tupleStep{eng: eng}
-	}
 	exp, c, err := w.exact.run(w.exactDone, t)
 	if err != nil {
 		return Explanation{}, Cost{}, err

@@ -19,14 +19,14 @@
 // ("covers") that weight the recursion exactly like the sampled
 // estimators' expectation over fill-ins.
 //
-// The fast path is only legal when the model is owned in-process:
-// Supported reports whether a classifier (possibly wrapped in
-// instrumentation such as rf.Counting or rf.Delayed) unwraps to a tree
-// ensemble this package can walk. Remote or fault-injected backends do
-// not, and callers (internal/core) fall back to KernelSHAP for them.
+// The fast path is only legal when the model is owned in-process: New
+// is the one test of that. It refuses a classifier that does not unwrap
+// (through instrumentation such as rf.Counting or rf.Delayed) to a tree
+// ensemble this package can walk, and internal/core falls back to
+// KernelSHAP for those and for fault-injected backends.
 //
 // An Explainer is not safe for concurrent use: the walk's state is the
-// Explainer's. Build one per goroutine, like perturb.Generator.
+// Explainer's. Build once, Fork per goroutine.
 package exact
 
 import (
@@ -60,8 +60,7 @@ type Config struct {
 	// expectation estimate; the cost is paid once at construction.
 	Background int
 	// Seed drives the background draw. internal/core derives it from
-	// Options.Seed when left zero so parallel workers agree on the
-	// background sample.
+	// Options.Seed when left zero.
 	Seed int64
 }
 
@@ -83,7 +82,7 @@ type pathEntry struct {
 }
 
 // Explainer computes exact Shapley attributions over one owned tree
-// ensemble. It is not safe for concurrent use; build one per goroutine.
+// ensemble. It is not safe for concurrent use; Fork one per goroutine.
 type Explainer struct {
 	predict rf.Classifier // full instrumentation chain: one Predict per Explain
 
@@ -128,22 +127,8 @@ func unwrap(cls rf.Classifier) rf.Classifier {
 		if !ok {
 			return cls
 		}
-		inner := u.Inner()
-		if inner == nil {
-			return cls
-		}
-		cls = inner
+		cls = u.Inner()
 	}
-}
-
-// Supported reports whether cls (possibly wrapped in instrumentation)
-// unwraps to a tree ensemble the exact walker can handle.
-func Supported(cls rf.Classifier) bool {
-	switch unwrap(cls).(type) {
-	case *rf.Forest, *gbt.Model:
-		return true
-	}
-	return false
 }
 
 // New builds an exact explainer over the ensemble underneath cls. The
@@ -185,18 +170,34 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config) (*Explainer, error) {
 		}
 		e.weights[d] = w
 	}
-	// A path holds at most one entry per ancestor split, its hot ones at
-	// most depth+1 coefficients; every level above the leaves writes two
-	// rows.
+	e.stride = depth + 1
+	e.scratch()
+	return e, nil
+}
+
+// scratch gives e walk state of its own for trees of depth stride-1. A
+// path holds at most one entry per ancestor split, its hot ones at most
+// depth+1 coefficients; every level above the leaves writes two rows.
+func (e *Explainer) scratch() {
+	depth := e.stride - 1
 	e.path = make([]pathEntry, depth)
 	e.slot = make([]int32, e.nattrs)
 	for i := range e.slot {
 		e.slot[i] = -1
 	}
-	e.stride = depth + 1
 	e.poly = make([]float64, (2*depth+1)*e.stride)
 	e.poly[0] = 1
-	return e, nil
+}
+
+// Fork returns an explainer over the same ensemble for another
+// goroutine: it shares everything New derived (layout, covers, base,
+// weights — read-only from here on), owns its walk state and visit
+// count, and issues its one Predict per Explain through cls.
+func (e *Explainer) Fork(cls rf.Classifier) *Explainer {
+	f := *e
+	f.predict, f.x, f.phi, f.visits = cls, nil, nil, 0
+	f.scratch()
+	return &f
 }
 
 // layoutGBT emits the boosted trees in rf's derived form, leaf values

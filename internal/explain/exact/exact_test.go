@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"shahin/internal/datagen"
@@ -163,6 +164,37 @@ func assertMatchesBruteForce(t testing.TB, what string, e *Explainer, x []float6
 		t.Fatal(err)
 	}
 	assertClose(t, what, fast, slow, 1e-9)
+}
+
+// sameBits reports whether two attributions are the same to the last
+// bit: what a fork of an explainer owes the explainer.
+func sameBits(a, b *explain.Attribution) bool {
+	if a.Class != b.Class || math.Float64bits(a.Intercept) != math.Float64bits(b.Intercept) || len(a.Weights) != len(b.Weights) {
+		return false
+	}
+	for i := range a.Weights {
+		if math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func assertSameBits(t testing.TB, what string, got, want *explain.Attribution) {
+	t.Helper()
+	if !sameBits(got, want) {
+		t.Fatalf("%s: %+v, want %+v", what, got, want)
+	}
+}
+
+// mustExplain is Explain that fails the test on an error.
+func mustExplain(t testing.TB, e *Explainer, x []float64) *explain.Attribution {
+	t.Helper()
+	at, err := e.Explain(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return at
 }
 
 // handShapes are trees built to take every branch of the walk: a feature
@@ -348,6 +380,8 @@ func twin(t testing.TB, family string, train, probe int) (*dataset.Dataset, [][]
 // twin forest (42 attributes, 50 trees of depth 10), a seven-class
 // covertype twin and a boosted ensemble. Every weight and the intercept
 // agree within 1e-12, and the walk enters no node the reference did not.
+// A fork walks every probe beside the explainer it came from: the same
+// bits, and the same visits on a counter of its own.
 func TestWalkMatchesReference(t *testing.T) {
 	census, censusProbes := twin(t, "census", 4000, 512)
 	cover, coverProbes := twin(t, "covertype", 3000, 512)
@@ -379,12 +413,11 @@ func TestWalkMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newReference(st, tc.cls, Config{Seed: 31})
+		fork := e.Fork(tc.cls)
 		classes, worst := map[int]bool{}, 0.0
 		for _, x := range tc.probes {
-			got, err := e.Explain(x)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mustExplain(t, e, x)
+			assertSameBits(t, tc.name+", fork", mustExplain(t, fork, x), got)
 			classes[got.Class] = true
 			want := ref.explain(x, got.Class)
 			assertClose(t, tc.name, got, want, 1e-12)
@@ -395,6 +428,9 @@ func TestWalkMatchesReference(t *testing.T) {
 		if e.NodeVisits() == 0 || e.NodeVisits() > ref.visits {
 			t.Errorf("%s: %d node visits, the reference made %d", tc.name, e.NodeVisits(), ref.visits)
 		}
+		if fork.NodeVisits() != e.NodeVisits() {
+			t.Errorf("%s: the fork counts %d node visits, the explainer %d", tc.name, fork.NodeVisits(), e.NodeVisits())
+		}
 		if len(classes) < tc.classes {
 			t.Errorf("%s: the probes were explained toward %d classes, want %d", tc.name, len(classes), tc.classes)
 		}
@@ -402,33 +438,43 @@ func TestWalkMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDeterminism checks same seed → byte-identical attributions, and
-// that two independently built explainers agree (the parallel workers'
-// situation).
+// TestDeterminism checks same seed → byte-identical attributions from
+// two independently built explainers and from a fork (the parallel
+// workers' situation), and that a fork's walk of another tuple leaves
+// the explainer it came from answering as before.
 func TestDeterminism(t *testing.T) {
 	d := tinyData(300, 4)
 	st := tinyStats(t, d)
 	f := tinyForest(t, d, 5, 5)
 	x := []float64{0.3, -1.2, 0.9, 0.1}
 
-	run := func() []byte {
+	run := func(forked bool) []byte {
 		e, err := New(st, f, Config{Background: 128, Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
-		at, err := e.Explain(x)
-		if err != nil {
-			t.Fatal(err)
+		if forked {
+			before := mustExplain(t, e, x)
+			fork := e.Fork(f)
+			if fork.NodeVisits() != 0 {
+				t.Fatalf("a fresh fork counts %d node visits", fork.NodeVisits())
+			}
+			mustExplain(t, fork, []float64{-2, 0.4, 1.1, -0.3})
+			assertSameBits(t, "after a fork walked another tuple", mustExplain(t, e, x), before)
+			e = fork
 		}
-		b, err := json.Marshal(at)
+		b, err := json.Marshal(mustExplain(t, e, x))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	a, b := run(), run()
+	a, b := run(false), run(false)
 	if string(a) != string(b) {
 		t.Fatalf("same seed, different output:\n%s\n%s", a, b)
+	}
+	if c := run(true); string(a) != string(c) {
+		t.Fatalf("a fork answers differently:\n%s\n%s", a, c)
 	}
 	e2, err := New(st, f, Config{Background: 128, Seed: 78})
 	if err != nil {
@@ -446,12 +492,9 @@ func TestUnwrapsInstrumentation(t *testing.T) {
 	st := tinyStats(t, d)
 	f := tinyForest(t, d, 3, 4)
 	cnt := rf.NewCounting(rf.NewDelayed(f, 0))
-	if !Supported(cnt) {
-		t.Fatal("wrapped forest not supported")
-	}
 	e, err := New(st, cnt, Config{Seed: 5})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("wrapped forest not supported: %v", err)
 	}
 	before := cnt.Invocations()
 	if _, err := e.Explain([]float64{0, 0, 0, 0}); err != nil {
@@ -471,9 +514,6 @@ func TestUnsupportedClassifier(t *testing.T) {
 	d := tinyData(300, 6)
 	st := tinyStats(t, d)
 	opaque := rf.Func{Classes: 2, F: func(x []float64) int { return 0 }}
-	if Supported(opaque) {
-		t.Fatal("opaque func reported supported")
-	}
 	if _, err := New(st, opaque, Config{}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("New error = %v, want ErrUnsupported", err)
 	}
@@ -515,4 +555,45 @@ func TestWidthMismatch(t *testing.T) {
 	if _, err := e.BruteForce([]float64{1, 2}); err == nil {
 		t.Fatal("short tuple accepted by BruteForce")
 	}
+}
+
+// TestForksWalkConcurrently is the proof that what forks share is
+// read-only: eight goroutines each fork one prototype and explain the
+// same 200 tuples at once, and every attribution equals the serial
+// walk's to the bit. Run under -race.
+func TestForksWalkConcurrently(t *testing.T) {
+	d, tuples := twin(t, "census", 1500, 200)
+	f := tinyForest(t, d, 12, 8)
+	proto, err := New(tinyStats(t, d), f, Config{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*explain.Attribution, len(tuples))
+	serial := proto.Fork(f)
+	for i, x := range tuples {
+		want[i] = mustExplain(t, serial, x)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fork := proto.Fork(f)
+			for i, x := range tuples {
+				got, err := fork.Explain(x)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !sameBits(got, want[i]) {
+					t.Errorf("tuple %d: a concurrent fork answers %+v, the serial walk %+v", i, got, want[i])
+					return
+				}
+			}
+			if fork.NodeVisits() != serial.NodeVisits() {
+				t.Errorf("a concurrent fork counts %d node visits, the serial walk %d", fork.NodeVisits(), serial.NodeVisits())
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -28,7 +28,8 @@ func randomShape(rng *rand.Rand, p, depth int, classes []int32) *shape {
 
 // FuzzExactWalk holds the walker to BruteForce (1e-9) and to the
 // efficiency identity on random small ensembles and random tuples, NaN
-// cells included. The model is a forest — every fourth one over 130
+// cells included, and a fork of it, walked in between, to the walker's
+// own bits. The model is a forest — every fourth one over 130
 // classes of which the leaves use four, three sharing a mask bit — or,
 // with boosted set, a gbt ensemble.
 func FuzzExactWalk(f *testing.F) {
@@ -83,6 +84,7 @@ func FuzzExactWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fork := e.Fork(cls)
 		x := make([]float64, p)
 		for trial := 0; trial < 4; trial++ {
 			for a := range x {
@@ -92,10 +94,9 @@ func FuzzExactWalk(f *testing.F) {
 				}
 			}
 			assertMatchesBruteForce(t, "fuzzed ensemble", e, x)
-			at, err := e.Explain(x)
-			if err != nil {
-				t.Fatal(err)
-			}
+			forked := mustExplain(t, fork, x)
+			at := mustExplain(t, e, x)
+			assertSameBits(t, "fork of a fuzzed ensemble", forked, at)
 			if got, want := outputSum(at), output(x, at.Class); !(math.Abs(got-want) <= 1e-9) {
 				t.Fatalf("Σφ+b = %g, the model's output toward class %d is %g", got, at.Class, want)
 			}

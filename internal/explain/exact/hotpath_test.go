@@ -12,7 +12,8 @@ import (
 // trained forest on the 42-attribute census twin: the Attribution and
 // its weight vector — the walk's scratch is the Explainer's, sized in
 // New. The walker's helpers (walk, leaf, extend, divide) only run inside
-// Explain, so this one row covers the package's whole hot surface.
+// Explain, so this one row covers the package's whole hot surface. Fork
+// is the other per-goroutine cost: the copy and its three scratch slices.
 func TestHotpathAllocs(t *testing.T) {
 	spec, err := datagen.Spec("census")
 	if err != nil {
@@ -33,4 +34,10 @@ func TestHotpathAllocs(t *testing.T) {
 		t.Errorf("%s: %d allocs, %d B per call, want 2 allocs, 400 B", "exact.(*Explainer).Explain", allocs, bytes)
 	}
 	_ = sink
+	var fork *Explainer
+	allocs, bytes = alloctest.PerCall(func() { fork = e.Fork(nil) })
+	if allocs != 4 || bytes != 1424 {
+		t.Errorf("%s: %d allocs, %d B per call, want 4 allocs, 1424 B", "exact.(*Explainer).Fork", allocs, bytes)
+	}
+	_ = fork
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // newForestEnv is the exact-path fixture: the classifier is an owned
-// random forest, so ExactAvailable holds on the warm server.
+// random forest, so the warm server answers ExplainExact.
 func newForestEnv(t *testing.T, seed int64, batch int) *testEnv {
 	t.Helper()
 	cfg, err := datagen.Spec("recidivism")

@@ -224,9 +224,13 @@ func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, st
 	// tree walk is cheaper than either. When the backend does not
 	// qualify, the request silently degrades to the normal queue path —
 	// the serving analogue of core's exact_fallback.
-	if wantExact && s.warm.ExactAvailable() {
-		if exp, cost, err := s.warm.ExplainExact(tuple); err == nil {
+	if wantExact {
+		exp, cost, err := s.warm.ExplainExact(tuple)
+		switch {
+		case err == nil:
 			return outcome{exp: exp, source: "exact", code: http.StatusOK, bd: cost.Stages}
+		case !errors.Is(err, core.ErrExactUnavailable):
+			return outcome{source: "exact", code: http.StatusInternalServerError, err: err}
 		}
 	}
 

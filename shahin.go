@@ -234,7 +234,7 @@ const (
 	ExactSHAP = core.ExactSHAP
 )
 
-// ParseKind converts "lime", "anchor", "shap", or "exactshap" to a Kind.
+// ParseKind converts "lime", "anchor", "shap", "sshap" or "exactshap" to a Kind.
 func ParseKind(s string) (Kind, error) { return core.ParseKind(s) }
 
 // ComputeStats derives the training-distribution statistics every
