@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"shahin/internal/dataset"
-	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
@@ -25,27 +24,32 @@ func Sequential(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]f
 // partial *Result alongside ctx.Err(); unattempted tuples carry
 // StatusFailed.
 func SequentialCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) (*Result, error) {
-	if len(tuples) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
+	r, err := newRunner("Sequential", st, cls, opts)
+	if err != nil {
+		return nil, err
 	}
-	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
-	return sequential(ctx, st, cls, opts, proto, fellBack, tuples)
+	if err := r.admit(tuples); err != nil {
+		return nil, err
+	}
+	return r.upFront(ctx, obs.StageSequential, tuples, nil)
 }
 
-// sequential is the loop behind Sequential and each of Dist's machines,
-// over options already defaulted and an exact path already resolved.
-func sequential(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Options, proto *exact.Explainer, fellBack bool, tuples [][]float64) (*Result, error) {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	f := beginRun(ctx, opts, st, cls, proto, rng, obs.StageSequential, len(tuples), false)
+// upFront is the run of every baseline — Sequential, each of Dist's
+// machines, and Greedy over its store: the tuples, already admitted, are
+// explained in order through one step that draws on pool (nil: nothing
+// is reused).
+func (r runner) upFront(ctx context.Context, name string, tuples [][]float64, pool tuplePool) (*Result, error) {
+	rng := rand.New(rand.NewSource(r.opts.Seed))
+	f := r.begin(ctx, rng, name, len(tuples), false)
 	defer f.span.End()
 
-	if opts.Explainer == Anchor {
+	if r.opts.Explainer == Anchor {
 		// Anchor still needs a coverage sample; its cost is part of setup
 		// for both baseline and Shahin, so the comparison stays fair.
-		f.eng.setCoverage(itemizeSample(st, tuples, fim.SampleSize(len(tuples)), rng))
+		f.eng.setCoverage(itemizeSample(r.st, tuples, fim.SampleSize(len(tuples)), rng))
 	}
-	rep := Report{Tuples: len(tuples), ExactFallback: fellBack}
-	step := &tupleStep{eng: f.eng}
+	rep := Report{Tuples: len(tuples), ExactFallback: r.exactFallback}
+	step := &tupleStep{eng: f.eng, pool: pool}
 	out, costs, err := step.explainAll(f, nil, tuples, &rep)
 	if err != nil {
 		return nil, err
@@ -73,13 +77,14 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 	if k <= 0 {
 		return nil, fmt.Errorf("core: Dist needs k >= 1, got %d", k)
 	}
-	if len(tuples) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
+	r, err := newRunner("Dist", st, cls, opts)
+	if err != nil {
+		return nil, err
 	}
-	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
-	if k > len(tuples) {
-		k = len(tuples)
+	if err := r.admit(tuples); err != nil {
+		return nil, err
 	}
+	k = min(k, len(tuples))
 
 	out := make([]Explanation, len(tuples))
 	var (
@@ -87,7 +92,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 		costs    []Cost
 		machines int
 	)
-	if opts.Recorder != nil {
+	if r.opts.Recorder != nil {
 		costs = make([]Cost, len(tuples))
 	}
 	chunk := (len(tuples) + k - 1) / k
@@ -101,9 +106,9 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 			markFailed(out[lo:], &rep)
 			break
 		}
-		wopts := opts
-		wopts.Seed = opts.Seed + int64(w)*1_000_003
-		res, err := sequential(ctx, st, cls, wopts, proto, fellBack, tuples[lo:hi])
+		machine := r
+		machine.opts.Seed += int64(w) * 1_000_003
+		res, err := machine.upFront(ctx, obs.StageSequential, tuples[lo:hi], nil)
 		if res != nil {
 			copy(out[lo:hi], res.Explanations)
 			if costs != nil {
@@ -118,7 +123,7 @@ func DistCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Opt
 	}
 	// Each machine's Sequential run set the gauge to its chunk size;
 	// restore the batch-wide total for live progress readers.
-	opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
+	r.opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(len(tuples)))
 	rep.Tuples = len(tuples)
 	if machines > 0 {
 		rep.WallTime /= time.Duration(machines)

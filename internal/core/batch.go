@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
 	"shahin/internal/dataset"
-	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -20,24 +18,16 @@ import (
 // front, it mines frequent itemsets over a uniform sample, materialises τ
 // labelled perturbations per itemset, and serves them to every tuple's
 // explanation (Algorithms 1–3 of the paper).
-type Batch struct {
-	opts Options
-	st   *dataset.Stats
-	cls  rf.Classifier
-	// What resolveExact decided at construction: the prototype the run's
-	// engines fork, and whether an ExactSHAP request was downgraded.
-	proto         *exact.Explainer
-	exactFallback bool
-}
+type Batch struct{ runner }
 
 // NewBatch creates a batch explainer over the training statistics and a
 // black-box classifier.
 func NewBatch(st *dataset.Stats, cls rf.Classifier, opts Options) (*Batch, error) {
-	if st == nil || cls == nil {
-		return nil, fmt.Errorf("core: NewBatch needs stats and a classifier")
+	r, err := newRunner("NewBatch", st, cls, opts)
+	if err != nil {
+		return nil, err
 	}
-	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
-	return &Batch{opts: opts, st: st, cls: cls, proto: proto, exactFallback: fellBack}, nil
+	return &Batch{r}, nil
 }
 
 // ExplainAll explains every tuple of the batch and returns the
@@ -54,12 +44,12 @@ func (b *Batch) ExplainAll(tuples [][]float64) (*Result, error) {
 // context and no Options.Fault the run takes the exact pre-fault code
 // path and produces byte-identical explanations.
 func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, error) {
-	if len(tuples) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
+	if err := b.admit(tuples); err != nil {
+		return nil, err
 	}
 	opts := b.opts
 	rng := rand.New(rand.NewSource(opts.Seed))
-	f := beginRun(ctx, opts, b.st, b.cls, b.proto, rng, obs.StageBatch, len(tuples), false)
+	f := b.begin(ctx, rng, obs.StageBatch, len(tuples), false)
 	defer f.span.End()
 	f.span.SetAttr("explainer", opts.Explainer.String())
 	eng := f.eng
@@ -86,10 +76,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	eng.setCoverage(ps.cov)
-	if eng.fb != nil {
-		eng.fb.setPool(ps.repo, ps.sets)
-	}
+	ps.attach(eng)
 
 	// Step 3: explain every tuple, reusing pooled work.
 	rep.Tuples, rep.ExactFallback = len(tuples), b.exactFallback

@@ -323,117 +323,148 @@ func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
 	}
 }
 
-// TestWarmCancelledRefreshHeals cancels the first flush from inside the
-// classifier while the third itemset of the first pool build is being
-// labelled. The flush itself fails as before; what must not happen is
-// the pool staying three itemsets large — one of them guessed — until
-// the staleness clock runs out: the next flush finishes the refresh,
-// and the pool equals that of a twin that was never cancelled.
-func TestWarmCancelledRefreshHeals(t *testing.T) {
-	env := newEnv(t, 7, 80)
-	opts := smallOpts(LIME, 9) // τ = 50: call 120 is the third itemset's 20th label
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w, err := NewWarm(env.st, &cancelAfter{inner: env.cls, cancel: cancel, after: 120}, opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.ExplainAllCtx(ctx, env.tuples[:40])
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want context.Canceled", err)
-	}
-	if res.Report.Failed != 40 {
-		t.Fatalf("cancelled flush: Failed=%d, want all 40", res.Report.Failed)
-	}
-	if w.Remines() != 0 {
-		t.Errorf("a refresh cut short counted as a re-mine (Remines=%d)", w.Remines())
-	}
-	healed, err := w.ExplainAll(env.tuples[40:])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The twin sees the same 80 tuples in one uncancelled flush, so it
-	// mines the same window.
-	twin, err := NewWarm(env.st, env.cls, opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := twin.ExplainAll(env.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := w.PooledItemsets(), twin.PooledItemsets(); got != want || want == 0 {
-		t.Errorf("PooledItemsets=%d after the healing flush, the uncancelled twin has %d", got, want)
-	}
-	if got, want := healed.Report.FrequentItemsets, want.Report.FrequentItemsets; got != want {
-		t.Errorf("FrequentItemsets=%d after the healing flush, the uncancelled twin has %d", got, want)
-	}
-	if w.Remines() != 1 {
-		t.Errorf("Remines=%d after the healing flush, want 1", w.Remines())
-	}
-	checkPoolLabels(t, w.ps, env.cls)
+// healing is one long-lived runner as TestCancelledRenewHeals drives it.
+type healing struct {
+	ps *poolState
+	// calls hands the runner its next tuples — one flush, or one Explain
+	// per tuple with ctx on the last — calling arm just before the call
+	// that takes ctx, and reports how many of them came back StatusFailed.
+	calls func(ctx context.Context, arm func(), tuples [][]float64) (failed int, err error)
+	// renews is the runner's own count (Remines, Mines); frequent what
+	// its report says is pooled.
+	renews, frequent func() int
 }
 
-// TestStreamCancelledRemineHeals is the same for Stream: the context of
-// the tuple that triggers the first re-mine dies while the third itemset
-// is being labelled. The re-mine must stop there rather than label every
-// remaining itemset by fallback, and the next tuple must finish it.
-func TestStreamCancelledRemineHeals(t *testing.T) {
-	env := newEnv(t, 7, 21)
-	opts := smallOpts(LIME, 9)
-	opts.DisablePoolBudget = true // the twin's period differs by one; keep the caps equal
-	opts.StreamRecompute = 20
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cls := &cancelAfter{inner: env.cls, cancel: cancel}
-	s, err := NewStream(env.st, cls, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tup := range env.tuples[:19] {
-		if _, err := s.Explain(tup); err != nil {
-			t.Fatal(err)
+// TestCancelledRenewHeals is the rule poolState.renew keeps for both
+// long-lived runners: a refresh cut short keeps its window and is not
+// counted; the next call finishes it, and the pool equals that of a twin
+// that was never interrupted. The cut is made from inside the classifier
+// while the third itemset of the first pool build is being labelled
+// (τ = 50: label 120 is that itemset's 20th): the refresh must stop there
+// rather than label every remaining itemset by fallback, and what must
+// not happen afterwards is the pool staying three itemsets large — one of
+// them guessed — until the runner's clock next runs out.
+func TestCancelledRenewHeals(t *testing.T) {
+	env := newEnv(t, 7, 80)
+	warm := func(cls rf.Classifier, opts Options) (*healing, error) {
+		w, err := NewWarm(env.st, cls, opts, 0)
+		if err != nil {
+			return nil, err
 		}
+		var last Report
+		return &healing{
+			ps: w.ps,
+			calls: func(ctx context.Context, arm func(), tuples [][]float64) (int, error) {
+				arm()
+				res, err := w.ExplainAllCtx(ctx, tuples)
+				last = res.Report
+				return last.Failed, err
+			},
+			renews:   w.Remines,
+			frequent: func() int { return last.FrequentItemsets },
+		}, nil
 	}
-	cls.after = cls.n.Load() + 120
-	exp, err := s.ExplainCtx(ctx, env.tuples[19])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.Status != StatusFailed {
-		t.Fatalf("the tuple whose re-mine was cancelled has status %v, want failed", exp.Status)
-	}
-	if s.Mines() != 0 {
-		t.Errorf("a re-mine cut short counted as a mine (Mines=%d)", s.Mines())
-	}
-	if _, err := s.Explain(env.tuples[20]); err != nil {
-		t.Fatal(err)
-	}
-
-	// The twin re-mines once, uncancelled, over the same 21 tuples.
-	opts.StreamRecompute = 21
-	twin, err := NewStream(env.st, env.cls, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tup := range env.tuples {
-		if _, err := twin.Explain(tup); err != nil {
-			t.Fatal(err)
+	stream := func(cls rf.Classifier, opts Options) (*healing, error) {
+		s, err := NewStream(env.st, cls, opts)
+		if err != nil {
+			return nil, err
 		}
+		return &healing{
+			ps: s.ps,
+			calls: func(ctx context.Context, arm func(), tuples [][]float64) (int, error) {
+				for _, tup := range tuples[:len(tuples)-1] {
+					if _, err := s.Explain(tup); err != nil {
+						return 0, err
+					}
+				}
+				arm()
+				exp, err := s.ExplainCtx(ctx, tuples[len(tuples)-1])
+				if exp.Status == StatusFailed {
+					return 1, err
+				}
+				return 0, err
+			},
+			renews:   s.Mines,
+			frequent: func() int { return s.Report().FrequentItemsets },
+		}, nil
 	}
-	if got, want := s.ps.repo.Len(), twin.ps.repo.Len(); got != want || want == 0 {
-		t.Errorf("%d itemsets pooled after the healing tuple, the uncancelled twin has %d", got, want)
+	for _, row := range []struct {
+		name string
+		open func(rf.Classifier, Options) (*healing, error)
+		// The cut lands in the call over tuples[:cut], the healing call
+		// takes tuples[cut:all], and the twin sees tuples[:all] in one
+		// call that renews once: the same window.
+		cut, all   int
+		tune       func(o *Options, twin bool)
+		wantFailed int
+		wantErr    error
+	}{
+		{"warm", warm, 40, 80, func(*Options, bool) {}, 40, context.Canceled},
+		{"stream", stream, 20, 21, func(o *Options, twin bool) {
+			o.DisablePoolBudget = true // the twin's period differs by one; keep the caps equal
+			o.StreamRecompute = 20
+			if twin {
+				o.StreamRecompute = 21
+			}
+		}, 1, nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cls := &cancelAfter{inner: env.cls, cancel: cancel}
+			opts := smallOpts(LIME, 9)
+			opts.Recorder = obs.NewRecorder()
+			row.tune(&opts, false)
+			h, err := row.open(cls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed, err := h.calls(ctx, func() { cls.after = cls.n.Load() + 120 }, env.tuples[:row.cut])
+			if !errors.Is(err, row.wantErr) || failed != row.wantFailed {
+				t.Fatalf("the call cut short: %d tuples failed, err=%v; want %d, %v", failed, err, row.wantFailed, row.wantErr)
+			}
+			if h.renews() != 0 {
+				t.Errorf("a refresh cut short was counted (%d)", h.renews())
+			}
+			if got := len(h.ps.window); got != row.cut {
+				t.Errorf("a refresh cut short left %d of its %d tuples in the window", got, row.cut)
+			}
+			if _, err := h.calls(context.Background(), func() {}, env.tuples[row.cut:row.all]); err != nil {
+				t.Fatal(err)
+			}
+
+			twinOpts := smallOpts(LIME, 9)
+			twinOpts.Recorder = obs.NewRecorder()
+			row.tune(&twinOpts, true)
+			twin, err := row.open(env.cls, twinOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.calls(context.Background(), func() {}, env.tuples[:row.all]); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := h.ps.repo.Len(), twin.ps.repo.Len(); got != want || want == 0 {
+				t.Errorf("%d itemsets pooled after the healing call, the uninterrupted twin has %d", got, want)
+			}
+			if got, want := h.frequent(), twin.frequent(); got != want {
+				t.Errorf("FrequentItemsets=%d after the healing call, the uninterrupted twin has %d", got, want)
+			}
+			if h.renews() != 1 {
+				t.Errorf("%d renews counted after the healing call, want 1", h.renews())
+			}
+			if got := len(h.ps.window); got != 0 {
+				t.Errorf("the renew that healed left %d tuples behind; a complete one starts a new window", got)
+			}
+			// Each refresh that mined is on the record, finished or not.
+			if got, want := sumEvents(t, opts.Recorder).remines, 2; got != want {
+				t.Errorf("%d remine events, want %d: the one cut short and the one that healed it", got, want)
+			}
+			if got := sumEvents(t, twinOpts.Recorder).remines; got != 1 {
+				t.Errorf("the twin logged %d remine events, want 1", got)
+			}
+			checkPoolLabels(t, h.ps, env.cls)
+		})
 	}
-	if got, want := s.Report().FrequentItemsets, twin.Report().FrequentItemsets; got != want {
-		t.Errorf("FrequentItemsets=%d after the healing tuple, the uncancelled twin has %d", got, want)
-	}
-	if s.Mines() != 1 {
-		t.Errorf("Mines=%d after the healing tuple, want 1", s.Mines())
-	}
-	checkPoolLabels(t, s.ps, env.cls)
 }
 
 // TestCancelAtEveryTuple cancels each runner once inside every tuple of

@@ -203,7 +203,7 @@ func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(b.opts.Seed))
-	f := beginRun(context.Background(), b.opts, st, cls, b.proto, rng, obs.StageBatch, len(tuples), false)
+	f := b.begin(context.Background(), rng, obs.StageBatch, len(tuples), false)
 	defer f.span.End()
 	ps := newPoolState(b.opts, cls.NumClasses(), len(tuples))
 	_, rep, err := ps.refresh(f.ctx, f.eng, perturb.NewGenerator(st, rng), func() []dataset.Itemset {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
@@ -19,10 +17,6 @@ import (
 // perturbations are worth keeping — the contrast that motivates Shahin's
 // frequent-itemset materialisation.
 func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64, budgetBytes int64) (*Result, error) {
-	if len(tuples) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
-	opts = opts.withDefaults()
 	if opts.Explainer == Anchor {
 		// GREEDY for Anchor degenerates to sequential with a sample store;
 		// the paper evaluates GREEDY on the perturbation-pool explainers.
@@ -30,19 +24,14 @@ func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float
 		return Sequential(st, cls, opts, tuples)
 	}
 	opts.Fault = nil // the baseline is measured on a healthy backend: GREEDY has never run behind the fault bridge
-	opts, proto, fellBack := resolveExact(opts, st, cls)
-	f := beginRun(context.Background(), opts, st, cls, proto, rand.New(rand.NewSource(opts.Seed)), obs.StageGreedy, len(tuples), false)
-	defer f.span.End()
-
-	rep := Report{Tuples: len(tuples), ExactFallback: fellBack}
-	step := &tupleStep{eng: f.eng, pool: newGreedyStore(budgetBytes)}
-	out, costs, err := step.explainAll(f, nil, tuples, &rep)
+	r, err := newRunner("Greedy", st, cls, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep.WallTime, _ = f.end()
-	rep.ExplainTime = rep.WallTime
-	return &Result{Explanations: out, Report: rep, Costs: costs}, nil
+	if err := r.admit(tuples); err != nil {
+		return nil, err
+	}
+	return r.upFront(context.Background(), obs.StageGreedy, tuples, newGreedyStore(budgetBytes))
 }
 
 // greedyStore is a flat FIFO of labelled perturbations under a byte

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
@@ -16,10 +17,12 @@ import (
 	"shahin/internal/rf"
 )
 
-// poolState is the pool of pre-labelled perturbations a runner maintains:
-// Batch builds one per call, Stream and Warm keep theirs for life. Which
-// rows are mined, and when, is the runner's window policy; everything
-// done with them — mine, cap, evict, fill — is refresh.
+// poolState is the pool of pre-labelled perturbations a runner maintains,
+// and the window of tuples it is next mined from: Batch builds one per
+// call, Stream and Warm keep theirs for life. Which rows of the window
+// are mined, and when, is the runner's policy; everything done with them
+// — mine, cap, evict, fill — is refresh, and everything a long-lived
+// runner does around a refresh is renew.
 type poolState struct {
 	opts Options
 
@@ -34,12 +37,16 @@ type poolState struct {
 	sets    []dataset.Itemset
 	pool    *itemsetPool
 	maxSets int
-	// cov is the rows last mined (see coverage).
-	cov []dataset.Itemset
+	// window is the itemised tuples observed since the last complete
+	// renew; cov is the rows last mined (see attach).
+	window, cov []dataset.Itemset
 	// complete records that the last refresh ran to its end: every itemset
 	// it mined is pooled. A refresh cut short by cancellation leaves it
-	// false, and the runner retries over the same window.
+	// false, and the runner retries over the same window. renews counts
+	// the renews that were complete (atomic: Warm's accessor reads it
+	// while a flush runs).
 	complete bool
+	renews   atomic.Int64
 }
 
 // newPoolState creates an empty pool for a classifier with nClasses
@@ -65,13 +72,62 @@ func (ps *poolState) setSets(sets []dataset.Itemset) {
 	}
 }
 
-// coverage returns the sample Anchor measures rule coverage against: the
-// rows last mined or, before the first mine, the runner's window so far.
-func (ps *poolState) coverage(window []dataset.Itemset) []dataset.Itemset {
-	if ps.cov == nil {
-		return window
+// observe itemises t into the window and returns its items.
+func (ps *poolState) observe(st *dataset.Stats, t []float64) dataset.Itemset {
+	items := append(dataset.Itemset(nil), st.ItemizeRow(t, nil)...)
+	ps.window = append(ps.window, items)
+	return items
+}
+
+// attach points eng at the pool as it now stands: the degradation ladder
+// at what is materialised, Anchor at the sample rule coverage is measured
+// against — the rows last mined or, before the first mine, the window so
+// far.
+func (ps *poolState) attach(eng *engine) {
+	if eng.fb != nil {
+		eng.fb.setPool(ps.repo, ps.sets)
 	}
-	return ps.cov
+	cov := ps.cov
+	if cov == nil {
+		cov = ps.window
+	}
+	eng.setCoverage(cov)
+}
+
+// renew refreshes a long-lived pool over the rows its runner picks from
+// the window, charging rep and recording the remine event. A complete
+// refresh is counted and starts a new window (the mined rows stay behind
+// as the coverage sample); one cut short is not counted and keeps its
+// window, so the runner's next renew finishes the job. It returns the
+// negative border refresh mined. Config is validated at construction, so
+// mining a non-empty window cannot fail; if it somehow does, the old pool
+// and window stay.
+func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, rows func() []dataset.Itemset, withBorder bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
+	border, d, err := ps.refresh(ctx, eng, gen, rows, withBorder, parent)
+	rep.add(d)
+	if err != nil {
+		return nil, err
+	}
+	ps.opts.Recorder.Emit(obs.Event{
+		Type: obs.EventRemine, Tuple: -1, Itemsets: d.FrequentItemsets,
+		Fresh: d.PoolInvocations, DurMS: ms(d.MineTime + d.PoolTime),
+	})
+	if ps.complete {
+		ps.window = make([]dataset.Itemset, 0, len(ps.window))
+		ps.renews.Add(1)
+	}
+	return border, nil
+}
+
+// promote pools set between renews — a border itemset whose running
+// frequency crossed the threshold — if the pool has room and the
+// classifier labelled every sample.
+func (ps *poolState) promote(eng *engine, gen *perturb.Generator, set dataset.Itemset, rep *Report) bool {
+	if ps.repo.Len() >= ps.maxSets || !ps.materialize(eng, gen, set, -1, rep) {
+		return false
+	}
+	ps.setSets(append(ps.sets, set))
+	return true
 }
 
 // poolCap is how many itemsets a pool may hold: MaxItemsets, and — the
@@ -221,15 +277,6 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 	return stored
 }
 
-// emitRemine records that a long-lived pool was refreshed; d is the
-// report that refresh returned.
-func emitRemine(rec *obs.Recorder, d Report) {
-	rec.Emit(obs.Event{
-		Type: obs.EventRemine, Tuple: -1, Itemsets: d.FrequentItemsets,
-		Fresh: d.PoolInvocations, DurMS: ms(d.MineTime + d.PoolTime),
-	})
-}
-
 // step returns the per-tuple step that explains against the live
 // repository through eng: the pool view for the perturbation explainers,
 // the shared caches for Anchor.
@@ -265,20 +312,59 @@ type frame struct {
 	eng *engine
 }
 
-// beginRun opens a run named name over the runner's resolved exact
-// prototype (nil off the exact path). total is how many tuples the whole
-// run will explain, when that is known up front: it is what live progress
-// is measured against (0 for a stream, and for one flush of a warm pool).
+// runner is what each of core's six entry points runs over: options
+// defaulted once, the statistics and classifier checked once, and an
+// ExactSHAP request decided once — the prototype the runs' engines fork
+// (nil off the exact path), or the downgrade every report is stamped
+// with. Batch, Stream and Warm embed theirs for life; Sequential, Dist
+// and Greedy build one per call.
+type runner struct {
+	opts          Options
+	st            *dataset.Stats
+	cls           rf.Classifier
+	proto         *exact.Explainer
+	exactFallback bool
+}
+
+// newRunner is the preamble of every entry point; who names it in the
+// error.
+func newRunner(who string, st *dataset.Stats, cls rf.Classifier, opts Options) (runner, error) {
+	if st == nil || cls == nil {
+		return runner{}, fmt.Errorf("core: %s needs stats and a classifier", who)
+	}
+	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
+	return runner{opts: opts, st: st, cls: cls, proto: proto, exactFallback: fellBack}, nil
+}
+
+// admit is the one door tuples enter a run by, checked before any state
+// moves: a window, a flush number and a pool that outlive the call must
+// never see a tuple the explainer will refuse.
+func (r *runner) admit(tuples [][]float64) error {
+	if len(tuples) == 0 {
+		return fmt.Errorf("core: no tuples to explain")
+	}
+	width := r.st.NumAttrs()
+	for i, t := range tuples {
+		if len(t) != width {
+			return fmt.Errorf("core: tuple %d has %d cells, schema expects %d", i, len(t), width)
+		}
+	}
+	return nil
+}
+
+// begin opens a run named name. total is how many tuples the whole run
+// will explain, when that is known up front: it is what live progress is
+// measured against (0 for a stream, and for one flush of a warm pool).
 // The bridge is built when the run can fail or be cancelled — or, for a
 // stream, which learns that one call at a time, always.
-func beginRun(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier, proto *exact.Explainer, rng *rand.Rand, name string, total int, always bool) *frame {
-	f := &frame{stage: beginStage(opts.Recorder, nil, name)}
+func (r *runner) begin(ctx context.Context, rng *rand.Rand, name string, total int, always bool) *frame {
+	f := &frame{stage: beginStage(r.opts.Recorder, nil, name)}
 	if total > 0 {
 		f.span.SetAttr("tuples", total)
-		opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(total))
+		r.opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(total))
 	}
 	f.ctx = f.enter(ctx)
-	f.eng = newEngine(opts, st, cls, rng, buildBridge(f.ctx, opts, st, cls, always), proto)
+	f.eng = newEngine(r.opts, r.st, r.cls, rng, buildBridge(f.ctx, r.opts, r.st, r.cls, always), r.proto)
 	return f
 }
 

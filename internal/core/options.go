@@ -1,30 +1,30 @@
-// Package core implements Shahin itself, as one pool kernel under five
-// runners.
+// Package core implements Shahin itself: six entry points, each a
+// runner, an admission and a window policy over one pool.
 //
-// The kernel (kernel.go) is the paper's algorithm in three pieces. The
-// pool state holds a repository of labelled perturbations, the itemsets
-// it is keyed by, and Anchor's coverage sample. Refresh brings it in
-// line with a set of rows: mine their frequent itemsets, cap them, evict
-// what fell infrequent, and materialise — generate, label, store — τ
+// The pool (poolState, kernel.go) is the paper's algorithm: a repository
+// of labelled perturbations, the itemsets it is keyed by, the window of
+// tuples it is next mined from, and Anchor's coverage sample. Refresh
+// brings it in line with a set of rows: mine their frequent itemsets,
+// cap them, evict what fell infrequent, and materialise τ labelled
 // perturbations for each itemset not yet pooled. The step explains one
-// tuple against the pool and does the bookkeeping every explanation
-// gets: status, latency, provenance event, stage breakdown.
+// tuple against the pool and keeps the books: status, latency, event.
 //
-// A runner decides which rows are mined and when. Batch (Algorithms 1–3)
-// refreshes once over a uniform sample of the batch, then runs the step
-// over every tuple, on Options.Workers goroutines if asked. Stream (§3.5)
-// refreshes every StreamRecompute tuples over the window since the last
-// refresh, mines the negative border with it, and promotes border
-// itemsets that turn frequent in between. Warm keeps one pool across
-// calls and refreshes it, over a sample of recent tuples, when enough
-// have been explained since the last refresh — the serving substrate.
-// Sequential, Dist and Greedy are the evaluation's baselines: the step
-// with no pool, split across k simulated machines, or over a store that
-// keeps every perturbation it sees.
+// A runner is options defaulted, inputs checked and ExactSHAP decided,
+// once; admit refuses an empty or wrong-width call before any state
+// moves. An entry point adds which rows are mined and when. Batch
+// (Algorithms 1–3) refreshes once over a uniform sample of the batch,
+// then steps through every tuple, on Options.Workers goroutines if asked.
+// Stream (§3.5) renews every StreamRecompute tuples over its window,
+// border included, and promotes border itemsets that turn frequent in
+// between. Warm keeps its pool across calls and renews it over a sample
+// of its window once enough tuples were explained. Sequential, Dist and
+// Greedy, the baselines, are the step up front: with no pool, on k
+// simulated machines, or over a store that keeps all it sees.
 package core
 
 import (
 	"fmt"
+	"strings"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
@@ -89,7 +89,7 @@ func AllKinds() []Kind { return []Kind{LIME, Anchor, SHAP, SampleSHAP, ExactSHAP
 // ParseKind converts a name ("lime", "anchor", "shap", "sshap",
 // "exactshap", any case) to a Kind.
 func ParseKind(s string) (Kind, error) {
-	switch lower(s) {
+	switch strings.ToLower(s) {
 	case "lime":
 		return LIME, nil
 	case "anchor":
@@ -103,16 +103,6 @@ func ParseKind(s string) (Kind, error) {
 	default:
 		return 0, fmt.Errorf("core: unknown explainer %q (want lime, anchor, shap, sshap, or exactshap)", s)
 	}
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
 }
 
 // Options configures a Shahin run. Zero values select the noted defaults.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"shahin/internal/dataset"
@@ -20,8 +19,7 @@ import (
 // itemset whose running frequency crosses the support threshold is
 // promoted — and materialised — without waiting for the next re-mine.
 type Stream struct {
-	opts Options
-	st   *dataset.Stats
+	runner
 	// f is the stream's one long run: its root span stays open for the
 	// stream's lifetime (trace dumps report it in-flight), and its engine
 	// always predicts through a fault bridge — a pass-through one when
@@ -32,9 +30,7 @@ type Stream struct {
 	ps   *poolState
 	step *tupleStep
 
-	window  []dataset.Itemset // itemised tuples since the last re-mine
-	tracked []*trackedSet     // frequent itemsets + negative border
-	mines   int
+	tracked []*trackedSet // frequent itemsets + negative border
 
 	// rep accumulates every cost as it is charged; Report adds the pool's
 	// and the chain's current state.
@@ -53,19 +49,18 @@ type trackedSet struct {
 // against the stream itself: the window last mined, or before the first
 // re-mine the tuples seen so far.
 func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, error) {
-	if st == nil || cls == nil {
-		return nil, fmt.Errorf("core: NewStream needs stats and a classifier")
+	r, err := newRunner("NewStream", st, cls, opts)
+	if err != nil {
+		return nil, err
 	}
-	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(r.opts.Seed))
 	s := &Stream{
-		opts: opts,
-		st:   st,
-		rep:  Report{ExactFallback: fellBack},
-		f:    beginRun(context.Background(), opts, st, cls, proto, rng, obs.StageStream, 0, true),
+		runner: r,
+		rep:    Report{ExactFallback: r.exactFallback},
+		f:      r.begin(context.Background(), rng, obs.StageStream, 0, true),
 	}
 	s.gen = perturb.NewGenerator(st, rng)
-	s.ps = newPoolState(opts, cls.NumClasses(), opts.StreamRecompute)
+	s.ps = newPoolState(r.opts, cls.NumClasses(), r.opts.StreamRecompute)
 	s.step = s.ps.step(s.f.eng)
 	return s, nil
 }
@@ -75,13 +70,17 @@ func (s *Stream) Explain(t []float64) (Explanation, error) {
 	return s.ExplainCtx(context.Background(), t)
 }
 
-// ExplainCtx is Explain under a context. A context already cancelled on
-// entry returns a StatusFailed explanation and ctx.Err() without
-// touching the stream's state; cancellation mid-tuple finishes the
+// ExplainCtx is Explain under a context. A tuple of the wrong width is
+// an error, and a context already cancelled on entry returns a
+// StatusFailed explanation and ctx.Err(), both without touching the
+// stream's state; cancellation mid-tuple finishes the
 // tuple quickly on fallback labels (marked StatusFailed) so the stream
 // and its Report stay consistent. Explain calls must not overlap —
 // the stream is a serial consumer by contract.
 func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, error) {
+	if err := s.admit([][]float64{t}); err != nil {
+		return Explanation{}, err
+	}
 	if err := ctx.Err(); err != nil {
 		return Explanation{Status: StatusFailed}, err
 	}
@@ -102,30 +101,16 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 	// per-tuple bookkeeping is the walk itself.
 	if eng.exact == nil {
 		s.track(t)
-		if len(s.window) >= s.opts.StreamRecompute {
+		if len(s.ps.window) >= s.opts.StreamRecompute {
 			span := s.f.span.Child(obs.StageRemine)
-			border, d, err := s.ps.refresh(ctx, eng, s.gen, func() []dataset.Itemset { return s.window }, *s.opts.StreamBorder, span)
+			border, err := s.ps.renew(ctx, eng, s.gen, func() []dataset.Itemset { return s.ps.window }, *s.opts.StreamBorder, span, &s.rep)
 			span.End()
-			s.rep.add(d)
-			// Config is validated at construction, so mining a non-empty
-			// window cannot fail; if it somehow does the old pool stays.
 			if err == nil {
-				emitRemine(s.opts.Recorder, d)
 				s.retrack(border)
-				// A refresh cut short keeps its window, so the next
-				// tuple's refresh finishes the job.
-				if s.ps.complete {
-					// The mined rows stay behind as the coverage sample.
-					s.window = make([]dataset.Itemset, 0, len(s.window))
-					s.mines++
-				}
 			}
 		}
 	}
-	// Point the degradation ladder at whatever is materialised right now,
-	// and Anchor at the current coverage sample.
-	fb.setPool(s.ps.repo, s.ps.sets)
-	eng.setCoverage(s.ps.coverage(s.window))
+	s.ps.attach(eng)
 	exp, c, err := s.step.run(s.rep.Tuples, t)
 	if err != nil {
 		return Explanation{}, err
@@ -148,29 +133,24 @@ func (s *Stream) track(t []float64) {
 		d, _ := sw.end()
 		s.rep.OverheadTime += d
 	}()
-	items := append(dataset.Itemset(nil), s.st.ItemizeRow(t, nil)...)
-	s.window = append(s.window, items)
+	items := s.ps.observe(s.st, t)
 	for _, ts := range s.tracked {
 		if ts.set.ContainsAll(items) {
 			ts.count++
 		}
 	}
-	if !*s.opts.StreamBorder || len(s.window) < 50 {
+	if !*s.opts.StreamBorder || len(s.ps.window) < 50 {
 		return
 	}
-	minCount := max(5, int(s.opts.MinSupport*float64(len(s.window))))
+	minCount := max(5, int(s.opts.MinSupport*float64(len(s.ps.window))))
 	for _, ts := range s.tracked {
 		if ts.frequent || ts.count < minCount {
 			continue
 		}
-		if s.ps.repo.Len() >= s.ps.maxSets {
-			break
-		}
-		if !s.ps.materialize(s.f.eng, s.gen, ts.set, -1, &s.rep) {
+		if !s.ps.promote(s.f.eng, s.gen, ts.set, &s.rep) {
 			break
 		}
 		ts.frequent = true
-		s.ps.setSets(append(s.ps.sets, ts.set))
 	}
 }
 
@@ -200,6 +180,6 @@ func (s *Stream) Report() Report {
 	return rep
 }
 
-// Mines reports how many itemset recomputations have run (diagnostics and
-// tests).
-func (s *Stream) Mines() int { return s.mines }
+// Mines reports how many itemset recomputations have run to their end
+// (diagnostics and tests).
+func (s *Stream) Mines() int { return int(s.ps.renews.Load()) }

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 
 	"shahin/internal/dataset"
-	"shahin/internal/explain/exact"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -36,34 +34,27 @@ import (
 // explanations. The gate is a channel rather than a mutex so a caller
 // waiting for the flush slot honours cancellation, and so the cheap
 // accessors (Report, Flushes, Remines) never block behind a running
-// flush — they share a separate short-hold mutex with the counters.
+// flush — the first two share a separate short-hold mutex with the
+// counters, and Remines reads the pool's own count of complete renews.
 type Warm struct {
-	opts       Options
-	st         *dataset.Stats
-	cls        rf.Classifier
+	// proto is also what ExplainExact's step forks: built whatever the
+	// kind (buildExact, when no ExactSHAP request had resolveExact do it).
+	runner
 	staleAfter int
 
 	// gate admits one flush at a time (capacity-1 channel; send to
 	// acquire, receive to release). Everything the flush path mutates —
 	// the pool and the mining state below — is owned by the gate holder.
-	gate   chan struct{}
-	ps     *poolState
-	window []dataset.Itemset // itemised tuples since the last re-mine
-	since  int               // tuples explained since the last re-mine
+	gate  chan struct{}
+	ps    *poolState
+	since int // tuples explained since the last re-mine
 
 	// mu guards only the cross-flush counters, held for nanoseconds at
 	// a time so accessors stay responsive mid-flush.
 	mu      sync.Mutex
 	flushes int
-	remines int
 	cum     Report
 
-	// Decided at construction: the prototype ExactSHAP flushes and
-	// ExplainExact's step fork (buildExact, whatever the kind), and whether an
-	// ExactSHAP request was downgraded to KernelSHAP (resolveExact;
-	// stamped onto every flush report).
-	proto         *exact.Explainer
-	exactFallback bool
 	// exactMu guards the per-request exact step serving layers use
 	// through ExplainExact (separate from the flush gate so single-tuple
 	// exact answers never queue behind a flush); nil step: unavailable.
@@ -80,32 +71,28 @@ const DefaultStaleAfter = 2048
 // black-box classifier. staleAfter is the number of tuples explained
 // between pool re-mines (<= 0 selects DefaultStaleAfter).
 func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int) (*Warm, error) {
-	if st == nil || cls == nil {
-		return nil, fmt.Errorf("core: NewWarm needs stats and a classifier")
+	r, err := newRunner("NewWarm", st, cls, opts)
+	if err != nil {
+		return nil, err
 	}
-	opts, proto, fellBack := resolveExact(opts.withDefaults(), st, cls)
-	if proto == nil && !fellBack {
+	if r.proto == nil && !r.exactFallback {
 		// ExplainExact is open whatever the kind; with no request to
 		// downgrade, a refusal is silent.
-		proto, _ = buildExact(opts, st, cls)
+		r.proto, _ = buildExact(r.opts, st, cls)
 	}
 	if staleAfter <= 0 {
 		staleAfter = DefaultStaleAfter
 	}
 	w := &Warm{
-		opts:       opts,
-		st:         st,
-		cls:        cls,
+		runner:     r,
 		staleAfter: staleAfter,
 		gate:       make(chan struct{}, 1),
-		ps:         newPoolState(opts, cls.NumClasses(), staleAfter),
-
-		proto:         proto,
-		exactFallback: fellBack,
+		ps:         newPoolState(r.opts, cls.NumClasses(), staleAfter),
 	}
-	if proto != nil {
+	if r.proto != nil {
+		opts := r.opts
 		opts.Explainer = ExactSHAP
-		w.exact = &tupleStep{eng: newEngine(opts, st, cls, nil, nil, proto)}
+		w.exact = &tupleStep{eng: newEngine(opts, st, cls, nil, nil, r.proto)}
 	}
 	return w, nil
 }
@@ -123,20 +110,20 @@ func (w *Warm) ExplainAll(tuples [][]float64) (*Result, error) {
 // The returned Report covers this flush only; Report() accumulates
 // across flushes.
 func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, error) {
-	if len(tuples) == 0 {
-		return nil, fmt.Errorf("core: empty flush")
+	if err := w.admit(tuples); err != nil {
+		return nil, err
 	}
 	// Acquire the flush slot; a caller cancelled before admission
 	// leaves without touching any state — it does not count as a flush
 	// — but still honours the partial-result contract: every tuple
 	// comes back StatusFailed alongside ctx.Err().
 	if err := ctx.Err(); err != nil {
-		return unadmittedResult(tuples), err
+		return w.unadmittedResult(tuples), err
 	}
 	select {
 	case w.gate <- struct{}{}:
 	case <-ctx.Done():
-		return unadmittedResult(tuples), ctx.Err()
+		return w.unadmittedResult(tuples), ctx.Err()
 	}
 	defer func() { <-w.gate }()
 
@@ -149,7 +136,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// index, so the same sequence of flush compositions reproduces
 	// byte-identical explanations regardless of wall-clock timing.
 	rng := rand.New(rand.NewSource(opts.Seed + 104729*int64(flush)))
-	f := beginRun(ctx, opts, w.st, w.cls, w.proto, rng, obs.StageWarmFlush, 0, false)
+	f := w.begin(ctx, rng, obs.StageWarmFlush, 0, false)
 	defer f.span.End()
 	f.span.SetAttr("tuples", len(tuples))
 	f.span.SetAttr("flush", flush)
@@ -159,10 +146,10 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// path never mines or pools, so it skips the window bookkeeping too.
 	if opts.Explainer != ExactSHAP {
 		for _, t := range tuples {
-			w.window = append(w.window, append(dataset.Itemset(nil), w.st.ItemizeRow(t, nil)...))
+			w.ps.observe(w.st, t)
 		}
-		if max := 4 * w.staleAfter; len(w.window) > max {
-			w.window = append(w.window[:0:0], w.window[len(w.window)-max:]...)
+		if max := 4 * w.staleAfter; len(w.ps.window) > max {
+			w.ps.window = append(w.ps.window[:0:0], w.ps.window[len(w.ps.window)-max:]...)
 		}
 	}
 
@@ -171,8 +158,8 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	// flush's invocation ledger.
 	rep := Report{Tuples: len(tuples), ExactFallback: w.exactFallback}
 	if opts.Explainer != ExactSHAP && (!w.ps.complete || w.since >= w.staleAfter) {
-		_, d, err := w.ps.refresh(f.ctx, eng, perturb.NewGenerator(w.st, rng), func() []dataset.Itemset {
-			rows := w.window
+		_, err := w.ps.renew(f.ctx, eng, perturb.NewGenerator(w.st, rng), func() []dataset.Itemset {
+			rows := w.ps.window
 			n := fim.SampleSize(len(rows))
 			if n >= len(rows) {
 				return rows
@@ -184,27 +171,13 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 				sampled[i] = rows[j]
 			}
 			return sampled
-		}, false, f.span)
-		rep.add(d)
-		// Mining a non-empty window cannot fail with a validated config;
-		// if it somehow does, the previous pool and window stay.
-		if err == nil {
-			emitRemine(rec, d)
-			// A refresh cut short stays stale and keeps its window, so
-			// the next flush finishes the job.
-			if w.ps.complete {
-				w.window = nil // the mined rows stay behind as the coverage sample
-				w.since = 0
-				w.mu.Lock()
-				w.remines++
-				w.mu.Unlock()
-			}
+		}, false, f.span, &rep)
+		// A refresh cut short stays stale: the next flush renews again.
+		if err == nil && w.ps.complete {
+			w.since = 0
 		}
 	}
-	if eng.fb != nil {
-		eng.fb.setPool(w.ps.repo, w.ps.sets)
-	}
-	eng.setCoverage(w.ps.coverage(w.window))
+	w.ps.attach(eng)
 
 	// Explain the flush against the (now fresh enough) warm pool.
 	out, costs, err := w.ps.step(eng).explainAll(f, w.ps, tuples, &rep)
@@ -228,8 +201,8 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 // unadmittedResult is the partial result for a flush cancelled before
 // it acquired the flush slot: nothing was attempted, so every tuple is
 // StatusFailed and no warm state was touched.
-func unadmittedResult(tuples [][]float64) *Result {
-	res := &Result{Explanations: make([]Explanation, len(tuples)), Report: Report{Tuples: len(tuples)}}
+func (w *Warm) unadmittedResult(tuples [][]float64) *Result {
+	res := &Result{Explanations: make([]Explanation, len(tuples)), Report: Report{Tuples: len(tuples), ExactFallback: w.exactFallback}}
 	markFailed(res.Explanations, &res.Report)
 	return res
 }
@@ -249,11 +222,7 @@ func (w *Warm) Flushes() int {
 }
 
 // Remines reports how many staleness-triggered pool re-mines have run.
-func (w *Warm) Remines() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.remines
-}
+func (w *Warm) Remines() int { return int(w.ps.renews.Load()) }
 
 // NumAttrs reports the tuple width the explainer expects — the number
 // of attributes of the training statistics it was built over.

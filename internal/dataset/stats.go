@@ -162,6 +162,3 @@ func (s *Stats) Bin(a int, v float64) int {
 	}
 	return binOf(s.Edges[a], v)
 }
-
-// BinProb returns the training-frequency probability of (a, bin).
-func (s *Stats) BinProb(a, bin int) float64 { return s.Freq[a][bin] }

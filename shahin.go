@@ -261,7 +261,9 @@ func NewBatch(st *Stats, cls Classifier, opts Options) (*Batch, error) {
 }
 
 // NewStream creates Shahin's streaming explainer: call Explain as each
-// request arrives.
+// request arrives. Nil statistics or a nil classifier is an error here;
+// a tuple not as wide as the schema is Explain's error, and leaves the
+// stream as it was.
 func NewStream(st *Stats, cls Classifier, opts Options) (*Stream, error) {
 	return core.NewStream(st, cls, opts)
 }
@@ -275,7 +277,9 @@ func NewWarm(st *Stats, cls Classifier, opts Options, staleAfter int) (*Warm, er
 }
 
 // Sequential explains the batch one tuple at a time with no reuse — the
-// baseline all speedup ratios are measured against.
+// baseline all speedup ratios are measured against. A malformed call —
+// nil statistics or classifier, no tuples, a tuple not as wide as the
+// schema (named by its index) — returns an error before anything runs.
 func Sequential(st *Stats, cls Classifier, opts Options, tuples [][]float64) (*Result, error) {
 	return core.Sequential(st, cls, opts, tuples)
 }
@@ -289,7 +293,8 @@ func SequentialCtx(ctx context.Context, st *Stats, cls Classifier, opts Options,
 }
 
 // Dist simulates the paper's DIST-k baseline: the batch split evenly
-// across k sequential workers, reporting the average worker time.
+// across k sequential workers, reporting the average worker time. It
+// refuses what Sequential refuses, and k < 1.
 func Dist(st *Stats, cls Classifier, opts Options, tuples [][]float64, k int) (*Result, error) {
 	return core.Dist(st, cls, opts, tuples, k)
 }
@@ -301,7 +306,8 @@ func DistCtx(ctx context.Context, st *Stats, cls Classifier, opts Options, tuple
 }
 
 // Greedy runs the paper's GREEDY baseline: persist every perturbation
-// under a byte budget with LRU eviction and reuse opportunistically.
+// under a byte budget with LRU eviction and reuse opportunistically. It
+// refuses what Sequential refuses.
 func Greedy(st *Stats, cls Classifier, opts Options, tuples [][]float64, budgetBytes int64) (*Result, error) {
 	return core.Greedy(st, cls, opts, tuples, budgetBytes)
 }
