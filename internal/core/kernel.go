@@ -523,7 +523,7 @@ func (s *tupleStep) explainAll(f *frame, ps *poolState, tuples [][]float64, rep 
 	rep.ExplainTime, a = st.end()
 	rep.ExplainAllocBytes, rep.ExplainAllocObjects = a.Bytes, a.Objects
 	if fb := s.eng.fb; fb != nil {
-		rep.Retries = fb.chain.Stats().Retries
+		rep.Retries = fb.chain.Retries()
 	}
 	if ps != nil {
 		rep.Cache = ps.repo.Stats()

@@ -176,7 +176,7 @@ func (s *Stream) Report() Report {
 	rep := s.rep
 	rep.Cache = s.ps.repo.Stats()
 	rep.FrequentItemsets = len(s.ps.sets)
-	rep.Retries = s.f.eng.fb.chain.Stats().Retries
+	rep.Retries = s.f.eng.fb.chain.Retries()
 	return rep
 }
 

@@ -47,10 +47,10 @@ func (s BreakerState) String() string {
 // The call-counted cooldown (BreakerCooldownCalls) exists for
 // determinism: a breaker timed purely by the wall clock would make
 // chaos runs irreproducible. Every transition emits an obs event and
-// bumps the breaker counters.
+// sets the state gauge; opening bumps fault_breaker_opens and every
+// rejection fault_breaker_rejected.
 type Breaker struct {
-	inner         FallibleClassifier
-	name          string // labels events and the state gauge; "" for the chain breaker
+	name          string // labels events and the state gauge; "" for a chain's breaker
 	threshold     int
 	cooldown      time.Duration
 	cooldownCalls int64
@@ -62,49 +62,18 @@ type Breaker struct {
 	rejected int64     // rejections since the breaker last opened
 	reopenAt time.Time // wall-clock probe time while open
 
-	opens         atomicInt64
-	rejectedTotal atomicInt64
-
 	rec         *obs.Recorder
 	opensCtr    *obs.Counter
 	rejectedCtr *obs.Counter
 	stateGauge  *obs.Gauge
 }
 
-// NewBreaker wraps inner with a circuit breaker per cfg.
-func NewBreaker(inner FallibleClassifier, cfg Config, rec *obs.Recorder) *Breaker {
-	ctrs := newChainCounters(rec)
-	b := &Breaker{
-		inner:         inner,
-		threshold:     cfg.BreakerThreshold,
-		cooldown:      cfg.BreakerCooldown,
-		cooldownCalls: cfg.BreakerCooldownCalls,
-		rec:           rec,
-		opensCtr:      ctrs.opens,
-		rejectedCtr:   ctrs.rejected,
-		stateGauge:    rec.Gauge(obs.GaugeBreakerState),
-	}
-	// Publish the initial (closed) state so scrapes can tell "closed"
-	// from "no breaker in the chain" by the gauge's presence.
-	b.stateGauge.Set(int64(BreakerClosed))
-	if b.threshold <= 0 {
-		b.threshold = 5
-	}
-	if b.cooldown <= 0 && b.cooldownCalls <= 0 {
-		b.cooldownCalls = 100 // an open breaker must always recover
-	}
-	return b
-}
-
-// NewOpBreaker builds a named, classifier-free breaker for arbitrary
-// operations driven through Do — the router uses one per replica to
-// guard forwarded requests and health probes. The name labels the
-// breaker's state gauge (GaugeBreakerState plus a "_<name>" suffix)
-// and its transition events, so multiple op breakers on one recorder
-// stay distinguishable. NumClasses reports zero; PredictCtx must not
-// be used.
-func NewOpBreaker(cfg Config, rec *obs.Recorder, name string) *Breaker {
-	ctrs := newChainCounters(rec)
+// NewBreaker builds a breaker per cfg's Breaker fields. Build makes a
+// chain's with name ""; the router makes one per replica and guards
+// forwards and probes with Do. A non-empty name labels the transition
+// events and suffixes the state gauge (GaugeBreakerState + "_" + name),
+// so breakers sharing a recorder stay distinguishable.
+func NewBreaker(cfg Config, rec *obs.Recorder, name string) *Breaker {
 	gaugeName := obs.GaugeBreakerState
 	if name != "" {
 		gaugeName += "_" + name
@@ -115,26 +84,20 @@ func NewOpBreaker(cfg Config, rec *obs.Recorder, name string) *Breaker {
 		cooldown:      cfg.BreakerCooldown,
 		cooldownCalls: cfg.BreakerCooldownCalls,
 		rec:           rec,
-		opensCtr:      ctrs.opens,
-		rejectedCtr:   ctrs.rejected,
+		opensCtr:      counter(rec, obs.CounterBreakerOpens),
+		rejectedCtr:   counter(rec, obs.CounterBreakerRejected),
 		stateGauge:    rec.Gauge(gaugeName),
 	}
+	// Publish the initial (closed) state so scrapes can tell "closed"
+	// from "no breaker" by the gauge's presence.
 	b.stateGauge.Set(int64(BreakerClosed))
 	if b.threshold <= 0 {
 		b.threshold = 5
 	}
 	if b.cooldown <= 0 && b.cooldownCalls <= 0 {
-		b.cooldownCalls = 100
+		b.cooldownCalls = 100 // an open breaker must always recover
 	}
 	return b
-}
-
-// NumClasses implements FallibleClassifier (zero for an op breaker).
-func (b *Breaker) NumClasses() int {
-	if b.inner == nil {
-		return 0
-	}
-	return b.inner.NumClasses()
 }
 
 // State returns the current breaker state.
@@ -144,25 +107,12 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// PredictCtx implements FallibleClassifier: fail fast while open,
-// otherwise pass through and track the outcome.
-func (b *Breaker) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	wasProbe, err := b.admit(ctx)
-	if err != nil {
-		return 0, err
-	}
-	y, err := b.inner.PredictCtx(ctx, x)
-	if err := b.settle(ctx, err, wasProbe); err != nil {
-		return 0, err
-	}
-	return y, nil
-}
-
 // Do runs op under the breaker's admission and outcome accounting:
 // rejected with ErrBreakerOpen while open (or while another half-open
-// trial is in flight), otherwise op's error trips the breaker exactly
-// like a failed predict. Context-cancellation errors from op are
-// passed through without counting against the backend.
+// trial is in flight), otherwise op's error counts against the backend
+// (settle). A context error is the caller giving up, and does not
+// count, only when ctx itself has ended; op's own deadline firing while
+// ctx is live counts like any other failure.
 func (b *Breaker) Do(ctx context.Context, op func(context.Context) error) error {
 	wasProbe, err := b.admit(ctx)
 	if err != nil {
@@ -185,7 +135,6 @@ func (b *Breaker) admit(ctx context.Context) (wasProbe bool, err error) {
 		if !ready {
 			b.rejected++
 			b.mu.Unlock()
-			b.rejectedTotal.Add(1)
 			b.rejectedCtr.Inc()
 			return false, ErrBreakerOpen
 		}
@@ -196,7 +145,6 @@ func (b *Breaker) admit(ctx context.Context) (wasProbe bool, err error) {
 		// lose the race and are rejected as if the breaker were open.
 		if b.probing {
 			b.mu.Unlock()
-			b.rejectedTotal.Add(1)
 			b.rejectedCtr.Inc()
 			return false, ErrBreakerOpen
 		}
@@ -207,10 +155,12 @@ func (b *Breaker) admit(ctx context.Context) (wasProbe bool, err error) {
 	return wasProbe, nil
 }
 
-// settle records a call's outcome and returns err unchanged. A probe
+// settle records a call's outcome and returns err unchanged. A context
+// error counts as the caller giving up only when ctx has ended too;
+// otherwise it was the backend's own deadline, and counts. A probe
 // always releases the probing slot, even when the caller gave up:
-// cancellation neither closes nor re-opens the breaker, it just frees
-// the slot for the next trial.
+// giving up neither closes nor re-opens the breaker, it just frees the
+// slot for the next trial.
 func (b *Breaker) settle(ctx context.Context, err error, wasProbe bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -218,7 +168,7 @@ func (b *Breaker) settle(ctx context.Context, err error, wasProbe bool) error {
 		b.probing = false
 	}
 	if err != nil {
-		if canceled(err) {
+		if canceled(err) && ctx.Err() != nil {
 			return err // the caller gave up; not the backend's fault
 		}
 		b.fails++
@@ -240,7 +190,6 @@ func (b *Breaker) open(ctx context.Context) {
 	if b.cooldown > 0 {
 		b.reopenAt = time.Now().Add(b.cooldown) //shahinvet:allow walltime — breaker cooldown clock (timing-only, never affects labels)
 	}
-	b.opens.Add(1)
 	b.opensCtr.Inc()
 	b.transition(ctx, BreakerOpen)
 }

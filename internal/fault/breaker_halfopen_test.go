@@ -9,22 +9,17 @@ import (
 	"shahin/internal/obs"
 )
 
-// gated is a backend whose call blocks until the test releases it, so
-// the test can hold a half-open probe in flight while other calls race
-// the admission path.
+// gated is a backend op whose call blocks until the test releases it,
+// so the test can hold a half-open probe in flight while other calls
+// race the admission path.
 type gated struct {
 	entered chan struct{}
 	release chan error
 }
 
-func (g *gated) NumClasses() int { return 2 }
-
-func (g *gated) PredictCtx(ctx context.Context, x []float64) (int, error) {
+func (g *gated) op(context.Context) error {
 	g.entered <- struct{}{}
-	if err := <-g.release; err != nil {
-		return 0, err
-	}
-	return 1, nil
+	return <-g.release
 }
 
 // openAndBurnCooldown drives b open via one scripted failure from g and
@@ -32,10 +27,7 @@ func (g *gated) PredictCtx(ctx context.Context, x []float64) (int, error) {
 func openAndBurnCooldown(t *testing.T, b *Breaker, g *gated) {
 	t.Helper()
 	done := make(chan error, 1)
-	go func() {
-		_, err := b.PredictCtx(context.Background(), nil)
-		done <- err
-	}()
+	go func() { done <- b.Do(context.Background(), g.op) }()
 	<-g.entered
 	g.release <- ErrInjected
 	if err := <-done; !errors.Is(err, ErrInjected) {
@@ -44,7 +36,7 @@ func openAndBurnCooldown(t *testing.T, b *Breaker, g *gated) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state=%v, want open", b.State())
 	}
-	if _, err := b.PredictCtx(context.Background(), nil); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.Do(context.Background(), g.op); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("cooldown-burning call err=%v, want ErrBreakerOpen", err)
 	}
 }
@@ -55,7 +47,7 @@ func openAndBurnCooldown(t *testing.T, b *Breaker, g *gated) {
 // winning probe's success closes the breaker. Run under -race.
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	g := &gated{entered: make(chan struct{}), release: make(chan error)}
-	b := NewBreaker(g, Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil)
+	b := NewBreaker(Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil, "")
 	openAndBurnCooldown(t, b, g)
 
 	const racers = 8
@@ -65,8 +57,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := b.PredictCtx(context.Background(), nil)
-			results <- err
+			results <- b.Do(context.Background(), g.op)
 		}()
 	}
 	// The winning probe is now parked inside the backend; every other
@@ -93,17 +84,15 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 // TestBreakerHalfOpenProbeFailureReopens: a failing trial sends the
 // breaker straight back to open while concurrent losers are rejected.
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
+	rec := obs.NewRecorder()
 	g := &gated{entered: make(chan struct{}), release: make(chan error)}
-	b := NewBreaker(g, Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil)
+	b := NewBreaker(Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, rec, "")
 	openAndBurnCooldown(t, b, g)
 
 	probeErr := make(chan error, 1)
-	go func() {
-		_, err := b.PredictCtx(context.Background(), nil)
-		probeErr <- err
-	}()
+	go func() { probeErr <- b.Do(context.Background(), g.op) }()
 	<-g.entered
-	if _, err := b.PredictCtx(context.Background(), nil); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.Do(context.Background(), g.op); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("concurrent call during probe err=%v, want ErrBreakerOpen", err)
 	}
 	g.release <- ErrInjected
@@ -113,7 +102,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state=%v after failed probe, want open", b.State())
 	}
-	if got := b.opens.Load(); got != 2 {
+	if got := rec.Counter(obs.CounterBreakerOpens).Value(); got != 2 {
 		t.Errorf("opens=%d, want 2", got)
 	}
 }
@@ -123,16 +112,15 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 // probing slot so the next call can trial the backend.
 func TestBreakerCancelledProbeFreesSlot(t *testing.T) {
 	g := &gated{entered: make(chan struct{}), release: make(chan error)}
-	b := NewBreaker(g, Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil)
+	b := NewBreaker(Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil, "")
 	openAndBurnCooldown(t, b, g)
 
+	ctx, cancel := context.WithCancel(context.Background())
 	probeErr := make(chan error, 1)
-	go func() {
-		_, err := b.PredictCtx(context.Background(), nil)
-		probeErr <- err
-	}()
+	go func() { probeErr <- b.Do(ctx, g.op) }()
 	<-g.entered
-	g.release <- context.Canceled
+	cancel()
+	g.release <- ctx.Err()
 	if err := <-probeErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled probe err=%v, want context.Canceled", err)
 	}
@@ -141,10 +129,7 @@ func TestBreakerCancelledProbeFreesSlot(t *testing.T) {
 	}
 	// The slot must be free: the next call probes and closes the breaker.
 	done := make(chan error, 1)
-	go func() {
-		_, err := b.PredictCtx(context.Background(), nil)
-		done <- err
-	}()
+	go func() { done <- b.Do(context.Background(), g.op) }()
 	<-g.entered
 	g.release <- nil
 	if err := <-done; err != nil {
@@ -155,12 +140,12 @@ func TestBreakerCancelledProbeFreesSlot(t *testing.T) {
 	}
 }
 
-// TestOpBreakerDo: the classifier-free breaker guards arbitrary
-// operations with the same state machine, and its transitions carry
-// the instance name on both the event and the gauge.
-func TestOpBreakerDo(t *testing.T) {
+// TestBreakerDo: a named breaker guards arbitrary operations with the
+// same state machine, and its transitions carry the instance name on
+// both the event and the gauge.
+func TestBreakerDo(t *testing.T) {
 	rec := obs.NewRecorder()
-	b := NewOpBreaker(Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec, "replica0")
+	b := NewBreaker(Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec, "replica0")
 
 	boom := errors.New("backend down")
 	fail := func(context.Context) error { return boom }
@@ -197,15 +182,12 @@ func TestOpBreakerDo(t *testing.T) {
 	if edges < 3 { // closed->open, open->half-open, half-open->closed
 		t.Errorf("named breaker_state events=%d, want >= 3", edges)
 	}
-	if b.NumClasses() != 0 {
-		t.Errorf("op breaker NumClasses=%d, want 0", b.NumClasses())
-	}
 }
 
-// TestOpBreakerDoConcurrentHalfOpen: Do's admission shares the
+// TestBreakerDoConcurrentHalfOpen: Do's admission keeps the
 // single-probe guarantee — concurrent ops during a trial are rejected.
-func TestOpBreakerDoConcurrentHalfOpen(t *testing.T) {
-	b := NewOpBreaker(Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil, "r")
+func TestBreakerDoConcurrentHalfOpen(t *testing.T) {
+	b := NewBreaker(Config{BreakerThreshold: 1, BreakerCooldownCalls: 1}, nil, "r")
 	boom := errors.New("backend down")
 	if err := b.Do(context.Background(), func(context.Context) error { return boom }); !errors.Is(err, boom) {
 		t.Fatal(err)

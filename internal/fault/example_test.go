@@ -6,7 +6,7 @@ import (
 	"shahin/internal/fault"
 )
 
-// ExampleRetryable shows which chain errors the retrier re-attempts:
+// ExampleRetryable shows which chain errors the chain retries:
 // everything wrapping ErrTransient (injected faults, outages, per-call
 // deadline misses) is retryable; an open circuit breaker is not — the
 // degradation ladder answers instead of hammering a failing backend.

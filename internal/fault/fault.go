@@ -1,39 +1,34 @@
 // Package fault is the failure model of the classifier backend: the
 // pipeline above it assumes rf.Classifier.Predict can never fail, but
 // the production target is a remote model server that times out,
-// throttles, and goes down for whole windows. This package expresses
-// those failures as errors on a context-aware interface and stacks the
-// standard resilience layers on top — deterministic fault injection
-// (for chaos testing), per-call deadlines, retry with capped
-// exponential backoff and deterministic jitter, and a three-state
-// circuit breaker — so the core pipeline can degrade gracefully
-// instead of failing a whole batch.
+// throttles, and goes down for whole windows. Chain expresses those
+// failures as errors of one context-aware call and runs the standard
+// resilience steps inside it — deterministic fault injection (for chaos
+// testing), a per-attempt deadline, retry with capped exponential
+// backoff and deterministic jitter, and a three-state circuit breaker —
+// so the core pipeline can degrade gracefully instead of failing a
+// whole batch.
 //
 // Determinism contract: every fault decision is drawn from a seeded
-// RNG keyed by call index, never from the wall clock, so two runs with
-// the same fault seed inject the same faults at the same calls.
-// Wall-clock reads are confined to the breaker's cooldown clock and
-// the backoff timer, which affect only timing, never which label a
-// call returns.
+// RNG keyed by attempt index, never from the wall clock, so two runs
+// with the same fault seed inject the same faults at the same attempts.
+// The wall clock is read by four things only — the backoff timer, the
+// per-attempt deadline, the spike stall and the breaker's cooldown
+// clock — each of which affects timing, never which label a call
+// returns.
 package fault
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"shahin/internal/obs"
 	"shahin/internal/rf"
 )
-
-// FallibleClassifier is the failure-aware classifier interface: like
-// rf.Classifier, but Predict can be cancelled and can fail.
-type FallibleClassifier interface {
-	NumClasses() int
-	PredictCtx(ctx context.Context, x []float64) (int, error)
-}
 
 // ErrTransient is the class of failures worth retrying: injected
 // errors, outage windows, and per-call timeouts all wrap it. Context
@@ -57,31 +52,11 @@ var ErrBreakerOpen = errors.New("circuit breaker open")
 // Retryable reports whether a retry can plausibly fix err.
 func Retryable(err error) bool { return errors.Is(err, ErrTransient) }
 
-// canceled reports whether err is the caller giving up rather than
-// the backend failing; such errors must not trip the breaker.
+// canceled reports whether err is a context error. It is the caller
+// giving up, not the backend failing, only while the caller's own
+// context has ended too (Breaker.settle).
 func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Adapter lifts a plain rf.Classifier into the fallible interface:
-// it honours context cancellation before invoking the backend and
-// never fails otherwise.
-type Adapter struct {
-	inner rf.Classifier
-}
-
-// Adapt wraps c.
-func Adapt(c rf.Classifier) *Adapter { return &Adapter{inner: c} }
-
-// NumClasses implements FallibleClassifier.
-func (a *Adapter) NumClasses() int { return a.inner.NumClasses() }
-
-// PredictCtx implements FallibleClassifier.
-func (a *Adapter) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return a.inner.Predict(x), nil
 }
 
 // Config assembles the whole resilience stack. The zero value builds a
@@ -134,108 +109,129 @@ type Config struct {
 	BreakerCooldownCalls int64
 }
 
-// active reports whether the config can produce failures at all.
-func (c Config) active() bool {
-	return c.FailRate > 0 || c.SpikeRate > 0 || c.OutageCalls > 0 || c.PredictTimeout > 0
-}
-
-// Chain is the assembled resilience stack over a classifier. From the
-// outside in: circuit breaker → retry/backoff → per-call deadline →
-// fault injector → context adapter → the real classifier. Layers not
-// configured are simply absent.
+// Chain is the classifier's one failure path. A call is admitted by the
+// breaker, tried by retry — each try an attempt: draw the faults, start
+// the deadline, classify — and settled by the breaker. Steps cfg does
+// not configure are skipped, and a chain that cannot fail is answered
+// directly.
 type Chain struct {
-	top     FallibleClassifier
-	classes int
+	cls     rf.Classifier
+	cfg     Config // backoff defaults resolved
+	inject  bool   // a fault kind is configured: every attempt draws
 	canFail bool
+	breaker *Breaker // nil without one
 
-	injector *Injector
-	retrier  *retrier
-	breaker  *Breaker
+	mu       sync.Mutex
+	rng      uint64 // splitmix64 state of the fault draws
+	attempts int64  // attempts drawn so far: the outage window's clock
+
+	calls   atomic.Int64 // calls into retry so far: the jitter key
+	retries atomic.Int64
+	spanned atomic.Int64 // "retry" marker spans attached so far
+
+	injectedCtr, outagesCtr, retriesCtr *obs.Counter
 }
 
 // Build assembles the chain for cls under cfg, wiring transition
 // events and counters into rec (nil disables instrumentation).
 func Build(cls rf.Classifier, cfg Config, rec *obs.Recorder) *Chain {
-	ch := &Chain{classes: cls.NumClasses(), canFail: cfg.active()}
-	var top FallibleClassifier = Adapt(cls)
-	if cfg.FailRate > 0 || cfg.SpikeRate > 0 || cfg.OutageCalls > 0 {
-		ch.injector = NewInjector(top, cfg, rec)
-		top = ch.injector
+	if cfg.RetryBase <= 0 {
+		cfg.RetryBase = time.Millisecond
 	}
-	if cfg.PredictTimeout > 0 {
-		top = &deadlineGuard{inner: top, timeout: cfg.PredictTimeout}
+	if cfg.RetryMax <= 0 {
+		cfg.RetryMax = 50 * time.Millisecond
 	}
-	if cfg.MaxRetries > 0 {
-		ch.retrier = newRetrier(top, cfg, rec)
-		top = ch.retrier
+	if cfg.RetryJitter <= 0 {
+		cfg.RetryJitter = 0.2
 	}
-	if cfg.BreakerThreshold >= 0 && ch.canFail {
-		ch.breaker = NewBreaker(top, cfg, rec)
-		top = ch.breaker
+	c := &Chain{
+		cls:    cls,
+		cfg:    cfg,
+		inject: cfg.FailRate > 0 || cfg.SpikeRate > 0 || cfg.OutageCalls > 0,
+		rng:    splitmix64(uint64(cfg.Seed) ^ 0x53686168696e21),
 	}
-	ch.top = top
-	return ch
+	c.canFail = c.inject || cfg.PredictTimeout > 0
+	if c.canFail && cfg.BreakerThreshold >= 0 {
+		c.breaker = NewBreaker(cfg, rec, "")
+	}
+	if c.inject || cfg.MaxRetries > 0 || c.breaker != nil {
+		c.injectedCtr = counter(rec, obs.CounterFaultsInjected)
+		c.outagesCtr = counter(rec, obs.CounterFaultOutages)
+		c.retriesCtr = counter(rec, obs.CounterRetries)
+	}
+	return c
 }
 
-// NumClasses implements FallibleClassifier.
-func (c *Chain) NumClasses() int { return c.classes }
-
-// PredictCtx implements FallibleClassifier through the full stack.
-func (c *Chain) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	return c.top.PredictCtx(ctx, x)
+// counter registers the five fault counters together — every step that
+// moves one registers all, so a scrape shows all five or none — and
+// returns the one named.
+func counter(rec *obs.Recorder, name string) *obs.Counter {
+	for _, n := range [...]string{obs.CounterFaultsInjected, obs.CounterFaultOutages,
+		obs.CounterRetries, obs.CounterBreakerOpens, obs.CounterBreakerRejected} {
+		rec.Counter(n)
+	}
+	return rec.Counter(name)
 }
+
+// NumClasses is the classifier's class count.
+func (c *Chain) NumClasses() int { return c.cls.NumClasses() }
 
 // CanFail reports whether this chain can return backend errors (vs
 // only context cancellation); callers skip fallback bookkeeping when
 // it cannot.
 func (c *Chain) CanFail() bool { return c.canFail }
 
-// Stats is a point-in-time tally of everything the chain did.
-type Stats struct {
-	Calls    int64 `json:"calls"`
-	Injected int64 `json:"injected_errors"`
-	Outages  int64 `json:"outage_errors"`
-	Retries  int64 `json:"retries"`
-	Opens    int64 `json:"breaker_opens"`
-	Rejected int64 `json:"breaker_rejected"`
+// Retries reports how many transient failures the chain has retried.
+func (c *Chain) Retries() int64 { return c.retries.Load() }
+
+// PredictCtx labels x: breaker admission, then retry, then the breaker
+// settles the outcome.
+func (c *Chain) PredictCtx(ctx context.Context, x []float64) (int, error) {
+	if !c.canFail {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return c.cls.Predict(x), nil
+	}
+	if c.breaker == nil {
+		return c.retry(ctx, x)
+	}
+	probe, err := c.breaker.admit(ctx)
+	if err != nil {
+		return 0, err
+	}
+	y, err := c.retry(ctx, x)
+	return y, c.breaker.settle(ctx, err, probe)
 }
 
-// Stats snapshots the chain's counters (zero value on a nil chain).
-func (c *Chain) Stats() Stats {
-	var s Stats
-	if c == nil {
-		return s
+// attempt is one try of x. It draws its faults under mu on the caller's
+// goroutine — one draw per configured kind, so the stream stays aligned
+// whether or not an earlier fault fired — and then classifies, on a
+// goroutine under the per-attempt deadline when PredictTimeout is set:
+// an uninterruptible backend still returns to the caller on time, and
+// the abandoned attempt finishes on its own and is discarded.
+func (c *Chain) attempt(ctx context.Context, x []float64) (int, error) {
+	spike := false
+	if c.inject {
+		c.mu.Lock()
+		n := c.attempts
+		c.attempts++
+		fail := c.cfg.FailRate > 0 && c.draw() < c.cfg.FailRate
+		spike = c.cfg.SpikeRate > 0 && c.draw() < c.cfg.SpikeRate
+		c.mu.Unlock()
+		if c.cfg.OutageCalls > 0 && n >= c.cfg.OutageStart && n < c.cfg.OutageStart+c.cfg.OutageCalls {
+			c.outagesCtr.Inc()
+			return 0, ErrOutage
+		}
+		if fail {
+			c.injectedCtr.Inc()
+			return 0, ErrInjected
+		}
 	}
-	if c.injector != nil {
-		s.Calls = c.injector.calls.Load()
-		s.Injected = c.injector.injected.Load()
-		s.Outages = c.injector.outages.Load()
+	if c.cfg.PredictTimeout <= 0 {
+		return c.classify(ctx, x, spike)
 	}
-	if c.retrier != nil {
-		s.Retries = c.retrier.retries.Load()
-	}
-	if c.breaker != nil {
-		s.Opens = c.breaker.opens.Load()
-		s.Rejected = c.breaker.rejectedTotal.Load()
-	}
-	return s
-}
-
-// deadlineGuard enforces a per-call deadline around an inner call that
-// may itself be uninterruptible: the call runs on a goroutine and the
-// guard returns ErrTimeout when the deadline fires first (the
-// abandoned attempt finishes on its own and is discarded).
-type deadlineGuard struct {
-	inner   FallibleClassifier
-	timeout time.Duration
-}
-
-// NumClasses implements FallibleClassifier.
-func (g *deadlineGuard) NumClasses() int { return g.inner.NumClasses() }
-
-// PredictCtx implements FallibleClassifier with the per-call deadline.
-func (g *deadlineGuard) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	dctx, cancel := context.WithTimeout(ctx, g.timeout)
+	dctx, cancel := context.WithTimeout(ctx, c.cfg.PredictTimeout)
 	defer cancel()
 	type result struct {
 		y   int
@@ -246,58 +242,55 @@ func (g *deadlineGuard) PredictCtx(ctx context.Context, x []float64) (int, error
 	// has returned and the caller has reused the slice, so it gets a copy.
 	x = append([]float64(nil), x...)
 	go func() {
-		y, err := g.inner.PredictCtx(dctx, x)
+		y, err := c.classify(dctx, x, spike)
 		done <- result{y, err}
 	}()
 	select {
 	case r := <-done:
-		if r.err != nil && errors.Is(r.err, context.DeadlineExceeded) && ctx.Err() == nil {
-			return 0, ErrTimeout
+		if r.err == nil || ctx.Err() != nil {
+			return r.y, r.err
 		}
-		return r.y, r.err
 	case <-dctx.Done():
 		if err := ctx.Err(); err != nil {
 			return 0, err // the caller gave up, not the deadline
 		}
-		return 0, ErrTimeout
+	}
+	return 0, ErrTimeout
+}
+
+// classify stalls a spiked attempt for SpikeDelay, then asks the
+// backend unless ctx has ended.
+func (c *Chain) classify(ctx context.Context, x []float64, spike bool) (int, error) {
+	if spike {
+		if err := sleep(ctx, c.cfg.SpikeDelay); err != nil {
+			return 0, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.cls.Predict(x), nil
+}
+
+// draw advances the fault stream, a splitmix64 sequence: unlike
+// math/rand it costs nothing to construct and its state is one word,
+// which keeps the critical section tiny. Caller holds mu.
+func (c *Chain) draw() float64 {
+	c.rng = splitmix64(c.rng)
+	return unit(c.rng)
+}
+
+// sleep waits d (nothing when d <= 0) unless ctx ends first.
+func sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
 	}
 }
-
-// splitmix64 is the deterministic hash behind backoff jitter: cheap,
-// stateless, and independent of goroutine interleaving.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hash01 maps (seed, call, attempt) to [0,1) deterministically.
-func hash01(seed int64, call int64, attempt int) float64 {
-	h := splitmix64(uint64(seed) ^ uint64(call)<<16 ^ uint64(attempt))
-	return float64(h>>11) / float64(1<<53)
-}
-
-var _ FallibleClassifier = (*Chain)(nil)
-
-// counters shared by the layers; resolved once at build time.
-type chainCounters struct {
-	injected *obs.Counter
-	outages  *obs.Counter
-	retries  *obs.Counter
-	opens    *obs.Counter
-	rejected *obs.Counter
-}
-
-func newChainCounters(rec *obs.Recorder) chainCounters {
-	return chainCounters{
-		injected: rec.Counter(obs.CounterFaultsInjected),
-		outages:  rec.Counter(obs.CounterFaultOutages),
-		retries:  rec.Counter(obs.CounterRetries),
-		opens:    rec.Counter(obs.CounterBreakerOpens),
-		rejected: rec.Counter(obs.CounterBreakerRejected),
-	}
-}
-
-// atomicInt64 is a tiny alias to keep struct fields compact.
-type atomicInt64 = atomic.Int64

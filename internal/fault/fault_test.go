@@ -3,7 +3,10 @@ package fault
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,39 +17,32 @@ import (
 // constant is the trivially reliable backend the chain wraps in tests.
 var constant = rf.Func{Classes: 3, F: func(x []float64) int { return 1 }}
 
-// scripted is a FallibleClassifier whose per-call outcomes follow a
-// script: errs[i] is call i's error (nil succeeds); calls past the end
-// of the script succeed. Safe for the single-goroutine tests below.
-type scripted struct {
-	errs  []error
-	calls int
+// script is an op for Breaker.Do whose per-call outcomes follow errs:
+// errs[i] is call i's error (nil succeeds); calls past the end succeed.
+// Safe for the single-goroutine tests below.
+func script(errs ...error) func(context.Context) error {
+	calls := 0
+	return func(context.Context) error {
+		i := calls
+		calls++
+		if i < len(errs) {
+			return errs[i]
+		}
+		return nil
+	}
 }
 
-func (s *scripted) NumClasses() int { return 3 }
-
-func (s *scripted) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	i := s.calls
-	s.calls++
-	if i < len(s.errs) && s.errs[i] != nil {
-		return 0, s.errs[i]
-	}
-	return 1, nil
-}
-
-// slow is a backend that takes d per call but honours cancellation.
-type slow struct{ d time.Duration }
-
-func (s slow) NumClasses() int { return 2 }
-
-func (s slow) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	t := time.NewTimer(s.d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-t.C:
-		return 1, nil
-	}
+// blocking is an uninterruptible backend: each call blocks until
+// release is closed, then reports the first cell of its row on saw (when
+// set). Close release before the test ends.
+func blocking(release <-chan struct{}, saw chan<- float64) rf.Func {
+	return rf.Func{Classes: 2, F: func(x []float64) int {
+		<-release
+		if saw != nil {
+			saw <- x[0]
+		}
+		return 1
+	}}
 }
 
 func TestErrorTaxonomy(t *testing.T) {
@@ -68,35 +64,21 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-func TestAdapter(t *testing.T) {
-	a := Adapt(constant)
-	if a.NumClasses() != 3 {
-		t.Fatalf("NumClasses=%d", a.NumClasses())
-	}
-	y, err := a.PredictCtx(context.Background(), nil)
-	if err != nil || y != 1 {
-		t.Fatalf("PredictCtx=(%d,%v)", y, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := a.PredictCtx(ctx, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled PredictCtx err=%v", err)
-	}
-}
-
-// TestInjectorDeterminism is the determinism contract: two injectors
-// with the same seed fault exactly the same call indices.
+// TestInjectorDeterminism is the determinism contract: two chains with
+// the same seed fault exactly the same attempts, and exactly where the
+// seeded stream says — one draw per configured kind per attempt, so a
+// spike draw is taken whether or not the attempt failed.
 func TestInjectorDeterminism(t *testing.T) {
-	pattern := func(seed int64) []bool {
-		inj := NewInjector(Adapt(constant), Config{FailRate: 0.3, Seed: seed}, nil)
+	pattern := func(seed int64, spikeRate float64) []bool {
+		ch := Build(constant, Config{FailRate: 0.3, SpikeRate: spikeRate, Seed: seed, BreakerThreshold: -1}, nil)
 		p := make([]bool, 200)
 		for i := range p {
-			_, err := inj.PredictCtx(context.Background(), nil)
+			_, err := ch.PredictCtx(context.Background(), nil)
 			p[i] = err != nil
 		}
 		return p
 	}
-	a, b := pattern(42), pattern(42)
+	a, b := pattern(42, 0), pattern(42, 0)
 	fails := 0
 	for i := range a {
 		if a[i] != b[i] {
@@ -109,7 +91,7 @@ func TestInjectorDeterminism(t *testing.T) {
 	if fails == 0 || fails == len(a) {
 		t.Fatalf("degenerate fault pattern: %d/%d failures", fails, len(a))
 	}
-	c := pattern(43)
+	c := pattern(43, 0)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -120,12 +102,29 @@ func TestInjectorDeterminism(t *testing.T) {
 	if same {
 		t.Error("different seeds produced identical fault patterns")
 	}
+	for _, kinds := range []struct {
+		spikeRate float64
+		draws     int
+	}{{0, 1}, {0.5, 2}} {
+		rng := splitmix64(uint64(42) ^ 0x53686168696e21)
+		for i, failed := range pattern(42, kinds.spikeRate) {
+			rng = splitmix64(rng)
+			want := unit(rng) < 0.3
+			for d := 1; d < kinds.draws; d++ {
+				rng = splitmix64(rng)
+			}
+			if failed != want {
+				t.Fatalf("spike rate %v, call %d: failed=%v, the stream says %v", kinds.spikeRate, i, failed, want)
+			}
+		}
+	}
 }
 
 func TestInjectorOutageWindow(t *testing.T) {
-	inj := NewInjector(Adapt(constant), Config{OutageStart: 3, OutageCalls: 4, Seed: 1}, nil)
+	rec := obs.NewRecorder()
+	ch := Build(constant, Config{OutageStart: 3, OutageCalls: 4, Seed: 1, BreakerThreshold: -1}, rec)
 	for i := 0; i < 10; i++ {
-		_, err := inj.PredictCtx(context.Background(), nil)
+		_, err := ch.PredictCtx(context.Background(), nil)
 		inWindow := i >= 3 && i < 7
 		if inWindow && !errors.Is(err, ErrOutage) {
 			t.Errorf("call %d: want ErrOutage, got %v", i, err)
@@ -134,49 +133,70 @@ func TestInjectorOutageWindow(t *testing.T) {
 			t.Errorf("call %d: unexpected error %v", i, err)
 		}
 	}
-	if got := inj.outages.Load(); got != 4 {
+	if got := rec.Counter(obs.CounterFaultOutages).Value(); got != 4 {
 		t.Errorf("outages=%d, want 4", got)
 	}
 }
 
 func TestRetrierRecoversTransients(t *testing.T) {
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected, nil}}
-	r := newRetrier(inner, Config{MaxRetries: 3, RetryBase: time.Microsecond}, nil)
-	y, err := r.PredictCtx(context.Background(), nil)
+	rec := obs.NewRecorder()
+	ch := Build(constant, Config{OutageCalls: 2, MaxRetries: 3, RetryBase: time.Microsecond}, rec)
+	y, err := ch.PredictCtx(context.Background(), nil)
 	if err != nil || y != 1 {
 		t.Fatalf("PredictCtx=(%d,%v), want (1,nil)", y, err)
 	}
-	if got := r.retries.Load(); got != 2 {
+	if got := ch.Retries(); got != 2 {
 		t.Errorf("retries=%d, want 2", got)
+	}
+	if got := rec.Counter(obs.CounterRetries).Value(); got != 2 {
+		t.Errorf("retries counter=%d, want 2", got)
 	}
 }
 
 func TestRetrierExhaustsBudget(t *testing.T) {
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected, ErrInjected, ErrInjected}}
-	r := newRetrier(inner, Config{MaxRetries: 2, RetryBase: time.Microsecond}, nil)
-	if _, err := r.PredictCtx(context.Background(), nil); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err=%v, want ErrInjected after exhausting retries", err)
+	var backend atomic.Int64
+	cls := rf.Func{Classes: 3, F: func([]float64) int { backend.Add(1); return 1 }}
+	rec := obs.NewRecorder()
+	ch := Build(cls, Config{OutageCalls: 4, MaxRetries: 2, RetryBase: time.Microsecond}, rec)
+	if _, err := ch.PredictCtx(context.Background(), nil); !errors.Is(err, ErrOutage) {
+		t.Fatalf("err=%v, want ErrOutage after exhausting retries", err)
 	}
-	if inner.calls != 3 {
-		t.Errorf("inner saw %d calls, want 3 (1 + 2 retries)", inner.calls)
+	if got := rec.Counter(obs.CounterFaultOutages).Value(); got != 3 {
+		t.Errorf("%d attempts, want 3 (1 + 2 retries)", got)
+	}
+	// The window has one attempt left: the next call spends it and one retry.
+	if y, err := ch.PredictCtx(context.Background(), nil); err != nil || y != 1 {
+		t.Fatalf("next call=(%d,%v), want (1,nil)", y, err)
+	}
+	if ch.Retries() != 3 || backend.Load() != 1 {
+		t.Errorf("retries=%d backend calls=%d, want 3 and 1", ch.Retries(), backend.Load())
 	}
 }
 
+// TestRetrierSkipsNonRetryable: a cancelled context is the one
+// non-retryable error below the retry loop. Whether the attempt drew a
+// transient fault or reached the cancellation check, it is not retried.
 func TestRetrierSkipsNonRetryable(t *testing.T) {
-	inner := &scripted{errs: []error{ErrBreakerOpen}}
-	r := newRetrier(inner, Config{MaxRetries: 5, RetryBase: time.Microsecond}, nil)
-	if _, err := r.PredictCtx(context.Background(), nil); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err=%v, want ErrBreakerOpen", err)
-	}
-	if inner.calls != 1 {
-		t.Errorf("non-retryable error was retried (%d calls)", inner.calls)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cfg := range []Config{
+		{OutageStart: 1 << 40, OutageCalls: 1, MaxRetries: 5, RetryBase: time.Microsecond}, // no fault drawn
+		{FailRate: 1, MaxRetries: 5, RetryBase: time.Microsecond},                          // every attempt faulted
+	} {
+		ch := Build(constant, cfg, nil)
+		if _, err := ch.PredictCtx(ctx, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: err=%v, want context.Canceled", cfg, err)
+		}
+		if ch.Retries() != 0 {
+			t.Errorf("%+v: cancelled call was retried (%d retries)", cfg, ch.Retries())
+		}
 	}
 }
 
 // TestBackoffBounds checks the schedule: exponential growth from base,
 // capped, jitter within ±jitter, and deterministic per (call, attempt).
 func TestBackoffBounds(t *testing.T) {
-	r := newRetrier(&scripted{}, Config{
+	ch := Build(constant, Config{
 		MaxRetries: 3, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
 		RetryJitter: 0.2, Seed: 9,
 	}, nil)
@@ -185,24 +205,25 @@ func TestBackoffBounds(t *testing.T) {
 		if want > 4*time.Millisecond || want <= 0 {
 			want = 4 * time.Millisecond
 		}
-		d := r.backoff(7, attempt)
+		d := ch.backoff(7, attempt)
 		lo := time.Duration(float64(want) * 0.8)
 		hi := time.Duration(float64(want) * 1.2)
 		if d < lo || d > hi {
 			t.Errorf("backoff(7,%d)=%v outside [%v,%v]", attempt, d, lo, hi)
 		}
-		if d2 := r.backoff(7, attempt); d2 != d {
+		if d2 := ch.backoff(7, attempt); d2 != d {
 			t.Errorf("backoff(7,%d) not deterministic: %v vs %v", attempt, d, d2)
 		}
 	}
 }
 
 func TestBreakerOpensAndRecovers(t *testing.T) {
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected, ErrInjected}}
-	b := NewBreaker(inner, Config{BreakerThreshold: 3, BreakerCooldownCalls: 2}, nil)
+	rec := obs.NewRecorder()
+	op := script(ErrInjected, ErrInjected, ErrInjected)
+	b := NewBreaker(Config{BreakerThreshold: 3, BreakerCooldownCalls: 2}, rec, "")
 
 	for i := 0; i < 3; i++ {
-		if _, err := b.PredictCtx(context.Background(), nil); !errors.Is(err, ErrInjected) {
+		if err := b.Do(context.Background(), op); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call %d err=%v", i, err)
 		}
 	}
@@ -211,52 +232,52 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// Two rejections burn the call-counted cooldown.
 	for i := 0; i < 2; i++ {
-		if _, err := b.PredictCtx(context.Background(), nil); !errors.Is(err, ErrBreakerOpen) {
+		if err := b.Do(context.Background(), op); !errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("rejection %d err=%v, want ErrBreakerOpen", i, err)
 		}
 	}
 	// The next call probes half-open; the scripted backend has recovered,
 	// so the probe succeeds and the breaker closes.
-	y, err := b.PredictCtx(context.Background(), nil)
-	if err != nil || y != 1 {
-		t.Fatalf("probe=(%d,%v), want (1,nil)", y, err)
+	if err := b.Do(context.Background(), op); err != nil {
+		t.Fatalf("probe err=%v, want nil", err)
 	}
 	if b.State() != BreakerClosed {
 		t.Fatalf("state=%v after successful probe, want closed", b.State())
 	}
-	if got := b.opens.Load(); got != 1 {
+	if got := rec.Counter(obs.CounterBreakerOpens).Value(); got != 1 {
 		t.Errorf("opens=%d, want 1", got)
 	}
-	if got := b.rejectedTotal.Load(); got != 2 {
+	if got := rec.Counter(obs.CounterBreakerRejected).Value(); got != 2 {
 		t.Errorf("rejected=%d, want 2", got)
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected, ErrInjected, ErrInjected}}
-	b := NewBreaker(inner, Config{BreakerThreshold: 3, BreakerCooldownCalls: 1}, nil)
+	rec := obs.NewRecorder()
+	op := script(ErrInjected, ErrInjected, ErrInjected, ErrInjected)
+	b := NewBreaker(Config{BreakerThreshold: 3, BreakerCooldownCalls: 1}, rec, "")
 	for i := 0; i < 3; i++ {
-		b.PredictCtx(context.Background(), nil)
+		b.Do(context.Background(), op)
 	}
-	b.PredictCtx(context.Background(), nil)
+	b.Do(context.Background(), op)
 	// Probe fails (4th scripted error): straight back to open.
-	if _, err := b.PredictCtx(context.Background(), nil); !errors.Is(err, ErrInjected) {
+	if err := b.Do(context.Background(), op); !errors.Is(err, ErrInjected) {
 		t.Fatalf("probe err=%v, want ErrInjected", err)
 	}
 	if b.State() != BreakerOpen {
 		t.Fatalf("state=%v after failed probe, want open", b.State())
 	}
-	if got := b.opens.Load(); got != 2 {
+	if got := rec.Counter(obs.CounterBreakerOpens).Value(); got != 2 {
 		t.Errorf("opens=%d, want 2", got)
 	}
 }
 
 func TestBreakerIgnoresCancellation(t *testing.T) {
-	b := NewBreaker(Adapt(constant), Config{BreakerThreshold: 2}, nil)
+	b := NewBreaker(Config{BreakerThreshold: 2}, nil, "")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 5; i++ {
-		if _, err := b.PredictCtx(ctx, nil); !errors.Is(err, context.Canceled) {
+		if err := b.Do(ctx, func(ctx context.Context) error { return ctx.Err() }); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err=%v, want context.Canceled", err)
 		}
 	}
@@ -265,12 +286,33 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 	}
 }
 
+// TestBreakerCountsItsOwnTimeout: a context error while the caller's
+// context is still live is the op's own deadline firing — the backend
+// hung — and counts like any other failure.
+func TestBreakerCountsItsOwnTimeout(t *testing.T) {
+	b := NewBreaker(Config{BreakerThreshold: 2}, nil, "")
+	hang := func(ctx context.Context) error {
+		tctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		defer cancel()
+		<-tctx.Done()
+		return fmt.Errorf("replica failed: %w", tctx.Err())
+	}
+	for i := 0; i < 2; i++ {
+		if err := b.Do(context.Background(), hang); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d err=%v, want the op's deadline", i, err)
+		}
+	}
+	if b.State() != BreakerOpen {
+		t.Fatalf("state=%v after two timeouts, want open", b.State())
+	}
+}
+
 func TestBreakerEmitsTransitions(t *testing.T) {
 	rec := obs.NewRecorder()
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected}}
-	b := NewBreaker(inner, Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec)
-	b.PredictCtx(context.Background(), nil)
-	b.PredictCtx(context.Background(), nil)
+	op := script(ErrInjected, ErrInjected)
+	b := NewBreaker(Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec, "")
+	b.Do(context.Background(), op)
+	b.Do(context.Background(), op)
 	events, _ := rec.Events()
 	var states []string
 	for _, e := range events {
@@ -284,9 +326,11 @@ func TestBreakerEmitsTransitions(t *testing.T) {
 }
 
 func TestDeadlineGuardTimesOut(t *testing.T) {
-	g := &deadlineGuard{inner: slow{d: time.Second}, timeout: 5 * time.Millisecond}
+	release := make(chan struct{})
+	defer close(release)
+	ch := Build(blocking(release, nil), Config{PredictTimeout: 5 * time.Millisecond}, nil)
 	start := time.Now()
-	_, err := g.PredictCtx(context.Background(), nil)
+	_, err := ch.PredictCtx(context.Background(), []float64{0})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err=%v, want ErrTimeout", err)
 	}
@@ -298,62 +342,60 @@ func TestDeadlineGuardTimesOut(t *testing.T) {
 	}
 }
 
-// stalled is an uninterruptible backend: it reads its row only once
-// released, after the guard has given up on it.
-type stalled struct {
-	release chan struct{}
-	saw     chan float64
-}
-
-func (s stalled) NumClasses() int { return 2 }
-
-func (s stalled) PredictCtx(_ context.Context, x []float64) (int, error) {
-	<-s.release
-	s.saw <- x[0]
-	return 0, nil
-}
-
 // TestDeadlineGuardAbandonedAttemptKeepsItsRow: a caller may reuse its
 // row as soon as PredictCtx returns (Anchor labels a scratch row), so
-// the attempt the guard abandons must not be reading the caller's
+// the attempt the deadline abandons must not be reading the caller's
 // slice.
 func TestDeadlineGuardAbandonedAttemptKeepsItsRow(t *testing.T) {
-	inner := stalled{release: make(chan struct{}), saw: make(chan float64)}
-	g := &deadlineGuard{inner: inner, timeout: 5 * time.Millisecond}
+	release, saw := make(chan struct{}), make(chan float64)
+	ch := Build(blocking(release, saw), Config{PredictTimeout: 5 * time.Millisecond}, nil)
 	row := []float64{1}
-	if _, err := g.PredictCtx(context.Background(), row); !errors.Is(err, ErrTimeout) {
+	if _, err := ch.PredictCtx(context.Background(), row); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err=%v, want ErrTimeout", err)
 	}
 	row[0] = 2
-	close(inner.release)
-	if got := <-inner.saw; got != 1 {
+	close(release)
+	if got := <-saw; got != 1 {
 		t.Fatalf("abandoned attempt read %v from a row the caller had reused, want 1", got)
 	}
 }
 
+// TestDeadlineGuardParentCancelWins: the caller giving up — before the
+// call or while the backend hangs — is its cancellation, not ErrTimeout.
 func TestDeadlineGuardParentCancelWins(t *testing.T) {
-	g := &deadlineGuard{inner: slow{d: time.Second}, timeout: time.Minute}
+	release := make(chan struct{})
+	defer close(release)
+	ch := Build(blocking(release, nil), Config{PredictTimeout: time.Minute}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.PredictCtx(ctx, nil); !errors.Is(err, context.Canceled) {
+	if _, err := ch.PredictCtx(ctx, []float64{0}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled (not ErrTimeout)", err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	if _, err := ch.PredictCtx(ctx, []float64{0}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-call err=%v, want context.Canceled (not ErrTimeout)", err)
 	}
 }
 
 func TestDeadlineGuardPassThrough(t *testing.T) {
-	g := &deadlineGuard{inner: Adapt(constant), timeout: time.Second}
-	y, err := g.PredictCtx(context.Background(), nil)
+	ch := Build(constant, Config{PredictTimeout: time.Second}, nil)
+	y, err := ch.PredictCtx(context.Background(), nil)
 	if err != nil || y != 1 {
 		t.Fatalf("PredictCtx=(%d,%v)", y, err)
 	}
 }
 
 // TestChainZeroConfig: the zero config builds a pure pass-through chain
-// that still honours cancellation.
+// that still honours cancellation, and registers no fault counter.
 func TestChainZeroConfig(t *testing.T) {
-	ch := Build(constant, Config{}, nil)
+	rec := obs.NewRecorder()
+	ch := Build(constant, Config{}, rec)
 	if ch.CanFail() {
 		t.Error("zero config must not be able to fail")
+	}
+	if ch.NumClasses() != 3 {
+		t.Fatalf("NumClasses=%d", ch.NumClasses())
 	}
 	y, err := ch.PredictCtx(context.Background(), nil)
 	if err != nil || y != 1 {
@@ -364,18 +406,24 @@ func TestChainZeroConfig(t *testing.T) {
 	if _, err := ch.PredictCtx(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled PredictCtx err=%v", err)
 	}
-	if s := ch.Stats(); s != (Stats{}) {
-		t.Errorf("zero-config stats=%+v", s)
+	if ch.Retries() != 0 {
+		t.Errorf("zero-config retries=%d", ch.Retries())
 	}
-	var nilChain *Chain
-	if s := nilChain.Stats(); s != (Stats{}) {
-		t.Errorf("nil chain stats=%+v", s)
+	m := rec.Metrics()
+	for name := range m.Counters {
+		if strings.HasPrefix(name, "fault_") {
+			t.Errorf("zero config registered counter %s", name)
+		}
+	}
+	if _, ok := m.Gauges[obs.GaugeBreakerState]; ok {
+		t.Error("zero config registered the breaker gauge")
 	}
 }
 
 // TestChainFullStack drives the assembled stack end to end: injected
-// faults are retried to success and the stats tally every layer.
+// faults are retried to success and the counters tally every step.
 func TestChainFullStack(t *testing.T) {
+	rec := obs.NewRecorder()
 	ch := Build(constant, Config{
 		FailRate:   0.3,
 		Seed:       5,
@@ -384,7 +432,7 @@ func TestChainFullStack(t *testing.T) {
 		// Retries always outlast a fault streak at this rate, so the
 		// breaker must never open.
 		BreakerThreshold: 20,
-	}, nil)
+	}, rec)
 	if !ch.CanFail() {
 		t.Fatal("chain with FailRate should report CanFail")
 	}
@@ -394,23 +442,39 @@ func TestChainFullStack(t *testing.T) {
 			t.Fatalf("call %d: (%d,%v)", i, y, err)
 		}
 	}
-	s := ch.Stats()
-	if s.Injected == 0 || s.Retries == 0 {
-		t.Errorf("stats=%+v: expected injected faults and retries", s)
+	injected := rec.Counter(obs.CounterFaultsInjected).Value()
+	if injected == 0 || ch.Retries() == 0 {
+		t.Errorf("injected=%d retries=%d: expected injected faults and retries", injected, ch.Retries())
 	}
-	if s.Retries != s.Injected {
-		t.Errorf("retries=%d injected=%d: every injected fault should cost exactly one retry", s.Retries, s.Injected)
+	if ch.Retries() != injected {
+		t.Errorf("retries=%d injected=%d: every injected fault should cost exactly one retry", ch.Retries(), injected)
 	}
-	if s.Opens != 0 {
-		t.Errorf("breaker opened %d times under a generous retry budget", s.Opens)
+	if opens := rec.Counter(obs.CounterBreakerOpens).Value(); opens != 0 {
+		t.Errorf("breaker opened %d times under a generous retry budget", opens)
+	}
+}
+
+// TestChainSettlesOncePerCall: the breaker counts calls, not attempts —
+// a call retried through a fault streak longer than the threshold to
+// success leaves it closed.
+func TestChainSettlesOncePerCall(t *testing.T) {
+	rec := obs.NewRecorder()
+	ch := Build(constant, Config{OutageCalls: 4, MaxRetries: 4, RetryBase: time.Microsecond, BreakerThreshold: 2}, rec)
+	if y, err := ch.PredictCtx(context.Background(), nil); err != nil || y != 1 {
+		t.Fatalf("PredictCtx=(%d,%v), want (1,nil)", y, err)
+	}
+	if ch.breaker.State() != BreakerClosed || rec.Counter(obs.CounterBreakerOpens).Value() != 0 {
+		t.Fatalf("a call retried to success moved the breaker to %v", ch.breaker.State())
 	}
 }
 
 // TestChainConcurrentCalls hammers the shared chain from many
 // goroutines; under -race it proves the stack is goroutine-safe.
 func TestChainConcurrentCalls(t *testing.T) {
+	var backend atomic.Int64
+	cls := rf.Func{Classes: 3, F: func([]float64) int { backend.Add(1); return 1 }}
 	rec := obs.NewRecorder()
-	ch := Build(constant, Config{
+	ch := Build(cls, Config{
 		FailRate:         0.2,
 		Seed:             11,
 		MaxRetries:       6,
@@ -430,11 +494,11 @@ func TestChainConcurrentCalls(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ch.Stats().Calls < 400 {
-		t.Errorf("injector saw %d calls, want >= 400", ch.Stats().Calls)
+	if attempts := backend.Load() + rec.Counter(obs.CounterFaultsInjected).Value(); attempts < 400 {
+		t.Errorf("chain made %d attempts, want >= 400", attempts)
 	}
-	if got := rec.Counter(obs.CounterFaultsInjected).Value(); got != ch.Stats().Injected {
-		t.Errorf("obs counter %d != chain stat %d", got, ch.Stats().Injected)
+	if got := rec.Counter(obs.CounterRetries).Value(); got != ch.Retries() {
+		t.Errorf("obs counter %d != Retries() %d", got, ch.Retries())
 	}
 }
 
@@ -444,22 +508,30 @@ func TestChainConcurrentCalls(t *testing.T) {
 func TestBreakerStateGauge(t *testing.T) {
 	rec := obs.NewRecorder()
 	g := rec.Gauge(obs.GaugeBreakerState)
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected, ErrInjected}}
-	b := NewBreaker(inner, Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec)
+	errs := []error{ErrInjected, ErrInjected, ErrInjected}
+	op := func(context.Context) error {
+		if len(errs) == 0 {
+			return nil
+		}
+		err := errs[0]
+		errs = errs[1:]
+		return err
+	}
+	b := NewBreaker(Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec, "")
 	if g.Value() != int64(BreakerClosed) {
 		t.Fatalf("gauge at construction = %d, want %d (closed)", g.Value(), BreakerClosed)
 	}
-	b.PredictCtx(context.Background(), nil)
-	b.PredictCtx(context.Background(), nil)
+	b.Do(context.Background(), op)
+	b.Do(context.Background(), op)
 	if g.Value() != int64(BreakerOpen) {
 		t.Fatalf("gauge after opening = %d, want %d (open)", g.Value(), BreakerOpen)
 	}
-	b.PredictCtx(context.Background(), nil)
+	b.Do(context.Background(), op)
 	// Next call probes half-open; the third scripted error fails the
 	// probe, but the gauge must have passed through half-open first. The
 	// probe transition is synchronous, so observe the final reopened
 	// state and the transition events for the half-open hop.
-	b.PredictCtx(context.Background(), nil)
+	b.Do(context.Background(), op)
 	if g.Value() != int64(BreakerOpen) {
 		t.Fatalf("gauge after failed probe = %d, want %d (open)", g.Value(), BreakerOpen)
 	}
@@ -474,9 +546,9 @@ func TestBreakerStateGauge(t *testing.T) {
 		t.Error("no half-open transition event recorded")
 	}
 	// A successful probe closes the breaker and zeroes the gauge.
-	inner.errs = nil
-	b.PredictCtx(context.Background(), nil)
-	if _, err := b.PredictCtx(context.Background(), nil); err != nil {
+	errs = nil
+	b.Do(context.Background(), op)
+	if err := b.Do(context.Background(), op); err != nil {
 		t.Fatalf("recovered probe err=%v", err)
 	}
 	if g.Value() != int64(BreakerClosed) {

@@ -7,118 +7,78 @@ import (
 	"shahin/internal/obs"
 )
 
-// retrier re-attempts transient failures with capped exponential
-// backoff and deterministic jitter. Jitter is a pure hash of
-// (seed, call, attempt) — not an RNG draw — so concurrent callers
-// cannot perturb each other's delays and the backoff schedule of any
-// given call is reproducible.
-type retrier struct {
-	inner   FallibleClassifier
-	max     int
-	base    time.Duration
-	cap     time.Duration
-	jitter  float64
-	seed    int64
-	calls   atomicInt64
-	retries atomicInt64
-	spanned atomicInt64 // "retry" marker spans attached so far
-
-	retriesCtr *obs.Counter
-}
-
-// maxRetrySpans bounds per-retrier "retry" marker spans: enough to see
+// maxRetrySpans bounds a chain's "retry" marker spans: enough to see
 // the backoff schedule in a trace, bounded against outage storms.
 const maxRetrySpans = 64
 
-func newRetrier(inner FallibleClassifier, cfg Config, rec *obs.Recorder) *retrier {
-	r := &retrier{
-		inner:      inner,
-		max:        cfg.MaxRetries,
-		base:       cfg.RetryBase,
-		cap:        cfg.RetryMax,
-		jitter:     cfg.RetryJitter,
-		seed:       cfg.Seed,
-		retriesCtr: newChainCounters(rec).retries,
-	}
-	if r.base <= 0 {
-		r.base = time.Millisecond
-	}
-	if r.cap <= 0 {
-		r.cap = 50 * time.Millisecond
-	}
-	if r.jitter <= 0 {
-		r.jitter = 0.2
-	}
-	return r
-}
-
-// NumClasses implements FallibleClassifier.
-func (r *retrier) NumClasses() int { return r.inner.NumClasses() }
-
-// PredictCtx implements FallibleClassifier with up to max retries of
-// transient failures. Backoff sleeps respect the caller's context. When
-// the caller's context carries a span, each retry attaches a bounded
-// "retry" marker child covering the backoff window before the reattempt.
-func (r *retrier) PredictCtx(ctx context.Context, x []float64) (int, error) {
-	call := r.calls.Add(1) - 1
-	var retrySpan *obs.Span
+// retry attempts x up to 1+MaxRetries times while the failure is
+// transient, sleeping a capped exponential backoff between attempts
+// (the sleep respects ctx). Jitter is a pure hash of (seed, call,
+// attempt) — not an RNG draw — so concurrent callers cannot perturb
+// each other's delays and any call's schedule is reproducible. When ctx
+// carries a span, each retry attaches a bounded "retry" marker child
+// covering its backoff window.
+func (c *Chain) retry(ctx context.Context, x []float64) (int, error) {
+	call := c.calls.Add(1) - 1
 	for attempt := 0; ; attempt++ {
-		retrySpan.End() // close the previous backoff window (nil-safe)
-		retrySpan = nil
-		y, err := r.inner.PredictCtx(ctx, x)
-		if err == nil {
-			return y, nil
+		y, err := c.attempt(ctx, x)
+		if err == nil || attempt >= c.cfg.MaxRetries || !Retryable(err) {
+			return y, err
 		}
-		if attempt >= r.max || !Retryable(err) {
+		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, cerr
-		}
-		r.retries.Add(1)
-		r.retriesCtr.Inc()
-		retrySpan = r.noteRetry(ctx, attempt)
-		if d := r.backoff(call, attempt); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				retrySpan.End()
-				return 0, ctx.Err()
-			case <-t.C:
-			}
+		c.retries.Add(1)
+		c.retriesCtr.Inc()
+		span := c.noteRetry(ctx, attempt)
+		err = sleep(ctx, c.backoff(call, attempt))
+		span.End() // nil-safe
+		if err != nil {
+			return 0, err
 		}
 	}
 }
 
 // noteRetry attaches a "retry" marker child to the span carried by ctx
-// (nil without one), bounded by maxRetrySpans across the retrier's
-// lifetime. The caller ends the returned span once the backoff window
-// closes.
-func (r *retrier) noteRetry(ctx context.Context, attempt int) *obs.Span {
+// (nil without one), bounded by maxRetrySpans across the chain's
+// lifetime. The caller ends it once the backoff window closes.
+func (c *Chain) noteRetry(ctx context.Context, attempt int) *obs.Span {
 	sp := obs.SpanFromContext(ctx)
 	if sp == nil {
 		return nil
 	}
-	n := r.spanned.Add(1)
+	n := c.spanned.Add(1)
 	if n > maxRetrySpans {
 		return nil
 	}
-	c := sp.Child("retry")
-	c.SetAttr("attempt", attempt+1)
+	s := sp.Child("retry")
+	s.SetAttr("attempt", attempt+1)
 	if n == maxRetrySpans {
-		c.SetAttr("truncated", true)
+		s.SetAttr("truncated", true)
 	}
-	return c
+	return s
 }
 
 // backoff returns the delay before retry number attempt+1: capped
-// exponential growth from base, jittered by ±jitter of the delay.
-func (r *retrier) backoff(call int64, attempt int) time.Duration {
-	d := r.base << uint(attempt)
-	if d > r.cap || d <= 0 { // <= 0 guards shift overflow
-		d = r.cap
+// exponential growth from RetryBase, jittered by ±RetryJitter of the
+// delay.
+func (c *Chain) backoff(call int64, attempt int) time.Duration {
+	d := c.cfg.RetryBase << uint(attempt)
+	if d > c.cfg.RetryMax || d <= 0 { // <= 0 guards shift overflow
+		d = c.cfg.RetryMax
 	}
-	frac := 1 + r.jitter*(2*hash01(r.seed, call, attempt)-1)
-	return time.Duration(float64(d) * frac)
+	h := unit(splitmix64(uint64(c.cfg.Seed) ^ uint64(call)<<16 ^ uint64(attempt)))
+	return time.Duration(float64(d) * (1 + c.cfg.RetryJitter*(2*h-1)))
 }
+
+// splitmix64 is the deterministic hash behind fault draws and backoff
+// jitter: cheap, stateless, and independent of goroutine interleaving.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// unit maps a hash to [0,1).
+func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }

@@ -28,9 +28,8 @@ func TestRetrySpans(t *testing.T) {
 	root := rec.StartSpan("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected, nil}}
-	r := newRetrier(inner, Config{MaxRetries: 3, RetryBase: time.Microsecond}, nil)
-	if y, err := r.PredictCtx(ctx, nil); err != nil || y != 1 {
+	ch := Build(constant, Config{OutageCalls: 2, MaxRetries: 3, RetryBase: time.Microsecond}, nil)
+	if y, err := ch.PredictCtx(ctx, nil); err != nil || y != 1 {
 		t.Fatalf("PredictCtx=(%d,%v), want (1,nil)", y, err)
 	}
 	root.End()
@@ -46,15 +45,14 @@ func TestRetrySpans(t *testing.T) {
 	}
 }
 
-// TestRetrySpansWithoutContextSpan checks the retrier stays silent (and
-// does not panic) when the context carries no span.
+// TestRetrySpansWithoutContextSpan checks retry stays silent (and does
+// not panic) when the context carries no span.
 func TestRetrySpansWithoutContextSpan(t *testing.T) {
-	inner := &scripted{errs: []error{ErrInjected, nil}}
-	r := newRetrier(inner, Config{MaxRetries: 2, RetryBase: time.Microsecond}, nil)
-	if _, err := r.PredictCtx(context.Background(), nil); err != nil {
+	ch := Build(constant, Config{OutageCalls: 1, MaxRetries: 2, RetryBase: time.Microsecond}, nil)
+	if _, err := ch.PredictCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.spanned.Load(); got != 0 {
+	if got := ch.spanned.Load(); got != 0 {
 		t.Errorf("spanned=%d without a context span, want 0", got)
 	}
 }
@@ -67,20 +65,16 @@ func TestRetrySpanCap(t *testing.T) {
 	root := rec.StartSpan("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
-	const calls = 40 // 2 retries each = 80 attempts, past the 64-span cap
-	errsAll := make([]error, 3*calls)
-	for i := range errsAll {
-		errsAll[i] = ErrInjected
-	}
-	r := newRetrier(&scripted{errs: errsAll}, Config{MaxRetries: 2, RetryBase: time.Microsecond}, nil)
+	const calls = 40 // 2 retries each = 80 retries, past the 64-span cap
+	ch := Build(constant, Config{FailRate: 1, MaxRetries: 2, RetryBase: time.Microsecond, BreakerThreshold: -1}, nil)
 	for i := 0; i < calls; i++ {
-		if _, err := r.PredictCtx(ctx, nil); !errors.Is(err, ErrInjected) {
+		if _, err := ch.PredictCtx(ctx, nil); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call %d err=%v, want ErrInjected", i, err)
 		}
 	}
 	root.End()
 
-	if got := r.retries.Load(); got != 2*calls {
+	if got := ch.Retries(); got != 2*calls {
 		t.Fatalf("retries=%d, want %d", got, 2*calls)
 	}
 	got := retryChildren(rec.Trace()[0])
@@ -101,19 +95,19 @@ func TestBreakerTransitionSpans(t *testing.T) {
 	root := rec.StartSpan("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
-	inner := &scripted{errs: []error{ErrInjected, ErrInjected}}
-	b := NewBreaker(inner, Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, nil)
+	op := script(ErrInjected, ErrInjected)
+	b := NewBreaker(Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, nil, "")
 
 	for i := 0; i < 2; i++ {
-		if _, err := b.PredictCtx(ctx, nil); !errors.Is(err, ErrInjected) {
+		if err := b.Do(ctx, op); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call %d err=%v", i, err)
 		}
 	}
-	if _, err := b.PredictCtx(ctx, nil); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.Do(ctx, op); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("cooldown rejection err=%v, want ErrBreakerOpen", err)
 	}
-	if y, err := b.PredictCtx(ctx, nil); err != nil || y != 1 {
-		t.Fatalf("probe=(%d,%v), want (1,nil)", y, err)
+	if err := b.Do(ctx, op); err != nil {
+		t.Fatalf("probe err=%v, want nil", err)
 	}
 	root.End()
 

@@ -8,7 +8,7 @@
 //
 // Robustness is the headline: every replica is watched by an active
 // /healthz prober and passive error accounting, both riding one
-// per-replica circuit breaker (fault.NewOpBreaker), so a dead or
+// per-replica circuit breaker (fault.NewBreaker), so a dead or
 // misbehaving replica is failed over in ring order — the answer is
 // marked as routed degraded, never silently dropped — and requests are
 // only refused (503 with a JSON body) when every replica in the
@@ -193,7 +193,7 @@ func New(cfg Config) (*Router, error) {
 		rp := &replica{
 			name:    name,
 			base:    base,
-			breaker: fault.NewOpBreaker(cfg.Breaker, cfg.Recorder, name),
+			breaker: fault.NewBreaker(cfg.Breaker, cfg.Recorder, name),
 			upGauge: rt.rec.Gauge(obs.GaugeReplicaUpPrefix + name),
 		}
 		// Optimistic start: replicas are presumed up until a probe or a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -340,6 +341,61 @@ func TestRouterAllReplicasDown(t *testing.T) {
 	}
 	if rec.Counter(obs.CounterRouterUnrouted).Value() == 0 {
 		t.Fatal("unrouted counter not incremented")
+	}
+}
+
+// TestRouterBreakerOpensOnHangingReplica: a replica that never answers
+// costs each forward its ForwardTimeout and each probe its ProbeTimeout.
+// That expiry is the replica's fault — the caller's context is still
+// live — so BreakerThreshold timeouts open its breaker, and the next
+// forward is refused by the breaker without a network round trip.
+func TestRouterBreakerOpensOnHangingReplica(t *testing.T) {
+	st := testStats(t)
+	for _, via := range []string{"forwards", "probes"} {
+		t.Run(via, func(t *testing.T) {
+			hang := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+				// Only once the body is read does the server watch the
+				// connection, and end r's context when the router hangs up.
+				io.Copy(io.Discard, r.Body)
+				<-r.Context().Done()
+			}))
+			defer hang.Close()
+			rec := obs.NewRecorder()
+			rt, err := New(Config{
+				Replicas:       []string{hang.URL},
+				Stats:          st,
+				ForwardTimeout: 20 * time.Millisecond,
+				ProbeInterval:  time.Hour, // the test drives probes via ProbeNow
+				ProbeTimeout:   20 * time.Millisecond,
+				Breaker:        fault.Config{BreakerThreshold: 2, BreakerCooldownCalls: 100},
+				Recorder:       rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			req := serve.ExplainRequest{Tuple: []float64{1, 2, 3, 0.25}}
+			for i := 0; i < 2; i++ {
+				if via == "probes" {
+					rt.ProbeNow()
+				} else if w := postJSON(t, rt, "/v1/explain", req); w.Code != http.StatusServiceUnavailable {
+					t.Fatalf("forward %d to a hanging replica: HTTP %d, want 503", i, w.Code)
+				}
+			}
+			if s := rt.Status()[0]; s.Breaker != "open" || s.Healthy {
+				t.Fatalf("after 2 timeouts: %+v, want an unhealthy replica with its breaker open", s)
+			}
+			if got := rec.Counter(obs.CounterBreakerOpens).Value(); got != 1 {
+				t.Fatalf("fault_breaker_opens=%d, want 1", got)
+			}
+			w := postJSON(t, rt, "/v1/explain", req)
+			if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), fault.ErrBreakerOpen.Error()) {
+				t.Fatalf("forward past an open breaker: HTTP %d %s, want a 503 naming the open breaker", w.Code, w.Body)
+			}
+			if got := rec.Counter(obs.CounterBreakerRejected).Value(); got != 1 {
+				t.Fatalf("fault_breaker_rejected=%d, want 1", got)
+			}
+		})
 	}
 }
 

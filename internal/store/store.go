@@ -200,8 +200,13 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("store: snapshot declares %d payload bytes (over the %d-byte cap): corrupt header", size, uint64(maxSnapshotBytes))
 	}
 	want := binary.BigEndian.Uint64(hdr[16:24])
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The buffer grows with what arrives, never to a length only claimed:
+	// the header may come from a peer's /snapshot answer.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err == nil && uint64(len(payload)) < size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("store: snapshot truncated: header declares %d payload bytes: %w", size, err)
 	}
 	if got := Fingerprint(payload); got != want {

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -247,6 +248,80 @@ func TestSnapshotHeaderValidation(t *testing.T) {
 		want := binary.BigEndian.Uint64(good[16:24])
 		if got := Fingerprint(good[headerLen:]); got != want {
 			t.Fatalf("Fingerprint=%#x, header says %#x", got, want)
+		}
+	})
+}
+
+// frame puts a snapshot header declaring size payload bytes in front of
+// payload, checksummed over payload as Save does.
+func frame(payload []byte, size uint64) []byte {
+	var hdr [headerLen]byte
+	copy(hdr[:4], snapshotMagic[:])
+	binary.BigEndian.PutUint32(hdr[4:8], SnapshotVersion)
+	binary.BigEndian.PutUint64(hdr[8:16], size)
+	binary.BigEndian.PutUint64(hdr[16:24], Fingerprint(payload))
+	return append(hdr[:], payload...)
+}
+
+// TestLoadRefusesUndeliveredLength: a header alone declaring 8 GiB, the
+// cap, is a truncated snapshot — refused without allocating the claim.
+func TestLoadRefusesUndeliveredLength(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(frame(nil, 1<<33)))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err=%v, want the truncation error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Load allocated %d bytes for a payload that never arrived", got)
+	}
+}
+
+// FuzzStoreLoad frames fuzzed payload bytes twice: with a correct header,
+// so gob decoding itself is fuzzed (FNV is no MAC: the checksum is
+// recomputed), and with a length claim other than what follows. Load
+// never panics; a claim longer than the payload is refused as truncated
+// (or over the cap); and a store Load accepts saves to bytes that load
+// and save back identically.
+func FuzzStoreLoad(f *testing.F) {
+	s := New()
+	s.Put([]float64{1, math.NaN()}, attribution(1, 0.5, -0.25))
+	s.Put([]float64{-0.0, 3}, rule(0))
+	var good bytes.Buffer
+	if err := s.Save(&good); err != nil {
+		f.Fatal(err)
+	}
+	payload := good.Bytes()[headerLen:]
+	f.Add(payload, uint64(len(payload)+1))
+	f.Add(payload, uint64(1<<33))
+	f.Add(payload[:len(payload)/2], uint64(0))
+	f.Add([]byte{}, uint64(1<<40))
+
+	f.Fuzz(func(t *testing.T, payload []byte, claim uint64) {
+		if claim != uint64(len(payload)) {
+			_, err := Load(bytes.NewReader(frame(payload, claim)))
+			if claim > uint64(len(payload)) && (err == nil || !strings.Contains(err.Error(), "truncated") && !strings.Contains(err.Error(), "cap")) {
+				t.Fatalf("claim %d over a %d-byte payload: err=%v, want truncated or over the cap", claim, len(payload), err)
+			}
+		}
+		st, err := Load(bytes.NewReader(frame(payload, uint64(len(payload)))))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := st.Save(&once); err != nil {
+			t.Fatalf("saving an accepted store: %v", err)
+		}
+		back, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved store does not load: %v", err)
+		}
+		if err := back.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("save → load → save is not byte-stable (%d vs %d bytes)", once.Len(), twice.Len())
 		}
 	})
 }

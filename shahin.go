@@ -193,10 +193,6 @@ type (
 	// classifier: injection rates, per-call deadline, retry/backoff, and
 	// circuit-breaker knobs. The zero value disables everything.
 	FaultConfig = fault.Config
-	// FallibleClassifier is a classifier whose predictions may fail;
-	// wrap your own with NewFallibleAdapter-style code or pass a
-	// FaultConfig and let the chain adapt the infallible interface.
-	FallibleClassifier = fault.FallibleClassifier
 	// Status reports how an explanation was produced: ok, degraded
 	// (classifier failures papered over by fallback labels), or failed.
 	Status = core.Status
