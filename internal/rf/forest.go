@@ -57,8 +57,10 @@ type Forest struct {
 var _ Classifier = (*Forest)(nil)
 
 // Train fits a random forest on a labelled dataset: one bootstrap sample
-// per tree, Gini splits over a random feature subset per node. Trees are
-// grown in parallel but the result is deterministic for a given seed.
+// per tree, Gini splits over a random feature subset per node. Every
+// value must be finite. The columns are ranked once (see rankTable) and
+// the trees grown in parallel from that one table; the result is
+// deterministic for a given seed.
 func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	if d.Labels == nil {
 		return nil, fmt.Errorf("rf: training data has no labels")
@@ -79,37 +81,40 @@ func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 		seeds[i] = seedRng.Int63()
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.NumTrees {
-		workers = cfg.NumTrees
-	}
+	ranks := rankColumns(d.Cols)
+	tc := treeConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, featuresTry: cfg.FeaturesTry}
+	inParallel(cfg.NumTrees, func() func(t int) {
+		b := newTreeBuilder(ranks, d.Labels, nClasses, tc)
+		idx := make([]int, n)
+		return func(t int) {
+			rng := rand.New(rand.NewSource(seeds[t]))
+			for i := range idx {
+				idx[i] = rng.Intn(n) // bootstrap with replacement
+			}
+			f.Trees[t] = b.grow(idx, rng)
+		}
+	})
+	f.flat.Store(flatten(f.Trees))
+	return f, nil
+}
+
+// inParallel runs job(i) for every i < n on up to GOMAXPROCS goroutines
+// and returns once all have run. Each goroutine makes its job once, so a
+// job keeps its scratch across the items it runs.
+func inParallel(n int, newJob func() func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range next {
-				rng := rand.New(rand.NewSource(seeds[t]))
-				idx := make([]int, n)
-				for i := range idx {
-					idx[i] = rng.Intn(n) // bootstrap with replacement
-				}
-				f.Trees[t] = growTree(d.Cols, d.Labels, nClasses, idx, treeConfig{
-					maxDepth:    cfg.MaxDepth,
-					minLeaf:     cfg.MinLeaf,
-					featuresTry: cfg.FeaturesTry,
-				}, rng)
+			job := newJob()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				job(i)
 			}
 		}()
 	}
-	for t := 0; t < cfg.NumTrees; t++ {
-		next <- t
-	}
-	close(next)
 	wg.Wait()
-	f.flat.Store(flatten(f.Trees))
-	return f, nil
 }
 
 // NumClasses implements Classifier.

@@ -2,12 +2,17 @@ package rf
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shahin/internal/alloctest"
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 )
@@ -67,6 +72,22 @@ func TestValidateInput(t *testing.T) {
 			t.Errorf("%s should be rejected", name)
 		}
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := validateInput([][]float64{{1, 2}, {3, v}}, []int{0, 1}, 2)
+		if err == nil || !strings.Contains(err.Error(), "column 1 row 1") {
+			t.Errorf("a %v cell: got %v, want an error naming column 1 row 1", v, err)
+		}
+	}
+	// The column {1,2,3,4,+Inf,+Inf} used to split at an infinite
+	// midpoint that sent every row left, leaving a silent leaf.
+	s := &dataset.Schema{Attrs: []dataset.Attr{{Name: "x", Kind: dataset.Numeric}}, Classes: []string{"a", "b"}}
+	d := dataset.New(s, 6)
+	for i, v := range []float64{1, 2, 3, 4, math.Inf(1), math.Inf(1)} {
+		d.AppendRow([]float64{v}, i/4)
+	}
+	if _, err := Train(d, Config{NumTrees: 1}); err == nil {
+		t.Error("Train accepted an infinite training value")
+	}
 }
 
 func TestForestLearnsXOR(t *testing.T) {
@@ -103,22 +124,31 @@ func TestForestLearnsSyntheticDataset(t *testing.T) {
 	}
 }
 
+// TestTrainDeterministic: the same seed saves the same bytes whether the
+// trees are grown by one worker or by four sharing the rank table.
 func TestTrainDeterministic(t *testing.T) {
-	d := xorData(500, 8)
-	a, err := Train(d, Config{NumTrees: 10, Seed: 9})
+	spec, err := datagen.Spec("census")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(d, Config{NumTrees: 10, Seed: 9})
+	d, err := spec.Generate(800, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 200; trial++ {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		if a.Predict(x) != b.Predict(x) {
-			t.Fatal("same-seed forests disagree")
+	save := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f, err := Train(d, Config{NumTrees: 12, MaxDepth: 8, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if err := f.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if one, four := save(1), save(4); !bytes.Equal(one, four) {
+		t.Fatal("the same seed saved different forests under GOMAXPROCS 1 and 4")
 	}
 }
 
@@ -294,13 +324,61 @@ func BenchmarkForestPredict(b *testing.B) {
 	}
 }
 
+// TestGrowAllocs: a node's split, partition and rank walk run in the
+// builder's scratch, so a tree allocates its Tree and the growth of its
+// node array, never an object per node.
+func TestGrowAllocs(t *testing.T) {
+	spec, err := datagen.Spec("lending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newTreeBuilder(rankColumns(d.Cols), d.Labels, 2, treeConfig{maxDepth: 10, minLeaf: 2, featuresTry: 7})
+	rng := rand.New(rand.NewSource(4))
+	boot, idx := make([]int, len(d.Labels)), make([]int, len(d.Labels))
+	counts := make([]int, 2)
+	for i := range boot {
+		boot[i] = rng.Intn(len(boot))
+		counts[d.Labels[boot[i]]]++
+	}
+	b.rng = rng
+	if allocs, _ := alloctest.PerCall(func() { copy(idx, boot); b.bestSplit(idx, counts) }); allocs != 0 {
+		t.Errorf("bestSplit allocates %d objects per call, want 0", allocs)
+	}
+	nodes := 0
+	allocs, _ := alloctest.PerCall(func() {
+		copy(idx, boot)
+		rng.Seed(5)
+		nodes = len(b.grow(idx, rng).Nodes)
+	})
+	if limit := uint64(1 + 2*bits.Len(uint(nodes))); allocs > limit {
+		t.Errorf("growing a tree of %d nodes allocates %d objects, want at most %d", nodes, allocs, limit)
+	}
+}
+
+// BenchmarkForestTrain trains at the repository benchmark's shape — 4 000
+// rows, 50 trees, depth 10 — on the twin of each workload that trains one.
 func BenchmarkForestTrain(b *testing.B) {
-	d := xorData(2000, 23)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(d, Config{NumTrees: 20, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, family := range []string{"lending", "covertype", "census"} {
+		b.Run(family, func(b *testing.B) {
+			spec, err := datagen.Spec(family)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := spec.Generate(4000, 23)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(d, Config{NumTrees: 50, MaxDepth: 10, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
