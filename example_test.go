@@ -1,6 +1,7 @@
 package shahin_test
 
 import (
+	"bytes"
 	"fmt"
 
 	"shahin"
@@ -27,6 +28,39 @@ func ExampleNewBatch() {
 	// Output:
 	// 10 explanations
 	// true
+}
+
+// ExampleBuildExplanationStore is the paper's pre-compute-then-serve
+// pattern: persist a batch's explanations, load them back, and answer a
+// lookup without explaining again.
+func ExampleBuildExplanationStore() {
+	data, _ := shahin.GenerateDataset("lending", 1500, 40)
+	train, test := shahin.SplitDataset(data, 1.0/3, 41)
+	stats, _ := shahin.ComputeStats(train)
+	model, _ := shahin.TrainForest(train, shahin.ForestConfig{NumTrees: 20, Seed: 42})
+
+	tuples := test.Rows(0, 30)
+	batch, _ := shahin.NewBatch(stats, model, shahin.Options{
+		Explainer: shahin.LIME,
+		LIME:      shahin.LIMEConfig{NumSamples: 200},
+		Seed:      44,
+	})
+	res, _ := batch.ExplainAll(tuples)
+
+	st, _ := shahin.BuildExplanationStore(tuples, res.Explanations)
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		fmt.Println(err)
+		return
+	}
+	loaded, _ := shahin.LoadExplanationStore(&buf)
+	exp, ok := loaded.Get(tuples[7])
+	want := res.Explanations[7].Attribution
+	fmt.Println(loaded.Len(), "entries")
+	fmt.Println(ok, exp.Attribution.Class == want.Class, exp.Attribution.TopK(1)[0] == want.TopK(1)[0])
+	// Output:
+	// 30 entries
+	// true true true
 }
 
 // ExampleClassifierFunc demonstrates explaining an arbitrary model: any

@@ -309,7 +309,6 @@ func TestExtensions(t *testing.T) {
 	for name, fn := range map[string]func(Config) (*Table, error){
 		"ext-sshap":    ExtSampleShapley,
 		"ext-approx":   ExtApproximate,
-		"ext-models":   ExtModels,
 		"ext-parallel": ExtParallel,
 	} {
 		tab, err := fn(cfg)

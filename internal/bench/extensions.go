@@ -5,10 +5,7 @@ import (
 
 	"shahin/internal/core"
 	"shahin/internal/explain/sshap"
-	"shahin/internal/gbt"
 	"shahin/internal/metrics"
-	"shahin/internal/nb"
-	"shahin/internal/rf"
 )
 
 // ExtSampleShapley (ext-sshap) measures how far the reuse framework
@@ -95,62 +92,6 @@ func ExtApproximate(cfg Config) (*Table, error) {
 		t.AddRow(f2(reuse),
 			f2(speedup(seq.Report.WallTime, res.Report.WallTime)),
 			f3(tau/n), f3(top1/n))
-	}
-	return t, nil
-}
-
-// ExtModels (ext-models) re-runs the headline speedup measurement under
-// three structurally different classifiers. The paper argues its random
-// forest results generalise because the optimisation only reduces the
-// number of invocations; this experiment tests that claim directly.
-func ExtModels(cfg Config) (*Table, error) {
-	cfg = cfg.Fill()
-	env, err := NewEnv("census", cfg)
-	if err != nil {
-		return nil, err
-	}
-	tuples, err := env.Tuples(cfg.Batch)
-	if err != nil {
-		return nil, err
-	}
-	boosted, err := gbt.Train(env.Train, gbt.Config{Rounds: 60, Seed: cfg.Seed + 3})
-	if err != nil {
-		return nil, err
-	}
-	bayes, err := nb.Train(env.Train)
-	if err != nil {
-		return nil, err
-	}
-	models := []struct {
-		name string
-		cls  rf.Classifier
-	}{
-		{"random-forest", env.Forest},
-		{"boosted-trees", boosted},
-		{"naive-bayes", bayes},
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Extension: speedup across classifiers (LIME, census, batch=%d)", cfg.Batch),
-		Header: []string{"Classifier", "Speedup", "Invocation speedup"},
-	}
-	opts := cfg.Options(core.LIME)
-	for _, m := range models {
-		delayed := rf.NewDelayed(m.cls, cfg.Delay)
-		seq, err := core.Sequential(env.Stats, delayed, opts, tuples)
-		if err != nil {
-			return nil, err
-		}
-		b, err := core.NewBatch(env.Stats, delayed, opts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := b.ExplainAll(tuples)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m.name,
-			f2(speedup(seq.Report.WallTime, res.Report.WallTime)),
-			f2(float64(seq.Report.Invocations)/float64(res.Report.Invocations)))
 	}
 	return t, nil
 }

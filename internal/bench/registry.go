@@ -29,7 +29,6 @@ var experiments = []struct {
 	{"abl-border", Experiment{"Ablation A3: streaming negative border", AblationBorder}},
 	{"ext-sshap", Experiment{"Extension: Sampling-Shapley under Shahin", ExtSampleShapley}},
 	{"ext-approx", Experiment{"Extension: approximation via reuse fraction", ExtApproximate}},
-	{"ext-models", Experiment{"Extension: speedup across classifiers", ExtModels}},
 	{"ext-parallel", Experiment{"Extension: worker parallelism", ExtParallel}},
 }
 

@@ -1,6 +1,5 @@
-// Package exact computes exact Shapley attributions for the tree
-// ensembles this repository owns end-to-end (the random forest in
-// internal/rf and the boosted ensemble in internal/gbt) in polynomial
+// Package exact computes exact Shapley attributions for the random
+// forest this repository owns end-to-end (internal/rf) in polynomial
 // time: TreeSHAP (Lundberg et al., "Consistent Individualized Feature
 // Attribution for Tree Ensembles") with its leaf rule restated so that
 // only the features the tuple follows are unwound (Yang, "Fast
@@ -21,9 +20,9 @@
 //
 // The fast path is only legal when the model is owned in-process: New
 // is the one test of that. It refuses a classifier that does not unwrap
-// (through instrumentation such as rf.Counting or rf.Delayed) to a tree
-// ensemble this package can walk, and internal/core falls back to
-// KernelSHAP for those and for fault-injected backends.
+// (through instrumentation such as rf.Counting or rf.Delayed) to an
+// *rf.Forest, and internal/core falls back to KernelSHAP for those and
+// for fault-injected backends.
 //
 // An Explainer is not safe for concurrent use: the walk's state is the
 // Explainer's. Build once, Fork per goroutine.
@@ -32,20 +31,18 @@ package exact
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
-	"shahin/internal/gbt"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
 
 // ErrUnsupported is returned (wrapped) by New when the classifier does
-// not unwrap to a tree ensemble this package can walk. Callers use it
-// to decide on the KernelSHAP fallback.
-var ErrUnsupported = errors.New("exact: classifier is not an owned tree ensemble")
+// not unwrap to a forest this package can walk. Callers use it to
+// decide on the KernelSHAP fallback.
+var ErrUnsupported = errors.New("exact: classifier is not an owned random forest")
 
 // errWidth is returned by Explain for a tuple of the wrong width. It is
 // a package-level value so the hotpath stays allocation-free.
@@ -81,25 +78,23 @@ type pathEntry struct {
 	hot  bool
 }
 
-// Explainer computes exact Shapley attributions over one owned tree
-// ensemble. It is not safe for concurrent use; Fork one per goroutine.
+// Explainer computes exact Shapley attributions over one owned random
+// forest. It is not safe for concurrent use; Fork one per goroutine.
 type Explainer struct {
 	predict rf.Classifier // full instrumentation chain: one Predict per Explain
 
-	// The ensemble in rf's derived pre-order layout: node indices are
-	// ensemble-wide, the left child of node i is i+1, a leaf has
-	// Right == i. For a forest these are the forest's own slices.
+	// The forest's own pre-order layout (rf.Forest.Flat): node indices
+	// are forest-wide, the left child of node i is i+1, a leaf has
+	// Right == i and its class in class[i].
 	nodes []rf.FlatNode
-	class []int32   // forest: class of each leaf; nil for gbt
-	value []float64 // gbt: value of each leaf; nil for a forest
+	class []int32
 	roots []int32
 	// What only this walk needs, under the same node index.
 	frac []float64 // share of the parent's background cover that reaches the node
-	mask []uint64  // bit c%64: a leaf of class c lies at or below the node (a superset past 64 classes; all ones for gbt)
+	mask []uint64  // bit c%64: a leaf of class c lies at or below the node (a superset past 64 classes)
 
 	nattrs  int
-	scale   float64     // per-tree sums to output: 1/trees, or gbt's shrinkage
-	base    []float64   // background expectation: per class, or gbt's one margin
+	base    []float64   // background expectation of each class's vote fraction
 	weights [][]float64 // weights[d][k] = k!(d-1-k)!/d!
 
 	// Walk state, sized in New: the tuple, its attribution and target,
@@ -131,14 +126,14 @@ func unwrap(cls rf.Classifier) rf.Classifier {
 	}
 }
 
-// New builds an exact explainer over the ensemble underneath cls. The
+// New builds an exact explainer over the forest underneath cls. The
 // passed classifier is kept for the single target-class Predict each
 // Explain issues, so invocation counters and calibrated delays still
 // apply to that one call; the tree structure is read from the unwrapped
-// model's pre-order layout. It returns an error wrapping ErrUnsupported
-// when cls does not unwrap to an owned ensemble, or when one of its
-// trees is not in pre-order (hand-assembled or hostile: it may not even
-// be a tree), so New terminates on any input.
+// forest's pre-order layout. It returns an error wrapping ErrUnsupported
+// when cls does not unwrap to an *rf.Forest, or when one of its trees
+// is not in pre-order (hand-assembled or hostile: it may not even be a
+// tree), so New terminates on any input.
 func New(st *dataset.Stats, cls rf.Classifier, cfg Config) (*Explainer, error) {
 	cfg = cfg.withDefaults()
 	e := &Explainer{predict: cls, nattrs: st.Schema.NumAttrs()}
@@ -146,12 +141,7 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config) (*Explainer, error) {
 	switch m := unwrap(cls).(type) {
 	case *rf.Forest:
 		e.nodes, e.class, e.roots, laidOut = m.Flat()
-		e.scale = 1 / float64(len(e.roots))
 		e.base = make([]float64, m.NClasses)
-	case *gbt.Model:
-		e.nodes, e.value, e.roots, laidOut = layoutGBT(m)
-		e.scale = m.Rate
-		e.base = []float64{m.Bias}
 	default:
 		return nil, fmt.Errorf("%w (got %T)", ErrUnsupported, m)
 	}
@@ -200,35 +190,6 @@ func (e *Explainer) Fork(cls rf.Classifier) *Explainer {
 	return &f
 }
 
-// layoutGBT emits the boosted trees in rf's derived form, leaf values
-// beside the nodes. ok is false when a tree fails the check rf's flatten
-// makes: every internal node's left child directly after it, its right
-// child further on and in range.
-func layoutGBT(m *gbt.Model) (nodes []rf.FlatNode, value []float64, roots []int32, ok bool) {
-	for t := range m.Trees {
-		tree := m.Trees[t].Nodes
-		base := len(nodes)
-		if len(tree) == 0 || base+len(tree) > math.MaxInt32 {
-			return nil, nil, nil, false
-		}
-		roots = append(roots, int32(base))
-		for i := range tree {
-			n := &tree[i]
-			if n.Feature < 0 {
-				nodes = append(nodes, rf.FlatNode{Threshold: math.Inf(-1), Right: int32(base + i)})
-				value = append(value, n.Value)
-				continue
-			}
-			if int(n.Left) != i+1 || int(n.Right) <= i+1 || int(n.Right) >= len(tree) {
-				return nil, nil, nil, false
-			}
-			nodes = append(nodes, rf.FlatNode{Threshold: n.Threshold, Feature: n.Feature, Right: int32(base) + n.Right})
-			value = append(value, 0)
-		}
-	}
-	return nodes, value, roots, true
-}
-
 // covers draws the background sample and routes every row down every
 // tree once, returning per-node visit counts.
 func (e *Explainer) covers(st *dataset.Stats, cfg Config) []float64 {
@@ -259,11 +220,10 @@ func (e *Explainer) covers(st *dataset.Stats, cfg Config) []float64 {
 
 // annotate derives from the covers, in one sweep from the last node to
 // the first (children come after their parent), each node's frac and
-// mask and the background expectation of the model output that base
-// starts from: per-class leaf-indicator expectations for the forest, the
-// expected margin for gbt — every background row passes every root, so a
-// leaf's share of its tree is its cover over their number. It returns
-// the depth of the deepest tree.
+// mask and base, each class's expected vote fraction over the
+// background — every background row passes every root, so a leaf's
+// share of its tree is its cover over their number. It returns the
+// depth of the deepest tree.
 func (e *Explainer) annotate(cover []float64, background float64) int {
 	n := len(e.nodes)
 	e.frac = make([]float64, n)
@@ -272,19 +232,16 @@ func (e *Explainer) annotate(cover []float64, background float64) int {
 	nt := float64(len(e.roots))
 	for i := n - 1; i >= 0; i-- {
 		l, r := i+1, int(e.nodes[i].Right)
-		switch {
-		case r != i:
-			e.mask[i] = e.mask[l] | e.mask[r]
-			height[i] = 1 + max(height[l], height[r])
-			if cover[i] > 0 {
-				e.frac[l], e.frac[r] = cover[l]/cover[i], cover[r]/cover[i]
-			}
-		case e.value != nil:
-			e.mask[i] = ^uint64(0)
-			e.base[0] += e.scale * e.value[i] * cover[i] / background
-		default:
-			e.mask[i] = classBit(e.class[i])
-			e.base[e.class[i]] += cover[i] / background / nt
+		if r == i {
+			c := e.class[i]
+			e.mask[i] = classBit(c)
+			e.base[c] += cover[i] / background / nt
+			continue
+		}
+		e.mask[i] = e.mask[l] | e.mask[r]
+		height[i] = 1 + max(height[l], height[r])
+		if cover[i] > 0 {
+			e.frac[l], e.frac[r] = cover[l]/cover[i], cover[r]/cover[i]
 		}
 	}
 	depth := 0
@@ -307,11 +264,9 @@ func (e *Explainer) NodeVisits() int64 { return e.visits }
 func (e *Explainer) NumTrees() int { return len(e.roots) }
 
 // Explain computes the exact Shapley attribution of x toward the
-// model's predicted class. For the forest the explained output is the
-// vote fraction of the predicted class; for the boosted ensemble it is
-// the raw margin, signed toward the predicted class. In both cases the
-// efficiency identity holds exactly: the attribution weights plus the
-// intercept sum to the model output on x.
+// forest's predicted class; the explained output is that class's vote
+// fraction. The efficiency identity holds exactly: the attribution
+// weights plus the intercept sum to the vote fraction on x.
 //
 //shahin:hotpath
 func (e *Explainer) Explain(x []float64) (*explain.Attribution, error) {
@@ -329,20 +284,14 @@ func (e *Explainer) Explain(x []float64) (*explain.Attribution, error) {
 	return e.finish(phi, target), nil
 }
 
-// finish scales the per-tree sums into the final attribution for the
-// given target class; gbt's margin is signed toward it.
+// finish scales the per-tree sums into vote fractions and attaches the
+// target class's background expectation as the intercept.
 func (e *Explainer) finish(phi []float64, target int) *explain.Attribution {
-	scale, base := e.scale, e.base[0]
-	switch {
-	case e.value == nil:
-		base = e.base[target]
-	case target == 0:
-		scale, base = -scale, -base
-	}
+	scale := 1 / float64(len(e.roots))
 	for i := range phi {
 		phi[i] *= scale
 	}
-	return &explain.Attribution{Weights: phi, Intercept: base, Class: target}
+	return &explain.Attribution{Weights: phi, Intercept: e.base[target], Class: target}
 }
 
 // walk carries the unique path down from node i at recursion level lvl.
@@ -440,21 +389,20 @@ func divide(dst, p []float64, z float64) []float64 {
 	return dst
 }
 
-// leaf adds leaf i's share to every path feature. With v the leaf value
-// times zc and w = weights[d], a cold feature's Shapley sum is
-// -v·Σ w[k]·p[k], the same for all of them; a hot feature's is
-// v·(1-z)·Σ w[k]·q[k] with q = p ÷ (y + z), summed as divide produces
-// it. A forest leaf of another class is worth 0 and returns first (the
-// mask already kept the walk from all of them that do not alias).
+// leaf adds leaf i's share to every path feature. A leaf of the target
+// class is worth 1, so with v = zc and w = weights[d], a cold feature's
+// Shapley sum is -v·Σ w[k]·p[k], the same for all of them; a hot
+// feature's is v·(1-z)·Σ w[k]·q[k] with q = p ÷ (y + z), summed as
+// divide produces it. A leaf of another class is worth 0 and returns
+// first (the mask already kept the walk from all of them that do not
+// alias).
 //
 //shahin:hotpath
 func (e *Explainer) leaf(i int32, p []float64, d int, zc float64) {
-	v := zc
-	if e.value != nil {
-		v *= e.value[i]
-	} else if e.class[i] != e.target {
+	if e.class[i] != e.target {
 		return
 	}
+	v := zc
 	h := len(p) - 1
 	w := e.weights[d]
 	cold := 0.0
@@ -535,9 +483,6 @@ func (e *Explainer) condExp(x []float64, mask uint32, target, i int32) float64 {
 	n := &e.nodes[i]
 	l, r := i+1, n.Right
 	if r == i {
-		if e.value != nil {
-			return e.value[i]
-		}
 		if e.class[i] == target {
 			return 1
 		}

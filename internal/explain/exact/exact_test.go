@@ -13,7 +13,6 @@ import (
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
-	"shahin/internal/gbt"
 	"shahin/internal/rf"
 )
 
@@ -64,14 +63,13 @@ func tinyStats(t testing.TB, d *dataset.Dataset) *dataset.Stats {
 
 // node mirrors rf's tree node field for field (gob matches by name, so a
 // forest of these decodes through rf.Load, the way a stored or hostile
-// forest arrives) and carries gbt's leaf value beside them.
+// forest arrives).
 type node struct {
 	Feature   int32
 	Class     int32
 	Threshold float64
 	Left      int32
 	Right     int32
-	Value     float64
 }
 
 // split and leaf assemble a tree as a nested literal; emit writes it in
@@ -82,18 +80,17 @@ type shape struct {
 	left      *shape
 	right     *shape
 	class     int32
-	value     float64
 }
 
 func split(f int32, thr float64, l, r *shape) *shape {
 	return &shape{feature: f, threshold: thr, left: l, right: r}
 }
-func leaf(class int32) *shape     { return &shape{class: class, value: float64(class) - 0.25} }
+func leaf(class int32) *shape     { return &shape{class: class} }
 func (s *shape) preorder() []node { return s.emit(nil) }
 
 func (s *shape) emit(nodes []node) []node {
 	if s.left == nil {
-		return append(nodes, node{Feature: -1, Class: s.class, Value: s.value})
+		return append(nodes, node{Feature: -1, Class: s.class})
 	}
 	self := len(nodes)
 	nodes = append(nodes, node{Feature: s.feature, Threshold: s.threshold, Left: int32(self + 1)})
@@ -125,14 +122,6 @@ func handForest(t testing.TB, nclasses int, trees ...[]node) *rf.Forest {
 		t.Fatal(err)
 	}
 	return f
-}
-
-func regTree(nodes []node) gbt.RegTree {
-	var t gbt.RegTree
-	for _, n := range nodes {
-		t.Nodes = append(t.Nodes, gbt.RegNode{Feature: n.Feature, Threshold: n.Threshold, Left: n.Left, Right: n.Right, Value: n.Value})
-	}
-	return t
 }
 
 // assertClose fails unless got and want name the same class and agree on
@@ -275,49 +264,15 @@ func TestMatchesBruteForceRF(t *testing.T) {
 	}
 }
 
-// TestMatchesBruteForceGBT does the same over boosted ensembles.
-func TestMatchesBruteForceGBT(t *testing.T) {
-	d := tinyData(400, 2)
-	st := tinyStats(t, d)
-	trained, err := gbt.Train(d, gbt.Config{Rounds: 3, MaxDepth: 3, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand := &gbt.Model{Bias: -0.4, Rate: 0.3}
-	for _, s := range handShapes() {
-		hand.Trees = append(hand.Trees, regTree(s.preorder()))
-	}
-	for _, tc := range []struct {
-		name string
-		m    *gbt.Model
-	}{{"trained", trained}, {"branches", hand}} {
-		e, err := New(st, tc.m, Config{Background: 64, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range probes(60, 17) {
-			assertMatchesBruteForce(t, tc.name, e, x)
-		}
-	}
-}
-
 // TestEfficiencyIdentity checks Σφ + intercept equals the explained
-// model output exactly: the target-class vote fraction for the forest,
-// the signed margin for the boosted ensemble. Every other tuple carries a
-// NaN, which both models send right at each split that reads it.
+// output exactly: the target-class vote fraction. Every other tuple
+// carries a NaN, which the forest sends right at each split that reads
+// it.
 func TestEfficiencyIdentity(t *testing.T) {
 	d := tinyData(400, 3)
 	st := tinyStats(t, d)
 	f := tinyForest(t, d, 7, 6)
 	ef, err := New(st, f, Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := gbt.Train(d, gbt.Config{Rounds: 10, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg, err := New(st, m, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,18 +289,6 @@ func TestEfficiencyIdentity(t *testing.T) {
 		}
 		if got, want := outputSum(at), f.Prob(x)[at.Class]; !(math.Abs(got-want) <= 1e-9) {
 			t.Fatalf("rf trial %d: Σφ+b = %g, vote fraction %g", trial, got, want)
-		}
-
-		ag, err := eg.Explain(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.Score(x)
-		if ag.Class == 0 {
-			want = -want
-		}
-		if got := outputSum(ag); !(math.Abs(got-want) <= 1e-9) {
-			t.Fatalf("gbt trial %d: Σφ+b = %g, signed margin %g", trial, got, want)
 		}
 	}
 }
@@ -377,8 +320,8 @@ func twin(t testing.TB, family string, train, probe int) (*dataset.Dataset, [][]
 
 // TestWalkMatchesReference holds the walker to the recursion it replaced
 // (reference_test.go) where BruteForce cannot go: the benchmark's census
-// twin forest (42 attributes, 50 trees of depth 10), a seven-class
-// covertype twin and a boosted ensemble. Every weight and the intercept
+// twin forest (42 attributes, 50 trees of depth 10) and a seven-class
+// covertype twin. Every weight and the intercept
 // agree within 1e-12, and the walk enters no node the reference did not.
 // A fork walks every probe beside the explainer it came from: the same
 // bits, and the same visits on a counter of its own.
@@ -392,28 +335,23 @@ func TestWalkMatchesReference(t *testing.T) {
 	for i := range cover.Labels {
 		cover.Labels[i] = (cover.Labels[i] + int(cover.Cols[43][i]) + 3*int(cover.Cols[38][i])) % 7
 	}
-	boosted, err := gbt.Train(census, gbt.Config{Rounds: 30, MaxDepth: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name    string
 		data    *dataset.Dataset
-		cls     rf.Classifier
+		f       *rf.Forest
 		probes  [][]float64
 		classes int // at least this many are explained
 	}{
 		{"census forest", census, tinyForest(t, census, 50, 10), censusProbes, 2},
 		{"covertype forest", cover, tinyForest(t, cover, 20, 9), coverProbes, 5},
-		{"census gbt", census, boosted, censusProbes, 2},
 	} {
 		st := tinyStats(t, tc.data)
-		e, err := New(st, tc.cls, Config{Seed: 31})
+		e, err := New(st, tc.f, Config{Seed: 31})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newReference(st, tc.cls, Config{Seed: 31})
-		fork := e.Fork(tc.cls)
+		ref := newReference(st, tc.f, Config{Seed: 31})
+		fork := e.Fork(tc.f)
 		classes, worst := map[int]bool{}, 0.0
 		for _, x := range tc.probes {
 			got := mustExplain(t, e, x)
@@ -521,7 +459,7 @@ func TestUnsupportedClassifier(t *testing.T) {
 
 // TestNewRejectsTreesNotInPreorder: New reads only the pre-order layout,
 // so a tree that has none — here a two-node cycle and a right child that
-// points backward, as a hand-assembled or hostile-gob ensemble may hold —
+// points backward, as a hand-assembled or hostile-gob forest may hold —
 // is ErrUnsupported at once instead of a walk that never ends.
 func TestNewRejectsTreesNotInPreorder(t *testing.T) {
 	st := tinyStats(t, tinyData(100, 8))
@@ -532,10 +470,6 @@ func TestNewRejectsTreesNotInPreorder(t *testing.T) {
 	} {
 		if _, err := New(st, handForest(t, 2, good, bad), Config{}); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("forest with a %s: New error = %v, want ErrUnsupported", name, err)
-		}
-		m := &gbt.Model{Rate: 0.1, Trees: []gbt.RegTree{regTree(good), regTree(bad)}}
-		if _, err := New(st, m, Config{}); !errors.Is(err, ErrUnsupported) {
-			t.Errorf("gbt with a %s: New error = %v, want ErrUnsupported", name, err)
 		}
 	}
 }

@@ -36,8 +36,8 @@ func TestHotpathAllocs(t *testing.T) {
 	_ = sink
 	var fork *Explainer
 	allocs, bytes = alloctest.PerCall(func() { fork = e.Fork(nil) })
-	if allocs != 4 || bytes != 1424 {
-		t.Errorf("%s: %d allocs, %d B per call, want 4 allocs, 1424 B", "exact.(*Explainer).Fork", allocs, bytes)
+	if allocs != 4 || bytes != 1392 {
+		t.Errorf("%s: %d allocs, %d B per call, want 4 allocs, 1392 B", "exact.(*Explainer).Fork", allocs, bytes)
 	}
 	_ = fork
 }

@@ -5,26 +5,21 @@ import (
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
-	"shahin/internal/gbt"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
 
 // reference is the walker this package ran before the hot/cold leaf
 // rule: Lundberg's EXTEND/UNWIND recursion over a weighted path, on its
-// own copy of the model's node arrays, with its own covers from the same
-// background draw. It is kept as the oracle for ensembles too wide for
-// BruteForce. One thing differs from the code it was: a split is taken
+// own copy of the forest's node arrays, with its own covers from the
+// same background draw. It is kept as the oracle for forests too wide
+// for BruteForce. One thing differs from the code it was: a split is taken
 // with the model's predicate (NaN goes right), where it used x > t.
 type reference struct {
-	trees    [][]shNode
-	gbt      bool
-	nclasses int
-	rate     float64
-	bias     float64
-	base     []float64
-	arena    [][]pathElem
-	visits   int64
+	trees  [][]shNode
+	base   []float64
+	arena  [][]pathElem
+	visits int64
 }
 
 // pathElem is one entry of the TreeSHAP unique path: the feature that
@@ -40,33 +35,19 @@ type pathElem struct {
 
 type shNode struct {
 	feature   int32 // split attribute, -1 for leaves
-	class     int32 // rf leaf class
+	class     int32 // leaf class
 	left      int32
 	right     int32
 	threshold float64
-	value     float64 // gbt leaf value
 	cover     float64 // background rows routed through this node
 }
 
-func newReference(st *dataset.Stats, cls rf.Classifier, cfg Config) *reference {
+func newReference(st *dataset.Stats, f *rf.Forest, cfg Config) *reference {
 	cfg = cfg.withDefaults()
-	e := &reference{}
+	e := &reference{base: make([]float64, f.NClasses)}
 	maxDepth := 0
-	switch m := cls.(type) {
-	case *rf.Forest:
-		e.nclasses = m.NClasses
-		e.rate = 1
-		for _, t := range m.Trees {
-			e.trees = append(e.trees, convertRF(t))
-		}
-	case *gbt.Model:
-		e.gbt = true
-		e.nclasses = 2
-		e.rate = m.Rate
-		e.bias = m.Bias
-		for i := range m.Trees {
-			e.trees = append(e.trees, convertGBT(&m.Trees[i]))
-		}
+	for _, t := range f.Trees {
+		e.trees = append(e.trees, convertRF(t))
 	}
 	for _, nodes := range e.trees {
 		maxDepth = max(maxDepth, depthBelow(nodes, 0))
@@ -92,20 +73,11 @@ func newReference(st *dataset.Stats, cls rf.Classifier, cfg Config) *reference {
 		}
 	}
 
-	if e.gbt {
-		e.base = []float64{e.bias}
-	} else {
-		e.base = make([]float64, e.nclasses)
-	}
 	nt := float64(len(e.trees))
 	for _, nodes := range e.trees {
 		root := nodes[0].cover
 		for i := range nodes {
-			switch {
-			case nodes[i].feature >= 0 || root == 0:
-			case e.gbt:
-				e.base[0] += e.rate * nodes[i].value * nodes[i].cover / root
-			default:
+			if nodes[i].feature < 0 && root != 0 {
 				e.base[nodes[i].class] += nodes[i].cover / root / nt
 			}
 		}
@@ -137,30 +109,11 @@ func convertRF(t *rf.Tree) []shNode {
 	return nodes
 }
 
-func convertGBT(t *gbt.RegTree) []shNode {
-	nodes := make([]shNode, len(t.Nodes))
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		nodes[i] = shNode{feature: n.Feature, left: n.Left, right: n.Right, threshold: n.Threshold, value: n.Value}
-	}
-	return nodes
-}
-
 // explain is the old Explain with the target class given.
 func (e *reference) explain(x []float64, target int) *explain.Attribution {
 	phi := make([]float64, len(x))
 	for _, nodes := range e.trees {
 		e.walk(nodes, x, phi, int32(target), 0, nil, 0, 1, 1, -1)
-	}
-	if e.gbt {
-		sign := 1.0
-		if target == 0 {
-			sign = -1
-		}
-		for i := range phi {
-			phi[i] *= sign * e.rate
-		}
-		return &explain.Attribution{Weights: phi, Intercept: sign * e.base[0], Class: target}
 	}
 	nt := float64(len(e.trees))
 	for i := range phi {
@@ -193,13 +146,9 @@ func (e *reference) walk(nodes []shNode, x, phi []float64, target int32, depth i
 
 	n := &nodes[j]
 	if n.feature < 0 {
-		v := n.value
-		if !e.gbt {
-			if n.class == target {
-				v = 1
-			} else {
-				v = 0
-			}
+		v := 0.0
+		if n.class == target {
+			v = 1
 		}
 		for i := 1; i < len(m); i++ {
 			phi[m[i].feat] += unwoundSum(m, i) * (m[i].o - m[i].z) * v

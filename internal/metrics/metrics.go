@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Euclidean returns the L2 distance between two equal-length vectors.
@@ -67,60 +66,6 @@ func KendallTau(a, b []float64) float64 {
 		return 0
 	}
 	return (concordant - discordant) / denom
-}
-
-// Spearman returns the Spearman rank correlation of two score vectors:
-// the Pearson correlation of their (average-tied) ranks. 1 for identical
-// orderings, -1 for reversed, 0 when either vector is constant.
-func Spearman(a, b []float64) float64 {
-	mustSameLen("Spearman", a, b)
-	n := len(a)
-	if n < 2 {
-		return 1
-	}
-	ra := ranks(a)
-	rb := ranks(b)
-	meanA, meanB := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		meanA += ra[i]
-		meanB += rb[i]
-	}
-	meanA /= float64(n)
-	meanB /= float64(n)
-	var cov, varA, varB float64
-	for i := 0; i < n; i++ {
-		da, db := ra[i]-meanA, rb[i]-meanB
-		cov += da * db
-		varA += da * da
-		varB += db * db
-	}
-	if varA == 0 || varB == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(varA*varB)
-}
-
-// ranks returns average ranks (1-based) with ties sharing their mean rank.
-func ranks(v []float64) []float64 {
-	n := len(v)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return v[idx[i]] < v[idx[j]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && v[idx[j+1]] == v[idx[i]] {
-			j++
-		}
-		mean := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = mean
-		}
-		i = j + 1
-	}
-	return out
 }
 
 // MeanKendallTau averages KendallTau over paired rows (the paper computes

@@ -147,61 +147,3 @@ func TestTopKOverlap(t *testing.T) {
 		t.Fatalf("TopKOverlap k=0 should be vacuous 1, got %g", got)
 	}
 }
-
-func TestSpearmanExtremes(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if got := Spearman(a, a); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Spearman(a,a)=%g", got)
-	}
-	rev := []float64{4, 3, 2, 1}
-	if got := Spearman(a, rev); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("Spearman(a,rev)=%g", got)
-	}
-	if got := Spearman(a, []float64{7, 7, 7, 7}); got != 0 {
-		t.Fatalf("Spearman(a,const)=%g", got)
-	}
-	if got := Spearman([]float64{1}, []float64{5}); got != 1 {
-		t.Fatalf("Spearman singleton=%g", got)
-	}
-}
-
-func TestSpearmanTiedRanks(t *testing.T) {
-	// Ties get averaged ranks; correlation stays within [-1, 1] and a
-	// mostly concordant pairing is positive.
-	a := []float64{1, 1, 2, 3}
-	b := []float64{2, 3, 5, 9}
-	got := Spearman(a, b)
-	if got <= 0 || got > 1 {
-		t.Fatalf("Spearman with ties=%g", got)
-	}
-}
-
-// Property: Spearman is invariant under strictly increasing transforms
-// and symmetric, like Kendall.
-func TestQuickSpearman(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(10)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = r.NormFloat64()
-			b[i] = r.NormFloat64()
-		}
-		s := Spearman(a, b)
-		if s < -1-1e-9 || s > 1+1e-9 {
-			return false
-		}
-		if math.Abs(s-Spearman(b, a)) > 1e-12 {
-			return false
-		}
-		a2 := make([]float64, n)
-		for i := range a {
-			a2[i] = 3*a[i] - 2
-		}
-		return math.Abs(s-Spearman(a2, b)) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -52,8 +52,6 @@ import (
 	"shahin/internal/explain/shap"
 	"shahin/internal/explain/sshap"
 	"shahin/internal/fault"
-	"shahin/internal/gbt"
-	"shahin/internal/nb"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
 	"shahin/internal/store"
@@ -100,16 +98,6 @@ type ClassifierFunc = rf.Func
 // CountingClassifier wraps a Classifier and counts Predict calls; wrap
 // your model with NewCountingClassifier to measure invocation savings.
 type CountingClassifier = rf.Counting
-
-// NaiveBayes is the built-in naive Bayes classifier (a second black-box
-// model with a very different decision surface from the forest).
-type NaiveBayes = nb.Model
-
-// GBT is the built-in gradient-boosted-trees classifier (binary only).
-type GBT = gbt.Model
-
-// GBTConfig controls TrainGBT.
-type GBTConfig = gbt.Config
 
 // Explanation outputs.
 type (
@@ -239,13 +227,6 @@ func ComputeStats(d *Dataset) (*Stats, error) { return dataset.Compute(d) }
 
 // TrainForest fits the built-in random forest on a labelled dataset.
 func TrainForest(d *Dataset, cfg ForestConfig) (*Forest, error) { return rf.Train(d, cfg) }
-
-// TrainNaiveBayes fits the built-in naive Bayes classifier.
-func TrainNaiveBayes(d *Dataset) (*NaiveBayes, error) { return nb.Train(d) }
-
-// TrainGBT fits the built-in gradient-boosted-trees classifier (binary
-// classification only).
-func TrainGBT(d *Dataset, cfg GBTConfig) (*GBT, error) { return gbt.Train(d, cfg) }
 
 // NewCountingClassifier wraps a classifier with an invocation counter.
 func NewCountingClassifier(c Classifier) *CountingClassifier { return rf.NewCounting(c) }

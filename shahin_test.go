@@ -200,7 +200,7 @@ func TestPublicInferCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := shahin.TrainNaiveBayes(train)
+	model, err := shahin.TrainForest(train, shahin.ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
