@@ -1,7 +1,7 @@
 // Command shahin-vet runs the project's static-analysis suite: nine
 // analyzers enforcing the determinism, error-handling, nil-recorder,
 // and documentation invariants the reproduction depends on, plus
-// context propagation (ctxflow), the CFG-backed lock lifecycle check
+// context propagation (ctxflow), the critical-section rule for locks
 // (lockguard), and an audit of the suppression inventory itself
 // (allowaudit). See internal/analysis. It prints go-vet-style
 // diagnostics (or JSON with -json) and exits non-zero when anything is

@@ -20,15 +20,10 @@
 //   - ctxflow: incoming contexts must be forwarded to context-accepting
 //     callees; context.Background/TODO is forbidden on serve, fault,
 //     and *Ctx paths (derivation is a per-declaration fixpoint over
-//     assignments, no CFG).
-//
-// One analyzer needs control flow, and the flow framework (cfg.go,
-// dataflow.go, callgraph.go: an intraprocedural CFG over go/ast, a
-// forward may-analysis engine, a package-level call graph) exists for
-// it alone:
-//
-//   - lockguard: no lock leaked on any path, no blocking operation
-//     (channels, network, PredictCtx, Sleep) while a lock is held.
+//     assignments).
+//   - lockguard: a lock is released in its own block on every exit
+//     (or by the defer right after it), and nothing between blocks
+//     (channels, network, PredictCtx, Sleep, Wait).
 //
 // The ninth, allowaudit, audits the suppression inventory itself: a
 // //shahinvet:allow directive that suppresses nothing is a finding.
@@ -146,12 +141,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunPackage runs the given analyzers over one loaded package and
+// runPackage runs the given analyzers over one loaded package and
 // returns the surviving findings sorted by position, and per analyzer
 // name the number of sites it judged in scope. allowaudit, if
 // selected, runs after every other analyzer regardless of its slice
 // position, so directive-usage information is complete when it audits.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]int) {
+func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]int) {
 	usage := make(map[directiveUse]bool)
 	sites := make(map[string]int)
 	ran := make(map[string]bool)

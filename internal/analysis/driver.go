@@ -8,18 +8,18 @@ import (
 	"strings"
 )
 
-// Check loads the packages matching patterns under the module rooted
+// check loads the packages matching patterns under the module rooted
 // at dir and runs the given analyzers (nil means the full suite) over
 // each, returning all surviving findings sorted by position and each
 // analyzer's in-scope site count (Pass.InScope). includeTests adds each
 // package's in-package _test.go files to the analyzed unit (the -tests
 // flag of shahin-vet).
-func Check(dir string, patterns []string, analyzers []*Analyzer, includeTests bool) ([]Diagnostic, map[string]int, error) {
-	modPath, err := ReadModulePath(dir)
+func check(dir string, patterns []string, analyzers []*Analyzer, includeTests bool) ([]Diagnostic, map[string]int, error) {
+	modPath, err := readModulePath(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	loader, err := NewLoader(dir, modPath)
+	loader, err := newLoader(dir, modPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -41,7 +41,7 @@ func Check(dir string, patterns []string, analyzers []*Analyzer, includeTests bo
 		if err != nil {
 			return nil, nil, err
 		}
-		d, n := RunPackage(pkg, analyzers)
+		d, n := runPackage(pkg, analyzers)
 		diags = append(diags, d...)
 		for name, c := range n {
 			sites[name] += c
@@ -81,7 +81,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "shahin-vet:", err)
 		return 2
 	}
-	diags, _, err := Check(*dir, fs.Args(), analyzers, *tests)
+	diags, _, err := check(*dir, fs.Args(), analyzers, *tests)
 	if err != nil {
 		fmt.Fprintln(stderr, "shahin-vet:", err)
 		return 2

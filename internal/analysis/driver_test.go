@@ -131,7 +131,7 @@ func TestMainJSONAndExit(t *testing.T) {
 // TestPatternExpansion pins the package-pattern grammar against the
 // fixture tree.
 func TestPatternExpansion(t *testing.T) {
-	loader, err := NewLoader(filepath.Join("testdata", "src"), "")
+	loader, err := newLoader(filepath.Join("testdata", "src"), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // mode (every import resolves as standard library).
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	loader, err := NewLoader(filepath.Join("testdata", "src"), "")
+	loader, err := newLoader(filepath.Join("testdata", "src"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAnalyzersGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg := loadFixture(t, tc.fixture)
-			diags, _ := RunPackage(pkg, tc.analyzers)
+			diags, _ := runPackage(pkg, tc.analyzers)
 			wants := parseWants(pkg)
 
 			matched := make(map[string]int)

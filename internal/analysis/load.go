@@ -60,11 +60,11 @@ type Loader struct {
 	loading map[string]bool
 }
 
-// NewLoader creates a loader rooted at dir. modulePath is the module's
+// newLoader creates a loader rooted at dir. modulePath is the module's
 // import-path prefix (from go.mod); the empty string puts the loader
 // in fixture mode, where package paths are directories relative to dir
 // and every import is resolved as standard library.
-func NewLoader(dir, modulePath string) (*Loader, error) {
+func newLoader(dir, modulePath string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: resolving %s: %w", dir, err)
@@ -80,8 +80,8 @@ func NewLoader(dir, modulePath string) (*Loader, error) {
 	}, nil
 }
 
-// ReadModulePath extracts the module path from dir/go.mod.
-func ReadModulePath(dir string) (string, error) {
+// readModulePath extracts the module path from dir/go.mod.
+func readModulePath(dir string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
 		return "", fmt.Errorf("analysis: %w", err)

@@ -7,107 +7,287 @@ import (
 	"strings"
 )
 
-// LockGuard is the lock-lifecycle analyzer. Two invariants, both
-// flow-aware (a mutex passed by value is go vet's copylocks, which CI
-// runs):
+// LockGuard is the critical-section rule. Every Lock/RLock on a sync
+// mutex opens a section in its own statement list, and the section has
+// one of two shapes:
 //
-//  1. every Lock/RLock is released on every normal control-flow path
-//     (defer counts, panic paths are exempt — see cfg.go);
-//  2. no potentially blocking operation runs while a lock may be held:
-//     channel sends/receives, selects without a default clause,
-//     net/http calls, time.Sleep, sync.WaitGroup.Wait, PredictCtx (the
-//     classifier backend may stall), and calls to same-package
-//     functions that transitively do any of those (the package-level
-//     call-graph approximation; cross-package callees are assumed
-//     non-blocking).
+//  1. the next statement is `defer k.Unlock()`: the section is the rest
+//     of the list, held until the function returns;
+//  2. a later statement of the same list is `k.Unlock()`: the section is
+//     the statements between. A return, goto or break/continue that
+//     leaves it must come after an Unlock in its own list.
 //
-// For invariant 2 a deferred unlock does NOT release the lock — the
-// lock is held until function exit — while for invariant 1 it does.
-// The two passes therefore run with different transfer functions over
-// the same CFG.
+// A lock whose release is in neither place, or whose section has an
+// exit that leaves it held, is a finding. So is a blocking operation
+// inside a section: a channel send or receive, a select without a
+// default clause, time.Sleep, a sync Wait, a net/... call, or
+// PredictCtx (the classifier backend may stall). Calls are judged by
+// their callee alone, never by its body: a helper that blocks, like
+// interface dispatch, is invisible. Function literals and go statements
+// run elsewhere and are not part of the section; a panic is exempt (a
+// deferred cleanup still runs, and in this codebase a panic is a crash).
+// Mutexes passed by value are go vet's copylocks.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
-	Doc:  "forbid locks not released on all paths and blocking calls under a held lock",
+	Doc:  "every lock opens a critical section in its block: released there on every exit, nothing blocking inside",
 	Run:  runLockGuard,
 }
 
 func runLockGuard(pass *Pass) {
-	blocking := blockingFuncs(pass.Pkg)
-	forEachFuncBody(pass.Pkg, func(body *ast.BlockStmt) {
-		checkLockFlow(pass, body, blocking)
-	})
+	reported := make(map[token.Pos]bool) // nested sections share their inner statements
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				checkSections(pass, n.List, reported)
+			case *ast.CaseClause:
+				checkSections(pass, n.Body, reported)
+			case *ast.CommClause:
+				checkSections(pass, n.Body, reported)
+			}
+			return true
+		})
+	}
 }
 
-// forEachFuncBody visits every function body in the package: each
-// top-level declaration with a body, and each function literal nested
-// inside one (literals are opaque to the enclosing CFG, so each is its
-// own unit).
-func forEachFuncBody(pkg *Package, visit func(body *ast.BlockStmt)) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+// checkSections checks the section of every acquire statement in list.
+func checkSections(pass *Pass, list []ast.Stmt, reported map[token.Pos]bool) {
+	for i, st := range list {
+		es, isExpr := st.(*ast.ExprStmt)
+		if !isExpr {
+			continue
+		}
+		name, method, ok := mutexCall(pass.Pkg.Info, es.X)
+		if !ok || release[method] == "" {
+			continue
+		}
+		pass.InScope()
+		s := &section{pass: pass, name: name, verb: release[method], reported: reported}
+		if i+1 < len(list) {
+			if d, ok := list[i+1].(*ast.DeferStmt); ok && s.releases(d.Call) {
+				s.deferred = true
+				s.list(list[i+2:])
 				continue
 			}
-			visit(fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					visit(lit.Body)
-				}
-				return true
-			})
+		}
+		switch {
+		case !s.list(list[i+1:]):
+			pass.Reportf(st.Pos(),
+				"%s locked here is not released in the same block; call %s.%s before the block ends (or defer it)",
+				name, name, s.verb)
+		case s.leak != nil:
+			pass.Reportf(st.Pos(),
+				"%s locked here is not released on every path; the exit on line %d leaves it held (call %s.%s first, or defer it)",
+				name, pass.Pkg.Fset.Position(s.leak.Pos()).Line, name, s.verb)
 		}
 	}
 }
 
-// lockOp classifies one mutex method call.
-type lockOp struct {
-	key     string // "expr-path:mode", e.g. "s.mu:w"
-	acquire bool
+// section walks the statements that run while one lock is held.
+type section struct {
+	pass     *Pass
+	name     string // the mutex's selector path, "s.mu"
+	verb     string // the method that releases it, Unlock or RUnlock
+	deferred bool   // released by a defer: every exit is covered
+	reported map[token.Pos]bool
+
+	loops, breakables int      // enclosing loops / break targets opened inside the section
+	labels            []string // labels declared inside the section
+	leak              ast.Stmt // first exit that leaves with the lock held
 }
 
-// classifyLockCall recognises k.Lock/RLock/Unlock/RUnlock on a sync
-// mutex (or a type embedding one via field selection).
-func classifyLockCall(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return lockOp{}, false
+// list walks a statement list up to a release of the lock and reports
+// whether it met one: what follows the release runs unlocked.
+func (s *section) list(list []ast.Stmt) bool {
+	for _, st := range list {
+		if es, ok := st.(*ast.ExprStmt); ok && s.releases(es.X) {
+			return true
+		}
+		s.stmt(st)
 	}
-	var mode string
-	var acquire bool
-	switch sel.Sel.Name {
-	case "Lock":
-		mode, acquire = "w", true
-	case "Unlock":
-		mode, acquire = "w", false
-	case "RLock":
-		mode, acquire = "r", true
-	case "RUnlock":
-		mode, acquire = "r", false
+	return false
+}
+
+// releases reports whether e is a call releasing the lock.
+func (s *section) releases(e ast.Expr) bool {
+	name, method, ok := mutexCall(s.pass.Pkg.Info, e)
+	return ok && name == s.name && method == s.verb
+}
+
+// stmt checks one statement's own expressions for blocking operations,
+// then its exits and nested statement lists.
+func (s *section) stmt(st ast.Stmt) {
+	if l, ok := st.(*ast.LabeledStmt); ok {
+		s.labels = append(s.labels, l.Label.Name)
+		s.stmt(l.Stmt)
+		s.labels = s.labels[:len(s.labels)-1]
+		return
+	}
+	s.blocking(st)
+	switch st := st.(type) {
+	case *ast.ReturnStmt:
+		s.exit(st, true)
+	case *ast.BranchStmt:
+		switch {
+		case st.Tok == token.FALLTHROUGH:
+		case st.Label != nil:
+			s.exit(st, !s.declared(st.Label.Name))
+		case st.Tok == token.BREAK:
+			s.exit(st, s.breakables == 0)
+		case st.Tok == token.CONTINUE:
+			s.exit(st, s.loops == 0)
+		}
+	case *ast.BlockStmt:
+		s.list(st.List)
+	case *ast.IfStmt:
+		s.list(st.Body.List)
+		if st.Else != nil {
+			s.stmt(st.Else)
+		}
+	case *ast.ForStmt:
+		s.loop(st.Body)
+	case *ast.RangeStmt:
+		s.loop(st.Body)
+	case *ast.SwitchStmt:
+		s.clauses(st.Body)
+	case *ast.TypeSwitchStmt:
+		s.clauses(st.Body)
+	case *ast.SelectStmt:
+		if !hasDefault(st) {
+			s.report(st.Pos(), "blocking select (no default clause)")
+		}
+		s.clauses(st.Body)
+	}
+}
+
+// loop walks a loop body, inside which unlabelled break and continue
+// stay in the section.
+func (s *section) loop(body *ast.BlockStmt) {
+	s.loops++
+	s.breakables++
+	s.list(body.List)
+	s.loops--
+	s.breakables--
+}
+
+// clauses walks the clauses of a switch or select, inside which an
+// unlabelled break stays in the section.
+func (s *section) clauses(body *ast.BlockStmt) {
+	s.breakables++
+	for _, st := range body.List {
+		switch cc := st.(type) {
+		case *ast.CaseClause:
+			for _, e := range cc.List {
+				s.blocking(e)
+			}
+			s.list(cc.Body)
+		case *ast.CommClause:
+			s.list(cc.Body) // the comm itself is the select's
+		}
+	}
+	s.breakables--
+}
+
+// exit records st as the section's first leak when it leaves the
+// section with the lock held.
+func (s *section) exit(st ast.Stmt, leaves bool) {
+	if leaves && !s.deferred && s.leak == nil {
+		s.leak = st
+	}
+}
+
+// declared reports whether label names a statement inside the section.
+func (s *section) declared(label string) bool {
+	for _, l := range s.labels {
+		if l == label {
+			return true
+		}
+	}
+	return false
+}
+
+// blocking reports the blocking operations in n's own expressions: it
+// does not enter nested statement lists (the walk reaches those under
+// the right lock state), function literals or go statements.
+func (s *section) blocking(n ast.Node) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		switch c := c.(type) {
+		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause, *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.IfStmt:
+			return c == n // an else-if is a statement of its own
+		case *ast.SendStmt:
+			s.report(c.Pos(), "channel send")
+		case *ast.UnaryExpr:
+			if c.Op == token.ARROW {
+				s.report(c.Pos(), "channel receive")
+			}
+		case *ast.CallExpr:
+			if why := blockingCall(s.pass.Pkg.Info, c); why != "" {
+				s.report(c.Pos(), why)
+			}
+		}
+		return true
+	})
+}
+
+// report records one blocking operation, once per position.
+func (s *section) report(pos token.Pos, why string) {
+	if s.reported[pos] {
+		return
+	}
+	s.reported[pos] = true
+	s.pass.Reportf(pos, "%s while %s is held; release the lock first or make the operation non-blocking", why, s.name)
+}
+
+// hasDefault reports whether a select has a default clause (and so
+// cannot block).
+func hasDefault(sel *ast.SelectStmt) bool {
+	for _, cs := range sel.Body.List {
+		if cc, ok := cs.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// release maps each acquiring mutex method to the one that releases it.
+var release = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
+
+// mutexCall recognises e as a Lock, RLock, Unlock or RUnlock call on a
+// sync mutex (or a type embedding one via field selection), returning
+// the mutex's selector path and the method.
+func mutexCall(info *types.Info, e ast.Expr) (name, method string, ok bool) {
+	call, isCall := e.(*ast.CallExpr)
+	if !isCall {
+		return "", "", false
+	}
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	switch method = sel.Sel.Name; method {
+	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
-		return lockOp{}, false
+		return "", "", false
 	}
-	// The receiver must be (or point to) a sync.Mutex / sync.RWMutex.
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return lockOp{}, false
+	tv, typed := info.Types[sel.X]
+	if !typed {
+		return "", "", false
 	}
 	t := tv.Type
 	if p, isPtr := t.(*types.Pointer); isPtr {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return lockOp{}, false
+	named, isNamed := t.(*types.Named)
+	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+		return "", "", false
 	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
-		return lockOp{}, false
+	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
+		return "", "", false
 	}
-	path, ok := exprPath(sel.X)
-	if !ok {
-		return lockOp{}, false
-	}
-	return lockOp{key: path + ":" + mode, acquire: acquire}, true
+	name, ok = exprPath(sel.X)
+	return name, method, ok
 }
 
 // exprPath renders a selector chain of plain identifiers ("s.mu",
@@ -129,281 +309,21 @@ func exprPath(e ast.Expr) (string, bool) {
 	return "", false
 }
 
-// checkLockFlow runs both lock passes over one function body.
-func checkLockFlow(pass *Pass, body *ast.BlockStmt, blocking map[*types.Func]bool) {
-	info := pass.Pkg.Info
-	if !usesLocks(info, body) {
-		return
-	}
-	pass.InScope()
-	g := BuildCFG(body)
-	nonBlockingComm := nonBlockingSelectStmts(body)
-
-	// Pass A (invariant 1): deferred unlocks release. Anything still
-	// held at the normal exit is a leak on some path.
-	leak := func(blk *Block, in Facts) Facts {
-		for _, n := range blk.Nodes {
-			lockTransfer(info, n, in, true)
-		}
-		return in
-	}
-	resA := ForwardMay(g, leak)
-	for key, pos := range resA.AtExit {
-		name := strings.TrimSuffix(strings.TrimSuffix(key, ":w"), ":r")
-		verb := "Unlock"
-		if strings.HasSuffix(key, ":r") {
-			verb = "RUnlock"
-		}
-		pass.Reportf(pos,
-			"%s locked here is not released on every path; call %s.%s on all exits (or defer it)",
-			name, name, verb)
-	}
-
-	// Pass B (invariant 2): deferred unlocks do NOT release — the lock
-	// is held until exit. At every node reached with a non-empty held
-	// set, blocking operations are findings.
-	held := func(blk *Block, in Facts) Facts {
-		for _, n := range blk.Nodes {
-			lockTransfer(info, n, in, false)
-		}
-		return in
-	}
-	resB := ForwardMay(g, held)
-	reported := make(map[string]bool)
-	for _, blk := range g.ReversePostorder() {
-		in, ok := resB.In[blk]
-		if !ok {
-			continue
-		}
-		facts := in.clone()
-		for _, n := range blk.Nodes {
-			if len(facts) > 0 {
-				if why := blockingNode(info, n, blocking, nonBlockingComm); why != "" {
-					lockName := heldLockName(facts)
-					at := pass.Pkg.Fset.Position(n.Pos())
-					dedup := why + "@" + at.String()
-					if !reported[dedup] {
-						reported[dedup] = true
-						pass.Reportf(n.Pos(),
-							"%s while %s is held; release the lock first or make the operation non-blocking", why, lockName)
-					}
-				}
-			}
-			lockTransfer(info, n, facts, false)
-		}
-	}
-}
-
-// usesLocks cheaply pre-screens a body for Lock/RLock calls.
-func usesLocks(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := classifyLockCall(info, call); ok && op.acquire {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// lockTransfer applies one node to the held-lock set. deferReleases
-// selects the pass-A semantics (deferred unlock discharges the fact).
-func lockTransfer(info *types.Info, n ast.Node, facts Facts, deferReleases bool) {
-	applyCall := func(call *ast.CallExpr, deferred bool) {
-		op, ok := classifyLockCall(info, call)
-		if !ok {
-			return
-		}
-		switch {
-		case op.acquire && !deferred:
-			facts[op.key] = call.Pos()
-		case !op.acquire && (!deferred || deferReleases):
-			delete(facts, op.key)
-		}
-	}
-	switch n := n.(type) {
-	case *ast.DeferStmt:
-		applyCall(n.Call, true)
-		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(c ast.Node) bool {
-				if call, ok := c.(*ast.CallExpr); ok {
-					applyCall(call, true)
-				}
-				return true
-			})
-		}
-	default:
-		ast.Inspect(n, func(c ast.Node) bool {
-			if _, ok := c.(*ast.FuncLit); ok {
-				return false // closures run elsewhere
-			}
-			if call, ok := c.(*ast.CallExpr); ok {
-				applyCall(call, false)
-			}
-			return true
-		})
-	}
-}
-
-// heldLockName renders the held set for a diagnostic, deterministically
-// picking the lexicographically first lock.
-func heldLockName(facts Facts) string {
-	best := ""
-	for key := range facts {
-		name := strings.TrimSuffix(strings.TrimSuffix(key, ":w"), ":r")
-		if best == "" || name < best {
-			best = name
-		}
-	}
-	return best
-}
-
-// nonBlockingSelectStmts collects select statements with a default
-// clause (non-blocking by construction) and their comm statements.
-func nonBlockingSelectStmts(body *ast.BlockStmt) map[ast.Node]bool {
-	out := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, cs := range sel.Body.List {
-			if cc, ok := cs.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if hasDefault {
-			out[sel] = true
-			for _, cs := range sel.Body.List {
-				if cc, ok := cs.(*ast.CommClause); ok && cc.Comm != nil {
-					out[cc.Comm] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// blockingNode reports why node n blocks ("" when it does not):
-// channel operations outside non-blocking selects, selects without
-// default, sleeps, WaitGroup waits, net/http calls, PredictCtx, and
-// same-package calls with a blocking summary.
-func blockingNode(info *types.Info, n ast.Node, blocking map[*types.Func]bool, nonBlockingComm map[ast.Node]bool) string {
-	if nonBlockingComm[n] {
-		return ""
-	}
-	why := ""
-	ast.Inspect(n, func(c ast.Node) bool {
-		if why != "" {
-			return false
-		}
-		if _, ok := c.(*ast.FuncLit); ok {
-			return false
-		}
-		if nonBlockingComm[c] {
-			return false
-		}
-		switch c := c.(type) {
-		case *ast.SendStmt:
-			why = "channel send"
-		case *ast.UnaryExpr:
-			if c.Op == token.ARROW {
-				why = "channel receive"
-			}
-		case *ast.SelectStmt:
-			if !nonBlockingComm[c] {
-				why = "blocking select (no default clause)"
-			}
-			return false
-		case *ast.GoStmt:
-			return false // the spawned goroutine blocks, not this one
-		case *ast.CallExpr:
-			why = blockingCall(info, c, blocking)
-		}
-		return why == ""
-	})
-	return why
-}
-
 // blockingCall classifies one call expression ("" when not blocking).
-func blockingCall(info *types.Info, call *ast.CallExpr, blocking map[*types.Func]bool) string {
+func blockingCall(info *types.Info, call *ast.CallExpr) string {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "PredictCtx" {
 		return "classifier PredictCtx call"
 	}
 	fn := staticCallee(info, call)
-	if fn == nil {
+	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	if pkg := fn.Pkg(); pkg != nil {
-		path := pkg.Path()
-		if path == "time" && fn.Name() == "Sleep" {
-			return "time.Sleep"
-		}
-		if path == "sync" && fn.Name() == "Wait" {
-			return "sync WaitGroup wait"
-		}
-		if path == "net" || strings.HasPrefix(path, "net/") {
-			return "network call " + path + "." + fn.Name()
-		}
-	}
-	if fn.Name() == "Wait" {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			if p, isPtr := t.(*types.Pointer); isPtr {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil &&
-				named.Obj().Pkg().Path() == "sync" {
-				return "sync." + named.Obj().Name() + ".Wait"
-			}
-		}
-	}
-	if blocking[fn] {
-		return "call to " + fn.Name() + " (which may block)"
+	switch path := fn.Pkg().Path(); {
+	case path == "time" && fn.Name() == "Sleep",
+		path == "sync" && fn.Name() == "Wait":
+		return fn.FullName()
+	case path == "net" || strings.HasPrefix(path, "net/"):
+		return "network call " + fn.FullName()
 	}
 	return ""
-}
-
-// blockingFuncs computes the package's blocking summaries: functions
-// whose body directly contains a blocking operation, widened through
-// the package call graph to everything that calls them.
-func blockingFuncs(pkg *Package) map[*types.Func]bool {
-	g := BuildCallGraph(pkg)
-	seed := make(map[*types.Func]bool)
-	none := map[*types.Func]bool{}
-	for fn, fd := range g.Decls {
-		nonBlocking := nonBlockingSelectStmts(fd.Body)
-		direct := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if direct {
-				return false
-			}
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			switch n.(type) {
-			case *ast.SendStmt, *ast.UnaryExpr, *ast.SelectStmt, *ast.CallExpr:
-				if why := blockingNode(pkg.Info, n, none, nonBlocking); why != "" {
-					direct = true
-					return false
-				}
-				// Descend no further: blockingNode already walked this
-				// subtree.
-				return false
-			}
-			return true
-		})
-		if direct {
-			seed[fn] = true
-		}
-	}
-	return g.Transitive(seed)
 }

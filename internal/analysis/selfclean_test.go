@@ -19,7 +19,7 @@ func TestRepoSelfClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, sites, err := Check(root, []string{"./..."}, nil, false)
+	diags, sites, err := check(root, []string{"./..."}, nil, false)
 	if err != nil {
 		t.Fatalf("loading the module: %v", err)
 	}
