@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -323,148 +324,133 @@ func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
 	}
 }
 
-// healing is one long-lived runner as TestCancelledRenewHeals drives it.
-type healing struct {
-	ps *poolState
-	// calls hands the runner its next tuples — one flush, or one Explain
-	// per tuple with ctx on the last — calling arm just before the call
-	// that takes ctx, and reports how many of them came back StatusFailed.
-	calls func(ctx context.Context, arm func(), tuples [][]float64) (failed int, err error)
-	// renews is the runner's own count (Remines, Mines); frequent what
-	// its report says is pooled.
-	renews, frequent func() int
-}
-
 // TestCancelledRenewHeals is the rule poolState.renew keeps for both
-// long-lived runners: a refresh cut short keeps its window and is not
-// counted; the next call finishes it, and the pool equals that of a twin
-// that was never interrupted. The cut is made from inside the classifier
+// long-lived runners: no cancellation leaves the pool short of what an
+// uninterrupted twin pools once the runner has renewed again.
+//
+// Warm fills at refresh. The cut is made from inside the classifier
 // while the third itemset of the first pool build is being labelled
-// (τ = 50: label 120 is that itemset's 20th): the refresh must stop there
-// rather than label every remaining itemset by fallback, and what must
-// not happen afterwards is the pool staying three itemsets large — one of
-// them guessed — until the runner's clock next runs out.
+// (τ = 50: label 120 is that itemset's 20th): the refresh must stop
+// there rather than label every remaining itemset by fallback, keep its
+// window, go uncounted, and be finished by the next flush — not leave
+// the pool three itemsets large, one of them guessed, until the
+// runner's clock next runs out.
+//
+// A stream's refresh labels nothing, so there is nothing to cut short:
+// the tuple that renews is cut in the first fill it makes (its first
+// call names the target; label 20 of the fill is call 21). The renew
+// is counted and starts a new window, the fill stores nothing and its
+// itemset leaves the pool, and the next renew pools what the twin
+// pools.
 func TestCancelledRenewHeals(t *testing.T) {
 	env := newEnv(t, 7, 80)
-	warm := func(cls rf.Classifier, opts Options) (*healing, error) {
-		w, err := NewWarm(env.st, cls, opts, 0)
-		if err != nil {
-			return nil, err
-		}
-		var last Report
-		return &healing{
-			ps: w.ps,
-			calls: func(ctx context.Context, arm func(), tuples [][]float64) (int, error) {
-				arm()
-				res, err := w.ExplainAllCtx(ctx, tuples)
-				last = res.Report
-				return last.Failed, err
-			},
-			renews:   w.Remines,
-			frequent: func() int { return last.FrequentItemsets },
-		}, nil
-	}
-	stream := func(cls rf.Classifier, opts Options) (*healing, error) {
-		s, err := NewStream(env.st, cls, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &healing{
-			ps: s.ps,
-			calls: func(ctx context.Context, arm func(), tuples [][]float64) (int, error) {
-				for _, tup := range tuples[:len(tuples)-1] {
-					if _, err := s.Explain(tup); err != nil {
-						return 0, err
-					}
-				}
-				arm()
-				exp, err := s.ExplainCtx(ctx, tuples[len(tuples)-1])
-				if exp.Status == StatusFailed {
-					return 1, err
-				}
-				return 0, err
-			},
-			renews:   s.Mines,
-			frequent: func() int { return s.Report().FrequentItemsets },
-		}, nil
-	}
-	for _, row := range []struct {
-		name string
-		open func(rf.Classifier, Options) (*healing, error)
-		// The cut lands in the call over tuples[:cut], the healing call
-		// takes tuples[cut:all], and the twin sees tuples[:all] in one
-		// call that renews once: the same window.
-		cut, all   int
-		tune       func(o *Options, twin bool)
-		wantFailed int
-		wantErr    error
-	}{
-		{"warm", warm, 40, 80, func(*Options, bool) {}, 40, context.Canceled},
-		{"stream", stream, 20, 21, func(o *Options, twin bool) {
-			o.DisablePoolBudget = true // the twin's period differs by one; keep the caps equal
-			o.StreamRecompute = 20
-			if twin {
-				o.StreamRecompute = 21
-			}
-		}, 1, nil},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			cls := &cancelAfter{inner: env.cls, cancel: cancel}
+	t.Run("warm", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cls := &cancelAfter{inner: env.cls, cancel: cancel}
+		open := func(cls rf.Classifier) (*Warm, *obs.Recorder) {
 			opts := smallOpts(LIME, 9)
 			opts.Recorder = obs.NewRecorder()
-			row.tune(&opts, false)
-			h, err := row.open(cls, opts)
+			w, err := NewWarm(env.st, cls, opts, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			failed, err := h.calls(ctx, func() { cls.after = cls.n.Load() + 120 }, env.tuples[:row.cut])
-			if !errors.Is(err, row.wantErr) || failed != row.wantFailed {
-				t.Fatalf("the call cut short: %d tuples failed, err=%v; want %d, %v", failed, err, row.wantFailed, row.wantErr)
-			}
-			if h.renews() != 0 {
-				t.Errorf("a refresh cut short was counted (%d)", h.renews())
-			}
-			if got := len(h.ps.window); got != row.cut {
-				t.Errorf("a refresh cut short left %d of its %d tuples in the window", got, row.cut)
-			}
-			if _, err := h.calls(context.Background(), func() {}, env.tuples[row.cut:row.all]); err != nil {
-				t.Fatal(err)
-			}
+			return w, opts.Recorder
+		}
+		w, rec := open(cls)
+		cls.after = 120
+		res, err := w.ExplainAllCtx(ctx, env.tuples[:40])
+		if !errors.Is(err, context.Canceled) || res.Report.Failed != 40 {
+			t.Fatalf("the flush cut short: %d tuples failed, err=%v; want 40, %v", res.Report.Failed, err, context.Canceled)
+		}
+		if w.Remines() != 0 {
+			t.Errorf("a refresh cut short was counted (%d)", w.Remines())
+		}
+		if got := len(w.ps.window); got != 40 {
+			t.Errorf("a refresh cut short left %d of its 40 tuples in the window", got)
+		}
+		healed, err := w.ExplainAll(env.tuples[40:80])
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			twinOpts := smallOpts(LIME, 9)
-			twinOpts.Recorder = obs.NewRecorder()
-			row.tune(&twinOpts, true)
-			twin, err := row.open(env.cls, twinOpts)
+		twin, twinRec := open(env.cls)
+		twinRes, err := twin.ExplainAll(env.tuples[:80])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := w.ps.repo.Len(), twin.ps.repo.Len(); got != want || want == 0 {
+			t.Errorf("%d itemsets pooled after the healing call, the uninterrupted twin has %d", got, want)
+		}
+		if got, want := healed.Report.FrequentItemsets, twinRes.Report.FrequentItemsets; got != want {
+			t.Errorf("FrequentItemsets=%d after the healing call, the uninterrupted twin has %d", got, want)
+		}
+		if w.Remines() != 1 {
+			t.Errorf("%d renews counted after the healing call, want 1", w.Remines())
+		}
+		if got := len(w.ps.window); got != 0 {
+			t.Errorf("the renew that healed left %d tuples behind; a complete one starts a new window", got)
+		}
+		// Each refresh that mined is on the record, finished or not.
+		if got := sumEvents(t, rec).remines; got != 2 {
+			t.Errorf("%d remine events, want 2: the one cut short and the one that healed it", got)
+		}
+		if got := sumEvents(t, twinRec).remines; got != 1 {
+			t.Errorf("the twin logged %d remine events, want 1", got)
+		}
+		checkPoolLabels(t, w.ps, env.cls)
+	})
+	t.Run("stream", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cls := &cancelAfter{inner: env.cls, cancel: cancel}
+		open := func(cls rf.Classifier) *Stream {
+			opts := smallOpts(LIME, 9)
+			opts.Recorder = obs.NewRecorder()
+			opts.StreamRecompute = 20
+			s, err := NewStream(env.st, cls, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := twin.calls(context.Background(), func() {}, env.tuples[:row.all]); err != nil {
-				t.Fatal(err)
+			return s
+		}
+		explain := func(s *Stream, tuples [][]float64) {
+			for _, tup := range tuples {
+				if _, err := s.Explain(tup); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got, want := h.ps.repo.Len(), twin.ps.repo.Len(); got != want || want == 0 {
-				t.Errorf("%d itemsets pooled after the healing call, the uninterrupted twin has %d", got, want)
-			}
-			if got, want := h.frequent(), twin.frequent(); got != want {
-				t.Errorf("FrequentItemsets=%d after the healing call, the uninterrupted twin has %d", got, want)
-			}
-			if h.renews() != 1 {
-				t.Errorf("%d renews counted after the healing call, want 1", h.renews())
-			}
-			if got := len(h.ps.window); got != 0 {
-				t.Errorf("the renew that healed left %d tuples behind; a complete one starts a new window", got)
-			}
-			// Each refresh that mined is on the record, finished or not.
-			if got, want := sumEvents(t, opts.Recorder).remines, 2; got != want {
-				t.Errorf("%d remine events, want %d: the one cut short and the one that healed it", got, want)
-			}
-			if got := sumEvents(t, twinOpts.Recorder).remines; got != 1 {
-				t.Errorf("the twin logged %d remine events, want 1", got)
-			}
-			checkPoolLabels(t, h.ps, env.cls)
-		})
-	}
+		}
+		s := open(cls)
+		explain(s, env.tuples[:19])
+		w := watchFills(s)
+		cls.after = cls.n.Load() + 21
+		exp, err := s.ExplainCtx(ctx, env.tuples[19])
+		if err != nil || exp.Status != StatusFailed {
+			t.Fatalf("the tuple cut short: status %v, err=%v; want failed, nil", exp.Status, err)
+		}
+		if s.Mines() != 1 || len(s.ps.window) != 0 {
+			t.Errorf("the renew of the tuple cut short: %d counted, %d tuples left in its window; want 1 and 0", s.Mines(), len(s.ps.window))
+		}
+		if len(w.fills) == 0 || w.fills[0].stored || w.fills[0].calls != 50 {
+			t.Fatalf("fills of the tuple cut short: %+v; want the first to label 50 samples and store none", w.fills)
+		}
+		refused := w.fills[0].set
+		if s.ps.repo.Contains(refused.Key()) || pooled(s.ps, refused) {
+			t.Errorf("the refused fill's itemset %v is still pooled", refused)
+		}
+		explain(s, env.tuples[20:40])
+
+		twin := open(env.cls)
+		explain(twin, env.tuples[:40])
+		if got, want := fmt.Sprint(s.ps.sets), fmt.Sprint(twin.ps.sets); got != want || len(twin.ps.sets) == 0 {
+			t.Errorf("pooled itemsets after the next renew:\n  %s\nthe uninterrupted twin's:\n  %s", got, want)
+		}
+		if s.Mines() != 2 {
+			t.Errorf("%d renews counted, want 2", s.Mines())
+		}
+		checkPoolLabels(t, s.ps, env.cls)
+	})
 }
 
 // TestCancelAtEveryTuple cancels each runner once inside every tuple of

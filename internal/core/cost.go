@@ -77,13 +77,20 @@ type Cost struct {
 	// none), or the itemset pre-labelled.
 	Itemset dataset.Itemset
 	Status  Status
+
+	// aside is wall time inside the unit spent on units of their own (a
+	// stream's pooled itemsets filled while the tuple was explained);
+	// the step takes it off Duration.
+	aside time.Duration
 }
 
-// served charges one pool retrieval of n samples, timed by sw.
-func (c *Cost) served(n int, sw stage) {
+// served charges one pool retrieval of n samples, timed by sw, of which
+// aside went to fills.
+func (c *Cost) served(n int, sw stage, aside time.Duration) {
 	d, _ := sw.end()
-	c.Stages.PoolSample += d
+	c.Stages.PoolSample += d - aside
 	c.Pooled += int64(n)
+	c.aside += aside
 }
 
 // charge folds one explained tuple's cost into the report.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
@@ -151,9 +152,32 @@ func (e *engine) begin() *Cost {
 	return &e.cls.cost
 }
 
+// aside runs fn — a unit of its own, opened with begin — in the middle of
+// the current one and returns how long it took. The current unit's record
+// and the bridge's outcome flags are put back afterwards, so the unit
+// reads as if fn had not run.
+func (e *engine) aside(fn func()) time.Duration {
+	cost := e.cls.cost
+	var flags outcome
+	if e.fb != nil {
+		flags = e.fb.tuple
+	}
+	sw := stopwatch()
+	fn()
+	d, _ := sw.end()
+	e.cls.cost = cost
+	if e.fb != nil {
+		e.fb.tuple = flags
+	}
+	return d
+}
+
 // canceled reports whether any prediction since begin found the context
 // dead and was answered by a guess.
-func (e *engine) canceled() bool { return e.fb != nil && e.fb.tupleCanceled }
+func (e *engine) canceled() bool { return e.fb != nil && e.fb.tuple.canceled }
+
+// dead reports whether the context the engine predicts under is done.
+func (e *engine) dead() bool { return e.fb != nil && e.fb.ctx.Err() != nil }
 
 // tupleStatus reports how the current tuple's predictions were answered.
 func (e *engine) tupleStatus() Status {

@@ -187,9 +187,10 @@ func TestEventReconciliation(t *testing.T) {
 			run: func(env *testEnv, opts Options) (ledger, error) {
 				return oneResult(Sequential(env.st, env.cls, opts, env.tuples))
 			}},
-		// Forced re-mines, so pool materialisation and reuse both happen
-		// mid-stream.
-		{name: "stream", seed: 35, n: 60, reuse: true, poolBuilds: -1, remines: true,
+		// Forced re-mines, so fills and reuse both happen mid-stream. A
+		// stream's refresh labels nothing, so it logs no pool_build: each
+		// fill is a pre_label event of its own, in the middle of a tuple.
+		{name: "stream", seed: 35, n: 60, reuse: true, poolBuilds: 0, remines: true,
 			prepare: func(o *Options) { o.StreamRecompute = 20 },
 			run: func(env *testEnv, opts Options) (ledger, error) {
 				st, err := NewStream(env.st, env.cls, opts)

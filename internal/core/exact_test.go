@@ -228,10 +228,10 @@ func TestExactFallbackFaultChain(t *testing.T) {
 	assertFallbackEvent(t, rec, "fault_chain")
 }
 
-// TestExactFallbackTreeNotInPreorder: a forest that decodes fine but
-// holds a tree outside the builders' pre-order — here a right child that
-// points backward — is an owned ensemble by type, and exact.New refuses
-// it by layout. The runner must degrade to KernelSHAP as it does for any
+// TestExactFallbackTreeNotInPreorder: a forest decoded without rf.Load
+// (which refuses it) that holds a tree outside the builders' pre-order —
+// here a right child that points backward — is an owned ensemble by
+// type, and exact.New refuses it by layout. The runner must degrade to KernelSHAP as it does for any
 // other refusal: the report marked, one exact_fallback event however
 // many engines the run builds, and every tuple answered.
 func TestExactFallbackTreeNotInPreorder(t *testing.T) {
@@ -258,8 +258,8 @@ func TestExactFallbackTreeNotInPreorder(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := rf.Load(&buf)
-	if err != nil {
+	forest := new(rf.Forest)
+	if err := gob.NewDecoder(&buf).Decode(forest); err != nil {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func(Options) (*Result, error){ // independent cases: order is immaterial

@@ -109,10 +109,8 @@ type fallibleBridge struct {
 	degradedCtr *obs.Counter
 	failedCtr   *obs.Counter
 
-	// Per-tuple outcome flags, reset by beginTuple.
-	tupleDegraded bool
-	tupleFailed   bool
-	tupleCanceled bool
+	// tuple is the current unit's outcome, reset by beginTuple.
+	tuple outcome
 
 	// degradeSpans counts "degrade" child spans attached to the run's
 	// span so far; capped so a long outage cannot grow the span tree
@@ -170,17 +168,19 @@ func (fb *fallibleBridge) setPool(src sampleSource, sets []dataset.Itemset) {
 	fb.poolSets = sets
 }
 
+// outcome is how a unit's predictions were answered: some by the ladder
+// (degraded), some by nothing (failed), some after the context died.
+type outcome struct{ degraded, failed, canceled bool }
+
 // beginTuple resets the per-tuple outcome flags.
-func (fb *fallibleBridge) beginTuple() {
-	fb.tupleDegraded, fb.tupleFailed, fb.tupleCanceled = false, false, false
-}
+func (fb *fallibleBridge) beginTuple() { fb.tuple = outcome{} }
 
 // status reports the current tuple's outcome.
 func (fb *fallibleBridge) status() Status {
 	switch {
-	case fb.tupleFailed || fb.tupleCanceled:
+	case fb.tuple.failed || fb.tuple.canceled:
 		return StatusFailed
-	case fb.tupleDegraded:
+	case fb.tuple.degraded:
 		return StatusDegraded
 	default:
 		return StatusOK
@@ -196,7 +196,7 @@ func (fb *fallibleBridge) NumClasses() int { return fb.chain.NumClasses() }
 // marked failed or degraded instead.
 func (fb *fallibleBridge) Predict(x []float64) int {
 	if fb.ctx.Err() != nil {
-		fb.tupleCanceled = true
+		fb.tuple.canceled = true
 		y, _, _ := fb.fallback(x)
 		return y
 	}
@@ -208,16 +208,16 @@ func (fb *fallibleBridge) Predict(x []float64) int {
 		return y
 	}
 	if fb.ctx.Err() != nil {
-		fb.tupleCanceled = true
+		fb.tuple.canceled = true
 		fy, _, _ := fb.fallback(x)
 		return fy
 	}
 	fy, rung, ok := fb.fallback(x)
 	if ok {
-		fb.tupleDegraded = true
+		fb.tuple.degraded = true
 		fb.degradedCtr.Inc()
 	} else {
-		fb.tupleFailed = true
+		fb.tuple.failed = true
 		fb.failedCtr.Inc()
 	}
 	fb.noteDegrade(rung)

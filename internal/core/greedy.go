@@ -113,7 +113,7 @@ func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 			g.consumed[ss.id] = true
 		}
 	}
-	g.cost.served(len(out), sw)
+	g.cost.served(len(out), sw, 0)
 	g.window = out
 	return out
 }
@@ -137,7 +137,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 			g.consumed[ss.id] = true
 		}
 	}
-	g.cost.served(len(out), sw)
+	g.cost.served(len(out), sw, 0)
 	g.window = out
 	return out
 }

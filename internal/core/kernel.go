@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
+	"time"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
@@ -21,8 +23,8 @@ import (
 // and the window of tuples it is next mined from: Batch builds one per
 // call, Stream and Warm keep theirs for life. Which rows of the window
 // are mined, and when, is the runner's policy; everything done with them
-// — mine, cap, evict, fill — is refresh, and everything a long-lived
-// runner does around a refresh is renew.
+// — mine, cap, evict, and fill unless the pool is lazy — is refresh, and
+// everything a long-lived runner does around a refresh is renew.
 type poolState struct {
 	opts Options
 
@@ -119,16 +121,52 @@ func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Genera
 	return border, nil
 }
 
-// promote pools set between renews — a border itemset whose running
-// frequency crossed the threshold — if the pool has room and the
-// classifier labelled every sample.
+// promote pools set, a border itemset whose running frequency crossed
+// the threshold, between renews if there is room and, if eager, the
+// classifier labelled all samples.
 func (ps *poolState) promote(eng *engine, gen *perturb.Generator, set dataset.Itemset, rep *Report) bool {
-	if ps.repo.Len() >= ps.maxSets || !ps.materialize(eng, gen, set, -1, rep) {
+	if ps.lazy() {
+		if len(ps.sets) >= ps.maxSets {
+			return false
+		}
+	} else if ps.repo.Len() >= ps.maxSets || !ps.materialize(eng, gen, set, -1, rep) {
 		return false
 	}
 	ps.setSets(append(ps.sets, set))
 	return true
 }
+
+// fillOnMatch makes the pool lazy, as a stream's is: refresh and promote
+// record itemsets without labelling them, and the first tuple that
+// contains one the repository does not hold (never filled, or evicted)
+// fills it through materialize, as a unit of its own charged to rep. A
+// fill that stores nothing takes its itemset out of the pool until the
+// next renew: an outage costs at most one failed fill per itemset per
+// window. Anchor's pool stays eager (its repository also takes its own
+// pulls), and so do the pools explainAll may freeze for workers.
+func (ps *poolState) fillOnMatch(eng *engine, gen *perturb.Generator, rep *Report) {
+	if ps.pool == nil {
+		return
+	}
+	ps.pool.fill = func(set dataset.Itemset) (time.Duration, bool) {
+		if ps.repo.Contains(set.Key()) {
+			return 0, true
+		}
+		if eng.dead() {
+			return 0, false
+		}
+		stored := false
+		d := eng.aside(func() { stored = ps.materialize(eng, gen, set, -1, rep) })
+		if !stored {
+			ps.setSets(slices.DeleteFunc(slices.Clone(ps.sets), func(s dataset.Itemset) bool { return slices.Equal(s, set) }))
+		}
+		return d, stored
+	}
+}
+
+// lazy reports whether the pool is filled at first match (fillOnMatch)
+// rather than at refresh.
+func (ps *poolState) lazy() bool { return ps.pool != nil && ps.pool.fill != nil }
 
 // poolCap is how many itemsets a pool may hold: MaxItemsets, and — the
 // paper sets τ "automatically based on the resource constraints" — no
@@ -147,9 +185,9 @@ func poolCap(opts Options, window int) int {
 // their frequent itemsets (and negative border, when asked), keep the
 // first maxSets, evict repository entries that fell infrequent ("any
 // frequent itemset that becomes infrequent is kicked out along its
-// perturbations", §3.5), and materialise the ones not yet present. The
-// mine and pool-build stages open under parent; the returned report
-// carries what the refresh cost and how many itemsets are pooled.
+// perturbations", §3.5), and, unless the pool is lazy, materialise the
+// ones not yet present. Mine and pool-build stages open under parent;
+// the report carries its cost and how many itemsets are pooled.
 // Cancelling ctx, or a label the classifier did not give, stops the fill
 // at the itemset being labelled, which is not stored; what was pooled
 // before stays, and complete turns false.
@@ -192,7 +230,7 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 	sets := make([]dataset.Itemset, 0, len(frequent))
 	materialised := 0
 	for _, m := range frequent {
-		if !ps.repo.Contains(m.Set.Key()) {
+		if !ps.lazy() && !ps.repo.Contains(m.Set.Key()) {
 			if ctx.Err() != nil || !ps.materialize(eng, gen, m.Set, m.Support, &d) {
 				break
 			}
@@ -217,19 +255,19 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 	return mined.Border, d, nil
 }
 
-// materialize generates τ perturbations frozen on set, labels them
-// through eng's meter and stores them (Algorithm 1, lines 2–4). For
-// Anchor their class histogram also seeds the rule's precision in the
-// invariant cache and the mined support doubles as its coverage
-// (Algorithm 2, line 3); support < 0 means unknown — a border promotion.
-// The itemset's cost record is folded into rep, the recorder's counters
-// and its pre_label event. If any label is the bridge's guess — the
-// backend was failing, or the context the engine predicts under died on
-// the way — nothing is stored and materialize reports false: a pooled
+// materialize is the pool's one labelling path (Algorithm 1, lines 2–4):
+// τ perturbations frozen on set, labelled through eng's meter and stored
+// — at refresh or promotion on an eager pool, at first match on a lazy
+// one. For Anchor their class histogram also seeds the rule's precision
+// in the invariant cache and the mined support doubles as its coverage
+// (Algorithm 2, line 3); support < 0 means unknown. The cost record is
+// folded into rep, the recorder's counters and a pre_label event. If any
+// label is the bridge's guess — the backend was failing, or the context
+// died on the way — nothing is stored and it reports false: a pooled
 // label is served to every later tuple as the classifier's own. Anchor
 // still stores unless cancelled: its repository also takes the labels
 // its own pulls were answered, guessed ones included, so refusing here
-// alone would vouch for nothing (ROADMAP item 1).
+// alone vouches for nothing.
 func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) bool {
 	c := eng.begin()
 	c.Itemset = set
@@ -408,7 +446,8 @@ func (s *tupleStep) run(i int, t []float64) (Explanation, Cost, error) {
 	}
 	sw := stopwatch()
 	exp, err := eng.explain(t, pool, s.sh)
-	c.Duration, _ = sw.end()
+	d, _ := sw.end()
+	c.Duration = d - c.aside
 	if err != nil {
 		return Explanation{}, Cost{}, fmt.Errorf("core: explaining tuple %d: %w", i, err)
 	}

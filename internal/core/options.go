@@ -5,21 +5,21 @@
 // of labelled perturbations, the itemsets it is keyed by, the window of
 // tuples it is next mined from, and Anchor's coverage sample. Refresh
 // brings it in line with a set of rows: mine their frequent itemsets,
-// cap them, evict what fell infrequent, and materialise τ labelled
-// perturbations for each itemset not yet pooled. The step explains one
-// tuple against the pool and keeps the books: status, latency, event.
+// cap them, evict what fell infrequent, and label τ perturbations per
+// itemset not held — or, on a lazy pool, when a tuple first contains it.
+// The step explains a tuple against it and keeps the books.
 //
 // A runner is options defaulted, inputs checked and ExactSHAP decided,
 // once; admit refuses an empty or wrong-width call before any state
 // moves. An entry point adds which rows are mined and when. Batch
 // (Algorithms 1–3) refreshes once over a uniform sample of the batch,
 // then steps through every tuple, on Options.Workers goroutines if asked.
-// Stream (§3.5) renews every StreamRecompute tuples over its window,
-// border included, and promotes border itemsets that turn frequent in
-// between. Warm keeps its pool across calls and renews it over a sample
-// of its window once enough tuples were explained. Sequential, Dist and
-// Greedy, the baselines, are the step up front: with no pool, on k
-// simulated machines, or over a store that keeps all it sees.
+// Stream (§3.5) renews a lazy pool every StreamRecompute tuples over its
+// window, border included, and promotes border itemsets in between.
+// Warm keeps its pool across calls, renewing it over a sample of its
+// window every so many tuples. Sequential, Dist and Greedy, the
+// baselines, are the step up front: with no pool, on k simulated
+// machines, or over a store that keeps all it sees.
 package core
 
 import (

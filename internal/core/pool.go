@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
@@ -38,6 +39,13 @@ type itemsetPool struct {
 	cursors  map[dataset.ItemsetKey]int    // ForTuple consumption
 	consumed map[dataset.ItemsetKey][]bool // ForItemset consumption
 	window   []perturb.Sample              // what the last ForTuple/ForItemset returned
+
+	// fill, set on a stream's pool, makes it lazy: ForTuple calls it for
+	// each pooled itemset the tuple contains, and it labels the itemset's
+	// samples if the source does not hold them. It reports the time that
+	// took, which is not the tuple's, and false when the itemset has no
+	// samples to serve.
+	fill func(dataset.Itemset) (time.Duration, bool)
 
 	cost *Cost // the tuple being explained
 }
@@ -81,9 +89,11 @@ func (p *itemsetPool) hit(f dataset.Itemset) {
 }
 
 // ForTuple implements explain.Pool: samples of every pooled itemset the
-// tuple contains, best itemsets first.
+// tuple contains, best itemsets first — on a lazy pool, filling the ones
+// it reaches that are not yet held.
 func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
 	sw := stopwatch()
+	var filling time.Duration
 	out := p.window[:0]
 	for _, f := range p.itemsets {
 		if len(out) >= max {
@@ -91,6 +101,13 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		}
 		if !f.ContainsAll(tupleItems) {
 			continue
+		}
+		if p.fill != nil {
+			d, ok := p.fill(f)
+			filling += d
+			if !ok {
+				continue
+			}
 		}
 		key := f.Key()
 		samples, ok := p.repo.Get(key)
@@ -105,7 +122,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		}
 		p.cursors[key] = cur
 	}
-	p.cost.served(len(out), sw)
+	p.cost.served(len(out), sw, filling)
 	p.window = out
 	return out
 }
@@ -156,7 +173,7 @@ func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 			}
 		}
 	}
-	p.cost.served(len(out), sw)
+	p.cost.served(len(out), sw, 0)
 	p.window = out
 	return out
 }

@@ -17,7 +17,9 @@ import (
 // StreamRecompute tuples over the tuples seen since the last recompute,
 // and (optionally) the negative border is tracked so that a border
 // itemset whose running frequency crosses the support threshold is
-// promoted — and materialised — without waiting for the next re-mine.
+// promoted without waiting for the next re-mine. The pool is lazy: an
+// itemset is labelled when a tuple first matches it, not when it is
+// mined or promoted.
 type Stream struct {
 	runner
 	// f is the stream's one long run: its root span stays open for the
@@ -42,7 +44,7 @@ type Stream struct {
 type trackedSet struct {
 	set      dataset.Itemset
 	count    int  // occurrences in the current window
-	frequent bool // currently materialised
+	frequent bool // currently pooled
 }
 
 // NewStream creates a streaming explainer. Anchor measures rule coverage
@@ -61,6 +63,7 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	}
 	s.gen = perturb.NewGenerator(st, rng)
 	s.ps = newPoolState(r.opts, cls.NumClasses(), r.opts.StreamRecompute)
+	s.ps.fillOnMatch(s.f.eng, s.gen, &s.rep)
 	s.step = s.ps.step(s.f.eng)
 	return s, nil
 }
@@ -123,7 +126,7 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 
 // track adds the tuple to the window and to the running counts of the
 // tracked itemsets, and promotes border itemsets between re-mines: one
-// whose running window frequency clears the threshold is materialised
+// whose running window frequency clears the threshold is pooled
 // immediately. The window must be large enough (and the count high
 // enough in absolute terms) that small-sample variance does not promote
 // marginal itemsets, and the pool size cap still applies.

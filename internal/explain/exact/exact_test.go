@@ -102,6 +102,16 @@ func (s *shape) emit(nodes []node) []node {
 // handForest decodes the given trees into an rf.Forest.
 func handForest(t testing.TB, nclasses int, trees ...[]node) *rf.Forest {
 	t.Helper()
+	f, err := rf.Load(handGob(t, nclasses, trees...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// handGob encodes the trees as Forest.Save writes a forest.
+func handGob(t testing.TB, nclasses int, trees ...[]node) *bytes.Buffer {
+	t.Helper()
 	type tree struct {
 		Nodes    []node
 		NClasses int
@@ -117,11 +127,7 @@ func handForest(t testing.TB, nclasses int, trees ...[]node) *rf.Forest {
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
 		t.Fatal(err)
 	}
-	f, err := rf.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return &buf
 }
 
 // assertClose fails unless got and want name the same class and agree on
@@ -459,8 +465,9 @@ func TestUnsupportedClassifier(t *testing.T) {
 
 // TestNewRejectsTreesNotInPreorder: New reads only the pre-order layout,
 // so a tree that has none — here a two-node cycle and a right child that
-// points backward, as a hand-assembled or hostile-gob forest may hold —
-// is ErrUnsupported at once instead of a walk that never ends.
+// points backward, as a hand-assembled forest, or a gob decoded without
+// rf.Load (which refuses it), may hold — is ErrUnsupported at once
+// instead of a walk that never ends.
 func TestNewRejectsTreesNotInPreorder(t *testing.T) {
 	st := tinyStats(t, tinyData(100, 8))
 	good := split(0, 0, leaf(0), leaf(1)).preorder()
@@ -468,7 +475,11 @@ func TestNewRejectsTreesNotInPreorder(t *testing.T) {
 		"cycle":          {{Left: 1, Right: 1}, {Left: 0, Right: 0}},
 		"backward right": {{Left: 1, Right: 3}, {Feature: -1}, {Feature: -1, Class: 1}, {Left: 4, Right: 2}, {Feature: -1}},
 	} {
-		if _, err := New(st, handForest(t, 2, good, bad), Config{}); !errors.Is(err, ErrUnsupported) {
+		var f rf.Forest
+		if err := gob.NewDecoder(handGob(t, 2, good, bad)).Decode(&f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(st, &f, Config{}); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("forest with a %s: New error = %v, want ErrUnsupported", name, err)
 		}
 	}

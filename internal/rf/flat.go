@@ -85,6 +85,24 @@ func preorderDepth(t *Tree) (int32, bool) {
 	return height[0], true
 }
 
+// wellFormed reports whether t is a tree Train could have built: in
+// pre-order with forward, in-range children (preorderDepth), so acyclic,
+// and every leaf's class in [0, nClasses).
+func (t *Tree) wellFormed(nClasses int) bool {
+	if t == nil {
+		return false
+	}
+	if _, ok := preorderDepth(t); !ok {
+		return false
+	}
+	for _, n := range t.Nodes {
+		if n.Feature < 0 && (n.Class < 0 || int(n.Class) >= nClasses) {
+			return false
+		}
+	}
+	return true
+}
+
 // step moves one level down from node i of a finite row: the sign bit
 // of threshold - x is 1 exactly when x > threshold (for finite doubles
 // x != y implies x - y != 0, and x == y gives +0), and the child is

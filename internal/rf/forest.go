@@ -230,14 +230,26 @@ func (f *Forest) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(f)
 }
 
-// Load deserialises a forest written by Save.
+// maxLoadClasses bounds the class count Load accepts: Predict and Prob
+// allocate one tally slot per class on every call.
+const maxLoadClasses = 1 << 16
+
+// Load deserialises a forest written by Save. It refuses a forest whose
+// walks might not end or might answer outside [0, NClasses): every tree
+// must be one Train could have built (see wellFormed), and NClasses at
+// most maxLoadClasses.
 func Load(r io.Reader) (*Forest, error) {
 	var f Forest
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("rf: decoding forest: %w", err)
 	}
-	if len(f.Trees) == 0 || f.NClasses < 2 {
+	if len(f.Trees) == 0 || f.NClasses < 2 || f.NClasses > maxLoadClasses {
 		return nil, fmt.Errorf("rf: decoded forest is empty or degenerate")
+	}
+	for i, t := range f.Trees {
+		if !t.wellFormed(f.NClasses) {
+			return nil, fmt.Errorf("rf: decoded tree %d is not a pre-order tree with leaf classes below %d", i, f.NClasses)
+		}
 	}
 	f.flat.Store(flatten(f.Trees))
 	return &f, nil

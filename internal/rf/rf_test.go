@@ -246,6 +246,85 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileForests are gob payloads Load must refuse: a root that is its
+// own child (Tree.Predict loops on it for ever), a leaf naming a class
+// the forest does not have (the tally indexes past its end), a child
+// index past the last node, and a class count every Predict would
+// allocate a tally for.
+func hostileForests() map[string]*Forest {
+	leaf := func(c int32) treeNode { return treeNode{Feature: -1, Class: c} }
+	one := func(nodes ...treeNode) *Forest {
+		return &Forest{NClasses: 2, Trees: []*Tree{{NClasses: 2, Nodes: nodes}}}
+	}
+	return map[string]*Forest{
+		"cycle":              one(treeNode{Feature: 0, Left: 0, Right: 0}),
+		"class out of range": one(treeNode{Feature: 0, Left: 1, Right: 2}, leaf(0), leaf(2)),
+		"child out of range": one(treeNode{Feature: 0, Left: 1, Right: 7}, leaf(0), leaf(1)),
+		"too many classes":   {NClasses: 1 << 40, Trees: []*Tree{{NClasses: 2, Nodes: []treeNode{leaf(0)}}}},
+	}
+}
+
+// TestLoadRefusesHostileTrees: each hostile gob is refused by Load.
+func TestLoadRefusesHostileTrees(t *testing.T) {
+	for name, f := range hostileForests() {
+		var buf bytes.Buffer
+		if err := f.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted a forest of %d nodes", name, len(g.Trees[0].Nodes))
+		}
+	}
+}
+
+// FuzzForestLoad: whatever the bytes, Load errors or returns a forest
+// every tree of which has a bounded walk and whose Predict answers a
+// class it has, on finite and non-finite rows.
+func FuzzForestLoad(f *testing.F) {
+	trained, err := Train(xorData(200, 21), Config{NumTrees: 3, MaxDepth: 4, Seed: 22})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := hostileForests()
+	seeds["trained"] = trained
+	for _, name := range []string{"trained", "cycle", "class out of range", "child out of range", "too many classes"} {
+		var buf bytes.Buffer
+		if err := seeds[name].Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		forest, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if slow := len(forest.layout().slow); slow != 0 {
+			t.Fatalf("Load accepted %d trees the layout cannot bound", slow)
+		}
+		width := 1
+		for _, tr := range forest.Trees {
+			for _, n := range tr.Nodes {
+				if n.Feature >= 0 {
+					width = max(width, int(n.Feature)+1)
+				}
+			}
+		}
+		if width > 1<<12 {
+			return // rows that wide are a schema's to reject, not Load's
+		}
+		row := make([]float64, width)
+		for _, v := range []float64{0, 1, -1, math.NaN(), math.Inf(1)} {
+			for i := range row {
+				row[i] = v
+			}
+			if c := forest.Predict(row); c < 0 || c >= forest.NClasses {
+				t.Fatalf("Predict(%v...) = %d, forest has %d classes", v, c, forest.NClasses)
+			}
+		}
+	})
+}
+
 func TestCountingWrapper(t *testing.T) {
 	d := xorData(200, 19)
 	f, err := Train(d, Config{NumTrees: 5, Seed: 20})
