@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -35,7 +37,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "master seed")
 		delay   = flag.Duration("delay", 0, "override per-invocation classifier delay")
 		jsonOut = flag.String("json", "", "write the run record (name, env, config, tables) as JSON to this file when done")
-		obsv    = cli.ObsFlags(flag.CommandLine, "trace-out", "chrome-trace", "events-out")
+		obsv    = cli.ObsFlags(flag.CommandLine, "chrome-trace", "events-out")
 	)
 	flag.Parse()
 
@@ -54,7 +56,6 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	rec.StartRuntimeSampling(obs.DefaultRuntimeSampleInterval)
 
 	cfg := bench.Config{Seed: *seed, Recorder: rec}.Fill()
 	if *full {
@@ -95,9 +96,6 @@ func main() {
 		tables = append(tables, tab)
 		fmt.Printf("(%s took %v)\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	// Stop before the dumps so the Chrome trace and event log carry the
-	// sampler's closing heap sample.
-	rec.StopRuntimeSampling()
 
 	fmt.Printf("\nper-stage totals: %s\n", obs.FormatStageTotals(rec.StageTotals()))
 	if p := rec.Progress(); p.Invocations > 0 {
@@ -112,11 +110,11 @@ func main() {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(struct {
-			Name   string             `json:"name"`
-			Env    obs.EnvFingerprint `json:"env"`
-			Config bench.Config       `json:"config"`
-			Tables []*bench.Table     `json:"tables"`
-		}{strings.Join(ids, ","), obs.Fingerprint(), cfg, tables})
+			Name   string         `json:"name"`
+			Env    envFingerprint `json:"env"`
+			Config bench.Config   `json:"config"`
+			Tables []*bench.Table `json:"tables"`
+		}{strings.Join(ids, ","), fingerprint(), cfg, tables})
 	})
 	if err == nil {
 		err = obsv.Finish()
@@ -124,4 +122,38 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
+}
+
+// envFingerprint pins the environment a run record was made on, so its
+// tables are attributable to an exact toolchain and commit.
+type envFingerprint struct {
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	NumCPU    int    `json:"num_cpu"`
+	GitCommit string `json:"git_commit,omitempty"`
+	GitDirty  bool   `json:"git_dirty,omitempty"`
+}
+
+// fingerprint captures the current environment. The git commit comes
+// from the binary's embedded build info when available (test binaries
+// and `go run` builds may not carry it).
+func fingerprint() envFingerprint {
+	fp := envFingerprint{
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				fp.GitCommit = s.Value
+			case "vcs.modified":
+				fp.GitDirty = s.Value == "true"
+			}
+		}
+	}
+	return fp
 }

@@ -36,7 +36,7 @@ func main() {
 		data   = cli.DataFlags(flag.CommandLine)
 		model  = cli.ModelFlags(flag.CommandLine)
 		faults = cli.FaultFlags(flag.CommandLine)
-		obsv   = cli.ObsFlags(flag.CommandLine, "trace-out", "chrome-trace", "events-out")
+		obsv   = cli.ObsFlags(flag.CommandLine, "chrome-trace", "events-out")
 
 		n       = flag.Int("n", 50, "number of held-out tuples to explain")
 		mode    = flag.String("mode", "batch", "batch, stream, or seq")

@@ -7,7 +7,6 @@
 //	POST /v1/explain/batch  {"tuples": [[..],..]}  many explanations
 //	GET  /healthz           liveness
 //	GET  /readyz            readiness (503 while draining)
-//	GET  /slo               SLO objective status (compliance, burn rate)
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
 //
 // Concurrent requests are gathered for up to -batch-window (or until
@@ -33,7 +32,6 @@ import (
 
 	"shahin"
 	"shahin/internal/cli"
-	"shahin/internal/obs"
 	"shahin/internal/serve"
 )
 
@@ -55,37 +53,18 @@ func main() {
 		storePath   = flag.String("store", "", "explanation-store snapshot: loaded at startup, written on graceful shutdown")
 		warmFrom    = flag.String("warm-from", "", "comma-separated peer URLs to fetch a store snapshot from at startup (first healthy peer wins)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight flushes")
-
-		runtimeSample = flag.Duration("runtime-sample", time.Second, "runtime telemetry sampling interval (heap, GC, goroutines, sched latency); 0 disables")
-
-		sloWindow    = flag.Duration("slo-window", 5*time.Minute, "rolling window for SLO tracking (0 disables the tracker)")
-		sloLatTarget = flag.Duration("slo-latency-target", 250*time.Millisecond, "latency objective: requests slower than this count against the goal")
-		sloLatGoal   = flag.Float64("slo-latency-goal", 0.99, "latency objective: fraction of requests that must meet -slo-latency-target")
-		sloAvailGoal = flag.Float64("slo-availability-goal", 0.999, "availability objective: fraction of requests that must answer without a 5xx")
 	)
 	flag.Parse()
 
 	ctx, stop := cli.Shutdown(context.Background())
 	defer stop()
 
-	// The serving stack is always instrumented: request tracing, the
-	// slow-request ring, and SLO tracking need a recorder even when no
-	// observability endpoint is mounted.
+	// The serving stack is always instrumented: request tracing and the
+	// slow-request ring need a recorder even when no observability
+	// endpoint is mounted.
 	rec, err := obsv.Start(true)
 	if err != nil {
 		cli.Fatal(err)
-	}
-	if *runtimeSample > 0 {
-		rec.StartRuntimeSampling(*runtimeSample)
-		defer rec.StopRuntimeSampling()
-	}
-	if *sloWindow > 0 {
-		rec.SetSLO(obs.NewSLOTracker(obs.SLOConfig{
-			Window:           *sloWindow,
-			LatencyTarget:    *sloLatTarget,
-			LatencyGoal:      *sloLatGoal,
-			AvailabilityGoal: *sloAvailGoal,
-		}))
 	}
 
 	env, err := data.Load()

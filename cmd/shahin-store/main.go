@@ -33,7 +33,7 @@ func main() {
 	var (
 		data  = cli.DataFlags(flag.CommandLine)
 		model = cli.ModelFlags(flag.CommandLine)
-		obsv  = cli.ObsFlags(flag.CommandLine, "trace-out", "events-out")
+		obsv  = cli.ObsFlags(flag.CommandLine, "chrome-trace", "events-out")
 
 		mode      = flag.String("mode", "build", "build or lookup")
 		n         = flag.Int("n", 500, "held-out tuples to pre-compute (build mode)")

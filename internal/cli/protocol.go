@@ -20,7 +20,7 @@
 // public API, spelled out) are deliberately separate callers.
 //
 // The run (run.go). The observability group (-obs-addr and whichever
-// of -trace-out -chrome-trace -events-out a binary takes) owns the
+// of -chrome-trace -events-out a binary takes) owns the
 // rule that a recorder exists only if something will read it, the
 // endpoint banner and every artifact write; Serve is the
 // listen→serve→signal→drain loop of shahin-serve and shahin-router;

@@ -22,9 +22,9 @@ func Fatal(err error) {
 }
 
 // Obs is the observability flag group: -obs-addr, and whichever of
-// -trace-out, -chrome-trace and -events-out the binary takes.
+// -chrome-trace and -events-out the binary takes.
 type Obs struct {
-	addr, traceOut, chromeOut, eventsOut string
+	addr, chromeOut, eventsOut string
 
 	rec *obs.Recorder
 	srv *obs.Server
@@ -38,8 +38,6 @@ func ObsFlags(fs *flag.FlagSet, artifacts ...string) *Obs {
 	fs.StringVar(&o.addr, "obs-addr", "", "serve the observability endpoints on this address while the process runs; GET / lists them (\":0\" picks a port)")
 	for _, a := range artifacts {
 		switch a {
-		case "trace-out":
-			fs.StringVar(&o.traceOut, "trace-out", "", "write the JSON span dump to this file on exit")
 		case "chrome-trace":
 			fs.StringVar(&o.chromeOut, "chrome-trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) on exit")
 		case "events-out":
@@ -53,12 +51,12 @@ func ObsFlags(fs *flag.FlagSet, artifacts ...string) *Obs {
 
 // Start returns the run's recorder and mounts it on -obs-addr, printing
 // the URL of the index that lists its endpoints. A binary that has its
-// own readers (request tracing, SLOs, stage totals) passes always;
+// own readers (request tracing, stage totals) passes always;
 // otherwise the recorder exists only when a flag of the group will read
 // it, and is nil — which every core entry point accepts — when none
 // will.
 func (o *Obs) Start(always bool) (*obs.Recorder, error) {
-	if always || o.addr != "" || o.traceOut != "" || o.chromeOut != "" || o.eventsOut != "" {
+	if always || o.addr != "" || o.chromeOut != "" || o.eventsOut != "" {
 		o.rec = obs.NewRecorder()
 	}
 	if o.addr != "" {
@@ -76,9 +74,6 @@ func (o *Obs) Start(always bool) (*obs.Recorder, error) {
 // -obs-addr endpoint.
 func (o *Obs) Finish() error {
 	defer o.srv.Close() //shahinvet:allow errcheck — best-effort teardown at exit; nil-safe
-	if err := WriteArtifact(o.traceOut, "span dump", o.rec.WriteTrace); err != nil {
-		return err
-	}
 	if err := WriteArtifact(o.chromeOut, "chrome trace", o.rec.WriteChromeTrace); err != nil {
 		return err
 	}
@@ -86,8 +81,8 @@ func (o *Obs) Finish() error {
 		return err
 	}
 	// A log that dropped events no longer reconciles with the report.
-	events, dropped := o.rec.Events()
-	fmt.Printf("event log: %d events retained, %d dropped to the capacity bound\n", len(events), dropped)
+	fmt.Printf("event log: %d events retained, %d dropped to the capacity bound\n",
+		len(o.rec.Events()), o.rec.Counter(obs.CounterEventsDropped).Value())
 	return nil
 }
 

@@ -13,7 +13,7 @@ import (
 // summed solve time across events for cross-checks.
 func checkEventStages(t *testing.T, rec *obs.Recorder, wantTuples int) time.Duration {
 	t.Helper()
-	events, _ := rec.Events()
+	events := rec.Events()
 	stamped, solved := 0, 0
 	var eventSolve time.Duration
 	for _, e := range events {

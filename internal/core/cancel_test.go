@@ -516,7 +516,7 @@ func TestCancelAtEveryTuple(t *testing.T) {
 			if _, err := run(context.Background(), env.cls, opts); err != nil {
 				t.Fatal(err)
 			}
-			events, _ := rec.Events()
+			events := rec.Events()
 			cuts, calls := []int64{1}, int64(0)
 			for _, e := range events {
 				if e.Type == obs.EventTupleExplained && e.Fresh > 0 {

@@ -24,8 +24,8 @@ type eventSums struct {
 
 func sumEvents(t *testing.T, rec *obs.Recorder) eventSums {
 	t.Helper()
-	events, dropped := rec.Events()
-	if dropped != 0 {
+	events := rec.Events()
+	if dropped := rec.Counter(obs.CounterEventsDropped).Value(); dropped != 0 {
 		t.Fatalf("event log dropped %d events; raise capacity for this test", dropped)
 	}
 	var s eventSums
@@ -323,7 +323,7 @@ func TestAnchorEventCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	explained, hits := 0, int64(0)
 	for _, e := range events {
 		if e.Type == obs.EventTupleExplained {

@@ -90,8 +90,8 @@ func TestBatchExactSHAP(t *testing.T) {
 			rep.Invocations, len(env.tuples))
 	}
 
-	events, dropped := rec.Events()
-	if dropped != 0 {
+	events := rec.Events()
+	if dropped := rec.Counter(obs.CounterEventsDropped).Value(); dropped != 0 {
 		t.Fatalf("event log dropped %d events", dropped)
 	}
 	var (
@@ -301,7 +301,7 @@ func TestExactFallbackTreeNotInPreorder(t *testing.T) {
 // reason and no exact_shap ones, and returns how many.
 func assertFallbackEvent(t *testing.T, rec *obs.Recorder, reason string) int {
 	t.Helper()
-	events, _ := rec.Events()
+	events := rec.Events()
 	found := 0
 	for _, e := range events {
 		switch e.Type {
@@ -496,7 +496,7 @@ func TestWarmExactSHAP(t *testing.T) {
 			t.Errorf("%s: ExplainExact error = %v, want ErrExactUnavailable", name, err)
 		}
 	}
-	if events, _ := rec.Events(); len(events) != 0 {
+	if events := rec.Events(); len(events) != 0 {
 		t.Errorf("LIME-kind warm servers without a side door emitted %d events", len(events))
 	}
 }
@@ -544,7 +544,7 @@ func TestWarmExplainExactAccounting(t *testing.T) {
 			t.Errorf("%s = %d after %d exact answers", m.name, m.got, n)
 		}
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	next := 0
 	for _, e := range events {
 		if e.Type != obs.EventExactShap {
@@ -599,7 +599,7 @@ func TestExactUnderCancellableContext(t *testing.T) {
 		t.Fatal("exact run under cancellable context recorded zero node visits")
 	}
 	var exactEvents, sampled int
-	events, _ := rec.Events()
+	events := rec.Events()
 	for _, ev := range events {
 		switch ev.Type {
 		case obs.EventExactShap:

@@ -232,7 +232,7 @@ func TestStreamRefusedFill(t *testing.T) {
 				for _, f := range w.fills[fills:] {
 					own, ownDegraded = own-f.calls, ownDegraded-f.degraded
 				}
-				events, _ := opts.Recorder.Events()
+				events := opts.Recorder.Events()
 				if ev := events[len(events)-1]; ev.Type != obs.EventTupleExplained || ev.Fresh != own {
 					t.Fatalf("tuple %d: last event %s with fresh=%d, want tuple_explained with its own %d calls", i, ev.Type, ev.Fresh, own)
 				}

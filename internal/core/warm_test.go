@@ -176,7 +176,7 @@ func TestWarmEmitsRemineEvents(t *testing.T) {
 	if _, err := w.ExplainAll(env.tuples); err != nil {
 		t.Fatal(err)
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	var remines, explained int
 	for _, e := range events {
 		switch e.Type {
@@ -290,5 +290,38 @@ func TestWarmAnchorCoverageMatchesBatch(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("Warm and Batch emitted no rule in common; the comparison is vacuous")
+	}
+}
+
+// TestWarmSpanForestBounded: a warm server opens one warm-flush root
+// per flush under a recorder it never replaces, so the recorder keeps
+// its forest as a ring: past DefaultEventCapacity flushes, Trace holds
+// exactly the newest capacity roots and spans_dropped counts the rest.
+func TestWarmSpanForestBounded(t *testing.T) {
+	env := newEnv(t, 5, 40)
+	opts := smallOpts(LIME, 5)
+	opts.LIME.NumSamples = 20
+	rec := obs.NewRecorder()
+	opts.Recorder = rec
+	w, err := NewWarm(env.st, env.cls, opts, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flushes = obs.DefaultEventCapacity + 100
+	for i := 0; i < flushes; i++ {
+		at := 4 * (i % 10)
+		if _, err := w.ExplainAll(env.tuples[at : at+4]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roots := rec.Trace()
+	if len(roots) != obs.DefaultEventCapacity {
+		t.Fatalf("Trace holds %d roots after %d flushes, want the capacity %d", len(roots), flushes, obs.DefaultEventCapacity)
+	}
+	if roots[0].Name != obs.StageWarmFlush || roots[len(roots)-1].Name != obs.StageWarmFlush {
+		t.Fatalf("roots are %q … %q, want %q", roots[0].Name, roots[len(roots)-1].Name, obs.StageWarmFlush)
+	}
+	if got := rec.Counter("spans_dropped").Value(); got != flushes-obs.DefaultEventCapacity {
+		t.Fatalf("spans_dropped = %d, want %d", got, flushes-obs.DefaultEventCapacity)
 	}
 }

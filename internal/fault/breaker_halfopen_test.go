@@ -172,7 +172,7 @@ func TestBreakerDo(t *testing.T) {
 	if got := rec.Gauge(obs.GaugeBreakerState + "_replica0").Value(); got != int64(BreakerClosed) {
 		t.Errorf("named state gauge=%d, want %d", got, BreakerClosed)
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	var edges int
 	for _, e := range events {
 		if e.Type == obs.EventBreakerState && e.Name == "replica0" {

@@ -313,7 +313,7 @@ func TestBreakerEmitsTransitions(t *testing.T) {
 	b := NewBreaker(Config{BreakerThreshold: 2, BreakerCooldownCalls: 1}, rec, "")
 	b.Do(context.Background(), op)
 	b.Do(context.Background(), op)
-	events, _ := rec.Events()
+	events := rec.Events()
 	var states []string
 	for _, e := range events {
 		if e.Type == obs.EventBreakerState {
@@ -535,7 +535,7 @@ func TestBreakerStateGauge(t *testing.T) {
 	if g.Value() != int64(BreakerOpen) {
 		t.Fatalf("gauge after failed probe = %d, want %d (open)", g.Value(), BreakerOpen)
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	var sawHalfOpen bool
 	for _, e := range events {
 		if e.Type == obs.EventBreakerState && e.State == "open->half-open" {

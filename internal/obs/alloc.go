@@ -8,8 +8,8 @@ import "runtime/metrics"
 // stop the world. Marks are process-wide, so a delta attributes every
 // allocation the process made between the two reads — for the
 // gate-serialised flush paths that is the flush's own work plus a small
-// amount of unrelated background (HTTP handlers, the sampler), which is
-// the documented precision of the per-stage allocation columns.
+// amount of unrelated background (HTTP handlers), which is the
+// documented precision of the per-stage allocation columns.
 type AllocMark struct {
 	Bytes   uint64
 	Objects uint64
@@ -19,6 +19,17 @@ type AllocMark struct {
 type AllocDelta struct {
 	Bytes   int64
 	Objects int64
+}
+
+// The runtime/metrics samples NowAllocs reads, by read position.
+const (
+	idxAllocBytes = iota
+	idxAllocObjs
+)
+
+var sampleNames = []string{
+	idxAllocBytes: "/gc/heap/allocs:bytes",
+	idxAllocObjs:  "/gc/heap/allocs:objects",
 }
 
 // NowAllocs reads the cumulative allocation counters. Safe for
@@ -48,4 +59,19 @@ func (m AllocMark) Since() AllocDelta {
 		d.Objects = 0
 	}
 	return d
+}
+
+// sampleUint64 reads a numeric sample defensively: both kinds NowAllocs
+// reads are KindUint64 today, but a kind change in a future runtime must
+// not panic it.
+func sampleUint64(s metrics.Sample) uint64 {
+	switch s.Value.Kind() {
+	case metrics.KindUint64:
+		return s.Value.Uint64()
+	case metrics.KindFloat64:
+		if v := s.Value.Float64(); v > 0 {
+			return uint64(v)
+		}
+	}
+	return 0
 }

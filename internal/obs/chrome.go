@@ -22,9 +22,7 @@ type ChromeEvent struct {
 	// ID binds a flow's start and finish events; trace-ID-keyed.
 	ID string `json:"id,omitempty"`
 	// BP is the flow binding point ("e" = enclosing slice).
-	BP string `json:"bp,omitempty"`
-	// S is the scope of an instant event (`ph:"i"`): "p" = process.
-	S    string         `json:"s,omitempty"`
+	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -105,38 +103,6 @@ func (r *Recorder) ChromeTrace() []ChromeEvent {
 				TS: mark.ts, PID: 1, TID: mark.tid, ID: rt.TraceID,
 			},
 		)
-	}
-	// Runtime telemetry rides on track 0: heap_sample events become
-	// counter tracks (live heap, goroutines) and gc_cycle events
-	// process-scoped instants, so GC activity lines up visually against
-	// the request and flush spans above.
-	runtimeEvents, _ := r.Events()
-	for _, e := range runtimeEvents {
-		switch e.Type {
-		case EventHeapSample:
-			events = append(events,
-				ChromeEvent{
-					Name: "heap_live_bytes", Cat: "shahin-runtime", Ph: "C",
-					TS: e.TMS * 1000, PID: 1, TID: 0,
-					Args: map[string]any{"bytes": e.Bytes},
-				},
-				ChromeEvent{
-					Name: "goroutines", Cat: "shahin-runtime", Ph: "C",
-					TS: e.TMS * 1000, PID: 1, TID: 0,
-					Args: map[string]any{"count": e.Goroutines},
-				},
-			)
-		case EventGCCycle:
-			events = append(events, ChromeEvent{
-				Name: "gc_cycle", Cat: "shahin-runtime", Ph: "i", S: "p",
-				TS: e.TMS * 1000, PID: 1, TID: 0,
-				Args: map[string]any{
-					"cycles":       e.Itemsets,
-					"heap_bytes":   e.Bytes,
-					"max_pause_ms": e.DurMS,
-				},
-			})
-		}
 	}
 	// The trace viewer expects monotone timestamps per track; sibling
 	// spans are recorded in start order but clock rounding can tie, so

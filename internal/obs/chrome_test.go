@@ -77,53 +77,3 @@ func TestChromeTraceNil(t *testing.T) {
 		t.Fatalf("nil recorder produced %d events", len(events))
 	}
 }
-
-// TestChromeTraceRuntimeEvents: runtime telemetry events become counter
-// tracks (heap, goroutines) and a process-scoped GC instant on track 0.
-func TestChromeTraceRuntimeEvents(t *testing.T) {
-	r := NewRecorder()
-	r.Emit(Event{Type: EventHeapSample, Tuple: -1, Bytes: 4096, Goroutines: 7})
-	r.Emit(Event{Type: EventGCCycle, Tuple: -1, Itemsets: 2, Bytes: 2048, DurMS: 0.25})
-
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []ChromeEvent
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]ChromeEvent{}
-	for _, e := range events {
-		byName[e.Name] = e
-	}
-
-	heap, ok := byName["heap_live_bytes"]
-	if !ok {
-		t.Fatal("no heap_live_bytes counter event")
-	}
-	if heap.Ph != "C" || heap.Cat != "shahin-runtime" || heap.TID != 0 {
-		t.Errorf("heap counter = %+v", heap)
-	}
-	if heap.Args["bytes"] != float64(4096) {
-		t.Errorf("heap counter args %+v", heap.Args)
-	}
-	gor, ok := byName["goroutines"]
-	if !ok {
-		t.Fatal("no goroutines counter event")
-	}
-	if gor.Ph != "C" || gor.Args["count"] != float64(7) {
-		t.Errorf("goroutines counter = %+v", gor)
-	}
-
-	gc, ok := byName["gc_cycle"]
-	if !ok {
-		t.Fatal("no gc_cycle instant event")
-	}
-	if gc.Ph != "i" || gc.S != "p" || gc.Cat != "shahin-runtime" {
-		t.Errorf("gc_cycle = %+v", gc)
-	}
-	if gc.Args["cycles"] != float64(2) || gc.Args["heap_bytes"] != float64(2048) || gc.Args["max_pause_ms"] != 0.25 {
-		t.Errorf("gc_cycle args %+v", gc.Args)
-	}
-}

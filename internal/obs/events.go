@@ -53,16 +53,6 @@ const (
 	// EventServeDrain records a graceful drain: Itemsets carries the
 	// number of queued requests flushed on the way out.
 	EventServeDrain EventType = "serve_drain"
-	// EventGCCycle records garbage collection observed by the runtime
-	// sampler between two ticks: Itemsets carries the number of cycles
-	// completed, Bytes the live heap after the tick, and DurMS the
-	// largest pause folded in during the tick.
-	EventGCCycle EventType = "gc_cycle"
-	// EventHeapSample is a periodic (decimated — see the runtime
-	// sampler's stride constants) heap snapshot: Bytes carries the live
-	// heap, Goroutines the goroutine count. Chrome traces render these
-	// as counter tracks under the request spans.
-	EventHeapSample EventType = "heap_sample"
 )
 
 // Event is one entry of the run's structured event log. Fields are a
@@ -89,11 +79,6 @@ type Event struct {
 	// path's unit of work in place of pooled sample counts.
 	NodeVisits int64   `json:"node_visits,omitempty"`
 	DurMS      float64 `json:"dur_ms,omitempty"`
-	// Bytes is a byte quantity: the live heap of a gc_cycle or
-	// heap_sample event.
-	Bytes int64 `json:"bytes,omitempty"`
-	// Goroutines rides heap_sample events.
-	Goroutines int64 `json:"goroutines,omitempty"`
 	// State is a breaker_state transition edge ("closed->open").
 	State string `json:"state,omitempty"`
 	// Name identifies which instance emitted the event when several
@@ -109,66 +94,76 @@ type Event struct {
 	Stages *StageBreakdown `json:"stages,omitempty"`
 }
 
-// DefaultEventCapacity bounds the event log. A full log drops the oldest
-// events (the live tail is the useful part) and counts every drop.
+// DefaultEventCapacity bounds the event log and the recorder's root
+// spans alike. A full ring drops its oldest entry (the live tail is the
+// useful part) and counts every drop.
 const DefaultEventCapacity = 8192
 
-// eventLog is a bounded ring of events. Guarded by its own mutex so
-// event emission never contends with the counter registry.
-type eventLog struct {
+// ring is a bounded log: once it holds cap entries, each push overwrites
+// the oldest and counts it in dropped. Guarded by its own mutex, so
+// pushing never contends with the metric registry.
+type ring[T any] struct {
 	mu      sync.Mutex
-	buf     []Event // ring storage, len == capacity once full
+	buf     []T // storage, len == cap once full
 	cap     int
-	next    int      // ring write position once len(buf) == cap
-	seq     int64    // total events ever emitted
-	dropped *Counter // the recorder's events_dropped: overwritten events
+	next    int      // write position once len(buf) == cap
+	seq     int64    // entries ever pushed
+	dropped *Counter // the recorder counter the overwrites land in
 }
 
-// emit appends one event, stamping its sequence number, and overwrites
-// the oldest entry when the ring is full.
-func (l *eventLog) emit(e Event) {
+// newRing returns an empty ring of DefaultEventCapacity counting its
+// overwrites in dropped.
+func newRing[T any](dropped *Counter) *ring[T] {
+	return &ring[T]{cap: DefaultEventCapacity, dropped: dropped}
+}
+
+// push appends v, overwriting the oldest entry when the ring is full.
+func (l *ring[T]) push(v T) {
 	l.mu.Lock()
-	e.Seq = l.seq
 	l.seq++
 	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, e)
+		l.buf = append(l.buf, v)
 	} else {
-		l.buf[l.next] = e
+		l.buf[l.next] = v
 		l.next = (l.next + 1) % l.cap
 		l.dropped.Inc()
 	}
 	l.mu.Unlock()
 }
 
-// snapshot returns the retained events in emission order plus the count
-// of events dropped to the capacity bound.
-func (l *eventLog) snapshot() ([]Event, int64) {
+// snapshot returns the retained entries, oldest first, and the ordinal
+// of the oldest among every entry ever pushed.
+func (l *ring[T]) snapshot() ([]T, int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.buf))
+	out := make([]T, 0, len(l.buf))
 	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
-	return out, l.dropped.Value()
+	return append(out, l.buf[:l.next]...), l.seq - int64(len(l.buf))
 }
 
 // Emit appends one structured event to the run's event log, stamping
-// its sequence number and time offset. Safe for concurrent use; no-op
-// on a nil receiver.
+// its time offset (its Seq is its place in the log). Safe for
+// concurrent use; no-op on a nil receiver.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
 	e.TMS = r.uptimeMS()
-	r.events.emit(e)
+	r.events.push(e)
 }
 
-// Events returns the retained events in emission order and how many
-// older events the capacity bound dropped. Nil receivers report nothing.
-func (r *Recorder) Events() ([]Event, int64) {
+// Events returns the retained events in emission order, each stamped
+// with its Seq; how many older events the capacity bound dropped is the
+// events_dropped counter. Nil receivers report nothing.
+func (r *Recorder) Events() []Event {
 	if r == nil {
-		return nil, 0
+		return nil
 	}
-	return r.events.snapshot()
+	events, first := r.events.snapshot()
+	for i := range events {
+		events[i].Seq = first + int64(i)
+	}
+	return events
 }
 
 // WriteEvents drains the retained events as JSONL, one event per line
@@ -178,7 +173,7 @@ func (r *Recorder) WriteEvents(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	events, _ := r.events.snapshot()
+	events := r.Events()
 	enc := json.NewEncoder(w)
 	for i := range events {
 		if err := enc.Encode(&events[i]); err != nil {

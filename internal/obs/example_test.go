@@ -7,8 +7,8 @@ import (
 )
 
 // ExampleRecorder_Emit records one structured provenance event and
-// reads it back. The event log is a bounded ring — Events also reports
-// how many older entries the capacity bound dropped.
+// reads it back. The event log is a bounded ring; the events_dropped
+// counter reports how many older entries the capacity bound dropped.
 func ExampleRecorder_Emit() {
 	rec := obs.NewRecorder()
 	rec.Emit(obs.Event{
@@ -20,7 +20,7 @@ func ExampleRecorder_Emit() {
 		Fresh:     50,
 	})
 
-	events, dropped := rec.Events()
+	events, dropped := rec.Events(), rec.Counter(obs.CounterEventsDropped).Value()
 	e := events[0]
 	fmt.Printf("%d event(s), %d dropped\n", len(events), dropped)
 	fmt.Printf("%s tuple=%d pooled=%d fresh=%d via %s\n", e.Type, e.Tuple, e.Pooled, e.Fresh, e.Itemset)

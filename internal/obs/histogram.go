@@ -36,24 +36,19 @@ func bucketOf(ns int64) int {
 	return idx
 }
 
-// Observe records one duration. No-op on a nil receiver.
-func (h *Histogram) Observe(d time.Duration) { h.observeBucketed(d.Nanoseconds(), 1) }
-
-// observeBucketed is the one histogram update: n observations of ns
-// nanoseconds each (negative clamps to 0). Observe is n = 1; the runtime
-// sampler replays runtime/metrics bucket-count deltas (which can be
-// thousands of scheduler-latency events per tick) with larger n. No-op
-// on a nil receiver or n <= 0.
-func (h *Histogram) observeBucketed(ns, n int64) {
-	if h == nil || n <= 0 {
+// Observe records one duration (negative clamps to 0). No-op on a nil
+// receiver.
+func (h *Histogram) Observe(d time.Duration) {
+	if h == nil {
 		return
 	}
+	ns := d.Nanoseconds()
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(n)
-	h.sum.Add(ns * n)
-	h.buckets[bucketOf(ns)].Add(n)
+	h.count.Add(1)
+	h.sum.Add(ns)
+	h.buckets[bucketOf(ns)].Add(1)
 	for {
 		cur := h.min.Load()
 		if ns >= cur || h.min.CompareAndSwap(cur, ns) {

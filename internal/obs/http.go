@@ -37,33 +37,19 @@ func endpoints(rec *Recorder) []endpoint {
 	prof.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	prof.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return []endpoint{
-		// JSON snapshot of every counter, gauge and histogram, or the
-		// Prometheus text exposition.
-		{"/metrics", "format=prom", func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Query().Get("format") == "prom" {
-				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-				if err := rec.WritePrometheus(w); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-				return
-			}
+		// JSON snapshot of every counter, gauge and histogram.
+		{"/metrics", "", func(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, http.StatusOK, rec.Metrics())
 		}},
 		// Tuples done, reuse rate, invocations so far.
 		{"/progress", "", func(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, http.StatusOK, rec.Progress())
 		}},
-		// The span dump (same shape as -trace-out), or Chrome trace-event
-		// JSON for Perfetto.
-		{"/trace", "format=chrome", func(w http.ResponseWriter, req *http.Request) {
+		// The span forest and request exemplars as Chrome trace-event
+		// JSON for Perfetto (same shape as -chrome-trace).
+		{"/trace", "", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			var err error
-			if req.URL.Query().Get("format") == "chrome" {
-				err = rec.WriteChromeTrace(w)
-			} else {
-				err = rec.WriteTrace(w)
-			}
-			if err != nil {
+			if err := rec.WriteChromeTrace(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}},
@@ -74,7 +60,6 @@ func endpoints(rec *Recorder) []endpoint {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}},
-		{"/slo", "", SLOHandler(rec)},
 		{"/requests", "trace=<id>", RequestsHandler(rec)},
 		{"/debug/pprof/", "", prof.ServeHTTP},
 	}
@@ -143,23 +128,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(append(body, '\n')) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
-}
-
-// sloResponse is the /slo body: Enabled reports whether a tracker is
-// attached, and the status fields inline when it is.
-type sloResponse struct {
-	Enabled bool `json:"enabled"`
-	SLOStatus
-}
-
-// SLOHandler serves the rolling-window SLO status of rec's attached
-// tracker as JSON ({"enabled": false} when no tracker — or no recorder
-// — is attached). Shared by the obs debug server and the serving API.
-func SLOHandler(rec *Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		st, ok := rec.SLOStatus()
-		writeJSON(w, http.StatusOK, sloResponse{Enabled: ok, SLOStatus: st})
-	}
 }
 
 // RequestsHandler serves the slow-request exemplar ring: without

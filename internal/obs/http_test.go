@@ -62,14 +62,12 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("progress %+v", p)
 	}
 
-	var tf struct {
-		Spans []*SpanDump `json:"spans"`
-	}
-	if err := json.Unmarshal(get("/trace"), &tf); err != nil {
+	var chrome []ChromeEvent
+	if err := json.Unmarshal(get("/trace"), &chrome); err != nil {
 		t.Fatalf("/trace not JSON: %v", err)
 	}
-	if len(tf.Spans) != 1 || tf.Spans[0].Name != StageBatch {
-		t.Fatalf("trace %+v", tf.Spans)
+	if len(chrome) != 2 || chrome[0].Name != StageBatch || chrome[1].Name != StageMine {
+		t.Fatalf("trace %+v", chrome)
 	}
 
 	// The index and the mux are one table: everything mounted answers
@@ -81,8 +79,8 @@ func TestServeEndpoints(t *testing.T) {
 			t.Errorf("index does not list %s:\n%s", e.path, index)
 		}
 	}
-	// The four that hand-kept lists of the endpoints used to leave out.
-	for _, path := range []string{"/slo", "/requests", "/events", "/debug/pprof/"} {
+	// The three that hand-kept lists of the endpoints used to leave out.
+	for _, path := range []string{"/requests", "/events", "/debug/pprof/"} {
 		if !strings.Contains(index, "\n"+path) {
 			t.Errorf("index does not list %s:\n%s", path, index)
 		}
@@ -95,9 +93,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// TestServeFormatsAndEvents covers the export adapters on the HTTP
-// surface: Prometheus text at /metrics?format=prom, Chrome trace-event
-// JSON at /trace?format=chrome, and the JSONL event log at /events.
+// TestServeFormatsAndEvents covers the encodings on the HTTP surface:
+// JSON at /metrics, Chrome trace-event JSON at /trace, and the JSONL
+// event log at /events.
 func TestServeFormatsAndEvents(t *testing.T) {
 	rec := NewRecorder()
 	rec.Counter(CounterInvocations).Add(7)
@@ -130,13 +128,16 @@ func TestServeFormatsAndEvents(t *testing.T) {
 		return body
 	}
 
-	prom := string(get("/metrics?format=prom", "text/plain; version=0.0.4; charset=utf-8"))
-	if !strings.Contains(prom, "shahin_classifier_invocations 7") {
-		t.Errorf("prom exposition missing counter:\n%s", prom)
+	var m Metrics
+	if err := json.Unmarshal(get("/metrics", "application/json"), &m); err != nil {
+		t.Fatalf("/metrics not JSON: %v", err)
+	}
+	if m.Counters[CounterInvocations] != 7 {
+		t.Errorf("/metrics missing counter: %+v", m.Counters)
 	}
 
 	var chrome []ChromeEvent
-	if err := json.Unmarshal(get("/trace?format=chrome", "application/json"), &chrome); err != nil {
+	if err := json.Unmarshal(get("/trace", "application/json"), &chrome); err != nil {
 		t.Fatalf("chrome trace not a JSON array: %v", err)
 	}
 	if len(chrome) != 1 || chrome[0].Name != StageBatch || chrome[0].Ph != "X" {

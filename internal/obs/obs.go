@@ -1,13 +1,14 @@
 // Package obs is the observability substrate of the explanation
 // pipeline: stage-scoped spans with nested timings, an atomic
 // counter/gauge registry, log-scale latency histograms, a bounded event
-// log, a slow-request exemplar ring, and an opt-in HTTP server (Serve)
-// whose index at / lists what it mounts. It is stdlib-only and safe for
-// concurrent use.
+// log and root-span forest, a slow-request exemplar ring, and an opt-in
+// HTTP server (Serve) whose index at / lists what it mounts. It is
+// stdlib-only and safe for concurrent use.
 //
-// Each fact is held once: a reading is its registry entry and a served
-// request its RequestTrace; /metrics in both formats, /progress, the
-// Chrome trace and a request's span tree are folds of those.
+// Each fact is held once, in one encoding: a reading is its registry
+// entry, a stage its span and a served request its RequestTrace;
+// /metrics, /progress, the Chrome trace and a request's span tree are
+// JSON folds of those.
 //
 // Everything is nil-receiver-safe: a nil *Recorder — and the nil
 // *Counter, *Gauge, *Histogram, and *Span values it hands out — turns
@@ -64,10 +65,13 @@ const (
 	CounterCacheHits      = "cache_hits"
 	CounterCacheMisses    = "cache_misses"
 	CounterCacheEvictions = "cache_evictions"
-	// counterEventsDropped counts events the log's capacity bound
+	// CounterEventsDropped counts events the log's capacity bound
 	// overwrote: nonzero means an event dump no longer reconciles with
-	// the report. Registered from birth, so every scrape carries it.
-	counterEventsDropped = "events_dropped"
+	// the report. counterSpansDropped counts root spans overwritten the
+	// same way: nonzero means StageTotals no longer covers the whole
+	// run. Both are registered from birth, so every scrape carries them.
+	CounterEventsDropped = "events_dropped"
+	counterSpansDropped  = "spans_dropped"
 	// GaugeTuplesTotal is the batch size when known up front (0 for an
 	// unbounded stream).
 	GaugeTuplesTotal = "tuples_total"
@@ -147,27 +151,25 @@ const (
 // concurrent use and safe on a nil receiver.
 type Recorder struct {
 	start    time.Time
-	events   *eventLog
+	events   *ring[Event]
+	spans    *ring[*Span] // root spans; children hang off them
 	requests *requestRing
 
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    []*Span
-	slo      *SLOTracker
-	// runtime is the attached telemetry sampler (nil when none).
-	runtime *RuntimeSampler
 }
 
 // NewRecorder returns an empty recorder; its uptime clock starts now.
 func NewRecorder() *Recorder {
-	dropped := &Counter{}
+	events, spans := &Counter{}, &Counter{}
 	r := &Recorder{
 		start:    time.Now(),
-		events:   &eventLog{cap: DefaultEventCapacity, dropped: dropped},
+		events:   newRing[Event](events),
+		spans:    newRing[*Span](spans),
 		requests: newRequestRing(0),
-		counters: map[string]*Counter{counterEventsDropped: dropped},
+		counters: map[string]*Counter{CounterEventsDropped: events, counterSpansDropped: spans},
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +79,44 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileEdges pins the quantile edge semantics: empty
+// histograms answer 0, single-sample histograms answer that sample for
+// every q, and q is clamped into [0, 1] with min/max at the ends.
+func TestHistogramQuantileEdges(t *testing.T) {
+	empty := newHistogram()
+	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
+		if got := empty.Quantile(q); got != 0 {
+			t.Errorf("empty.Quantile(%v) = %v, want 0", q, got)
+		}
+	}
+
+	single := newHistogram()
+	single.Observe(100 * time.Nanosecond)
+	for _, q := range []float64{-0.5, 0, 0.25, 0.5, 0.99, 1, 1.5} {
+		if got := single.Quantile(q); got != 100*time.Nanosecond {
+			t.Errorf("single.Quantile(%v) = %v, want 100ns", q, got)
+		}
+	}
+
+	multi := newHistogram()
+	multi.Observe(10 * time.Nanosecond)
+	multi.Observe(1000 * time.Nanosecond)
+	if got := multi.Quantile(0); got != 10*time.Nanosecond {
+		t.Errorf("Quantile(0) = %v, want observed min", got)
+	}
+	if got := multi.Quantile(1); got != 1000*time.Nanosecond {
+		t.Errorf("Quantile(1) = %v, want observed max", got)
+	}
+	// Interior quantiles stay inside [min, max] even though bucket
+	// upper bounds are powers of two.
+	for _, q := range []float64{0.01, 0.5, 0.99} {
+		got := multi.Quantile(q)
+		if got < 10*time.Nanosecond || got > 1000*time.Nanosecond {
+			t.Errorf("Quantile(%v) = %v outside [10ns, 1000ns]", q, got)
+		}
+	}
+}
+
 // Every instrumentation method must no-op on nil receivers: that is the
 // zero-overhead contract Options.Recorder == nil relies on.
 func TestNilSafety(t *testing.T) {
@@ -111,19 +147,6 @@ func TestNilSafety(t *testing.T) {
 	m := r.Metrics()
 	if len(m.Counters) != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
 		t.Fatalf("nil metrics %+v", m)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		Spans []json.RawMessage `json:"spans"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("nil trace not valid JSON: %v", err)
-	}
-	if tf.Spans == nil {
-		t.Fatal("nil trace should still carry an empty spans array")
 	}
 }
 
@@ -186,42 +209,14 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
-func TestWriteTraceRoundTrip(t *testing.T) {
-	r := NewRecorder()
-	root := r.StartSpan("stream")
-	root.Child("re-mine").End()
-	root.End()
-
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		UptimeMS float64     `json:"uptime_ms"`
-		Spans    []*SpanDump `json:"spans"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace not parseable: %v\n%s", err, buf.String())
-	}
-	if len(tf.Spans) != 1 || tf.Spans[0].Name != "stream" {
-		t.Fatalf("spans %+v", tf.Spans)
-	}
-	if len(tf.Spans[0].Children) != 1 || tf.Spans[0].Children[0].Name != "re-mine" {
-		t.Fatalf("children %+v", tf.Spans[0].Children)
-	}
-	if tf.UptimeMS <= 0 {
-		t.Fatalf("uptime_ms = %v", tf.UptimeMS)
-	}
-}
-
 func TestProgress(t *testing.T) {
 	// A read must not write: asking an untouched recorder for progress
-	// registers nothing beside the counter it was born with.
+	// registers nothing beside the two counters it was born with.
 	fresh := NewRecorder()
 	if p := fresh.Progress(); p.TuplesDone != 0 || p.ExplainP99MS != 0 {
 		t.Fatalf("fresh progress %+v", p)
 	}
-	if m := fresh.Metrics(); len(m.Counters) != 1 || m.Counters[counterEventsDropped] != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
+	if m := fresh.Metrics(); len(m.Counters) != 2 || m.Counters[CounterEventsDropped] != 0 || m.Counters[counterSpansDropped] != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
 		t.Fatalf("Progress() registered metrics: %+v", m)
 	}
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -32,16 +30,16 @@ func newSpan(name string, epoch time.Time) *Span {
 	return &Span{name: name, start: time.Now(), epoch: epoch}
 }
 
-// StartSpan opens a root span. Returns nil (whose methods no-op) on a
-// nil receiver.
+// StartSpan opens a root span. The recorder keeps the newest
+// DefaultEventCapacity roots and counts older ones in spans_dropped, so
+// a long-lived server's forest stays bounded. Returns nil (whose
+// methods no-op) on a nil receiver.
 func (r *Recorder) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
 	s := newSpan(name, r.start)
-	r.mu.Lock()
-	r.spans = append(r.spans, s)
-	r.mu.Unlock()
+	r.spans.push(s)
 	return s
 }
 
@@ -115,8 +113,9 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// SpanDump is the JSON shape of one span in a trace dump. Times are
-// milliseconds; StartMS is relative to the recorder's start.
+// SpanDump is a snapshot of one span subtree: what Trace returns, what
+// the Chrome trace folds, and a request's root on /requests?trace=.
+// Times are milliseconds; StartMS is relative to the recorder's start.
 type SpanDump struct {
 	Name     string         `json:"name"`
 	TraceID  string         `json:"trace_id,omitempty"`
@@ -162,16 +161,13 @@ func (s *Span) dump() *SpanDump {
 	return d
 }
 
-// Trace snapshots every root span recorded so far (nil on a nil
+// Trace snapshots every retained root span, oldest first (nil on a nil
 // receiver).
 func (r *Recorder) Trace() []*SpanDump {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	roots := make([]*Span, len(r.spans))
-	copy(roots, r.spans)
-	r.mu.RUnlock()
+	roots, _ := r.spans.snapshot()
 	out := make([]*SpanDump, len(roots))
 	for i, s := range roots {
 		out[i] = s.dump()
@@ -179,27 +175,10 @@ func (r *Recorder) Trace() []*SpanDump {
 	return out
 }
 
-// traceFile is the envelope WriteTrace emits.
-type traceFile struct {
-	UptimeMS float64     `json:"uptime_ms"`
-	Spans    []*SpanDump `json:"spans"`
-}
-
-// WriteTrace writes the span dump as indented JSON. A nil recorder
-// writes an empty trace.
-func (r *Recorder) WriteTrace(w io.Writer) error {
-	tf := traceFile{UptimeMS: r.uptimeMS(), Spans: r.Trace()}
-	if tf.Spans == nil {
-		tf.Spans = []*SpanDump{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tf)
-}
-
-// StageTotals sums span durations by name across the whole recorded
-// forest: the per-stage wall-time breakdown of everything run under
-// this recorder. Open spans contribute their running duration.
+// StageTotals sums span durations by name across the retained forest:
+// the per-stage wall-time breakdown of everything run under this
+// recorder, short of any roots spans_dropped counts. Open spans
+// contribute their running duration.
 func (r *Recorder) StageTotals() map[string]time.Duration {
 	if r == nil {
 		return nil

@@ -77,116 +77,6 @@ func TestTraceContextOnContext(t *testing.T) {
 	}
 }
 
-// fakeClock is a deterministic SLO clock the test advances by hand.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-func TestSLOTracker(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	tr := NewSLOTracker(SLOConfig{
-		Window:           time.Minute,
-		Buckets:          6,
-		LatencyTarget:    100 * time.Millisecond,
-		LatencyGoal:      0.9,
-		AvailabilityGoal: 0.95,
-		Clock:            clk.Now,
-	})
-
-	// Empty window: full compliance, objectives met, zero burn.
-	st := tr.Status()
-	if len(st.Objectives) != 2 {
-		t.Fatalf("objectives: %+v", st.Objectives)
-	}
-	for _, o := range st.Objectives {
-		if o.Compliance != 1 || !o.Met || o.BurnRate != 0 {
-			t.Fatalf("empty-window objective %+v", o)
-		}
-	}
-
-	// 10 requests: 2 slow, 1 failed.
-	for i := 0; i < 8; i++ {
-		tr.Record(10*time.Millisecond, true)
-	}
-	tr.Record(200*time.Millisecond, true)
-	tr.Record(300*time.Millisecond, false)
-	st = tr.Status()
-	lat, avail := st.Objectives[0], st.Objectives[1]
-	if lat.Name != SLOLatency || lat.Total != 10 || lat.Bad != 2 {
-		t.Fatalf("latency objective %+v", lat)
-	}
-	if lat.Compliance != 0.8 || lat.Met {
-		t.Fatalf("latency compliance %+v", lat)
-	}
-	// burn = badFrac / (1-goal) = 0.2 / 0.1 = 2.
-	if lat.BurnRate < 1.99 || lat.BurnRate > 2.01 {
-		t.Fatalf("latency burn rate %v", lat.BurnRate)
-	}
-	if avail.Name != SLOAvailability || avail.Bad != 1 || avail.Compliance != 0.9 || avail.Met {
-		t.Fatalf("availability objective %+v", avail)
-	}
-
-	// Half a window later the samples still count ...
-	clk.Advance(30 * time.Second)
-	if st := tr.Status(); st.Objectives[0].Total != 10 {
-		t.Fatalf("mid-window total %d", st.Objectives[0].Total)
-	}
-	// ... and a fresh sample lands in a new bucket.
-	tr.Record(10*time.Millisecond, true)
-	if st := tr.Status(); st.Objectives[0].Total != 11 {
-		t.Fatalf("post-advance total %d", st.Objectives[0].Total)
-	}
-
-	// Past the full window everything ages out.
-	clk.Advance(2 * time.Minute)
-	st = tr.Status()
-	if st.Objectives[0].Total != 0 || st.Objectives[0].Compliance != 1 || !st.Objectives[0].Met {
-		t.Fatalf("aged-out objective %+v", st.Objectives[0])
-	}
-
-	// Bucket slots are recycled in place, not leaked: record again and
-	// the window only sees the new data.
-	tr.Record(10*time.Millisecond, true)
-	if st := tr.Status(); st.Objectives[0].Total != 1 {
-		t.Fatalf("recycled-slot total %d", st.Objectives[0].Total)
-	}
-}
-
-func TestRecorderSLO(t *testing.T) {
-	rec := NewRecorder()
-	if _, ok := rec.SLOStatus(); ok {
-		t.Fatal("recorder without tracker reported SLO status")
-	}
-	rec.RecordSLO(time.Millisecond, true) // no tracker: must not panic
-	rec.SetSLO(NewSLOTracker(SLOConfig{Window: time.Minute}))
-	rec.RecordSLO(time.Millisecond, true)
-	rec.RecordSLO(time.Second, false)
-	st, ok := rec.SLOStatus()
-	if !ok || st.Objectives[1].Bad != 1 || st.Objectives[0].Total != 2 {
-		t.Fatalf("recorder SLO status %+v ok=%v", st, ok)
-	}
-
-	var nilRec *Recorder
-	nilRec.RecordSLO(time.Millisecond, true)
-	nilRec.SetSLO(nil)
-	if _, ok := nilRec.SLOStatus(); ok {
-		t.Fatal("nil recorder reported SLO status")
-	}
-}
-
 func TestRequestRingTopK(t *testing.T) {
 	ring := newRequestRing(3)
 	for i, ms := range []float64{5, 1, 9, 3, 7} {

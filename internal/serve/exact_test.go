@@ -97,7 +97,7 @@ func TestServeExactFastPath(t *testing.T) {
 	if out.Stages == nil || out.Stages.Solve <= 0 || out.Stages.Classify <= 0 {
 		t.Fatalf("exact request missing solve- and classify-stage attribution: %+v", out.Stages)
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	found := false
 	for _, e := range events {
 		if e.Type == obs.EventExactShap {

@@ -73,7 +73,6 @@ type BatchResponse[T any] struct {
 // exact path and admission queue, plus
 //
 //	GET  /snapshot          explanation-store snapshot (checksummed, versioned)
-//	GET  /slo               SLO objective status (compliance, burn rate)
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -93,7 +92,6 @@ func (s *Server) Handler() http.Handler {
 		},
 	}.Mount(mux)
 	mux.HandleFunc("GET /snapshot", s.handleSnapshot)
-	mux.HandleFunc("GET /slo", obs.SLOHandler(s.rec))
 	mux.HandleFunc("GET /requests", obs.RequestsHandler(s.rec))
 	return mux
 }
@@ -155,8 +153,7 @@ func (s *Server) resolveExplainer(name string) (wantExact bool, err error) {
 // explainOne answers one tuple and accounts for it. answer picks the
 // path — exact, store, queue — and reports what happened as one outcome;
 // everything a request leaves behind is built from that outcome here:
-// the response, the request histogram and SLO sample (availability
-// counts 5xx answers as bad), and the exemplar offered to the
+// the response, the request histogram, and the exemplar offered to the
 // slow-request ring, which is also the request's span tree.
 func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool, tc obs.TraceContext, parent string) (ExplainResponse, int) {
 	start := time.Now() //shahinvet:allow walltime — request latency feeds the serving histograms
@@ -168,7 +165,6 @@ func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool
 	if s.rec != nil {
 		s.rec.Histogram(obs.HistServeRequest).Observe(elapsed)
 	}
-	s.rec.RecordSLO(elapsed, out.code < http.StatusInternalServerError)
 	status := out.exp.Status.String()
 	if out.code != http.StatusOK {
 		status = core.StatusFailed.String()

@@ -60,8 +60,8 @@ type Config struct {
 	// on New if the file exists, written back on Drain. Empty disables
 	// persistence (the in-memory store still answers repeats).
 	StorePath string
-	// Recorder receives serving metrics, events, SLO samples and one
-	// exemplar per request; nil disables instrumentation. Pass the same recorder in the Warm explainer's
+	// Recorder receives serving metrics, events and one exemplar per
+	// request; nil disables instrumentation. Pass the same recorder in the Warm explainer's
 	// Options so pipeline and serving telemetry land in one place.
 	Recorder *obs.Recorder
 }

@@ -272,7 +272,7 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	if _, err := os.Stat(storePath); err != nil {
 		t.Fatalf("store snapshot missing: %v", err)
 	}
-	events, _ := rec.Events()
+	events := rec.Events()
 	var drains int
 	for _, e := range events {
 		if e.Type == obs.EventServeDrain {

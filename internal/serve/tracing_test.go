@@ -65,14 +65,12 @@ func checkTimeIdentity(t *testing.T, label string, r ExplainResponse) {
 // unique trace ID, resolves to exactly one retained root span whose
 // children's durations sum to no more than the root's, its stage
 // breakdown sums to the reported wait — for computed, store and exact
-// answers alike — the exemplar ring retains one entry per request, no
-// request root leaks into the recorder's span forest, and the SLO
-// tracker saw every request.
+// answers alike — the exemplar ring retains one entry per request, and
+// no request root leaks into the recorder's span forest.
 func TestServeTraceReconciliation(t *testing.T) {
 	const n = 16
 	env := newForestEnv(t, 3, n)
 	rec := obs.NewRecorder()
-	rec.SetSLO(obs.NewSLOTracker(obs.SLOConfig{Window: time.Minute, LatencyTarget: 2 * time.Second}))
 	s, err := New(newWarm(t, env, 3), Config{BatchWindow: 2 * time.Millisecond, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +139,6 @@ func TestServeTraceReconciliation(t *testing.T) {
 			t.Fatal("request root leaked into the recorder's span forest")
 		}
 	}
-	st, ok := rec.SLOStatus()
-	if !ok || st.Objectives[0].Total != n {
-		t.Fatalf("SLO tracker saw %d requests (ok=%v), want %d", st.Objectives[0].Total, ok, n)
-	}
 
 	// The two paths that never queue keep the same identity.
 	replay, code := postExplain(t, ts.URL, env.tuples[0])
@@ -167,7 +161,6 @@ func TestServeTraceReconciliation(t *testing.T) {
 func TestServeTraceparentEcho(t *testing.T) {
 	env := newEnv(t, 4, 8)
 	rec := obs.NewRecorder()
-	rec.SetSLO(obs.NewSLOTracker(obs.SLOConfig{Window: time.Minute}))
 	s, err := New(newWarm(t, env, 4), Config{BatchWindow: time.Millisecond, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -220,23 +213,6 @@ func TestServeTraceparentEcho(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown trace: HTTP %d, want 404", resp.StatusCode)
-	}
-
-	// /slo reports the enabled tracker with both objectives.
-	resp, err = http.Get(ts.URL + "/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slo struct {
-		Enabled    bool               `json:"enabled"`
-		Objectives []obs.SLOObjective `json:"objectives"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&slo); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !slo.Enabled || len(slo.Objectives) != 2 {
-		t.Fatalf("/slo: %+v", slo)
 	}
 
 	// Every tuple of a batch call shares the caller's trace ID.
