@@ -307,7 +307,6 @@ func TestExtensions(t *testing.T) {
 	}
 	cfg := tiny()
 	for name, fn := range map[string]func(Config) (*Table, error){
-		"ext-sshap":    ExtSampleShapley,
 		"ext-approx":   ExtApproximate,
 		"ext-parallel": ExtParallel,
 	} {

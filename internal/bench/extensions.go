@@ -4,51 +4,8 @@ import (
 	"fmt"
 
 	"shahin/internal/core"
-	"shahin/internal/explain/sshap"
 	"shahin/internal/metrics"
 )
-
-// ExtSampleShapley (ext-sshap) measures how far the reuse framework
-// carries a fourth perturbation algorithm, Sampling Shapley — the paper's
-// generality claim (§3.4) quantified. Its permutation walks consist
-// mostly of large coalitions no pool can serve, so the expected speedup
-// is real but smaller than for the three paper algorithms.
-func ExtSampleShapley(cfg Config) (*Table, error) {
-	cfg = cfg.Fill()
-	env, err := NewEnv("census", cfg)
-	if err != nil {
-		return nil, err
-	}
-	tuples, err := env.Tuples(cfg.Batch)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Extension: Sampling-Shapley under Shahin (census, batch=%d)", cfg.Batch),
-		Header: []string{"Explainer", "Speedup", "Marginal speedup", "Reused"},
-	}
-	kinds := []core.Kind{core.SHAP, core.SampleSHAP}
-	for _, kind := range kinds {
-		opts := cfg.Options(kind)
-		opts.SSHAP = sshap.Config{Permutations: 20, BaseSamples: 50}
-		seq, err := runSequential(env, opts, tuples)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runBatch(env, opts, tuples)
-		if err != nil {
-			return nil, err
-		}
-		marginal := res.Report.Invocations - res.Report.PoolInvocations
-		marginalSpeedup := float64(seq.Report.Invocations) / float64(marginal)
-		t.AddRow(kind.String(),
-			f2(speedup(seq.Report.WallTime, res.Report.WallTime)),
-			f2(marginalSpeedup),
-			fmt.Sprintf("%d", res.Report.ReusedSamples))
-	}
-	t.AddNote("marginal speedup excludes the one-time pool construction (invocation ratio)")
-	return t, nil
-}
 
 // ExtApproximate (ext-approx) explores the paper's closing remark that
 // "one could achieve substantial speedup by allowing certain

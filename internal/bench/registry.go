@@ -27,7 +27,6 @@ var experiments = []struct {
 	{"abl-sample", Experiment{"Ablation A1: FIM sample-size heuristic", AblationSample}},
 	{"abl-kernel", Experiment{"Ablation A2: SHAP kernel size sampling", AblationKernel}},
 	{"abl-border", Experiment{"Ablation A3: streaming negative border", AblationBorder}},
-	{"ext-sshap", Experiment{"Extension: Sampling-Shapley under Shahin", ExtSampleShapley}},
 	{"ext-approx", Experiment{"Extension: approximation via reuse fraction", ExtApproximate}},
 	{"ext-parallel", Experiment{"Extension: worker parallelism", ExtParallel}},
 }

@@ -85,7 +85,7 @@ type Model struct {
 func ModelFlags(fs *flag.FlagSet) *Model {
 	m := &Model{}
 	fs.IntVar(&m.trees, "trees", 50, "random forest size")
-	fs.StringVar(&m.explainer, "explainer", "lime", "lime, anchor, shap, sshap, or exactshap (exact TreeSHAP over the owned forest; falls back to shap when illegal)")
+	fs.StringVar(&m.explainer, "explainer", "lime", "lime, anchor, shap, or exactshap (exact TreeSHAP over the owned forest; falls back to shap when illegal)")
 	fs.IntVar(&m.exactBG, "exact-background", 256, "background sample size for exactshap cover weights")
 	return m
 }

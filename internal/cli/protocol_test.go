@@ -246,3 +246,29 @@ func TestStoreBuiltForTheServerThatLoadsIt(t *testing.T) {
 		}
 	}
 }
+
+// An -explainer no kind answers to, such as sshap, is refused before
+// any training, and the error names the four kinds there are.
+func TestUnknownExplainerRefused(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	data, model := cli.DataFlags(fs), cli.ModelFlags(fs)
+	if err := fs.Parse(strings.Fields("-dataset census -rows 200 -explainer sshap")); err != nil {
+		t.Fatal(err)
+	}
+	env, err := data.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = model.Train(env, nil, nil)
+	if err == nil {
+		t.Fatal("-explainer sshap trained a model")
+	}
+	for _, kind := range []string{"lime", "anchor", "shap", "exactshap"} {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("error %q does not name %s", err, kind)
+		}
+	}
+	if env.Forest != nil {
+		t.Error("a forest was trained before the explainer was checked")
+	}
+}

@@ -178,14 +178,6 @@ func poolBudget(opts Options, batch int) int {
 		// Sequential Anchor's per-tuple cost is workload dependent; a few
 		// hundred pulls is typical for easy concepts at default (ε, δ).
 		perTuple = 300
-	case SampleSHAP:
-		// Each permutation costs roughly one call per attribute; assume a
-		// few dozen attributes.
-		k := opts.SSHAP.Permutations
-		if k <= 0 {
-			k = 20
-		}
-		perTuple = 30 * k
 	}
 	return batch * perTuple / 5
 }

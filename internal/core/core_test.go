@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"shahin/internal/datagen"
@@ -69,10 +70,23 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q)=(%v,%v) want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseKind("nope"); err == nil {
-		t.Error("ParseKind(nope) should fail")
+	// sshap (Sampling-Shapley) is not a kind: its refusal, like any
+	// other, must name the kinds there are.
+	for _, s := range []string{"nope", "sshap"} {
+		_, err := ParseKind(s)
+		if err == nil {
+			t.Fatalf("ParseKind(%q) should fail", s)
+		}
+		for _, name := range []string{"lime", "anchor", "shap", "exactshap"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ParseKind(%q) error %q does not name %s", s, err, name)
+			}
+		}
 	}
-	for _, k := range Kinds() {
+	if len(AllKinds()) != 4 || len(Kinds()) != 3 {
+		t.Fatalf("AllKinds=%v Kinds=%v", AllKinds(), Kinds())
+	}
+	for _, k := range AllKinds() {
 		if k.String() == "" {
 			t.Error("empty kind name")
 		}
@@ -449,55 +463,6 @@ func TestBatchWithRandomForest(t *testing.T) {
 	}
 	if res.Report.Invocations >= seq.Report.Invocations {
 		t.Fatalf("no invocation savings on RF: %d vs %d", res.Report.Invocations, seq.Report.Invocations)
-	}
-}
-
-func TestBatchSampleSHAP(t *testing.T) {
-	env := newEnv(t, 30, 40)
-	opts := smallOpts(SampleSHAP, 31)
-	b, err := NewBatch(env.st, env.cls, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := b.ExplainAll(env.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reuse is structurally limited for permutation walks (only short
-	// prefixes hit the pool), and at batch=40 the one-time pool build is
-	// not yet amortised; the per-tuple marginal cost is what must drop.
-	marginal := res.Report.Invocations - res.Report.PoolInvocations
-	if marginal >= seq.Report.Invocations*9/10 {
-		t.Fatalf("SampleSHAP marginal %d invocations vs sequential %d: reuse saved <10%%",
-			marginal, seq.Report.Invocations)
-	}
-	for i, e := range res.Explanations {
-		if e.Attribution == nil {
-			t.Fatalf("tuple %d has no attribution", i)
-		}
-		sum := e.Attribution.Intercept
-		for _, w := range e.Attribution.Weights {
-			sum += w
-		}
-		if sum < 0.99 || sum > 1.01 {
-			t.Fatalf("tuple %d additivity %g", i, sum)
-		}
-	}
-}
-
-func TestParseKindSampleSHAP(t *testing.T) {
-	for _, s := range []string{"sshap", "SampleShapley", "sampleshap"} {
-		k, err := ParseKind(s)
-		if err != nil || k != SampleSHAP {
-			t.Fatalf("ParseKind(%q)=(%v,%v)", s, k, err)
-		}
-	}
-	if len(AllKinds()) != 5 || len(Kinds()) != 3 {
-		t.Fatal("kind lists wrong")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"shahin/internal/explain/exact"
 	"shahin/internal/explain/lime"
 	"shahin/internal/explain/shap"
-	"shahin/internal/explain/sshap"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
 )
@@ -28,7 +27,6 @@ type engine struct {
 	lime   *lime.Explainer
 	anchor *anchor.Explainer
 	shap   *shap.Explainer
-	sshap  *sshap.Explainer
 	exact  *exact.Explainer
 }
 
@@ -76,8 +74,6 @@ func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Ran
 		e.anchor = anchor.New(st, m, nil, opts.Anchor, rng)
 	case SHAP:
 		e.shap = shap.New(st, m, opts.SHAP, rng)
-	case SampleSHAP:
-		e.sshap = sshap.New(st, m, opts.SSHAP, rng)
 	case ExactSHAP:
 		e.exact = proto.Fork(m)
 	}
@@ -129,8 +125,6 @@ func (e *engine) explain(t []float64, pool explain.Pool, sh *anchor.Shared) (Exp
 		}
 	case SHAP:
 		exp.Attribution, err = e.shap.ExplainWithPool(t, pool)
-	case SampleSHAP:
-		exp.Attribution, err = e.sshap.ExplainWithPool(t, pool)
 	case ExactSHAP:
 		visits := e.exact.NodeVisits()
 		exp.Attribution, err = e.exact.Explain(t)

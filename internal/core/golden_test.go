@@ -265,7 +265,7 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 // TestRunnersGolden pins every runner's answers and counters against
 // values generated by the commit before the pool kernel existed: Batch
 // (serial and parallel), Stream (border on and off), Warm (three flushes
-// across a staleness re-mine), Sequential, Dist and Greedy, for all five
+// across a staleness re-mine), Sequential, Dist and Greedy, for all four
 // explainer kinds, with and without a recorder, and — on the serial
 // runners — with and without injected faults. The determinism tests
 // compare a run with itself; this compares it with the last commit.

@@ -32,7 +32,6 @@ import (
 	"shahin/internal/explain/exact"
 	"shahin/internal/explain/lime"
 	"shahin/internal/explain/shap"
-	"shahin/internal/explain/sshap"
 	"shahin/internal/fault"
 	"shahin/internal/obs"
 )
@@ -47,11 +46,6 @@ const (
 	Anchor
 	// SHAP produces Shapley-value attributions.
 	SHAP
-	// SampleSHAP produces Shapley-value attributions via permutation
-	// sampling (Štrumbelj & Kononenko) — an extension beyond the paper's
-	// three algorithms that demonstrates the generality of the reuse
-	// framework.
-	SampleSHAP
 	// ExactSHAP produces exact Shapley-value attributions by walking the
 	// owned tree ensemble directly (TreeSHAP): polynomial time, zero
 	// perturbation sampling, one classifier invocation per tuple. Only
@@ -70,8 +64,6 @@ func (k Kind) String() string {
 		return "Anchor"
 	case SHAP:
 		return "SHAP"
-	case SampleSHAP:
-		return "SampleSHAP"
 	case ExactSHAP:
 		return "ExactSHAP"
 	default:
@@ -83,11 +75,11 @@ func (k Kind) String() string {
 // tables and figures of the evaluation iterate these).
 func Kinds() []Kind { return []Kind{LIME, Anchor, SHAP} }
 
-// AllKinds additionally includes the extension explainers.
-func AllKinds() []Kind { return []Kind{LIME, Anchor, SHAP, SampleSHAP, ExactSHAP} }
+// AllKinds additionally includes the exact TreeSHAP explainer.
+func AllKinds() []Kind { return []Kind{LIME, Anchor, SHAP, ExactSHAP} }
 
-// ParseKind converts a name ("lime", "anchor", "shap", "sshap",
-// "exactshap", any case) to a Kind.
+// ParseKind converts a name ("lime", "anchor", "shap", "exactshap", any
+// case) to a Kind.
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(s) {
 	case "lime":
@@ -96,12 +88,10 @@ func ParseKind(s string) (Kind, error) {
 		return Anchor, nil
 	case "shap", "kernelshap":
 		return SHAP, nil
-	case "sshap", "sampleshap", "sampleshapley":
-		return SampleSHAP, nil
 	case "exact", "exactshap", "treeshap":
 		return ExactSHAP, nil
 	default:
-		return 0, fmt.Errorf("core: unknown explainer %q (want lime, anchor, shap, sshap, or exactshap)", s)
+		return 0, fmt.Errorf("core: unknown explainer %q (want lime, anchor, shap, or exactshap)", s)
 	}
 }
 
@@ -109,12 +99,10 @@ func ParseKind(s string) (Kind, error) {
 type Options struct {
 	// Explainer picks the algorithm (default LIME).
 	Explainer Kind
-	// LIME / Anchor / SHAP / SSHAP / Exact configure the underlying
-	// explainers.
+	// LIME / Anchor / SHAP / Exact configure the underlying explainers.
 	LIME   lime.Config
 	Anchor anchor.Config
 	SHAP   shap.Config
-	SSHAP  sshap.Config
 	Exact  exact.Config
 
 	// MinSupport is the frequent-itemset threshold over the batch sample

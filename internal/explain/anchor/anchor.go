@@ -26,36 +26,24 @@ import (
 	"shahin/internal/sample"
 )
 
-// Config controls an Anchor explainer. Zero values select the noted
-// defaults, which follow the reference implementation (ε = 0.1, δ = 0.05,
-// precision threshold 0.95).
+// The search's fixed settings, the reference implementation's.
+const (
+	precision     = 0.95                  // target precision τ
+	eps           = 0.1                   // bandit tolerance ε
+	delta         = 0.05                  // bandit failure probability δ
+	beamWidth     = 1                     // candidates kept per rule size
+	maxPredicates = dataset.MaxItemsetLen // longest rule
+)
+
+// Config controls an Anchor explainer's budgets. Zero values select the
+// noted defaults.
 type Config struct {
-	Precision     float64 // target precision τ (default 0.95)
-	Eps           float64 // bandit tolerance (default 0.1)
-	Delta         float64 // bandit failure probability (default 0.05)
-	BeamWidth     int     // candidates kept per rule size (default 1)
-	MaxPredicates int     // longest rule (default dataset.MaxItemsetLen)
-	BatchPulls    int     // perturbations per bandit pull (default 20)
-	MaxPulls      int     // per-selection pull budget (default 5000)
-	StorePerRule  int     // perturbations retained per rule for reuse (default 100, the paper's τ)
+	BatchPulls   int // perturbations per bandit pull (default 20)
+	MaxPulls     int // per-selection pull budget (default 5000)
+	StorePerRule int // perturbations retained per rule for reuse (default 100, the paper's τ)
 }
 
 func (c Config) fill() Config {
-	if c.Precision <= 0 || c.Precision > 1 {
-		c.Precision = 0.95
-	}
-	if c.Eps <= 0 {
-		c.Eps = 0.1
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.05
-	}
-	if c.BeamWidth <= 0 {
-		c.BeamWidth = 1
-	}
-	if c.MaxPredicates <= 0 || c.MaxPredicates > dataset.MaxItemsetLen {
-		c.MaxPredicates = dataset.MaxItemsetLen
-	}
 	if c.BatchPulls <= 0 {
 		c.BatchPulls = 20
 	}
@@ -153,7 +141,7 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 	beam := []dataset.Itemset{nil} // start from the empty rule
 	var fallback *explain.Rule     // best-precision rule if none verifies
 
-	for size := 1; size <= e.cfg.MaxPredicates; size++ {
+	for size := 1; size <= maxPredicates; size++ {
 		cands := extendBeam(beam, tItems)
 		if len(cands) == 0 {
 			break
@@ -180,8 +168,8 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 			if rr.Pulls < e.cfg.BatchPulls {
 				continue
 			}
-			lb := mab.LowerBound(rr.Precision(target), rr.Pulls, verifyBeta(1, e.cfg.Delta))
-			if lb > e.cfg.Precision-e.cfg.Eps {
+			lb := mab.LowerBound(rr.Precision(target), rr.Pulls, verifyBeta(1))
+			if lb > precision-eps {
 				cov := e.coverage(cand, rr)
 				if cached == nil || cov > cached.Coverage {
 					cached = &explain.Rule{
@@ -196,13 +184,9 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 		if cached != nil {
 			return cached, nil
 		}
-		keep := e.cfg.BeamWidth
-		if keep > len(cands) {
-			keep = len(cands)
-		}
-		sel, _, err := mab.TopN(arms, keep, mab.Config{
-			Eps:      e.cfg.Eps,
-			Delta:    e.cfg.Delta,
+		sel, _, err := mab.TopN(arms, beamWidth, mab.Config{
+			Eps:      eps,
+			Delta:    delta,
 			Batch:    e.cfg.BatchPulls,
 			MaxPulls: e.cfg.MaxPulls,
 			Prior:    prior,
@@ -331,23 +315,22 @@ func (e *Explainer) bootstrap(rule dataset.Itemset, rr *cache.RuleResult, repo *
 // rejects.
 func (e *Explainer) verify(rule dataset.Itemset, rr *cache.RuleResult, target int, sh *Shared) bool {
 	arm := &ruleArm{e: e, sh: sh, items: rule, rr: rr, target: target}
-	tau := e.cfg.Precision
 	round := 1
 	for {
 		mean := rr.Precision(target)
 		// The lower bound first: an accepted rule never pays for the
 		// upper bound's bisection.
 		if rr.Pulls > 0 {
-			beta := verifyBeta(round, e.cfg.Delta)
-			if mab.LowerBound(mean, rr.Pulls, beta) > tau-e.cfg.Eps {
+			beta := verifyBeta(round)
+			if mab.LowerBound(mean, rr.Pulls, beta) > precision-eps {
 				return true
 			}
-			if mab.UpperBound(mean, rr.Pulls, beta) < tau-e.cfg.Eps {
+			if mab.UpperBound(mean, rr.Pulls, beta) < precision-eps {
 				return false
 			}
 		}
 		if rr.Pulls >= e.cfg.MaxPulls {
-			return mean >= tau-e.cfg.Eps
+			return mean >= precision-eps
 		}
 		arm.Pull(e.cfg.BatchPulls)
 		round++
@@ -356,7 +339,7 @@ func (e *Explainer) verify(rule dataset.Itemset, rr *cache.RuleResult, target in
 
 // verifyBeta is the single-arm KL-LUCB exploration rate:
 // log(405.5 · t^1.1 / δ).
-func verifyBeta(round int, delta float64) float64 {
+func verifyBeta(round int) float64 {
 	t := float64(round)
 	if t < 1 {
 		t = 1

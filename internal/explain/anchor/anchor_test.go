@@ -299,15 +299,8 @@ func TestBootstrapFromSubsetSamples(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.fill()
-	if c.Precision != 0.95 || c.Eps != 0.1 || c.Delta != 0.05 {
+	if c.BatchPulls != 20 || c.MaxPulls != 5000 || c.StorePerRule != 100 {
 		t.Fatalf("defaults %+v", c)
-	}
-	if c.MaxPredicates != dataset.MaxItemsetLen {
-		t.Fatalf("MaxPredicates=%d", c.MaxPredicates)
-	}
-	over := Config{MaxPredicates: 99}.fill()
-	if over.MaxPredicates != dataset.MaxItemsetLen {
-		t.Fatalf("MaxPredicates not clamped: %d", over.MaxPredicates)
 	}
 }
 

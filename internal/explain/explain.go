@@ -1,7 +1,8 @@
-// Package explain holds the types shared by the three explainer
-// implementations (LIME, Anchor, KernelSHAP): the attribution result
-// format and the perturbation-pool interface through which Shahin injects
-// materialised perturbations for reuse.
+// Package explain holds the types shared by the four explainer
+// implementations (LIME, Anchor, KernelSHAP and exact TreeSHAP): the
+// attribution and rule result formats, and the perturbation-pool
+// interface through which Shahin injects materialised perturbations for
+// reuse.
 package explain
 
 import (
@@ -84,7 +85,7 @@ type Rule struct {
 	Coverage  float64
 }
 
-// String renders the rule for humans using the schema's attribute names.
+// Describe renders the rule for humans using the schema's attribute names.
 func (r *Rule) Describe(schema *dataset.Schema) string {
 	if len(r.Items) == 0 {
 		return fmt.Sprintf("IF (anything) THEN class=%s", schema.Classes[r.Class])

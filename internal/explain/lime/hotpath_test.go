@@ -10,20 +10,15 @@ import (
 )
 
 // TestHotpathAllocs pins what the surrogate fit allocates at the census
-// twin's width: the kernel nothing, the top-k selection its index and
-// result slices, and one whole steady-state explanation only what it
-// hands out — the Attribution and its weights, the tuple's items, and a
-// row and an item slice per fresh sample. The fit itself, and a pool's
-// window, cost nothing once warm.
+// twin's width: the kernel nothing, and one whole steady-state
+// explanation only what it hands out — the Attribution and its weights,
+// the tuple's items, and a row and an item slice per fresh sample. The
+// fit itself, and a pool's window, cost nothing once warm.
 func TestHotpathAllocs(t *testing.T) {
 	const p, samples = 42, 200
 	st, tuples := censusEnv(t, 600, 1, 1)
 	cls := rf.Func{Classes: 2, F: func(x []float64) int { return int(x[0]) & 1 }}
 	e := New(st, cls, Config{NumSamples: samples}, rand.New(rand.NewSource(2)))
-	v := make([]float64, p)
-	for i := range v {
-		v[i] = float64((i*7)%13) - 6
-	}
 	var sink *explain.Attribution
 	for _, tc := range []struct {
 		name          string
@@ -31,7 +26,6 @@ func TestHotpathAllocs(t *testing.T) {
 		run           func()
 	}{
 		{"lime.(*Explainer).kernel", 0, 0, func() { benchKernel = e.kernel(p / 2) }},
-		{"lime.topKByAbs", 2, 224, func() { benchTopK = topKByAbs(v, p/2) }},
 		// Attribution 48 B + weights 352 B + tuple items 176 B, then per
 		// sample a 352 B row and 176 B of items.
 		{"lime.(*Explainer).ExplainWithPool", 3 + 2*samples, 576 + 528*samples, func() { sink, _ = e.ExplainWithPool(tuples[0], nil) }},

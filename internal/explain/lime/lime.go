@@ -23,39 +23,29 @@ import (
 	"shahin/internal/rf"
 )
 
+// The surrogate's fixed settings, LIME's tabular defaults.
+const (
+	// kernelScale sets the proximity kernel width: kernelScale·√p.
+	kernelScale = 0.75
+	// lambda is the surrogate's ridge penalty (sklearn Ridge(alpha=1)).
+	lambda = 1.0
+)
+
 // Config controls a LIME explainer. Zero values select the defaults noted
 // per field.
 type Config struct {
 	// NumSamples is the perturbation budget N per explanation
 	// (default 1000, LIME's num_samples=5000 scaled to tabular practice).
 	NumSamples int
-	// KernelWidth is the proximity kernel width; default 0.75·sqrt(p),
-	// LIME's tabular default.
-	KernelWidth float64
-	// Lambda is the ridge penalty of the surrogate (default 1.0, matching
-	// sklearn Ridge(alpha=1)).
-	Lambda float64
 	// MaxReuse caps the fraction of the budget served from the pool
 	// (default 0.9). Keeping a fresh remainder preserves sample diversity
 	// for the surrogate fit.
 	MaxReuse float64
-	// TopFeatures restricts the surrogate to the K most important
-	// attributes (LIME's num_features): after an initial fit, the
-	// smallest-|weight| attributes are dropped and the model refit, so
-	// their reported weights become exactly zero. 0 (default) keeps all
-	// attributes.
-	TopFeatures int
 }
 
-func (c Config) fill(p int) Config {
+func (c Config) fill() Config {
 	if c.NumSamples <= 0 {
 		c.NumSamples = 1000
-	}
-	if c.KernelWidth <= 0 {
-		c.KernelWidth = 0.75 * math.Sqrt(float64(p))
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1
 	}
 	if c.MaxReuse <= 0 || c.MaxReuse > 1 {
 		c.MaxReuse = 0.9
@@ -67,10 +57,11 @@ func (c Config) fill(p int) Config {
 // training distribution. It is not safe for concurrent use: the surrogate
 // fit's storage is reused from one explanation to the next.
 type Explainer struct {
-	cfg Config
-	st  *dataset.Stats
-	cls rf.Classifier
-	gen *perturb.Generator
+	cfg   Config
+	width float64 // the proximity kernel's width
+	st    *dataset.Stats
+	cls   rf.Classifier
+	gen   *perturb.Generator
 
 	fit      *linmodel.BinaryFit
 	on       []int  // the sample being added: attributes in the tuple's bin
@@ -81,7 +72,8 @@ type Explainer struct {
 func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Explainer {
 	p := st.Schema.NumAttrs()
 	return &Explainer{
-		cfg:      cfg.fill(p),
+		cfg:      cfg.fill(),
+		width:    kernelScale * math.Sqrt(float64(p)),
 		st:       st,
 		cls:      cls,
 		gen:      perturb.NewGenerator(st, rng),
@@ -136,17 +128,9 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 
 	weights := make([]float64, p)
-	intercept, err := e.fit.Solve(nil, e.cfg.Lambda, weights)
+	intercept, err := e.fit.Solve(lambda, weights)
 	if err != nil {
 		return nil, fmt.Errorf("lime: surrogate fit: %w", err)
-	}
-	// LIME's "highest weights" feature selection: keep the k largest-|weight|
-	// attributes of the pilot fit, refit on just those columns of the same
-	// sums, and report zeros elsewhere.
-	if k := e.cfg.TopFeatures; k > 0 && k < p {
-		if intercept, err = e.fit.Solve(topKByAbs(weights, k), e.cfg.Lambda, weights); err != nil {
-			return nil, fmt.Errorf("lime: top-%d refit: %w", k, err)
-		}
 	}
 	return &explain.Attribution{Weights: weights, Intercept: intercept, Class: target}, nil
 }
@@ -174,33 +158,11 @@ func (e *Explainer) add(tItems, items []dataset.Item, sameClass bool) {
 	e.fit.Add(on[:q], y, e.kernel(len(tItems)-q))
 }
 
-// topKByAbs returns the indices of the k largest-|v| entries.
-//
-//shahin:hotpath
-func topKByAbs(v []float64, k int) []int {
-	used := make([]bool, len(v))
-	out := make([]int, 0, k)
-	for len(out) < k {
-		best, bestAbs := -1, -1.0
-		for i, x := range v {
-			if used[i] {
-				continue
-			}
-			if a := math.Abs(x); a > bestAbs {
-				best, bestAbs = i, a
-			}
-		}
-		used[best] = true
-		out = append(out, best)
-	}
-	return out
-}
-
 // kernel is LIME's exponential proximity kernel over binary encodings:
 // exp(-d² / width²), where d² is the number of attributes whose bin
 // differs from the instance.
 //
 //shahin:hotpath
 func (e *Explainer) kernel(differing int) float64 {
-	return math.Exp(-float64(differing) / (e.cfg.KernelWidth * e.cfg.KernelWidth))
+	return math.Exp(-float64(differing) / (e.width * e.width))
 }

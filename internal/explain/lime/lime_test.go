@@ -228,12 +228,13 @@ func TestPoolPreservesRanking(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.fill(16)
-	if c.NumSamples != 1000 || c.Lambda != 1 || c.MaxReuse != 0.9 {
+	c := Config{}.fill()
+	if c.NumSamples != 1000 || c.MaxReuse != 0.9 {
 		t.Fatalf("defaults %+v", c)
 	}
-	if math.Abs(c.KernelWidth-3) > 1e-12 { // 0.75*sqrt(16)
-		t.Fatalf("kernel width %g want 3", c.KernelWidth)
+	e := New(env(t, 10), attr0Classifier(2), c, rand.New(rand.NewSource(10)))
+	if math.Abs(e.width-1.5) > 1e-12 { // 0.75*sqrt(4)
+		t.Fatalf("kernel width %g want 1.5", e.width)
 	}
 }
 
@@ -264,66 +265,13 @@ func BenchmarkExplainSequential(b *testing.B) {
 	}
 }
 
-func TestTopFeaturesSelection(t *testing.T) {
-	st := env(t, 20)
-	e := New(st, attr0Classifier(2), Config{NumSamples: 1200, TopFeatures: 2}, rand.New(rand.NewSource(21)))
-	att, err := e.Explain([]float64{2, 1, 3, -0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonZero := 0
-	for _, w := range att.Weights {
-		if w != 0 {
-			nonZero++
-		}
-	}
-	if nonZero > 2 {
-		t.Fatalf("TopFeatures=2 left %d non-zero weights: %v", nonZero, att.Weights)
-	}
-	// The decisive attribute must survive selection.
-	if att.Weights[0] == 0 {
-		t.Fatalf("decisive attribute dropped: %v", att.Weights)
-	}
-	// TopFeatures >= p is a no-op path.
-	full := New(st, attr0Classifier(2), Config{NumSamples: 300, TopFeatures: 99}, rand.New(rand.NewSource(22)))
-	fatt, err := full.Explain([]float64{2, 1, 3, -0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fatt.Weights) != 4 {
-		t.Fatal("no-op path broken")
-	}
-}
-
-func TestTopKByAbs(t *testing.T) {
-	got := topKByAbs([]float64{0.1, -5, 2, 0}, 2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("topKByAbs=%v", got)
-	}
-}
-
-// Sinks defeating dead-code elimination in the hotpath benchmarks.
-var (
-	benchTopK   []int
-	benchKernel float64
-)
-
-func BenchmarkTopKByAbs(b *testing.B) {
-	const p = 40
-	v := make([]float64, p)
-	for i := range v {
-		v[i] = float64((i*7)%13) - 6
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchTopK = topKByAbs(v, p/2)
-	}
-}
+// benchKernel defeats dead-code elimination in the kernel's benchmark
+// and allocation row.
+var benchKernel float64
 
 func BenchmarkKernel(b *testing.B) {
 	const p = 40
-	e := &Explainer{cfg: Config{}.fill(p)}
+	e := &Explainer{width: kernelScale * math.Sqrt(p)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -333,13 +281,14 @@ func BenchmarkKernel(b *testing.B) {
 
 // referenceExplain is LIME as it was before the surrogate fit became a
 // one-pass accumulator, kept as the oracle: encode every sample into a
-// dense row of the design matrix, fit linmodel.Ridge on it, and for
-// TopFeatures copy the kept columns out and fit again. It draws from rng
-// what ExplainWithPool draws from its own generator, in the same order.
+// dense row of the design matrix and fit linmodel.Ridge on it. It draws
+// from rng what ExplainWithPool draws from its own generator, in the
+// same order.
 func referenceExplain(t *testing.T, st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand, tup []float64, pool explain.Pool) *explain.Attribution {
 	t.Helper()
 	p := st.Schema.NumAttrs()
-	cfg = cfg.fill(p)
+	cfg = cfg.fill()
+	width := kernelScale * math.Sqrt(float64(p))
 	gen := perturb.NewGenerator(st, rng)
 	target := cls.Predict(tup)
 	tItems := st.ItemizeRow(tup, nil)
@@ -353,7 +302,7 @@ func referenceExplain(t *testing.T, st *dataset.Stats, cls rf.Classifier, cfg Co
 		}
 		X = append(X, z)
 		y = append(y, map[bool]float64{true: 1}[label == target])
-		w = append(w, math.Exp(-d2/(cfg.KernelWidth*cfg.KernelWidth)))
+		w = append(w, math.Exp(-d2/(width*width)))
 	}
 	add(tItems, target)
 	if pool != nil {
@@ -365,26 +314,9 @@ func referenceExplain(t *testing.T, st *dataset.Stats, cls rf.Classifier, cfg Co
 		s := gen.ForTuple(tup, make([]bool, p))
 		add(s.Items, cls.Predict(s.Row))
 	}
-	m, err := linmodel.Ridge(X, y, w, cfg.Lambda)
+	m, err := linmodel.Ridge(X, y, w, lambda)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if k := cfg.TopFeatures; k > 0 && k < p {
-		keep := topKByAbs(m.Coef, k)
-		Xk := make([][]float64, len(X))
-		for i, row := range X {
-			for _, a := range keep {
-				Xk[i] = append(Xk[i], row[a])
-			}
-		}
-		sub, err := linmodel.Ridge(Xk, y, w, cfg.Lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m = &linmodel.Model{Coef: make([]float64, p), Intercept: sub.Intercept}
-		for j, a := range keep {
-			m.Coef[a] = sub.Coef[j]
-		}
 	}
 	return &explain.Attribution{Weights: m.Coef, Intercept: m.Intercept, Class: target}
 }
@@ -392,12 +324,13 @@ func referenceExplain(t *testing.T, st *dataset.Stats, cls rf.Classifier, cfg Co
 // TestLIMEMatchesReferenceFit bounds how far the accumulator moved LIME's
 // answers: on the 42-attribute census twin, the same seeded samples
 // through ExplainWithPool and through BinaryEncode + dense Ridge give
-// weights and intercept equal to 1e-9 — with and without TopFeatures,
-// pooled and unpooled, and on an Explainer that has fitted before.
+// weights and intercept equal to 1e-9 — pooled (serving all it offers
+// or half the budget) and unpooled, and on an Explainer that has fitted
+// before.
 func TestLIMEMatchesReferenceFit(t *testing.T) {
 	st, tuples := censusEnv(t, 1500, 23, 3)
 	// A classifier of three attributes' bins, so the weights have a few
-	// large entries for TopFeatures to keep and many near zero.
+	// large entries and many near zero.
 	ref := st.ItemizeRow(tuples[0], nil)
 	cls := rf.Func{Classes: 2, F: func(x []float64) int {
 		it := st.ItemizeRow(x, nil)
@@ -413,8 +346,7 @@ func TestLIMEMatchesReferenceFit(t *testing.T) {
 	}{
 		{"full", Config{NumSamples: 600}, false},
 		{"full/pooled", Config{NumSamples: 600}, true},
-		{"top5", Config{NumSamples: 600, TopFeatures: 5}, false},
-		{"top5/pooled", Config{NumSamples: 600, TopFeatures: 5, MaxReuse: 0.5}, true},
+		{"half/pooled", Config{NumSamples: 600, MaxReuse: 0.5}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(st, cls, tc.cfg, rand.New(rand.NewSource(24)))
@@ -439,17 +371,10 @@ func TestLIMEMatchesReferenceFit(t *testing.T) {
 				if got.Class != want.Class || math.Abs(got.Intercept-want.Intercept) > 1e-9 {
 					t.Fatalf("class %d intercept %.15g, reference class %d intercept %.15g", got.Class, got.Intercept, want.Class, want.Intercept)
 				}
-				nonZero := 0
 				for a := range want.Weights {
 					if math.Abs(got.Weights[a]-want.Weights[a]) > 1e-9 {
 						t.Errorf("attribute %d: weight %.15g, reference %.15g", a, got.Weights[a], want.Weights[a])
 					}
-					if got.Weights[a] != 0 {
-						nonZero++
-					}
-				}
-				if k := tc.cfg.TopFeatures; k > 0 && nonZero != k {
-					t.Errorf("TopFeatures=%d left %d non-zero weights", k, nonZero)
 				}
 			}
 		})

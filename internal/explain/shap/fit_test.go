@@ -126,7 +126,6 @@ func randomMasks(r *rand.Rand, n, m int, density func(a int) float64) ([][]bool,
 // fit per width serves every case in turn, largest sample count first, so
 // a bit the previous case left behind would show.
 func TestSolveMatchesDenseReference(t *testing.T) {
-	const ridge = 1e-6
 	r := rand.New(rand.NewSource(1))
 	for _, m := range []int{2, 3, 13, 54, 70} {
 		f := newFit(m, 1024)

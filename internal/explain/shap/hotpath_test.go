@@ -49,7 +49,7 @@ func TestHotpathAllocs(t *testing.T) {
 			e.fit.add(tItems, tItems, true)
 		}},
 		{"shap.(*fit).solve", 0, 0, func() {
-			if err := e.fit.solve(e.cfg.Ridge, phi); err != nil {
+			if err := e.fit.solve(ridge, phi); err != nil {
 				t.Fatal(err)
 			}
 		}},

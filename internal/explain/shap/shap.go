@@ -22,6 +22,15 @@ import (
 	"shahin/internal/sample"
 )
 
+// The regression's fixed settings.
+const (
+	// ridge is a tiny stabiliser added to the WLS normal matrix diagonal.
+	ridge = 1e-6
+	// maxReuse caps the fraction of the coalition budget served from the
+	// pool. A fresh remainder keeps coalition diversity.
+	maxReuse = 0.9
+)
+
 // Config controls a KernelSHAP explainer.
 type Config struct {
 	// NumSamples is the number of sampled coalitions M (default 1024).
@@ -29,12 +38,6 @@ type Config struct {
 	// BaseSamples is how many empty-coalition perturbations estimate the
 	// base rate E[f] (default 100).
 	BaseSamples int
-	// Ridge is a tiny stabiliser added to the WLS normal matrix diagonal
-	// (default 1e-6).
-	Ridge float64
-	// MaxReuse caps the fraction of the coalition budget served from the
-	// pool (default 0.9). A fresh remainder keeps coalition diversity.
-	MaxReuse float64
 	// UniformSizes disables the SHAP-kernel-proportional coalition size
 	// sampling (Equation 1) in favour of uniform sizes. Exists for the
 	// A2 ablation; keep it off in production.
@@ -47,12 +50,6 @@ func (c Config) fill() Config {
 	}
 	if c.BaseSamples <= 0 {
 		c.BaseSamples = 100
-	}
-	if c.Ridge <= 0 {
-		c.Ridge = 1e-6
-	}
-	if c.MaxReuse <= 0 || c.MaxReuse > 1 {
-		c.MaxReuse = 0.9
 	}
 	return c
 }
@@ -171,8 +168,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// Algorithm 3, lines 7–8: pooled perturbations of frequent itemsets
 	// the tuple contains fill the budget first, already labelled.
 	if pool != nil {
-		maxReuse := int(e.cfg.MaxReuse * float64(e.cfg.NumSamples))
-		for _, s := range pool.ForTuple(tItems, maxReuse) {
+		for _, s := range pool.ForTuple(tItems, int(maxReuse*float64(e.cfg.NumSamples))) {
 			e.fit.add(tItems, s.Items, s.Label == target)
 		}
 	}
@@ -199,7 +195,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 
 	phi := make([]float64, m)
-	if err := e.fit.solve(e.cfg.Ridge, phi); err != nil {
+	if err := e.fit.solve(ridge, phi); err != nil {
 		return nil, fmt.Errorf("shap: %w", err)
 	}
 	return &explain.Attribution{Weights: phi, Intercept: phi0, Class: target}, nil

@@ -27,7 +27,9 @@ func FuzzMine(f *testing.F) {
 			}
 			txs[i] = row
 		}
-		minSup := 0.05 + float64(seed%90)/100
+		// The seed picks the support in [0.05, 0.94]; a negative seed's
+		// remainder is negative, so it is folded into [0, 90) first.
+		minSup := 0.05 + float64((seed%90+90)%90)/100
 		res, err := Mine(txs, Config{MinSupport: minSup, MaxLen: 3, WithBorder: border})
 		if err != nil {
 			t.Fatal(err)

@@ -6,15 +6,13 @@ import "fmt"
 // folds one sample, given as the list of its on columns, into the
 // uncentred sums, and Solve centres them algebraically and fits. A
 // sample with q columns on costs q² additions instead of Ridge's p²
-// multiply-adds, and a fit on a subset of the columns is a second Solve
-// over the same sums, not a second pass over the data. A BinaryFit
-// owns all its storage; Reset readies it for the next fit.
+// multiply-adds. A BinaryFit owns all its storage; Reset readies it for
+// the next fit.
 type BinaryFit struct {
 	g       []float64 // packed lower triangle of Σ w·z·zᵀ
 	b       []float64 // Σ w·y·z
 	sw, swy float64   // Σ w, Σ w·y
 
-	all         []int     // 0..p-1: Solve's columns when none are named
 	sys, fac    []float64 // Solve's centred system and its factor
 	rhs, solved []float64
 }
@@ -22,14 +20,10 @@ type BinaryFit struct {
 // NewBinaryFit returns an empty fit over p columns.
 func NewBinaryFit(p int) *BinaryFit {
 	tri := p * (p + 1) / 2
-	f := &BinaryFit{
-		g: make([]float64, tri), b: make([]float64, p), all: make([]int, p),
+	return &BinaryFit{
+		g: make([]float64, tri), b: make([]float64, p),
 		sys: make([]float64, tri), fac: make([]float64, tri), rhs: make([]float64, p), solved: make([]float64, p),
 	}
-	for j := range f.all {
-		f.all[j] = j
-	}
-	return f
 }
 
 // Reset forgets every sample added.
@@ -57,46 +51,34 @@ func (f *BinaryFit) Add(on []int, y, w float64) {
 }
 
 // Solve fits Ridge's model (unpenalised intercept, penalty lambda ≥ 0,
-// the same jitter retry) to the samples added, restricted to the design
-// columns in cols — every column when cols is nil. coef has one entry
-// per design column: those in cols receive their coefficient, the rest
-// zero. It returns the intercept.
+// the same jitter retry) to the samples added, writing one coefficient
+// per design column into coef. It returns the intercept.
 //
 //shahin:hotpath
-func (f *BinaryFit) Solve(cols []int, lambda float64, coef []float64) (float64, error) {
+func (f *BinaryFit) Solve(lambda float64, coef []float64) (float64, error) {
 	if !(f.sw > 0) {
 		return 0, weightSumError(f.sw)
 	}
-	if cols == nil {
-		cols = f.all
-	}
-	k := len(cols)
 	// Centring is algebra on the sums: Σ w (z_j − z̄_j)(z_l − z̄_l) =
 	// G_jl − s_j·s_l/W and Σ w (z_j − z̄_j)(y − ȳ) = b_j − s_j·ȳ.
 	ybar := f.swy / f.sw
-	sys := Sym{n: k, data: f.sys[:k*(k+1)/2]}
-	rhs, x := f.rhs[:k], f.solved[:k]
-	for a, j := range cols {
+	sys := Sym{n: len(f.b), data: f.sys}
+	for j := range f.b {
 		sj := f.colSum(j)
-		rhs[a] = f.b[j] - sj*ybar
-		row := sys.row(a)
-		for c, l := range cols[:a+1] {
-			hi, lo := j, l
-			if lo > hi {
-				hi, lo = lo, hi
-			}
-			row[c] = f.g[hi*(hi+1)/2+lo] - sj*f.colSum(l)/f.sw
+		f.rhs[j] = f.b[j] - sj*ybar
+		row := sys.row(j)
+		for l := range j + 1 {
+			row[l] = f.g[j*(j+1)/2+l] - sj*f.colSum(l)/f.sw
 		}
-		row[a] += lambda
+		row[j] += lambda
 	}
-	if err := sys.solveJittered(rhs, f.fac, x); err != nil {
+	if err := sys.solveJittered(f.rhs, f.fac, f.solved); err != nil {
 		return 0, err
 	}
-	clear(coef)
 	intercept := ybar
-	for a, j := range cols {
-		coef[j] = x[a]
-		intercept -= x[a] * f.colSum(j) / f.sw
+	for j, x := range f.solved {
+		coef[j] = x
+		intercept -= x * f.colSum(j) / f.sw
 	}
 	return intercept, nil
 }

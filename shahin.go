@@ -9,10 +9,10 @@
 // reuses them across every explanation, typically cutting classifier
 // invocations by an order of magnitude without changing the explanations.
 //
-// Models trained in-process (the built-in random forest and
-// gradient-boosted trees) additionally unlock ExactSHAP: a
-// polynomial-time TreeSHAP walk over the owned trees that produces
-// exact Shapley values with no perturbation sampling at all.
+// A model trained in-process (the built-in random forest) additionally
+// unlocks ExactSHAP: a polynomial-time TreeSHAP walk over the owned
+// trees that produces exact Shapley values with no perturbation
+// sampling at all.
 //
 // # Quick start
 //
@@ -50,7 +50,6 @@ import (
 	"shahin/internal/explain/exact"
 	"shahin/internal/explain/lime"
 	"shahin/internal/explain/shap"
-	"shahin/internal/explain/sshap"
 	"shahin/internal/fault"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
@@ -129,18 +128,14 @@ type (
 
 // Per-explainer tuning knobs (the matching fields of Options).
 type (
-	// LIMEConfig tunes the LIME explainer (sample budget, kernel width,
-	// ridge penalty, reuse cap).
+	// LIMEConfig tunes the LIME explainer (sample budget, reuse cap).
 	LIMEConfig = lime.Config
-	// AnchorConfig tunes the Anchor explainer (precision threshold τ,
-	// bandit ε/δ, beam width).
+	// AnchorConfig tunes the Anchor explainer's budgets (perturbations
+	// per pull, pulls per selection, perturbations kept per rule).
 	AnchorConfig = anchor.Config
 	// SHAPConfig tunes the KernelSHAP explainer (coalition budget,
-	// base-rate samples, reuse cap).
+	// base-rate samples, uniform coalition sizes).
 	SHAPConfig = shap.Config
-	// SSHAPConfig tunes the Sampling-Shapley explainer (permutations,
-	// base-rate samples).
-	SSHAPConfig = sshap.Config
 	// ExactConfig tunes the exact TreeSHAP fast path (background
 	// sample size for the cover weights, seed).
 	ExactConfig = exact.Config
@@ -207,9 +202,6 @@ const (
 	Anchor = core.Anchor
 	// SHAP estimates Shapley values with the SHAP kernel.
 	SHAP = core.SHAP
-	// SampleSHAP estimates Shapley values by permutation sampling — an
-	// extension beyond the paper's three algorithms.
-	SampleSHAP = core.SampleSHAP
 	// ExactSHAP computes exact Shapley values with a polynomial-time
 	// TreeSHAP walk over the owned tree ensemble — no perturbation
 	// sampling at all. Legal only against a local tree-backed
@@ -218,7 +210,7 @@ const (
 	ExactSHAP = core.ExactSHAP
 )
 
-// ParseKind converts "lime", "anchor", "shap", "sshap" or "exactshap" to a Kind.
+// ParseKind converts "lime", "anchor", "shap" or "exactshap" to a Kind.
 func ParseKind(s string) (Kind, error) { return core.ParseKind(s) }
 
 // ComputeStats derives the training-distribution statistics every

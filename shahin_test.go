@@ -214,20 +214,3 @@ func TestPublicInferCSV(t *testing.T) {
 		t.Fatal("inferred pipeline failed")
 	}
 }
-
-func TestPublicSampleSHAP(t *testing.T) {
-	st, model, test := pipeline(t, "recidivism", 1500, 53)
-	res, err := shahin.Sequential(st, model, shahin.Options{
-		Explainer: shahin.SampleSHAP,
-		SSHAP:     shahin.SSHAPConfig{Permutations: 5, BaseSamples: 20},
-		Seed:      54,
-	}, test.Rows(0, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range res.Explanations {
-		if e.Attribution == nil {
-			t.Fatal("no attribution")
-		}
-	}
-}
