@@ -115,19 +115,9 @@ func BenchmarkQuality(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSample regenerates ablation A1 (FIM sample size).
-func BenchmarkAblationSample(b *testing.B) {
-	runExperiment(b, bench.AblationSample)
-}
-
 // BenchmarkAblationKernel regenerates ablation A2 (SHAP size sampling).
 func BenchmarkAblationKernel(b *testing.B) {
 	runExperiment(b, bench.AblationKernel)
-}
-
-// BenchmarkAblationBorder regenerates ablation A3 (negative border).
-func BenchmarkAblationBorder(b *testing.B) {
-	runExperiment(b, bench.AblationBorder)
 }
 
 // reportSweepSpeedup averages the three explainer columns at the largest

@@ -79,14 +79,13 @@ func main() {
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
+	exps, err := resolve(ids)
+	if err != nil {
+		cli.Fatal(err)
+	}
 	var tables []*bench.Table
-	for i, id := range ids {
-		id = strings.TrimSpace(id)
-		ids[i] = id
-		e, ok := bench.LookupExperiment(id)
-		if !ok {
-			cli.Fatal(fmt.Errorf("unknown experiment %q (use -list)", id))
-		}
+	for i, e := range exps {
+		id := ids[i]
 		start := time.Now() //shahinvet:allow walltime — experiment wall time shown to the user
 		tab, err := e.Run(cfg)
 		if err != nil {
@@ -122,6 +121,22 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
+}
+
+// resolve trims every id and looks it up before any experiment runs, so
+// an unknown id fails at once rather than after the experiments listed
+// before it.
+func resolve(ids []string) ([]bench.Experiment, error) {
+	exps := make([]bench.Experiment, len(ids))
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		e, ok := bench.LookupExperiment(ids[i])
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (want one of %s)", ids[i], strings.Join(bench.ExperimentIDs(), ", "))
+		}
+		exps[i] = e
+	}
+	return exps, nil
 }
 
 // envFingerprint pins the environment a run record was made on, so its

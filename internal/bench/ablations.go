@@ -6,49 +6,6 @@ import (
 	"shahin/internal/core"
 )
 
-// AblationSample (A1) questions the paper's max(1000, 1%) mining-sample
-// heuristic: does mining the whole batch buy anything over the sample?
-func AblationSample(cfg Config) (*Table, error) {
-	cfg = cfg.Fill()
-	env, err := NewEnv("census", cfg)
-	if err != nil {
-		return nil, err
-	}
-	tuples, err := env.Tuples(cfg.Batch)
-	if err != nil {
-		return nil, err
-	}
-	opts := cfg.Options(core.LIME)
-	seq, err := runSequential(env, opts, tuples)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation A1: FIM sample size (LIME, census, batch=%d)", cfg.Batch),
-		Header: []string{"Mining sample", "Speedup", "Overhead %", "Itemsets"},
-	}
-	for _, mode := range []struct {
-		label  string
-		sample int
-	}{
-		{"heuristic max(1000,1%)", 0},
-		{"whole batch", -1},
-		{"tiny (50 rows)", 50},
-	} {
-		o := opts
-		o.MineSample = mode.sample
-		res, err := runBatch(env, o, tuples)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(mode.label,
-			f2(speedup(seq.Report.WallTime, res.Report.WallTime)),
-			f2(100*res.Report.OverheadFraction()),
-			itoa(res.Report.FrequentItemsets))
-	}
-	return t, nil
-}
-
 // AblationKernel (A2) questions the SHAP-kernel-proportional coalition
 // size sampling (Equation 1): how much reuse does it enable compared to
 // uniform coalition sizes?
@@ -87,52 +44,6 @@ func AblationKernel(cfg Config) (*Table, error) {
 			f2(speedup(seq.Report.WallTime, res.Report.WallTime)),
 			fmt.Sprintf("%d", res.Report.ReusedSamples),
 			fmt.Sprintf("%d", res.Report.Invocations))
-	}
-	return t, nil
-}
-
-// AblationBorder (A3) questions the streaming variant's negative-border
-// tracking: does promoting border itemsets between re-mines help?
-func AblationBorder(cfg Config) (*Table, error) {
-	cfg = cfg.Fill()
-	env, err := NewEnv("census", cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Use the largest batch so several re-mine windows elapse.
-	batch := cfg.Batches[len(cfg.Batches)-1]
-	tuples, err := env.Tuples(batch)
-	if err != nil {
-		return nil, err
-	}
-	opts := cfg.Options(core.LIME)
-	opts.StreamRecompute = batch / 4
-	seq, err := runSequential(env, opts, tuples)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation A3: streaming negative border (LIME, census, stream=%d)", batch),
-		Header: []string{"Negative border", "Speedup", "Invocations", "Reused samples"},
-	}
-	for _, mode := range []struct {
-		label string
-		on    bool
-	}{
-		{"on (paper §3.5)", true},
-		{"off", false},
-	} {
-		o := opts
-		border := mode.on
-		o.StreamBorder = &border
-		res, err := runStream(env, o, tuples)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(mode.label,
-			f2(speedup(seq.Report.WallTime, res.Report.WallTime)),
-			fmt.Sprintf("%d", res.Report.Invocations),
-			fmt.Sprintf("%d", res.Report.ReusedSamples))
 	}
 	return t, nil
 }

@@ -156,6 +156,76 @@ func TestFigure2ShahinWins(t *testing.T) {
 	}
 }
 
+// distEnv is a small census twin and the LIME options runDist's tests
+// explain with.
+func distEnv(t *testing.T) (*Env, core.Options) {
+	t.Helper()
+	cfg := tiny()
+	env, err := NewEnv("census", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, cfg.Options(core.LIME)
+}
+
+// explanationJSON renders a run's explanations for byte comparison.
+func explanationJSON(t *testing.T, exps []core.Explanation) string {
+	t.Helper()
+	buf, err := json.Marshal(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf)
+}
+
+// With more machines than tuples, DIST-k runs one machine per tuple:
+// each tuple is explained once, by Sequential under that machine's seed.
+func TestDistMoreWorkersThanTuples(t *testing.T) {
+	env, opts := distEnv(t)
+	tuples, err := env.Tuples(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runDist(env, opts, tuples, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Explanations) != 3 || res.Report.Tuples != 3 {
+		t.Fatalf("explained %d of 3, report counts %d", len(res.Explanations), res.Report.Tuples)
+	}
+	for i, tup := range tuples {
+		machine := opts
+		machine.Seed += int64(i) * 1_000_003
+		seq, err := runSequential(env, machine, [][]float64{tup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := explanationJSON(t, res.Explanations[i:i+1]), explanationJSON(t, seq.Explanations); got != want {
+			t.Errorf("tuple %d: DIST-8 explained\n  %s\nits machine alone\n  %s", i, got, want)
+		}
+	}
+}
+
+// DIST-1 is the sequential baseline, byte for byte.
+func TestDistOneMachineIsSequential(t *testing.T) {
+	env, opts := distEnv(t)
+	tuples, err := env.Tuples(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := runDist(env, opts, tuples, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := runSequential(env, opts, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := explanationJSON(t, dist.Explanations), explanationJSON(t, seq.Explanations); got != want {
+		t.Fatalf("DIST-1 explanations differ from Sequential's:\n  %s\n  %s", got, want)
+	}
+}
+
 func TestFigure3SpeedupGrowsWithBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 3 sweeps 5 datasets x 3 explainers x batch sizes")
@@ -255,19 +325,12 @@ func TestQualityWithinNoiseFloor(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	cfg := tiny()
-	for name, fn := range map[string]func(Config) (*Table, error){
-		"A1": AblationSample,
-		"A2": AblationKernel,
-		"A3": AblationBorder,
-	} {
-		tab, err := fn(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(tab.Rows) < 2 {
-			t.Fatalf("%s produced %d rows", name, len(tab.Rows))
-		}
+	tab, err := AblationKernel(tiny())
+	if err != nil {
+		t.Fatalf("A2: %v", err)
+	}
+	if len(tab.Rows) < 2 {
+		t.Fatalf("A2 produced %d rows", len(tab.Rows))
 	}
 }
 

@@ -24,9 +24,7 @@ var experiments = []struct {
 	{"fig6", Experiment{"Figure 6: impact of tau", Figure6}},
 	{"fig7", Experiment{"Figure 7: impact of cache size", Figure7}},
 	{"quality", Experiment{"Explanation quality vs sequential baseline", Quality}},
-	{"abl-sample", Experiment{"Ablation A1: FIM sample-size heuristic", AblationSample}},
 	{"abl-kernel", Experiment{"Ablation A2: SHAP kernel size sampling", AblationKernel}},
-	{"abl-border", Experiment{"Ablation A3: streaming negative border", AblationBorder}},
 	{"ext-approx", Experiment{"Extension: approximation via reuse fraction", ExtApproximate}},
 	{"ext-parallel", Experiment{"Extension: worker parallelism", ExtParallel}},
 }

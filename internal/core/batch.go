@@ -64,14 +64,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 		if opts.Explainer == ExactSHAP {
 			return nil
 		}
-		n := fim.SampleSize(len(tuples))
-		switch {
-		case opts.MineSample < 0:
-			n = len(tuples)
-		case opts.MineSample > 0:
-			n = opts.MineSample
-		}
-		return itemizeSample(b.st, tuples, n, rng)
+		return itemizeSample(b.st, tuples, fim.SampleSize(len(tuples)), rng)
 	}, false, f.span)
 	if err != nil {
 		return nil, err

@@ -488,9 +488,6 @@ func TestCancelAtEveryTuple(t *testing.T) {
 		"sequential": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
 			return explanations(SequentialCtx(ctx, env.st, cls, opts, env.tuples))
 		},
-		"dist": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
-			return explanations(DistCtx(ctx, env.st, cls, opts, env.tuples, 3))
-		},
 		"stream": func(ctx context.Context, cls rf.Classifier, opts Options) ([]Explanation, error) {
 			s, err := NewStream(env.st, cls, opts)
 			if err != nil {

@@ -52,12 +52,11 @@ func newEnv(t *testing.T, seed int64, batch int) *testEnv {
 // smallOpts keeps explainer budgets modest so tests stay fast.
 func smallOpts(kind Kind, seed int64) Options {
 	return Options{
-		Explainer:  kind,
-		LIME:       lime.Config{NumSamples: 300},
-		SHAP:       shap.Config{NumSamples: 256, BaseSamples: 40},
-		MinSupport: 0.1,
-		Tau:        50,
-		Seed:       seed,
+		Explainer: kind,
+		LIME:      lime.Config{NumSamples: 300},
+		SHAP:      shap.Config{NumSamples: 256, BaseSamples: 40},
+		Tau:       50,
+		Seed:      seed,
 	}
 }
 
@@ -95,17 +94,11 @@ func TestParseKind(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MinSupport != 0.1 || o.Tau != 100 || o.MaxItemsets != 200 {
+	if o.Tau != 100 || o.MaxItemsets != 200 {
 		t.Fatalf("defaults %+v", o)
 	}
 	if o.CacheBytes != 128<<20 || o.StreamRecompute != 100 {
 		t.Fatalf("defaults %+v", o)
-	}
-	if o.StreamBorder == nil || !*o.StreamBorder {
-		t.Fatal("StreamBorder should default on")
-	}
-	if o.MaxItemsetLen != 3 {
-		t.Fatalf("MaxItemsetLen=%d", o.MaxItemsetLen)
 	}
 }
 
@@ -235,44 +228,6 @@ func TestBatchAnchor(t *testing.T) {
 		if !found {
 			t.Fatalf("tuple %d rule %v does not pin attr 0", i, e.Rule.Items)
 		}
-	}
-}
-
-func TestDist(t *testing.T) {
-	env := newEnv(t, 9, 40)
-	opts := smallOpts(LIME, 10)
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d4, err := Dist(env.st, env.cls, opts, env.tuples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d4.Explanations) != len(env.tuples) {
-		t.Fatalf("Dist explained %d of %d", len(d4.Explanations), len(env.tuples))
-	}
-	// Average worker time must be well under the sequential wall time.
-	if d4.Report.WallTime >= seq.Report.WallTime {
-		t.Fatalf("Dist-4 avg worker %v not faster than sequential %v", d4.Report.WallTime, seq.Report.WallTime)
-	}
-	// Same total work (same number of invocations modulo RNG paths).
-	if d4.Report.Invocations < seq.Report.Invocations/2 {
-		t.Fatalf("Dist invocations %d suspiciously low vs %d", d4.Report.Invocations, seq.Report.Invocations)
-	}
-	if _, err := Dist(env.st, env.cls, opts, env.tuples, 0); err == nil {
-		t.Fatal("Dist with k=0 accepted")
-	}
-}
-
-func TestDistMoreWorkersThanTuples(t *testing.T) {
-	env := newEnv(t, 11, 3)
-	res, err := Dist(env.st, env.cls, smallOpts(LIME, 12), env.tuples, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Explanations) != 3 {
-		t.Fatalf("explained %d of 3", len(res.Explanations))
 	}
 }
 

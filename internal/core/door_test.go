@@ -94,11 +94,6 @@ func entryPoints() []entryPoint {
 				return Sequential(st, cls, opts, tuples)
 			})}, nil
 		}},
-		{name: "dist-k2", open: func(st *dataset.Stats, cls rf.Classifier, opts Options) (*opened, error) {
-			return &opened{trace: noTrace, explain: all(func(tuples [][]float64) (*Result, error) {
-				return Dist(st, cls, opts, tuples, 2)
-			})}, nil
-		}},
 		{name: "greedy", open: func(st *dataset.Stats, cls rf.Classifier, opts Options) (*opened, error) {
 			return &opened{trace: noTrace, explain: all(func(tuples [][]float64) (*Result, error) {
 				return Greedy(st, cls, opts, tuples, 1<<20)
@@ -108,7 +103,7 @@ func entryPoints() []entryPoint {
 }
 
 // TestEntryPointsRefuseAlike: a malformed call gets the same answer at
-// each of core's six entry points — an error naming the cause (and the
+// each of core's five entry points — an error naming the cause (and the
 // tuple, when it is a tuple), never a panic — and leaves no trace: no
 // tuple in a window, no flush number spent, nothing pooled, so the next
 // good call on a long-lived runner answers the bytes a fresh one does.

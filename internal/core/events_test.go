@@ -238,10 +238,6 @@ func TestEventReconciliation(t *testing.T) {
 				l.total = w.Report()
 				return l, nil
 			}},
-		{name: "dist-k3", seed: 43, n: 30,
-			run: func(env *testEnv, opts Options) (ledger, error) {
-				return oneResult(Dist(env.st, env.cls, opts, env.tuples, 3))
-			}},
 		{name: "greedy", seed: 45, n: 30, reuse: true,
 			run: func(env *testEnv, opts Options) (ledger, error) {
 				return oneResult(Greedy(env.st, env.cls, opts, env.tuples, 1<<20))

@@ -335,7 +335,7 @@ func (u unwrapCounter) Inner() rf.Classifier {
 
 // TestExactBuiltOncePerRunner: the background draw and cover annotation
 // are tuple-independent work, so a runner pays for them once — not per
-// parallel worker, per warm flush, per ExplainExact or per Dist machine.
+// parallel worker, per warm flush or per ExplainExact.
 func TestExactBuiltOncePerRunner(t *testing.T) {
 	env := newExactEnv(t, 67, 20)
 	for _, tc := range []struct {
@@ -354,10 +354,6 @@ func TestExactBuiltOncePerRunner(t *testing.T) {
 		}},
 		{"warm", ExactSHAP, func(cls rf.Classifier, opts Options) error { return warmFlushesAndSideDoor(env, cls, opts) }},
 		{"warm, LIME kind", LIME, func(cls rf.Classifier, opts Options) error { return warmFlushesAndSideDoor(env, cls, opts) }},
-		{"dist-k3", ExactSHAP, func(cls rf.Classifier, opts Options) error {
-			_, err := Dist(env.st, cls, opts, env.tuples, 3)
-			return err
-		}},
 		{"stream", ExactSHAP, func(cls rf.Classifier, opts Options) error {
 			s, err := NewStream(env.st, cls, opts)
 			if err != nil {

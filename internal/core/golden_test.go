@@ -78,13 +78,12 @@ func goldenRunners() []goldenRunner {
 			return res.Explanations, []Report{res.Report}, nil, nil // the pool goes with the run: see batchPool
 		}
 	}
-	stream := func(border bool, recompute int) goldenRun {
+	stream := func(recompute int) goldenRun {
 		return func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			opts.StreamRecompute = recompute
 			if recompute >= 50 {
 				opts.Tau = 20 // a small τ lifts the itemset cap, leaving room to promote
 			}
-			opts.StreamBorder = &border
 			s, err := NewStream(st, cls, opts)
 			if err != nil {
 				return nil, nil, nil, err
@@ -103,12 +102,10 @@ func goldenRunners() []goldenRunner {
 	return []goldenRunner{
 		{"batch-w1", true, batch(1)},
 		{"batch-w4", false, batch(4)},
-		{"stream-border", true, stream(true, 20)},
-		{"stream-noborder", true, stream(false, 20)},
 		// Promotion needs a 50-tuple window, which a period of 20 never
-		// reaches; these two differ exactly by the border promotions.
-		{"stream-border-r60", true, stream(true, 60)},
-		{"stream-noborder-r60", true, stream(false, 60)},
+		// reaches; a period of 60 does.
+		{"stream-border", true, stream(20)},
+		{"stream-border-r60", true, stream(60)},
 		{"warm", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			w, err := NewWarm(st, cls, opts, 30)
 			if err != nil {
@@ -130,13 +127,6 @@ func goldenRunners() []goldenRunner {
 		}},
 		{"sequential", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			res, err := Sequential(st, cls, opts, tuples[:25])
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return res.Explanations, []Report{res.Report}, nil, nil
-		}},
-		{"dist-k3", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
-			res, err := Dist(st, cls, opts, tuples[:30], 3)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -251,7 +241,7 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 				ps = batchPool(t, st, cls, opts, tuples[:40], reps[0])
 			}
 			if ps == nil {
-				continue // Sequential and Dist pool nothing
+				continue // Sequential pools nothing
 			}
 			degraded += reps[len(reps)-1].Degraded
 			t.Run(fmt.Sprintf("%s/%s", rn.name, kind), func(t *testing.T) { checkPoolLabels(t, ps, cls) })
@@ -264,8 +254,8 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 
 // TestRunnersGolden pins every runner's answers and counters against
 // values generated by the commit before the pool kernel existed: Batch
-// (serial and parallel), Stream (border on and off), Warm (three flushes
-// across a staleness re-mine), Sequential, Dist and Greedy, for all four
+// (serial and parallel), Stream (two re-mine periods), Warm (three
+// flushes across a staleness re-mine), Sequential and Greedy, for all four
 // explainer kinds, with and without a recorder, and — on the serial
 // runners — with and without injected faults. The determinism tests
 // compare a run with itself; this compares it with the last commit.

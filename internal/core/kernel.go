@@ -174,12 +174,15 @@ func (ps *poolState) lazy() bool { return ps.pool != nil && ps.pool.fill != nil 
 // estimated sequential classifier budget (but at least ten), so small
 // windows are not swamped by pool construction.
 func poolCap(opts Options, window int) int {
-	n := opts.MaxItemsets
-	if !opts.DisablePoolBudget {
-		n = min(n, max(10, poolBudget(opts, window)/opts.Tau))
-	}
-	return n
+	return min(opts.MaxItemsets, max(10, poolBudget(opts, window)/opts.Tau))
 }
+
+// minSupport and maxItemsetLen are what refresh mines for: itemsets of
+// at most three items, each held by a tenth of the rows.
+const (
+	minSupport    = 0.1
+	maxItemsetLen = 3
+)
 
 // refresh brings the pool in line with the rows window returns: mine
 // their frequent itemsets (and negative border, when asked), keep the
@@ -197,8 +200,8 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 	mine := beginStage(rec, parent, obs.StageMine)
 	rows := window()
 	mined, err := fim.Mine(rows, fim.Config{
-		MinSupport:  effectiveSupport(ps.opts.MinSupport, len(rows)),
-		MaxLen:      ps.opts.MaxItemsetLen,
+		MinSupport:  effectiveSupport(minSupport, len(rows)),
+		MaxLen:      maxItemsetLen,
 		WithBorder:  border,
 		MaxPerLevel: 4 * ps.opts.MaxItemsets,
 	})
@@ -350,12 +353,12 @@ type frame struct {
 	eng *engine
 }
 
-// runner is what each of core's six entry points runs over: options
+// runner is what each of core's five entry points runs over: options
 // defaulted once, the statistics and classifier checked once, and an
 // ExactSHAP request decided once — the prototype the runs' engines fork
 // (nil off the exact path), or the downgrade every report is stamped
-// with. Batch, Stream and Warm embed theirs for life; Sequential, Dist
-// and Greedy build one per call.
+// with. Batch, Stream and Warm embed theirs for life; Sequential and
+// Greedy build one per call.
 type runner struct {
 	opts          Options
 	st            *dataset.Stats

@@ -1,4 +1,4 @@
-// Package core implements Shahin itself: six entry points, each a
+// Package core implements Shahin itself: five entry points, each a
 // runner, an admission and a window policy over one pool.
 //
 // The pool (poolState, kernel.go) is the paper's algorithm: a repository
@@ -17,9 +17,9 @@
 // Stream (§3.5) renews a lazy pool every StreamRecompute tuples over its
 // window, border included, and promotes border itemsets in between.
 // Warm keeps its pool across calls, renewing it over a sample of its
-// window every so many tuples. Sequential, Dist and Greedy, the
-// baselines, are the step up front: with no pool, on k simulated
-// machines, or over a store that keeps all it sees.
+// window every so many tuples. Sequential and Greedy, the baselines,
+// are the step up front: with no pool, or over a store that keeps all it
+// sees.
 package core
 
 import (
@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"shahin/internal/cache"
-	"shahin/internal/dataset"
 	"shahin/internal/explain/anchor"
 	"shahin/internal/explain/exact"
 	"shahin/internal/explain/lime"
@@ -105,11 +104,6 @@ type Options struct {
 	SHAP   shap.Config
 	Exact  exact.Config
 
-	// MinSupport is the frequent-itemset threshold over the batch sample
-	// (default 0.1).
-	MinSupport float64
-	// MaxItemsetLen caps mined itemset length (default 3).
-	MaxItemsetLen int
 	// MaxItemsets caps how many frequent itemsets get pooled
 	// perturbations, taken in mining order — shortest first, then highest
 	// support (default 200).
@@ -117,15 +111,6 @@ type Options struct {
 	// Tau is the number of perturbations materialised per frequent
 	// itemset (default 100, the paper's τ).
 	Tau int
-	// MineSample overrides how many tuples of the batch are mined for
-	// frequent itemsets: 0 uses the paper's max(1000, 1%) heuristic, -1
-	// mines the whole batch (the A1 ablation), > 0 is an explicit size.
-	MineSample int
-	// DisablePoolBudget turns off the automatic resource cap that limits
-	// pool construction to ~20 % of the sequential classifier budget.
-	// Exists so parameter sweeps (Figure 6's τ sweep) can hold the
-	// itemset count fixed; leave it off in production.
-	DisablePoolBudget bool
 	// CacheBytes is the perturbation repository budget (default 128 MiB,
 	// the knee of the paper's Figure 7; <= 0 keeps the default — use
 	// Figure 7's sweep to vary it).
@@ -160,20 +145,10 @@ type Options struct {
 	// StreamRecompute is the streaming variant's re-mining period in
 	// tuples (default 100, the paper's threshold).
 	StreamRecompute int
-	// StreamBorder enables negative-border tracking in the streaming
-	// variant, promoting border itemsets that become frequent between
-	// re-mines (default on; the A3 ablation turns it off).
-	StreamBorder *bool
 }
 
 // withDefaults returns a copy with defaults filled in.
 func (o Options) withDefaults() Options {
-	if o.MinSupport <= 0 || o.MinSupport > 1 {
-		o.MinSupport = 0.1
-	}
-	if o.MaxItemsetLen <= 0 || o.MaxItemsetLen > dataset.MaxItemsetLen {
-		o.MaxItemsetLen = 3
-	}
 	if o.MaxItemsets <= 0 {
 		o.MaxItemsets = 200
 	}
@@ -185,10 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StreamRecompute <= 0 {
 		o.StreamRecompute = 100
-	}
-	if o.StreamBorder == nil {
-		on := true
-		o.StreamBorder = &on
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1

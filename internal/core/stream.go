@@ -15,11 +15,10 @@ import (
 // arrive one at a time, the perturbation repository lives under a byte
 // budget with LRU eviction, frequent itemsets are re-mined every
 // StreamRecompute tuples over the tuples seen since the last recompute,
-// and (optionally) the negative border is tracked so that a border
-// itemset whose running frequency crosses the support threshold is
-// promoted without waiting for the next re-mine. The pool is lazy: an
-// itemset is labelled when a tuple first matches it, not when it is
-// mined or promoted.
+// and the negative border is tracked so that a border itemset whose
+// running frequency crosses the support threshold is promoted without
+// waiting for the next re-mine. The pool is lazy: an itemset is labelled
+// when a tuple first matches it, not when it is mined or promoted.
 type Stream struct {
 	runner
 	// f is the stream's one long run: its root span stays open for the
@@ -106,7 +105,7 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 		s.track(t)
 		if len(s.ps.window) >= s.opts.StreamRecompute {
 			span := s.f.span.Child(obs.StageRemine)
-			border, err := s.ps.renew(ctx, eng, s.gen, func() []dataset.Itemset { return s.ps.window }, *s.opts.StreamBorder, span, &s.rep)
+			border, err := s.ps.renew(ctx, eng, s.gen, func() []dataset.Itemset { return s.ps.window }, true, span, &s.rep)
 			span.End()
 			if err == nil {
 				s.retrack(border)
@@ -142,10 +141,11 @@ func (s *Stream) track(t []float64) {
 			ts.count++
 		}
 	}
-	if !*s.opts.StreamBorder || len(s.ps.window) < 50 {
+	if len(s.ps.window) < 50 {
 		return
 	}
-	minCount := max(5, int(s.opts.MinSupport*float64(len(s.ps.window))))
+	// The count the next re-mine will ask of this window; at least 5.
+	minCount := fim.MinCount(minSupport, len(s.ps.window))
 	for _, ts := range s.tracked {
 		if ts.frequent || ts.count < minCount {
 			continue

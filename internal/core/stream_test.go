@@ -6,31 +6,28 @@ import (
 	"shahin/internal/dataset"
 )
 
-// TestStreamBorderPromotion drives the stream with tuples engineered so
-// that an itemset is infrequent in the first window (landing on the
-// negative border) and then becomes frequent, triggering mid-window
-// promotion without waiting for the next re-mine.
-func TestStreamBorderPromotion(t *testing.T) {
-	env := newEnv(t, 60, 0)
-	opts := smallOpts(LIME, 61)
+// Two tuple flavours over the 6-attribute test schema; flavour B has
+// category 3 on attribute 0.
+var (
+	flavourA = []float64{0, 0, 0, 0, 0, 0.1}
+	flavourB = []float64{3, 1, 1, 1, 1, -0.1}
+)
+
+// borderStream returns a stream that re-mines every 60 tuples, past its
+// first re-mine over 57 A and 3 B tuples: B's items, at 5 % support,
+// are tracked on the negative border.
+func borderStream(t *testing.T, seed int64) *Stream {
+	t.Helper()
+	env := newEnv(t, seed, 0)
+	opts := smallOpts(LIME, seed+1)
 	opts.StreamRecompute = 60
-	opts.MinSupport = 0.3
 	s, err := NewStream(env.st, env.cls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Two tuple flavours over the 6-attribute test schema. Flavour B has
-	// category 3 on attribute 0; it appears in 10% of the first window
-	// (border), then makes up 100% of the follow-up traffic.
-	flavourA := []float64{0, 0, 0, 0, 0, 0.1}
-	flavourB := []float64{3, 1, 1, 1, 1, -0.1}
-
-	// First window: 54 A, 6 B -> re-mine at tuple 60 puts B's singleton
-	// items on the border (support 0.1 < 0.3).
 	for i := 0; i < 60; i++ {
 		tup := flavourA
-		if i%10 == 0 {
+		if i%20 == 0 {
 			tup = flavourB
 		}
 		if _, err := s.Explain(tup); err != nil {
@@ -40,19 +37,28 @@ func TestStreamBorderPromotion(t *testing.T) {
 	if s.Mines() != 1 {
 		t.Fatalf("mines=%d want 1", s.Mines())
 	}
-	borderTracked := 0
+	if ts := trackedB(s); ts == nil || ts.frequent {
+		t.Fatalf("{a0=b3} is not on the tracked border after the first re-mine: %+v", ts)
+	}
+	return s
+}
+
+// trackedB is the stream's tracked entry for {a0=b3}, nil if untracked.
+func trackedB(s *Stream) *trackedSet {
+	key := dataset.Itemset{dataset.MakeItem(0, 3)}.Key()
 	for _, ts := range s.tracked {
-		if !ts.frequent {
-			borderTracked++
+		if ts.set.Key() == key {
+			return ts
 		}
 	}
-	if borderTracked == 0 {
-		t.Fatal("no border itemsets tracked after re-mine")
-	}
+	return nil
+}
 
-	// Pure flavour-B traffic: after >= 50 tuples the border itemset
-	// {a0=b3} must be promoted before the second re-mine completes the
-	// window.
+// TestStreamBorderPromotion: a border itemset that becomes frequent is
+// promoted once the window reaches 50 tuples, without waiting for the
+// next re-mine.
+func TestStreamBorderPromotion(t *testing.T) {
+	s := borderStream(t, 60)
 	key := dataset.Itemset{dataset.MakeItem(0, 3)}.Key()
 	promoted := false
 	for i := 0; i < 55; i++ {
@@ -69,37 +75,25 @@ func TestStreamBorderPromotion(t *testing.T) {
 	}
 }
 
-// Border tracking off: the same traffic must NOT promote mid-window.
-func TestStreamBorderDisabled(t *testing.T) {
-	env := newEnv(t, 62, 0)
-	opts := smallOpts(LIME, 63)
-	opts.StreamRecompute = 60
-	opts.MinSupport = 0.3
-	off := false
-	opts.StreamBorder = &off
-	s, err := NewStream(env.st, env.cls, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flavourA := []float64{0, 0, 0, 0, 0, 0.1}
-	flavourB := []float64{3, 1, 1, 1, 1, -0.1}
-	for i := 0; i < 60; i++ {
+// TestStreamBorderPromotesAtMineThreshold: promotion asks the count the
+// next re-mine would, ⌈10 % · window⌉. At 5 of 59 tuples (8.5 %) the
+// border itemset is not frequent, and stays on the border.
+func TestStreamBorderPromotesAtMineThreshold(t *testing.T) {
+	s := borderStream(t, 62)
+	for i := 1; i <= 59; i++ {
 		tup := flavourA
-		if i%10 == 0 {
+		if i%12 == 0 || i == 59 {
 			tup = flavourB
 		}
 		if _, err := s.Explain(tup); err != nil {
 			t.Fatal(err)
 		}
 	}
-	key := dataset.Itemset{dataset.MakeItem(0, 3)}.Key()
-	for i := 0; i < 55; i++ {
-		if _, err := s.Explain(flavourB); err != nil {
-			t.Fatal(err)
-		}
-		if s.Mines() == 1 && s.ps.repo.Contains(key) {
-			t.Fatal("promotion happened with border tracking disabled")
-		}
+	if ts := trackedB(s); len(s.ps.window) != 59 || ts.count != 5 {
+		t.Fatalf("window %d, {a0=b3} counted %d: want 5 of 59", len(s.ps.window), ts.count)
+	}
+	if trackedB(s).frequent {
+		t.Fatal("{a0=b3} promoted at 5 of 59 tuples, below the 10 % support the re-mine asks")
 	}
 }
 
@@ -108,13 +102,10 @@ func TestStreamEvictsStaleItemsets(t *testing.T) {
 	env := newEnv(t, 64, 0)
 	opts := smallOpts(LIME, 65)
 	opts.StreamRecompute = 50
-	opts.MinSupport = 0.4
 	s, err := NewStream(env.st, env.cls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flavourA := []float64{0, 0, 0, 0, 0, 0.1}
-	flavourB := []float64{3, 1, 1, 1, 1, -0.1}
 	for i := 0; i < 50; i++ {
 		if _, err := s.Explain(flavourA); err != nil {
 			t.Fatal(err)

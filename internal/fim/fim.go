@@ -75,6 +75,17 @@ func SampleSize(batch int) int {
 	return n
 }
 
+// MinCount is the absolute count a relative support asks of rows
+// transactions: the least whole count at or above support·rows, and at
+// least one. An itemset is frequent when it occurs in that many rows.
+func MinCount(support float64, rows int) int {
+	n := int(support * float64(rows))
+	if float64(n) < support*float64(rows) {
+		n++
+	}
+	return max(n, 1)
+}
+
 // Mine runs Apriori over itemised transactions. Each row must be in
 // canonical order (ascending item, at most one item per attribute), as
 // produced by Stats.ItemizeRow.
@@ -90,13 +101,7 @@ func Mine(rows []dataset.Itemset, cfg Config) (*Result, error) {
 	if len(rows) == 0 {
 		return res, nil
 	}
-	minCount := int(cfg.MinSupport * float64(len(rows)))
-	if float64(minCount) < cfg.MinSupport*float64(len(rows)) {
-		minCount++
-	}
-	if minCount < 1 {
-		minCount = 1
-	}
+	minCount := MinCount(cfg.MinSupport, len(rows))
 
 	// Level 1: count every observed item and build tid-lists for the
 	// frequent ones.

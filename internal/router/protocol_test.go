@@ -57,7 +57,7 @@ func firstIsZero(x []float64) int {
 func (e *protoEnv) replica(t *testing.T, cls rf.Classifier, cfg serve.Config) *serve.Server {
 	t.Helper()
 	warm, err := core.NewWarm(e.st, cls, core.Options{
-		Explainer: core.LIME, LIME: lime.Config{NumSamples: 100}, MinSupport: 0.1, Tau: 20, Seed: 7,
+		Explainer: core.LIME, LIME: lime.Config{NumSamples: 100}, Tau: 20, Seed: 7,
 	}, 10_000)
 	if err != nil {
 		t.Fatal(err)

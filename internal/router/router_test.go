@@ -687,7 +687,7 @@ func TestRouterForwardsExplainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm, err := core.NewWarm(st, forest, core.Options{
-		Explainer: core.LIME, LIME: lime.Config{NumSamples: 200}, MinSupport: 0.1, Tau: 50, Seed: 82,
+		Explainer: core.LIME, LIME: lime.Config{NumSamples: 200}, Tau: 50, Seed: 82,
 	}, 10_000)
 	if err != nil {
 		t.Fatal(err)

@@ -67,12 +67,11 @@ func TestServeExactFastPath(t *testing.T) {
 	env := newForestEnv(t, 70, 6)
 	rec := obs.NewRecorder()
 	opts := core.Options{
-		Explainer:  core.LIME,
-		LIME:       lime.Config{NumSamples: 300},
-		MinSupport: 0.1,
-		Tau:        50,
-		Seed:       71,
-		Recorder:   rec,
+		Explainer: core.LIME,
+		LIME:      lime.Config{NumSamples: 300},
+		Tau:       50,
+		Seed:      71,
+		Recorder:  rec,
 	}
 	warm, err := core.NewWarm(env.st, env.cls, opts, 10_000)
 	if err != nil {

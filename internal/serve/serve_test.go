@@ -57,11 +57,10 @@ func newEnv(t *testing.T, seed int64, batch int) *testEnv {
 func newWarm(t *testing.T, env *testEnv, seed int64) *core.Warm {
 	t.Helper()
 	opts := core.Options{
-		Explainer:  core.LIME,
-		LIME:       lime.Config{NumSamples: 300},
-		MinSupport: 0.1,
-		Tau:        50,
-		Seed:       seed,
+		Explainer: core.LIME,
+		LIME:      lime.Config{NumSamples: 300},
+		Tau:       50,
+		Seed:      seed,
 	}
 	w, err := core.NewWarm(env.st, env.cls, opts, 10_000)
 	if err != nil {

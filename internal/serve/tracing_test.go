@@ -275,12 +275,11 @@ func TestRequestExemplarGolden(t *testing.T) {
 	env := newForestEnv(t, 80, 2)
 	rec := obs.NewRecorder()
 	warm, err := core.NewWarm(env.st, env.cls, core.Options{
-		Explainer:  core.LIME,
-		LIME:       lime.Config{NumSamples: 300},
-		MinSupport: 0.1,
-		Tau:        50,
-		Seed:       81,
-		Recorder:   rec,
+		Explainer: core.LIME,
+		LIME:      lime.Config{NumSamples: 300},
+		Tau:       50,
+		Seed:      81,
+		Recorder:  rec,
 	}, 10_000)
 	if err != nil {
 		t.Fatal(err)

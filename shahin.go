@@ -29,8 +29,8 @@
 //   - NewStream: requests arrive one at a time under a memory budget
 //     (§3.5) with periodic itemset re-mining and negative-border
 //     promotion.
-//   - Sequential / Dist / Greedy: the baselines the paper evaluates
-//     against, useful for measuring speedups on your own workload.
+//   - Sequential / Greedy: the baselines the paper evaluates against,
+//     useful for measuring speedups on your own workload.
 //
 // Any model implementing the two-method Classifier interface can be
 // explained; the built-in random forest (TrainForest) matches the paper's
@@ -259,19 +259,6 @@ func Sequential(st *Stats, cls Classifier, opts Options, tuples [][]float64) (*R
 // StatusFailed.
 func SequentialCtx(ctx context.Context, st *Stats, cls Classifier, opts Options, tuples [][]float64) (*Result, error) {
 	return core.SequentialCtx(ctx, st, cls, opts, tuples)
-}
-
-// Dist simulates the paper's DIST-k baseline: the batch split evenly
-// across k sequential workers, reporting the average worker time. It
-// refuses what Sequential refuses, and k < 1.
-func Dist(st *Stats, cls Classifier, opts Options, tuples [][]float64, k int) (*Result, error) {
-	return core.Dist(st, cls, opts, tuples, k)
-}
-
-// DistCtx is Dist under a context: cancellation stops the simulation
-// between machines, returning a partial Result alongside ctx.Err().
-func DistCtx(ctx context.Context, st *Stats, cls Classifier, opts Options, tuples [][]float64, k int) (*Result, error) {
-	return core.DistCtx(ctx, st, cls, opts, tuples, k)
 }
 
 // Greedy runs the paper's GREEDY baseline: persist every perturbation

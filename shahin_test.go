@@ -89,15 +89,11 @@ func TestPublicBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := shahin.Dist(st, model, opts, tuples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	greedy, err := shahin.Greedy(st, model, opts, tuples, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]*shahin.Result{"seq": seq, "dist": dist, "greedy": greedy} {
+	for name, r := range map[string]*shahin.Result{"seq": seq, "greedy": greedy} {
 		if len(r.Explanations) != len(tuples) {
 			t.Fatalf("%s explained %d of %d", name, len(r.Explanations), len(tuples))
 		}
