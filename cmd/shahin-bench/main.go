@@ -24,7 +24,6 @@ import (
 
 	"shahin/internal/bench"
 	"shahin/internal/cli"
-	"shahin/internal/obs"
 )
 
 func main() {
@@ -94,12 +93,6 @@ func main() {
 		tab.Fprint(os.Stdout)
 		tables = append(tables, tab)
 		fmt.Printf("(%s took %v)\n", id, time.Since(start).Round(time.Millisecond))
-	}
-
-	fmt.Printf("\nper-stage totals: %s\n", obs.FormatStageTotals(rec.StageTotals()))
-	if p := rec.Progress(); p.Invocations > 0 {
-		fmt.Printf("classifier invocations: %d; %d samples reused (%.1f%% reuse)\n",
-			p.Invocations, p.ReusedSamples, 100*p.ReuseRate)
 	}
 
 	// The run record is written once and read by nothing in this repo:

@@ -82,8 +82,8 @@ func entryPoints() []entryPoint {
 			return &opened{
 				explain: all(w.ExplainAll),
 				trace: func(int) string {
-					if w.Flushes() != 0 || w.PooledItemsets() != 0 || len(w.ps.window) != 0 {
-						return fmt.Sprintf("Flushes()=%d PooledItemsets()=%d, window holds %d tuples", w.Flushes(), w.PooledItemsets(), len(w.ps.window))
+					if w.Flushes() != 0 || w.ps.repo.Len() != 0 || len(w.ps.window) != 0 {
+						return fmt.Sprintf("Flushes()=%d, %d pooled itemsets, window holds %d tuples", w.Flushes(), w.ps.repo.Len(), len(w.ps.window))
 					}
 					return ""
 				},

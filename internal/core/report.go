@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -163,93 +162,8 @@ func (r *Report) ReuseRate() float64 {
 	return float64(r.ReusedSamples) / float64(total)
 }
 
-// reportJSON is the MarshalJSON shape: flat snake_case fields with the
-// derived metrics (per-tuple time, reuse rate, overhead fraction)
-// pre-computed, so dashboards need no duration arithmetic. Every
-// duration appears twice: milliseconds (dashboards) and a
-// human-readable string ("1.284s").
-type reportJSON struct {
-	Tuples           int         `json:"tuples"`
-	WallMS           float64     `json:"wall_ms"`
-	Wall             string      `json:"wall"`
-	PerTupleMS       float64     `json:"per_tuple_ms"`
-	PerTuple         string      `json:"per_tuple"`
-	OverheadMS       float64     `json:"overhead_ms"`
-	Overhead         string      `json:"overhead"`
-	OverheadFraction float64     `json:"overhead_fraction"`
-	MineMS           float64     `json:"mine_ms"`
-	Mine             string      `json:"mine"`
-	PoolMS           float64     `json:"pool_ms"`
-	Pool             string      `json:"pool"`
-	ExplainMS        float64     `json:"explain_ms"`
-	Explain          string      `json:"explain"`
-	Invocations      int64       `json:"invocations"`
-	PoolInvocations  int64       `json:"pool_invocations"`
-	ReusedSamples    int64       `json:"reused_samples"`
-	ReuseRate        float64     `json:"reuse_rate"`
-	FrequentItemsets int         `json:"frequent_itemsets"`
-	Cache            cache.Stats `json:"cache"`
-	CacheHitRate     float64     `json:"cache_hit_rate"`
-	NodeVisits       int64       `json:"node_visits,omitempty"`
-	ExactFallback    bool        `json:"exact_fallback,omitempty"`
-	Retries          int64       `json:"retries,omitempty"`
-	Degraded         int         `json:"degraded_tuples,omitempty"`
-	Failed           int         `json:"failed_tuples,omitempty"`
-	// Allocation columns (omitted when the run was uninstrumented, so
-	// pre-existing reports stay byte-identical).
-	AllocBytes          int64   `json:"alloc_bytes,omitempty"`
-	AllocObjects        int64   `json:"alloc_objects,omitempty"`
-	AllocBytesPerTuple  float64 `json:"alloc_bytes_per_tuple,omitempty"`
-	PoolAllocBytes      int64   `json:"pool_alloc_bytes,omitempty"`
-	PoolAllocObjects    int64   `json:"pool_alloc_objects,omitempty"`
-	ExplainAllocBytes   int64   `json:"explain_alloc_bytes,omitempty"`
-	ExplainAllocObjects int64   `json:"explain_alloc_objects,omitempty"`
-}
-
-// ms converts a duration to the milliseconds the JSON and event shapes use.
+// ms converts a duration to the milliseconds the event shapes use.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// MarshalJSON implements json.Marshaler with the flat reportJSON shape.
-func (r Report) MarshalJSON() ([]byte, error) {
-	return json.Marshal(reportJSON{
-		Tuples:           r.Tuples,
-		WallMS:           ms(r.WallTime),
-		Wall:             r.WallTime.String(),
-		PerTupleMS:       ms(r.PerTuple()),
-		PerTuple:         r.PerTuple().String(),
-		OverheadMS:       ms(r.OverheadTime),
-		Overhead:         r.OverheadTime.String(),
-		OverheadFraction: r.OverheadFraction(),
-		MineMS:           ms(r.MineTime),
-		Mine:             r.MineTime.String(),
-		PoolMS:           ms(r.PoolTime),
-		Pool:             r.PoolTime.String(),
-		ExplainMS:        ms(r.ExplainTime),
-		Explain:          r.ExplainTime.String(),
-		Invocations:      r.Invocations,
-		PoolInvocations:  r.PoolInvocations,
-		ReusedSamples:    r.ReusedSamples,
-		ReuseRate:        r.ReuseRate(),
-		FrequentItemsets: r.FrequentItemsets,
-		Cache:            r.Cache,
-		CacheHitRate:     r.Cache.HitRate(),
-		NodeVisits:       r.NodeVisits,
-		ExactFallback:    r.ExactFallback,
-		Retries:          r.Retries,
-		Degraded:         r.Degraded,
-		Failed:           r.Failed,
-		AllocBytes:       r.AllocBytes,
-		AllocObjects:     r.AllocObjects,
-		AllocBytesPerTuple: func() float64 {
-			b, _ := r.AllocPerTuple()
-			return b
-		}(),
-		PoolAllocBytes:      r.PoolAllocBytes,
-		PoolAllocObjects:    r.PoolAllocObjects,
-		ExplainAllocBytes:   r.ExplainAllocBytes,
-		ExplainAllocObjects: r.ExplainAllocObjects,
-	})
-}
 
 // String renders the human-readable end-of-run summary the CLIs print.
 func (r *Report) String() string {

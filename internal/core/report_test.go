@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -43,66 +42,6 @@ func TestReportDerivedMetrics(t *testing.T) {
 	}
 	if got := r.ReuseRate(); got != 0.7 {
 		t.Fatalf("ReuseRate = %v", got)
-	}
-}
-
-func TestReportMarshalJSON(t *testing.T) {
-	r := Report{
-		Tuples:           10,
-		WallTime:         time.Second,
-		OverheadTime:     100 * time.Millisecond,
-		MineTime:         40 * time.Millisecond,
-		PoolTime:         60 * time.Millisecond,
-		ExplainTime:      900 * time.Millisecond,
-		Invocations:      1000,
-		PoolInvocations:  400,
-		ReusedSamples:    3000,
-		FrequentItemsets: 25,
-		Cache:            cache.Stats{Hits: 9, Misses: 1, Entries: 25, BytesUsed: 2048, Budget: 4096},
-	}
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"tuples":            10,
-		"wall_ms":           1000,
-		"per_tuple_ms":      100,
-		"overhead_ms":       100,
-		"overhead_fraction": 0.1,
-		"mine_ms":           40,
-		"pool_ms":           60,
-		"explain_ms":        900,
-		"invocations":       1000,
-		"pool_invocations":  400,
-		"reused_samples":    3000,
-		"reuse_rate":        0.75,
-		"frequent_itemsets": 25,
-		"cache_hit_rate":    0.9,
-	}
-	for key, v := range want {
-		got, ok := m[key].(float64)
-		if !ok || got != v {
-			t.Errorf("%s = %v, want %v", key, m[key], v)
-		}
-	}
-	cacheObj, ok := m["cache"].(map[string]any)
-	if !ok || cacheObj["hits"].(float64) != 9 || cacheObj["bytes_used"].(float64) != 2048 {
-		t.Fatalf("cache = %v", m["cache"])
-	}
-
-	// The zero report must also marshal without NaN/Inf from divisions.
-	if _, err := json.Marshal(Report{}); err != nil {
-		t.Fatalf("zero report: %v", err)
-	}
-
-	// Human-readable duration strings ride alongside the numeric fields.
-	if m["wall"] != "1s" || m["mine"] != "40ms" || m["per_tuple"] != "100ms" {
-		t.Errorf("duration strings wall=%v mine=%v per_tuple=%v", m["wall"], m["mine"], m["per_tuple"])
 	}
 }
 

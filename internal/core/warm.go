@@ -188,9 +188,8 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	var a obs.AllocDelta
 	rep.WallTime, a = f.end()
 	rep.AllocBytes, rep.AllocObjects = a.Bytes, a.Objects
-	// Pool occupancy is owned by the gate holder, so the flush sets the
-	// gauge itself rather than having scrapes contend for the gate the
-	// way PooledItemsets does.
+	// Pool occupancy is owned by the gate holder, so the flush publishes
+	// it: a scrape reads the gauge and never waits on the gate.
 	rec.Gauge(obs.GaugeWarmPooledItemsets).Set(int64(w.ps.repo.Len()))
 	w.mu.Lock()
 	w.cum.add(rep)
@@ -227,15 +226,6 @@ func (w *Warm) Remines() int { return int(w.ps.renews.Load()) }
 // NumAttrs reports the tuple width the explainer expects — the number
 // of attributes of the training statistics it was built over.
 func (w *Warm) NumAttrs() int { return w.st.NumAttrs() }
-
-// PooledItemsets reports how many itemsets currently hold materialised
-// perturbations. The repositories are owned by the flush gate, so this
-// accessor waits for any in-flight flush to finish.
-func (w *Warm) PooledItemsets() int {
-	w.gate <- struct{}{}
-	defer func() { <-w.gate }()
-	return w.ps.repo.Len()
-}
 
 // Kind reports the explainer kind this warm explainer was built with
 // (after any construction-time exact fallback).

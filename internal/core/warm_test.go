@@ -69,7 +69,7 @@ func TestWarmStalenessRemine(t *testing.T) {
 	if w.Remines() != 3 {
 		t.Fatalf("Remines = %d, want 3 with staleAfter=30 and 3x30 tuples", w.Remines())
 	}
-	if w.PooledItemsets() == 0 {
+	if w.ps.repo.Len() == 0 {
 		t.Fatalf("no pooled itemsets after re-mine")
 	}
 }
@@ -199,7 +199,7 @@ func TestWarmEmitsRemineEvents(t *testing.T) {
 
 // TestWarmPoolOccupancyGauge: each instrumented flush publishes the
 // pool's itemset count into the occupancy gauge, and it agrees with
-// PooledItemsets.
+// the repository it counts.
 func TestWarmPoolOccupancyGauge(t *testing.T) {
 	env := newEnv(t, 71, 30)
 	rec := obs.NewRecorder()
@@ -220,15 +220,15 @@ func TestWarmPoolOccupancyGauge(t *testing.T) {
 	if got <= 0 {
 		t.Fatalf("gauge after first flush = %d, want positive", got)
 	}
-	if want := w.PooledItemsets(); got != int64(want) {
-		t.Fatalf("gauge = %d, PooledItemsets = %d", got, want)
+	if want := w.ps.repo.Len(); got != int64(want) {
+		t.Fatalf("gauge = %d, pooled itemsets = %d", got, want)
 	}
 	// A second flush over the warm pool republishes the same occupancy.
 	if _, err := w.ExplainAll(env.tuples[15:30]); err != nil {
 		t.Fatal(err)
 	}
-	if g.Value() != int64(w.PooledItemsets()) {
-		t.Fatalf("gauge after second flush = %d, PooledItemsets = %d", g.Value(), w.PooledItemsets())
+	if g.Value() != int64(w.ps.repo.Len()) {
+		t.Fatalf("gauge after second flush = %d, pooled itemsets = %d", g.Value(), w.ps.repo.Len())
 	}
 }
 

@@ -3,7 +3,6 @@ package fault
 import (
 	"context"
 	"sync"
-	"time"
 
 	"shahin/internal/obs"
 )
@@ -14,8 +13,8 @@ type BreakerState uint8
 const (
 	// BreakerClosed passes calls through, counting consecutive failures.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen rejects calls without touching the backend until the
-	// cooldown elapses.
+	// BreakerOpen rejects calls without touching the backend until it
+	// has rejected the cooldown's worth of them.
 	BreakerOpen
 	// BreakerHalfOpen lets exactly one trial call through at a time:
 	// its success closes the breaker, its failure re-opens it, and
@@ -41,26 +40,23 @@ func (s BreakerState) String() string {
 // Breaker is a three-state circuit breaker: BreakerThreshold
 // consecutive failures open it; while open every call is rejected with
 // ErrBreakerOpen (the caller degrades instead of waiting on a dead
-// backend); after the cooldown — wall-clock, call-counted, or both —
-// it half-opens and probes, closing again on the first success.
+// backend); after BreakerCooldownCalls rejections it half-opens and
+// probes, closing again on the first success.
 //
-// The call-counted cooldown (BreakerCooldownCalls) exists for
-// determinism: a breaker timed purely by the wall clock would make
-// chaos runs irreproducible. Every transition emits an obs event and
-// sets the state gauge; opening bumps fault_breaker_opens and every
-// rejection fault_breaker_rejected.
+// The cooldown counts calls, not wall-clock time, so chaos runs
+// reproduce exactly. Every transition emits an obs event and sets the
+// state gauge; opening bumps fault_breaker_opens and every rejection
+// fault_breaker_rejected.
 type Breaker struct {
 	name          string // labels events and the state gauge; "" for a chain's breaker
 	threshold     int
-	cooldown      time.Duration
 	cooldownCalls int64
 
 	mu       sync.Mutex
 	state    BreakerState
-	probing  bool      // a half-open trial call is in flight
-	fails    int       // consecutive failures while closed/half-open
-	rejected int64     // rejections since the breaker last opened
-	reopenAt time.Time // wall-clock probe time while open
+	probing  bool  // a half-open trial call is in flight
+	fails    int   // consecutive failures while closed/half-open
+	rejected int64 // rejections since the breaker last opened
 
 	rec         *obs.Recorder
 	opensCtr    *obs.Counter
@@ -81,7 +77,6 @@ func NewBreaker(cfg Config, rec *obs.Recorder, name string) *Breaker {
 	b := &Breaker{
 		name:          name,
 		threshold:     cfg.BreakerThreshold,
-		cooldown:      cfg.BreakerCooldown,
 		cooldownCalls: cfg.BreakerCooldownCalls,
 		rec:           rec,
 		opensCtr:      counter(rec, obs.CounterBreakerOpens),
@@ -94,7 +89,7 @@ func NewBreaker(cfg Config, rec *obs.Recorder, name string) *Breaker {
 	if b.threshold <= 0 {
 		b.threshold = 5
 	}
-	if b.cooldown <= 0 && b.cooldownCalls <= 0 {
+	if b.cooldownCalls <= 0 {
 		b.cooldownCalls = 100 // an open breaker must always recover
 	}
 	return b
@@ -128,11 +123,7 @@ func (b *Breaker) Do(ctx context.Context, op func(context.Context) error) error 
 func (b *Breaker) admit(ctx context.Context) (wasProbe bool, err error) {
 	b.mu.Lock()
 	if b.state == BreakerOpen {
-		ready := b.cooldownCalls > 0 && b.rejected >= b.cooldownCalls
-		if !ready && b.cooldown > 0 {
-			ready = !time.Now().Before(b.reopenAt) //shahinvet:allow walltime — breaker cooldown clock (timing-only, never affects labels)
-		}
-		if !ready {
+		if b.rejected < b.cooldownCalls {
 			b.rejected++
 			b.mu.Unlock()
 			b.rejectedCtr.Inc()
@@ -184,12 +175,10 @@ func (b *Breaker) settle(ctx context.Context, err error, wasProbe bool) error {
 	return nil
 }
 
-// open moves to BreakerOpen, arming both cooldown clocks. Caller holds mu.
+// open moves to BreakerOpen, restarting the cooldown count. Caller
+// holds mu.
 func (b *Breaker) open(ctx context.Context) {
 	b.rejected = 0
-	if b.cooldown > 0 {
-		b.reopenAt = time.Now().Add(b.cooldown) //shahinvet:allow walltime — breaker cooldown clock (timing-only, never affects labels)
-	}
 	b.opensCtr.Inc()
 	b.transition(ctx, BreakerOpen)
 }

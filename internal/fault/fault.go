@@ -12,10 +12,10 @@
 // Determinism contract: every fault decision is drawn from a seeded
 // RNG keyed by attempt index, never from the wall clock, so two runs
 // with the same fault seed inject the same faults at the same attempts.
-// The wall clock is read by four things only — the backoff timer, the
-// per-attempt deadline, the spike stall and the breaker's cooldown
-// clock — each of which affects timing, never which label a call
-// returns.
+// The wall clock is read by three things only — the backoff timer, the
+// per-attempt deadline and the spike stall — each of which affects
+// timing, never which label a call returns. The breaker's cooldown
+// counts calls.
 package fault
 
 import (
@@ -100,12 +100,9 @@ type Config struct {
 	// BreakerThreshold opens the breaker after this many consecutive
 	// failures (default 5; < 0 disables the breaker entirely).
 	BreakerThreshold int
-	// BreakerCooldown is the wall-clock open→half-open delay.
-	// BreakerCooldownCalls is the deterministic alternative: the
-	// breaker probes after rejecting this many calls. Either (or both)
-	// may be set; when both are zero the calls-based cooldown defaults
-	// to 100 so an open breaker always recovers.
-	BreakerCooldown      time.Duration
+	// BreakerCooldownCalls is the open→half-open delay, counted in
+	// calls: the breaker probes after rejecting this many (default 100,
+	// so an open breaker always recovers).
 	BreakerCooldownCalls int64
 }
 

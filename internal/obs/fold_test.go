@@ -8,9 +8,8 @@ import (
 )
 
 // TestViewsFoldTheRegistry fills a recorder once and reads it back
-// through every view: the JSON snapshot, /progress and the histogram
-// itself must report the same numbers, because none of them keeps a
-// copy of its own.
+// through every view: the JSON snapshot and the histogram itself must
+// report the same numbers, because neither keeps a copy of its own.
 func TestViewsFoldTheRegistry(t *testing.T) {
 	r := NewRecorder()
 	r.Counter(CounterInvocations).Add(400)
@@ -30,7 +29,7 @@ func TestViewsFoldTheRegistry(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	p := r.Progress()
+	snap := h.Snapshot()
 
 	type row struct {
 		what  string
@@ -42,18 +41,17 @@ func TestViewsFoldTheRegistry(t *testing.T) {
 		bucket[b.UpperNS] = float64(b.Count)
 	}
 	rows := []row{
-		{"classifier_invocations", []float64{400, float64(m.Counters[CounterInvocations]), float64(p.Invocations)}},
-		{"reused_samples", []float64{600, float64(m.Counters[CounterReusedSamples]), float64(p.ReusedSamples)}},
-		{"tuples_total", []float64{100, float64(m.Gauges[GaugeTuplesTotal]), float64(p.TuplesTotal)}},
-		{"reuse rate", []float64{0.6, p.ReuseRate}},
+		{"classifier_invocations", []float64{400, float64(m.Counters[CounterInvocations])}},
+		{"reused_samples", []float64{600, float64(m.Counters[CounterReusedSamples])}},
+		{"tuples_total", []float64{100, float64(m.Gauges[GaugeTuplesTotal])}},
 		{"explain_tuple_ns count", []float64{6, float64(tuple.Count), float64(h.Count())}},
-		{"explain_tuple_ns sum", []float64{1_023_000, float64(tuple.SumNS), float64(h.Sum())}},
+		{"explain_tuple_ns sum", []float64{1_023_000, float64(tuple.SumNS), float64(snap.SumNS)}},
 		{"explain_tuple_ns le 1023", []float64{3, bucket[1023]}},
 		{"explain_tuple_ns le 16383", []float64{2, bucket[16383]}},
 		{"explain_tuple_ns le 1048575", []float64{1, bucket[1048575]}},
-		{"explain p50", []float64{float64(h.Quantile(0.50)), float64(tuple.P50NS), float64(msToDur(p.ExplainP50MS))}},
-		{"explain p95", []float64{float64(h.Quantile(0.95)), float64(tuple.P95NS), float64(msToDur(p.ExplainP95MS))}},
-		{"explain p99", []float64{float64(h.Quantile(0.99)), float64(tuple.P99NS), float64(msToDur(p.ExplainP99MS))}},
+		{"explain p50", []float64{float64(h.Quantile(0.50)), float64(tuple.P50NS), float64(snap.P50NS)}},
+		{"explain p95", []float64{float64(h.Quantile(0.95)), float64(tuple.P95NS), float64(snap.P95NS)}},
+		{"explain p99", []float64{float64(h.Quantile(0.99)), float64(tuple.P99NS), float64(snap.P99NS)}},
 	}
 	if len(m.Gauges) != 1 || len(m.Histograms) != 1 {
 		t.Errorf("registry holds %d gauges and %d histograms, want tuples_total and explain_tuple_ns", len(m.Gauges), len(m.Histograms))

@@ -71,14 +71,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // Quantile estimates the q-th quantile at bucket resolution: the upper
 // bound of the bucket holding the q-th ranked observation, clamped into
 // the observed [min, max] so a single-sample histogram answers that

@@ -41,10 +41,6 @@ func endpoints(rec *Recorder) []endpoint {
 		{"/metrics", "", func(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, http.StatusOK, rec.Metrics())
 		}},
-		// Tuples done, reuse rate, invocations so far.
-		{"/progress", "", func(w http.ResponseWriter, req *http.Request) {
-			writeJSON(w, http.StatusOK, rec.Progress())
-		}},
 		// The span forest and request exemplars as Chrome trace-event
 		// JSON for Perfetto (same shape as -chrome-trace).
 		{"/trace", "", func(w http.ResponseWriter, req *http.Request) {

@@ -7,8 +7,8 @@
 //
 // Each fact is held once, in one encoding: a reading is its registry
 // entry, a stage its span and a served request its RequestTrace;
-// /metrics, /progress, the Chrome trace and a request's span tree are
-// JSON folds of those.
+// /metrics, the Chrome trace and a request's span tree are JSON folds
+// of those.
 //
 // Everything is nil-receiver-safe: a nil *Recorder — and the nil
 // *Counter, *Gauge, *Histogram, and *Span values it hands out — turns
@@ -18,9 +18,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +43,8 @@ const (
 	StageWarmFlush = "warm-flush"
 )
 
-// Well-known metric names. The pipeline maintains these; Progress reads
-// them back to answer /progress.
+// Well-known metric names. The pipeline maintains these; /metrics
+// serves them.
 const (
 	// CounterTuplesDone counts explanations completed so far.
 	CounterTuplesDone = "tuples_done"
@@ -68,8 +65,9 @@ const (
 	// CounterEventsDropped counts events the log's capacity bound
 	// overwrote: nonzero means an event dump no longer reconciles with
 	// the report. counterSpansDropped counts root spans overwritten the
-	// same way: nonzero means StageTotals no longer covers the whole
-	// run. Both are registered from birth, so every scrape carries them.
+	// same way: nonzero means the Chrome trace no longer covers the
+	// whole run. Both are registered from birth, so every scrape
+	// carries them.
 	CounterEventsDropped = "events_dropped"
 	counterSpansDropped  = "spans_dropped"
 	// GaugeTuplesTotal is the batch size when known up front (0 for an
@@ -231,24 +229,19 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// find returns the metric registered under name in one of the
-// recorder's three maps, or nil: the read paths' lookup, which must not
-// register what it looks for.
-func find[T any](r *Recorder, m map[string]*T, name string) *T {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return m[name]
-}
-
-// getOrCreate is find that registers mk's metric on a miss.
+// getOrCreate returns the metric registered under name in one of the
+// recorder's three maps, registering mk's metric on a miss. A hit takes
+// only the read lock.
 func getOrCreate[T any](r *Recorder, m map[string]*T, name string, mk func() *T) *T {
-	if v := find(r, m, name); v != nil {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
 		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v := m[name]
-	if v == nil {
+	if v = m[name]; v == nil {
 		v = mk()
 		m[name] = v
 	}
@@ -315,75 +308,4 @@ func (r *Recorder) Metrics() Metrics {
 		m.Histograms[name] = h.Snapshot()
 	}
 	return m
-}
-
-// Progress is the live view of a run: how far along it is and how well
-// reuse is working. TuplesTotal is 0 when the workload is unbounded
-// (streaming).
-type Progress struct {
-	TuplesDone     int64   `json:"tuples_done"`
-	TuplesTotal    int64   `json:"tuples_total"`
-	Invocations    int64   `json:"invocations"`
-	ReusedSamples  int64   `json:"reused_samples"`
-	ReuseRate      float64 `json:"reuse_rate"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheEvictions int64   `json:"cache_evictions"`
-	// ExplainP50MS/P95MS/P99MS are the per-tuple explanation latency
-	// quantiles so far (bucket-resolution estimates).
-	ExplainP50MS float64 `json:"explain_p50_ms"`
-	ExplainP95MS float64 `json:"explain_p95_ms"`
-	ExplainP99MS float64 `json:"explain_p99_ms"`
-	UptimeMS     float64 `json:"uptime_ms"`
-}
-
-// Progress reads the well-known counters back into a Progress snapshot
-// (zero value on a nil receiver). A metric no run has touched reads as
-// zero and stays unregistered.
-func (r *Recorder) Progress() Progress {
-	if r == nil {
-		return Progress{}
-	}
-	count := func(name string) int64 { return find(r, r.counters, name).Value() }
-	p := Progress{
-		TuplesDone:     count(CounterTuplesDone),
-		TuplesTotal:    find(r, r.gauges, GaugeTuplesTotal).Value(),
-		Invocations:    count(CounterInvocations),
-		ReusedSamples:  count(CounterReusedSamples),
-		CacheHits:      count(CounterCacheHits),
-		CacheMisses:    count(CounterCacheMisses),
-		CacheEvictions: count(CounterCacheEvictions),
-		UptimeMS:       r.uptimeMS(),
-	}
-	if total := p.ReusedSamples + p.Invocations; total > 0 {
-		p.ReuseRate = float64(p.ReusedSamples) / float64(total)
-	}
-	h := find(r, r.hists, HistExplainTuple)
-	p.ExplainP50MS = durToMS(h.Quantile(0.50))
-	p.ExplainP95MS = durToMS(h.Quantile(0.95))
-	p.ExplainP99MS = durToMS(h.Quantile(0.99))
-	return p
-}
-
-// FormatStageTotals renders a StageTotals map as a single line, longest
-// stage first ("explain 2.1s · pre-label 340ms · mine 12ms").
-func FormatStageTotals(totals map[string]time.Duration) string {
-	if len(totals) == 0 {
-		return "(no spans recorded)"
-	}
-	names := make([]string, 0, len(totals))
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if totals[names[i]] != totals[names[j]] {
-			return totals[names[i]] > totals[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	parts := make([]string, len(names))
-	for i, name := range names {
-		parts[i] = fmt.Sprintf("%s %s", name, totals[name].Round(time.Microsecond))
-	}
-	return strings.Join(parts, " · ")
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,10 +38,10 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if want := 5050 * time.Microsecond; h.Sum() != want {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
-	}
 	s := h.Snapshot()
+	if want := int64(5050 * time.Microsecond); s.SumNS != want {
+		t.Fatalf("sum = %d, want %d", s.SumNS, want)
+	}
 	if s.MinNS != int64(time.Microsecond) || s.MaxNS != int64(100*time.Microsecond) {
 		t.Fatalf("min/max = %d/%d", s.MinNS, s.MaxNS)
 	}
@@ -74,8 +73,8 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 		t.Fatalf("empty snapshot %+v", s)
 	}
 	h.Observe(-time.Second) // clamped to 0, must not panic or corrupt
-	if h.Count() != 1 || h.Sum() != 0 {
-		t.Fatalf("after negative observe: count=%d sum=%v", h.Count(), h.Sum())
+	if s := h.Snapshot(); s.Count != 1 || s.SumNS != 0 {
+		t.Fatalf("after negative observe: count=%d sum=%d", s.Count, s.SumNS)
 	}
 }
 
@@ -138,11 +137,8 @@ func TestNilSafety(t *testing.T) {
 	if s.End() != 0 || s.Duration() != 0 {
 		t.Fatal("nil span should report zero duration")
 	}
-	if r.Trace() != nil || r.StageTotals() != nil {
+	if r.Trace() != nil {
 		t.Fatal("nil recorder should trace nothing")
-	}
-	if p := r.Progress(); p != (Progress{}) {
-		t.Fatalf("nil progress %+v", p)
 	}
 	m := r.Metrics()
 	if len(m.Counters) != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
@@ -193,50 +189,6 @@ func TestSpanNesting(t *testing.T) {
 		t.Fatalf("End not idempotent: %v then %v", first, again)
 	}
 	root.End()
-
-	totals := r.StageTotals()
-	for _, name := range []string{"batch", "mine", "explain"} {
-		if totals[name] <= 0 {
-			t.Fatalf("missing stage total %q in %v", name, totals)
-		}
-	}
-	line := FormatStageTotals(totals)
-	if !strings.Contains(line, "batch") || !strings.Contains(line, "mine") {
-		t.Fatalf("stage line %q", line)
-	}
-	if FormatStageTotals(nil) != "(no spans recorded)" {
-		t.Fatal("empty totals line")
-	}
-}
-
-func TestProgress(t *testing.T) {
-	// A read must not write: asking an untouched recorder for progress
-	// registers nothing beside the two counters it was born with.
-	fresh := NewRecorder()
-	if p := fresh.Progress(); p.TuplesDone != 0 || p.ExplainP99MS != 0 {
-		t.Fatalf("fresh progress %+v", p)
-	}
-	if m := fresh.Metrics(); len(m.Counters) != 2 || m.Counters[CounterEventsDropped] != 0 || m.Counters[counterSpansDropped] != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
-		t.Fatalf("Progress() registered metrics: %+v", m)
-	}
-
-	r := NewRecorder()
-	r.Counter(CounterTuplesDone).Add(30)
-	r.Gauge(GaugeTuplesTotal).Set(100)
-	r.Counter(CounterInvocations).Add(400)
-	r.Counter(CounterReusedSamples).Add(600)
-	r.Counter(CounterCacheHits).Add(9)
-	r.Counter(CounterCacheMisses).Add(1)
-	p := r.Progress()
-	if p.TuplesDone != 30 || p.TuplesTotal != 100 || p.Invocations != 400 {
-		t.Fatalf("progress %+v", p)
-	}
-	if p.ReuseRate != 0.6 {
-		t.Fatalf("reuse rate = %v, want 0.6", p.ReuseRate)
-	}
-	if p.CacheHits != 9 || p.CacheMisses != 1 {
-		t.Fatalf("cache counters %+v", p)
-	}
 }
 
 // TestConcurrentUse hammers one recorder from many goroutines; run under

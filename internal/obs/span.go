@@ -174,25 +174,3 @@ func (r *Recorder) Trace() []*SpanDump {
 	}
 	return out
 }
-
-// StageTotals sums span durations by name across the retained forest:
-// the per-stage wall-time breakdown of everything run under this
-// recorder, short of any roots spans_dropped counts. Open spans
-// contribute their running duration.
-func (r *Recorder) StageTotals() map[string]time.Duration {
-	if r == nil {
-		return nil
-	}
-	totals := make(map[string]time.Duration)
-	var walk func(d *SpanDump)
-	walk = func(d *SpanDump) {
-		totals[d.Name] += msToDur(d.DurMS)
-		for _, c := range d.Children {
-			walk(c)
-		}
-	}
-	for _, root := range r.Trace() {
-		walk(root)
-	}
-	return totals
-}

@@ -74,10 +74,10 @@ type Config struct {
 	// ProbeTimeout bounds one probe (default ProbeInterval/2).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// Breaker tunes the per-replica circuit breakers. When neither
-	// cooldown field is set, BreakerCooldownCalls defaults to 2 so a
-	// recovered replica is re-trialled after two rejected calls or
-	// probes rather than fault.Config's chain default of 100.
+	// Breaker tunes the per-replica circuit breakers. When unset,
+	// BreakerCooldownCalls defaults to 2 so a recovered replica is
+	// re-trialled after two rejected calls or probes rather than
+	// fault.Config's chain default of 100.
 	Breaker fault.Config
 	// Recorder receives router metrics and per-replica breaker events;
 	// nil disables instrumentation.
@@ -109,7 +109,7 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = c.ProbeInterval / 2
 	}
-	if c.Breaker.BreakerCooldown <= 0 && c.Breaker.BreakerCooldownCalls <= 0 {
+	if c.Breaker.BreakerCooldownCalls <= 0 {
 		c.Breaker.BreakerCooldownCalls = 2
 	}
 	return c

@@ -29,7 +29,7 @@
 //   - NewStream: requests arrive one at a time under a memory budget
 //     (§3.5) with periodic itemset re-mining and negative-border
 //     promotion.
-//   - Sequential / Greedy: the baselines the paper evaluates against,
+//   - Sequential: the no-reuse baseline the paper evaluates against,
 //     useful for measuring speedups on your own workload.
 //
 // Any model implementing the two-method Classifier interface can be
@@ -94,10 +94,6 @@ type ForestConfig = rf.Config
 // ClassifierFunc adapts a plain function to the Classifier interface.
 type ClassifierFunc = rf.Func
 
-// CountingClassifier wraps a Classifier and counts Predict calls; wrap
-// your model with NewCountingClassifier to measure invocation savings.
-type CountingClassifier = rf.Counting
-
 // Explanation outputs.
 type (
 	// Attribution is a per-attribute importance vector (LIME, SHAP).
@@ -142,8 +138,8 @@ type (
 )
 
 // Observability: set Options.Recorder to collect stage-scoped spans,
-// live progress counters, and latency histograms from a run, and
-// optionally serve them over HTTP while the run is in flight.
+// counters and latency histograms from a run, and optionally serve
+// them over HTTP while the run is in flight.
 type (
 	// Recorder collects spans, counters, and histograms; nil disables
 	// all instrumentation at zero cost.
@@ -153,8 +149,6 @@ type (
 	MetricsServer = obs.Server
 	// RecorderMetrics is the /metrics JSON snapshot shape.
 	RecorderMetrics = obs.Metrics
-	// RecorderProgress is the /progress JSON snapshot shape.
-	RecorderProgress = obs.Progress
 )
 
 // NewRecorder returns an empty observability recorder; pass it via
@@ -220,9 +214,6 @@ func ComputeStats(d *Dataset) (*Stats, error) { return dataset.Compute(d) }
 // TrainForest fits the built-in random forest on a labelled dataset.
 func TrainForest(d *Dataset, cfg ForestConfig) (*Forest, error) { return rf.Train(d, cfg) }
 
-// NewCountingClassifier wraps a classifier with an invocation counter.
-func NewCountingClassifier(c Classifier) *CountingClassifier { return rf.NewCounting(c) }
-
 // NewBatch creates Shahin's batch explainer: call ExplainAll with every
 // tuple to explain.
 func NewBatch(st *Stats, cls Classifier, opts Options) (*Batch, error) {
@@ -259,13 +250,6 @@ func Sequential(st *Stats, cls Classifier, opts Options, tuples [][]float64) (*R
 // StatusFailed.
 func SequentialCtx(ctx context.Context, st *Stats, cls Classifier, opts Options, tuples [][]float64) (*Result, error) {
 	return core.SequentialCtx(ctx, st, cls, opts, tuples)
-}
-
-// Greedy runs the paper's GREEDY baseline: persist every perturbation
-// under a byte budget with LRU eviction and reuse opportunistically. It
-// refuses what Sequential refuses.
-func Greedy(st *Stats, cls Classifier, opts Options, tuples [][]float64, budgetBytes int64) (*Result, error) {
-	return core.Greedy(st, cls, opts, tuples, budgetBytes)
 }
 
 // DatasetNames lists the built-in synthetic dataset families, shaped
@@ -312,9 +296,6 @@ func WriteCSV(w io.Writer, d *Dataset) error { return dataset.WriteCSV(w, d) }
 // lookup and gob persistence: pre-compute overnight with a Batch run,
 // serve during the day.
 type ExplanationStore = store.Store
-
-// NewExplanationStore returns an empty store.
-func NewExplanationStore() *ExplanationStore { return store.New() }
 
 // BuildExplanationStore indexes a Batch run's output.
 func BuildExplanationStore(tuples [][]float64, exps []Explanation) (*ExplanationStore, error) {
