@@ -185,15 +185,16 @@ const (
 )
 
 // refresh brings the pool in line with the rows window returns: mine
-// their frequent itemsets (and negative border, when asked), keep the
-// first maxSets, evict repository entries that fell infrequent ("any
-// frequent itemset that becomes infrequent is kicked out along its
-// perturbations", §3.5), and, unless the pool is lazy, materialise the
-// ones not yet present. Mine and pool-build stages open under parent;
-// the report carries its cost and how many itemsets are pooled.
-// Cancelling ctx, or a label the classifier did not give, stops the fill
-// at the itemset being labelled, which is not stored; what was pooled
-// before stays, and complete turns false.
+// the first maxSets of their frequent itemsets (and the first
+// MaxItemsets of the negative border, when asked), evict repository
+// entries that fell infrequent ("any frequent itemset that becomes
+// infrequent is kicked out along its perturbations", §3.5), and, unless
+// the pool is lazy, materialise the ones not yet present. Mine and
+// pool-build stages open under parent; the report carries its cost and
+// how many itemsets are pooled. Cancelling ctx, or a label the
+// classifier did not give, stops the fill at the itemset being labelled,
+// which is not stored; what was pooled before stays, and complete turns
+// false.
 func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, parent *obs.Span) ([]fim.Mined, Report, error) {
 	rec := ps.opts.Recorder
 	var d Report
@@ -204,10 +205,12 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 		MaxLen:      maxItemsetLen,
 		WithBorder:  border,
 		MaxPerLevel: 4 * ps.opts.MaxItemsets,
+		Keep:        ps.maxSets,
+		KeepBorder:  ps.opts.MaxItemsets,
 	})
 	var frequent []fim.Mined
 	if err == nil {
-		frequent = mined.Frequent[:min(len(mined.Frequent), ps.maxSets)]
+		frequent = mined.Frequent
 		mine.span.SetAttr("frequent_itemsets", len(frequent))
 	}
 	var mineAllocs obs.AllocDelta

@@ -158,16 +158,13 @@ func (s *Stream) track(t []float64) {
 }
 
 // retrack rebuilds the tracked list after a refresh: the pooled
-// itemsets, and the most promising of the mined border (it is sorted by
-// support within each length; an unbounded border would make per-tuple
-// count maintenance expensive).
+// itemsets, and the border refresh mined, which is only its most
+// promising MaxItemsets (sorted by support within each length; an
+// unbounded border would make per-tuple count maintenance expensive).
 func (s *Stream) retrack(border []fim.Mined) {
 	s.tracked = s.tracked[:0]
 	for _, set := range s.ps.sets {
 		s.tracked = append(s.tracked, &trackedSet{set: set, frequent: true})
-	}
-	if len(border) > s.opts.MaxItemsets {
-		border = border[:s.opts.MaxItemsets]
 	}
 	for _, m := range border {
 		s.tracked = append(s.tracked, &trackedSet{set: m.Set})

@@ -237,10 +237,3 @@ func pickDistinct(rng *rand.Rand, n, k int) []int {
 	sort.Ints(out)
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

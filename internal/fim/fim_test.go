@@ -460,14 +460,13 @@ func TestMaxPerLevel(t *testing.T) {
 }
 
 func TestMaxPerLevelRejectsNegative(t *testing.T) {
-	if _, err := Mine(nil, Config{MinSupport: 0.5, MaxPerLevel: -1}); err == nil {
-		t.Fatal("negative MaxPerLevel accepted")
+	for name, cfg := range map[string]Config{
+		"MaxPerLevel": {MinSupport: 0.5, MaxPerLevel: -1},
+		"Keep":        {MinSupport: 0.5, Keep: -1},
+		"KeepBorder":  {MinSupport: 0.5, WithBorder: true, KeepBorder: -1},
+	} {
+		if _, err := Mine(nil, cfg); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
