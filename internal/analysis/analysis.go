@@ -1,6 +1,6 @@
-// Package analysis is shahin's project-specific static-analysis suite,
-// built from scratch on the stdlib go/parser + go/ast + go/types stack
-// (no golang.org/x/tools dependency). It enforces the invariants the
+// Package analysis is shahin's project-specific static-analysis suite:
+// stdlib go/parser + go/types over the packages go list reports (no
+// golang.org/x/tools dependency). It enforces the invariants the
 // reproduction's headline claim rests on — bit-for-bit deterministic
 // explanations — plus the error-handling and nil-recorder conventions
 // the codebase documents:

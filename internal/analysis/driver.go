@@ -8,39 +8,26 @@ import (
 	"strings"
 )
 
-// check loads the packages matching patterns under the module rooted
-// at dir and runs the given analyzers (nil means the full suite) over
-// each, returning all surviving findings sorted by position and each
-// analyzer's in-scope site count (Pass.InScope). includeTests adds each
-// package's in-package _test.go files to the analyzed unit (the -tests
-// flag of shahin-vet).
+// check loads the packages matching patterns in dir (load) and runs
+// the given analyzers (nil means the full suite) over each, returning
+// all surviving findings sorted by position and each analyzer's
+// in-scope site count (Pass.InScope). includeTests analyzes each
+// package's in-package test variant instead (the -tests flag of
+// shahin-vet).
 func check(dir string, patterns []string, analyzers []*Analyzer, includeTests bool) ([]Diagnostic, map[string]int, error) {
-	modPath, err := readModulePath(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	loader, err := newLoader(dir, modPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	loader.IncludeTests = includeTests
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	if analyzers == nil {
 		analyzers = All()
 	}
-	paths, err := loader.Packages(patterns)
+	pkgs, err := load(dir, patterns, includeTests)
 	if err != nil {
 		return nil, nil, err
 	}
 	var diags []Diagnostic
 	sites := make(map[string]int)
-	for _, p := range paths {
-		pkg, err := loader.Load(p)
-		if err != nil {
-			return nil, nil, err
-		}
+	for _, pkg := range pkgs {
 		d, n := runPackage(pkg, analyzers)
 		diags = append(diags, d...)
 		for name, c := range n {

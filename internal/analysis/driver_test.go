@@ -3,7 +3,9 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -116,6 +118,37 @@ func TestMainJSONAndExit(t *testing.T) {
 		t.Errorf("missing module: exit %d, want 2", code)
 	}
 
+	// A package that does not type-check, a clean package importing one,
+	// and a pattern naming no directory are load errors too: exit 2,
+	// with the broken package or the pattern named on stderr.
+	mod := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":       "module vetload\n\ngo 1.22\n",
+		"bad/bad.go":   "package bad\n\nvar X int = \"s\"\n",
+		"dep/dep.go":   "package dep\n\nvar Y int = \"s\"\n",
+		"user/user.go": "package user\n\nimport \"vetload/dep\"\n\nvar Z = dep.Y\n",
+	} {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(mod, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(mod, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ pattern, named string }{
+		{"./bad", "vetload/bad"},
+		{"./user", "vetload/dep"},
+		{"./nosuch/...", "./nosuch/..."},
+	} {
+		errBuf.Reset()
+		if code := Main([]string{"-dir", mod, tc.pattern}, &out, &errBuf); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr: %s)", tc.pattern, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), tc.named) {
+			t.Errorf("%s: stderr does not name %s: %s", tc.pattern, tc.named, errBuf.String())
+		}
+	}
+
 	// -list exits 0 and names every analyzer.
 	out.Reset()
 	if code := Main([]string{"-list"}, &out, &errBuf); code != 0 {
@@ -128,33 +161,32 @@ func TestMainJSONAndExit(t *testing.T) {
 	}
 }
 
-// TestPatternExpansion pins the package-pattern grammar against the
-// fixture tree.
+// TestPatternExpansion pins how patterns select packages of the
+// fixtures module.
 func TestPatternExpansion(t *testing.T) {
-	loader, err := newLoader(filepath.Join("testdata", "src"), "")
-	if err != nil {
-		t.Fatal(err)
+	fixtures := filepath.Join("testdata", "src")
+	paths := func(patterns ...string) ([]string, error) {
+		pkgs, err := load(fixtures, patterns, false)
+		var out []string
+		for _, pkg := range pkgs {
+			out = append(out, pkg.Path)
+		}
+		return out, err
 	}
-	all, err := loader.Packages([]string{"./..."})
+	all, err := paths("./...")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"detrand", "errcheck", "maporder", "obs", "walltime"} {
-		found := false
-		for _, p := range all {
-			if p == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("./... missed fixture package %s (got %v)", want, all)
+		if !slices.Contains(all, "fixtures/"+want) {
+			t.Errorf("./... missed fixture package fixtures/%s (got %v)", want, all)
 		}
 	}
-	one, err := loader.Packages([]string{"./obs"})
-	if err != nil || len(one) != 1 || one[0] != "obs" {
-		t.Errorf("./obs -> (%v, %v), want exactly [obs]", one, err)
+	one, err := paths("./obs")
+	if err != nil || len(one) != 1 || one[0] != "fixtures/obs" {
+		t.Errorf("./obs -> (%v, %v), want exactly [fixtures/obs]", one, err)
 	}
-	if _, err := loader.Packages([]string{"./nosuch"}); err == nil {
+	if _, err := paths("./nosuch"); err == nil {
 		t.Error("pattern matching a missing package should fail")
 	}
 }

@@ -8,19 +8,15 @@ import (
 	"testing"
 )
 
-// loadFixture type-checks one package under testdata/src in fixture
-// mode (every import resolves as standard library).
+// loadFixture type-checks one package of the fixtures module under
+// testdata/src (import path fixtures/<name>).
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	loader, err := newLoader(filepath.Join("testdata", "src"), "")
+	pkgs, err := load(filepath.Join("testdata", "src"), []string{"./" + name}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.Load(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
+	return pkgs[0]
 }
 
 var wantRE = regexp.MustCompile(`want "([^"]*)"`)

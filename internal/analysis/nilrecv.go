@@ -22,13 +22,8 @@ var NilRecv = &Analyzer{
 	Run:  runNilRecv,
 }
 
-// nilRecvApplies limits the invariant to observability packages.
-func nilRecvApplies(path string) bool {
-	return path == "obs" || strings.HasSuffix(path, "/obs")
-}
-
 func runNilRecv(pass *Pass) {
-	if !nilRecvApplies(pass.Pkg.Path) {
+	if !strings.HasSuffix(pass.Pkg.Path, "/obs") { // observability packages only
 		return
 	}
 	info := pass.Pkg.Info
