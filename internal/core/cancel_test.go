@@ -341,9 +341,12 @@ func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
 // call names the target; label 20 of the fill is call 21). The renew
 // is counted and starts a new window, the fill stores nothing and its
 // itemset leaves the pool, and the next renew pools what the twin
-// pools.
+// pools. The tuple that warms up (the sixteenth, at a period of 100) is
+// cut the same way: its mine stays uncounted and keeps its window, and
+// the renew at 100 mines the first hundred tuples and pools what the
+// twin pools.
 func TestCancelledRenewHeals(t *testing.T) {
-	env := newEnv(t, 7, 80)
+	env := newEnv(t, 7, 100)
 	t.Run("warm", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -404,10 +407,10 @@ func TestCancelledRenewHeals(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cls := &cancelAfter{inner: env.cls, cancel: cancel}
-		open := func(cls rf.Classifier) *Stream {
+		open := func(cls rf.Classifier, every int) *Stream {
 			opts := smallOpts(LIME, 9)
 			opts.Recorder = obs.NewRecorder()
-			opts.StreamRecompute = 20
+			opts.StreamRecompute = every
 			s, err := NewStream(env.st, cls, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -421,35 +424,62 @@ func TestCancelledRenewHeals(t *testing.T) {
 				}
 			}
 		}
-		s := open(cls)
-		explain(s, env.tuples[:19])
-		w := watchFills(s)
-		cls.after = cls.n.Load() + 21
-		exp, err := s.ExplainCtx(ctx, env.tuples[19])
-		if err != nil || exp.Status != StatusFailed {
-			t.Fatalf("the tuple cut short: status %v, err=%v; want failed, nil", exp.Status, err)
+		// cut explains tuple i under ctx, cancelled in the first fill the
+		// tuple makes, which must store nothing and leave the pool.
+		cut := func(s *Stream, i int) {
+			t.Helper()
+			w := watchFills(s)
+			cls.after = cls.n.Load() + 21
+			exp, err := s.ExplainCtx(ctx, env.tuples[i])
+			if err != nil || exp.Status != StatusFailed {
+				t.Fatalf("the tuple cut short: status %v, err=%v; want failed, nil", exp.Status, err)
+			}
+			if len(w.fills) == 0 || w.fills[0].stored || w.fills[0].calls != 50 {
+				t.Fatalf("fills of the tuple cut short: %+v; want the first to label 50 samples and store none", w.fills)
+			}
+			refused := w.fills[0].set
+			if s.ps.repo.Contains(refused.Key()) || pooled(s.ps, refused) {
+				t.Errorf("the refused fill's itemset %v is still pooled", refused)
+			}
 		}
+		healed := func(s, twin *Stream, mines int) {
+			t.Helper()
+			if got, want := fmt.Sprint(s.ps.sets), fmt.Sprint(twin.ps.sets); got != want || len(twin.ps.sets) == 0 {
+				t.Errorf("pooled itemsets after the next renew:\n  %s\nthe uninterrupted twin's:\n  %s", got, want)
+			}
+			if s.Mines() != mines {
+				t.Errorf("%d renews counted, want %d", s.Mines(), mines)
+			}
+			checkPoolLabels(t, s.ps, env.cls)
+		}
+
+		s := open(cls, 20)
+		explain(s, env.tuples[:19])
+		cut(s, 19)
 		if s.Mines() != 1 || len(s.ps.window) != 0 {
 			t.Errorf("the renew of the tuple cut short: %d counted, %d tuples left in its window; want 1 and 0", s.Mines(), len(s.ps.window))
 		}
-		if len(w.fills) == 0 || w.fills[0].stored || w.fills[0].calls != 50 {
-			t.Fatalf("fills of the tuple cut short: %+v; want the first to label 50 samples and store none", w.fills)
-		}
-		refused := w.fills[0].set
-		if s.ps.repo.Contains(refused.Key()) || pooled(s.ps, refused) {
-			t.Errorf("the refused fill's itemset %v is still pooled", refused)
-		}
 		explain(s, env.tuples[20:40])
-
-		twin := open(env.cls)
+		twin := open(env.cls, 20)
 		explain(twin, env.tuples[:40])
-		if got, want := fmt.Sprint(s.ps.sets), fmt.Sprint(twin.ps.sets); got != want || len(twin.ps.sets) == 0 {
-			t.Errorf("pooled itemsets after the next renew:\n  %s\nthe uninterrupted twin's:\n  %s", got, want)
+		healed(s, twin, 2)
+
+		ctx, cancel = context.WithCancel(context.Background())
+		defer cancel()
+		cls.cancel = cancel
+		s = open(cls, 100)
+		explain(s, env.tuples[:15])
+		cut(s, 15)
+		if s.Mines() != 0 || len(s.ps.window) != 16 {
+			t.Errorf("the warm-up mine of the tuple cut short: %d counted, %d tuples left in its window; want 0 and 16", s.Mines(), len(s.ps.window))
 		}
-		if s.Mines() != 2 {
-			t.Errorf("%d renews counted, want 2", s.Mines())
+		explain(s, env.tuples[16:100])
+		twin = open(env.cls, 100)
+		explain(twin, env.tuples[:100])
+		if got, want := fmt.Sprint(s.ps.cov), fmt.Sprint(twin.ps.cov); got != want || len(s.ps.cov) != 100 {
+			t.Errorf("the renew at 100 mined %d rows, not the first hundred the twin's renew mined", len(s.ps.cov))
 		}
-		checkPoolLabels(t, s.ps, env.cls)
+		healed(s, twin, 1)
 	})
 }
 

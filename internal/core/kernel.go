@@ -100,11 +100,12 @@ func (ps *poolState) attach(eng *engine) {
 // the window, charging rep and recording the remine event. A complete
 // refresh is counted and starts a new window (the mined rows stay behind
 // as the coverage sample); one cut short is not counted and keeps its
-// window, so the runner's next renew finishes the job. It returns the
-// negative border refresh mined. Config is validated at construction, so
-// mining a non-empty window cannot fail; if it somehow does, the old pool
-// and window stay.
-func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, rows func() []dataset.Itemset, withBorder bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
+// window, so the runner's next renew finishes the job. A warm-up renew
+// is neither counted nor starts a new window. It returns the negative
+// border refresh mined. Config is validated at construction, so mining
+// a non-empty window cannot fail; if it somehow does, the old pool and
+// window stay.
+func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, rows func() []dataset.Itemset, withBorder, warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
 	border, d, err := ps.refresh(ctx, eng, gen, rows, withBorder, parent)
 	rep.add(d)
 	if err != nil {
@@ -114,11 +115,23 @@ func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Genera
 		Type: obs.EventRemine, Tuple: -1, Itemsets: d.FrequentItemsets,
 		Fresh: d.PoolInvocations, DurMS: ms(d.MineTime + d.PoolTime),
 	})
-	if ps.complete {
+	if ps.complete && !warmUp {
 		ps.window = make([]dataset.Itemset, 0, len(ps.window))
 		ps.renews.Add(1)
 	}
 	return border, nil
+}
+
+// warmUp reports whether a lazy pool should mine its window although no
+// renew is due: until its first complete renew, each time the window
+// reaches a power of two of at least 16 (where the 10 % support is
+// already refresh's floor of five rows) and below every, the renew
+// period. A lazy pool labels an itemset only when a tuple contains it,
+// so a warm-up mine costs the mine alone; an eager one would label τ
+// samples per itemset that no tuple may ask for.
+func (ps *poolState) warmUp(every int) bool {
+	n := len(ps.window)
+	return ps.lazy() && ps.renews.Load() == 0 && n >= 16 && n < every && n&(n-1) == 0
 }
 
 // promote pools set, a border itemset whose running frequency crossed

@@ -15,11 +15,11 @@
 // (Algorithms 1–3) refreshes once over a uniform sample of the batch,
 // then steps through every tuple, on Options.Workers goroutines if asked.
 // Stream (§3.5) renews a lazy pool every StreamRecompute tuples over its
-// window, border included, and promotes border itemsets in between.
-// Warm keeps its pool across calls, renewing it over a sample of its
-// window every so many tuples. Sequential and Greedy, the baselines,
-// are the step up front: with no pool, or over a store that keeps all it
-// sees.
+// window, border included (before the first, also at each power of two
+// from 16), and promotes border itemsets in between. Warm renews its
+// pool over a sample of its window every so many tuples, across calls.
+// Sequential and Greedy, the baselines, are the step up front: with no
+// pool, or over a store that keeps all it sees.
 package core
 
 import (

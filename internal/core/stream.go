@@ -11,14 +11,14 @@ import (
 	"shahin/internal/rf"
 )
 
-// Stream is Shahin's streaming variant (paper §3.5): explanation requests
-// arrive one at a time, the perturbation repository lives under a byte
-// budget with LRU eviction, frequent itemsets are re-mined every
-// StreamRecompute tuples over the tuples seen since the last recompute,
-// and the negative border is tracked so that a border itemset whose
-// running frequency crosses the support threshold is promoted without
-// waiting for the next re-mine. The pool is lazy: an itemset is labelled
-// when a tuple first matches it, not when it is mined or promoted.
+// Stream is Shahin's streaming variant (paper §3.5): requests arrive one
+// at a time, the repository lives under a byte budget with LRU eviction,
+// frequent itemsets are re-mined every StreamRecompute tuples over the
+// tuples seen since (before the first, also at 16, 32, 64… tuples), and
+// the negative border is tracked so that a border itemset whose running
+// frequency crosses the support threshold is promoted before the next
+// re-mine. The pool is lazy: an itemset is labelled when a tuple first
+// matches it, not when it is mined or promoted.
 type Stream struct {
 	runner
 	// f is the stream's one long run: its root span stays open for the
@@ -103,11 +103,13 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 	// per-tuple bookkeeping is the walk itself.
 	if eng.exact == nil {
 		s.track(t)
-		if len(s.ps.window) >= s.opts.StreamRecompute {
+		warmUp := s.ps.warmUp(s.opts.StreamRecompute)
+		if warmUp || len(s.ps.window) >= s.opts.StreamRecompute {
 			span := s.f.span.Child(obs.StageRemine)
-			border, err := s.ps.renew(ctx, eng, s.gen, func() []dataset.Itemset { return s.ps.window }, true, span, &s.rep)
+			span.SetAttr("rows", len(s.ps.window))
+			border, err := s.ps.renew(ctx, eng, s.gen, func() []dataset.Itemset { return s.ps.window }, !warmUp, warmUp, span, &s.rep)
 			span.End()
-			if err == nil {
+			if err == nil && !warmUp {
 				s.retrack(border)
 			}
 		}
@@ -180,6 +182,6 @@ func (s *Stream) Report() Report {
 	return rep
 }
 
-// Mines reports how many itemset recomputations have run to their end
-// (diagnostics and tests).
+// Mines reports how many window renews have run to their end, warm-up
+// mines not included (diagnostics and tests).
 func (s *Stream) Mines() int { return int(s.ps.renews.Load()) }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"shahin/internal/dataset"
+	"shahin/internal/obs"
 )
 
 // Two tuple flavours over the 6-attribute test schema; flavour B has
@@ -165,5 +167,117 @@ func TestStreamAnchorCoverage(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no rule held on a tenth of the mined window; the check is vacuous")
+	}
+}
+
+// TestStreamPoolsBeforeFirstRemine: a stream shorter than its renew
+// period still reuses samples. Its warm-up mines give the tuples after
+// the sixteenth a pool, so LIME and SHAP call the classifier less than
+// Sequential does on the same tuples. Anchor's pool is eager and is
+// never warmed up: its count is the one it had without warm-up mines.
+func TestStreamPoolsBeforeFirstRemine(t *testing.T) {
+	env := newEnv(t, 7, 50)
+	for _, kind := range []Kind{LIME, SHAP, Anchor} {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := smallOpts(kind, 8)
+			s, err := NewStream(env.st, env.cls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tup := range env.tuples {
+				if _, err := s.Explain(tup); err != nil {
+					t.Fatalf("tuple %d: %v", i, err)
+				}
+			}
+			if s.Mines() != 0 {
+				t.Fatalf("%d renews counted in a 50-tuple stream with a period of 100", s.Mines())
+			}
+			rep := s.Report()
+			if kind == Anchor {
+				// What this stream cost before streams had warm-up mines.
+				const want = 790
+				if rep.Invocations != want || rep.ReusedSamples != 0 {
+					t.Errorf("Anchor: %d invocations, %d reused; want %d and 0", rep.Invocations, rep.ReusedSamples, want)
+				}
+				return
+			}
+			seq, err := Sequential(env.st, env.cls, opts, env.tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Invocations >= seq.Report.Invocations || rep.ReusedSamples == 0 {
+				t.Errorf("%d invocations with %d reused; Sequential makes %d: the stream never pooled", rep.Invocations, rep.ReusedSamples, seq.Report.Invocations)
+			}
+		})
+	}
+}
+
+// TestStreamWarmUpMines: until its first renew, a stream mines the
+// window it has so far when it holds 16, 32 and 64 tuples (a period of
+// 100), and at no other tuple. A warm-up mine is not counted, keeps the
+// window, tracks nothing, charges its mine time, logs a re_mine event
+// and opens a remine span that says how many rows it read. The renew at
+// 100 mines exactly the first hundred tuples.
+func TestStreamWarmUpMines(t *testing.T) {
+	env := newEnv(t, 7, 120)
+	opts := smallOpts(SHAP, 8)
+	rec := obs.NewRecorder()
+	opts.Recorder = rec
+	s, err := NewStream(env.st, env.cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mined []int
+	for i, tup := range env.tuples {
+		before := sumEvents(t, rec).remines
+		if _, err := s.Explain(tup); err != nil {
+			t.Fatalf("tuple %d: %v", i, err)
+		}
+		n := i + 1
+		if sumEvents(t, rec).remines > before {
+			mined = append(mined, n)
+		}
+		switch {
+		case n < 100:
+			if s.Mines() != 0 || len(s.ps.window) != n || len(s.tracked) != 0 {
+				t.Fatalf("after %d tuples: %d renews counted, %d tuples in the window, %d tracked; want 0, %d, 0",
+					n, s.Mines(), len(s.ps.window), len(s.tracked), n)
+			}
+			if n == 16 && (s.Report().MineTime == 0 || len(s.ps.sets) == 0) {
+				t.Fatalf("the warm-up mine at 16 charged %v and pooled %d itemsets", s.Report().MineTime, len(s.ps.sets))
+			}
+		case n == 100:
+			if s.Mines() != 1 || len(s.ps.window) != 0 || len(s.tracked) == 0 {
+				t.Fatalf("the renew at 100: %d counted, %d tuples left in the window, %d tracked; want 1, 0, some",
+					s.Mines(), len(s.ps.window), len(s.tracked))
+			}
+			if len(s.ps.cov) != 100 {
+				t.Fatalf("the renew at 100 mined %d rows", len(s.ps.cov))
+			}
+			for j, row := range s.ps.cov {
+				if want := env.st.ItemizeRow(env.tuples[j], nil); !slices.Equal(row, want) {
+					t.Fatalf("row %d the renew mined is %v, tuple %d itemises to %v", j, row, j, want)
+				}
+			}
+		}
+	}
+	if s.Mines() != 1 {
+		t.Errorf("%d renews counted after 120 tuples, want 1", s.Mines())
+	}
+	want := []int{16, 32, 64, 100}
+	if !slices.Equal(mined, want) {
+		t.Errorf("mined after tuples %v, want %v", mined, want)
+	}
+	var rows []int
+	for _, root := range rec.Trace() {
+		for _, c := range root.Children {
+			if c.Name == obs.StageRemine {
+				n, _ := c.Attrs["rows"].(int)
+				rows = append(rows, n)
+			}
+		}
+	}
+	if !slices.Equal(rows, want) {
+		t.Errorf("remine spans read %v rows, want %v", rows, want)
 	}
 }

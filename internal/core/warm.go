@@ -171,7 +171,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 				sampled[i] = rows[j]
 			}
 			return sampled
-		}, false, f.span, &rep)
+		}, false, false, f.span, &rep)
 		// A refresh cut short stays stale: the next flush renews again.
 		if err == nil && w.ps.complete {
 			w.since = 0
