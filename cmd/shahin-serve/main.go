@@ -9,9 +9,9 @@
 //	GET  /readyz            readiness (503 while draining)
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
 //
-// Concurrent requests are gathered for up to -batch-window (or until
-// -batch-max tuples queue) and flushed through the pipeline together,
-// so unrelated requests share one pool of pre-labelled perturbations.
+// Requests that queue while a flush runs are flushed together next (up
+// to -batch-max; a positive -batch-window also holds each flush open),
+// and every flush shares one pool of pre-labelled perturbations.
 // Exact-repeat tuples are answered from an explanation store, which
 // -store persists across restarts (loaded at startup, snapshotted on
 // graceful shutdown).
@@ -45,7 +45,7 @@ func main() {
 		addr    = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
 		workers = flag.Int("workers", 0, "parallel workers sharding each flush (0 = GOMAXPROCS, non-Anchor)")
 
-		batchWindow = flag.Duration("batch-window", 10*time.Millisecond, "how long the first queued request waits for companions before its batch flushes")
+		batchWindow = flag.Duration("batch-window", 0, "hold each flush open this long for companions (0 = flush what is queued at once)")
 		batchMax    = flag.Int("batch-max", 64, "flush a batch immediately at this many queued tuples")
 		queueCap    = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it are shed with 429")
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, queue wait included (0 disables)")

@@ -62,11 +62,9 @@ func (m *meter) Predict(x []float64) int {
 // constructors draw nothing from rng. proto is what buildExact built;
 // an ExactSHAP engine walks a fork of it that predicts through the meter.
 func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge, proto *exact.Explainer) *engine {
-	m := &meter{Classifier: cls, latency: opts.Recorder.Histogram(obs.HistPredict)}
-	if fb != nil {
-		m.Classifier = fb
-	}
-	e := &engine{opts: opts, st: st, raw: cls, cls: m, fb: fb}
+	m := &meter{latency: opts.Recorder.Histogram(obs.HistPredict)}
+	e := &engine{opts: opts, st: st, raw: cls, cls: m}
+	e.rebind(fb)
 	switch opts.Explainer {
 	case LIME:
 		e.lime = lime.New(st, m, opts.LIME, rng)
@@ -78,6 +76,23 @@ func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Ran
 		e.exact = proto.Fork(m)
 	}
 	return e
+}
+
+// rebind readies the engine for a run over fb, as newEngine would have
+// built it: the meter predicts through fb (nil: straight to the
+// classifier), its record starts empty, and per-run explainer state —
+// KernelSHAP's base rates — is forgotten. The explainers' workspaces and
+// the RNG they draw from stay; re-seeding that is the caller's.
+func (e *engine) rebind(fb *fallibleBridge) {
+	e.fb = fb
+	e.cls.Classifier = e.raw
+	if fb != nil {
+		e.cls.Classifier = fb
+	}
+	e.cls.cost = Cost{}
+	if e.shap != nil {
+		e.shap.Reset()
+	}
 }
 
 // worker builds the engine of parallel worker w: its own seed, RNG and

@@ -415,13 +415,19 @@ func (r *runner) admit(tuples [][]float64) error {
 // The bridge is built when the run can fail or be cancelled — or, for a
 // stream, which learns that one call at a time, always.
 func (r *runner) begin(ctx context.Context, rng *rand.Rand, name string, total int, always bool) *frame {
+	f := r.open(ctx, name, total)
+	f.eng = newEngine(r.opts, r.st, r.cls, rng, buildBridge(f.ctx, r.opts, r.st, r.cls, always), r.proto)
+	return f
+}
+
+// open is begin without the engine, for a runner that keeps its own.
+func (r *runner) open(ctx context.Context, name string, total int) *frame {
 	f := &frame{stage: beginStage(r.opts.Recorder, nil, name)}
 	if total > 0 {
 		f.span.SetAttr("tuples", total)
 		r.opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(total))
 	}
 	f.ctx = f.enter(ctx)
-	f.eng = newEngine(r.opts, r.st, r.cls, rng, buildBridge(f.ctx, r.opts, r.st, r.cls, always), r.proto)
 	return f
 }
 

@@ -15,12 +15,12 @@ import (
 )
 
 // Warm is the serving variant of Shahin: a long-lived explainer whose
-// frequent-itemset pool, pre-labelled perturbations, and cache persist
-// across ExplainAllCtx calls. Where Batch mines and materialises a pool
-// per call and Stream pays per-tuple bookkeeping, Warm amortises one
-// pool across many small flushes — the shape a micro-batching
-// explanation service produces — so a tuple arriving in flush 40 reuses
-// samples labelled for flush 1.
+// frequent-itemset pool, pre-labelled perturbations, cache, RNG and
+// explainer workspaces persist across ExplainAllCtx calls. Where Batch
+// mines and materialises a pool per call and Stream pays per-tuple
+// bookkeeping, Warm amortises one pool across flushes of any size, down
+// to one tuple, so a tuple arriving in flush 40 reuses samples labelled
+// for flush 1; a flush costs what its tuples cost.
 //
 // The pool is re-mined when stale: after StaleAfter tuples have been
 // explained since the last mine, the next flush re-mines over the
@@ -48,6 +48,10 @@ type Warm struct {
 	gate  chan struct{}
 	ps    *poolState
 	since int // tuples explained since the last re-mine
+	// rng and eng are every flush's: keep re-seeds the one and rebinds
+	// the other per flush, so the explainers' workspaces outlive it.
+	rng *rand.Rand
+	eng *engine
 
 	// mu guards only the cross-flush counters, held for nanoseconds at
 	// a time so accessors stay responsive mid-flush.
@@ -83,11 +87,14 @@ func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int)
 	if staleAfter <= 0 {
 		staleAfter = DefaultStaleAfter
 	}
+	rng := rand.New(rand.NewSource(r.opts.Seed))
 	w := &Warm{
 		runner:     r,
 		staleAfter: staleAfter,
 		gate:       make(chan struct{}, 1),
 		ps:         newPoolState(r.opts, cls.NumClasses(), staleAfter),
+		rng:        rng,
+		eng:        newEngine(r.opts, st, cls, rng, nil, r.proto),
 	}
 	if r.proto != nil {
 		opts := r.opts
@@ -110,6 +117,28 @@ func (w *Warm) ExplainAll(tuples [][]float64) (*Result, error) {
 // The returned Report covers this flush only; Report() accumulates
 // across flushes.
 func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, error) {
+	return w.flush(ctx, tuples, w.keep)
+}
+
+// keep readies the kept RNG and engine for flush number n over its
+// bridge. Every flush draws from Seed + 104729·n, so the same sequence of
+// flush compositions reproduces byte-identical explanations regardless
+// of wall-clock timing; re-seeding gives the stream a fresh source
+// would, and the rebound engine answers as a fresh one would.
+func (w *Warm) keep(n int, fb *fallibleBridge) (*rand.Rand, *engine) {
+	w.rng.Seed(w.opts.Seed + 104729*int64(n))
+	w.eng.rebind(fb)
+	return w.rng, w.eng
+}
+
+// recent is what a re-mine samples: the window's last 4·staleAfter rows.
+func (w *Warm) recent() []dataset.Itemset {
+	return w.ps.window[max(0, len(w.ps.window)-4*w.staleAfter):]
+}
+
+// flush is ExplainAllCtx over the RNG and engine ready hands it for the
+// flush's number and bridge.
+func (w *Warm) flush(ctx context.Context, tuples [][]float64, ready func(int, *fallibleBridge) (*rand.Rand, *engine)) (*Result, error) {
 	if err := w.admit(tuples); err != nil {
 		return nil, err
 	}
@@ -132,24 +161,25 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	w.flushes++
 	flush := w.flushes
 	w.mu.Unlock()
-	// Every flush gets a fresh deterministic RNG derived from the flush
-	// index, so the same sequence of flush compositions reproduces
-	// byte-identical explanations regardless of wall-clock timing.
-	rng := rand.New(rand.NewSource(opts.Seed + 104729*int64(flush)))
-	f := w.begin(ctx, rng, obs.StageWarmFlush, 0, false)
+	f := w.open(ctx, obs.StageWarmFlush, 0)
 	defer f.span.End()
+	rng, eng := ready(flush, buildBridge(f.ctx, opts, w.st, w.cls, false))
+	f.eng = eng
 	f.span.SetAttr("tuples", len(tuples))
 	f.span.SetAttr("flush", flush)
-	rec, eng := opts.Recorder, f.eng
+	rec := opts.Recorder
 
 	// Track the incoming tuples for the next re-mine window. The exact
 	// path never mines or pools, so it skips the window bookkeeping too.
+	// A re-mine reads only the recent rows; the window is cut back to
+	// them once it holds twice as many, so the copy is paid once per
+	// 4·staleAfter tuples rather than once per flush.
 	if opts.Explainer != ExactSHAP {
 		for _, t := range tuples {
 			w.ps.observe(w.st, t)
 		}
-		if max := 4 * w.staleAfter; len(w.ps.window) > max {
-			w.ps.window = append(w.ps.window[:0:0], w.ps.window[len(w.ps.window)-max:]...)
+		if keep := 4 * w.staleAfter; len(w.ps.window) >= 2*keep {
+			w.ps.window = append(w.ps.window[:0:0], w.recent()...)
 		}
 	}
 
@@ -159,7 +189,7 @@ func (w *Warm) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, 
 	rep := Report{Tuples: len(tuples), ExactFallback: w.exactFallback}
 	if opts.Explainer != ExactSHAP && (!w.ps.complete || w.since >= w.staleAfter) {
 		_, err := w.ps.renew(f.ctx, eng, perturb.NewGenerator(w.st, rng), func() []dataset.Itemset {
-			rows := w.ps.window
+			rows := w.recent()
 			n := fim.SampleSize(len(rows))
 			if n >= len(rows) {
 				return rows

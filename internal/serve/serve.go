@@ -4,11 +4,11 @@
 // explainer, so tuples from unrelated requests share one warm pool of
 // frequent itemsets, pre-labelled perturbations, and cached labels.
 //
-// Requests are accumulated until either BatchWindow elapses or BatchMax
-// tuples are queued, then the whole batch is flushed as one
-// Warm.ExplainAllCtx call. The warm pool persists across flushes and is
-// re-mined on the Warm explainer's staleness schedule, so steady-state
-// flushes spend no classifier calls on pool construction. An optional
+// A free batcher at once flushes what is queued, up to BatchMax tuples,
+// as one Warm.ExplainAllCtx call; tuples that arrive meanwhile form the
+// next flush. Reuse comes from the warm pool, which persists across
+// flushes and is re-mined on the Warm explainer's staleness schedule,
+// not from tuples waiting for companions. An optional
 // explanation store (internal/store) answers exact-repeat tuples at
 // lookup latency before they ever reach the queue, is restored from
 // disk at startup, and is snapshotted back on graceful drain.
@@ -40,11 +40,11 @@ import (
 // Config tunes the admission queue and warm store of a Server. Zero
 // values select the noted defaults.
 type Config struct {
-	// BatchWindow is how long the first queued request waits for
-	// companions before a partial batch is flushed (default 10ms).
+	// BatchWindow, when positive, holds each flush open that long for
+	// companions; the default 0 flushes what is queued at once.
 	BatchWindow time.Duration
-	// BatchMax flushes a batch immediately once this many tuples are
-	// queued, without waiting out the window (default 64).
+	// BatchMax caps the tuples one flush takes; a full batch flushes
+	// without waiting out any window (default 64).
 	BatchMax int
 	// QueueCap bounds the admission queue; requests beyond it are
 	// shed with 429 instead of queuing unboundedly (default 1024).
@@ -68,9 +68,6 @@ type Config struct {
 
 // withDefaults fills zero Config fields.
 func (c Config) withDefaults() Config {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 10 * time.Millisecond
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
 	}
@@ -225,8 +222,8 @@ var (
 )
 
 // runBatcher is the single consumer of the admission queue: it gathers
-// requests into batches bounded by BatchWindow and BatchMax and flushes
-// each batch through the warm explainer.
+// each batch behind its first request and flushes it through the warm
+// explainer. Tuples that arrive while a flush runs queue for the next.
 func (s *Server) runBatcher() {
 	defer s.batcherWG.Done()
 	for {
@@ -234,24 +231,44 @@ func (s *Server) runBatcher() {
 		if !ok {
 			return
 		}
-		batch := []*request{first}
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	gather:
-		for len(batch) < s.cfg.BatchMax {
-			select {
-			case req, open := <-s.queue:
-				if !open {
-					break gather
-				}
-				batch = append(batch, req)
-			case <-timer.C:
-				break gather
-			}
-		}
-		timer.Stop()
+		batch := s.gather(first)
 		s.rec.Gauge(obs.GaugeServeQueueDepth).Set(s.depth.Add(-int64(len(batch))))
 		s.flush(batch)
 	}
+}
+
+// gather batches first with up to BatchMax-1 more requests: the ones
+// already queued and, with a BatchWindow, the ones that arrive before it
+// elapses.
+func (s *Server) gather(first *request) []*request {
+	batch := []*request{first}
+	var window <-chan time.Time
+	if s.cfg.BatchWindow > 0 {
+		timer := time.NewTimer(s.cfg.BatchWindow)
+		defer timer.Stop()
+		window = timer.C
+	}
+	for len(batch) < s.cfg.BatchMax {
+		var req *request
+		open := true
+		select {
+		case req, open = <-s.queue:
+		default:
+			if window == nil {
+				return batch
+			}
+			select {
+			case req, open = <-s.queue:
+			case <-window:
+				return batch
+			}
+		}
+		if !open {
+			return batch
+		}
+		batch = append(batch, req)
+	}
+	return batch
 }
 
 // flush explains one batch of admitted requests as a single warm-pool

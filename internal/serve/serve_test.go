@@ -389,10 +389,52 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
+// TestServeFlushesWhenFree: with no batch window, an idle batcher
+// flushes a lone tuple before any other is admitted, and the tuples
+// admitted while that flush computes ride the next one, BatchMax at a
+// time.
+func TestServeFlushesWhenFree(t *testing.T) {
+	env := newEnv(t, 10, 8)
+	entered, release := make(chan struct{}), make(chan struct{})
+	env.cls = gatedClassifier(entered, release)
+	warm := newWarm(t, env, 10)
+	s, err := New(warm, Config{BatchMax: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(t.Context())
+
+	lone, err := s.admit(t.Context(), env.tuples[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	queued := make([]*request, 6)
+	for i := range queued {
+		if queued[i], err = s.admit(t.Context(), env.tuples[1+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+
+	if out := <-lone.done; out.err != nil || out.flush != 1 {
+		t.Fatalf("lone tuple: flush %d, err %v; want flush 1 alone", out.flush, out.err)
+	}
+	for i, req := range queued {
+		want := 2 + i/4 // BatchMax 4: four ride flush 2, the rest flush 3
+		if out := <-req.done; out.err != nil || out.flush != want {
+			t.Fatalf("queued tuple %d: flush %d, err %v; want flush %d", i, out.flush, out.err, want)
+		}
+	}
+	if f := warm.Flushes(); f != 3 {
+		t.Fatalf("%d flushes, want 3", f)
+	}
+}
+
 // TestServeConfigDefaults pins the documented defaults.
 func TestServeConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	want := fmt.Sprintf("%v/%d/%d", 10*time.Millisecond, 64, 1024)
+	want := fmt.Sprintf("%v/%d/%d", time.Duration(0), 64, 1024)
 	got := fmt.Sprintf("%v/%d/%d", c.BatchWindow, c.BatchMax, c.QueueCap)
 	if got != want {
 		t.Fatalf("defaults = %s, want %s", got, want)
