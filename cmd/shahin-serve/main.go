@@ -10,8 +10,8 @@
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
 //
 // Requests that queue while a flush runs are flushed together next (up
-// to -batch-max; a positive -batch-window also holds each flush open),
-// and every flush shares one pool of pre-labelled perturbations.
+// to -batch-max), and every flush shares one pool of pre-labelled
+// perturbations.
 // Exact-repeat tuples are answered from an explanation store, which
 // -store persists across restarts (loaded at startup, snapshotted on
 // graceful shutdown).
@@ -45,14 +45,13 @@ func main() {
 		addr    = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
 		workers = flag.Int("workers", 0, "parallel workers sharding each flush (0 = GOMAXPROCS, non-Anchor)")
 
-		batchWindow = flag.Duration("batch-window", 0, "hold each flush open this long for companions (0 = flush what is queued at once)")
-		batchMax    = flag.Int("batch-max", 64, "flush a batch immediately at this many queued tuples")
-		queueCap    = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it are shed with 429")
-		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, queue wait included (0 disables)")
-		staleAfter  = flag.Int("stale-after", 0, "re-mine the itemset pool after this many explained tuples (0 = default 2048)")
-		storePath   = flag.String("store", "", "explanation-store snapshot: loaded at startup, written on graceful shutdown")
-		warmFrom    = flag.String("warm-from", "", "comma-separated peer URLs to fetch a store snapshot from at startup (first healthy peer wins)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight flushes")
+		batchMax   = flag.Int("batch-max", 64, "most queued tuples one flush takes")
+		queueCap   = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it are shed with 429")
+		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, queue wait included (0 disables)")
+		staleAfter = flag.Int("stale-after", 0, "re-mine the itemset pool after this many explained tuples (0 = default 2048)")
+		storePath  = flag.String("store", "", "explanation-store snapshot: loaded at startup, written on graceful shutdown")
+		warmFrom   = flag.String("warm-from", "", "comma-separated peer URLs to fetch a store snapshot from at startup (first healthy peer wins)")
+		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight flushes")
 	)
 	flag.Parse()
 
@@ -81,7 +80,6 @@ func main() {
 		cli.Fatal(err)
 	}
 	srv, err := serve.New(warm, serve.Config{
-		BatchWindow:    *batchWindow,
 		BatchMax:       *batchMax,
 		QueueCap:       *queueCap,
 		RequestTimeout: *reqTimeout,
@@ -110,8 +108,8 @@ func main() {
 	}
 
 	banner := func(a net.Addr) {
-		fmt.Printf("serving %s explanations for dataset %s on http://%s/ (batch window %v, batch max %d)\n",
-			env.Options.Explainer, data.Name, a, *batchWindow, *batchMax)
+		fmt.Printf("serving %s explanations for dataset %s on http://%s/ (batch max %d)\n",
+			env.Options.Explainer, data.Name, a, *batchMax)
 	}
 	if err := cli.Serve(ctx, *addr, srv.Handler(), banner, *drainWait, srv.Drain); err != nil {
 		cli.Fatal(err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"shahin/internal/core"
@@ -8,7 +9,7 @@ import (
 
 // runSequential runs the sequential baseline over the tuples.
 func runSequential(env *Env, opts core.Options, tuples [][]float64) (*core.Result, error) {
-	return core.Sequential(env.Stats, env.Classifier(), opts, tuples)
+	return core.SequentialCtx(context.Background(), env.Stats, env.Classifier(), opts, tuples)
 }
 
 // runBatch runs Shahin-Batch over the tuples.

@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"shahin/internal/cli"
 	"shahin/internal/core"
@@ -207,7 +206,7 @@ func TestStoreBuiltForTheServerThatLoadsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(warm, serve.Config{StorePath: path, BatchWindow: time.Millisecond})
+	srv, err := serve.New(warm, serve.Config{StorePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,12 @@ import (
 	"shahin/internal/rf"
 )
 
-// Sequential explains the batch one tuple at a time with no reuse at all:
-// the baseline every speedup ratio in the paper is measured against.
+// SequentialCtx explains the batch one tuple at a time with no reuse at
+// all: the baseline every speedup ratio in the paper is measured against.
 // Anchor runs with fresh per-tuple caches; LIME and SHAP get no pool.
-func Sequential(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) (*Result, error) {
-	return SequentialCtx(context.Background(), st, cls, opts, tuples)
-}
-
-// SequentialCtx is Sequential under a context: cancellation stops the
-// loop between tuples and returns the finished explanations as a
-// partial *Result alongside ctx.Err(); unattempted tuples carry
-// StatusFailed.
+// Cancelling ctx stops the loop between tuples and returns the finished
+// explanations as a partial *Result alongside ctx.Err(); unattempted
+// tuples carry StatusFailed.
 func SequentialCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) (*Result, error) {
 	r, err := newRunner("Sequential", st, cls, opts)
 	if err != nil {
@@ -37,7 +32,7 @@ func SequentialCtx(ctx context.Context, st *dataset.Stats, cls rf.Classifier, op
 // step that draws on pool (nil: nothing is reused).
 func (r runner) upFront(ctx context.Context, name string, tuples [][]float64, pool tuplePool) (*Result, error) {
 	rng := rand.New(rand.NewSource(r.opts.Seed))
-	f := r.begin(ctx, rng, name, len(tuples), false)
+	f := r.begin(ctx, rng, name, len(tuples))
 	defer f.span.End()
 
 	if r.opts.Explainer == Anchor {

@@ -41,15 +41,14 @@ func (b *Batch) ExplainAll(tuples [][]float64) (*Result, error) {
 // as a partial *Result alongside ctx.Err(). Tuples not attempted (and
 // ones cut off mid-explanation) carry StatusFailed; the partial Report
 // still satisfies the event-reconciliation identity. With a background
-// context and no Options.Fault the run takes the exact pre-fault code
-// path and produces byte-identical explanations.
+// context and no Options.Fault it answers exactly as ExplainAll.
 func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result, error) {
 	if err := b.admit(tuples); err != nil {
 		return nil, err
 	}
 	opts := b.opts
 	rng := rand.New(rand.NewSource(opts.Seed))
-	f := b.begin(ctx, rng, obs.StageBatch, len(tuples), false)
+	f := b.begin(ctx, rng, obs.StageBatch, len(tuples))
 	defer f.span.End()
 	f.span.SetAttr("explainer", opts.Explainer.String())
 	eng := f.eng
@@ -99,9 +98,7 @@ func explainParallel(ctx context.Context, eng *engine, ps *poolState, tuples [][
 	var wg sync.WaitGroup
 	for w := range reps {
 		weng := eng.worker(w)
-		if weng.fb != nil {
-			weng.fb.setPool(snap, ps.sets)
-		}
+		weng.fb.setPool(snap, ps.sets)
 		step := &tupleStep{eng: weng, pool: newItemsetPool(snap, ps.sets)}
 		wg.Add(1)
 		go func(w int) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -119,7 +120,7 @@ func TestBatchLIMESavesInvocations(t *testing.T) {
 	env := newEnv(t, 3, 60)
 	opts := smallOpts(LIME, 4)
 
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples)
+	seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestBatchSHAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples)
+	seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestBatchAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples)
+	seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestGreedyReusesAndEvicts(t *testing.T) {
 	if res.Report.ReusedSamples == 0 {
 		t.Fatal("greedy never reused")
 	}
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples)
+	seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestStreamAnchor(t *testing.T) {
 	// Late-stream tuples must be cheaper than a cold sequential run of the
 	// same size would be; just require that invocations/tuple is below the
 	// cold per-tuple cost.
-	seq, err := Sequential(env.st, env.cls, opts, env.tuples[:20])
+	seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestBatchWithRandomForest(t *testing.T) {
 	if len(res.Explanations) != 25 {
 		t.Fatalf("explained %d", len(res.Explanations))
 	}
-	seq, err := Sequential(st, forest, opts, tuples)
+	seq, err := SequentialCtx(context.Background(), st, forest, opts, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -91,7 +92,7 @@ func entryPoints() []entryPoint {
 		}},
 		{name: "sequential", open: func(st *dataset.Stats, cls rf.Classifier, opts Options) (*opened, error) {
 			return &opened{trace: noTrace, explain: all(func(tuples [][]float64) (*Result, error) {
-				return Sequential(st, cls, opts, tuples)
+				return SequentialCtx(context.Background(), st, cls, opts, tuples)
 			})}, nil
 		}},
 		{name: "greedy", open: func(st *dataset.Stats, cls rf.Classifier, opts Options) (*opened, error) {

@@ -20,9 +20,8 @@ import (
 type engine struct {
 	opts Options
 	st   *dataset.Stats
-	raw  rf.Classifier // the caller's classifier, below the bridge and the meter
 	cls  *meter
-	fb   *fallibleBridge // nil on the infallible fast path
+	fb   *fallibleBridge // pass-through when the run has no Options.Fault
 
 	lime   *lime.Explainer
 	anchor *anchor.Explainer
@@ -57,13 +56,13 @@ func (m *meter) Predict(x []float64) int {
 	return y
 }
 
-// newEngine wires up the explainer of the requested kind over cls, with
-// an optional fallible bridge between the meter and the classifier. The
-// constructors draw nothing from rng. proto is what buildExact built;
-// an ExactSHAP engine walks a fork of it that predicts through the meter.
-func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Rand, fb *fallibleBridge, proto *exact.Explainer) *engine {
+// newEngine wires up the explainer of the requested kind over the meter
+// and, below it, the bridge fb. The constructors draw nothing from rng.
+// proto is what buildExact built; an ExactSHAP engine walks a fork of it
+// that predicts through the meter.
+func newEngine(opts Options, st *dataset.Stats, rng *rand.Rand, fb *fallibleBridge, proto *exact.Explainer) *engine {
 	m := &meter{latency: opts.Recorder.Histogram(obs.HistPredict)}
-	e := &engine{opts: opts, st: st, raw: cls, cls: m}
+	e := &engine{opts: opts, st: st, cls: m}
 	e.rebind(fb)
 	switch opts.Explainer {
 	case LIME:
@@ -79,34 +78,26 @@ func newEngine(opts Options, st *dataset.Stats, cls rf.Classifier, rng *rand.Ran
 }
 
 // rebind readies the engine for a run over fb, as newEngine would have
-// built it: the meter predicts through fb (nil: straight to the
-// classifier), its record starts empty, and per-run explainer state —
-// KernelSHAP's base rates — is forgotten. The explainers' workspaces and
-// the RNG they draw from stay; re-seeding that is the caller's.
+// built it: the meter predicts through fb, its record starts empty, and
+// per-run explainer state — KernelSHAP's base rates — is forgotten. The
+// explainers' workspaces and the RNG they draw from stay; re-seeding that
+// is the caller's.
 func (e *engine) rebind(fb *fallibleBridge) {
 	e.fb = fb
-	e.cls.Classifier = e.raw
-	if fb != nil {
-		e.cls.Classifier = fb
-	}
+	e.cls.Classifier = fb
 	e.cls.cost = Cost{}
 	if e.shap != nil {
 		e.shap.Reset()
 	}
 }
 
-// worker builds the engine of parallel worker w: its own seed, RNG and
-// invocation counter, and — when the run is fallible — its own fork of
-// the bridge (the fault chain underneath is shared and internally
-// locked).
+// worker builds the engine of parallel worker w: its own seed, RNG,
+// invocation counter and fork of the bridge (the fault chain underneath
+// is shared and internally locked).
 func (e *engine) worker(w int) *engine {
 	opts := e.opts
 	opts.Seed += 7919 * int64(w+1)
-	var fb *fallibleBridge
-	if e.fb != nil {
-		fb = e.fb.fork()
-	}
-	return newEngine(opts, e.st, e.raw, rand.New(rand.NewSource(opts.Seed)), fb, e.exact)
+	return newEngine(opts, e.st, rand.New(rand.NewSource(opts.Seed)), e.fb.fork(), e.exact)
 }
 
 // setCoverage hands Anchor the itemised rows rule coverage is measured
@@ -155,9 +146,7 @@ func (e *engine) explain(t []float64, pool explain.Pool, sh *anchor.Shared) (Exp
 // zeroed; the bridge's outcome flags start over with it.
 func (e *engine) begin() *Cost {
 	e.cls.cost = Cost{}
-	if e.fb != nil {
-		e.fb.beginTuple()
-	}
+	e.fb.beginTuple()
 	return &e.cls.cost
 }
 
@@ -166,32 +155,20 @@ func (e *engine) begin() *Cost {
 // and the bridge's outcome flags are put back afterwards, so the unit
 // reads as if fn had not run.
 func (e *engine) aside(fn func()) time.Duration {
-	cost := e.cls.cost
-	var flags outcome
-	if e.fb != nil {
-		flags = e.fb.tuple
-	}
+	cost, flags := e.cls.cost, e.fb.tuple
 	sw := stopwatch()
 	fn()
 	d, _ := sw.end()
-	e.cls.cost = cost
-	if e.fb != nil {
-		e.fb.tuple = flags
-	}
+	e.cls.cost, e.fb.tuple = cost, flags
 	return d
 }
 
 // canceled reports whether any prediction since begin found the context
 // dead and was answered by a guess.
-func (e *engine) canceled() bool { return e.fb != nil && e.fb.tuple.canceled }
+func (e *engine) canceled() bool { return e.fb.tuple.canceled }
 
 // dead reports whether the context the engine predicts under is done.
-func (e *engine) dead() bool { return e.fb != nil && e.fb.ctx.Err() != nil }
+func (e *engine) dead() bool { return e.fb.ctx.Err() != nil }
 
 // tupleStatus reports how the current tuple's predictions were answered.
-func (e *engine) tupleStatus() Status {
-	if e.fb == nil {
-		return StatusOK
-	}
-	return e.fb.status()
-}
+func (e *engine) tupleStatus() Status { return e.fb.status() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -185,7 +186,7 @@ func TestEventReconciliation(t *testing.T) {
 		// fresh sample.
 		{name: "sequential", seed: 33, n: 25,
 			run: func(env *testEnv, opts Options) (ledger, error) {
-				return oneResult(Sequential(env.st, env.cls, opts, env.tuples))
+				return oneResult(SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples))
 			}},
 		// Forced re-mines, so fills and reuse both happen mid-stream. A
 		// stream's refresh labels nothing, so it logs no pool_build: each

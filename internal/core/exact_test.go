@@ -215,7 +215,7 @@ func TestExactFallbackFaultChain(t *testing.T) {
 	opts.Fault = chaosFaults(58)
 	opts.Recorder = rec
 
-	res, err := Sequential(env.st, env.forest, opts, env.tuples)
+	res, err := SequentialCtx(context.Background(), env.st, env.forest, opts, env.tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,9 @@ func TestExactFallbackTreeNotInPreorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func(Options) (*Result, error){ // independent cases: order is immaterial
-		"sequential": func(opts Options) (*Result, error) { return Sequential(env.st, forest, opts, env.tuples) },
+		"sequential": func(opts Options) (*Result, error) {
+			return SequentialCtx(context.Background(), env.st, forest, opts, env.tuples)
+		},
 		"batch-w4": func(opts Options) (*Result, error) {
 			opts.Workers = 4
 			b, err := NewBatch(env.st, forest, opts)
@@ -659,7 +661,7 @@ func TestExactAgreesWithKernelSHAP(t *testing.T) {
 			Tau:       25,
 			Seed:      101,
 		}
-		res, err := Sequential(env.st, env.forest, opts, env.tuples)
+		res, err := SequentialCtx(context.Background(), env.st, env.forest, opts, env.tuples)
 		if err != nil {
 			t.Fatalf("%s run: %v", kind, err)
 		}

@@ -327,14 +327,10 @@ func hashRow(x []float64) uint64 {
 	return h
 }
 
-// buildBridge assembles the fault chain and bridge for a run, or nil
-// when the run is infallible and uncancellable (opts.Fault unset and a
-// background context) and the caller does not insist — the hot path then
-// pays nothing at all.
-func buildBridge(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier, always bool) *fallibleBridge {
-	if opts.Fault == nil && ctx.Done() == nil && !always {
-		return nil
-	}
+// buildBridge assembles the fault chain and bridge for a run. Without
+// opts.Fault the chain cannot fail and the bridge passes every call
+// straight through, checking only ctx.
+func buildBridge(ctx context.Context, opts Options, st *dataset.Stats, cls rf.Classifier) *fallibleBridge {
 	var cfg fault.Config
 	if opts.Fault != nil {
 		cfg = *opts.Fault

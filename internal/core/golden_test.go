@@ -56,7 +56,7 @@ type goldenRunner struct {
 	name string
 	// faults reports whether the runner honours Options.Fault on one
 	// goroutine (parallel workers share a call-indexed injector, so
-	// their fault order depends on scheduling; Greedy has no bridge).
+	// their fault order depends on scheduling; Greedy clears Options.Fault).
 	faults bool
 	run    goldenRun
 }
@@ -126,7 +126,7 @@ func goldenRunners() []goldenRunner {
 			return exps, append(reps, w.Report()), w.ps, nil
 		}},
 		{"sequential", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
-			res, err := Sequential(st, cls, opts, tuples[:25])
+			res, err := SequentialCtx(context.Background(), st, cls, opts, tuples[:25])
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -193,7 +193,7 @@ func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(b.opts.Seed))
-	f := b.begin(context.Background(), rng, obs.StageBatch, len(tuples), false)
+	f := b.begin(context.Background(), rng, obs.StageBatch, len(tuples))
 	defer f.span.End()
 	ps := newPoolState(b.opts, cls.NumClasses(), len(tuples))
 	_, rep, err := ps.refresh(f.ctx, f.eng, perturb.NewGenerator(st, rng), func() []dataset.Itemset {

@@ -21,7 +21,7 @@ func Greedy(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float
 		// GREEDY for Anchor degenerates to sequential with a sample store;
 		// the paper evaluates GREEDY on the perturbation-pool explainers.
 		// Run it as sequential so the comparison is still well defined.
-		return Sequential(st, cls, opts, tuples)
+		return SequentialCtx(context.Background(), st, cls, opts, tuples)
 	}
 	opts.Fault = nil // the baseline is measured on a healthy backend: GREEDY has never run behind the fault bridge
 	r, err := newRunner("Greedy", st, cls, opts)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestClassifierIndependentCounts(t *testing.T) {
 	}{{LIME, true}, {SHAP, false}} {
 		kind, opts := tc.kind, smallOpts(tc.kind, 64)
 		run := func(cls rf.Classifier) (seq, batch counts, classes []int) {
-			s, err := Sequential(st, cls, opts, tuples)
+			s, err := SequentialCtx(context.Background(), st, cls, opts, tuples)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,9 +86,7 @@ func (ps *poolState) observe(st *dataset.Stats, t []float64) dataset.Itemset {
 // against — the rows last mined or, before the first mine, the window so
 // far.
 func (ps *poolState) attach(eng *engine) {
-	if eng.fb != nil {
-		eng.fb.setPool(ps.repo, ps.sets)
-	}
+	eng.fb.setPool(ps.repo, ps.sets)
 	cov := ps.cov
 	if cov == nil {
 		cov = ps.window
@@ -412,11 +410,9 @@ func (r *runner) admit(tuples [][]float64) error {
 // begin opens a run named name. total is how many tuples the whole run
 // will explain, when that is known up front: it is what live progress is
 // measured against (0 for a stream, and for one flush of a warm pool).
-// The bridge is built when the run can fail or be cancelled — or, for a
-// stream, which learns that one call at a time, always.
-func (r *runner) begin(ctx context.Context, rng *rand.Rand, name string, total int, always bool) *frame {
+func (r *runner) begin(ctx context.Context, rng *rand.Rand, name string, total int) *frame {
 	f := r.open(ctx, name, total)
-	f.eng = newEngine(r.opts, r.st, r.cls, rng, buildBridge(f.ctx, r.opts, r.st, r.cls, always), r.proto)
+	f.eng = newEngine(r.opts, r.st, rng, buildBridge(f.ctx, r.opts, r.st, r.cls), r.proto)
 	return f
 }
 
@@ -586,9 +582,7 @@ func (s *tupleStep) explainAll(f *frame, ps *poolState, tuples [][]float64, rep 
 	var a obs.AllocDelta
 	rep.ExplainTime, a = st.end()
 	rep.ExplainAllocBytes, rep.ExplainAllocObjects = a.Bytes, a.Objects
-	if fb := s.eng.fb; fb != nil {
-		rep.Retries = fb.chain.Retries()
-	}
+	rep.Retries = s.eng.fb.chain.Retries()
 	if ps != nil {
 		rep.Cache = ps.repo.Stats()
 		rep.FrequentItemsets = len(ps.sets)

@@ -136,10 +136,9 @@ type Options struct {
 	// Fault configures the failure model of the classifier backend:
 	// deterministic fault injection for chaos runs, per-call deadlines,
 	// retry with capped exponential backoff, and a circuit breaker.
-	// nil — the default — assumes an infallible in-process classifier
-	// and keeps the fault machinery entirely off the hot path (the run
-	// then takes the exact pre-fault code path and produces
-	// byte-identical explanations).
+	// nil — the default — assumes an infallible in-process classifier:
+	// every call passes straight through to it, and only a cancelled
+	// context changes an answer.
 	Fault *fault.Config
 
 	// StreamRecompute is the streaming variant's re-mining period in

@@ -22,10 +22,8 @@ import (
 type Stream struct {
 	runner
 	// f is the stream's one long run: its root span stays open for the
-	// stream's lifetime (trace dumps report it in-flight), and its engine
-	// always predicts through a fault bridge — a pass-through one when
-	// Options.Fault is nil, preserving byte-identical labels — so any
-	// tuple can be explained under a cancellable context.
+	// stream's lifetime (trace dumps report it in-flight), and each
+	// ExplainCtx points its engine's bridge at that call's context.
 	f    *frame
 	gen  *perturb.Generator
 	ps   *poolState
@@ -58,7 +56,7 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	s := &Stream{
 		runner: r,
 		rep:    Report{ExactFallback: r.exactFallback},
-		f:      r.begin(context.Background(), rng, obs.StageStream, 0, true),
+		f:      r.begin(context.Background(), rng, obs.StageStream, 0),
 	}
 	s.gen = perturb.NewGenerator(st, rng)
 	s.ps = newPoolState(r.opts, cls.NumClasses(), r.opts.StreamRecompute)

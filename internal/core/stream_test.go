@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -201,7 +202,7 @@ func TestStreamPoolsBeforeFirstRemine(t *testing.T) {
 				}
 				return
 			}
-			seq, err := Sequential(env.st, env.cls, opts, env.tuples)
+			seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples)
 			if err != nil {
 				t.Fatal(err)
 			}

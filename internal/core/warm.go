@@ -94,12 +94,12 @@ func NewWarm(st *dataset.Stats, cls rf.Classifier, opts Options, staleAfter int)
 		gate:       make(chan struct{}, 1),
 		ps:         newPoolState(r.opts, cls.NumClasses(), staleAfter),
 		rng:        rng,
-		eng:        newEngine(r.opts, st, cls, rng, nil, r.proto),
+		eng:        newEngine(r.opts, st, rng, buildBridge(context.Background(), r.opts, st, cls), r.proto),
 	}
 	if r.proto != nil {
 		opts := r.opts
 		opts.Explainer = ExactSHAP
-		w.exact = &tupleStep{eng: newEngine(opts, st, cls, nil, nil, r.proto)}
+		w.exact = &tupleStep{eng: newEngine(opts, st, nil, buildBridge(context.Background(), opts, st, cls), r.proto)}
 	}
 	return w, nil
 }
@@ -163,7 +163,7 @@ func (w *Warm) flush(ctx context.Context, tuples [][]float64, ready func(int, *f
 	w.mu.Unlock()
 	f := w.open(ctx, obs.StageWarmFlush, 0)
 	defer f.span.End()
-	rng, eng := ready(flush, buildBridge(f.ctx, opts, w.st, w.cls, false))
+	rng, eng := ready(flush, buildBridge(f.ctx, opts, w.st, w.cls))
 	f.eng = eng
 	f.span.SetAttr("tuples", len(tuples))
 	f.span.SetAttr("flush", flush)

@@ -18,7 +18,7 @@ import (
 func freshFlush(w *Warm, ctx context.Context, tuples [][]float64) (*Result, error) {
 	return w.flush(ctx, tuples, func(n int, fb *fallibleBridge) (*rand.Rand, *engine) {
 		rng := rand.New(rand.NewSource(w.opts.Seed + 104729*int64(n)))
-		return rng, newEngine(w.opts, w.st, w.cls, rng, fb, w.proto)
+		return rng, newEngine(w.opts, w.st, rng, fb, w.proto)
 	})
 }
 

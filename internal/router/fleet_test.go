@@ -169,7 +169,7 @@ func (r *liveReplica) start(t *testing.T) {
 	// BatchMax 1 flushes every request on its own: with the sequential
 	// client below, flush composition — and with it every invocation
 	// count — is the same on every run.
-	srv, err := serve.New(warm, serve.Config{BatchWindow: time.Millisecond, BatchMax: 1})
+	srv, err := serve.New(warm, serve.Config{BatchMax: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

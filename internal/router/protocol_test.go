@@ -101,7 +101,7 @@ type protoTier struct {
 
 func protoTiers(t *testing.T, e *protoEnv) []protoTier {
 	model := rf.Func{Classes: 2, F: firstIsZero}
-	fast := serve.Config{BatchWindow: time.Millisecond}
+	fast := serve.Config{}
 	drained := func(t *testing.T) *serve.Server {
 		srv := e.replica(t, model, fast)
 		if err := srv.Drain(context.Background()); err != nil {
@@ -123,7 +123,7 @@ func protoTiers(t *testing.T, e *protoEnv) []protoTier {
 				return firstIsZero(x)
 			}}
 			rec := obs.NewRecorder()
-			h := e.replica(t, gated, serve.Config{BatchWindow: time.Millisecond, BatchMax: 1, QueueCap: 1, Recorder: rec}).Handler()
+			h := e.replica(t, gated, serve.Config{BatchMax: 1, QueueCap: 1, Recorder: rec}).Handler()
 			var wg sync.WaitGroup
 			park := func(tuple []float64) {
 				wg.Add(1)

@@ -426,7 +426,7 @@ func TestRouterBatchKeepsRefusalText(t *testing.T) {
 	// answers, what it would have to compute it refuses, and the batch
 	// shows both in place.
 	e := newProtoEnv(t)
-	srv := e.replica(t, rf.Func{Classes: 2, F: firstIsZero}, serve.Config{BatchWindow: time.Millisecond})
+	srv := e.replica(t, rf.Func{Classes: 2, F: firstIsZero}, serve.Config{})
 	rt = e.routerOver(t, Config{}, srv)
 	if w := postJSON(t, rt, "/v1/explain", serve.ExplainRequest{Tuple: e.tuples[0]}); w.Code != http.StatusOK {
 		t.Fatalf("priming the store: HTTP %d %s", w.Code, w.Body)
@@ -692,7 +692,7 @@ func TestRouterForwardsExplainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(warm, serve.Config{BatchWindow: time.Millisecond})
+	srv, err := serve.New(warm, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

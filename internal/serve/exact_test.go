@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"shahin/internal/core"
 	"shahin/internal/datagen"
@@ -77,7 +76,7 @@ func TestServeExactFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(warm, Config{BatchWindow: time.Millisecond, Recorder: rec})
+	s, err := New(warm, Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestServeExactFastPath(t *testing.T) {
 // the normal queue, with Source "computed".
 func TestServeExactFallsThroughToQueue(t *testing.T) {
 	env := newEnv(t, 72, 5)
-	s, err := New(newWarm(t, env, 73), Config{BatchWindow: time.Millisecond, Recorder: obs.NewRecorder()})
+	s, err := New(newWarm(t, env, 73), Config{Recorder: obs.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestServeExactFallsThroughToQueue(t *testing.T) {
 // server was not started with.
 func TestServeExplainerMismatch(t *testing.T) {
 	env := newEnv(t, 74, 5)
-	s, err := New(newWarm(t, env, 75), Config{BatchWindow: time.Millisecond, Recorder: obs.NewRecorder()})
+	s, err := New(newWarm(t, env, 75), Config{Recorder: obs.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}

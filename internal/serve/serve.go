@@ -40,11 +40,7 @@ import (
 // Config tunes the admission queue and warm store of a Server. Zero
 // values select the noted defaults.
 type Config struct {
-	// BatchWindow, when positive, holds each flush open that long for
-	// companions; the default 0 flushes what is queued at once.
-	BatchWindow time.Duration
-	// BatchMax caps the tuples one flush takes; a full batch flushes
-	// without waiting out any window (default 64).
+	// BatchMax caps the tuples one flush takes (default 64).
 	BatchMax int
 	// QueueCap bounds the admission queue; requests beyond it are
 	// shed with 429 instead of queuing unboundedly (default 1024).
@@ -237,36 +233,20 @@ func (s *Server) runBatcher() {
 	}
 }
 
-// gather batches first with up to BatchMax-1 more requests: the ones
-// already queued and, with a BatchWindow, the ones that arrive before it
-// elapses.
+// gather batches first with up to BatchMax-1 of the requests already
+// queued.
 func (s *Server) gather(first *request) []*request {
 	batch := []*request{first}
-	var window <-chan time.Time
-	if s.cfg.BatchWindow > 0 {
-		timer := time.NewTimer(s.cfg.BatchWindow)
-		defer timer.Stop()
-		window = timer.C
-	}
 	for len(batch) < s.cfg.BatchMax {
-		var req *request
-		open := true
 		select {
-		case req, open = <-s.queue:
+		case req, open := <-s.queue:
+			if !open {
+				return batch
+			}
+			batch = append(batch, req)
 		default:
-			if window == nil {
-				return batch
-			}
-			select {
-			case req, open = <-s.queue:
-			case <-window:
-				return batch
-			}
-		}
-		if !open {
 			return batch
 		}
-		batch = append(batch, req)
 	}
 	return batch
 }

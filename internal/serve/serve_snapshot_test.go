@@ -73,7 +73,7 @@ func TestServeDrainRejects503JSON(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
-	s, err := New(newWarm(t, env, 31), Config{BatchWindow: time.Millisecond, BatchMax: 1})
+	s, err := New(newWarm(t, env, 31), Config{BatchMax: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestServeShedsWithRetryAfter(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
-	s, err := New(newWarm(t, env, 32), Config{BatchWindow: time.Millisecond, BatchMax: 1, QueueCap: 1})
+	s, err := New(newWarm(t, env, 32), Config{BatchMax: 1, QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestServeShedsWithRetryAfter(t *testing.T) {
 // its store without recomputing.
 func TestSnapshotEndpointAndPeerRestore(t *testing.T) {
 	env := newEnv(t, 33, 4)
-	a, err := New(newWarm(t, env, 33), Config{BatchWindow: time.Millisecond})
+	a, err := New(newWarm(t, env, 33), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSnapshotEndpointAndPeerRestore(t *testing.T) {
 	}
 
 	// A fresh peer warms from A and serves the tuple from its store.
-	b, err := New(newWarm(t, env, 33), Config{BatchWindow: time.Millisecond})
+	b, err := New(newWarm(t, env, 33), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
@@ -93,7 +93,7 @@ func postExplain(t *testing.T, url string, tuple []float64) (ExplainResponse, in
 func TestServeSingleThenStoreHit(t *testing.T) {
 	env := newEnv(t, 1, 10)
 	rec := obs.NewRecorder()
-	s, err := New(newWarm(t, env, 1), Config{BatchWindow: time.Millisecond, Recorder: rec})
+	s, err := New(newWarm(t, env, 1), Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,41 +127,47 @@ func TestServeSingleThenStoreHit(t *testing.T) {
 	}
 }
 
-// TestServeBatchSharesFlushes drives concurrent requests through a wide
-// batch window and requires them to group into fewer flushes than
-// requests — the whole point of the admission queue.
+// TestServeBatchSharesFlushes: requests that queue behind a busy batcher
+// share its next flush — the whole point of the admission queue. The
+// batcher is parked inside flush 1, which holds the lone first tuple, so
+// flush 2 holds the other 39.
 func TestServeBatchSharesFlushes(t *testing.T) {
 	env := newEnv(t, 2, 40)
+	entered, release := make(chan struct{}), make(chan struct{})
+	env.cls = gatedClassifier(entered, release)
 	warm := newWarm(t, env, 2)
 	rec := obs.NewRecorder()
-	s, err := New(warm, Config{BatchWindow: 50 * time.Millisecond, BatchMax: 64, Recorder: rec})
+	s, err := New(warm, Config{BatchMax: 64, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 	defer s.Drain(t.Context())
 
-	var wg sync.WaitGroup
-	codes := make([]int, len(env.tuples))
+	reqs := make([]*request, len(env.tuples))
 	for i, tuple := range env.tuples {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, codes[i] = postExplain(t, ts.URL, tuple)
-		}()
-	}
-	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("request %d: HTTP %d", i, code)
+		if reqs[i], err = s.admit(t.Context(), tuple); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-entered
 		}
 	}
-	if f := warm.Flushes(); f >= len(env.tuples)/2 {
-		t.Fatalf("%d requests took %d flushes; micro-batching is not grouping", len(env.tuples), f)
+	close(release)
+	for i, req := range reqs {
+		want := min(i+1, 2)
+		if out := <-req.done; out.err != nil || out.exp.Status != core.StatusOK || out.flush != want {
+			t.Fatalf("request %d: flush %d, status %v, err %v; want flush %d", i, out.flush, out.exp.Status, out.err, want)
+		}
+	}
+	if f := warm.Flushes(); f != 2 {
+		t.Fatalf("%d requests took %d flushes, want 2", len(env.tuples), f)
 	}
 	if rep := warm.Report(); rep.ReusedSamples == 0 {
 		t.Fatalf("no cross-request sample reuse through the warm pool")
+	}
+	// A flush is counted after its answers go out: drain to wait for it.
+	if err := s.Drain(t.Context()); err != nil {
+		t.Fatal(err)
 	}
 	if got := rec.Counter(obs.CounterServeFlushes).Value(); got != int64(warm.Flushes()) {
 		t.Fatalf("flush counter = %d, warm reports %d", got, warm.Flushes())
@@ -172,7 +178,7 @@ func TestServeBatchSharesFlushes(t *testing.T) {
 // the per-tuple response statuses.
 func TestServeBatchEndpoint(t *testing.T) {
 	env := newEnv(t, 3, 12)
-	s, err := New(newWarm(t, env, 3), Config{BatchWindow: 5 * time.Millisecond})
+	s, err := New(newWarm(t, env, 3), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +223,9 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	env.tuples = env.tuples[:8]
 	storePath := filepath.Join(t.TempDir(), "serve.store")
 	rec := obs.NewRecorder()
-	// A wide window so the requests are still queued when Drain starts.
-	s, err := New(newWarm(t, env, 4), Config{BatchWindow: 2 * time.Second, BatchMax: 64, StorePath: storePath, Recorder: rec})
+	entered, release := make(chan struct{}), make(chan struct{})
+	env.cls = gatedClassifier(entered, release)
+	s, err := New(newWarm(t, env, 4), Config{BatchMax: 64, StorePath: storePath, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,29 +235,30 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	if code := getStatus(t, ts.URL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz before drain: HTTP %d", code)
 	}
-	var wg sync.WaitGroup
-	results := make([]ExplainResponse, len(env.tuples))
-	codes := make([]int, len(env.tuples))
+	// Park the batcher inside the first tuple's flush so the other seven
+	// are still queued when Drain starts; release it once Drain has shut
+	// admission.
+	reqs := make([]*request, len(env.tuples))
 	for i, tuple := range env.tuples {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], codes[i] = postExplain(t, ts.URL, tuple)
-		}()
+		if reqs[i], err = s.admit(t.Context(), tuple); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-entered
+		}
 	}
-	// Give the requests time to enqueue, then drain while they wait out
-	// the long batch window.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.depth.Load() < int64(len(env.tuples)) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(t.Context()) }()
+	for !s.draining.Load() {
+		runtime.Gosched()
 	}
-	if err := s.Drain(t.Context()); err != nil {
+	close(release)
+	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK || results[i].Status != "ok" {
-			t.Fatalf("queued request %d after drain: HTTP %d status=%q", i, code, results[i].Status)
+	for i, req := range reqs {
+		if out := <-req.done; out.err != nil || out.exp.Status != core.StatusOK {
+			t.Fatalf("queued request %d after drain: status %v, err %v", i, out.exp.Status, out.err)
 		}
 	}
 
@@ -321,14 +329,17 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	}
 }
 
-// TestServeRequestTimeout bounds a request's wait: with a microscopic
-// deadline and a long batch window, the request times out with 504.
+// TestServeRequestTimeout bounds a request's wait: queued behind a flush
+// parked in the classifier, the request times out with 504.
 func TestServeRequestTimeout(t *testing.T) {
 	env := newEnv(t, 5, 4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	env.cls = gatedClassifier(entered, release)
 	rec := obs.NewRecorder()
 	s, err := New(newWarm(t, env, 5), Config{
-		BatchWindow:    500 * time.Millisecond,
-		RequestTimeout: 5 * time.Millisecond,
+		// Long enough for the parking flush to reach the classifier
+		// before its own deadline.
+		RequestTimeout: 100 * time.Millisecond,
 		Recorder:       rec,
 	})
 	if err != nil {
@@ -337,7 +348,17 @@ func TestServeRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Drain(t.Context())
+	defer close(release)
 
+	parked, err := s.admit(t.Context(), env.tuples[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case out := <-parked.done:
+		t.Fatalf("parking flush ended before reaching the classifier: %v", out.err)
+	}
 	out, code := postExplain(t, ts.URL, env.tuples[0])
 	if code != http.StatusGatewayTimeout || out.Status != "failed" {
 		t.Fatalf("timed-out request: HTTP %d status=%q, want 504/failed", code, out.Status)
@@ -351,27 +372,29 @@ func TestServeRequestTimeout(t *testing.T) {
 func TestServeRejectsWhenQueueFull(t *testing.T) {
 	env := newEnv(t, 6, 8)
 	rec := obs.NewRecorder()
-	s, err := New(newWarm(t, env, 6), Config{
-		BatchWindow: 2 * time.Second, // park the batcher on the window
-		BatchMax:    64,
-		QueueCap:    2,
-		Recorder:    rec,
-	})
+	entered, release := make(chan struct{}), make(chan struct{})
+	env.cls = gatedClassifier(entered, release)
+	s, err := New(newWarm(t, env, 6), Config{BatchMax: 64, QueueCap: 2, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Drain(t.Context())
+	defer close(release)
 
-	// Fill the queue directly (the batcher takes one for its pending
-	// batch, so overfill by a few to guarantee a rejection).
+	// Park the batcher inside a flush, then fill the queue directly: two
+	// admissions fit, the other four are shed.
+	if _, err := s.admit(t.Context(), env.tuples[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 	rejected := 0
 	for i := 0; i < 6; i++ {
 		if _, err := s.admit(t.Context(), env.tuples[i%len(env.tuples)]); err != nil {
 			rejected++
 		}
 	}
-	if rejected == 0 {
-		t.Fatalf("no admissions rejected with QueueCap=2")
+	if rejected != 4 {
+		t.Fatalf("%d of 6 admissions rejected with QueueCap=2 and the batcher busy, want 4", rejected)
 	}
 	if rec.Counter(obs.CounterServeRejected).Value() == 0 {
 		t.Fatalf("rejection counter not incremented")
@@ -389,10 +412,9 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
-// TestServeFlushesWhenFree: with no batch window, an idle batcher
-// flushes a lone tuple before any other is admitted, and the tuples
-// admitted while that flush computes ride the next one, BatchMax at a
-// time.
+// TestServeFlushesWhenFree: an idle batcher flushes a lone tuple before
+// any other is admitted, and the tuples admitted while that flush
+// computes ride the next one, BatchMax at a time.
 func TestServeFlushesWhenFree(t *testing.T) {
 	env := newEnv(t, 10, 8)
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -434,8 +456,8 @@ func TestServeFlushesWhenFree(t *testing.T) {
 // TestServeConfigDefaults pins the documented defaults.
 func TestServeConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	want := fmt.Sprintf("%v/%d/%d", time.Duration(0), 64, 1024)
-	got := fmt.Sprintf("%v/%d/%d", c.BatchWindow, c.BatchMax, c.QueueCap)
+	want := fmt.Sprintf("%d/%d", 64, 1024)
+	got := fmt.Sprintf("%d/%d", c.BatchMax, c.QueueCap)
 	if got != want {
 		t.Fatalf("defaults = %s, want %s", got, want)
 	}
@@ -446,7 +468,7 @@ func TestServeConfigDefaults(t *testing.T) {
 func TestServeStoreSizeGauge(t *testing.T) {
 	env := newEnv(t, 9, 10)
 	rec := obs.NewRecorder()
-	s, err := New(newWarm(t, env, 9), Config{BatchWindow: time.Millisecond, Recorder: rec})
+	s, err := New(newWarm(t, env, 9), Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

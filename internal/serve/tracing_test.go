@@ -71,7 +71,7 @@ func TestServeTraceReconciliation(t *testing.T) {
 	const n = 16
 	env := newForestEnv(t, 3, n)
 	rec := obs.NewRecorder()
-	s, err := New(newWarm(t, env, 3), Config{BatchWindow: 2 * time.Millisecond, Recorder: rec})
+	s, err := New(newWarm(t, env, 3), Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestServeTraceReconciliation(t *testing.T) {
 func TestServeTraceparentEcho(t *testing.T) {
 	env := newEnv(t, 4, 8)
 	rec := obs.NewRecorder()
-	s, err := New(newWarm(t, env, 4), Config{BatchWindow: time.Millisecond, Recorder: rec})
+	s, err := New(newWarm(t, env, 4), Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestRequestExemplarGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(warm, Config{BatchWindow: time.Millisecond, Recorder: rec})
+	s, err := New(warm, Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

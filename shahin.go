@@ -241,7 +241,7 @@ func NewWarm(st *Stats, cls Classifier, opts Options, staleAfter int) (*Warm, er
 // nil statistics or classifier, no tuples, a tuple not as wide as the
 // schema (named by its index) — returns an error before anything runs.
 func Sequential(st *Stats, cls Classifier, opts Options, tuples [][]float64) (*Result, error) {
-	return core.Sequential(st, cls, opts, tuples)
+	return core.SequentialCtx(context.Background(), st, cls, opts, tuples)
 }
 
 // SequentialCtx is Sequential under a context: cancellation stops the
