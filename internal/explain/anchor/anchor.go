@@ -1,15 +1,15 @@
 // Package anchor implements the Anchor explanation algorithm (Ribeiro,
 // Singh, Guestrin, AAAI 2018) for tabular data: a beam search over
 // predicate rules built from the tuple's (discretised) attribute values,
-// with rule precision estimated by a KL-LUCB multi-armed bandit over
-// rule-consistent perturbations, and coverage measured against a data
-// sample.
+// rule precision estimated by a KL-LUCB bandit over rule-consistent
+// perturbations, whose selections end once their (ε, δ) test is out of
+// reach, and coverage measured against a data sample. A rule accepted
+// without that test, or the fallback when none is accepted, is Unverified.
 //
 // The Shahin adaptations (paper §3.2) enter through two shared caches:
 // an invariant cache memoising each rule's precision trials and coverage
-// across the whole batch, and a perturbation repository whose samples
-// bootstrap the precision of superset rules without classifier calls.
-// Running with per-tuple fresh caches reproduces sequential Anchor.
+// across the batch, and a perturbation repository whose samples bootstrap
+// superset rules' precision; fresh per-tuple caches give sequential Anchor.
 package anchor
 
 import (
@@ -39,7 +39,7 @@ const (
 // noted defaults.
 type Config struct {
 	BatchPulls   int // perturbations per bandit pull (default 20)
-	MaxPulls     int // per-selection pull budget (default 5000)
+	MaxPulls     int // pulls per selection; trials per rule in verify, cached and bootstrapped too (default 5000)
 	StorePerRule int // perturbations retained per rule for reuse (default 100, the paper's τ)
 }
 
@@ -168,8 +168,7 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 			if rr.Pulls < e.cfg.BatchPulls {
 				continue
 			}
-			lb := mab.LowerBound(rr.Precision(target), rr.Pulls, verifyBeta(1))
-			if lb > precision-eps {
+			if accepts(rr.Precision(target), rr.Pulls, verifyBeta(1)) {
 				cov := e.coverage(cand, rr)
 				if cached == nil || cov > cached.Coverage {
 					cached = &explain.Rule{
@@ -197,34 +196,36 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 
 		// Verify selected candidates against the precision threshold,
 		// preferring (at this smallest viable size) the best coverage.
-		var verified *explain.Rule
+		var accepted *explain.Rule
 		beam = beam[:0]
 		for _, ci := range sel {
 			cand, rr := cands[ci], results[ci]
 			beam = append(beam, cand)
-			if e.verify(cand, rr, target, sh) {
+			if ok, unverified := e.verify(cand, rr, target, sh); ok {
 				cov := e.coverage(cand, rr)
-				if verified == nil || cov > verified.Coverage {
-					verified = &explain.Rule{
-						Items:     cand,
-						Class:     target,
-						Precision: rr.Precision(target),
-						Coverage:  cov,
+				if accepted == nil || cov > accepted.Coverage {
+					accepted = &explain.Rule{
+						Items:      cand,
+						Class:      target,
+						Precision:  rr.Precision(target),
+						Coverage:   cov,
+						Unverified: unverified,
 					}
 				}
 			}
 			prec := rr.Precision(target)
 			if fallback == nil || prec > fallback.Precision {
 				fallback = &explain.Rule{
-					Items:     cand,
-					Class:     target,
-					Precision: prec,
-					Coverage:  e.coverage(cand, rr),
+					Items:      cand,
+					Class:      target,
+					Precision:  prec,
+					Coverage:   e.coverage(cand, rr),
+					Unverified: true,
 				}
 			}
 		}
-		if verified != nil {
-			return verified, nil // smallest rule size wins (paper §3.2)
+		if accepted != nil {
+			return accepted, nil // smallest rule size wins (paper §3.2)
 		}
 	}
 	if fallback == nil {
@@ -312,29 +313,41 @@ func (e *Explainer) bootstrap(rule dataset.Itemset, rr *cache.RuleResult, repo *
 // verify decides whether the rule's precision clears the threshold with
 // bandit confidence, pulling more rule-consistent perturbations as needed.
 // Acceptance follows the Anchor paper: LB > τ − ε accepts, UB < τ − ε
-// rejects.
-func (e *Explainer) verify(rule dataset.Itemset, rr *cache.RuleResult, target int, sh *Shared) bool {
+// rejects; at the budget it accepts on the mean alone and says so. A mean
+// below τ − ε whose UB could not drop under it by the budget's last check
+// is rejected at once, as the budget would; at or above τ − ε only more
+// pulls can turn the budget's answer into a proof, so it pulls on.
+func (e *Explainer) verify(rule dataset.Itemset, rr *cache.RuleResult, target int, sh *Shared) (ok, unverified bool) {
 	arm := &ruleArm{e: e, sh: sh, items: rule, rr: rr, target: target}
-	round := 1
-	for {
-		mean := rr.Precision(target)
-		// The lower bound first: an accepted rule never pays for the
-		// upper bound's bisection.
-		if rr.Pulls > 0 {
-			beta := verifyBeta(round)
-			if mab.LowerBound(mean, rr.Pulls, beta) > precision-eps {
-				return true
-			}
-			if mab.UpperBound(mean, rr.Pulls, beta) < precision-eps {
-				return false
-			}
+	batch := e.cfg.BatchPulls
+	for round := 1; ; round++ {
+		mean, beta := rr.Precision(target), verifyBeta(round)
+		if accepts(mean, rr.Pulls, beta) {
+			return true, false
 		}
-		if rr.Pulls >= e.cfg.MaxPulls {
-			return mean >= precision-eps
+		if rejects(mean, rr.Pulls, beta) {
+			return false, false
 		}
-		arm.Pull(e.cfg.BatchPulls)
-		round++
+		left := (e.cfg.MaxPulls - rr.Pulls + batch - 1) / batch // rounds to the last check
+		if left <= 0 {
+			return mean >= precision-eps, true
+		}
+		if mean < precision-eps && !rejects(mean, rr.Pulls+left*batch, verifyBeta(round+left)) {
+			return false, true
+		}
+		arm.Pull(batch)
 	}
+}
+
+// accepts and rejects are the precision test at n trials of the given
+// mean. LB ≤ mean ≤ UB, so each bisects only when the mean lies on the
+// side of τ − ε its bound could pass.
+func accepts(mean float64, n int, beta float64) bool {
+	return mean > precision-eps && mab.LowerBound(mean, n, beta) > precision-eps
+}
+
+func rejects(mean float64, n int, beta float64) bool {
+	return mean < precision-eps && mab.UpperBound(mean, n, beta) < precision-eps
 }
 
 // verifyBeta is the single-arm KL-LUCB exploration rate:

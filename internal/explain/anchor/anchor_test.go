@@ -10,6 +10,7 @@ import (
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
+	"shahin/internal/mab"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
@@ -41,6 +42,106 @@ func attr0Classifier(v int) rf.Classifier {
 		}
 		return 0
 	}}
+}
+
+// rateClassifier answers class 1 on k of every 20 calls, whatever the
+// row: a rule pulled in whole batches of 20 has precision k/20 toward
+// class 1, the class of the first call.
+func rateClassifier(k int) rf.Classifier {
+	calls := 0
+	return rf.Func{Classes: 2, F: func([]float64) int {
+		calls++
+		if (calls-1)%20 < k {
+			return 1
+		}
+		return 0
+	}}
+}
+
+// TestExplainMarksUnverifiedRules: a rule whose lower bound cleared
+// τ − ε carries no mark; one accepted on a mean pinned at τ − ε, and the
+// fallback when nothing is accepted, do.
+func TestExplainMarksUnverifiedRules(t *testing.T) {
+	_, st, cov := env(t, 21)
+	tup := []float64{2, 1, 3, 0.5}
+	for _, tc := range []struct {
+		name       string
+		cls        rf.Classifier
+		unverified bool
+	}{
+		{"a clean concept", attr0Classifier(2), false},
+		{"every rule at τ − ε", rateClassifier(17), true},
+		{"no rule verifies", rateClassifier(10), true},
+	} {
+		e := New(st, tc.cls, cov, Config{}, rand.New(rand.NewSource(22)))
+		rule, err := e.Explain(tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rule.Unverified != tc.unverified {
+			t.Errorf("%s: rule %v (precision %.3f) has Unverified %t, want %t", tc.name, rule.Items, rule.Precision, rule.Unverified, tc.unverified)
+		}
+	}
+}
+
+// TestVerifyStopsWhenUnreachable: below τ − ε, verify pulls only while
+// UB < τ − ε could still hold at the rule's mean by the budget's last
+// check, at the trials and round the pull loop would reach it with, and
+// otherwise rejects at once, as the budget would; at or above τ − ε it
+// pulls on, since only pulls can turn the budget's acceptance into a
+// proof. Over a grid of cached trials it stops at once exactly then.
+func TestVerifyStopsWhenUnreachable(t *testing.T) {
+	_, st, cov := env(t, 23)
+	const maxPulls, batch = 200, 20
+	rule := dataset.Itemset{dataset.MakeItem(0, 1)}
+	var stopped, pulledBelow, pulledAbove, acceptedUnproven int
+	for pulls := 10; pulls < maxPulls; pulls += 10 {
+		for succ := pulls / 2; succ <= pulls; succ++ {
+			counting := rf.NewCounting(rateClassifier(17))
+			e := New(st, counting, cov, Config{MaxPulls: maxPulls, BatchPulls: batch}, rand.New(rand.NewSource(24)))
+			sh := NewShared(2, 0)
+			rr, _ := sh.Inv.Lookup(rule.Key())
+			rr.AddTrials([]int{pulls - succ, succ})
+			mean := rr.Precision(1)
+			ok, unverified := e.verify(rule, rr, 1, sh)
+			if end := rr.Precision(1); unverified && ok != (end >= precision-eps) {
+				t.Fatalf("%d/%d: ended unproven at mean %.3f, yet accepted %t", succ, pulls, end, ok)
+			} else if unverified && ok {
+				acceptedUnproven++
+			}
+
+			// The trials and round of the loop's last check.
+			n, round := pulls, 1
+			for n < maxPulls {
+				n, round = n+batch, round+1
+			}
+			decides := func(n, round int) bool {
+				b := verifyBeta(round)
+				return mab.LowerBound(mean, n, b) > precision-eps || mab.UpperBound(mean, n, b) < precision-eps
+			}
+			switch calls := counting.Invocations(); {
+			case decides(pulls, 1):
+				if calls != 0 || unverified {
+					t.Fatalf("%d/%d: decided at once, yet %d calls and Unverified %t", succ, pulls, calls, unverified)
+				}
+			case mean < precision-eps && !decides(n, round):
+				if calls != 0 || ok || !unverified {
+					t.Fatalf("%d/%d: out of reach at %d trials, round %d, yet %d calls, (%t, %t)", succ, pulls, n, round, calls, ok, unverified)
+				}
+				stopped++
+			case calls == 0:
+				t.Fatalf("%d/%d: undecided, reachable or at τ − ε and above, yet verify pulled nothing", succ, pulls)
+			case mean < precision-eps:
+				pulledBelow++
+			default:
+				pulledAbove++
+			}
+		}
+	}
+	if stopped < 100 || pulledBelow < 10 || pulledAbove < 50 || acceptedUnproven < 20 {
+		t.Fatalf("grid too thin: %d states stopped at once, %d pulled on below τ − ε, %d above, %d accepted at the budget",
+			stopped, pulledBelow, pulledAbove, acceptedUnproven)
+	}
 }
 
 func TestExplainWrongArity(t *testing.T) {

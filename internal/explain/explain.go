@@ -78,11 +78,14 @@ func (a *Attribution) Describe(schema *dataset.Schema, tuple []float64, k int) s
 
 // Rule is an Anchor explanation: IF all predicates hold THEN the
 // classifier predicts Class, with the measured precision and coverage.
+// Unverified marks a rule whose precision bound never cleared the
+// threshold: it was accepted on its mean alone, or no rule cleared it.
 type Rule struct {
-	Items     dataset.Itemset // the predicates, as (attribute, bin) items
-	Class     int
-	Precision float64
-	Coverage  float64
+	Items      dataset.Itemset // the predicates, as (attribute, bin) items
+	Class      int
+	Precision  float64
+	Coverage   float64
+	Unverified bool `json:",omitempty"`
 }
 
 // Describe renders the rule for humans using the schema's attribute names.

@@ -1,13 +1,12 @@
 // Package mab implements the KL-LUCB multi-armed-bandit procedure Anchor
 // uses to estimate rule precisions with as few classifier invocations as
-// possible (Kaufmann & Kalyanakrishnan, "Information complexity in bandit
-// subset selection", COLT 2013 — the algorithm the Anchor paper adopts).
+// possible (Kaufmann & Kalyanakrishnan, COLT 2013, which Anchor adopts).
 //
-// Arms are Bernoulli: pulling an arm draws perturbations consistent with a
-// candidate rule, invokes the classifier, and counts how many predictions
-// match the target class. The package provides the two primitives Anchor
-// needs: selecting the top-n arms by mean with (ε, δ) guarantees, and
-// the KL confidence bounds it compares with its precision threshold.
+// Arms are Bernoulli: a pull draws perturbations consistent with a rule,
+// invokes the classifier, and counts predictions of the target class.
+// TopN selects the top-n arms by mean with (ε, δ) guarantees, pulling
+// only while the remaining budget could still meet its stop test; the KL
+// bounds are what Anchor compares with its precision threshold.
 package mab
 
 import (
@@ -148,10 +147,10 @@ func (c *Config) fill() Config {
 }
 
 // TopN runs KL-LUCB to identify the n arms with the highest means, up to
-// tolerance eps with confidence 1-delta. It returns the selected arm
-// indices (ordered by descending empirical mean) and the per-arm counts
-// accumulated during the run. If n >= len(arms), all arms are returned
-// after the initial pulls.
+// tolerance eps with confidence 1-delta, and returns them (by descending
+// mean) with every arm's counts; n >= len(arms) returns all after the
+// initial pulls. Once the stop test is out of reach (see reachable), it
+// returns the empirical best without a claim, as at the budget.
 func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 	if len(arms) == 0 {
 		return nil, nil, fmt.Errorf("mab: TopN with no arms")
@@ -214,13 +213,34 @@ func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 		if bestUB-worstLB <= c.Eps {
 			return order[:n], counts, nil
 		}
+		if !c.reachable(counts[worstIn], counts[bestOut], len(arms), round, c.MaxPulls-totalPulls) {
+			break
+		}
 		pull(worstIn, c.Batch)
 		pull(bestOut, c.Batch)
 		round++
 	}
-	// Budget exhausted: return the current empirical best. This mirrors
-	// the anytime behaviour of the reference implementation.
+	// Budget exhausted or out of reach: return the current empirical
+	// best. This mirrors the anytime behaviour of the reference
+	// implementation.
 	return rankByMean(counts, len(counts))[:n], counts, nil
+}
+
+// reachable reports whether UB_out − LB_in ≤ Eps could still hold for
+// the boundary arms in and out with rem pulls left, if each kept its mean
+// and alone received all rem (rounded up to Batch) by the last round rem
+// allows. Each can really get only half: the generous count spares
+// selections a moving mean could still close. LB ≤ mean, so an upper
+// bound past in's mean by Eps answers without the lower bisection.
+func (c Config) reachable(in, out Counts, nArms, round, rem int) bool {
+	extra := (rem + c.Batch - 1) / c.Batch * c.Batch
+	b := beta(nArms, round+(rem+2*c.Batch-1)/(2*c.Batch), c.Delta)
+	meanIn := in.Mean()
+	ub := UpperBound(out.Mean(), out.Pulls+extra, b)
+	if ub-meanIn > c.Eps {
+		return false
+	}
+	return ub-LowerBound(meanIn, in.Pulls+extra, b) <= c.Eps
 }
 
 // rankByMean returns arm indices ordered by descending empirical mean

@@ -49,9 +49,11 @@ func TestKLBernoulliBasics(t *testing.T) {
 	}
 }
 
+// TestBoundsBracketMean: LB ≤ mean ≤ UB, out to the clamp's edges —
+// the premise on which Anchor skips the bound that cannot pass.
 func TestBoundsBracketMean(t *testing.T) {
-	for _, mean := range []float64{0, 0.1, 0.5, 0.9, 1} {
-		for _, n := range []int{1, 10, 100, 10000} {
+	for _, mean := range []float64{0, 1e-16, 0.1, 0.5, 0.9, 1 - 1e-16, 1} {
+		for _, n := range []int{0, 1, 10, 100, 10000} {
 			ub := UpperBound(mean, n, 2)
 			lb := LowerBound(mean, n, 2)
 			if lb > mean || ub < mean {

@@ -1,14 +1,16 @@
 package mab
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // topNReference is TopN as it stood before outsider bounds were pruned:
-// every outsider's upper bound is bisected in every round. It is the
-// oracle TestTopNMatchesReference holds the pruned loop to.
+// every outsider's upper bound is bisected in every round, and so are
+// both bounds of the reachability stop. It is the oracle
+// TestTopNMatchesReference and FuzzTopN hold the pruned loop to.
 func topNReference(arms []Arm, n int, cfg Config) ([]int, []Counts) {
 	c := cfg.fill()
 	counts := make([]Counts, len(arms))
@@ -51,6 +53,15 @@ func topNReference(arms []Arm, n int, cfg Config) ([]int, []Counts) {
 		}
 		if bestUB-worstLB <= c.Eps {
 			return order[:n], counts
+		}
+		// Each boundary arm alone takes the whole remainder, rounded up
+		// to Batch, at the β of the round the remainder ends in.
+		rem := float64(c.MaxPulls - totalPulls)
+		extra := int(math.Ceil(rem/float64(c.Batch))) * c.Batch
+		last := beta(len(arms), round+int(math.Ceil(rem/float64(2*c.Batch))), c.Delta)
+		in, out := counts[worstIn], counts[bestOut]
+		if UpperBound(out.Mean(), out.Pulls+extra, last)-LowerBound(in.Mean(), in.Pulls+extra, last) > c.Eps {
+			break
 		}
 		pull(worstIn, c.Batch)
 		pull(bestOut, c.Batch)
@@ -179,6 +190,116 @@ func TestTopNMatchesReference(t *testing.T) {
 			t.Fatalf("config %d: %d pulls issued, reference issued %d; sequences differ", seed, len(gotLog), len(wantLog))
 		}
 	}
+}
+
+// alternating succeeds on every other trial: a p = 0.5 arm whose mean
+// after any even number of trials is exactly one half.
+type alternating struct{ trials int }
+
+func (a *alternating) Pull(k int) int {
+	s := (a.trials+k+1)/2 - (a.trials+1)/2
+	a.trials += k
+	return s
+}
+
+// TestTopNStopsWhenUnreachable: two arms at 0.5 cannot be split within
+// ε = 0.1 in 2 000 pulls, so the loop stops after the initial 50 where
+// the loop without the reachability stop spent all 2 000 and still made
+// no claim.
+func TestTopNStopsWhenUnreachable(t *testing.T) {
+	cfg := Config{Eps: 0.1, Delta: 0.05, MaxPulls: 2000, Batch: 25}
+	sel, counts, err := TopN([]Arm{&alternating{}, &alternating{}}, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Counts{{25, 13}, {25, 13}}; !reflect.DeepEqual(counts, want) || sel[0] != 0 {
+		t.Fatalf("selected %v with counts %v, want [0] after the initial pulls %v", sel, counts, want)
+	}
+	// At the budget's end, 1 000 pulls each at the 40th round, the gap
+	// still stays open: what the stop saves, it would not have bought.
+	b := beta(2, 40, cfg.Delta)
+	if gap := UpperBound(0.5, 1000, b) - LowerBound(0.5, 1000, b); gap <= cfg.Eps {
+		t.Fatalf("two arms at 0.5 close to %.3f ≤ ε at the budget: the stop cost a claim", gap)
+	}
+}
+
+// TestTopNKeepsReachableSelections: arms at 0.9 and 0.3 separate within
+// the budget, so the stop never fires and the run is the one the loop
+// made before it had the stop: the same selection, counts and pulls.
+func TestTopNKeepsReachableSelections(t *testing.T) {
+	var log []pullCall
+	arms := []Arm{
+		&scriptedArm{id: 0, p: 0.9, rng: rand.New(rand.NewSource(1)), log: &log},
+		&scriptedArm{id: 1, p: 0.3, rng: rand.New(rand.NewSource(2)), log: &log},
+	}
+	sel, counts, err := TopN(arms, 1, Config{Eps: 0.1, Delta: 0.05, Batch: 5, MaxPulls: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Captured from the loop without the stop: the initial pulls and
+	// seven rounds, each pulling both arms.
+	var wantLog []pullCall
+	for range 8 {
+		wantLog = append(wantLog, pullCall{0, 5}, pullCall{1, 5})
+	}
+	if want := []Counts{{40, 38}, {40, 11}}; !reflect.DeepEqual(counts, want) || !reflect.DeepEqual(sel, []int{0}) {
+		t.Fatalf("selected %v with counts %v, want [0] with %v", sel, counts, want)
+	}
+	if !reflect.DeepEqual(log, wantLog) {
+		t.Fatalf("pulls %v, want %v", log, wantLog)
+	}
+}
+
+// FuzzTopN holds TopN to topNReference on fuzzed arm counts, n, configs
+// and arm scripts: the same selection, counts and sequence of pulls.
+// script[i] sets arm i's rate; when the script covers three bytes per
+// arm, the next two per arm are its prior's pulls and success share.
+func FuzzTopN(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint8(26), uint8(13), uint8(25), uint8(0), uint16(2000), []byte{128, 128}, int64(1))
+	f.Add(uint8(2), uint8(1), uint8(26), uint8(13), uint8(5), uint8(0), uint16(2000), []byte{230, 77}, int64(2))
+	f.Add(uint8(53), uint8(1), uint8(26), uint8(13), uint8(25), uint8(25), uint16(2000), []byte{200, 220, 240, 250, 90}, int64(3))
+	f.Add(uint8(6), uint8(2), uint8(3), uint8(50), uint8(1), uint8(7), uint16(900), []byte{0, 255, 128, 255, 0, 245, 10, 200, 40, 0, 255, 255, 3, 3, 100, 250, 250, 128}, int64(4))
+	f.Fuzz(func(t *testing.T, nArms, n, eps, delta, batch, initPulls uint8, maxPulls uint16, script []byte, seed int64) {
+		k := 2 + int(nArms)%59
+		cfg := Config{
+			Eps:       float64(eps) / 256,
+			Delta:     float64(delta) / 256,
+			Batch:     int(batch) % 101,
+			InitPulls: int(initPulls) % 64,
+			MaxPulls:  1 + int(maxPulls)%5000,
+		}
+		if len(script) >= 3*k {
+			cfg.Prior = make([]Counts, k)
+			for i := range cfg.Prior {
+				pulls := 4 * int(script[k+2*i])
+				cfg.Prior[i] = Counts{Pulls: pulls, Successes: pulls * int(script[k+2*i+1]) / 255}
+			}
+		}
+		build := func(log *[]pullCall) []Arm {
+			arms := make([]Arm, k)
+			for i := range arms {
+				p := 0.5
+				if len(script) > 0 {
+					p = float64(script[i%len(script)]) / 255
+				}
+				arms[i] = &scriptedArm{id: i, p: p, rng: rand.New(rand.NewSource(seed + int64(i))), log: log}
+			}
+			return arms
+		}
+		top := 1 + int(n)%k
+		var wantLog, gotLog []pullCall
+		wantSel, wantCounts := topNReference(build(&wantLog), top, cfg)
+		gotSel, gotCounts, err := TopN(build(&gotLog), top, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotSel, wantSel) || !reflect.DeepEqual(gotCounts, wantCounts) {
+			t.Fatalf("%d arms, top %d, %+v: selected %v counts %v, reference %v counts %v", k, top, cfg, gotSel, gotCounts, wantSel, wantCounts)
+		}
+		if !reflect.DeepEqual(gotLog, wantLog) {
+			t.Fatalf("%d pulls issued, reference issued %d; sequences differ", len(gotLog), len(wantLog))
+		}
+	})
 }
 
 // BenchmarkTopN53 is the in-repo twin of the benchmark's mab.topn_us:
