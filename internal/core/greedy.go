@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
@@ -75,9 +76,10 @@ func (g *greedyStore) beginTuple(c *Cost) {
 // every perturbation the explainer labels.
 func (g *greedyStore) nothingPooled() bool { return false }
 
-// Observe implements explain.Observer: every fresh labelled perturbation
-// is persisted, evicting oldest entries past the budget.
+// Observe implements explain.Observer: a copy of every fresh labelled
+// perturbation is persisted, evicting oldest entries past the budget.
 func (g *greedyStore) Observe(s perturb.Sample) {
+	s.Row, s.Items = slices.Clone(s.Row), slices.Clone(s.Items)
 	g.samples = append(g.samples, storedSample{id: g.nextID, s: s})
 	g.nextID++
 	g.used += s.Bytes()

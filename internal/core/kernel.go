@@ -558,9 +558,10 @@ func (s *tupleStep) runSerial(ctx context.Context, tuples [][]float64, out []Exp
 // explainAll is the explain phase of every runner that is handed its
 // tuples up front: the explain stage, the per-tuple steps — on
 // Options.Workers goroutines over a frozen snapshot when ps is a
-// perturbation pool, serially through s otherwise — and the report
-// fields that follow from the explanations. ps is nil for runners that
-// maintain no pool. The per-tuple costs are kept only with a recorder.
+// perturbation pool and there are tuples for two of them, serially
+// through s otherwise — and the report fields that follow from the
+// explanations. ps is nil for runners that maintain no pool. The
+// per-tuple costs are kept only with a recorder.
 func (s *tupleStep) explainAll(f *frame, ps *poolState, tuples [][]float64, rep *Report) ([]Explanation, []Cost, error) {
 	rec := s.eng.opts.Recorder
 	st := beginStage(rec, f.span, obs.StageExplain)
@@ -571,7 +572,7 @@ func (s *tupleStep) explainAll(f *frame, ps *poolState, tuples [][]float64, rep 
 		costs = make([]Cost, len(tuples))
 	}
 	var err error
-	if ps != nil && ps.sh == nil && ps.opts.Workers > 1 {
+	if ps != nil && ps.sh == nil && min(ps.opts.Workers, len(tuples)) > 1 {
 		err = explainParallel(f.ctx, s.eng, ps, tuples, out, costs, rep)
 	} else {
 		err = s.runSerial(f.ctx, tuples, out, costs, rep)

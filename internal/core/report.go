@@ -89,7 +89,10 @@ type Report struct {
 	// PoolAllocBytes / PoolAllocObjects covers the mine + pool-build
 	// stage; ExplainAllocBytes / ExplainAllocObjects the per-tuple
 	// explain loop — the allocation mirror of MineTime+PoolTime and
-	// ExplainTime.
+	// ExplainTime. Resolution: runtime/metrics counts an object over
+	// 32 KiB when it is allocated but a small one only when its span is
+	// handed back, so a stage that allocates a few KiB of small objects
+	// can read zero, and another stage can be charged for them.
 	PoolAllocBytes      int64
 	PoolAllocObjects    int64
 	ExplainAllocBytes   int64

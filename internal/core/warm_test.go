@@ -134,6 +134,38 @@ func TestWarmParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestWarmOneTupleFlushIsSerial: a flush with one tuple has no second
+// worker to give anything to, so it is answered by the serial engine —
+// byte for byte what a one-worker Warm answers — not by a worker engine
+// built for it over a snapshot.
+func TestWarmOneTupleFlushIsSerial(t *testing.T) {
+	env := newEnv(t, 6, 30)
+	run := func(workers int) []byte {
+		opts := smallOpts(LIME, 6)
+		opts.Workers = workers
+		w, err := NewWarm(env.st, env.cls, opts, 10_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []Explanation
+		for i := 0; i < 6; i++ {
+			res, err := w.ExplainAll(env.tuples[i : i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, res.Explanations...)
+		}
+		b, err := json.Marshal(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if one, four := run(1), run(4); string(one) != string(four) {
+		t.Fatalf("one-tuple flushes with 4 workers answer differently from 1 worker:\n%s\n%s", four, one)
+	}
+}
+
 // TestWarmCancelMarksUnattempted cancels before a flush and requires
 // every tuple of that flush to come back StatusFailed.
 func TestWarmCancelMarksUnattempted(t *testing.T) {

@@ -128,9 +128,9 @@ type Pool interface {
 }
 
 // Observer is an optional extension of Pool: explainers push every fresh
-// labelled perturbation they generate to an observing pool, which is how
-// the GREEDY baseline (paper §4.1) accumulates its cache of past
-// perturbations.
+// labelled perturbation to an observing pool, which is how the GREEDY
+// baseline (paper §4.1) accumulates its cache. The sample's row and items
+// are the explainer's scratch, valid only during the call: keep a copy.
 type Observer interface {
 	Observe(s perturb.Sample)
 }

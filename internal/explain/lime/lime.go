@@ -7,8 +7,8 @@
 //
 // The optional explain.Pool hook is Shahin's entry point (Algorithm 1 of
 // the paper): pooled perturbations frozen on frequent itemsets the tuple
-// contains are consumed first, and only the remainder of the sample budget
-// is generated (and labelled) fresh.
+// contains are consumed first, and only the remainder of the budget is
+// drawn fresh, into the explainer's scratch, and labelled.
 package lime
 
 import (
@@ -55,7 +55,7 @@ func (c Config) fill() Config {
 
 // Explainer produces LIME attributions against a fixed classifier and
 // training distribution. It is not safe for concurrent use: the surrogate
-// fit's storage is reused from one explanation to the next.
+// fit and the draw scratch are reused from one explanation to the next.
 type Explainer struct {
 	cfg   Config
 	width float64 // the proximity kernel's width
@@ -66,6 +66,10 @@ type Explainer struct {
 	fit      *linmodel.BinaryFit
 	on       []int  // the sample being added: attributes in the tuple's bin
 	noFreeze []bool // all false: classic LIME freezes nothing
+
+	// The tuple's items, and the one fresh draw in hand: its row and items.
+	tItems, items []dataset.Item
+	row           []float64
 }
 
 // New builds a LIME explainer. rng drives all perturbation sampling.
@@ -80,6 +84,9 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 		fit:      linmodel.NewBinaryFit(p),
 		on:       make([]int, p),
 		noFreeze: make([]bool, p),
+		tItems:   make([]dataset.Item, p),
+		items:    make([]dataset.Item, p),
+		row:      make([]float64, p),
 	}
 }
 
@@ -90,16 +97,16 @@ func (e *Explainer) Explain(t []float64) (*explain.Attribution, error) {
 }
 
 // ExplainWithPool generates the LIME attribution for t, serving as much of
-// the perturbation budget as possible from the pool (Algorithm 1, lines
-// 6–8) before generating and labelling fresh samples. No design matrix is
-// built: each sample is folded into the surrogate fit as it arrives.
+// the budget as possible from the pool (Algorithm 1, lines 6–8) before
+// drawing fresh samples over one another in scratch. Each sample is folded
+// into the surrogate fit as it arrives; no design matrix is built.
 func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.Attribution, error) {
 	p := e.st.Schema.NumAttrs()
 	if len(t) != p {
 		return nil, fmt.Errorf("lime: tuple has %d attributes want %d", len(t), p)
 	}
 	target := e.cls.Predict(t)
-	tItems := e.st.ItemizeRow(t, nil)
+	tItems := e.st.ItemizeRow(t, e.tItems[:0])
 	e.fit.Reset()
 
 	// The instance itself anchors the local fit (z = all ones), as in the
@@ -119,11 +126,11 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// (every attribute drawn independently from the training marginal).
 	obs, _ := pool.(explain.Observer)
 	for ; n > 0; n-- {
-		s := e.gen.ForTuple(t, e.noFreeze)
-		s.Label = e.cls.Predict(s.Row)
-		e.add(tItems, s.Items, s.Label == target)
+		e.gen.FillTuple(t, e.noFreeze, e.row, e.items)
+		label := e.cls.Predict(e.row)
+		e.add(tItems, e.items, label == target)
 		if obs != nil {
-			obs.Observe(s)
+			obs.Observe(perturb.Sample{Row: e.row, Items: e.items, Label: label})
 		}
 	}
 

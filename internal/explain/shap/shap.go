@@ -66,12 +66,14 @@ type Explainer struct {
 	sizeSampler *sample.Alias // coalition sizes 1..m-1 ∝ SHAP kernel mass
 
 	// Scratch one explanation after another reuses: the regression, the
-	// coalition draw's permutation (the identity between draws) and its
-	// swap log, the freeze flags and the frozen items.
-	fit         *fit
-	perm, swaps []int
-	freeze      []bool
-	required    dataset.Itemset
+	// coalition draw's permutation (the identity between draws) and swap
+	// log, the freeze flags, frozen items, tuple's items and fresh draw.
+	fit           *fit
+	perm, swaps   []int
+	freeze        []bool
+	required      dataset.Itemset
+	tItems, items []dataset.Item
+	row           []float64
 
 	// baseRate caches E[1{C(x)=class}] under the product marginal: a
 	// tuple-independent invariant (paper §3.4), computed once per class.
@@ -114,6 +116,8 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 		}
 		e.freeze = make([]bool, m)
 		e.required = make(dataset.Itemset, m)
+		e.tItems, e.items = make([]dataset.Item, m), make([]dataset.Item, m)
+		e.row = make([]float64, m)
 	}
 	return e
 }
@@ -144,7 +148,7 @@ func (e *Explainer) Explain(t []float64) (*explain.Attribution, error) {
 }
 
 // ExplainWithPool computes the attribution for t, consuming pooled
-// perturbations where a sampled coalition admits one.
+// perturbations where a coalition admits one and scratch draws elsewhere.
 func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.Attribution, error) {
 	m := e.st.Schema.NumAttrs()
 	if len(t) != m {
@@ -154,7 +158,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 		return nil, fmt.Errorf("shap: need at least 2 attributes, have %d", m)
 	}
 	target := e.cls.Predict(t)
-	tItems := e.st.ItemizeRow(t, nil)
+	tItems := e.st.ItemizeRow(t, e.tItems[:0])
 	phi0 := e.base(target)
 	const fx = 1.0 // f(t) = 1{C(t)=target} by construction
 
@@ -186,12 +190,12 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 				continue
 			}
 		}
-		s := e.gen.ForTuple(t, e.freeze)
-		s.Label = e.cls.Predict(s.Row)
+		e.gen.FillTuple(t, e.freeze, e.row, e.items)
+		label := e.cls.Predict(e.row)
 		if obs != nil {
-			obs.Observe(s)
+			obs.Observe(perturb.Sample{Row: e.row, Items: e.items, Label: label})
 		}
-		e.fit.add(tItems, s.Items, s.Label == target)
+		e.fit.add(tItems, e.items, label == target)
 	}
 
 	phi := make([]float64, m)
@@ -233,10 +237,9 @@ func (e *Explainer) base(class int) float64 {
 		return e.baseRate[class]
 	}
 	hits := 0
-	row := make([]float64, e.st.Schema.NumAttrs())
 	for i := 0; i < e.cfg.BaseSamples; i++ {
-		e.gen.FillItemset(nil, row)
-		if e.cls.Predict(row) == class {
+		e.gen.FillItemset(nil, e.row)
+		if e.cls.Predict(e.row) == class {
 			hits++
 		}
 		e.basePulls++

@@ -99,11 +99,12 @@ func (s edgeSource) Int63() int64 {
 }
 
 // assertFillMatches draws n perturbations of each kind — FillItemset
-// and ForItemset over itemsets of 0–4 items of a tuple, ForTuple over
-// random freeze masks — from the generator and from the reference, on
-// two copies of the same source, and demands the same bits in every
-// cell, the items ItemizeRow makes of the row, and both streams standing
-// at the same draw after every sample. It returns how often a frozen
+// and ForItemset over itemsets of 0–4 items of a tuple, ForTuple and
+// FillTuple (into cells the last draw left dirty) over random freeze
+// masks — from the generator and from the reference, on two copies of
+// the same source, and demands the same bits in every cell, the items
+// ItemizeRow makes of the row, and both streams standing at the same
+// draw after every sample. It returns how often a frozen
 // numeric bin's value itemised elsewhere, the case the guard exists for.
 func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, source func() rand.Source, n int) int {
 	t.Helper()
@@ -112,6 +113,7 @@ func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, sour
 	pick := rand.New(rand.NewSource(int64(n)))
 	p := st.NumAttrs()
 	row, want := make([]float64, p), make([]float64, p)
+	items := make([]dataset.Item, p)
 	freeze := make([]bool, p)
 
 	same := func(what string, i int, got []float64, items []dataset.Item) {
@@ -158,6 +160,13 @@ func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, sour
 		ref.forTuple(tuple, freeze, want)
 		s = g.ForTuple(tuple, freeze)
 		same(fmt.Sprintf("ForTuple(%v)", freeze), i, s.Row, s.Items)
+
+		for a := range freeze {
+			freeze[a] = pick.Intn(3) == 0
+		}
+		ref.forTuple(tuple, freeze, want)
+		g.FillTuple(tuple, freeze, row, items)
+		same(fmt.Sprintf("FillTuple(%v)", freeze), i, row, items)
 	}
 	return ref.frozen
 }

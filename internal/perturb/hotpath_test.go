@@ -8,7 +8,7 @@ import (
 )
 
 // TestHotpathAllocs pins what every //shahin:hotpath function of this
-// package allocates per call on the 42-attribute census twin: the fill,
+// package allocates per call on the 42-attribute census twin: the fills,
 // the encode and the bin match nothing, the two sample constructors
 // exactly their Row and Items.
 func TestHotpathAllocs(t *testing.T) {
@@ -31,6 +31,7 @@ func TestHotpathAllocs(t *testing.T) {
 	}{
 		{"perturb.(*Generator).fill", 0, 0, func() { g.fill(frozen[1:], tuple, freeze, row, items) }},
 		{"perturb.(*Generator).FillItemset", 0, 0, func() { g.FillItemset(frozen, row) }},
+		{"perturb.(*Generator).FillTuple", 0, 0, func() { g.FillTuple(tuple, freeze, row, items) }},
 		{"perturb.(*Generator).ForItemset", 2, 528, func() { benchSample = g.ForItemset(frozen) }},
 		{"perturb.(*Generator).ForTuple", 2, 528, func() { benchSample = g.ForTuple(tuple, freeze) }},
 		{"perturb.BinaryEncode", 0, 0, func() { benchVec = BinaryEncode(tItems, pooled.Items, enc) }},

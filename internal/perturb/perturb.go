@@ -1,15 +1,15 @@
 // Package perturb implements the shared perturbation template every
 // explainer in this repository uses (paper §3, "Key Idea"): freeze a
 // subset of a tuple's attributes and fill the remaining attributes
-// independently from the training frequency distribution.
+// independently from the training frequency distribution. The Fill entry
+// points draw into cells the caller owns; the For entry points return a
+// Sample that owns them, for a pool that keeps it.
 //
 // Shahin's reuse rests on one observation about this template: the filled
 // attributes are drawn from a distribution that does not depend on the
-// tuple being explained, and the frozen attributes only matter at the
-// granularity of their discretised bin (LIME and Anchor reason about
-// perturbations through the binary "same bin as the instance" encoding).
-// A perturbation frozen on itemset f is therefore exchangeable between
-// any two tuples that contain f.
+// tuple, and the frozen ones matter only through their discretised bin
+// (the "same bin as the instance" encoding), so a perturbation frozen on
+// itemset f is exchangeable between any two tuples that contain f.
 package perturb
 
 import (
@@ -73,15 +73,25 @@ func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
 	return s
 }
 
-// ForTuple generates one perturbation of tuple t with the attributes in
-// freeze kept at t's exact values and the rest filled from the training
-// distribution. freeze must have one flag per attribute. This is the
-// classic per-tuple perturbation of LIME / Anchor / KernelSHAP.
+// FillTuple writes one perturbation of tuple t into row and items, which
+// the caller owns and must size to t: the attributes in freeze (one flag
+// per attribute) keep t's exact values, the rest are filled from the
+// training distribution, and items receives what Stats.ItemizeRow would
+// make of row. This is the classic per-tuple perturbation of LIME and
+// KernelSHAP, drawn into the explainer's scratch.
+//
+//shahin:hotpath
+func (g *Generator) FillTuple(t []float64, freeze []bool, row []float64, items []dataset.Item) {
+	g.fill(nil, t, freeze, row, items)
+}
+
+// ForTuple generates FillTuple's perturbation as a Sample that owns its
+// row and items; both consume the same random draws in the same order.
 //
 //shahin:hotpath
 func (g *Generator) ForTuple(t []float64, freeze []bool) Sample {
 	s := Sample{Row: make([]float64, len(t)), Items: make([]dataset.Item, len(t)), Label: -1}
-	g.fill(nil, t, freeze, s.Row, s.Items)
+	g.FillTuple(t, freeze, s.Row, s.Items)
 	return s
 }
 

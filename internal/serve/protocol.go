@@ -188,16 +188,14 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
-// writeJSON writes v with the given status code. Shed (429) and
-// unavailable (503) answers are marked retryable so clients and front
-// tiers back off instead of hammering.
+// writeJSON writes v as compact JSON with the given status code. Shed
+// (429) and unavailable (503) answers are marked retryable so clients
+// and front tiers back off instead of hammering.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
+	json.NewEncoder(w).Encode(v) //shahinvet:allow errcheck — the status line is already sent; a broken client pipe has no recovery
 }
