@@ -42,13 +42,12 @@ func main() {
 		faults = cli.FaultFlags(flag.CommandLine)
 		obsv   = cli.ObsFlags(flag.CommandLine, "events-out")
 
-		addr    = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
-		workers = flag.Int("workers", 0, "parallel workers sharding each flush (0 = GOMAXPROCS, non-Anchor)")
+		addr = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
 
 		batchMax   = flag.Int("batch-max", 64, "most queued tuples one flush takes")
 		queueCap   = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it are shed with 429")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, queue wait included (0 disables)")
-		staleAfter = flag.Int("stale-after", 0, "re-mine the itemset pool after this many explained tuples (0 = default 2048)")
+		staleAfter = flag.Int("stale-after", 0, "renew the itemset pool every this many explained tuples (0 = default 2048)")
 		storePath  = flag.String("store", "", "explanation-store snapshot: loaded at startup, written on graceful shutdown")
 		warmFrom   = flag.String("warm-from", "", "comma-separated peer URLs to fetch a store snapshot from at startup (first healthy peer wins)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight flushes")
@@ -74,7 +73,6 @@ func main() {
 		cli.Fatal(err)
 	}
 	fmt.Printf("model: %d trees, train accuracy %.3f\n", len(env.Forest.Trees), env.Forest.Accuracy(env.Train))
-	env.Options.Workers = *workers
 	warm, err := shahin.NewWarm(env.Stats, env.Forest, env.Options, *staleAfter)
 	if err != nil {
 		cli.Fatal(err)

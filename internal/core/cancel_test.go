@@ -324,17 +324,9 @@ func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
 	}
 }
 
-// TestCancelledRenewHeals is the rule poolState.renew keeps for both
-// long-lived runners: no cancellation leaves the pool short of what an
-// uninterrupted twin pools once the runner has renewed again.
-//
-// Warm fills at refresh. The cut is made from inside the classifier
-// while the third itemset of the first pool build is being labelled
-// (τ = 50: label 120 is that itemset's 20th): the refresh must stop
-// there rather than label every remaining itemset by fallback, keep its
-// window, go uncounted, and be finished by the next flush — not leave
-// the pool three itemsets large, one of them guessed, until the
-// runner's clock next runs out.
+// TestCancelledRenewHeals is the rule poolState.renew keeps for a
+// stream, and so for a Warm: no cancellation leaves the pool short of
+// what an uninterrupted twin pools once the runner has renewed again.
 //
 // A stream's refresh labels nothing, so there is nothing to cut short:
 // the tuple that renews is cut in the first fill it makes (its first
@@ -344,64 +336,51 @@ func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
 // pools. The tuple that warms up (the sixteenth, at a period of 100) is
 // cut the same way: its mine stays uncounted and keeps its window, and
 // the renew at 100 mines the first hundred tuples and pools what the
-// twin pools.
+// twin pools. A Warm flush cut the same way leaves its unattempted
+// tuples out of the window: they were never seen.
 func TestCancelledRenewHeals(t *testing.T) {
 	env := newEnv(t, 7, 100)
 	t.Run("warm", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cls := &cancelAfter{inner: env.cls, cancel: cancel}
-		open := func(cls rf.Classifier) (*Warm, *obs.Recorder) {
-			opts := smallOpts(LIME, 9)
-			opts.Recorder = obs.NewRecorder()
-			w, err := NewWarm(env.st, cls, opts, 0)
+		open := func(cls rf.Classifier) *Warm {
+			w, err := NewWarm(env.st, cls, smallOpts(LIME, 9), 20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return w, opts.Recorder
+			return w
 		}
-		w, rec := open(cls)
-		cls.after = 120
-		res, err := w.ExplainAllCtx(ctx, env.tuples[:40])
-		if !errors.Is(err, context.Canceled) || res.Report.Failed != 40 {
-			t.Fatalf("the flush cut short: %d tuples failed, err=%v; want 40, %v", res.Report.Failed, err, context.Canceled)
+		flush := func(w *Warm, tuples [][]float64) {
+			if _, err := w.ExplainAll(tuples); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if w.Remines() != 0 {
-			t.Errorf("a refresh cut short was counted (%d)", w.Remines())
+		w := open(cls)
+		flush(w, env.tuples[:19])
+		fills := watchFills(w.s)
+		cls.after = cls.n.Load() + 21
+		res, err := w.ExplainAllCtx(ctx, env.tuples[19:25])
+		if !errors.Is(err, context.Canceled) || res.Report.Failed != 6 {
+			t.Fatalf("the flush cut short: %d tuples failed, err=%v; want 6, %v", res.Report.Failed, err, context.Canceled)
 		}
-		if got := len(w.ps.window); got != 40 {
-			t.Errorf("a refresh cut short left %d of its 40 tuples in the window", got)
+		if len(fills.fills) == 0 || fills.fills[0].stored {
+			t.Fatalf("fills of the flush cut short: %+v; want the first to store nothing", fills.fills)
 		}
-		healed, err := w.ExplainAll(env.tuples[40:80])
-		if err != nil {
-			t.Fatal(err)
+		if w.Remines() != 1 || len(w.s.ps.window) != 0 {
+			t.Errorf("after the flush cut short: %d renews counted, %d tuples in the window; want 1 and 0", w.Remines(), len(w.s.ps.window))
 		}
-
-		twin, twinRec := open(env.cls)
-		twinRes, err := twin.ExplainAll(env.tuples[:80])
-		if err != nil {
-			t.Fatal(err)
+		flush(w, env.tuples[25:45])
+		twin := open(env.cls)
+		flush(twin, env.tuples[:20])
+		flush(twin, env.tuples[25:45])
+		if got, want := fmt.Sprint(w.s.ps.sets), fmt.Sprint(twin.s.ps.sets); got != want || len(twin.s.ps.sets) == 0 {
+			t.Errorf("pooled itemsets after the next renew:\n  %s\nthe uninterrupted twin's:\n  %s", got, want)
 		}
-		if got, want := w.ps.repo.Len(), twin.ps.repo.Len(); got != want || want == 0 {
-			t.Errorf("%d itemsets pooled after the healing call, the uninterrupted twin has %d", got, want)
+		if w.Remines() != 2 {
+			t.Errorf("%d renews counted after the healing flush, want 2", w.Remines())
 		}
-		if got, want := healed.Report.FrequentItemsets, twinRes.Report.FrequentItemsets; got != want {
-			t.Errorf("FrequentItemsets=%d after the healing call, the uninterrupted twin has %d", got, want)
-		}
-		if w.Remines() != 1 {
-			t.Errorf("%d renews counted after the healing call, want 1", w.Remines())
-		}
-		if got := len(w.ps.window); got != 0 {
-			t.Errorf("the renew that healed left %d tuples behind; a complete one starts a new window", got)
-		}
-		// Each refresh that mined is on the record, finished or not.
-		if got := sumEvents(t, rec).remines; got != 2 {
-			t.Errorf("%d remine events, want 2: the one cut short and the one that healed it", got)
-		}
-		if got := sumEvents(t, twinRec).remines; got != 1 {
-			t.Errorf("the twin logged %d remine events, want 1", got)
-		}
-		checkPoolLabels(t, w.ps, env.cls)
+		checkPoolLabels(t, w.s.ps, env.cls)
 	})
 	t.Run("stream", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())

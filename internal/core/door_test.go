@@ -83,8 +83,8 @@ func entryPoints() []entryPoint {
 			return &opened{
 				explain: all(w.ExplainAll),
 				trace: func(int) string {
-					if w.Flushes() != 0 || w.ps.repo.Len() != 0 || len(w.ps.window) != 0 {
-						return fmt.Sprintf("Flushes()=%d, %d pooled itemsets, window holds %d tuples", w.Flushes(), w.ps.repo.Len(), len(w.ps.window))
+					if w.Flushes() != 0 || w.s.ps.repo.Len() != 0 || len(w.s.ps.window) != 0 {
+						return fmt.Sprintf("Flushes()=%d, %d pooled itemsets, window holds %d tuples", w.Flushes(), w.s.ps.repo.Len(), len(w.s.ps.window))
 					}
 					return ""
 				},

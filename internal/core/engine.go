@@ -61,9 +61,8 @@ func (m *meter) Predict(x []float64) int {
 // proto is what buildExact built; an ExactSHAP engine walks a fork of it
 // that predicts through the meter.
 func newEngine(opts Options, st *dataset.Stats, rng *rand.Rand, fb *fallibleBridge, proto *exact.Explainer) *engine {
-	m := &meter{latency: opts.Recorder.Histogram(obs.HistPredict)}
-	e := &engine{opts: opts, st: st, cls: m}
-	e.rebind(fb)
+	m := &meter{Classifier: fb, latency: opts.Recorder.Histogram(obs.HistPredict)}
+	e := &engine{opts: opts, st: st, cls: m, fb: fb}
 	switch opts.Explainer {
 	case LIME:
 		e.lime = lime.New(st, m, opts.LIME, rng)
@@ -75,20 +74,6 @@ func newEngine(opts Options, st *dataset.Stats, rng *rand.Rand, fb *fallibleBrid
 		e.exact = proto.Fork(m)
 	}
 	return e
-}
-
-// rebind readies the engine for a run over fb, as newEngine would have
-// built it: the meter predicts through fb, its record starts empty, and
-// per-run explainer state — KernelSHAP's base rates — is forgotten. The
-// explainers' workspaces and the RNG they draw from stay; re-seeding that
-// is the caller's.
-func (e *engine) rebind(fb *fallibleBridge) {
-	e.fb = fb
-	e.cls.Classifier = fb
-	e.cls.cost = Cost{}
-	if e.shap != nil {
-		e.shap.Reset()
-	}
 }
 
 // worker builds the engine of parallel worker w: its own seed, RNG,

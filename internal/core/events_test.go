@@ -217,9 +217,10 @@ func TestEventReconciliation(t *testing.T) {
 				}
 				return oneResult(b.ExplainAll(env.tuples))
 			}},
-		// Three flushes across a staleness re-mine: each flush's report
-		// is the fold of its own costs, the cumulative one of the log.
-		{name: "warm", seed: 41, n: 60, reuse: true, matched: true, poolBuilds: -1, remines: true,
+		// Three flushes across two renews: each flush's report is the
+		// fold of its own costs, the cumulative one of the log. A Warm's
+		// pool is its stream's, so it logs no pool_build either.
+		{name: "warm", seed: 41, n: 60, reuse: true, matched: true, poolBuilds: 0, remines: true,
 			run: func(env *testEnv, opts Options) (ledger, error) {
 				w, err := NewWarm(env.st, env.cls, opts, 30)
 				if err != nil {

@@ -123,7 +123,7 @@ func goldenRunners() []goldenRunner {
 				exps = append(exps, res.Explanations...)
 				reps = append(reps, res.Report)
 			}
-			return exps, append(reps, w.Report()), w.ps, nil
+			return exps, append(reps, w.Report()), w.s.ps, nil
 		}},
 		{"sequential", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			res, err := SequentialCtx(context.Background(), st, cls, opts, tuples[:25])

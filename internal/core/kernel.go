@@ -21,10 +21,10 @@ import (
 
 // poolState is the pool of pre-labelled perturbations a runner maintains,
 // and the window of tuples it is next mined from: Batch builds one per
-// call, Stream and Warm keep theirs for life. Which rows of the window
-// are mined, and when, is the runner's policy; everything done with them
-// — mine, cap, evict, and fill unless the pool is lazy — is refresh, and
-// everything a long-lived runner does around a refresh is renew.
+// call, a Stream (and so a Warm) keeps one for life. Which rows of the
+// window are mined, and when, is the runner's policy; everything done
+// with them — mine, cap, evict, and fill unless the pool is lazy — is
+// refresh, and everything a stream does around a refresh is renew.
 type poolState struct {
 	opts Options
 
@@ -44,7 +44,7 @@ type poolState struct {
 	window, cov []dataset.Itemset
 	// complete records that the last refresh ran to its end: every itemset
 	// it mined is pooled. A refresh cut short by cancellation leaves it
-	// false, and the runner retries over the same window. renews counts
+	// false, and the stream retries over the same window. renews counts
 	// the renews that were complete (atomic: Warm's accessor reads it
 	// while a flush runs).
 	complete bool
@@ -94,17 +94,17 @@ func (ps *poolState) attach(eng *engine) {
 	eng.setCoverage(cov)
 }
 
-// renew refreshes a long-lived pool over the rows its runner picks from
-// the window, charging rep and recording the remine event. A complete
-// refresh is counted and starts a new window (the mined rows stay behind
-// as the coverage sample); one cut short is not counted and keeps its
-// window, so the runner's next renew finishes the job. A warm-up renew
+// renew refreshes a stream's pool over its window — border included,
+// unless warmUp — charging rep and recording the remine event. A
+// complete refresh is counted and starts a new window (the mined rows
+// stay behind as the coverage sample); one cut short is not counted and
+// keeps its window, so the next renew finishes the job. A warm-up renew
 // is neither counted nor starts a new window. It returns the negative
 // border refresh mined. Config is validated at construction, so mining
 // a non-empty window cannot fail; if it somehow does, the old pool and
 // window stay.
-func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, rows func() []dataset.Itemset, withBorder, warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
-	border, d, err := ps.refresh(ctx, eng, gen, rows, withBorder, parent)
+func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
+	border, d, err := ps.refresh(ctx, eng, gen, func() []dataset.Itemset { return ps.window }, !warmUp, parent)
 	rep.add(d)
 	if err != nil {
 		return nil, err
@@ -367,12 +367,12 @@ type frame struct {
 	eng *engine
 }
 
-// runner is what each of core's five entry points runs over: options
+// runner is what each of core's entry points runs over: options
 // defaulted once, the statistics and classifier checked once, and an
 // ExactSHAP request decided once — the prototype the runs' engines fork
 // (nil off the exact path), or the downgrade every report is stamped
-// with. Batch, Stream and Warm embed theirs for life; Sequential and
-// Greedy build one per call.
+// with. Batch and Stream embed theirs for life (Warm through its
+// Stream); Sequential and Greedy build one per call.
 type runner struct {
 	opts          Options
 	st            *dataset.Stats
@@ -408,21 +408,21 @@ func (r *runner) admit(tuples [][]float64) error {
 }
 
 // begin opens a run named name. total is how many tuples the whole run
-// will explain, when that is known up front: it is what live progress is
-// measured against (0 for a stream, and for one flush of a warm pool).
+// will explain: it is what live progress is measured against.
 func (r *runner) begin(ctx context.Context, rng *rand.Rand, name string, total int) *frame {
-	f := r.open(ctx, name, total)
-	f.eng = newEngine(r.opts, r.st, rng, buildBridge(f.ctx, r.opts, r.st, r.cls), r.proto)
-	return f
-}
-
-// open is begin without the engine, for a runner that keeps its own.
-func (r *runner) open(ctx context.Context, name string, total int) *frame {
-	f := &frame{stage: beginStage(r.opts.Recorder, nil, name)}
+	f := r.open(ctx, name)
 	if total > 0 {
 		f.span.SetAttr("tuples", total)
 		r.opts.Recorder.Gauge(obs.GaugeTuplesTotal).Set(int64(total))
 	}
+	f.eng = newEngine(r.opts, r.st, rng, buildBridge(f.ctx, r.opts, r.st, r.cls), r.proto)
+	return &f
+}
+
+// open is begin without the engine and the progress total, for a
+// stream, which keeps its own engine.
+func (r *runner) open(ctx context.Context, name string) frame {
+	f := frame{stage: beginStage(r.opts.Recorder, nil, name)}
 	f.ctx = f.enter(ctx)
 	return f
 }

@@ -48,7 +48,7 @@ func (c countCalls) Predict(x []float64) int {
 // watchFills wraps s's fill and the classifier under its meter.
 func watchFills(s *Stream) *fillWatch {
 	w := &fillWatch{}
-	m := s.f.eng.cls
+	m := s.eng.cls
 	m.Classifier = countCalls{m.Classifier, &w.calls}
 	degraded := s.opts.Recorder.Counter(obs.CounterDegradedAnswers)
 	fill := s.ps.pool.fill

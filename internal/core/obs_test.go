@@ -155,8 +155,8 @@ func TestParallelBatchRecorderRace(t *testing.T) {
 	}
 }
 
-// TestStreamRecorder checks the streaming variant: the long-lived
-// "stream" root span must grow re-mine children as itemsets are
+// TestStreamRecorder checks the streaming variant: each tuple is a
+// "stream" root span, re-mine children appear as itemsets are
 // recomputed, and the live counters must track the report.
 func TestStreamRecorder(t *testing.T) {
 	env := newEnv(t, 19, 50)

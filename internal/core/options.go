@@ -16,8 +16,8 @@
 // then steps through every tuple, on Options.Workers goroutines if asked.
 // Stream (§3.5) renews a lazy pool every StreamRecompute tuples over its
 // window, border included (before the first, also at each power of two
-// from 16), and promotes border itemsets in between. Warm renews its
-// pool over a sample of its window every so many tuples, across calls.
+// from 16), and promotes border itemsets in between. Warm is a Stream
+// behind a flush gate.
 // Sequential and Greedy, the baselines, are the step up front: with no
 // pool, or over a store that keeps all it sees.
 package core
@@ -117,10 +117,10 @@ type Options struct {
 	CacheBytes int64
 	// Seed drives every random choice (sampling, perturbation, bandits).
 	Seed int64
-	// Workers runs per-tuple explanation on this many goroutines over a
-	// frozen pool snapshot (default 1 — the paper measures single-core to
-	// isolate algorithmic gains). Anchor ignores Workers: its shared
-	// caches are mutated during explanation.
+	// Workers runs Batch's per-tuple explanation on this many goroutines
+	// over a frozen pool snapshot (default 1 — the paper measures
+	// single-core to isolate algorithmic gains). Anchor ignores Workers:
+	// its shared caches are mutated during explanation.
 	Workers int
 
 	// Recorder receives live observability data from the run:

@@ -36,9 +36,13 @@ type itemsetPool struct {
 	itemsets    []dataset.Itemset
 	longestView []dataset.Itemset
 
-	cursors  map[dataset.ItemsetKey]int    // ForTuple consumption
-	consumed map[dataset.ItemsetKey][]bool // ForItemset consumption
-	window   []perturb.Sample              // what the last ForTuple/ForItemset returned
+	// cursors is ForTuple's consumption; consumed is ForItemset's, kept
+	// across tuples: the tuple (numbered by beginTuple) each sample last
+	// went to, per itemset.
+	cursors  map[dataset.ItemsetKey]int
+	consumed map[dataset.ItemsetKey][]int
+	tuple    int
+	window   []perturb.Sample // what the last ForTuple/ForItemset returned
 
 	// fill, set on a stream's pool, makes it lazy: ForTuple calls it for
 	// each pooled itemset the tuple contains, and it labels the itemset's
@@ -56,7 +60,7 @@ func newItemsetPool(repo sampleSource, itemsets []dataset.Itemset) *itemsetPool 
 	p := &itemsetPool{
 		repo:     repo,
 		cursors:  make(map[dataset.ItemsetKey]int),
-		consumed: make(map[dataset.ItemsetKey][]bool),
+		consumed: make(map[dataset.ItemsetKey][]int),
 	}
 	p.setItemsets(itemsets)
 	return p
@@ -70,10 +74,15 @@ func (p *itemsetPool) setItemsets(itemsets []dataset.Itemset) {
 }
 
 // beginTuple resets the per-tuple consumption allowance and charges
-// what follows to c.
+// what follows to c. Marks of itemsets the pool no longer holds are
+// dropped once they outnumber the pool, so a long-lived pool's marks stay
+// bounded.
 func (p *itemsetPool) beginTuple(c *Cost) {
 	clear(p.cursors)
-	clear(p.consumed)
+	if len(p.consumed) > len(p.itemsets) {
+		clear(p.consumed)
+	}
+	p.tuple++
 	p.cost = c
 }
 
@@ -154,22 +163,17 @@ func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		}
 		p.hit(f)
 		used := p.consumed[key]
-		if used == nil {
-			used = make([]bool, len(samples))
+		if len(used) < len(samples) {
+			used = make([]int, len(samples))
 			p.consumed[key] = used
 		}
 		for i := range samples {
 			if len(out) >= max {
 				break
 			}
-			if i < len(used) && used[i] {
-				continue
-			}
-			if perturb.MatchesBins(required, samples[i].Items) {
+			if used[i] != p.tuple && perturb.MatchesBins(required, samples[i].Items) {
 				out = append(out, samples[i])
-				if i < len(used) {
-					used[i] = true
-				}
+				used[i] = p.tuple
 			}
 		}
 	}

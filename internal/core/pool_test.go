@@ -135,6 +135,37 @@ func TestPoolForItemsetMatchesRequired(t *testing.T) {
 	}
 }
 
+// TestPoolForItemsetAllocs: ForItemset's twin of TestPoolWindowAllocs —
+// once the consumption marks exist, serving allocates nothing.
+func TestPoolForItemsetAllocs(t *testing.T) {
+	p, _, f2 := poolWith(t)
+	cost := new(Cost)
+	p.beginTuple(cost)
+	p.ForItemset(f2, 10)
+	allocs, bytes := alloctest.PerCall(func() {
+		p.beginTuple(cost)
+		if got := p.ForItemset(f2, 10); len(got) != 3 {
+			t.Fatalf("served %d samples want 3", len(got))
+		}
+	})
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("core.(*itemsetPool).ForItemset: %d allocs, %d B per call once warm, want 0 allocs, 0 B", allocs, bytes)
+	}
+}
+
+// TestPoolForItemsetMarksBounded: the consumption marks a long-lived
+// pool keeps across tuples do not outlive the itemsets they mark.
+func TestPoolForItemsetMarksBounded(t *testing.T) {
+	p, f1, f2 := poolWith(t)
+	p.beginTuple(new(Cost))
+	p.ForItemset(f2, 10) // marks f1 and f2
+	p.setItemsets([]dataset.Itemset{f1})
+	p.beginTuple(new(Cost))
+	if got := p.ForItemset(f1, 10); len(got) != 2 || len(p.consumed) > 1 {
+		t.Fatalf("served %d samples, %d itemsets marked; want 2 and at most the 1 pooled", len(got), len(p.consumed))
+	}
+}
+
 func TestPoolForItemsetSkipsHopelessRequirements(t *testing.T) {
 	// Pool holds only a singleton itemset, but its sample coincidentally
 	// matches a 4-item requirement. The gap guard (|required| > |f|+2)

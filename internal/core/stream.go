@@ -21,10 +21,9 @@ import (
 // matches it, not when it is mined or promoted.
 type Stream struct {
 	runner
-	// f is the stream's one long run: its root span stays open for the
-	// stream's lifetime (trace dumps report it in-flight), and each
-	// ExplainCtx points its engine's bridge at that call's context.
-	f    *frame
+	// eng is the stream's for life; each call points its bridge at the
+	// frame the call runs under (see enter).
+	eng  *engine
 	gen  *perturb.Generator
 	ps   *poolState
 	step *tupleStep
@@ -48,7 +47,12 @@ type trackedSet struct {
 // against the stream itself: the window last mined, or before the first
 // re-mine the tuples seen so far.
 func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, error) {
-	r, err := newRunner("NewStream", st, cls, opts)
+	return newStream("NewStream", st, cls, opts)
+}
+
+// newStream is NewStream for an entry point named who.
+func newStream(who string, st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, error) {
+	r, err := newRunner(who, st, cls, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -56,12 +60,12 @@ func NewStream(st *dataset.Stats, cls rf.Classifier, opts Options) (*Stream, err
 	s := &Stream{
 		runner: r,
 		rep:    Report{ExactFallback: r.exactFallback},
-		f:      r.begin(context.Background(), rng, obs.StageStream, 0),
+		eng:    newEngine(r.opts, st, rng, buildBridge(context.Background(), r.opts, st, cls), r.proto),
 	}
 	s.gen = perturb.NewGenerator(st, rng)
 	s.ps = newPoolState(r.opts, cls.NumClasses(), r.opts.StreamRecompute)
-	s.ps.fillOnMatch(s.f.eng, s.gen, &s.rep)
-	s.step = s.ps.step(s.f.eng)
+	s.ps.fillOnMatch(s.eng, s.gen, &s.rep)
+	s.step = s.ps.step(s.eng)
 	return s, nil
 }
 
@@ -70,13 +74,13 @@ func (s *Stream) Explain(t []float64) (Explanation, error) {
 	return s.ExplainCtx(context.Background(), t)
 }
 
-// ExplainCtx is Explain under a context. A tuple of the wrong width is
-// an error, and a context already cancelled on entry returns a
-// StatusFailed explanation and ctx.Err(), both without touching the
-// stream's state; cancellation mid-tuple finishes the
-// tuple quickly on fallback labels (marked StatusFailed) so the stream
-// and its Report stay consistent. Explain calls must not overlap —
-// the stream is a serial consumer by contract.
+// ExplainCtx is Explain under a context, in a "stream" root span of its
+// own. A tuple of the wrong width is an error, and a context already
+// cancelled on entry returns a StatusFailed explanation and ctx.Err(),
+// both without touching the stream's state; cancellation mid-tuple
+// finishes the tuple quickly on fallback labels (marked StatusFailed)
+// so the stream and its Report stay consistent. Explain calls must not
+// overlap — the stream is a serial consumer by contract.
 func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, error) {
 	if err := s.admit([][]float64{t}); err != nil {
 		return Explanation{}, err
@@ -84,43 +88,60 @@ func (s *Stream) ExplainCtx(ctx context.Context, t []float64) (Explanation, erro
 	if err := ctx.Err(); err != nil {
 		return Explanation{Status: StatusFailed}, err
 	}
-	// Carry the stream root span on the bridge's context so fault-chain
-	// children (degrade markers, retry spans) attach under it, and adopt
-	// the caller's trace identity when one is present (last caller wins —
-	// the root is shared across the stream's lifetime).
-	eng, fb := s.f.eng, s.f.eng.fb
-	fb.ctx = s.f.enter(ctx)
-	defer func() { fb.ctx = fb.base }()
-	sw := stopwatch()
-	defer func() {
-		d, _ := sw.end()
-		s.rep.WallTime += d
-	}()
+	f := s.enter(ctx, obs.StageStream)
+	exp, _, err := s.explain(&f, t)
+	s.leave(&f)
+	return exp, err
+}
 
+// enter opens a root named name for a run of the stream's steps and
+// points the engine's bridge at it, so the fault chain's spans (retries,
+// breaker transitions, degradation rungs) land under it, adopting the
+// caller's trace identity when ctx has one.
+func (s *Stream) enter(ctx context.Context, name string) frame {
+	f := s.open(ctx, name)
+	s.eng.fb.ctx = f.ctx
+	return f
+}
+
+// leave closes a frame enter opened, charging its time and allocations.
+func (s *Stream) leave(f *frame) {
+	fb := s.eng.fb
+	fb.ctx = fb.base
+	d, a := f.end()
+	s.rep.WallTime += d
+	s.rep.AllocBytes += a.Bytes
+	s.rep.AllocObjects += a.Objects
+}
+
+// explain is the stream's step for one tuple under the frame enter
+// opened: track it, renew the pool when due (a re-mine span under f),
+// and explain it.
+func (s *Stream) explain(f *frame, t []float64) (Explanation, Cost, error) {
 	// The exact path never mines, pools, or tracks the border; its only
 	// per-tuple bookkeeping is the walk itself.
-	if eng.exact == nil {
+	if s.eng.exact == nil {
 		s.track(t)
 		warmUp := s.ps.warmUp(s.opts.StreamRecompute)
 		if warmUp || len(s.ps.window) >= s.opts.StreamRecompute {
-			span := s.f.span.Child(obs.StageRemine)
+			span := f.span.Child(obs.StageRemine)
 			span.SetAttr("rows", len(s.ps.window))
-			border, err := s.ps.renew(ctx, eng, s.gen, func() []dataset.Itemset { return s.ps.window }, !warmUp, warmUp, span, &s.rep)
+			border, err := s.ps.renew(f.ctx, s.eng, s.gen, warmUp, span, &s.rep)
 			span.End()
 			if err == nil && !warmUp {
 				s.retrack(border)
 			}
 		}
 	}
-	s.ps.attach(eng)
+	s.ps.attach(s.eng)
 	exp, c, err := s.step.run(s.rep.Tuples, t)
 	if err != nil {
-		return Explanation{}, err
+		return Explanation{}, Cost{}, err
 	}
 	s.rep.charge(c)
 	s.rep.ExplainTime += c.Duration
 	s.rep.Tuples++
-	return exp, nil
+	return exp, c, nil
 }
 
 // track adds the tuple to the window and to the running counts of the
@@ -150,7 +171,7 @@ func (s *Stream) track(t []float64) {
 		if ts.frequent || ts.count < minCount {
 			continue
 		}
-		if !s.ps.promote(s.f.eng, s.gen, ts.set, &s.rep) {
+		if !s.ps.promote(s.eng, s.gen, ts.set, &s.rep) {
 			break
 		}
 		ts.frequent = true
@@ -176,7 +197,7 @@ func (s *Stream) Report() Report {
 	rep := s.rep
 	rep.Cache = s.ps.repo.Stats()
 	rep.FrequentItemsets = len(s.ps.sets)
-	rep.Retries = s.f.eng.fb.chain.Retries()
+	rep.Retries = s.eng.fb.chain.Retries()
 	return rep
 }
 

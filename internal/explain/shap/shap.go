@@ -249,15 +249,6 @@ func (e *Explainer) base(class int) float64 {
 	return e.baseRate[class]
 }
 
-// Reset forgets the base rates, as a new explainer would start; the
-// scratch stays. A caller that keeps one explainer across runs, each
-// over its own RNG stream, resets it between them so every run measures
-// its base rates afresh.
-func (e *Explainer) Reset() {
-	clear(e.haveBase)
-	e.basePulls = 0
-}
-
 // BaseInvocations reports the classifier calls spent estimating base
 // rates (for overhead accounting).
 func (e *Explainer) BaseInvocations() int64 { return e.basePulls }

@@ -25,8 +25,8 @@ import (
 
 // Span names the pipeline emits. Batch runs produce a "batch" root with
 // "mine", "pool-build" (nesting "pre-label"), and "explain" children;
-// streaming runs produce a long-lived "stream" root that grows one
-// "re-mine" child per itemset recomputation.
+// a stream produces one "stream" root per tuple, with a "re-mine" child
+// when the tuple renews its pool.
 const (
 	StageBatch      = "batch"
 	StageStream     = "stream"
@@ -38,8 +38,8 @@ const (
 	StageExplain    = "explain"
 	StageRemine     = "re-mine"
 	// StageWarmFlush is one flush of the warm (serving) variant: a
-	// micro-batch explained against the persistent pool, nesting "mine",
-	// "pool-build", and "explain" children when a re-mine fires.
+	// micro-batch streamed against the persistent pool, nesting a
+	// "re-mine" child (with "mine" and "pool-build") per renew.
 	StageWarmFlush = "warm-flush"
 )
 

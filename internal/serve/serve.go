@@ -7,16 +7,16 @@
 // A free batcher at once flushes what is queued, up to BatchMax tuples,
 // as one Warm.ExplainAllCtx call; tuples that arrive meanwhile form the
 // next flush. Reuse comes from the warm pool, which persists across
-// flushes and is re-mined on the Warm explainer's staleness schedule,
+// flushes and is renewed on the Warm explainer's stream schedule,
 // not from tuples waiting for companions. An optional
 // explanation store (internal/store) answers exact-repeat tuples at
 // lookup latency before they ever reach the queue, is restored from
 // disk at startup, and is snapshotted back on graceful drain.
 //
-// Determinism: one flush is deterministic in its composition — the same
-// sequence of flush compositions yields byte-identical explanations
-// (see core.Warm). How concurrent requests group into flushes is
-// timing-dependent; DESIGN.md §11 spells out the exact guarantee.
+// Determinism: answers depend on the order tuples reach the Warm
+// explainer, not on how they group into flushes (see core.Warm); the
+// order of concurrent requests is timing-dependent. DESIGN.md §11
+// spells out the exact guarantee.
 package serve
 
 import (

@@ -272,7 +272,7 @@ var exemplarTimes = regexp.MustCompile(`("[a-z_]*_ms": )[0-9.e+-]*[1-9][0-9.e+-]
 // it. Ids are the ones the test sent; times are masked, and checked
 // instead for what they must add up to.
 func TestRequestExemplarGolden(t *testing.T) {
-	env := newForestEnv(t, 80, 2)
+	env := newForestEnv(t, 80, 17)
 	rec := obs.NewRecorder()
 	warm, err := core.NewWarm(env.st, env.cls, core.Options{
 		Explainer: core.LIME,
@@ -282,6 +282,11 @@ func TestRequestExemplarGolden(t *testing.T) {
 		Recorder:  rec,
 	}, 10_000)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A cold Warm explains its first fifteen tuples without a pool, so the
+	// computed answer, flush 2, follows a flush that warms it up.
+	if _, err := warm.ExplainAll(env.tuples[1:17]); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(warm, Config{Recorder: rec})
@@ -299,17 +304,17 @@ func TestRequestExemplarGolden(t *testing.T) {
 	}{
 		{
 			trace: "c0000000000000000000000000000001", source: "computed",
-			body: `{ "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "name": "request", "source": "computed", "status": "ok", "flush": 1, "dur_ms": T,` +
+			body: `{ "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "name": "request", "source": "computed", "status": "ok", "flush": 2, "dur_ms": T,` +
 				` "stages": { "queue_wait_ms": T, "batch_assembly_ms": T, "pool_sample_ms": T, "classify_ms": T, "solve_ms": T },` +
 				` "root": { "name": "request", "trace_id": "TRACE", "span_id": "SPAN", "parent_span_id": "CALLER", "start_ms": T, "dur_ms": T,` +
-				` "attrs": { "flush": 1, "source": "computed", "status": "ok" }, "children": [` +
+				` "attrs": { "flush": 2, "source": "computed", "status": "ok" }, "children": [` +
 				` { "name": "queue_wait", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
 				` { "name": "batch_assembly", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
 				` { "name": "pool_sample", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
 				` { "name": "classify", "trace_id": "TRACE", "start_ms": T, "dur_ms": T },` +
 				` { "name": "solve", "trace_id": "TRACE", "start_ms": T, "dur_ms": T } ] } }`,
-			track: `X request{flush=1 source=computed status=ok trace_id=TRACE} X queue_wait{trace_id=TRACE} X batch_assembly{trace_id=TRACE}` +
-				` X pool_sample{trace_id=TRACE} X classify{trace_id=TRACE} X solve{trace_id=TRACE} s request-flush f request-flush bp=e on warm-flush 1`,
+			track: `X request{flush=2 source=computed status=ok trace_id=TRACE} X queue_wait{trace_id=TRACE} X batch_assembly{trace_id=TRACE}` +
+				` X pool_sample{trace_id=TRACE} X classify{trace_id=TRACE} X solve{trace_id=TRACE} s request-flush f request-flush bp=e on warm-flush 2`,
 		},
 		{
 			trace: "50000000000000000000000000000002", source: "store",

@@ -117,8 +117,8 @@ type (
 	Batch = core.Batch
 	// Stream is the streaming variant of Shahin.
 	Stream = core.Stream
-	// Warm is the serving variant of Shahin: a long-lived explainer whose
-	// pool persists across ExplainAll flushes (cmd/shahin-serve's engine).
+	// Warm is the serving variant of Shahin: a Stream behind a flush
+	// gate, its pool kept across ExplainAll flushes (shahin-serve's engine).
 	Warm = core.Warm
 )
 
@@ -229,8 +229,8 @@ func NewStream(st *Stats, cls Classifier, opts Options) (*Stream, error) {
 }
 
 // NewWarm creates Shahin's warm serving explainer: call ExplainAll per
-// micro-batch flush; the itemset pool persists across calls and is
-// re-mined after staleAfter explained tuples (<= 0 selects
+// micro-batch flush, which streams its tuples in order; the pool is
+// renewed every staleAfter tuples (<= 0 selects
 // core.DefaultStaleAfter).
 func NewWarm(st *Stats, cls Classifier, opts Options, staleAfter int) (*Warm, error) {
 	return core.NewWarm(st, cls, opts, staleAfter)
