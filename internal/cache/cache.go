@@ -1,9 +1,9 @@
 // Package cache implements Shahin's perturbation repository: labelled
-// perturbations keyed by the frozen itemset they were generated for, under
-// a byte budget with least-recently-used eviction (paper §3.5). It also
-// provides the invariant-result cache used by the Anchor adaptation to
-// memoise rule precision and coverage (paper §3.4, "Caching Other
-// Invariant Results").
+// perturbations, each its items and label, keyed by the frozen itemset
+// they were drawn for, under a byte budget with LRU eviction (paper
+// §3.5). It also provides the invariant-result cache used by the Anchor
+// adaptation to memoise rule precision and coverage (paper §3.4,
+// "Caching Other Invariant Results").
 package cache
 
 import (

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shahin/internal/dataset"
 	"shahin/internal/explain"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
@@ -309,16 +311,39 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	}
 }
 
+// witness is the classifier a run whose pool is checked is handed: a
+// pooled sample keeps only its items, so the witness records, for each
+// item encoding, the labels the classifier gave rows with those items.
+type witness struct {
+	rf.Classifier
+	st   *dataset.Stats
+	mu   sync.Mutex
+	gave map[string]uint64 // fmt.Sprint of the items → bit set of labels
+}
+
+func newWitness(st *dataset.Stats, cls rf.Classifier) *witness {
+	return &witness{Classifier: cls, st: st, gave: make(map[string]uint64)}
+}
+
+func (w *witness) Predict(x []float64) int {
+	y := w.Classifier.Predict(x)
+	key := fmt.Sprint(w.st.ItemizeRow(x, nil))
+	w.mu.Lock()
+	w.gave[key] |= 1 << y
+	w.mu.Unlock()
+	return y
+}
+
 // checkPoolLabels asserts that every sample a persistent pool holds
-// carries the label the classifier gives its row — none stored from the
-// degradation ladder's guesses.
-func checkPoolLabels(t *testing.T, ps *poolState, cls rf.Classifier) {
+// carries a label the classifier gave a row with the sample's items —
+// none stored from the degradation ladder's guesses.
+func checkPoolLabels(t *testing.T, ps *poolState, w *witness) {
 	t.Helper()
 	for _, key := range ps.repo.Keys() {
 		samples, _ := ps.repo.Get(key)
 		for i, s := range samples {
-			if want := cls.Predict(s.Row); s.Label != want {
-				t.Fatalf("pooled sample %d of an itemset is labelled %d, the classifier says %d", i, s.Label, want)
+			if gave := w.gave[fmt.Sprint(s.Items)]; gave&(1<<s.Label) == 0 {
+				t.Fatalf("pooled sample %d of an itemset is labelled %d, the classifier gave its items %b", i, s.Label, gave)
 			}
 		}
 	}
@@ -343,7 +368,8 @@ func TestCancelledRenewHeals(t *testing.T) {
 	t.Run("warm", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		cls := &cancelAfter{inner: env.cls, cancel: cancel}
+		wit := newWitness(env.st, env.cls)
+		cls := &cancelAfter{inner: wit, cancel: cancel}
 		open := func(cls rf.Classifier) *Warm {
 			w, err := NewWarm(env.st, cls, smallOpts(LIME, 9), 20)
 			if err != nil {
@@ -380,12 +406,13 @@ func TestCancelledRenewHeals(t *testing.T) {
 		if w.Remines() != 2 {
 			t.Errorf("%d renews counted after the healing flush, want 2", w.Remines())
 		}
-		checkPoolLabels(t, w.s.ps, env.cls)
+		checkPoolLabels(t, w.s.ps, wit)
 	})
 	t.Run("stream", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		cls := &cancelAfter{inner: env.cls, cancel: cancel}
+		wit := newWitness(env.st, env.cls)
+		cls := &cancelAfter{inner: wit, cancel: cancel}
 		open := func(cls rf.Classifier, every int) *Stream {
 			opts := smallOpts(LIME, 9)
 			opts.Recorder = obs.NewRecorder()
@@ -429,7 +456,7 @@ func TestCancelledRenewHeals(t *testing.T) {
 			if s.Mines() != mines {
 				t.Errorf("%d renews counted, want %d", s.Mines(), mines)
 			}
-			checkPoolLabels(t, s.ps, env.cls)
+			checkPoolLabels(t, s.ps, wit)
 		}
 
 		s := open(cls, 20)

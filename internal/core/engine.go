@@ -56,6 +56,10 @@ func (m *meter) Predict(x []float64) int {
 	return y
 }
 
+// Guesses is how many labels the bridge below has guessed: Anchor stores
+// a pull's samples only if this did not move while they were labelled.
+func (m *meter) Guesses() int64 { return m.Classifier.(*fallibleBridge).guesses }
+
 // newEngine wires up the explainer of the requested kind over the meter
 // and, below it, the bridge fb. The constructors draw nothing from rng.
 // proto is what buildExact built; an ExactSHAP engine walks a fork of it
@@ -147,10 +151,6 @@ func (e *engine) aside(fn func()) time.Duration {
 	e.cls.cost, e.fb.tuple = cost, flags
 	return d
 }
-
-// canceled reports whether any prediction since begin found the context
-// dead and was answered by a guess.
-func (e *engine) canceled() bool { return e.fb.tuple.canceled }
 
 // dead reports whether the context the engine predicts under is done.
 func (e *engine) dead() bool { return e.fb.ctx.Err() != nil }

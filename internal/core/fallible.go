@@ -109,17 +109,15 @@ type fallibleBridge struct {
 	degradedCtr *obs.Counter
 	failedCtr   *obs.Counter
 
-	// tuple is the current unit's outcome, reset by beginTuple.
-	tuple outcome
-
-	// degradeSpans counts "degrade" child spans attached to the run's
-	// span so far; capped so a long outage cannot grow the span tree
-	// without bound.
-	degradeSpans int
+	// tuple is the current unit's outcome, reset by beginTuple; guesses
+	// counts every label the ladder (or a dead context) gave, for life.
+	tuple   outcome
+	guesses int64
 }
 
-// maxDegradeSpans bounds per-bridge degradation marker spans: enough to
-// see the ladder working in a trace, bounded against outage storms.
+// maxDegradeSpans bounds the degradation marker spans under one root:
+// enough to see the ladder working in a trace, bounded against outage
+// storms.
 const maxDegradeSpans = 32
 
 var _ rf.Classifier = (*fallibleBridge)(nil)
@@ -225,31 +223,24 @@ func (fb *fallibleBridge) Predict(x []float64) int {
 }
 
 // noteDegrade attaches a degradation-rung marker span to the run's span
-// (carried by the bridge's context), bounded by maxDegradeSpans.
+// (carried by the bridge's context), at most maxDegradeSpans under it.
 func (fb *fallibleBridge) noteDegrade(rung string) {
-	if fb.degradeSpans >= maxDegradeSpans {
+	c := obs.SpanFromContext(fb.ctx).Mark("degrade", maxDegradeSpans)
+	if c == nil {
 		return
 	}
-	sp := obs.SpanFromContext(fb.ctx)
-	if sp == nil {
-		return
-	}
-	fb.degradeSpans++
-	c := sp.Child("degrade")
 	if rung == "" {
 		rung = "none"
 	}
 	c.SetAttr("rung", rung)
-	if fb.degradeSpans == maxDegradeSpans {
-		c.SetAttr("truncated", true)
-	}
 	c.End()
 }
 
-// fallback walks the degradation ladder, reporting which rung answered;
-// ok is false when none could (the caller gets class 0 and the tuple is
-// marked failed).
+// fallback counts a guess and walks the degradation ladder, reporting
+// which rung answered; ok is false when none could (the caller gets
+// class 0 and the tuple is marked failed).
 func (fb *fallibleBridge) fallback(x []float64) (y int, rung string, ok bool) {
+	fb.guesses++
 	if fb.labels != nil {
 		if y, ok := fb.labels[hashRow(x)]; ok {
 			return y, "label-cache", true

@@ -211,22 +211,17 @@ func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 
 // TestPooledLabelsAreClassifierLabels: a pooled label is served to every
 // later tuple as the classifier's own, so after a seeded fault run every
-// sample a runner's pool holds must carry the label the classifier gives
-// its row — none the degradation ladder supplied while the backend was
+// sample a runner's pool holds must carry a label the classifier gave
+// its items — none the degradation ladder supplied while the backend was
 // failing. (ExactSHAP under a fault chain runs as pooled KernelSHAP.)
-// Anchor is left out, and materialize keeps the old rule for it: its
-// repository is also where its own pulls keep samples (anchor.pull
-// appends whatever label it was answered, and a rule it has sampled
-// counts as pooled once it turns frequent), so an entry there is not
-// materialize's alone to vouch for.
+// Anchor's repository also takes its own pulls' samples, which are kept
+// only when none of the pull's labels was guessed.
 func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 	env := goldenEnv(t)
 	degraded := 0
 	for _, kind := range AllKinds() {
-		if kind == Anchor {
-			continue
-		}
-		st, cls, tuples := env(kind)
+		st, plain, tuples := env(kind)
+		cls := newWitness(st, plain)
 		for _, rn := range goldenRunners() {
 			if !rn.faults {
 				continue

@@ -39,6 +39,8 @@ type poolState struct {
 	sets    []dataset.Itemset
 	pool    *itemsetPool
 	maxSets int
+	// row is materialize's scratch: each perturbation is labelled in it.
+	row []float64
 	// window is the itemised tuples observed since the last complete
 	// renew; cov is the rows last mined (see attach).
 	window, cov []dataset.Itemset
@@ -273,39 +275,44 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 }
 
 // materialize is the pool's one labelling path (Algorithm 1, lines 2–4):
-// τ perturbations frozen on set, labelled through eng's meter and stored
-// — at refresh or promotion on an eager pool, at first match on a lazy
-// one. For Anchor their class histogram also seeds the rule's precision
-// in the invariant cache and the mined support doubles as its coverage
-// (Algorithm 2, line 3); support < 0 means unknown. The cost record is
-// folded into rep, the recorder's counters and a pre_label event. If any
-// label is the bridge's guess — the backend was failing, or the context
-// died on the way — nothing is stored and it reports false: a pooled
-// label is served to every later tuple as the classifier's own. Anchor
-// still stores unless cancelled: its repository also takes the labels
-// its own pulls were answered, guessed ones included, so refusing here
-// alone vouches for nothing.
+// τ perturbations frozen on set, each drawn into the pool's scratch row,
+// labelled there through eng's meter and stored as its items and label —
+// at refresh or promotion on an eager pool, at first match on a lazy one.
+// The items of all τ are one slab, each sample's slice capped at one
+// item per attribute. For Anchor their class histogram also seeds the
+// rule's precision in the invariant cache and the mined support doubles
+// as its coverage (Algorithm 2, line 3); support < 0 means unknown. The
+// cost record is folded into rep, the recorder's counters and a
+// pre_label event. If any label is the bridge's guess — the backend was
+// failing, or the context died on the way — nothing is stored and it
+// reports false: a pooled label is served to every later tuple as the
+// classifier's own.
+//
+//shahin:hotpath
 func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) bool {
 	c := eng.begin()
 	c.Itemset = set
 	sw := stopwatch()
+	p := gen.Stats().NumAttrs()
+	if len(ps.row) != p {
+		ps.row = make([]float64, p)
+	}
 	samples := make([]perturb.Sample, ps.opts.Tau)
+	slab := make([]dataset.Item, len(samples)*p)
 	var hist []int
 	if ps.sh != nil {
 		hist = make([]int, eng.cls.NumClasses())
 	}
 	for j := range samples {
-		s := gen.ForItemset(set)
-		s.Label = eng.cls.Predict(s.Row)
+		items := slab[j*p : (j+1)*p : (j+1)*p]
+		gen.FillItemset(set, ps.row, items)
+		y := eng.cls.Predict(ps.row)
 		if hist != nil {
-			hist[s.Label]++
+			hist[y]++
 		}
-		samples[j] = s
+		samples[j] = perturb.Sample{Items: items, Label: y}
 	}
 	stored := eng.tupleStatus() == StatusOK
-	if ps.sh != nil {
-		stored = !eng.canceled()
-	}
 	if stored {
 		if ps.sh != nil {
 			rr, _ := ps.sh.Inv.Lookup(set.Key())

@@ -205,7 +205,8 @@ func TestStreamRefusedFill(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cls := &cancelAfter{inner: env.cls, cancel: cancel}
+			wit := newWitness(env.st, env.cls)
+			cls := &cancelAfter{inner: wit, cancel: cancel}
 			opts := smallOpts(LIME, 9)
 			opts.StreamRecompute = tc.recompute
 			opts.Recorder = obs.NewRecorder()
@@ -278,7 +279,7 @@ func TestStreamRefusedFill(t *testing.T) {
 				t.Errorf("PoolInvocations=%d for %d fills, want %d", rep.PoolInvocations, len(w.fills), want)
 			}
 			reconcile(t, sumEvents(t, opts.Recorder), rep)
-			checkPoolLabels(t, s.ps, env.cls)
+			checkPoolLabels(t, s.ps, wit)
 		})
 	}
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"shahin/internal/alloctest"
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
+	"shahin/internal/obs"
 	"shahin/internal/perturb"
+	"shahin/internal/rf"
 )
 
 // mk builds a labelled sample over 4 attributes with the given bins.
@@ -293,6 +298,102 @@ func TestEffectiveSupport(t *testing.T) {
 	for _, tc := range cases {
 		if got := effectiveSupport(tc.min, tc.rows); got != tc.want {
 			t.Errorf("effectiveSupport(%g, %d)=%g want %g", tc.min, tc.rows, got, tc.want)
+		}
+	}
+}
+
+// materializer returns a pool of kind over st and cls with the engine it
+// labels through, as a serial Batch run sets them up.
+func materializer(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options) (*poolState, *engine) {
+	t.Helper()
+	b, err := NewBatch(st, cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := b.begin(context.Background(), rand.New(rand.NewSource(b.opts.Seed)), obs.StageBatch, 0)
+	t.Cleanup(func() { f.span.End() })
+	return newPoolState(b.opts, cls.NumClasses(), 100), f.eng
+}
+
+// referenceMaterialize is materialize's draw-and-label loop as it stood
+// before the pool kept only items and labels: τ Samples from ForItemset,
+// each labelled from its own row.
+func referenceMaterialize(gen *perturb.Generator, cls rf.Classifier, set dataset.Itemset, tau int) []perturb.Sample {
+	out := make([]perturb.Sample, tau)
+	for j := range out {
+		s := gen.ForItemset(set)
+		s.Label = cls.Predict(s.Row)
+		out[j] = s
+	}
+	return out
+}
+
+// TestMaterializeMatchesForItemset: the pool labels each perturbation in
+// its scratch row and keeps no row, each sample's items a slice capped at
+// one per attribute of the slab, so an append to one cannot overwrite
+// the next; the items and labels are the ForItemset loop's, bit for bit,
+// and both random streams stand at the same draw. The recidivism forest
+// reads numeric attributes too, so a label taken from any row but the
+// sample's own shows.
+func TestMaterializeMatchesForItemset(t *testing.T) {
+	env := newExactEnv(t, 31, 1)
+	p := env.st.NumAttrs()
+	tItems := env.st.ItemizeRow(env.tuples[0], nil)
+	sets := []dataset.Itemset{nil, {tItems[0]}, {tItems[1], tItems[p-1]}, {tItems[0], tItems[2], tItems[p/2]}}
+	for _, kind := range []Kind{LIME, Anchor} {
+		ps, eng := materializer(t, env.st, env.forest, smallOpts(kind, 32))
+		rng, refRng := rand.New(rand.NewSource(33)), rand.New(rand.NewSource(33))
+		gen, ref := perturb.NewGenerator(env.st, rng), perturb.NewGenerator(env.st, refRng)
+		for _, set := range sets {
+			if !ps.materialize(eng, gen, set, -1, new(Report)) {
+				t.Fatalf("%s: %v was not stored", kind, set)
+			}
+			got, _ := ps.repo.Get(set.Key())
+			want := referenceMaterialize(ref, env.forest, set, ps.opts.Tau)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %v holds %d samples, want %d", kind, set, len(got), len(want))
+			}
+			for j, s := range got {
+				if s.Row != nil || len(s.Items) != p || cap(s.Items) != p {
+					t.Fatalf("%s: %v sample %d has a row of %d cells and %d items with room for %d; want none and %d capped there",
+						kind, set, j, len(s.Row), len(s.Items), cap(s.Items), p)
+				}
+				if s.Label != want[j].Label || !slices.Equal(s.Items, want[j].Items) {
+					t.Fatalf("%s: %v sample %d is %v labelled %d, the ForItemset loop drew %v labelled %d",
+						kind, set, j, s.Items, s.Label, want[j].Items, want[j].Label)
+				}
+			}
+		}
+		if rng.Int63() != refRng.Int63() {
+			t.Fatalf("%s: the stream stands at a different draw than the ForItemset loop's", kind)
+		}
+	}
+}
+
+// TestHotpathAllocs pins what materialize allocates per itemset, with no
+// recorder: the Samples, their one slab of items, and the repository's
+// entry and list element — four objects, however many samples τ asks
+// for. At τ = 10 that is 576 B of Samples, 240 B of items (6 attributes)
+// and 112 B of entry and element.
+func TestHotpathAllocs(t *testing.T) {
+	env := newEnv(t, 35, 1)
+	set := dataset.Itemset{env.st.ItemizeRow(env.tuples[0], nil)[0]}
+	for _, tc := range []struct {
+		name          string
+		tau           int
+		allocs, bytes uint64
+	}{
+		{"core.(*poolState).materialize", 10, 4, 928},
+		{"core.(*poolState).materialize, τ = 100", 100, 4, 8944},
+	} {
+		opts := smallOpts(LIME, 36)
+		opts.Tau = tc.tau
+		ps, eng := materializer(t, env.st, env.cls, opts)
+		gen := perturb.NewGenerator(env.st, rand.New(rand.NewSource(37)))
+		ps.materialize(eng, gen, set, -1, new(Report))
+		allocs, bytes := alloctest.PerCall(func() { ps.materialize(eng, gen, set, -1, new(Report)) })
+		if allocs != tc.allocs || bytes != tc.bytes {
+			t.Errorf("%s: %d allocs, %d B per call, want %d allocs, %d B", tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
 }

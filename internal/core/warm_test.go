@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"shahin/internal/alloctest"
 	"shahin/internal/dataset"
+	"shahin/internal/fault"
 	"shahin/internal/obs"
 	"shahin/internal/rf"
 )
@@ -469,5 +471,76 @@ func TestStreamSpanForestBounded(t *testing.T) {
 	}
 	if got := rec.Counter("spans_dropped").Value(); got != tuples-obs.DefaultEventCapacity {
 		t.Fatalf("spans_dropped = %d, want %d", got, tuples-obs.DefaultEventCapacity)
+	}
+}
+
+// TestWarmMarkerSpansPerFlush: a Warm keeps one fault chain and one
+// bridge for life, but its retry and degrade marker spans are bounded
+// per root: every flush that retried carries its own retry markers
+// under its warm-flush root — all of them up to the cap of 64, the
+// last flagged truncated — and every flush with a guessed label carries
+// degrade markers, at most 32.
+func TestWarmMarkerSpansPerFlush(t *testing.T) {
+	env := newEnv(t, 5, 40)
+	opts := smallOpts(LIME, 5)
+	opts.LIME.NumSamples = 20
+	opts.Fault = &fault.Config{FailRate: 0.3, Seed: 6, MaxRetries: 2, RetryBase: time.Microsecond, RetryMax: 4 * time.Microsecond, BreakerThreshold: -1}
+	rec := obs.NewRecorder()
+	opts.Recorder = rec
+	w, err := NewWarm(env.st, env.cls, opts, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guessed := func() int64 {
+		return rec.Counter(obs.CounterDegradedAnswers).Value() + rec.Counter(obs.CounterFailedAnswers).Value()
+	}
+	const flushes = 200
+	var retried, capped, degraded int
+	for i := 0; i < flushes; i++ {
+		at := 4 * (i % 10)
+		before := guessed()
+		res, err := w.ExplainAll(env.tuples[at : at+4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := rec.Trace()
+		root := roots[len(roots)-1]
+		if len(roots) != i+1 || root.Name != obs.StageWarmFlush {
+			t.Fatalf("flush %d: %d roots, the last %q; want %d, the last %q", i, len(roots), root.Name, i+1, obs.StageWarmFlush)
+		}
+		marks := map[string][]*obs.SpanDump{}
+		for _, c := range root.Children {
+			marks[c.Name] = append(marks[c.Name], c)
+		}
+		for _, m := range []struct {
+			name  string
+			n     int64
+			limit int
+		}{
+			{"retry", res.Report.Retries, 64},
+			{"degrade", guessed() - before, maxDegradeSpans},
+		} {
+			got := marks[m.name]
+			if want := min(int(m.n), m.limit); len(got) != want {
+				t.Fatalf("flush %d: %d %s markers where %d were counted, want %d", i, len(got), m.name, m.n, want)
+			}
+			for j, c := range got {
+				if truncated := c.Attrs["truncated"] == true; truncated != (j == m.limit-1) {
+					t.Fatalf("flush %d: %s marker %d of %d truncated=%v", i, m.name, j+1, len(got), truncated)
+				}
+			}
+		}
+		if res.Report.Retries > 0 {
+			retried++
+		}
+		if res.Report.Retries > 64 {
+			capped++
+		}
+		if guessed() > before {
+			degraded++
+		}
+	}
+	if retried < flushes*9/10 || capped == 0 || degraded < 10 {
+		t.Fatalf("%d flushes retried, %d past the cap, %d guessed a label: the profile no longer drives every flush", retried, capped, degraded)
 	}
 }

@@ -78,7 +78,7 @@ type Explainer struct {
 	cls     rf.Classifier
 	gen     *perturb.Generator
 	covRows []dataset.Itemset
-	scratch []float64 // the row of a pull's perturbation that is labelled and dropped
+	scratch []float64 // the row each pull's perturbation is labelled in
 	hist    []int     // a pull's predicted-class histogram
 
 	// pull is (*ruleArm).pull. It is a field only so that the
@@ -398,36 +398,51 @@ type ruleArm struct {
 // Pull implements mab.Arm.
 func (a *ruleArm) Pull(n int) int { return a.e.pull(a, n) }
 
-// pull draws and labels n perturbations. Only one the repository has
-// room for needs a row and items of its own; the rest are drawn into
-// the explainer's scratch row, labelled and dropped. The histogram is
-// the explainer's too: AddTrials folds it in and keeps no reference.
+// guesser is a classifier that may answer a prediction with a guess
+// rather than the model's label, and counts the guesses it has given.
+type guesser interface{ Guesses() int64 }
+
+// guesses is how many labels the classifier has guessed so far; 0 for
+// one that never guesses.
+func (e *Explainer) guesses() int64 {
+	if g, ok := e.cls.(guesser); ok {
+		return g.Guesses()
+	}
+	return 0
+}
+
+// pull draws and labels n perturbations, each into the explainer's
+// scratch row. The first ones the repository has room for keep their
+// items, each a slice capped at one per attribute of a slab the pull
+// allocates, and their label; they are stored only if the classifier
+// guessed none of the pull's labels. The histogram is the explainer's:
+// AddTrials folds it in and keeps no reference.
 //
 //shahin:hotpath
 func (a *ruleArm) pull(n int) int {
 	e := a.e
 	hist := e.hist
 	clear(hist)
-	var store []perturb.Sample
 	stored, _ := a.sh.Repo.Get(a.items.Key())
-	room := e.cfg.StorePerRule - len(stored)
-	if room > 0 {
-		store = make([]perturb.Sample, 0, min(room, n))
-	}
+	keep := min(max(e.cfg.StorePerRule-len(stored), 0), n)
+	p := len(e.scratch)
+	store := make([]perturb.Sample, keep)
+	slab := make([]dataset.Item, keep*p)
+	guessed := e.guesses()
 	for i := 0; i < n; i++ {
-		if room <= 0 {
-			e.gen.FillItemset(a.items, e.scratch)
-			hist[e.cls.Predict(e.scratch)]++
-			continue
+		var items []dataset.Item // nil: labelled and dropped
+		if i < keep {
+			items = slab[i*p : (i+1)*p : (i+1)*p]
 		}
-		s := e.gen.ForItemset(a.items)
-		s.Label = e.cls.Predict(s.Row)
-		hist[s.Label]++
-		store = append(store, s)
-		room--
+		e.gen.FillItemset(a.items, e.scratch, items)
+		y := e.cls.Predict(e.scratch)
+		hist[y]++
+		if i < keep {
+			store[i] = perturb.Sample{Items: items, Label: y}
+		}
 	}
 	a.rr.AddTrials(hist)
-	if len(store) > 0 {
+	if keep > 0 && e.guesses() == guessed {
 		a.sh.Repo.Append(a.items.Key(), store)
 	}
 	return hist[a.target]

@@ -433,7 +433,7 @@ func BenchmarkExplainSequential(b *testing.B) {
 
 // allocatingPull is ruleArm.Pull as it stood before pulls were drawn
 // into a scratch row: every perturbation is allocated and itemised
-// whether or not the repository keeps it.
+// whether or not the repository keeps it, and a kept one keeps its row.
 func allocatingPull(a *ruleArm, n int) int {
 	hist := make([]int, a.e.cls.NumClasses())
 	var store []perturb.Sample
@@ -455,11 +455,12 @@ func allocatingPull(a *ruleArm, n int) int {
 	return hist[a.target]
 }
 
-// TestScratchPullsChangeNothing: drawing the perturbations that are not
-// kept into a scratch row leaves the whole search as it was — the same
-// rules for 50 tuples over one shared state, the same trials per rule,
-// the same repository, the same classifier calls, and a random stream
-// that stands where it stood.
+// TestScratchPullsChangeNothing: drawing every perturbation into a
+// scratch row, and keeping only the items and label of the stored ones,
+// leaves the whole search as it was — the same rules for 50 tuples over
+// one shared state, the same trials per rule, the same items and labels
+// in the repository, the same classifier calls, and a random stream that
+// stands where it stood.
 func TestScratchPullsChangeNothing(t *testing.T) {
 	spec, err := datagen.Spec("covertype")
 	if err != nil {
@@ -531,8 +532,14 @@ func TestScratchPullsChangeNothing(t *testing.T) {
 	if got.nRules != want.nRules || !reflect.DeepEqual(got.trials, want.trials) {
 		t.Errorf("memoised trials differ (%d rules against %d)", got.nRules, want.nRules)
 	}
+	checkStored(t, got.repo, st.NumAttrs())
+	for _, samples := range want.repo {
+		for i := range samples {
+			samples[i].Row = nil
+		}
+	}
 	if !reflect.DeepEqual(got.repo, want.repo) {
-		t.Errorf("repository contents differ (%d entries against %d)", len(got.repo), len(want.repo))
+		t.Errorf("repository items or labels differ (%d entries against %d)", len(got.repo), len(want.repo))
 	}
 	if got.calls != want.calls {
 		t.Errorf("%d classifier calls, reference made %d", got.calls, want.calls)
@@ -542,10 +549,64 @@ func TestScratchPullsChangeNothing(t *testing.T) {
 	}
 }
 
+// checkStored asserts that stored samples keep no row and that each
+// one's items are a slice capped at p, so an append to one cannot write
+// into the next sample's items.
+func checkStored(t *testing.T, repo cache.Snapshot, p int) {
+	t.Helper()
+	for _, samples := range repo {
+		for i, s := range samples {
+			if s.Row != nil || len(s.Items) != p || cap(s.Items) != p {
+				t.Fatalf("stored sample %d: row of %d cells, items %d long with room for %d; want no row and %d items capped there",
+					i, len(s.Row), len(s.Items), cap(s.Items), p)
+			}
+		}
+	}
+}
+
+// guessing answers through its classifier and counts the calls whose
+// number guess lists as guesses, as a fault bridge counts the labels its
+// degradation ladder gave.
+type guessing struct {
+	rf.Classifier
+	guess          map[int64]bool
+	calls, guessed int64
+}
+
+func (g *guessing) Predict(x []float64) int {
+	g.calls++
+	if g.guess[g.calls] {
+		g.guessed++
+	}
+	return g.Classifier.Predict(x)
+}
+
+func (g *guessing) Guesses() int64 { return g.guessed }
+
+// TestPullStoresOnlyClassifierLabels: a pull with a guessed label folds
+// its trials in but stores none of its samples, since a stored label is
+// reused as the classifier's own; the next pull, answered by the
+// classifier throughout, stores what it keeps.
+func TestPullStoresOnlyClassifierLabels(t *testing.T) {
+	_, st, cov := env(t, 53)
+	cls := &guessing{Classifier: attr0Classifier(1), guess: map[int64]bool{3: true}}
+	e := New(st, cls, cov, Config{StorePerRule: 8}, rand.New(rand.NewSource(54)))
+	sh := NewShared(2, 0)
+	items := dataset.Itemset{dataset.MakeItem(0, 1)}
+	rr, _ := sh.Inv.Lookup(items.Key())
+	arm := &ruleArm{e: e, sh: sh, items: items, rr: rr, target: 1}
+	for _, want := range []struct{ pulls, stored int }{{5, 0}, {10, 5}, {15, 8}} {
+		arm.pull(5)
+		if got, _ := sh.Repo.Get(items.Key()); rr.Pulls != want.pulls || len(got) != want.stored {
+			t.Fatalf("after %d trials %d samples are stored, want %d trials and %d stored", rr.Pulls, len(got), want.pulls, want.stored)
+		}
+	}
+	checkStored(t, sh.Repo.Snapshot(), st.NumAttrs())
+}
+
 // TestHotpathAllocs pins what one pull allocates: nothing once the
-// rule's repository entry is full, and while it has room the two
-// slices of every sample it keeps and the one slice that hands them
-// over.
+// rule's repository entry is full, and while it has room the slice of
+// Samples it hands over and the one slab of their items.
 func TestHotpathAllocs(t *testing.T) {
 	_, st, cov := env(t, 51)
 	const pulled = 5
@@ -567,9 +628,9 @@ func TestHotpathAllocs(t *testing.T) {
 		allocs, bytes uint64
 	}{
 		{"anchor.(*ruleArm).pull", full, 0, 0},
-		// 4 attributes: a 32 B row and a 16 B item slice per sample, 56 B
-		// per Sample header in the store.
-		{"anchor.(*ruleArm).pull with room", room, 2*pulled + 1, pulled*(32+16) + 288},
+		// 4 attributes: 56 B per Sample header (288 B for five), 16 B of
+		// items per sample in the slab (80 B).
+		{"anchor.(*ruleArm).pull with room", room, 2, 288 + 80},
 	} {
 		allocs, bytes := alloctest.PerCall(func() { tc.arm.pull(pulled) })
 		if allocs != tc.allocs || bytes != tc.bytes {

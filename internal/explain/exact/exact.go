@@ -195,11 +195,12 @@ func (e *Explainer) Fork(cls rf.Classifier) *Explainer {
 func (e *Explainer) covers(st *dataset.Stats, cfg Config) []float64 {
 	cover := make([]float64, len(e.nodes))
 	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(cfg.Seed)))
+	row := make([]float64, st.NumAttrs())
 	for b := 0; b < cfg.Background; b++ {
 		// A nil frozen itemset yields a pure draw from the training
 		// product distribution — the same background every sampled
 		// explainer perturbs against.
-		row := gen.ForItemset(nil).Row
+		gen.FillItemset(nil, row, nil)
 		for _, i := range e.roots {
 			for {
 				cover[i]++

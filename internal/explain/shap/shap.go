@@ -238,7 +238,7 @@ func (e *Explainer) base(class int) float64 {
 	}
 	hits := 0
 	for i := 0; i < e.cfg.BaseSamples; i++ {
-		e.gen.FillItemset(nil, e.row)
+		e.gen.FillItemset(nil, e.row, nil)
 		if e.cls.Predict(e.row) == class {
 			hits++
 		}

@@ -124,7 +124,6 @@ type Chain struct {
 
 	calls   atomic.Int64 // calls into retry so far: the jitter key
 	retries atomic.Int64
-	spanned atomic.Int64 // "retry" marker spans attached so far
 
 	injectedCtr, outagesCtr, retriesCtr *obs.Counter
 }

@@ -7,8 +7,8 @@ import (
 	"shahin/internal/obs"
 )
 
-// maxRetrySpans bounds a chain's "retry" marker spans: enough to see
-// the backoff schedule in a trace, bounded against outage storms.
+// maxRetrySpans bounds the "retry" marker spans under one root: enough
+// to see the backoff schedule in a trace, bounded against outage storms.
 const maxRetrySpans = 64
 
 // retry attempts x up to 1+MaxRetries times while the failure is
@@ -30,7 +30,7 @@ func (c *Chain) retry(ctx context.Context, x []float64) (int, error) {
 		}
 		c.retries.Add(1)
 		c.retriesCtr.Inc()
-		span := c.noteRetry(ctx, attempt)
+		span := noteRetry(ctx, attempt)
 		err = sleep(ctx, c.backoff(call, attempt))
 		span.End() // nil-safe
 		if err != nil {
@@ -40,22 +40,11 @@ func (c *Chain) retry(ctx context.Context, x []float64) (int, error) {
 }
 
 // noteRetry attaches a "retry" marker child to the span carried by ctx
-// (nil without one), bounded by maxRetrySpans across the chain's
-// lifetime. The caller ends it once the backoff window closes.
-func (c *Chain) noteRetry(ctx context.Context, attempt int) *obs.Span {
-	sp := obs.SpanFromContext(ctx)
-	if sp == nil {
-		return nil
-	}
-	n := c.spanned.Add(1)
-	if n > maxRetrySpans {
-		return nil
-	}
-	s := sp.Child("retry")
-	s.SetAttr("attempt", attempt+1)
-	if n == maxRetrySpans {
-		s.SetAttr("truncated", true)
-	}
+// (nil without one), at most maxRetrySpans under that span. The caller
+// ends it once the backoff window closes.
+func noteRetry(ctx context.Context, attempt int) *obs.Span {
+	s := obs.SpanFromContext(ctx).Mark("retry", maxRetrySpans)
+	s.SetAttr("attempt", attempt+1) // nil-safe
 	return s
 }
 

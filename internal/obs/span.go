@@ -23,6 +23,7 @@ type Span struct {
 	parentID string // span ID of the remote parent that sent the traceparent
 	attrs    map[string]any
 	children []*Span
+	marks    map[string]int // marker children opened by Mark, per name
 }
 
 // newSpan opens a span now, its dump times relative to epoch.
@@ -53,6 +54,32 @@ func (s *Span) Child(name string) *Span {
 	c.traceID = s.traceID
 	s.children = append(s.children, c)
 	s.mu.Unlock()
+	return c
+}
+
+// Mark opens a marker child named name under s, unless s already holds
+// limit of them: a retry or degrade storm is bounded per root, and the
+// limit-th marker carries truncated=true. Nil past the limit; nil-safe.
+func (s *Span) Mark(name string, limit int) *Span {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	n := s.marks[name] + 1
+	if n <= limit {
+		if s.marks == nil {
+			s.marks = make(map[string]int)
+		}
+		s.marks[name] = n
+	}
+	s.mu.Unlock()
+	if n > limit {
+		return nil
+	}
+	c := s.Child(name)
+	if n == limit {
+		c.SetAttr("truncated", true)
+	}
 	return c
 }
 

@@ -99,13 +99,14 @@ func (s edgeSource) Int63() int64 {
 }
 
 // assertFillMatches draws n perturbations of each kind — FillItemset
-// and ForItemset over itemsets of 0–4 items of a tuple, ForTuple and
-// FillTuple (into cells the last draw left dirty) over random freeze
-// masks — from the generator and from the reference, on two copies of
-// the same source, and demands the same bits in every cell, the items
-// ItemizeRow makes of the row, and both streams standing at the same
-// draw after every sample. It returns how often a frozen
-// numeric bin's value itemised elsewhere, the case the guard exists for.
+// (with and without items) and ForItemset over itemsets of 0–4 items of
+// a tuple, ForTuple and FillTuple over random freeze masks, every Fill
+// into cells the last draw left dirty — from the generator and from the
+// reference, on two copies of the same source, and demands the same bits
+// in every cell, the items ItemizeRow makes of the row, and both streams
+// standing at the same draw after every sample. It returns how often a
+// frozen numeric bin's value itemised elsewhere, the case the guard
+// exists for.
 func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, source func() rand.Source, n int) int {
 	t.Helper()
 	g := NewGenerator(st, rand.New(source()))
@@ -144,8 +145,12 @@ func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, sour
 			}
 		}
 		ref.fillItemset(frozen, want)
-		g.FillItemset(frozen, row)
-		same(fmt.Sprintf("FillItemset(%v)", frozen), i, row, nil)
+		g.FillItemset(frozen, row, items)
+		same(fmt.Sprintf("FillItemset(%v)", frozen), i, row, items)
+
+		ref.fillItemset(frozen, want)
+		g.FillItemset(frozen, row, nil)
+		same(fmt.Sprintf("FillItemset(%v, row only)", frozen), i, row, nil)
 
 		ref.fillItemset(frozen, want)
 		s := g.ForItemset(frozen)
@@ -263,7 +268,7 @@ func TestFillFrozenBinOutOfRange(t *testing.T) {
 						t.Errorf("attribute %d has %d bins, freezing bin %d did not panic", a, st.NumBins(a), bin)
 					}
 				}()
-				g.FillItemset(dataset.Itemset{dataset.MakeItem(a, bin)}, row)
+				g.FillItemset(dataset.Itemset{dataset.MakeItem(a, bin)}, row, nil)
 			}()
 		}
 	}

@@ -30,7 +30,8 @@ func TestHotpathAllocs(t *testing.T) {
 		run           func()
 	}{
 		{"perturb.(*Generator).fill", 0, 0, func() { g.fill(frozen[1:], tuple, freeze, row, items) }},
-		{"perturb.(*Generator).FillItemset", 0, 0, func() { g.FillItemset(frozen, row) }},
+		{"perturb.(*Generator).FillItemset", 0, 0, func() { g.FillItemset(frozen, row, items) }},
+		{"perturb.(*Generator).FillItemset, row only", 0, 0, func() { g.FillItemset(frozen, row, nil) }},
 		{"perturb.(*Generator).FillTuple", 0, 0, func() { g.FillTuple(tuple, freeze, row, items) }},
 		{"perturb.(*Generator).ForItemset", 2, 528, func() { benchSample = g.ForItemset(frozen) }},
 		{"perturb.(*Generator).ForTuple", 2, 528, func() { benchSample = g.ForTuple(tuple, freeze) }},

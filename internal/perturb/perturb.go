@@ -2,8 +2,8 @@
 // explainer in this repository uses (paper §3, "Key Idea"): freeze a
 // subset of a tuple's attributes and fill the remaining attributes
 // independently from the training frequency distribution. The Fill entry
-// points draw into cells the caller owns; the For entry points return a
-// Sample that owns them, for a pool that keeps it.
+// points draw into cells the caller owns; a pool labels the row in
+// scratch and keeps only the Sample's items and label.
 //
 // Shahin's reuse rests on one observation about this template: the filled
 // attributes are drawn from a distribution that does not depend on the
@@ -19,10 +19,10 @@ import (
 	"shahin/internal/dataset"
 )
 
-// Sample is one perturbation: the raw row, its discretised item encoding,
-// and (once the classifier has been invoked) its predicted label.
+// Sample is one perturbation: its discretised item encoding and (once the
+// classifier has been invoked) its predicted label.
 type Sample struct {
-	Row   []float64
+	Row   []float64 // the raw values; nil in the perturbation repository
 	Items []dataset.Item
 	Label int // classifier prediction; -1 while unlabelled
 }
@@ -52,24 +52,23 @@ func (g *Generator) Stats() *dataset.Stats { return g.stats }
 // FillItemset writes one perturbation with the itemset frozen into row,
 // which must have one cell per attribute: every item's attribute
 // receives a value inside the item's bin, and all other attributes are
-// filled from the training distribution. It is ForItemset without the
-// allocation and the itemising, for a caller that only needs the row
-// labelled; both consume the same random draws in the same order.
+// filled from the training distribution. items, unless nil (a draw that
+// is only labelled), receives what Stats.ItemizeRow would make of row.
+// This is the pooled perturbation of Algorithms 1–3.
 //
 //shahin:hotpath
-func (g *Generator) FillItemset(frozen dataset.Itemset, row []float64) {
-	g.fill(frozen, nil, nil, row, nil)
+func (g *Generator) FillItemset(frozen dataset.Itemset, row []float64, items []dataset.Item) {
+	g.fill(frozen, nil, nil, row, items)
 }
 
-// ForItemset generates one perturbation with the itemset frozen (see
-// FillItemset) as a Sample that owns its row and items. This is the
-// pooled perturbation of Algorithms 1–3.
+// ForItemset is FillItemset into a Sample that owns its row and items,
+// for the benchmark's callers; both consume the same draws.
 //
 //shahin:hotpath
 func (g *Generator) ForItemset(frozen dataset.Itemset) Sample {
 	n := g.stats.NumAttrs()
 	s := Sample{Row: make([]float64, n), Items: make([]dataset.Item, n), Label: -1}
-	g.fill(frozen, nil, nil, s.Row, s.Items)
+	g.FillItemset(frozen, s.Row, s.Items)
 	return s
 }
 
@@ -85,8 +84,8 @@ func (g *Generator) FillTuple(t []float64, freeze []bool, row []float64, items [
 	g.fill(nil, t, freeze, row, items)
 }
 
-// ForTuple generates FillTuple's perturbation as a Sample that owns its
-// row and items; both consume the same random draws in the same order.
+// ForTuple is FillTuple into a Sample that owns its row and items, for
+// the benchmark's callers; both consume the same draws.
 //
 //shahin:hotpath
 func (g *Generator) ForTuple(t []float64, freeze []bool) Sample {
