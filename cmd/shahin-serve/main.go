@@ -1,7 +1,7 @@
 // Command shahin-serve runs the online explanation service: it trains a
 // model (or loads a CSV), builds a warm explainer whose frequent-itemset
-// pool persists across requests, and serves explanations over HTTP
-// through a micro-batching admission queue.
+// pool persists across requests, and serves explanations over HTTP,
+// one warm call per computed tuple.
 //
 //	POST /v1/explain        {"tuple": [..]}        one explanation
 //	POST /v1/explain/batch  {"tuples": [[..],..]}  many explanations
@@ -9,15 +9,15 @@
 //	GET  /readyz            readiness (503 while draining)
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
 //
-// Requests that queue while a flush runs are flushed together next (up
-// to -batch-max), and every flush shares one pool of pre-labelled
+// Computed tuples wait their turn at the warm explainer (at most
+// -queue-cap of them), and every call shares one pool of pre-labelled
 // perturbations.
 // Exact-repeat tuples are answered from an explanation store, which
 // -store persists across restarts (loaded at startup, snapshotted on
 // graceful shutdown).
 //
-// SIGINT/SIGTERM drains gracefully: queued requests are flushed and
-// answered, then the store is snapshotted. A second signal forces an
+// SIGINT/SIGTERM drains gracefully: admitted requests are answered,
+// then the store is snapshotted. A second signal forces an
 // immediate exit. See OPERATIONS.md for the full operator guide.
 package main
 
@@ -44,13 +44,12 @@ func main() {
 
 		addr = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a port)")
 
-		batchMax   = flag.Int("batch-max", 64, "most queued tuples one flush takes")
 		queueCap   = flag.Int("queue-cap", 1024, "admission queue bound; requests beyond it are shed with 429")
-		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, queue wait included (0 disables)")
+		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, gate wait included (0 disables)")
 		staleAfter = flag.Int("stale-after", 0, "renew the itemset pool every this many explained tuples (0 = default 2048)")
 		storePath  = flag.String("store", "", "explanation-store snapshot: loaded at startup, written on graceful shutdown")
 		warmFrom   = flag.String("warm-from", "", "comma-separated peer URLs to fetch a store snapshot from at startup (first healthy peer wins)")
-		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight flushes")
+		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight calls")
 	)
 	flag.Parse()
 
@@ -78,7 +77,6 @@ func main() {
 		cli.Fatal(err)
 	}
 	srv, err := serve.New(warm, serve.Config{
-		BatchMax:       *batchMax,
 		QueueCap:       *queueCap,
 		RequestTimeout: *reqTimeout,
 		StorePath:      *storePath,
@@ -106,8 +104,8 @@ func main() {
 	}
 
 	banner := func(a net.Addr) {
-		fmt.Printf("serving %s explanations for dataset %s on http://%s/ (batch max %d)\n",
-			env.Options.Explainer, data.Name, a, *batchMax)
+		fmt.Printf("serving %s explanations for dataset %s on http://%s/ (queue cap %d)\n",
+			env.Options.Explainer, data.Name, a, *queueCap)
 	}
 	if err := cli.Serve(ctx, *addr, srv.Handler(), banner, *drainWait, srv.Drain); err != nil {
 		cli.Fatal(err)

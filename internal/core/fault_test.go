@@ -198,14 +198,14 @@ func TestStatusJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "Status") {
+	if strings.Contains(string(data), "status") {
 		t.Errorf("zero status leaked into %s", data)
 	}
 	data, err = json.Marshal(Explanation{Status: StatusDegraded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"Status":"degraded"`) {
+	if !strings.Contains(string(data), `"status":"degraded"`) {
 		t.Errorf("degraded status missing from %s", data)
 	}
 }

@@ -216,9 +216,17 @@ func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 // failing. (ExactSHAP under a fault chain runs as pooled KernelSHAP.)
 // Anchor's repository also takes its own pulls' samples, which are kept
 // only when none of the pull's labels was guessed.
+//
+// Two profiles: the golden one, whose outage lands in Anchor's pulls
+// but between the perturbation kinds' fills, and midfill, which fails
+// one call in twenty-five with no retry, so most fills (eager and lazy)
+// take a guess and a few take none. The mutant
+// "materialize stores every label" (stored := true) fails every
+// midfill subtest.
 func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 	env := goldenEnv(t)
-	degraded := 0
+	midFill := &fault.Config{FailRate: 0.04, Seed: 13, BreakerThreshold: -1}
+	degraded, pooled := 0, 0
 	for _, kind := range AllKinds() {
 		st, plain, tuples := env(kind)
 		cls := newWitness(st, plain)
@@ -226,21 +234,32 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 			if !rn.faults {
 				continue
 			}
-			opts := smallOpts(kind, 9)
-			opts.Fault = goldenFaults(13)
-			_, reps, ps, err := rn.run(st, cls, opts, tuples)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", rn.name, kind, err)
+			for _, profile := range []string{"", "/midfill"} {
+				opts := smallOpts(kind, 9)
+				opts.Fault = goldenFaults(13)
+				if profile != "" {
+					opts.Fault = midFill
+				}
+				_, reps, ps, err := rn.run(st, cls, opts, tuples)
+				if err != nil {
+					t.Fatalf("%s/%s%s: %v", rn.name, kind, profile, err)
+				}
+				if rn.name == "batch-w1" {
+					ps = batchPool(t, st, cls, opts, tuples[:40], reps[0])
+				}
+				if ps == nil {
+					continue // Sequential pools nothing
+				}
+				degraded += reps[len(reps)-1].Degraded
+				if profile != "" {
+					pooled += ps.repo.Len()
+				}
+				t.Run(fmt.Sprintf("%s/%s%s", rn.name, kind, profile), func(t *testing.T) { checkPoolLabels(t, ps, cls) })
 			}
-			if rn.name == "batch-w1" {
-				ps = batchPool(t, st, cls, opts, tuples[:40], reps[0])
-			}
-			if ps == nil {
-				continue // Sequential pools nothing
-			}
-			degraded += reps[len(reps)-1].Degraded
-			t.Run(fmt.Sprintf("%s/%s", rn.name, kind), func(t *testing.T) { checkPoolLabels(t, ps, cls) })
 		}
+	}
+	if pooled == 0 {
+		t.Error("the midfill profile pooled nothing: its subtests check no sample")
 	}
 	if degraded == 0 {
 		t.Error("no answer of any run was degraded: the profile no longer exercises the ladder")

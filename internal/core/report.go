@@ -11,12 +11,12 @@ import (
 
 // Explanation is the per-tuple output: an attribution for LIME/SHAP or a
 // rule for Anchor (exactly one field is set). Status reports whether the
-// explanation was answered cleanly; its zero value (StatusOK) marshals
-// away so infallible runs serialise exactly as before the failure model.
+// explanation was answered cleanly. On the wire the unset field and a
+// zero status (StatusOK) marshal away.
 type Explanation struct {
-	Attribution *explain.Attribution
-	Rule        *explain.Rule
-	Status      Status `json:",omitempty"`
+	Attribution *explain.Attribution `json:"attribution,omitempty"`
+	Rule        *explain.Rule        `json:"rule,omitempty"`
+	Status      Status               `json:"status,omitempty"`
 }
 
 // Report captures the cost accounting of one run: wall time, classifier

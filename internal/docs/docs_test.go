@@ -90,7 +90,7 @@ func TestRepoOperationsComplete(t *testing.T) {
 	if len(inv.Binaries) < 6 {
 		t.Errorf("scanner found only %d binaries under cmd/", len(inv.Binaries))
 	}
-	if len(inv.Flags) != 51 {
-		t.Errorf("scanner found %d distinct flags module-wide, want 51: one was added or lost (a lost one is a dropped registration unless this number was lowered on purpose)", len(inv.Flags))
+	if len(inv.Flags) != 50 {
+		t.Errorf("scanner found %d distinct flags module-wide, want 50: one was added or lost (a lost one is a dropped registration unless this number was lowered on purpose)", len(inv.Flags))
 	}
 }

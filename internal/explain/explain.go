@@ -18,9 +18,9 @@ import (
 // attribute, where larger positive weights push the prediction toward the
 // explained class. LIME and KernelSHAP produce attributions.
 type Attribution struct {
-	Weights   []float64
-	Intercept float64
-	Class     int // the class being explained (the tuple's prediction)
+	Weights   []float64 `json:"weights"`
+	Intercept float64   `json:"intercept"`
+	Class     int       `json:"class"` // the class being explained (the tuple's prediction)
 }
 
 // Ranking returns attribute indices ordered by decreasing |weight|.
@@ -81,11 +81,11 @@ func (a *Attribution) Describe(schema *dataset.Schema, tuple []float64, k int) s
 // Unverified marks a rule whose precision bound never cleared the
 // threshold: it was accepted on its mean alone, or no rule cleared it.
 type Rule struct {
-	Items      dataset.Itemset // the predicates, as (attribute, bin) items
-	Class      int
-	Precision  float64
-	Coverage   float64
-	Unverified bool `json:",omitempty"`
+	Items      dataset.Itemset `json:"items"` // the predicates, as (attribute, bin) items
+	Class      int             `json:"class"`
+	Precision  float64         `json:"precision"`
+	Coverage   float64         `json:"coverage"`
+	Unverified bool            `json:"unverified,omitempty"`
 }
 
 // Describe renders the rule for humans using the schema's attribute names.

@@ -45,13 +45,8 @@ const (
 	// EventBreakerState records one circuit-breaker transition; State
 	// carries the edge ("closed->open", "open->half-open", ...).
 	EventBreakerState EventType = "breaker_state"
-	// EventServeFlush records one serving flush: Itemsets carries the
-	// flush size in tuples, Pooled the samples the flush served from the
-	// warm pool, Fresh the classifier invocations it spent, and DurMS
-	// the flush latency.
-	EventServeFlush EventType = "serve_flush"
 	// EventServeDrain records a graceful drain: Itemsets carries the
-	// number of queued requests flushed on the way out.
+	// number of admitted tuples still in flight when it began.
 	EventServeDrain EventType = "serve_drain"
 )
 

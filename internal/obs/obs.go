@@ -37,8 +37,8 @@ const (
 	StagePreLabel   = "pre-label"
 	StageExplain    = "explain"
 	StageRemine     = "re-mine"
-	// StageWarmFlush is one flush of the warm (serving) variant: a
-	// micro-batch streamed against the persistent pool, nesting a
+	// StageWarmFlush is one flush of the warm (serving) variant: its
+	// tuples streamed against the persistent pool, nesting a
 	// "re-mine" child (with "mine" and "pool-build") per renew.
 	StageWarmFlush = "warm-flush"
 )
@@ -94,22 +94,19 @@ const (
 	CounterFailedAnswers   = "fault_failed_answers"
 
 	// Serving-layer metrics, maintained by internal/serve.
-	// CounterServeRequests counts tuples admitted to the queue;
+	// CounterServeRequests counts tuples asked of the server;
 	// CounterServeStoreHits those answered straight from the warm
-	// explanation store; CounterServeFlushes completed flushes;
-	// CounterServeTimeouts requests whose deadline expired while queued;
-	// CounterServeRejected requests refused at admission (queue full or
-	// server draining). GaugeServeQueueDepth is the current queue depth.
-	// HistServeFlushSize records tuples per flush (unitless, stored as
-	// nanosecond buckets); HistServeWait time spent queued before a flush
-	// picked the request up; HistServeRequest end-to-end request latency.
+	// explanation store; CounterServeTimeouts computed tuples whose
+	// deadline expired before they were answered; CounterServeRejected
+	// tuples shed at admission because the queue was full.
+	// GaugeServeQueueDepth is how many tuples wait behind the one being
+	// explained. HistServeWait records time spent at the warm
+	// explainer's gate; HistServeRequest end-to-end request latency.
 	CounterServeRequests  = "serve_requests"
 	CounterServeStoreHits = "serve_store_hits"
-	CounterServeFlushes   = "serve_flushes"
 	CounterServeTimeouts  = "serve_timeouts"
 	CounterServeRejected  = "serve_rejected"
 	GaugeServeQueueDepth  = "serve_queue_depth"
-	HistServeFlushSize    = "serve_flush_size"
 	HistServeWait         = "serve_wait_ns"
 	HistServeRequest      = "serve_request_ns"
 

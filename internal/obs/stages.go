@@ -11,12 +11,11 @@ import (
 // queue_wait and batch_assembly are charged by the serving layer,
 // pool_sample / classify / solve by the core explainer.
 const (
-	// StageQueueWait is time spent in the admission queue before the
-	// micro-batcher picked the request's flush up.
+	// StageQueueWait is time spent waiting at the warm explainer's
+	// flush gate before the request's call began.
 	StageQueueWait = "queue_wait"
-	// StageBatchAssembly is shared flush machinery amortised over the
-	// batch: mining/re-mining, pool builds, and batch-mates' work that
-	// overlapped this request's residence in the flush.
+	// StageBatchAssembly is the serving residue: the call's re-mines and
+	// span work, admission, store writes — time no core stage claims.
 	StageBatchAssembly = "batch_assembly"
 	// StagePoolSample is time retrieving pooled perturbation samples
 	// for this tuple.
@@ -47,8 +46,8 @@ const (
 // StageBreakdown is one request's latency attribution: how its wall
 // time divides across the serving stages. Zero fields mean the stage
 // did not occur (a store hit has only Solve; a request that timed out
-// in the queue has only QueueWait). It marshals as milliseconds so HTTP
-// clients read it directly.
+// has none). It marshals as milliseconds so HTTP clients read it
+// directly.
 type StageBreakdown struct {
 	// QueueWait — see StageQueueWait.
 	QueueWait time.Duration

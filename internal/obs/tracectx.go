@@ -169,7 +169,7 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // RootContext returns a fresh detached context for lifecycle roots:
-// server-lifetime cancellation, background batchers, and other state
+// server-lifetime cancellation and other state
 // that deliberately outlives any single request. It is the repo's one
 // sanctioned constructor for such roots — request paths must forward
 // their incoming context instead (the ctxflow check enforces this on

@@ -166,10 +166,10 @@ func (r *liveReplica) start(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// BatchMax 1 flushes every request on its own: with the sequential
-	// client below, flush composition — and with it every invocation
+	// Every tuple is a Warm call of its own: with the sequential client
+	// below, the order tuples reach it — and with it every invocation
 	// count — is the same on every run.
-	srv, err := serve.New(warm, serve.Config{BatchMax: 1})
+	srv, err := serve.New(warm, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,8 @@ func protoTiers(t *testing.T, e *protoEnv) []protoTier {
 		name: "serve",
 		live: e.replica(t, model, fast).Handler(),
 		saturated: func(t *testing.T) (http.Handler, func()) {
-			// The batcher is parked inside a one-tuple flush and the one
-			// queue slot is taken: the next tuple has nowhere to go.
+			// One call is parked in the classifier and the one queue
+			// slot is taken: the next tuple has nowhere to go.
 			entered, release := make(chan struct{}), make(chan struct{})
 			var once sync.Once
 			gated := rf.Func{Classes: 2, F: func(x []float64) int {
@@ -123,7 +123,7 @@ func protoTiers(t *testing.T, e *protoEnv) []protoTier {
 				return firstIsZero(x)
 			}}
 			rec := obs.NewRecorder()
-			h := e.replica(t, gated, serve.Config{BatchMax: 1, QueueCap: 1, Recorder: rec}).Handler()
+			h := e.replica(t, gated, serve.Config{QueueCap: 1, Recorder: rec}).Handler()
 			var wg sync.WaitGroup
 			park := func(tuple []float64) {
 				wg.Add(1)

@@ -21,9 +21,9 @@ import (
 // Explainer optionally names the explainer to answer with. Empty means
 // the server's configured kind. "exactshap" requests the exact TreeSHAP
 // fast path: when the backend qualifies (owned tree ensemble, no fault
-// chain) the tuple is answered directly — no queueing, no perturbation
-// sampling — with Source "exact"; otherwise it falls through to the
-// admission queue and the server's configured kind answers. Any other
+// chain) the tuple is answered directly — no admission, no perturbation
+// sampling — with Source "exact"; otherwise it is admitted like any
+// other tuple and the server's configured kind answers. Any other
 // name must match the server's kind or the request is rejected with
 // 400.
 type ExplainRequest struct {
@@ -43,8 +43,8 @@ type BatchRequest struct {
 // core.Explanation.Status ("ok", "degraded", "failed"); Source is
 // "store" for exact-repeat hits answered from the explanation store,
 // "exact" for tuples answered by the exact TreeSHAP fast path, and
-// "computed" for tuples that went through a flush. WaitMS is the time
-// the request spent in the service, queueing included; Stages breaks it
+// "computed" for tuples the warm explainer computed. WaitMS is the time
+// the request spent in the service, gate wait included; Stages breaks it
 // down per pipeline stage, and TraceID is the request's trace identity
 // (resolvable via GET /requests?trace=<id> while retained).
 type ExplainResponse struct {
@@ -70,7 +70,7 @@ type BatchResponse[T any] struct {
 
 // Handler returns the service's HTTP API: the explain protocol
 // (Protocol.Mount lists its endpoints) answered by this server's store,
-// exact path and admission queue, plus
+// exact path and warm explainer, plus
 //
 //	GET  /snapshot          explanation-store snapshot (checksummed, versioned)
 //	GET  /requests          slow-request exemplars (?trace=<id> for one)
@@ -129,9 +129,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 // resolveExplainer validates a request's optional explainer field
 // against the server's configuration. An exact-SHAP request is always
-// admissible (it degrades to the queue when the backend does not
-// qualify); any other named kind must match the kind the warm server
-// was started with, because the flush pipeline computes with exactly
+// admissible (it degrades to the computed path when the backend does
+// not qualify); any other named kind must match the kind the warm server
+// was started with, because the warm explainer computes with exactly
 // one explainer.
 func (s *Server) resolveExplainer(name string) (wantExact bool, err error) {
 	if name == "" {
@@ -151,8 +151,8 @@ func (s *Server) resolveExplainer(name string) (wantExact bool, err error) {
 }
 
 // explainOne answers one tuple and accounts for it. answer picks the
-// path — exact, store, queue — and reports what happened as one outcome;
-// everything a request leaves behind is built from that outcome here:
+// path — exact, store, computed — and reports what happened as one
+// outcome; everything a request leaves behind is built from it here:
 // the response, the request histogram, and the exemplar offered to the
 // slow-request ring, which is also the request's span tree.
 func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool, tc obs.TraceContext, parent string) (ExplainResponse, int) {
@@ -180,11 +180,11 @@ func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool
 		resp.Error = out.err.Error()
 	}
 	if !out.bd.IsZero() {
-		// Time the stages cannot see (admission before enqueue, wake-up
-		// after delivery, store-lookup bookkeeping) is serving overhead
-		// too: it is folded into the stage that owns the path, so the
-		// breakdown explains the whole wait, measured by the same clock
-		// reading as wait_ms.
+		// Time the stages cannot see (lookup and admission before the
+		// call, the store write after it) is serving overhead too: it
+		// is folded into the stage that owns the path, so the breakdown
+		// explains the whole wait, measured by the same clock reading as
+		// wait_ms.
 		if residual := elapsed - out.bd.Total(); residual > 0 {
 			if out.source == "computed" {
 				out.bd.BatchAssembly += residual
@@ -211,14 +211,14 @@ func (s *Server) explainOne(ctx context.Context, tuple []float64, wantExact bool
 }
 
 // answer runs one tuple through the exact fast path, the store fast
-// path, or the admission queue, and maps what happened to a source and
-// an HTTP status code. It never hangs: a refusal or a deadline is an
-// outcome too.
+// path, or admission and one Warm call, and maps what happened to a
+// source and an HTTP status code. It never hangs: a refusal or a
+// deadline is an outcome too.
 func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, start time.Time) outcome {
 	// An exact-SHAP request bypasses both the store (which holds the
-	// server kind's answers) and the admission queue: the polynomial
-	// tree walk is cheaper than either. When the backend does not
-	// qualify, the request silently degrades to the normal queue path —
+	// server kind's answers) and admission: the polynomial tree walk
+	// is cheaper than either. When the backend does not qualify, the
+	// request silently degrades to the computed path —
 	// the serving analogue of core's exact_fallback.
 	if wantExact {
 		exp, cost, err := s.warm.ExplainExact(tuple)
@@ -232,18 +232,12 @@ func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, st
 
 	if exp, ok := s.lookup(tuple); ok {
 		s.rec.Counter(obs.CounterServeStoreHits).Inc()
-		// A store hit never queues or classifies: the whole elapsed time
+		// A store hit never waits or classifies: the whole elapsed time
 		// is lookup, attributed to the solve stage so coverage stays total.
 		return outcome{exp: exp, source: "store", code: http.StatusOK, bd: obs.StageBreakdown{Solve: time.Since(start)}}
 	}
 
-	if s.cfg.RequestTimeout > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	req, err := s.admit(ctx, tuple)
-	if err != nil {
+	if err := s.admit(); err != nil {
 		// Draining is 503 (the replica is going away; a front tier
 		// should fail over); a full queue is 429 load shedding (the
 		// replica is alive but saturated; the caller should back off).
@@ -254,20 +248,6 @@ func (s *Server) answer(ctx context.Context, tuple []float64, wantExact bool, st
 		}
 		return outcome{source: "rejected", code: code, err: err}
 	}
-	select {
-	case out := <-req.done:
-		out.source, out.code = "computed", http.StatusOK
-		switch {
-		case out.err != nil:
-			// Nobody was waiting by the time the flush ran; the answer
-			// names no reason, like the deadline below.
-			out.code, out.err = http.StatusGatewayTimeout, nil
-		case out.exp.Status == core.StatusFailed:
-			out.code = http.StatusInternalServerError
-		}
-		return out
-	case <-ctx.Done():
-		s.rec.Counter(obs.CounterServeTimeouts).Inc()
-		return outcome{source: "computed", code: http.StatusGatewayTimeout}
-	}
+	defer s.release()
+	return s.compute(ctx, tuple)
 }

@@ -82,9 +82,9 @@ func (p Protocol[T]) Mount(mux *http.ServeMux) {
 
 // explain answers both explain endpoints: POST /v1/explain is a batch
 // of one whose answer is written without the batch envelope. Tuples are
-// explained concurrently and individually — on shahin-serve they
-// micro-batch with other requests' tuples exactly like singles do, on
-// the router each keeps its own affinity — the answer keeps input
+// explained concurrently and individually — on shahin-serve each is a
+// Warm call of its own like a single's, on the router each keeps its
+// own affinity — the answer keeps input
 // order, and the HTTP status is the worst per-tuple status.
 func (p Protocol[T]) explain(w http.ResponseWriter, r *http.Request, single bool) {
 	if p.Admit != nil {

@@ -1,22 +1,20 @@
 // Package serve implements the online explanation service behind
-// cmd/shahin-serve: an HTTP API whose requests flow through a
-// micro-batching admission queue into a single long-lived core.Warm
-// explainer, so tuples from unrelated requests share one warm pool of
-// frequent itemsets, pre-labelled perturbations, and cached labels.
+// cmd/shahin-serve: an HTTP API whose computed tuples run through a
+// single long-lived core.Warm explainer, so tuples from unrelated
+// requests share one warm pool of frequent itemsets, pre-labelled
+// perturbations, and cached labels — Shahin-Streaming (§3.5 of the
+// paper), served.
 //
-// A free batcher at once flushes what is queued, up to BatchMax tuples,
-// as one Warm.ExplainAllCtx call; tuples that arrive meanwhile form the
-// next flush. Reuse comes from the warm pool, which persists across
-// flushes and is renewed on the Warm explainer's stream schedule,
-// not from tuples waiting for companions. An optional
+// A computed tuple is one Warm.ExplainAllCtx call on its request's own
+// goroutine. The Warm's flush gate is the only queue: admission counts
+// the tuples waiting at it and sheds load past QueueCap. An optional
 // explanation store (internal/store) answers exact-repeat tuples at
-// lookup latency before they ever reach the queue, is restored from
-// disk at startup, and is snapshotted back on graceful drain.
+// lookup latency before they are admitted, is restored from disk at
+// startup, and is snapshotted back on graceful drain.
 //
 // Determinism: answers depend on the order tuples reach the Warm
-// explainer, not on how they group into flushes (see core.Warm); the
-// order of concurrent requests is timing-dependent. DESIGN.md §11
-// spells out the exact guarantee.
+// explainer (see core.Warm); the order of concurrent requests is
+// timing-dependent. DESIGN.md §11 spells out the exact guarantee.
 package serve
 
 import (
@@ -37,20 +35,19 @@ import (
 	"shahin/internal/store"
 )
 
-// Config tunes the admission queue and warm store of a Server. Zero
-// values select the noted defaults.
+// Config tunes admission and the warm store of a Server. Zero values
+// select the noted defaults.
 type Config struct {
-	// BatchMax caps the tuples one flush takes (default 64).
-	BatchMax int
-	// QueueCap bounds the admission queue; requests beyond it are
-	// shed with 429 instead of queuing unboundedly (default 1024).
+	// QueueCap bounds the tuples waiting behind the one being explained;
+	// requests beyond it are shed with 429 instead of queuing unboundedly
+	// (default 1024).
 	QueueCap int
 	// RequestTimeout bounds how long one request may wait for its
-	// explanation, queue time included. The latest deadline of a flush's
-	// requests also bounds the flush itself, threading into the
-	// fault-chain cancellation ladder: a flush that outlives every
-	// waiter is cancelled and its unattempted tuples marked failed.
-	// 0 disables deadlines.
+	// explanation, gate wait included. It is the call's deadline,
+	// threading into the fault-chain cancellation ladder: a tuple whose
+	// deadline passes at the gate spends no classifier call, and one
+	// whose deadline passes mid-call comes back failed. 0 disables
+	// deadlines.
 	RequestTimeout time.Duration
 	// StorePath, when set, names the explanation-store snapshot: loaded
 	// on New if the file exists, written back on Drain. Empty disables
@@ -64,77 +61,65 @@ type Config struct {
 
 // withDefaults fills zero Config fields.
 func (c Config) withDefaults() Config {
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
 	return c
 }
 
-// request is one admitted tuple waiting for its flush.
-type request struct {
-	tuple []float64
-	ctx   context.Context
-	enq   time.Time
-	done  chan outcome
-}
-
-// outcome is what became of one tuple. A flush delivers exp, bd and
-// flush (or err) back to the waiting request; answer adds where the
-// tuple was answered from and the HTTP status that says how it went.
+// outcome is what became of one tuple: its explanation (or the error
+// that stopped it), where it was answered from and the HTTP status that
+// says how it went.
 type outcome struct {
 	exp core.Explanation
-	// err is why there is no explanation: from a flush, the error that
-	// stopped it; from answer, a refusal's reason, which the response
-	// carries to the caller.
+	// err is why there is no explanation; the response carries it to
+	// the caller.
 	err error
 	// source is "exact", "store", "computed" or "rejected".
 	source string
 	code   int
-	// bd is the request's latency attribution: queue wait and batch
-	// assembly measured here, pool/classify/solve inherited from the
-	// flush's core breakdowns (zero when the run had no recorder).
+	// bd is the request's latency attribution: gate wait and serving
+	// residue measured here, pool/classify/solve inherited from the
+	// call's core breakdown (zero when the run had no recorder).
 	bd obs.StageBreakdown
 	// flush is the warm-flush sequence number that answered the request,
-	// joining its trace to the shared fan-in (0 for store hits).
+	// joining its trace to the call's root span (0 for store hits).
 	flush int
 }
 
-// Server owns the admission queue, the warm explainer, and the
-// explanation store. Create one with New, mount Handler on an HTTP
-// server, and call Drain on shutdown.
+// Server owns admission, the warm explainer, and the explanation store.
+// Create one with New, mount Handler on an HTTP server, and call Drain
+// on shutdown.
 type Server struct {
 	cfg  Config
 	warm *core.Warm
 	rec  *obs.Recorder
 
 	// admitMu makes admission and drain mutually exclusive: admitters
-	// hold it shared while sending, Drain holds it exclusively while
-	// flipping draining and closing the queue, so no send can race the
-	// close.
+	// hold it shared while counting a call in, Drain holds it
+	// exclusively while flipping draining, so no call joins calls after
+	// Drain starts waiting on it.
 	admitMu sync.RWMutex
-	queue   chan *request
-	depth   atomic.Int64 // queued tuples, mirrored into GaugeServeQueueDepth
+	pending atomic.Int64 // admitted tuples not yet answered
+	calls   sync.WaitGroup
 
 	storeMu sync.RWMutex
 	store   *store.Store
 
+	// lifecycle ends when Drain stops waiting: a call still in flight
+	// then, past the drain's deadline, is cancelled with it.
 	lifecycle context.Context
 	endLife   context.CancelFunc
-	batcherWG sync.WaitGroup
 
 	draining atomic.Bool
 	drainOne sync.Once
 	drainErr error
 }
 
-// New builds a Server around a warm explainer, restores the explanation
-// store from cfg.StorePath when the snapshot exists, and starts the
-// batcher goroutine. The caller keeps ownership of warm (for Report()
-// and friends) but must route all explanation traffic through the
-// Server while it is running.
+// New builds a Server around a warm explainer and restores the
+// explanation store from cfg.StorePath when the snapshot exists. The
+// caller keeps ownership of warm (for Report() and friends) but must
+// route all explanation traffic through the Server while it is running.
 func New(warm *core.Warm, cfg Config) (*Server, error) {
 	if warm == nil {
 		return nil, errors.New("serve: New needs a warm explainer")
@@ -155,22 +140,19 @@ func New(warm *core.Warm, cfg Config) (*Server, error) {
 		}
 	}
 	// The lifecycle root is deliberately detached from any request
-	// context: it ends when Close runs, not when a caller gives up.
+	// context: it ends when Drain does, not when a caller gives up.
 	ctx, cancel := context.WithCancel(obs.RootContext())
 	s := &Server{
 		cfg:       cfg,
 		warm:      warm,
 		rec:       cfg.Recorder,
-		queue:     make(chan *request, cfg.QueueCap),
 		store:     st,
 		lifecycle: ctx,
 		endLife:   cancel,
 	}
 	// Publish the restored store size up front so the gauge is truthful
-	// before the first flush lands.
+	// before the first answer lands.
 	s.rec.Gauge(obs.GaugeServeStoreSize).Set(int64(st.Len()))
-	s.batcherWG.Add(1)
-	go s.runBatcher()
 	return s, nil
 }
 
@@ -188,28 +170,31 @@ func (s *Server) lookup(tuple []float64) (core.Explanation, bool) {
 	return s.store.Get(tuple)
 }
 
-// admit enqueues one tuple for the next flush. It fails when the server
-// is draining (the caller's 503) or the queue is full (its 429).
-func (s *Server) admit(ctx context.Context, tuple []float64) (*request, error) {
+// admit counts one tuple in for a Warm call. It fails when the server
+// is draining (the caller's 503) or QueueCap tuples already wait behind
+// the one being explained (its 429). After a nil error the caller owes
+// one release.
+func (s *Server) admit() error {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining.Load() {
-		return nil, errDraining
+		return errDraining
 	}
-	req := &request{
-		tuple: tuple,
-		ctx:   ctx,
-		enq:   time.Now(), //shahinvet:allow walltime — queue-wait latency feeds the serving histograms
-		done:  make(chan outcome, 1),
-	}
-	select {
-	case s.queue <- req:
-		s.rec.Gauge(obs.GaugeServeQueueDepth).Set(s.depth.Add(1))
-		return req, nil
-	default:
+	n := s.pending.Add(1)
+	if n > int64(s.cfg.QueueCap)+1 {
+		s.pending.Add(-1)
 		s.rec.Counter(obs.CounterServeRejected).Inc()
-		return nil, errQueueFull
+		return errQueueFull
 	}
+	s.calls.Add(1)
+	s.rec.Gauge(obs.GaugeServeQueueDepth).Set(n - 1)
+	return nil
+}
+
+// release counts one admitted tuple out.
+func (s *Server) release() {
+	s.rec.Gauge(obs.GaugeServeQueueDepth).Set(max(s.pending.Add(-1)-1, 0))
+	s.calls.Done()
 }
 
 var (
@@ -217,173 +202,86 @@ var (
 	errQueueFull = errors.New("serve: admission queue full")
 )
 
-// runBatcher is the single consumer of the admission queue: it gathers
-// each batch behind its first request and flushes it through the warm
-// explainer. Tuples that arrive while a flush runs queue for the next.
-func (s *Server) runBatcher() {
-	defer s.batcherWG.Done()
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := s.gather(first)
-		s.rec.Gauge(obs.GaugeServeQueueDepth).Set(s.depth.Add(-int64(len(batch))))
-		s.flush(batch)
-	}
-}
-
-// gather batches first with up to BatchMax-1 of the requests already
-// queued.
-func (s *Server) gather(first *request) []*request {
-	batch := []*request{first}
-	for len(batch) < s.cfg.BatchMax {
-		select {
-		case req, open := <-s.queue:
-			if !open {
-				return batch
-			}
-			batch = append(batch, req)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// flush explains one batch of admitted requests as a single warm-pool
-// call and delivers each request its explanation.
-func (s *Server) flush(batch []*request) {
-	start := time.Now() //shahinvet:allow walltime — flush latency feeds the serving event log
-	var waitHist, flushHist *obs.Histogram
-	if s.rec != nil {
-		waitHist = s.rec.Histogram(obs.HistServeWait)
-		flushHist = s.rec.Histogram(obs.HistServeFlushSize)
-	}
-
-	// Requests whose waiter already gave up (deadline, disconnect) are
-	// answered with their context error instead of spending compute.
-	live := batch[:0:len(batch)]
-	for _, req := range batch {
-		if waitHist != nil {
-			waitHist.Observe(start.Sub(req.enq))
-		}
-		if err := req.ctx.Err(); err != nil {
-			s.rec.Counter(obs.CounterServeTimeouts).Inc()
-			req.done <- outcome{err: err}
-			continue
-		}
-		live = append(live, req)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	// The flush context outlives any single request only up to the
-	// latest per-request deadline: past that point nobody is waiting,
-	// so the fault ladder's cancellation path kicks in and the
-	// remaining tuples come back StatusFailed.
-	fctx := s.lifecycle
+// compute explains one admitted tuple as one Warm call under ctx,
+// bounded by RequestTimeout and by the server's lifecycle, and stores a
+// non-failed answer before it returns.
+func (s *Server) compute(ctx context.Context, tuple []float64) outcome {
+	var cancel context.CancelFunc
 	if s.cfg.RequestTimeout > 0 {
-		latest := live[0].enq
-		for _, req := range live[1:] {
-			if req.enq.After(latest) {
-				latest = req.enq
-			}
-		}
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithDeadline(fctx, latest.Add(s.cfg.RequestTimeout))
-		defer cancel()
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
+	defer context.AfterFunc(s.lifecycle, cancel)()
+
+	start := time.Now() //shahinvet:allow walltime — gate wait feeds the serving histograms
+	res, err := s.warm.ExplainAllCtx(ctx, [][]float64{tuple})
+	elapsed := time.Since(start)
+	switch {
+	case res == nil:
+		return outcome{source: "computed", code: http.StatusInternalServerError, err: err}
+	case res.Explanations[0].Status == core.StatusFailed && ctx.Err() != nil:
+		// The deadline passed, the caller went or the drain gave up:
+		// the answer names no reason.
+		s.rec.Counter(obs.CounterServeTimeouts).Inc()
+		return outcome{source: "computed", code: http.StatusGatewayTimeout}
+	}
+	out := outcome{exp: res.Explanations[0], source: "computed", code: http.StatusOK, flush: res.Flush}
+	if out.exp.Status == core.StatusFailed {
+		out.code = http.StatusInternalServerError
+	} else {
+		s.storeMu.Lock()
+		s.store.Put(tuple, out.exp)
+		s.rec.Gauge(obs.GaugeServeStoreSize).Set(int64(s.store.Len()))
+		s.storeMu.Unlock()
 	}
 
-	tuples := make([][]float64, len(live))
-	for i, req := range live {
-		tuples[i] = req.tuple
+	// Latency attribution: the tuple's core stages (pool_sample /
+	// classify / solve), plus the two only the serving layer sees —
+	// the wait at the Warm's gate (the call's time minus its wall time)
+	// and the call's residue no core stage claims (re-mines, span work).
+	// Core already observed its stages, so only these two are observed
+	// here.
+	if res.Costs != nil {
+		out.bd = res.Costs[0].Stages
 	}
-	res, err := s.warm.ExplainAllCtx(fctx, tuples)
-	if res == nil {
-		for _, req := range live {
-			req.done <- outcome{err: err}
-		}
-		return
+	wall := res.Report.WallTime
+	out.bd.QueueWait = max(elapsed-wall, 0)
+	out.bd.BatchAssembly = max(wall-out.bd.PoolSample-out.bd.Classify-out.bd.Solve, 0)
+	s.rec.ObserveStages(obs.StageBreakdown{QueueWait: out.bd.QueueWait, BatchAssembly: out.bd.BatchAssembly})
+	if s.rec != nil {
+		s.rec.Histogram(obs.HistServeWait).Observe(out.bd.QueueWait)
 	}
-
-	s.storeMu.Lock()
-	for i, req := range live {
-		if res.Explanations[i].Status != core.StatusFailed {
-			s.store.Put(req.tuple, res.Explanations[i])
-		}
-	}
-	s.rec.Gauge(obs.GaugeServeStoreSize).Set(int64(s.store.Len()))
-	s.storeMu.Unlock()
-
-	// Latency attribution: each request inherits its tuple's core stage
-	// breakdown (pool_sample / classify / solve), plus the two stages
-	// only the serving layer can see — time queued before the flush
-	// started, and the flush residue (batching, store writes, fan-out)
-	// not attributed to any core stage. Core already observed its stages
-	// into the histograms, so only the serving stages are observed here.
-	deliver := time.Now() //shahinvet:allow walltime — flush latency attribution feeds the serving histograms
-	flushDur := deliver.Sub(start)
-	for i, req := range live {
-		var bd obs.StageBreakdown
-		if res.Costs != nil {
-			bd = res.Costs[i].Stages
-		}
-		bd.QueueWait = start.Sub(req.enq)
-		if bd.QueueWait < 0 {
-			bd.QueueWait = 0
-		}
-		bd.BatchAssembly = flushDur - bd.PoolSample - bd.Classify - bd.Solve
-		if bd.BatchAssembly < 0 {
-			bd.BatchAssembly = 0
-		}
-		s.rec.ObserveStages(obs.StageBreakdown{QueueWait: bd.QueueWait, BatchAssembly: bd.BatchAssembly})
-		req.done <- outcome{exp: res.Explanations[i], bd: bd, flush: res.Flush}
-	}
-
-	s.rec.Counter(obs.CounterServeFlushes).Inc()
-	if flushHist != nil {
-		// Units are tuples, not time: the log2 histogram just needs an
-		// integer-valued observation.
-		flushHist.Observe(time.Duration(len(live)))
-	}
-	s.rec.Emit(obs.Event{
-		Type: obs.EventServeFlush, Tuple: -1,
-		Itemsets: len(live),
-		Pooled:   res.Report.ReusedSamples,
-		Fresh:    res.Report.Invocations,
-		DurMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	return out
 }
 
 // Drain shuts the server down gracefully: readiness flips to false, new
-// admissions are rejected, the requests already queued are flushed and
-// answered, and the explanation store is snapshotted to StorePath. It
-// is idempotent; concurrent calls share one drain. The context bounds
-// only the wait for in-flight flushes — the store snapshot is always
-// attempted so answered work is never lost.
+// admissions are rejected, the calls in flight are answered, and the
+// explanation store is snapshotted to StorePath. It is idempotent;
+// concurrent calls share one drain. The context bounds only the wait
+// for in-flight calls — past it they are cancelled, and the store
+// snapshot is always attempted so answered work is never lost.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOne.Do(func() {
 		s.admitMu.Lock()
 		s.draining.Store(true)
-		close(s.queue)
 		s.admitMu.Unlock()
-		queued := int(s.depth.Load())
+		inFlight := int(s.pending.Load())
 
-		flushed := make(chan struct{})
+		answered := make(chan struct{})
 		go func() {
-			s.batcherWG.Wait()
-			close(flushed)
+			s.calls.Wait()
+			close(answered)
 		}()
 		select {
-		case <-flushed:
+		case <-answered:
 		case <-ctx.Done():
 			s.drainErr = fmt.Errorf("serve: drain interrupted: %w", ctx.Err())
 		}
 		s.endLife()
 
-		s.rec.Emit(obs.Event{Type: obs.EventServeDrain, Tuple: -1, Itemsets: queued})
+		s.rec.Emit(obs.Event{Type: obs.EventServeDrain, Tuple: -1, Itemsets: inFlight})
 		if err := s.saveStore(); err != nil && s.drainErr == nil {
 			s.drainErr = err
 		}

@@ -6,10 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"shahin/internal/rf"
 	"shahin/internal/store"
@@ -52,7 +52,7 @@ func mustUnmarshal(t *testing.T, raw []byte, v any) {
 
 // gatedClassifier returns a classifier whose first Predict call closes
 // entered and every call blocks until release is closed, so a test can
-// hold a flush in flight deterministically.
+// hold a Warm call in flight deterministically.
 func gatedClassifier(entered, release chan struct{}) rf.Func {
 	var once sync.Once
 	return rf.Func{Classes: 2, F: func(x []float64) int {
@@ -73,14 +73,14 @@ func TestServeDrainRejects503JSON(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
-	s, err := New(newWarm(t, env, 31), Config{BatchMax: 1})
+	s, err := New(newWarm(t, env, 31), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Park a flush inside the classifier so the drain stays in flight.
+	// Park a call inside the classifier so the drain stays in flight.
 	inFlight := make(chan int, 1)
 	go func() {
 		_, code := postExplain(t, ts.URL, env.tuples[0])
@@ -91,10 +91,10 @@ func TestServeDrainRejects503JSON(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(t.Context()) }()
 	for !s.draining.Load() {
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 
-	// The server is draining and its batcher is busy: a fresh tuple must
+	// The server is draining and a call is in flight: a fresh tuple must
 	// be turned away right now, with the full JSON contract.
 	body, err := postJSON(ts.URL+"/v1/explain", `{"tuple": [1,1,1,1,1,0.5]}`)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestServeDrainRejects503JSON(t *testing.T) {
 		t.Fatalf("mid-drain request: source=%q error=%q, want rejected/draining", resp.Source, resp.Error)
 	}
 
-	// Release the flush: the in-flight request is still answered (drain
+	// Release the call: the in-flight request is still answered (drain
 	// never drops admitted work) and the drain completes cleanly.
 	close(release)
 	if code := <-inFlight; code != http.StatusOK {
@@ -133,22 +133,24 @@ func TestServeShedsWithRetryAfter(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
-	s, err := New(newWarm(t, env, 32), Config{BatchMax: 1, QueueCap: 1})
+	s, err := New(newWarm(t, env, 32), Config{QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before Close, which waits for the parked request
 
 	first := make(chan int, 1)
 	go func() {
 		_, code := postExplain(t, ts.URL, env.tuples[0])
 		first <- code
 	}()
-	<-entered // the batcher is parked inside the flush
+	<-entered // the first call is parked in the classifier
 
 	// Fill the single queue slot directly, then overflow it over HTTP.
-	if _, err := s.admit(t.Context(), env.tuples[1]); err != nil {
+	if err := s.admit(); err != nil {
 		t.Fatalf("filling queue: %v", err)
 	}
 	body, err := postJSON(ts.URL+"/v1/explain", `{"tuple": [1,1,1,1,1,0.5]}`)
@@ -167,7 +169,8 @@ func TestServeShedsWithRetryAfter(t *testing.T) {
 		t.Fatalf("overflow request: source=%q error=%q, want rejected/queue full", resp.Source, resp.Error)
 	}
 
-	close(release)
+	s.release()
+	unpark()
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("first request: HTTP %d, want 200", code)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,7 +92,7 @@ func postExplain(t *testing.T, url string, tuple []float64) (ExplainResponse, in
 	return out, resp.StatusCode
 }
 
-// TestServeSingleThenStoreHit answers one tuple through a flush, then
+// TestServeSingleThenStoreHit answers one tuple through a Warm call, then
 // repeats it and requires the store fast path to answer.
 func TestServeSingleThenStoreHit(t *testing.T) {
 	env := newEnv(t, 1, 10)
@@ -127,51 +131,110 @@ func TestServeSingleThenStoreHit(t *testing.T) {
 	}
 }
 
-// TestServeBatchSharesFlushes: requests that queue behind a busy batcher
-// share its next flush — the whole point of the admission queue. The
-// batcher is parked inside flush 1, which holds the lone first tuple, so
-// flush 2 holds the other 39.
-func TestServeBatchSharesFlushes(t *testing.T) {
+// TestServeRequestsShareTheWarmPool: tuples from separate requests are
+// explained against one warm pool, so later requests reuse samples
+// labelled for earlier ones.
+func TestServeRequestsShareTheWarmPool(t *testing.T) {
 	env := newEnv(t, 2, 40)
-	entered, release := make(chan struct{}), make(chan struct{})
-	env.cls = gatedClassifier(entered, release)
 	warm := newWarm(t, env, 2)
-	rec := obs.NewRecorder()
-	s, err := New(warm, Config{BatchMax: 64, Recorder: rec})
+	s, err := New(warm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Drain(t.Context())
 
-	reqs := make([]*request, len(env.tuples))
 	for i, tuple := range env.tuples {
-		if reqs[i], err = s.admit(t.Context(), tuple); err != nil {
-			t.Fatal(err)
+		if out := s.answer(t.Context(), tuple, false, time.Now()); out.code != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d, err %v", i, out.code, out.err)
 		}
-		if i == 0 {
-			<-entered
-		}
-	}
-	close(release)
-	for i, req := range reqs {
-		want := min(i+1, 2)
-		if out := <-req.done; out.err != nil || out.exp.Status != core.StatusOK || out.flush != want {
-			t.Fatalf("request %d: flush %d, status %v, err %v; want flush %d", i, out.flush, out.exp.Status, out.err, want)
-		}
-	}
-	if f := warm.Flushes(); f != 2 {
-		t.Fatalf("%d requests took %d flushes, want 2", len(env.tuples), f)
 	}
 	if rep := warm.Report(); rep.ReusedSamples == 0 {
 		t.Fatalf("no cross-request sample reuse through the warm pool")
 	}
-	// A flush is counted after its answers go out: drain to wait for it.
-	if err := s.Drain(t.Context()); err != nil {
+}
+
+// TestServeAnswersAreAStream: requests posted one after another get the
+// bytes a Stream gives the same tuples in the same order — a served
+// tuple is one stream call, whatever else the server does around it.
+func TestServeAnswersAreAStream(t *testing.T) {
+	env := newEnv(t, 11, 30)
+	s, err := New(newWarm(t, env, 11), Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Counter(obs.CounterServeFlushes).Value(); got != int64(warm.Flushes()) {
-		t.Fatalf("flush counter = %d, warm reports %d", got, warm.Flushes())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(t.Context())
+	opts := core.Options{Explainer: core.LIME, LIME: lime.Config{NumSamples: 300}, Tau: 50, Seed: 11, StreamRecompute: 10_000}
+	stream, err := core.NewStream(env.st, env.cls, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+
+	for i, tuple := range env.tuples {
+		got, code := postExplain(t, ts.URL, tuple)
+		if code != http.StatusOK || got.Source != "computed" {
+			t.Fatalf("tuple %d: HTTP %d source=%q", i, code, got.Source)
+		}
+		want, err := stream.Explain(tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(got.Explanation)
+		b, _ := json.Marshal(want)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("tuple %d: served\n%s\nstream\n%s", i, a, b)
+		}
+	}
+}
+
+// TestServeWireKeys pins the key set of one /v1/explain answer: the
+// explanation is spelled in lower case once, and an attribution answer
+// carries no rule and no zero status.
+func TestServeWireKeys(t *testing.T) {
+	env := newEnv(t, 12, 1)
+	s, err := New(newWarm(t, env, 12), Config{Recorder: obs.NewRecorder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(t.Context())
+
+	body, err := postJSON(ts.URL+"/v1/explain", fmt.Sprintf(`{"tuple": %s}`, mustMarshal(t, env.tuples[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answer map[string]json.RawMessage
+	mustUnmarshal(t, body.raw, &answer)
+	var exp, attr map[string]json.RawMessage
+	mustUnmarshal(t, answer["explanation"], &exp)
+	mustUnmarshal(t, exp["attribution"], &attr)
+	got := fmt.Sprintf("%s %s %s", sortedKeys(answer), sortedKeys(exp), sortedKeys(attr))
+	want := "[explanation source stages status trace_id wait_ms] [attribution] [class intercept weights]"
+	if got != want {
+		t.Fatalf("answer keys %s, want %s\n%s", got, want, body.raw)
+	}
+}
+
+// sortedKeys lists a JSON object's keys in order.
+func sortedKeys(m map[string]json.RawMessage) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// mustMarshal encodes v as JSON or fails the test.
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestServeBatchEndpoint exercises POST /v1/explain/batch ordering and
@@ -213,19 +276,20 @@ func TestServeBatchEndpoint(t *testing.T) {
 }
 
 // TestServeDrainAnswersQueuedAndSnapshotsStore is the graceful-drain
-// contract: queued requests are flushed and answered, the store lands
-// on disk, readiness flips, and new requests are rejected.
+// contract: admitted requests are answered, the store lands on disk,
+// readiness flips, and new requests are rejected.
 func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	env := newEnv(t, 4, 9)
-	// The first 8 tuples are explained through the queue; the 9th stays
-	// unseen so the post-drain probe cannot hit the store fast path.
+	// The first 8 tuples are explained through the warm explainer; the
+	// 9th stays unseen so the post-drain probe cannot hit the store fast
+	// path.
 	extra := env.tuples[8]
 	env.tuples = env.tuples[:8]
 	storePath := filepath.Join(t.TempDir(), "serve.store")
 	rec := obs.NewRecorder()
 	entered, release := make(chan struct{}), make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
-	s, err := New(newWarm(t, env, 4), Config{BatchMax: 64, StorePath: storePath, Recorder: rec})
+	s, err := New(newWarm(t, env, 4), Config{StorePath: storePath, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,17 +299,19 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	if code := getStatus(t, ts.URL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz before drain: HTTP %d", code)
 	}
-	// Park the batcher inside the first tuple's flush so the other seven
-	// are still queued when Drain starts; release it once Drain has shut
+	// Park the first tuple's call in the classifier so the other seven
+	// wait at the gate when Drain starts; release it once Drain has shut
 	// admission.
-	reqs := make([]*request, len(env.tuples))
+	outs := make([]chan outcome, len(env.tuples))
 	for i, tuple := range env.tuples {
-		if reqs[i], err = s.admit(t.Context(), tuple); err != nil {
-			t.Fatal(err)
-		}
+		outs[i] = make(chan outcome, 1)
+		go func() { outs[i] <- s.answer(t.Context(), tuple, false, time.Now()) }()
 		if i == 0 {
 			<-entered
 		}
+	}
+	for s.pending.Load() < int64(len(env.tuples)) {
+		runtime.Gosched()
 	}
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(t.Context()) }()
@@ -256,9 +322,9 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	for i, req := range reqs {
-		if out := <-req.done; out.err != nil || out.exp.Status != core.StatusOK {
-			t.Fatalf("queued request %d after drain: status %v, err %v", i, out.exp.Status, out.err)
+	for i, ch := range outs {
+		if out := <-ch; out.code != http.StatusOK || out.exp.Status != core.StatusOK {
+			t.Fatalf("admitted request %d after drain: HTTP %d, status %v, err %v", i, out.code, out.exp.Status, out.err)
 		}
 	}
 
@@ -291,7 +357,7 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	}
 
 	// A fresh server restores the snapshot and answers the same tuples
-	// from the store without a single flush.
+	// from the store without a single Warm call.
 	warm2 := newWarm(t, env, 4)
 	s2, err := New(warm2, Config{StorePath: storePath})
 	if err != nil {
@@ -308,7 +374,7 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 		t.Fatalf("restored lookup: HTTP %d source=%q", code, out.Source)
 	}
 	if warm2.Flushes() != 0 {
-		t.Fatalf("restored store hit still flushed %d times", warm2.Flushes())
+		t.Fatalf("restored store hit still called the warm explainer %d times", warm2.Flushes())
 	}
 
 	// The snapshot must be byte-stable: draining the restored server
@@ -329,15 +395,15 @@ func TestServeDrainAnswersQueuedAndSnapshotsStore(t *testing.T) {
 	}
 }
 
-// TestServeRequestTimeout bounds a request's wait: queued behind a flush
-// parked in the classifier, the request times out with 504.
+// TestServeRequestTimeout bounds a request's wait: waiting at the gate
+// behind a call parked in the classifier, the request times out with 504.
 func TestServeRequestTimeout(t *testing.T) {
 	env := newEnv(t, 5, 4)
 	entered, release := make(chan struct{}), make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
 	rec := obs.NewRecorder()
 	s, err := New(newWarm(t, env, 5), Config{
-		// Long enough for the parking flush to reach the classifier
+		// Long enough for the parked call to reach the classifier
 		// before its own deadline.
 		RequestTimeout: 100 * time.Millisecond,
 		Recorder:       rec,
@@ -348,56 +414,115 @@ func TestServeRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Drain(t.Context())
-	defer close(release)
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
 
-	parked, err := s.admit(t.Context(), env.tuples[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	parked := make(chan outcome, 1)
+	go func() { parked <- s.answer(t.Context(), env.tuples[1], false, time.Now()) }()
 	select {
 	case <-entered:
-	case out := <-parked.done:
-		t.Fatalf("parking flush ended before reaching the classifier: %v", out.err)
+	case out := <-parked:
+		t.Fatalf("parked call ended before reaching the classifier: HTTP %d", out.code)
 	}
-	out, code := postExplain(t, ts.URL, env.tuples[0])
-	if code != http.StatusGatewayTimeout || out.Status != "failed" {
-		t.Fatalf("timed-out request: HTTP %d status=%q, want 504/failed", code, out.Status)
+	type answer struct {
+		out  ExplainResponse
+		code int
+	}
+	got := make(chan answer, 1)
+	go func() {
+		out, code := postExplain(t, ts.URL, env.tuples[0])
+		got <- answer{out, code}
+	}()
+	select {
+	case a := <-got:
+		if a.code != http.StatusGatewayTimeout || a.out.Status != "failed" {
+			t.Fatalf("timed-out request: HTTP %d status=%q, want 504/failed", a.code, a.out.Status)
+		}
+	case <-time.After(10 * time.Second): // a watchdog, not a synchroniser
+		unpark()
+		t.Fatalf("a request with a 100ms deadline still waits after 10s")
 	}
 	if rec.Counter(obs.CounterServeTimeouts).Value() == 0 {
 		t.Fatalf("timeout counter not incremented")
 	}
 }
 
-// TestServeRejectsWhenQueueFull caps admission at QueueCap.
+// TestServeCancelAtGateCostsNothing: a request whose caller goes while it
+// waits at the gate is answered 504 and spends no classifier call — the
+// parked call's twin, explaining its tuple alone, costs the same calls
+// the whole server did.
+func TestServeCancelAtGateCostsNothing(t *testing.T) {
+	env := newEnv(t, 13, 2)
+	plain := env.cls
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	gated := gatedClassifier(entered, release)
+	env.cls = rf.Func{Classes: 2, F: func(x []float64) int { calls.Add(1); return gated.F(x) }}
+	s, err := New(newWarm(t, env, 13), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(t.Context())
+
+	parked := make(chan outcome, 1)
+	go func() { parked <- s.answer(t.Context(), env.tuples[0], false, time.Now()) }()
+	<-entered
+	ctx, cancel := context.WithCancel(t.Context())
+	gone := make(chan outcome, 1)
+	go func() { gone <- s.answer(ctx, env.tuples[1], false, time.Now()) }()
+	for s.pending.Load() < 2 {
+		runtime.Gosched()
+	}
+	cancel()
+	close(release)
+	if out := <-gone; out.code != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled request: HTTP %d, want 504", out.code)
+	}
+	if out := <-parked; out.code != http.StatusOK {
+		t.Fatalf("parked request: HTTP %d, err %v", out.code, out.err)
+	}
+
+	env.cls = plain
+	twin := newWarm(t, env, 13)
+	if _, err := twin.ExplainAll(env.tuples[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := calls.Load(), twin.Report().Invocations; got != want {
+		t.Fatalf("server spent %d classifier calls, the parked tuple alone costs %d", got, want)
+	}
+}
+
+// TestServeRejectsWhenQueueFull caps admission at QueueCap tuples waiting
+// behind the one being explained.
 func TestServeRejectsWhenQueueFull(t *testing.T) {
 	env := newEnv(t, 6, 8)
 	rec := obs.NewRecorder()
 	entered, release := make(chan struct{}), make(chan struct{})
 	env.cls = gatedClassifier(entered, release)
-	s, err := New(newWarm(t, env, 6), Config{BatchMax: 64, QueueCap: 2, Recorder: rec})
+	s, err := New(newWarm(t, env, 6), Config{QueueCap: 2, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Drain(t.Context())
 	defer close(release)
 
-	// Park the batcher inside a flush, then fill the queue directly: two
+	// Park one call in the classifier, then admit directly: two
 	// admissions fit, the other four are shed.
-	if _, err := s.admit(t.Context(), env.tuples[0]); err != nil {
-		t.Fatal(err)
-	}
+	go s.answer(t.Context(), env.tuples[0], false, time.Now())
 	<-entered
 	rejected := 0
 	for i := 0; i < 6; i++ {
-		if _, err := s.admit(t.Context(), env.tuples[i%len(env.tuples)]); err != nil {
+		if err := s.admit(); err != nil {
 			rejected++
+		} else {
+			defer s.release()
 		}
 	}
 	if rejected != 4 {
-		t.Fatalf("%d of 6 admissions rejected with QueueCap=2 and the batcher busy, want 4", rejected)
+		t.Fatalf("%d of 6 admissions rejected with QueueCap=2 and one call parked, want 4", rejected)
 	}
-	if rec.Counter(obs.CounterServeRejected).Value() == 0 {
-		t.Fatalf("rejection counter not incremented")
+	if rec.Counter(obs.CounterServeRejected).Value() != 4 {
+		t.Fatalf("rejection counter = %d, want 4", rec.Counter(obs.CounterServeRejected).Value())
 	}
 }
 
@@ -412,59 +537,16 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
-// TestServeFlushesWhenFree: an idle batcher flushes a lone tuple before
-// any other is admitted, and the tuples admitted while that flush
-// computes ride the next one, BatchMax at a time.
-func TestServeFlushesWhenFree(t *testing.T) {
-	env := newEnv(t, 10, 8)
-	entered, release := make(chan struct{}), make(chan struct{})
-	env.cls = gatedClassifier(entered, release)
-	warm := newWarm(t, env, 10)
-	s, err := New(warm, Config{BatchMax: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Drain(t.Context())
-
-	lone, err := s.admit(t.Context(), env.tuples[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	queued := make([]*request, 6)
-	for i := range queued {
-		if queued[i], err = s.admit(t.Context(), env.tuples[1+i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-
-	if out := <-lone.done; out.err != nil || out.flush != 1 {
-		t.Fatalf("lone tuple: flush %d, err %v; want flush 1 alone", out.flush, out.err)
-	}
-	for i, req := range queued {
-		want := 2 + i/4 // BatchMax 4: four ride flush 2, the rest flush 3
-		if out := <-req.done; out.err != nil || out.flush != want {
-			t.Fatalf("queued tuple %d: flush %d, err %v; want flush %d", i, out.flush, out.err, want)
-		}
-	}
-	if f := warm.Flushes(); f != 3 {
-		t.Fatalf("%d flushes, want 3", f)
-	}
-}
-
 // TestServeConfigDefaults pins the documented defaults.
 func TestServeConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	want := fmt.Sprintf("%d/%d", 64, 1024)
-	got := fmt.Sprintf("%d/%d", c.BatchMax, c.QueueCap)
-	if got != want {
-		t.Fatalf("defaults = %s, want %s", got, want)
+	if got := (Config{}).withDefaults().QueueCap; got != 1024 {
+		t.Fatalf("default QueueCap = %d, want 1024", got)
 	}
 }
 
 // TestServeStoreSizeGauge: the store-size gauge is truthful at startup
-// (restored snapshots included) and after each flush's store writes.
+// (restored snapshots included) and after each computed answer's store
+// write.
 func TestServeStoreSizeGauge(t *testing.T) {
 	env := newEnv(t, 9, 10)
 	rec := obs.NewRecorder()

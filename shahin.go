@@ -228,8 +228,8 @@ func NewStream(st *Stats, cls Classifier, opts Options) (*Stream, error) {
 	return core.NewStream(st, cls, opts)
 }
 
-// NewWarm creates Shahin's warm serving explainer: call ExplainAll per
-// micro-batch flush, which streams its tuples in order; the pool is
+// NewWarm creates Shahin's warm serving explainer: each ExplainAll call
+// is a flush that streams its tuples in order; the pool is
 // renewed every staleAfter tuples (<= 0 selects
 // core.DefaultStaleAfter).
 func NewWarm(st *Stats, cls Classifier, opts Options, staleAfter int) (*Warm, error) {
