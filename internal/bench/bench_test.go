@@ -262,6 +262,42 @@ func TestFigure3SpeedupGrowsWithBatch(t *testing.T) {
 	}
 }
 
+// TestFigure3BatchCutsCallsFourfold pins Figure 3's call count, which,
+// unlike its wall-clock ratio, a seed decides: at tiny()'s largest batch,
+// Sequential makes more than four classifier calls for each of Batch's,
+// for LIME and for KernelSHAP on every dataset. A batch labels only what
+// its tuples' ForTuple selections read (4.7–6.2× here); one that labels τ
+// samples of every mined itemset reaches 3.3× at most.
+func TestFigure3BatchCutsCallsFourfold(t *testing.T) {
+	cfg := tiny()
+	batch := cfg.Batches[len(cfg.Batches)-1]
+	for _, name := range DatasetNames() {
+		env, err := NewEnv(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples, err := env.Tuples(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []core.Kind{core.LIME, core.SHAP} {
+			opts := cfg.Options(kind)
+			seq, err := runSequential(env, opts, tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := runBatch(env, opts, tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := float64(seq.Report.Invocations) / float64(res.Report.Invocations); r <= 4 {
+				t.Errorf("%s/%s at batch %d: Sequential makes %d calls, Batch %d (%.2f×, want > 4×)",
+					name, kind, batch, seq.Report.Invocations, res.Report.Invocations, r)
+			}
+		}
+	}
+}
+
 func TestFigure5OverheadSmall(t *testing.T) {
 	tab, err := Figure5(tiny())
 	if err != nil {

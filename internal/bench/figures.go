@@ -121,7 +121,7 @@ func Figure5(cfg Config) (*Table, error) {
 	opts := cfg.Options(core.LIME)
 	t := &Table{
 		Title:  "Figure 5: Shahin housekeeping overhead (LIME, census)",
-		Header: []string{"Batch", "Overhead %", "Mined itemsets", "Reused samples"},
+		Header: []string{"Batch", "Overhead %", "Pooled itemsets", "Reused samples"},
 	}
 	for _, batch := range cfg.Batches {
 		tuples, err := env.Tuples(batch)

@@ -142,6 +142,16 @@ func (r *Repo) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
 	return e.samples, true
 }
 
+// Peek is Get without touching recency or counters: a look at what is
+// stored that is no one's read of it.
+func (r *Repo) Peek(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
+	e, ok := r.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return e.samples, true
+}
+
 // Contains reports presence without touching recency or counters.
 func (r *Repo) Contains(key dataset.ItemsetKey) bool {
 	_, ok := r.entries[key]

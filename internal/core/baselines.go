@@ -38,7 +38,7 @@ func (r runner) upFront(ctx context.Context, name string, tuples [][]float64, po
 	if r.opts.Explainer == Anchor {
 		// Anchor still needs a coverage sample; its cost is part of setup
 		// for both baseline and Shahin, so the comparison stays fair.
-		f.eng.setCoverage(itemizeSample(r.st, tuples, fim.SampleSize(len(tuples)), rng))
+		f.eng.setCoverage(sampleRows(itemize(r.st, tuples), fim.SampleSize(len(tuples)), rng))
 	}
 	rep := Report{Tuples: len(tuples), ExactFallback: r.exactFallback}
 	step := &tupleStep{eng: f.eng, pool: pool}

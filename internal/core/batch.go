@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
+	"shahin/internal/cache"
 	"shahin/internal/dataset"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
@@ -15,9 +17,13 @@ import (
 )
 
 // Batch is Shahin's batch variant: given the whole set of tuples up
-// front, it mines frequent itemsets over a uniform sample, materialises τ
-// labelled perturbations per itemset, and serves them to every tuple's
-// explanation (Algorithms 1–3 of the paper).
+// front, it mines frequent itemsets over a uniform sample and serves
+// labelled perturbations frozen on them to every tuple's explanation
+// (Algorithms 1–3 of the paper). Because it knows its tuples, LIME and
+// KernelSHAP runs label only what they will read: a demand pass fills τ
+// perturbations for each itemset some tuple's ForTuple selection reaches,
+// before any tuple is explained. Anchor's beam decides what it reads as
+// it runs, so Anchor labels every mined itemset up front.
 type Batch struct{ runner }
 
 // NewBatch creates a batch explainer over the training statistics and a
@@ -52,19 +58,7 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	defer f.span.End()
 	f.span.SetAttr("explainer", opts.Explainer.String())
 	eng := f.eng
-	ps := newPoolState(opts, eng.cls.NumClasses(), len(tuples))
-
-	// Steps 1–2 (overhead, then pool construction): mine a uniform
-	// sample of the batch — max(1000, 1%) per the paper's heuristic —
-	// and materialise τ labelled perturbations per frequent itemset. The
-	// exact TreeSHAP path neither perturbs nor pools: it mines nothing
-	// and gets an empty pool its engines never draw from.
-	_, rep, err := ps.refresh(f.ctx, eng, perturb.NewGenerator(b.st, rng), func() []dataset.Itemset {
-		if opts.Explainer == ExactSHAP {
-			return nil
-		}
-		return itemizeSample(b.st, tuples, fim.SampleSize(len(tuples)), rng)
-	}, false, f.span)
+	ps, rep, err := b.buildPool(f, rng, tuples)
 	if err != nil {
 		return nil, err
 	}
@@ -85,10 +79,11 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 // explainParallel runs the per-tuple steps on the pool's Options.Workers
 // goroutines, filling out (and costs, when non-nil) in place. Each worker
 // gets its own engine forked from eng, its own pool view over a frozen
-// snapshot of the repository and its own report to charge, so no
-// synchronisation is needed on the hot path; the strided index partition
-// keeps writes disjoint. Cancelling ctx stops every worker between
-// tuples; slots never attempted are marked StatusFailed.
+// snapshot of the repository — everything the demand pass filled, so a
+// worker's tuples read what a serial run's would — and its own report to
+// charge, so no synchronisation is needed on the hot path; the strided
+// index partition keeps writes disjoint. Cancelling ctx stops every
+// worker between tuples; slots never attempted are marked StatusFailed.
 func explainParallel(ctx context.Context, eng *engine, ps *poolState, tuples [][]float64, out []Explanation, costs []Cost, rep *Report) error {
 	workers := min(ps.opts.Workers, len(tuples))
 	snap := ps.repo.Snapshot()
@@ -172,12 +167,84 @@ func poolBudget(opts Options, batch int) int {
 	return batch * perTuple / 5
 }
 
-// itemizeSample itemises a uniform sample of n tuples.
-func itemizeSample(st *dataset.Stats, tuples [][]float64, n int, rng *rand.Rand) []dataset.Itemset {
-	idx := sample.UniformIndices(rng, len(tuples), n)
-	rows := make([]dataset.Itemset, len(idx))
-	for i, ti := range idx {
-		rows[i] = append(dataset.Itemset(nil), st.ItemizeRow(tuples[ti], nil)...)
+// buildPool is steps 1–2 of a batch run (overhead, then pool
+// construction), under f: itemise every tuple, mine a uniform sample of
+// them — max(1000, 1%) per the paper's heuristic — and label the pool. A
+// LIME or KernelSHAP pool labels what the tuples' ForTuple selections
+// reach (fillDemanded); Anchor's labels τ perturbations per frequent
+// itemset. The exact TreeSHAP path neither perturbs nor pools: it mines
+// nothing and gets an empty pool its engines never draw from.
+func (b *Batch) buildPool(f *frame, rng *rand.Rand, tuples [][]float64) (*poolState, Report, error) {
+	eng := f.eng
+	ps := newPoolState(b.opts, eng.cls.NumClasses(), len(tuples))
+	var rows, demand []dataset.Itemset
+	if b.opts.Explainer != ExactSHAP {
+		rows = itemize(b.st, tuples)
+	}
+	if eng.reuseCap() > 0 {
+		demand = rows
+	}
+	_, rep, err := ps.refresh(f.ctx, eng, perturb.NewGenerator(b.st, rng), func() []dataset.Itemset {
+		if rows == nil {
+			return nil
+		}
+		return sampleRows(rows, fim.SampleSize(len(rows)), rng)
+	}, false, demand, f.span)
+	return ps, rep, err
+}
+
+// fillDemanded is a batch's demand pass, run by refresh inside its
+// pool-build stage and charged to d: over the lazy pool fillOnMatch makes,
+// it walks each row's ForTuple selection under the engine's reuse cap —
+// what the row's explanation will ask the pool first — so every itemset a
+// selection reaches is filled. A selection depends on the row's items,
+// the pool's order and τ, never on a label, so each tuple's explanation
+// later walks the same one; a fill that fails drops its itemset, as on a
+// stream, and no selection walks it again. The walk reads the repository
+// by Peek (it is no tuple's read) and charges what it serves to no tuple.
+// Afterwards the pool is eager and holds only what was filled, in mining
+// order: the repository the workers snapshot is fixed. Cancelling ctx
+// stops the pass between rows. It returns how many itemsets are pooled.
+func (ps *poolState) fillDemanded(ctx context.Context, eng *engine, gen *perturb.Generator, rows []dataset.Itemset, d *Report) int {
+	ps.fillOnMatch(eng, gen, d)
+	ps.pool.repo = peeked{ps.repo}
+	reuse := eng.reuseCap()
+	var c Cost
+	for _, items := range rows {
+		if ctx.Err() != nil {
+			break
+		}
+		ps.pool.beginTuple(&c)
+		ps.pool.ForTuple(items, reuse)
+	}
+	ps.pool.repo, ps.pool.fill = ps.repo, nil
+	ps.setSets(slices.DeleteFunc(slices.Clone(ps.sets), func(s dataset.Itemset) bool { return !ps.repo.Contains(s.Key()) }))
+	return len(ps.sets)
+}
+
+// peeked reads a repository by Peek.
+type peeked struct{ *cache.Repo }
+
+// Get implements sampleSource.
+func (p peeked) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) { return p.Peek(key) }
+
+// itemize itemises every tuple into one slab.
+func itemize(st *dataset.Stats, tuples [][]float64) []dataset.Itemset {
+	p := st.NumAttrs()
+	slab := make([]dataset.Item, len(tuples)*p)
+	rows := make([]dataset.Itemset, len(tuples))
+	for i, t := range tuples {
+		rows[i] = st.ItemizeRow(t, slab[i*p:i*p:(i+1)*p])
 	}
 	return rows
+}
+
+// sampleRows is a uniform sample of n of the rows.
+func sampleRows(rows []dataset.Itemset, n int, rng *rand.Rand) []dataset.Itemset {
+	idx := sample.UniformIndices(rng, len(rows), n)
+	out := make([]dataset.Itemset, len(idx))
+	for i, ri := range idx {
+		out[i] = rows[ri]
+	}
+	return out
 }

@@ -98,8 +98,9 @@ func TestBatchCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Fire a few tuples into the explain phase: past the pool build
-	// (≈ pooled itemsets × τ calls) plus a few hundred per-tuple samples.
-	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: 2500}
+	// (demanded itemsets × τ: 1250 calls) plus a few hundred per-tuple
+	// samples (the run makes 2270 in all).
+	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: 1900}
 	b, err := NewBatch(env.st, cls, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,8 @@ func TestBatchCancelParallel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: 3000}
+	// Past the pool build (1400 calls), before the run's 2998.
+	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: 1700}
 	b, err := NewBatch(env.st, cls, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +293,8 @@ func TestCancelReturnsPromptly(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cls := &cancelAfter{inner: slow, cancel: cancel, after: 3000}
+	// Past the pool build (1400 calls), before the run's 2750.
+	cls := &cancelAfter{inner: slow, cancel: cancel, after: 2000}
 	b, err := NewBatch(env.st, cls, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +307,7 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	}
 	checkPartial(t, res, len(env.tuples))
 	// Full run ≈ 40 tuples × 300 samples × 50µs = 600ms of classifier
-	// time alone; a prompt cancellation at call 3000 should cut well
+	// time alone; a prompt cancellation at call 2000 should cut well
 	// below half of it even on a slow CI box.
 	if took > 2*time.Second {
 		t.Errorf("cancelled run took %v", took)

@@ -97,6 +97,19 @@ func (e *engine) setCoverage(rows []dataset.Itemset) {
 	}
 }
 
+// reuseCap is the most pooled samples one explanation of e's kind takes
+// through ForTuple, or 0 for the kinds that never call it (Anchor, whose
+// beam decides what it reads, and the exact path).
+func (e *engine) reuseCap() int {
+	switch {
+	case e.lime != nil:
+		return e.lime.ReuseCap()
+	case e.shap != nil:
+		return e.shap.ReuseCap()
+	}
+	return 0
+}
+
 // explain runs one explanation. pool may be nil (sequential); sh is the
 // Anchor shared state — nil makes Anchor run with fresh per-tuple caches.
 // The two explainers that report their work only as a lifetime counter

@@ -106,7 +106,7 @@ func (ps *poolState) attach(eng *engine) {
 // a non-empty window cannot fail; if it somehow does, the old pool and
 // window stay.
 func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
-	border, d, err := ps.refresh(ctx, eng, gen, func() []dataset.Itemset { return ps.window }, !warmUp, parent)
+	border, d, err := ps.refresh(ctx, eng, gen, func() []dataset.Itemset { return ps.window }, !warmUp, nil, parent)
 	rep.add(d)
 	if err != nil {
 		return nil, err
@@ -155,8 +155,9 @@ func (ps *poolState) promote(eng *engine, gen *perturb.Generator, set dataset.It
 // fills it through materialize, as a unit of its own charged to rep. A
 // fill that stores nothing takes its itemset out of the pool until the
 // next renew: an outage costs at most one failed fill per itemset per
-// window. Anchor's pool stays eager (its repository also takes its own
-// pulls), and so do the pools explainAll may freeze for workers.
+// window. A batch's pool is lazy only for its demand pass
+// (fillDemanded); Anchor's stays eager (its repository also takes its
+// own pulls).
 func (ps *poolState) fillOnMatch(eng *engine, gen *perturb.Generator, rep *Report) {
 	if ps.pool == nil {
 		return
@@ -201,14 +202,15 @@ const (
 // the first maxSets of their frequent itemsets (and the first
 // MaxItemsets of the negative border, when asked), evict repository
 // entries that fell infrequent ("any frequent itemset that becomes
-// infrequent is kicked out along its perturbations", §3.5), and, unless
-// the pool is lazy, materialise the ones not yet present. Mine and
-// pool-build stages open under parent; the report carries its cost and
-// how many itemsets are pooled. Cancelling ctx, or a label the
-// classifier did not give, stops the fill at the itemset being labelled,
-// which is not stored; what was pooled before stays, and complete turns
-// false.
-func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, parent *obs.Span) ([]fim.Mined, Report, error) {
+// infrequent is kicked out along its perturbations", §3.5), and label:
+// given demand, the rows whose ForTuple selections a batch will walk,
+// what those reach (fillDemanded); otherwise, unless the pool is lazy,
+// every mined itemset not yet present. Mine and pool-build stages open
+// under parent; the report carries their cost and how many itemsets are
+// pooled. Cancelling ctx, or a label the classifier did not give, stops
+// an eager fill at the itemset being labelled, which is not stored; what
+// was pooled before stays, and complete turns false.
+func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, demand []dataset.Itemset, parent *obs.Span) ([]fim.Mined, Report, error) {
 	rec := ps.opts.Recorder
 	var d Report
 	mine := beginStage(rec, parent, obs.StageMine)
@@ -247,15 +249,20 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 	}
 	preLabelSpan := build.span.Child(obs.StagePreLabel)
 	sets := make([]dataset.Itemset, 0, len(frequent))
+	eager := demand == nil && !ps.lazy()
 	materialised := 0
 	for _, m := range frequent {
-		if !ps.lazy() && !ps.repo.Contains(m.Set.Key()) {
+		if eager && !ps.repo.Contains(m.Set.Key()) {
 			if ctx.Err() != nil || !ps.materialize(eng, gen, m.Set, m.Support, &d) {
 				break
 			}
 			materialised++
 		}
 		sets = append(sets, m.Set)
+	}
+	ps.setSets(sets)
+	if demand != nil {
+		materialised = ps.fillDemanded(ctx, eng, gen, demand, &d)
 	}
 	preLabelSpan.End()
 	build.span.SetAttr("pool_invocations", d.PoolInvocations)
@@ -268,9 +275,8 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 			Fresh: d.PoolInvocations, DurMS: ms(d.PoolTime),
 		})
 	}
-	ps.setSets(sets)
 	ps.cov, ps.complete = rows, len(sets) == len(frequent)
-	d.FrequentItemsets = len(sets)
+	d.FrequentItemsets = len(ps.sets)
 	return mined.Border, d, nil
 }
 

@@ -116,7 +116,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 
 	// Reused, already-labelled perturbations first.
 	if pool != nil {
-		for _, s := range pool.ForTuple(tItems, int(e.cfg.MaxReuse*float64(n))) {
+		for _, s := range pool.ForTuple(tItems, e.ReuseCap()) {
 			e.add(tItems, s.Items, s.Label == target)
 			n--
 		}
@@ -141,6 +141,11 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 	return &explain.Attribution{Weights: weights, Intercept: intercept, Class: target}, nil
 }
+
+// ReuseCap is the most pooled samples one explanation takes through
+// ForTuple: MaxReuse of the budget. A batch that knows its tuples up front
+// labels what each one's ForTuple reaches under this cap, and no more.
+func (e *Explainer) ReuseCap() int { return int(e.cfg.MaxReuse * float64(e.cfg.NumSamples)) }
 
 // add folds one labelled sample into the surrogate fit. Its interpretable
 // representation is 1 on the attributes whose bin is the tuple's (both

@@ -172,7 +172,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// Algorithm 3, lines 7–8: pooled perturbations of frequent itemsets
 	// the tuple contains fill the budget first, already labelled.
 	if pool != nil {
-		for _, s := range pool.ForTuple(tItems, int(maxReuse*float64(e.cfg.NumSamples))) {
+		for _, s := range pool.ForTuple(tItems, e.ReuseCap()) {
 			e.fit.add(tItems, s.Items, s.Label == target)
 		}
 	}
@@ -204,6 +204,12 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 	return &explain.Attribution{Weights: phi, Intercept: phi0, Class: target}, nil
 }
+
+// ReuseCap is the most pooled samples one explanation takes through
+// ForTuple: maxReuse of the coalition budget. A batch that knows its
+// tuples up front labels what each one's ForTuple reaches under this cap,
+// and no more.
+func (e *Explainer) ReuseCap() int { return int(maxReuse * float64(e.cfg.NumSamples)) }
 
 // drawCoalition freezes size attributes chosen uniformly — the ones
 // sample.UniformIndices(e.rng, m, size) would return — and lists the
