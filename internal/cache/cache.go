@@ -1,5 +1,5 @@
 // Package cache implements Shahin's perturbation repository: labelled
-// perturbations, each its items and label, keyed by the frozen itemset
+// perturbations, each its uint16 bins and label, keyed by the frozen itemset
 // they were drawn for, under a byte budget with LRU eviction (paper
 // §3.5). It also provides the invariant-result cache used by the Anchor
 // adaptation to memoise rule precision and coverage (paper §3.4,
@@ -63,7 +63,7 @@ func (r *Repo) SetHooks(h Hooks) { r.hooks = h }
 
 type entry struct {
 	key     dataset.ItemsetKey
-	samples []perturb.Sample
+	samples []perturb.Pooled
 	bytes   int64
 	elem    *list.Element
 }
@@ -78,45 +78,43 @@ func NewRepo(budgetBytes int64) *Repo {
 	}
 }
 
-// Put stores (replacing any previous entry) the samples for an itemset and
-// evicts least-recently-used entries if the budget is exceeded. It reports
-// whether the entry is resident after eviction (an entry larger than the
-// whole budget is rejected).
+// Put stores (replacing any previous entry) the samples for an itemset,
+// as the bins of their items, and evicts least-recently-used entries if
+// the budget is exceeded. It reports whether the entry is resident after
+// eviction (an entry larger than the whole budget is rejected). The
+// library stores through Append; Put converts for the benchmark's callers.
 func (r *Repo) Put(key dataset.ItemsetKey, samples []perturb.Sample) bool {
-	if old, ok := r.entries[key]; ok {
-		r.remove(old, false)
-	}
-	var bytes int64
+	r.Delete(key)
+	pooled := make([]perturb.Pooled, len(samples))
 	for i := range samples {
-		bytes += samples[i].Bytes()
+		pooled[i] = samples[i].Pooled()
 	}
-	if r.budget > 0 && bytes > r.budget {
-		return false
-	}
-	e := &entry{key: key, samples: samples, bytes: bytes}
-	e.elem = r.lru.PushFront(e)
-	r.entries[key] = e
-	r.used += bytes
-	r.evictOverBudget()
-	_, resident := r.entries[key]
-	return resident
+	return r.Append(key, pooled)
 }
 
-// Append adds samples to an existing entry (creating it if absent),
-// then enforces the budget. It reports residency like Put.
-func (r *Repo) Append(key dataset.ItemsetKey, samples []perturb.Sample) bool {
-	e, ok := r.entries[key]
-	if !ok {
-		return r.Put(key, samples)
-	}
+// Append adds samples to an entry, creating it if absent, and evicts
+// least-recently-used entries if the budget is exceeded. It reports
+// whether the entry is resident after eviction (an entry created larger
+// than the whole budget is rejected).
+func (r *Repo) Append(key dataset.ItemsetKey, samples []perturb.Pooled) bool {
 	var bytes int64
 	for i := range samples {
 		bytes += samples[i].Bytes()
 	}
-	e.samples = append(e.samples, samples...)
-	e.bytes += bytes
+	e, ok := r.entries[key]
+	if ok {
+		e.samples = append(e.samples, samples...)
+		e.bytes += bytes
+		r.lru.MoveToFront(e.elem)
+	} else {
+		if r.budget > 0 && bytes > r.budget {
+			return false
+		}
+		e = &entry{key: key, samples: samples, bytes: bytes}
+		e.elem = r.lru.PushFront(e)
+		r.entries[key] = e
+	}
 	r.used += bytes
-	r.lru.MoveToFront(e.elem)
 	r.evictOverBudget()
 	_, resident := r.entries[key]
 	return resident
@@ -125,7 +123,7 @@ func (r *Repo) Append(key dataset.ItemsetKey, samples []perturb.Sample) bool {
 // Get returns the samples stored for the itemset and marks the entry as
 // recently used. The second result reports presence; hit/miss counters are
 // updated. Callers must not modify the returned slice.
-func (r *Repo) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
+func (r *Repo) Get(key dataset.ItemsetKey) ([]perturb.Pooled, bool) {
 	e, ok := r.entries[key]
 	if !ok {
 		r.misses++
@@ -144,7 +142,7 @@ func (r *Repo) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
 
 // Peek is Get without touching recency or counters: a look at what is
 // stored that is no one's read of it.
-func (r *Repo) Peek(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
+func (r *Repo) Peek(key dataset.ItemsetKey) ([]perturb.Pooled, bool) {
 	e, ok := r.entries[key]
 	if !ok {
 		return nil, false
@@ -219,7 +217,7 @@ func (r *Repo) remove(e *entry, evicted bool) {
 // safe for any number of concurrent readers. Shahin's parallel batch mode
 // freezes the pool after construction and hands each worker the snapshot,
 // avoiding locks on the LRU bookkeeping.
-type Snapshot map[dataset.ItemsetKey][]perturb.Sample
+type Snapshot map[dataset.ItemsetKey][]perturb.Pooled
 
 // Snapshot captures the current contents. Sample slices are shared (they
 // are treated as immutable by all consumers), so the copy is shallow.
@@ -232,7 +230,7 @@ func (r *Repo) Snapshot() Snapshot {
 }
 
 // Get implements the pool's sample source without recency bookkeeping.
-func (s Snapshot) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
+func (s Snapshot) Get(key dataset.ItemsetKey) ([]perturb.Pooled, bool) {
 	samples, ok := s[key]
 	return samples, ok
 }

@@ -26,8 +26,18 @@ func mkSamples(n int) []perturb.Sample {
 	return out
 }
 
+// mkPooled is mkSamples as the repository keeps them.
+func mkPooled(n int) []perturb.Pooled {
+	s := mkSamples(n)
+	out := make([]perturb.Pooled, n)
+	for i := range s {
+		out[i] = s[i].Pooled()
+	}
+	return out
+}
+
 func sampleBytes() int64 {
-	s := mkSamples(1)
+	s := mkPooled(1)
 	return s[0].Bytes()
 }
 
@@ -69,8 +79,8 @@ func TestPutReplaces(t *testing.T) {
 
 func TestAppend(t *testing.T) {
 	r := NewRepo(0)
-	r.Append(key(0, 0), mkSamples(2))
-	r.Append(key(0, 0), mkSamples(3))
+	r.Append(key(0, 0), mkPooled(2))
+	r.Append(key(0, 0), mkPooled(3))
 	got, _ := r.Get(key(0, 0))
 	if len(got) != 5 {
 		t.Fatalf("Append total=%d want 5", len(got))
@@ -121,7 +131,7 @@ func TestAppendEvictsWhenOverBudget(t *testing.T) {
 	r.Put(key(0, 0), mkSamples(2))
 	r.Put(key(0, 1), mkSamples(2))
 	// Appending to (0,1) pushes over budget; (0,0) is LRU and must go.
-	resident := r.Append(key(0, 1), mkSamples(2))
+	resident := r.Append(key(0, 1), mkPooled(2))
 	if !resident {
 		t.Fatal("appended entry not resident")
 	}
@@ -209,6 +219,31 @@ func TestInvariantsAccumulate(t *testing.T) {
 	}
 }
 
+// TestPutKeepsBins: Put stores each sample as its items' bins and label,
+// charged at what that holds — two bytes a bin and a 32-byte header.
+func TestPutKeepsBins(t *testing.T) {
+	r := NewRepo(0)
+	in := []perturb.Sample{
+		{Row: []float64{1, 2, 3}, Items: []dataset.Item{dataset.MakeItem(0, 7), dataset.MakeItem(1, 1<<16-1), dataset.MakeItem(2, 256)}, Label: 4},
+		{Items: []dataset.Item{dataset.MakeItem(0, 0), dataset.MakeItem(1, 3), dataset.MakeItem(2, 1)}, Label: 0},
+	}
+	r.Put(key(0, 7), in)
+	got, _ := r.Get(key(0, 7))
+	for i, s := range in {
+		for a, it := range s.Items {
+			if int(got[i].Bins[a]) != it.Bin() {
+				t.Fatalf("sample %d attribute %d: bin %d, item %v", i, a, got[i].Bins[a], it)
+			}
+		}
+		if got[i].Label != s.Label {
+			t.Fatalf("sample %d: label %d want %d", i, got[i].Label, s.Label)
+		}
+	}
+	if used := r.Stats().BytesUsed; used != 2*(3*2+32) {
+		t.Fatalf("BytesUsed %d want %d", used, 2*(3*2+32))
+	}
+}
+
 func TestInvariantsZeroTraffic(t *testing.T) {
 	if NewInvariants(2).HitRate() != 0 {
 		t.Fatal("HitRate without traffic should be 0")
@@ -220,7 +255,7 @@ func TestInvariantsZeroTraffic(t *testing.T) {
 // byte accounting must track exactly.
 func TestQuickRepoMatchesReference(t *testing.T) {
 	type refEntry struct {
-		samples []perturb.Sample
+		samples []perturb.Pooled
 	}
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -232,16 +267,15 @@ func TestQuickRepoMatchesReference(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // Put
 				n := rng.Intn(4)
-				s := mkSamples(n)
-				r.Put(k, s)
-				ref[k] = &refEntry{samples: s}
+				r.Put(k, mkSamples(n))
+				ref[k] = &refEntry{samples: mkPooled(n)}
 				if n == 0 {
 					// empty entries are legal
 					ref[k] = &refEntry{}
 				}
 			case 1: // Append
 				n := 1 + rng.Intn(3)
-				s := mkSamples(n)
+				s := mkPooled(n)
 				r.Append(k, s)
 				if e, ok := ref[k]; ok {
 					e.samples = append(e.samples, s...)
@@ -294,7 +328,7 @@ func TestQuickRepoRespectsBudget(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				r.Put(k, mkSamples(1+rng.Intn(5)))
 			} else {
-				r.Append(k, mkSamples(1+rng.Intn(3)))
+				r.Append(k, mkPooled(1+rng.Intn(3)))
 			}
 			if r.Stats().BytesUsed > budget {
 				return false

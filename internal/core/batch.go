@@ -226,7 +226,7 @@ func (ps *poolState) fillDemanded(ctx context.Context, eng *engine, gen *perturb
 type peeked struct{ *cache.Repo }
 
 // Get implements sampleSource.
-func (p peeked) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) { return p.Peek(key) }
+func (p peeked) Get(key dataset.ItemsetKey) ([]perturb.Pooled, bool) { return p.Peek(key) }
 
 // itemize itemises every tuple into one slab.
 func itemize(st *dataset.Stats, tuples [][]float64) []dataset.Itemset {

@@ -12,6 +12,7 @@ import (
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
 	"shahin/internal/obs"
+	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
 
@@ -32,6 +33,37 @@ func (c *cancelAfter) Predict(x []float64) int {
 		c.cancel()
 	}
 	return c.inner.Predict(x)
+}
+
+// cutPoint runs a batch over tuples to the end and returns the call
+// halfway through those its explanations make past the pool's labels —
+// where a cancellation lands among the tuples however the pool's size
+// moves — and the run's calls in all.
+func cutPoint(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) (cut, full int64) {
+	t.Helper()
+	opts.Recorder = nil
+	b, err := NewBatch(st, cls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.ExplainAll(tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Report
+	return r.PoolInvocations + (r.Invocations-r.PoolInvocations)/2, r.Invocations
+}
+
+// checkCut asserts that a run cancelled at a cut point was cut: it
+// returned context.Canceled having made fewer calls than the full run.
+func checkCut(t *testing.T, err error, cls *cancelAfter, full int64) {
+	t.Helper()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	if made := cls.n.Load(); made >= full {
+		t.Fatalf("the cancelled run made %d calls, the full run %d: it was never cut", made, full)
+	}
 }
 
 // reconcilePartial checks the invocation identities of the event log
@@ -97,18 +129,14 @@ func TestBatchCancelMidRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Fire a few tuples into the explain phase: past the pool build
-	// (demanded itemsets × τ: 1250 calls) plus a few hundred per-tuple
-	// samples (the run makes 2270 in all).
-	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: 1900}
+	cut, full := cutPoint(t, env.st, env.cls, opts, env.tuples)
+	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: cut}
 	b, err := NewBatch(env.st, cls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := b.ExplainAllCtx(ctx, env.tuples)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want context.Canceled", err)
-	}
+	checkCut(t, err, cls, full)
 	checkPartial(t, res, len(env.tuples))
 	reconcilePartial(t, sumEvents(t, rec), res.Report)
 }
@@ -125,16 +153,14 @@ func TestBatchCancelParallel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Past the pool build (1400 calls), before the run's 2998.
-	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: 1700}
+	cut, full := cutPoint(t, env.st, env.cls, opts, env.tuples)
+	cls := &cancelAfter{inner: env.cls, cancel: cancel, after: cut}
 	b, err := NewBatch(env.st, cls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := b.ExplainAllCtx(ctx, env.tuples)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want context.Canceled", err)
-	}
+	checkCut(t, err, cls, full)
 	checkPartial(t, res, len(env.tuples))
 	reconcilePartial(t, sumEvents(t, rec), res.Report)
 }
@@ -293,8 +319,8 @@ func TestCancelReturnsPromptly(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Past the pool build (1400 calls), before the run's 2750.
-	cls := &cancelAfter{inner: slow, cancel: cancel, after: 2000}
+	cut, full := cutPoint(t, env.st, env.cls, opts, env.tuples) // the delay changes no draw
+	cls := &cancelAfter{inner: slow, cancel: cancel, after: cut}
 	b, err := NewBatch(env.st, cls, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -302,26 +328,24 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	start := time.Now()
 	res, err := b.ExplainAllCtx(ctx, env.tuples)
 	took := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want context.Canceled", err)
-	}
+	checkCut(t, err, cls, full)
 	checkPartial(t, res, len(env.tuples))
 	// Full run ≈ 40 tuples × 300 samples × 50µs = 600ms of classifier
-	// time alone; a prompt cancellation at call 2000 should cut well
-	// below half of it even on a slow CI box.
+	// time alone; a prompt cancellation halfway through the tuples'
+	// calls should cut well below it even on a slow CI box.
 	if took > 2*time.Second {
 		t.Errorf("cancelled run took %v", took)
 	}
 }
 
 // witness is the classifier a run whose pool is checked is handed: a
-// pooled sample keeps only its items, so the witness records, for each
-// item encoding, the labels the classifier gave rows with those items.
+// pooled sample keeps only its bins, so the witness records, for each
+// bin encoding, the labels the classifier gave rows with those bins.
 type witness struct {
 	rf.Classifier
 	st   *dataset.Stats
 	mu   sync.Mutex
-	gave map[string]uint64 // fmt.Sprint of the items → bit set of labels
+	gave map[string]uint64 // fmt.Sprint of the bins → bit set of labels
 }
 
 func newWitness(st *dataset.Stats, cls rf.Classifier) *witness {
@@ -330,7 +354,8 @@ func newWitness(st *dataset.Stats, cls rf.Classifier) *witness {
 
 func (w *witness) Predict(x []float64) int {
 	y := w.Classifier.Predict(x)
-	key := fmt.Sprint(w.st.ItemizeRow(x, nil))
+	items := w.st.ItemizeRow(x, nil)
+	key := fmt.Sprint(perturb.BinsOf(items, make([]uint16, len(items))))
 	w.mu.Lock()
 	w.gave[key] |= 1 << y
 	w.mu.Unlock()
@@ -338,15 +363,15 @@ func (w *witness) Predict(x []float64) int {
 }
 
 // checkPoolLabels asserts that every sample a persistent pool holds
-// carries a label the classifier gave a row with the sample's items —
+// carries a label the classifier gave a row with the sample's bins —
 // none stored from the degradation ladder's guesses.
 func checkPoolLabels(t *testing.T, ps *poolState, w *witness) {
 	t.Helper()
 	for _, key := range ps.repo.Keys() {
 		samples, _ := ps.repo.Get(key)
 		for i, s := range samples {
-			if gave := w.gave[fmt.Sprint(s.Items)]; gave&(1<<s.Label) == 0 {
-				t.Fatalf("pooled sample %d of an itemset is labelled %d, the classifier gave its items %b", i, s.Label, gave)
+			if gave := w.gave[fmt.Sprint(s.Bins)]; gave&(1<<s.Label) == 0 {
+				t.Fatalf("pooled sample %d of an itemset is labelled %d, the classifier gave its bins %b", i, s.Label, gave)
 			}
 		}
 	}

@@ -347,8 +347,8 @@ func TestStreamRespectsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if used := s.Report().Cache.BytesUsed; used > 32<<10 {
-		t.Fatalf("cache used %d bytes over 32KiB budget", used)
+	if c := s.Report().Cache; c.BytesUsed > 32<<10 || c.Evictions == 0 {
+		t.Fatalf("cache used %d bytes of a 32KiB budget after %d evictions; want within it, and churn", c.BytesUsed, c.Evictions)
 	}
 }
 

@@ -23,7 +23,7 @@ type readLog struct {
 	keys []dataset.ItemsetKey
 }
 
-func (r *readLog) Get(key dataset.ItemsetKey) ([]perturb.Sample, bool) {
+func (r *readLog) Get(key dataset.ItemsetKey) ([]perturb.Pooled, bool) {
 	s, ok := r.sampleSource.Get(key)
 	if ok {
 		r.keys = append(r.keys, key)
@@ -119,7 +119,7 @@ func TestBatchDemandPool(t *testing.T) {
 			for _, s := range demand.sets {
 				a, _ := demand.repo.Peek(s.Key())
 				b, _ := parallel.repo.Peek(s.Key())
-				if !slices.EqualFunc(a, b, func(x, y perturb.Sample) bool { return slices.Equal(x.Items, y.Items) }) {
+				if !slices.EqualFunc(a, b, func(x, y perturb.Pooled) bool { return slices.Equal(x.Bins, y.Bins) }) {
 					t.Errorf("%v: w1 and w4 pooled different samples", s)
 				}
 			}
@@ -227,7 +227,7 @@ func FuzzDemandPool(f *testing.F) {
 
 		full := cache.Snapshot{}
 		for _, set := range sets {
-			full[set.Key()] = make([]perturb.Sample, r.opts.Tau)
+			full[set.Key()] = make([]perturb.Pooled, r.opts.Tau)
 		}
 		eager := newItemsetPool(full, sets)
 		hit := map[dataset.ItemsetKey]bool{}

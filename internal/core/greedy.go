@@ -49,13 +49,13 @@ type greedyStore struct {
 	head    int // index of the oldest live sample
 
 	consumed map[int64]bool   // per-tuple allowance
-	window   []perturb.Sample // what the last ForTuple/ForItemset returned
+	window   []perturb.Pooled // what the last ForTuple/ForItemset returned
 	cost     *Cost            // the tuple being explained
 }
 
 type storedSample struct {
 	id int64
-	s  perturb.Sample
+	s  perturb.Pooled
 }
 
 var (
@@ -78,8 +78,8 @@ func (g *greedyStore) nothingPooled() bool { return false }
 
 // Observe implements explain.Observer: a copy of every fresh labelled
 // perturbation is persisted, evicting oldest entries past the budget.
-func (g *greedyStore) Observe(s perturb.Sample) {
-	s.Row, s.Items = slices.Clone(s.Row), slices.Clone(s.Items)
+func (g *greedyStore) Observe(s perturb.Pooled) {
+	s.Bins = slices.Clone(s.Bins)
 	g.samples = append(g.samples, storedSample{id: g.nextID, s: s})
 	g.nextID++
 	g.used += s.Bytes()
@@ -101,7 +101,7 @@ func (g *greedyStore) Observe(s perturb.Sample) {
 // explanations do not qualify, which (together with the deepening scans
 // as the cache grows) is exactly why the paper finds GREEDY's speedup
 // fades at larger batches.
-func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
+func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled {
 	sw := stopwatch()
 	minMatch := (len(tupleItems) + 1) / 2
 	out := g.window[:0]
@@ -110,7 +110,7 @@ func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 		if g.consumed[ss.id] {
 			continue
 		}
-		if matchingBins(tupleItems, ss.s.Items) >= minMatch {
+		if matchingBins(tupleItems, ss.s.Bins) >= minMatch {
 			out = append(out, ss.s)
 			g.consumed[ss.id] = true
 		}
@@ -123,7 +123,7 @@ func (g *greedyStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 // ForItemset implements explain.Pool: newest-first scan for samples
 // matching all required items. Requirements beyond a few items cannot
 // match product-marginal samples by chance, so the scan is skipped.
-func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sample {
+func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Pooled {
 	if len(required) > 3 {
 		return nil
 	}
@@ -134,7 +134,7 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 		if g.consumed[ss.id] {
 			continue
 		}
-		if perturb.MatchesBins(required, ss.s.Items) {
+		if perturb.MatchesBins(required, ss.s.Bins) {
 			out = append(out, ss.s)
 			g.consumed[ss.id] = true
 		}
@@ -146,10 +146,10 @@ func (g *greedyStore) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 
 // matchingBins counts the attributes on which the sample agrees with the
 // tuple's bin.
-func matchingBins(tupleItems, sampleItems []dataset.Item) int {
+func matchingBins(tupleItems []dataset.Item, bins []uint16) int {
 	n := 0
-	for a := range tupleItems {
-		if tupleItems[a] == sampleItems[a] {
+	for a, it := range tupleItems {
+		if uint16(it.Bin()) == bins[a] {
 			n++
 		}
 	}

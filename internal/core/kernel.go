@@ -282,10 +282,10 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 
 // materialize is the pool's one labelling path (Algorithm 1, lines 2–4):
 // τ perturbations frozen on set, each drawn into the pool's scratch row,
-// labelled there through eng's meter and stored as its items and label —
+// labelled there through eng's meter and stored as its bins and label —
 // at refresh or promotion on an eager pool, at first match on a lazy one.
-// The items of all τ are one slab, each sample's slice capped at one
-// item per attribute. For Anchor their class histogram also seeds the
+// The bins of all τ are one slab, each sample's slice capped at one bin
+// per attribute. For Anchor their class histogram also seeds the
 // rule's precision in the invariant cache and the mined support doubles
 // as its coverage (Algorithm 2, line 3); support < 0 means unknown. The
 // cost record is folded into rep, the recorder's counters and a
@@ -303,20 +303,20 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 	if len(ps.row) != p {
 		ps.row = make([]float64, p)
 	}
-	samples := make([]perturb.Sample, ps.opts.Tau)
-	slab := make([]dataset.Item, len(samples)*p)
+	samples := make([]perturb.Pooled, ps.opts.Tau)
+	slab := make([]uint16, len(samples)*p)
 	var hist []int
 	if ps.sh != nil {
 		hist = make([]int, eng.cls.NumClasses())
 	}
 	for j := range samples {
-		items := slab[j*p : (j+1)*p : (j+1)*p]
-		gen.FillItemset(set, ps.row, items)
+		bins := slab[j*p : (j+1)*p : (j+1)*p]
+		gen.FillItemset(set, ps.row, bins)
 		y := eng.cls.Predict(ps.row)
 		if hist != nil {
 			hist[y]++
 		}
-		samples[j] = perturb.Sample{Items: items, Label: y}
+		samples[j] = perturb.Pooled{Bins: bins, Label: y}
 	}
 	stored := eng.tupleStatus() == StatusOK
 	if stored {
@@ -327,7 +327,8 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 				rr.Coverage, rr.HasCoverage = support, true
 			}
 		}
-		ps.repo.Put(set.Key(), samples)
+		ps.repo.Delete(set.Key()) // replacing what Anchor's own pulls stored under the itemset, if any
+		ps.repo.Append(set.Key(), samples)
 	}
 	c.Duration, _ = sw.end()
 

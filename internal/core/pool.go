@@ -13,7 +13,7 @@ import (
 // byte-budgeted repository (single-worker runs, streaming) or an
 // immutable snapshot (parallel workers).
 type sampleSource interface {
-	Get(key dataset.ItemsetKey) ([]perturb.Sample, bool)
+	Get(key dataset.ItemsetKey) ([]perturb.Pooled, bool)
 }
 
 var (
@@ -42,7 +42,7 @@ type itemsetPool struct {
 	cursors  map[dataset.ItemsetKey]int
 	consumed map[dataset.ItemsetKey][]int
 	tuple    int
-	window   []perturb.Sample // what the last ForTuple/ForItemset returned
+	window   []perturb.Pooled // what the last ForTuple/ForItemset returned
 
 	// fill, set on a stream's pool, makes it lazy: ForTuple calls it for
 	// each pooled itemset the tuple contains, and it labels the itemset's
@@ -100,7 +100,7 @@ func (p *itemsetPool) hit(f dataset.Itemset) {
 // ForTuple implements explain.Pool: samples of every pooled itemset the
 // tuple contains, best itemsets first — on a lazy pool, filling the ones
 // it reaches that are not yet held.
-func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
+func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled {
 	sw := stopwatch()
 	var filling time.Duration
 	out := p.window[:0]
@@ -139,7 +139,7 @@ func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sam
 // ForItemset implements explain.Pool: samples from pooled itemsets that
 // are subsets of the required items, filtered to rows matching all
 // required items.
-func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sample {
+func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Pooled {
 	sw := stopwatch()
 	out := p.window[:0]
 	for _, f := range p.longestView {
@@ -171,7 +171,7 @@ func (p *itemsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sa
 			if len(out) >= max {
 				break
 			}
-			if used[i] != p.tuple && perturb.MatchesBins(required, samples[i].Items) {
+			if used[i] != p.tuple && perturb.MatchesBins(required, samples[i].Bins) {
 				out = append(out, samples[i])
 				used[i] = p.tuple
 			}

@@ -15,14 +15,8 @@ import (
 )
 
 // mk builds a labelled sample over 4 attributes with the given bins.
-func mk(label int, bins ...int) perturb.Sample {
-	items := make([]dataset.Item, len(bins))
-	row := make([]float64, len(bins))
-	for a, b := range bins {
-		items[a] = dataset.MakeItem(a, b)
-		row[a] = float64(b)
-	}
-	return perturb.Sample{Row: row, Items: items, Label: label}
+func mk(label int, bins ...uint16) perturb.Pooled {
+	return perturb.Pooled{Bins: bins, Label: label}
 }
 
 func poolWith(t *testing.T) (*itemsetPool, dataset.Itemset, dataset.Itemset) {
@@ -30,8 +24,8 @@ func poolWith(t *testing.T) (*itemsetPool, dataset.Itemset, dataset.Itemset) {
 	f1 := dataset.Itemset{dataset.MakeItem(0, 1)}                         // singleton
 	f2 := dataset.Itemset{dataset.MakeItem(0, 1), dataset.MakeItem(1, 2)} // pair
 	repo := cache.NewRepo(0)
-	repo.Put(f1.Key(), []perturb.Sample{mk(1, 1, 0, 0, 0), mk(0, 1, 2, 3, 0)})
-	repo.Put(f2.Key(), []perturb.Sample{mk(1, 1, 2, 0, 1), mk(1, 1, 2, 2, 2)})
+	repo.Append(f1.Key(), []perturb.Pooled{mk(1, 1, 0, 0, 0), mk(0, 1, 2, 3, 0)})
+	repo.Append(f2.Key(), []perturb.Pooled{mk(1, 1, 2, 0, 1), mk(1, 1, 2, 2, 2)})
 	return newItemsetPool(repo, []dataset.Itemset{f1, f2}), f1, f2
 }
 
@@ -127,8 +121,8 @@ func TestPoolForItemsetMatchesRequired(t *testing.T) {
 		t.Fatalf("served %d want 3", len(got))
 	}
 	for _, s := range got {
-		if !perturb.MatchesBins(f2, s.Items) {
-			t.Fatalf("served sample %v does not match %v", s.Items, f2)
+		if !perturb.MatchesBins(f2, s.Bins) {
+			t.Fatalf("served sample %v does not match %v", s.Bins, f2)
 		}
 	}
 	// Required f1 only: f2-frozen samples are NOT eligible even though
@@ -177,7 +171,7 @@ func TestPoolForItemsetSkipsHopelessRequirements(t *testing.T) {
 	// must skip the scan anyway, so nothing is served.
 	f1 := dataset.Itemset{dataset.MakeItem(0, 1)}
 	repo := cache.NewRepo(0)
-	repo.Put(f1.Key(), []perturb.Sample{mk(1, 1, 2, 0, 1)})
+	repo.Append(f1.Key(), []perturb.Pooled{mk(1, 1, 2, 0, 1)})
 	p := newItemsetPool(repo, []dataset.Itemset{f1})
 	p.beginTuple(new(Cost))
 	required := dataset.Itemset{
@@ -219,7 +213,7 @@ func TestGreedyStoreEviction(t *testing.T) {
 	s := mk(0, 0, 0, 0, 0)
 	g := newGreedyStore(3 * s.Bytes())
 	for i := 0; i < 10; i++ {
-		g.Observe(mk(i%2, i%3, 0, 0, 0))
+		g.Observe(mk(i%2, uint16(i%3), 0, 0, 0))
 	}
 	live := len(g.samples) - g.head
 	if live != 3 {
@@ -271,15 +265,13 @@ func TestGreedyStoreForItemsetGuard(t *testing.T) {
 
 func TestMatchingBins(t *testing.T) {
 	a := []dataset.Item{dataset.MakeItem(0, 1), dataset.MakeItem(1, 2)}
-	b := []dataset.Item{dataset.MakeItem(0, 9), dataset.MakeItem(1, 2)}
-	c := []dataset.Item{dataset.MakeItem(0, 9), dataset.MakeItem(1, 9)}
-	if got := matchingBins(a, b); got != 1 {
+	if got := matchingBins(a, []uint16{9, 2}); got != 1 {
 		t.Fatalf("matchingBins=%d want 1", got)
 	}
-	if got := matchingBins(a, c); got != 0 {
+	if got := matchingBins(a, []uint16{9, 9}); got != 0 {
 		t.Fatalf("matchingBins=%d want 0", got)
 	}
-	if got := matchingBins(a, a); got != 2 {
+	if got := matchingBins(a, []uint16{1, 2}); got != 2 {
 		t.Fatalf("matchingBins=%d want 2", got)
 	}
 }
@@ -329,9 +321,9 @@ func referenceMaterialize(gen *perturb.Generator, cls rf.Classifier, set dataset
 }
 
 // TestMaterializeMatchesForItemset: the pool labels each perturbation in
-// its scratch row and keeps no row, each sample's items a slice capped at
-// one per attribute of the slab, so an append to one cannot overwrite
-// the next; the items and labels are the ForItemset loop's, bit for bit,
+// its scratch row and keeps its bins, a slice capped at one per
+// attribute of the slab, so an append to one cannot overwrite the next;
+// the bins and labels are the ForItemset loop's items and labels,
 // and both random streams stand at the same draw. The recidivism forest
 // reads numeric attributes too, so a label taken from any row but the
 // sample's own shows.
@@ -354,13 +346,13 @@ func TestMaterializeMatchesForItemset(t *testing.T) {
 				t.Fatalf("%s: %v holds %d samples, want %d", kind, set, len(got), len(want))
 			}
 			for j, s := range got {
-				if s.Row != nil || len(s.Items) != p || cap(s.Items) != p {
-					t.Fatalf("%s: %v sample %d has a row of %d cells and %d items with room for %d; want none and %d capped there",
-						kind, set, j, len(s.Row), len(s.Items), cap(s.Items), p)
+				if len(s.Bins) != p || cap(s.Bins) != p {
+					t.Fatalf("%s: %v sample %d has %d bins with room for %d; want %d capped there",
+						kind, set, j, len(s.Bins), cap(s.Bins), p)
 				}
-				if s.Label != want[j].Label || !slices.Equal(s.Items, want[j].Items) {
+				if w := want[j].Pooled(); s.Label != w.Label || !slices.Equal(s.Bins, w.Bins) {
 					t.Fatalf("%s: %v sample %d is %v labelled %d, the ForItemset loop drew %v labelled %d",
-						kind, set, j, s.Items, s.Label, want[j].Items, want[j].Label)
+						kind, set, j, s.Bins, s.Label, want[j].Items, want[j].Label)
 				}
 			}
 		}
@@ -371,10 +363,10 @@ func TestMaterializeMatchesForItemset(t *testing.T) {
 }
 
 // TestHotpathAllocs pins what materialize allocates per itemset, with no
-// recorder: the Samples, their one slab of items, and the repository's
+// recorder: the samples, their one slab of bins, and the repository's
 // entry and list element — four objects, however many samples τ asks
-// for. At τ = 10 that is 576 B of Samples, 240 B of items (6 attributes)
-// and 112 B of entry and element.
+// for. At τ = 10 that is 320 B of samples, 128 B of bins (120 B for 6
+// attributes, in its size class) and 112 B of entry and element.
 func TestHotpathAllocs(t *testing.T) {
 	env := newEnv(t, 35, 1)
 	set := dataset.Itemset{env.st.ItemizeRow(env.tuples[0], nil)[0]}
@@ -383,8 +375,8 @@ func TestHotpathAllocs(t *testing.T) {
 		tau           int
 		allocs, bytes uint64
 	}{
-		{"core.(*poolState).materialize", 10, 4, 928},
-		{"core.(*poolState).materialize, τ = 100", 100, 4, 8944},
+		{"core.(*poolState).materialize", 10, 4, 560},
+		{"core.(*poolState).materialize, τ = 100", 100, 4, 4848},
 	} {
 		opts := smallOpts(LIME, 36)
 		opts.Tau = tc.tau

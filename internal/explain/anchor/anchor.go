@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
@@ -80,6 +81,7 @@ type Explainer struct {
 	covRows []dataset.Itemset
 	scratch []float64 // the row each pull's perturbation is labelled in
 	hist    []int     // a pull's predicted-class histogram
+	tested  []bool    // extendBeam's scratch: the attributes a rule tests
 
 	// pull is (*ruleArm).pull. It is a field only so that the
 	// byte-identity test can run the same search over the Pull that
@@ -99,6 +101,7 @@ func New(st *dataset.Stats, cls rf.Classifier, covRows []dataset.Itemset, cfg Co
 		covRows: covRows,
 		scratch: make([]float64, st.Schema.NumAttrs()),
 		hist:    make([]int, cls.NumClasses()),
+		tested:  make([]bool, st.Schema.NumAttrs()),
 		pull:    (*ruleArm).pull,
 	}
 }
@@ -142,7 +145,7 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 	var fallback *explain.Rule     // best-precision rule if none verifies
 
 	for size := 1; size <= maxPredicates; size++ {
-		cands := extendBeam(beam, tItems)
+		cands := e.extendBeam(beam, tItems)
 		if len(cands) == 0 {
 			break
 		}
@@ -235,25 +238,26 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 }
 
 // extendBeam returns all distinct one-item extensions of the beam rules
-// with items of the tuple whose attribute the rule does not yet test.
-func extendBeam(beam []dataset.Itemset, tItems []dataset.Item) []dataset.Itemset {
-	seen := make(map[dataset.ItemsetKey]bool)
+// with items of the tuple whose attribute the rule does not yet test. The
+// extensions of one rule are distinct by their new attribute; a later
+// rule's are checked against those before them.
+func (e *Explainer) extendBeam(beam []dataset.Itemset, tItems []dataset.Item) []dataset.Itemset {
 	var out []dataset.Itemset
-	for _, rule := range beam {
-		used := make(map[int]bool, len(rule))
+	for r, rule := range beam {
 		for _, it := range rule {
-			used[it.Attr()] = true
+			e.tested[it.Attr()] = true
 		}
 		for _, it := range tItems {
-			if used[it.Attr()] {
+			if e.tested[it.Attr()] {
 				continue
 			}
 			ext := insertItem(rule, it)
-			k := ext.Key()
-			if !seen[k] {
-				seen[k] = true
+			if r == 0 || !slices.ContainsFunc(out, func(o dataset.Itemset) bool { return slices.Equal(o, ext) }) {
 				out = append(out, ext)
 			}
+		}
+		for _, it := range rule {
+			e.tested[it.Attr()] = false
 		}
 	}
 	return out
@@ -299,7 +303,7 @@ func (e *Explainer) bootstrap(rule dataset.Itemset, rr *cache.RuleResult, repo *
 			continue
 		}
 		for i := range samples {
-			if samples[i].Label >= 0 && perturb.MatchesBins(rule, samples[i].Items) {
+			if samples[i].Label >= 0 && perturb.MatchesBins(rule, samples[i].Bins) {
 				hist[samples[i].Label]++
 				any = true
 			}
@@ -413,7 +417,7 @@ func (e *Explainer) guesses() int64 {
 
 // pull draws and labels n perturbations, each into the explainer's
 // scratch row. The first ones the repository has room for keep their
-// items, each a slice capped at one per attribute of a slab the pull
+// bins, each a slice capped at one per attribute of a slab the pull
 // allocates, and their label; they are stored only if the classifier
 // guessed none of the pull's labels. The histogram is the explainer's:
 // AddTrials folds it in and keeps no reference.
@@ -426,19 +430,19 @@ func (a *ruleArm) pull(n int) int {
 	stored, _ := a.sh.Repo.Get(a.items.Key())
 	keep := min(max(e.cfg.StorePerRule-len(stored), 0), n)
 	p := len(e.scratch)
-	store := make([]perturb.Sample, keep)
-	slab := make([]dataset.Item, keep*p)
+	store := make([]perturb.Pooled, keep)
+	slab := make([]uint16, keep*p)
 	guessed := e.guesses()
 	for i := 0; i < n; i++ {
-		var items []dataset.Item // nil: labelled and dropped
+		var bins []uint16 // nil: labelled and dropped
 		if i < keep {
-			items = slab[i*p : (i+1)*p : (i+1)*p]
+			bins = slab[i*p : (i+1)*p : (i+1)*p]
 		}
-		e.gen.FillItemset(a.items, e.scratch, items)
+		e.gen.FillItemset(a.items, e.scratch, bins)
 		y := e.cls.Predict(e.scratch)
 		hist[y]++
 		if i < keep {
-			store[i] = perturb.Sample{Items: items, Label: y}
+			store[i] = perturb.Pooled{Bins: bins, Label: y}
 		}
 	}
 	a.rr.AddTrials(hist)

@@ -3,6 +3,7 @@ package anchor
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"shahin/internal/alloctest"
@@ -305,14 +306,15 @@ func TestExtendBeam(t *testing.T) {
 	tItems := []dataset.Item{
 		dataset.MakeItem(0, 1), dataset.MakeItem(1, 0), dataset.MakeItem(2, 2),
 	}
+	e := &Explainer{tested: make([]bool, len(tItems))}
 	// From the empty rule: one candidate per attribute.
-	cands := extendBeam([]dataset.Itemset{nil}, tItems)
+	cands := e.extendBeam([]dataset.Itemset{nil}, tItems)
 	if len(cands) != 3 {
 		t.Fatalf("empty-rule extensions=%d want 3", len(cands))
 	}
 	// From a rule on attr 1: two extensions, never repeating attr 1.
 	base := dataset.Itemset{dataset.MakeItem(1, 0)}
-	cands = extendBeam([]dataset.Itemset{base}, tItems)
+	cands = e.extendBeam([]dataset.Itemset{base}, tItems)
 	if len(cands) != 2 {
 		t.Fatalf("extensions=%d want 2", len(cands))
 	}
@@ -333,7 +335,7 @@ func TestExtendBeam(t *testing.T) {
 		{dataset.MakeItem(0, 1)},
 		{dataset.MakeItem(1, 0)},
 	}
-	cands = extendBeam(beam, tItems)
+	cands = e.extendBeam(beam, tItems)
 	seen := map[dataset.ItemsetKey]int{}
 	for _, c := range cands {
 		seen[c.Key()]++
@@ -341,6 +343,60 @@ func TestExtendBeam(t *testing.T) {
 	for k, n := range seen {
 		if n > 1 {
 			t.Fatalf("candidate %v emitted %d times", k.Itemset(), n)
+		}
+	}
+}
+
+// extendBeamMaps is extendBeam as it stood before the attribute mask:
+// a set of every extension's key, a set of each rule's attributes.
+func extendBeamMaps(beam []dataset.Itemset, tItems []dataset.Item) []dataset.Itemset {
+	seen := make(map[dataset.ItemsetKey]bool)
+	var out []dataset.Itemset
+	for _, rule := range beam {
+		used := make(map[int]bool, len(rule))
+		for _, it := range rule {
+			used[it.Attr()] = true
+		}
+		for _, it := range tItems {
+			if used[it.Attr()] {
+				continue
+			}
+			ext := insertItem(rule, it)
+			k := ext.Key()
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, ext)
+			}
+		}
+	}
+	return out
+}
+
+// TestExtendBeamMatchesReference: over random beams of up to three rules
+// of up to three of a tuple's items — repeats and rules that share
+// extensions among them — the mask gives extendBeamMaps' candidates in
+// its order, and leaves the mask clear. Mutants this kills: the mask not
+// cleared after a rule, the duplicate check dropped.
+func TestExtendBeamMatchesReference(t *testing.T) {
+	const p = 9
+	tItems := make([]dataset.Item, p)
+	for a := range tItems {
+		tItems[a] = dataset.MakeItem(a, a%3)
+	}
+	e := &Explainer{tested: make([]bool, p)}
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 2000; trial++ {
+		beam := make([]dataset.Itemset, 1+rng.Intn(3))
+		for r := range beam {
+			for _, a := range rng.Perm(p)[:rng.Intn(4)] {
+				beam[r] = insertItem(beam[r], tItems[a])
+			}
+		}
+		if got, want := e.extendBeam(beam, tItems), extendBeamMaps(beam, tItems); !reflect.DeepEqual(got, want) {
+			t.Fatalf("beam %v: candidates %v, reference %v", beam, got, want)
+		}
+		if slices.Contains(e.tested, true) {
+			t.Fatalf("beam %v left attributes marked: %v", beam, e.tested)
 		}
 	}
 }
@@ -432,11 +488,12 @@ func BenchmarkExplainSequential(b *testing.B) {
 }
 
 // allocatingPull is ruleArm.Pull as it stood before pulls were drawn
-// into a scratch row: every perturbation is allocated and itemised
-// whether or not the repository keeps it, and a kept one keeps its row.
+// into a scratch row and kept as bins: every perturbation is allocated
+// and itemised whether or not the repository keeps it, and a kept one is
+// stored as what its items say.
 func allocatingPull(a *ruleArm, n int) int {
 	hist := make([]int, a.e.cls.NumClasses())
-	var store []perturb.Sample
+	var store []perturb.Pooled
 	stored, _ := a.sh.Repo.Get(a.items.Key())
 	room := a.e.cfg.StorePerRule - len(stored)
 	for i := 0; i < n; i++ {
@@ -444,7 +501,7 @@ func allocatingPull(a *ruleArm, n int) int {
 		s.Label = a.e.cls.Predict(s.Row)
 		hist[s.Label]++
 		if room > 0 {
-			store = append(store, s)
+			store = append(store, s.Pooled())
 			room--
 		}
 	}
@@ -456,7 +513,7 @@ func allocatingPull(a *ruleArm, n int) int {
 }
 
 // TestScratchPullsChangeNothing: drawing every perturbation into a
-// scratch row, and keeping only the items and label of the stored ones,
+// scratch row, and keeping only the bins and label of the stored ones,
 // leaves the whole search as it was — the same rules for 50 tuples over
 // one shared state, the same trials per rule, the same items and labels
 // in the repository, the same classifier calls, and a random stream that
@@ -533,13 +590,8 @@ func TestScratchPullsChangeNothing(t *testing.T) {
 		t.Errorf("memoised trials differ (%d rules against %d)", got.nRules, want.nRules)
 	}
 	checkStored(t, got.repo, st.NumAttrs())
-	for _, samples := range want.repo {
-		for i := range samples {
-			samples[i].Row = nil
-		}
-	}
 	if !reflect.DeepEqual(got.repo, want.repo) {
-		t.Errorf("repository items or labels differ (%d entries against %d)", len(got.repo), len(want.repo))
+		t.Errorf("repository bins or labels differ (%d entries against %d)", len(got.repo), len(want.repo))
 	}
 	if got.calls != want.calls {
 		t.Errorf("%d classifier calls, reference made %d", got.calls, want.calls)
@@ -549,16 +601,14 @@ func TestScratchPullsChangeNothing(t *testing.T) {
 	}
 }
 
-// checkStored asserts that stored samples keep no row and that each
-// one's items are a slice capped at p, so an append to one cannot write
-// into the next sample's items.
+// checkStored asserts that each stored sample's bins are a slice capped
+// at p, so an append to one cannot write into the next sample's bins.
 func checkStored(t *testing.T, repo cache.Snapshot, p int) {
 	t.Helper()
 	for _, samples := range repo {
 		for i, s := range samples {
-			if s.Row != nil || len(s.Items) != p || cap(s.Items) != p {
-				t.Fatalf("stored sample %d: row of %d cells, items %d long with room for %d; want no row and %d items capped there",
-					i, len(s.Row), len(s.Items), cap(s.Items), p)
+			if len(s.Bins) != p || cap(s.Bins) != p {
+				t.Fatalf("stored sample %d: bins %d long with room for %d; want %d capped there", i, len(s.Bins), cap(s.Bins), p)
 			}
 		}
 	}
@@ -606,21 +656,21 @@ func TestPullStoresOnlyClassifierLabels(t *testing.T) {
 
 // TestHotpathAllocs pins what one pull allocates: nothing once the
 // rule's repository entry is full, and while it has room the slice of
-// Samples it hands over and the one slab of their items.
+// samples it hands over and the one slab of their bins.
 func TestHotpathAllocs(t *testing.T) {
 	_, st, cov := env(t, 51)
 	const pulled = 5
 	e := New(st, attr0Classifier(1), cov, Config{StorePerRule: 1000}, rand.New(rand.NewSource(52)))
 	sh := NewShared(2, 0)
-	arm := func(items dataset.Itemset, stored []perturb.Sample) *ruleArm {
+	arm := func(items dataset.Itemset, stored []perturb.Pooled) *ruleArm {
 		rr, _ := sh.Inv.Lookup(items.Key())
 		// An entry with capacity to spare, so that what Append's own
 		// growth would allocate stays out of the row.
-		sh.Repo.Put(items.Key(), stored)
+		sh.Repo.Append(items.Key(), stored)
 		return &ruleArm{e: e, sh: sh, items: items, rr: rr, target: 1}
 	}
-	full := arm(dataset.Itemset{dataset.MakeItem(0, 1)}, make([]perturb.Sample, 1000))
-	room := arm(dataset.Itemset{dataset.MakeItem(1, 2)}, make([]perturb.Sample, 0, 1000))
+	full := arm(dataset.Itemset{dataset.MakeItem(0, 1)}, make([]perturb.Pooled, 1000))
+	room := arm(dataset.Itemset{dataset.MakeItem(1, 2)}, make([]perturb.Pooled, 0, 1000))
 
 	for _, tc := range []struct {
 		name          string
@@ -628,9 +678,9 @@ func TestHotpathAllocs(t *testing.T) {
 		allocs, bytes uint64
 	}{
 		{"anchor.(*ruleArm).pull", full, 0, 0},
-		// 4 attributes: 56 B per Sample header (288 B for five), 16 B of
-		// items per sample in the slab (80 B).
-		{"anchor.(*ruleArm).pull with room", room, 2, 288 + 80},
+		// 4 attributes: 32 B per sample header (160 B for five), 8 B of
+		// bins per sample in the slab (40 B, a 48 B size class).
+		{"anchor.(*ruleArm).pull with room", room, 2, 160 + 48},
 	} {
 		allocs, bytes := alloctest.PerCall(func() { tc.arm.pull(pulled) })
 		if allocs != tc.allocs || bytes != tc.bytes {

@@ -119,18 +119,18 @@ type Pool interface {
 	// ForTuple returns up to max labelled samples reusable for a tuple
 	// with the given full-row item encoding: samples whose frozen itemset
 	// the tuple contains.
-	ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample
+	ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled
 	// ForItemset returns up to max labelled samples whose rows contain
 	// all the required items (used by KernelSHAP's subset reuse and
 	// Anchor's precision bootstrap). required is the caller's scratch,
 	// overwritten for its next call: the pool must not retain it.
-	ForItemset(required dataset.Itemset, max int) []perturb.Sample
+	ForItemset(required dataset.Itemset, max int) []perturb.Pooled
 }
 
 // Observer is an optional extension of Pool: explainers push every fresh
 // labelled perturbation to an observing pool, which is how the GREEDY
-// baseline (paper §4.1) accumulates its cache. The sample's row and items
-// are the explainer's scratch, valid only during the call: keep a copy.
+// baseline (paper §4.1) accumulates its cache. The sample's bins are the
+// explainer's scratch, valid only during the call: keep a copy.
 type Observer interface {
-	Observe(s perturb.Sample)
+	Observe(s perturb.Pooled)
 }

@@ -57,19 +57,21 @@ func (c Config) fill() Config {
 // training distribution. It is not safe for concurrent use: the surrogate
 // fit and the draw scratch are reused from one explanation to the next.
 type Explainer struct {
-	cfg   Config
-	width float64 // the proximity kernel's width
-	st    *dataset.Stats
-	cls   rf.Classifier
-	gen   *perturb.Generator
+	cfg  Config
+	prox []float64 // the proximity kernel at d = 0…p differing bins
+	st   *dataset.Stats
+	cls  rf.Classifier
+	gen  *perturb.Generator
 
 	fit      *linmodel.BinaryFit
 	on       []int  // the sample being added: attributes in the tuple's bin
 	noFreeze []bool // all false: classic LIME freezes nothing
 
-	// The tuple's items, and the one fresh draw in hand: its row and items.
-	tItems, items []dataset.Item
-	row           []float64
+	// The tuple's items and bins, and the one fresh draw in hand: its row
+	// and bins.
+	tItems      []dataset.Item
+	tBins, bins []uint16
+	row         []float64
 }
 
 // New builds a LIME explainer. rng drives all perturbation sampling.
@@ -77,7 +79,7 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 	p := st.Schema.NumAttrs()
 	return &Explainer{
 		cfg:      cfg.fill(),
-		width:    kernelScale * math.Sqrt(float64(p)),
+		prox:     proximity(p),
 		st:       st,
 		cls:      cls,
 		gen:      perturb.NewGenerator(st, rng),
@@ -85,7 +87,8 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 		on:       make([]int, p),
 		noFreeze: make([]bool, p),
 		tItems:   make([]dataset.Item, p),
-		items:    make([]dataset.Item, p),
+		tBins:    make([]uint16, p),
+		bins:     make([]uint16, p),
 		row:      make([]float64, p),
 	}
 }
@@ -107,17 +110,18 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 	target := e.cls.Predict(t)
 	tItems := e.st.ItemizeRow(t, e.tItems[:0])
+	tBins := perturb.BinsOf(tItems, e.tBins)
 	e.fit.Reset()
 
 	// The instance itself anchors the local fit (z = all ones), as in the
 	// reference implementation.
-	e.add(tItems, tItems, true)
+	e.add(tBins, tBins, true)
 	n := e.cfg.NumSamples
 
 	// Reused, already-labelled perturbations first.
 	if pool != nil {
 		for _, s := range pool.ForTuple(tItems, e.ReuseCap()) {
-			e.add(tItems, s.Items, s.Label == target)
+			e.add(tBins, s.Bins, s.Label == target)
 			n--
 		}
 	}
@@ -126,11 +130,11 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// (every attribute drawn independently from the training marginal).
 	obs, _ := pool.(explain.Observer)
 	for ; n > 0; n-- {
-		e.gen.FillTuple(t, e.noFreeze, e.row, e.items)
+		e.gen.FillTuple(t, e.noFreeze, e.row, e.bins)
 		label := e.cls.Predict(e.row)
-		e.add(tItems, e.items, label == target)
+		e.add(tBins, e.bins, label == target)
 		if obs != nil {
-			obs.Observe(perturb.Sample{Row: e.row, Items: e.items, Label: label})
+			obs.Observe(perturb.Pooled{Bins: e.bins, Label: label})
 		}
 	}
 
@@ -149,16 +153,17 @@ func (e *Explainer) ReuseCap() int { return int(e.cfg.MaxReuse * float64(e.cfg.N
 
 // add folds one labelled sample into the surrogate fit. Its interpretable
 // representation is 1 on the attributes whose bin is the tuple's (both
-// slices are canonical per-attribute encodings, as Stats.ItemizeRow makes
-// them), its target whether the classifier gave it the tuple's class.
-func (e *Explainer) add(tItems, items []dataset.Item, sameClass bool) {
+// slices hold one bin per attribute, in attribute order), its target
+// whether the classifier gave it the tuple's class.
+func (e *Explainer) add(tBins, bins []uint16, sameClass bool) {
 	// Every attribute is written at the cursor and the cursor moves only
 	// past a match: a match is a coin flip the branch predictor loses.
-	on, q := e.on[:len(tItems)], 0
-	for a, it := range tItems {
+	on, q := e.on[:len(tBins)], 0
+	bins = bins[:len(tBins)]
+	for a, b := range tBins {
 		on[q] = a
 		var match int
-		if items[a] == it {
+		if bins[a] == b {
 			match = 1
 		}
 		q += match
@@ -167,14 +172,25 @@ func (e *Explainer) add(tItems, items []dataset.Item, sameClass bool) {
 	if sameClass {
 		y = 1
 	}
-	e.fit.Add(on[:q], y, e.kernel(len(tItems)-q))
+	e.fit.Add(on[:q], y, e.kernel(len(tBins)-q))
 }
 
-// kernel is LIME's exponential proximity kernel over binary encodings:
-// exp(-d² / width²), where d² is the number of attributes whose bin
-// differs from the instance.
+// kernel is LIME's exponential proximity kernel over binary encodings,
+// read from the table proximity builds.
 //
 //shahin:hotpath
 func (e *Explainer) kernel(differing int) float64 {
-	return math.Exp(-float64(differing) / (e.width * e.width))
+	return e.prox[differing]
+}
+
+// proximity tabulates the kernel for p attributes at every d = 0…p:
+// exp(-d² / width²), where d² is the number of attributes whose bin
+// differs from the instance and width is kernelScale·√p.
+func proximity(p int) []float64 {
+	width := kernelScale * math.Sqrt(float64(p))
+	prox := make([]float64, p+1)
+	for d := range prox {
+		prox[d] = math.Exp(-float64(d) / (width * width))
+	}
+	return prox
 }

@@ -36,7 +36,13 @@ func env(t *testing.T, seed int64) *dataset.Stats {
 // them with the twin's first n rows as tuples to explain.
 func censusEnv(t *testing.T, rows int, seed int64, n int) (*dataset.Stats, [][]float64) {
 	t.Helper()
-	spec, err := datagen.Spec("census")
+	return twinEnv(t, "census", rows, seed, n)
+}
+
+// twinEnv is censusEnv for the named twin.
+func twinEnv(t *testing.T, name string, rows int, seed int64, n int) (*dataset.Stats, [][]float64) {
+	t.Helper()
+	spec, err := datagen.Spec(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +149,11 @@ func TestExplainDeterministic(t *testing.T) {
 
 // fakePool serves pre-labelled samples frozen on a fixed itemset.
 type fakePool struct {
-	samples  []perturb.Sample
+	samples  []perturb.Pooled
 	tupleReq int // ForTuple calls seen
 }
 
-func (p *fakePool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
+func (p *fakePool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled {
 	p.tupleReq++
 	if max > len(p.samples) {
 		max = len(p.samples)
@@ -155,7 +161,7 @@ func (p *fakePool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample
 	return p.samples[:max]
 }
 
-func (p *fakePool) ForItemset(required dataset.Itemset, max int) []perturb.Sample {
+func (p *fakePool) ForItemset(required dataset.Itemset, max int) []perturb.Pooled {
 	return nil
 }
 
@@ -168,11 +174,11 @@ func TestExplainWithPoolSavesInvocations(t *testing.T) {
 	cls := attr0Classifier(2)
 	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(12)))
 	frozen := dataset.Itemset{dataset.MakeItem(0, 2)}
-	pooled := make([]perturb.Sample, 400)
+	pooled := make([]perturb.Pooled, 400)
 	for i := range pooled {
 		s := gen.ForItemset(frozen)
 		s.Label = cls.Predict(s.Row)
-		pooled[i] = s
+		pooled[i] = s.Pooled()
 	}
 	pool := &fakePool{samples: pooled}
 
@@ -211,11 +217,11 @@ func TestPoolPreservesRanking(t *testing.T) {
 
 	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(16)))
 	frozen := dataset.Itemset{dataset.MakeItem(0, 2)}
-	pooled := make([]perturb.Sample, 500)
+	pooled := make([]perturb.Pooled, 500)
 	for i := range pooled {
 		s := gen.ForItemset(frozen)
 		s.Label = cls.Predict(s.Row)
-		pooled[i] = s
+		pooled[i] = s.Pooled()
 	}
 	withPool, err := New(st, cls, Config{NumSamples: 2000}, rand.New(rand.NewSource(17))).
 		ExplainWithPool(tup, &fakePool{samples: pooled})
@@ -233,8 +239,8 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults %+v", c)
 	}
 	e := New(env(t, 10), attr0Classifier(2), c, rand.New(rand.NewSource(10)))
-	if math.Abs(e.width-1.5) > 1e-12 { // 0.75*sqrt(4)
-		t.Fatalf("kernel width %g want 1.5", e.width)
+	if k, want := e.kernel(1), math.Exp(-1/(1.5*1.5)); math.Abs(k-want) > 1e-12 { // width 0.75*sqrt(4)
+		t.Fatalf("kernel(1) %g want %g (width 1.5)", k, want)
 	}
 }
 
@@ -271,7 +277,7 @@ var benchKernel float64
 
 func BenchmarkKernel(b *testing.B) {
 	const p = 40
-	e := &Explainer{width: kernelScale * math.Sqrt(p)}
+	e := &Explainer{prox: proximity(p)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,7 +313,7 @@ func referenceExplain(t *testing.T, st *dataset.Stats, cls rf.Classifier, cfg Co
 	add(tItems, target)
 	if pool != nil {
 		for _, s := range pool.ForTuple(tItems, int(cfg.MaxReuse*float64(cfg.NumSamples))) {
-			add(s.Items, s.Label)
+			add(itemsOf(s.Bins), s.Label)
 		}
 	}
 	for len(X) < cfg.NumSamples+1 {
@@ -356,10 +362,11 @@ func TestLIMEMatchesReferenceFit(t *testing.T) {
 				if tc.pooled {
 					gen := perturb.NewGenerator(st, rand.New(rand.NewSource(25)))
 					frozen := dataset.Itemset{st.ItemizeRow(tup, nil)[1]}
-					pooled := make([]perturb.Sample, 250)
+					pooled := make([]perturb.Pooled, 250)
 					for i := range pooled {
-						pooled[i] = gen.ForItemset(frozen)
-						pooled[i].Label = cls.Predict(pooled[i].Row)
+						s := gen.ForItemset(frozen)
+						s.Label = cls.Predict(s.Row)
+						pooled[i] = s.Pooled()
 					}
 					pool, refPool = &fakePool{samples: pooled}, &fakePool{samples: pooled}
 				}

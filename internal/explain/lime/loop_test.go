@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
 	"shahin/internal/perturb"
@@ -14,19 +15,20 @@ import (
 )
 
 // referenceExplainWithPool is ExplainWithPool as it stood before fresh
-// draws moved into the explainer's scratch: every fresh perturbation is
-// a Sample of its own from ForTuple, labelled, folded into the fit and
-// handed to an observer.
+// draws moved into the explainer's scratch and samples became bins: every
+// fresh perturbation is a Sample of its own from ForTuple, labelled,
+// folded into the fit over its items and handed to an observer; pooled
+// samples are folded over the items their bins stand for.
 func (e *Explainer) referenceExplainWithPool(t []float64, pool explain.Pool) (*explain.Attribution, error) {
 	p := e.st.Schema.NumAttrs()
 	target := e.cls.Predict(t)
 	tItems := e.st.ItemizeRow(t, nil)
 	e.fit.Reset()
-	e.add(tItems, tItems, true)
+	e.addItems(tItems, tItems, true)
 	n := e.cfg.NumSamples
 	if pool != nil {
 		for _, s := range pool.ForTuple(tItems, int(e.cfg.MaxReuse*float64(n))) {
-			e.add(tItems, s.Items, s.Label == target)
+			e.addItems(tItems, itemsOf(s.Bins), s.Label == target)
 			n--
 		}
 	}
@@ -34,9 +36,9 @@ func (e *Explainer) referenceExplainWithPool(t []float64, pool explain.Pool) (*e
 	for ; n > 0; n-- {
 		s := e.gen.ForTuple(t, e.noFreeze)
 		s.Label = e.cls.Predict(s.Row)
-		e.add(tItems, s.Items, s.Label == target)
+		e.addItems(tItems, s.Items, s.Label == target)
 		if obs != nil {
-			obs.Observe(s)
+			obs.Observe(s.Pooled())
 		}
 	}
 	weights := make([]float64, p)
@@ -47,13 +49,44 @@ func (e *Explainer) referenceExplainWithPool(t []float64, pool explain.Pool) (*e
 	return &explain.Attribution{Weights: weights, Intercept: intercept, Class: target}, nil
 }
 
+// addItems is add as it stood while a sample was its items: the tuple's
+// and the sample's items compared whole, the kernel computed by math.Exp
+// for each sample. It is the oracle TestAddMatchesItemsReference and
+// TestExplainMatchesReferenceLoop hold add and the kernel table to.
+func (e *Explainer) addItems(tItems, items []dataset.Item, sameClass bool) {
+	on, q := e.on[:len(tItems)], 0
+	for a, it := range tItems {
+		on[q] = a
+		var match int
+		if items[a] == it {
+			match = 1
+		}
+		q += match
+	}
+	y := 0.0
+	if sameClass {
+		y = 1
+	}
+	width := kernelScale * math.Sqrt(float64(len(tItems)))
+	e.fit.Add(on[:q], y, math.Exp(-float64(len(tItems)-q)/(width*width)))
+}
+
+// itemsOf is the items a sample's bins stand for.
+func itemsOf(bins []uint16) []dataset.Item {
+	items := make([]dataset.Item, len(bins))
+	for a, b := range bins {
+		items[a] = dataset.MakeItem(a, int(b))
+	}
+	return items
+}
+
 // frozenPool serves labelled perturbations frozen on single items, the
 // way core's itemsetPool serves mined itemsets: each sample at most once
 // per explanation, through a window the next call overwrites.
 type frozenPool struct {
 	sets    []dataset.Item // ascending; samples[i] is frozen on sets[i]
-	samples [][]perturb.Sample
-	window  []perturb.Sample
+	samples [][]perturb.Pooled
+	window  []perturb.Pooled
 	served  int
 }
 
@@ -71,17 +104,18 @@ func newFrozenPool(st *dataset.Stats, cls rf.Classifier, tuples [][]float64, per
 	}
 	slices.Sort(p.sets)
 	for _, it := range p.sets {
-		samples := make([]perturb.Sample, per)
+		samples := make([]perturb.Pooled, per)
 		for i := range samples {
-			samples[i] = gen.ForItemset(dataset.Itemset{it})
-			samples[i].Label = cls.Predict(samples[i].Row)
+			s := gen.ForItemset(dataset.Itemset{it})
+			s.Label = cls.Predict(s.Row)
+			samples[i] = s.Pooled()
 		}
 		p.samples = append(p.samples, samples)
 	}
 	return p
 }
 
-func (p *frozenPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
+func (p *frozenPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled {
 	out := p.window[:0]
 	for i, it := range p.sets {
 		if tupleItems[it.Attr()] == it {
@@ -93,28 +127,28 @@ func (p *frozenPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Samp
 	return out
 }
 
-func (p *frozenPool) ForItemset(dataset.Itemset, int) []perturb.Sample { return nil }
+func (p *frozenPool) ForItemset(dataset.Itemset, int) []perturb.Pooled { return nil }
 
 // observingStore keeps a copy of every fresh sample it observes, as
 // core's greedyStore does, and serves them back newest first to a tuple
 // whose bins one shares on half the attributes.
 type observingStore struct {
-	kept   []perturb.Sample
-	window []perturb.Sample
+	kept   []perturb.Pooled
+	window []perturb.Pooled
 	served int
 }
 
-func (o *observingStore) Observe(s perturb.Sample) {
-	s.Row, s.Items = slices.Clone(s.Row), slices.Clone(s.Items)
+func (o *observingStore) Observe(s perturb.Pooled) {
+	s.Bins = slices.Clone(s.Bins)
 	o.kept = append(o.kept, s)
 }
 
-func (o *observingStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample {
+func (o *observingStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled {
 	out := o.window[:0]
 	for i := len(o.kept) - 1; i >= 0 && len(out) < max; i-- {
 		n := 0
 		for a, it := range tupleItems {
-			if o.kept[i].Items[a] == it {
+			if int(o.kept[i].Bins[a]) == it.Bin() {
 				n++
 			}
 		}
@@ -127,7 +161,7 @@ func (o *observingStore) ForTuple(tupleItems []dataset.Item, max int) []perturb.
 	return out
 }
 
-func (o *observingStore) ForItemset(dataset.Itemset, int) []perturb.Sample { return nil }
+func (o *observingStore) ForItemset(dataset.Itemset, int) []perturb.Pooled { return nil }
 
 var (
 	_ explain.Pool     = (*frozenPool)(nil)
@@ -135,7 +169,7 @@ var (
 )
 
 // TestExplainMatchesReferenceLoop: drawing fresh perturbations into
-// scratch changes no answer. Over seeds, on the census twin, one
+// scratch, and folding bins rather than items, changes no answer. Over seeds, on the census twin, one
 // explainer after another explanation gives the reference loop's
 // attribution bit for bit — with no pool, with a pool of frozen samples
 // and with a store that observes what the explainer draws and serves it
@@ -194,6 +228,80 @@ func TestExplainMatchesReferenceLoop(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestKernelTableBits: the table kernel reads gives, at every d = 0…p,
+// the bits math.Exp gave per sample, at the width of every twin.
+func TestKernelTableBits(t *testing.T) {
+	for _, name := range datagen.Names() {
+		st, _ := twinEnv(t, name, 300, 41, 1)
+		p := st.NumAttrs()
+		e := New(st, attr0Classifier(0), Config{}, rand.New(rand.NewSource(42)))
+		width := kernelScale * math.Sqrt(float64(p))
+		for d := 0; d <= p; d++ {
+			if got, want := e.kernel(d), math.Exp(-float64(d)/(width*width)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: kernel(%d) = %v, math.Exp gives %v", name, d, got, want)
+			}
+		}
+	}
+}
+
+// TestAddMatchesItemsReference: add over bins leaves the fit addItems
+// leaves over the items those bins stand for, bit for bit. Samples are
+// fresh draws under random freeze masks, pooled draws frozen on the
+// tuple's items, and draws with a bin moved by 256 (equal to the
+// tuple's in its low byte only), labelled at random. Mutants this kills:
+// the compare made on a bin's low byte, the attribute index off by one.
+func TestAddMatchesItemsReference(t *testing.T) {
+	st, tuples := censusEnv(t, 1500, 43, 8)
+	cls := attr0Classifier(0)
+	e := New(st, cls, Config{}, rand.New(rand.NewSource(44)))
+	r := New(st, cls, Config{}, rand.New(rand.NewSource(44)))
+	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(45)))
+	pick := rand.New(rand.NewSource(46))
+	p := st.NumAttrs()
+	row, bins, freeze := make([]float64, p), make([]uint16, p), make([]bool, p)
+	tBins := make([]uint16, p)
+	for _, tup := range tuples {
+		tItems := st.ItemizeRow(tup, nil)
+		perturb.BinsOf(tItems, tBins)
+		e.fit.Reset()
+		r.fit.Reset()
+		for i := 0; i < 600; i++ {
+			switch i % 3 {
+			case 0:
+				for a := range freeze {
+					freeze[a] = pick.Intn(3) == 0
+				}
+				gen.FillTuple(tup, freeze, row, bins)
+			case 1:
+				gen.FillItemset(dataset.Itemset{tItems[pick.Intn(p)]}, row, bins)
+			default:
+				copy(bins, tBins)
+				bins[pick.Intn(p)] += 256
+			}
+			same := pick.Intn(2) == 0
+			e.add(tBins, bins, same)
+			r.addItems(tItems, itemsOf(bins), same)
+		}
+		got, want := make([]float64, p), make([]float64, p)
+		gi, err := e.fit.Solve(lambda, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wi, err := r.fit.Solve(lambda, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gi) != math.Float64bits(wi) {
+			t.Fatalf("intercept %v, reference %v", gi, wi)
+		}
+		for a := range want {
+			if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
+				t.Fatalf("attribute %d weighs %v, reference %v", a, got[a], want[a])
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 
-	"shahin/internal/dataset"
 	"shahin/internal/linmodel"
 )
 
@@ -56,18 +55,17 @@ func (f *fit) begin(phi0, fx float64) {
 }
 
 // add folds in one labelled sample: z is 1 on the attributes whose bin
-// is the tuple's (both slices are canonical per-attribute encodings, as
-// Stats.ItemizeRow makes them), y whether the classifier gave it the
-// tuple's class.
+// is the tuple's (both slices hold one bin per attribute, in attribute
+// order), y whether the classifier gave it the tuple's class.
 //
 //shahin:hotpath
-func (f *fit) add(tItems, items []dataset.Item, sameClass bool) {
+func (f *fit) add(tBins, bins []uint16, sameClass bool) {
 	p := f.p
 	y, zm := 0.0, 0.0
 	if sameClass {
 		y = 1
 	}
-	last := items[p] == tItems[p]
+	last := bins[p] == tBins[p]
 	if last {
 		zm = 1
 	}
@@ -79,7 +77,7 @@ func (f *fit) add(tItems, items []dataset.Item, sameClass bool) {
 	at, bit := f.n>>6, uint(f.n&63)
 	for j := 0; j < p; j++ {
 		var differs uint64
-		if (items[j] == tItems[j]) != last {
+		if (bins[j] == tBins[j]) != last {
 			differs = 1
 		}
 		f.nz[at] |= differs << bit

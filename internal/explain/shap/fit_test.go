@@ -69,26 +69,23 @@ func solveDense(masks [][]bool, ys []float64, phi0, fx, ridge float64) ([]float6
 	return phi, nil
 }
 
-// equalsDense runs masks and 0/1 labels through f, as items that agree
+// equalsDense runs masks and 0/1 labels through f, as bins that agree
 // with the tuple's exactly where the mask is set, and through solveDense:
 // every φ must have the same bits, a failure the same text.
 func equalsDense(t *testing.T, f *fit, masks [][]bool, ys []float64, phi0, ridge float64) {
 	t.Helper()
 	const fx = 1.0
 	m := len(masks[0])
-	tItems, items := make([]dataset.Item, m), make([]dataset.Item, m)
-	for a := range tItems {
-		tItems[a] = dataset.MakeItem(a, 0)
-	}
+	tBins, bins := make([]uint16, m), make([]uint16, m)
 	f.begin(phi0, fx)
 	for i, mask := range masks {
 		for a, agrees := range mask {
-			items[a] = dataset.MakeItem(a, 1)
+			bins[a] = 1
 			if agrees {
-				items[a] = tItems[a]
+				bins[a] = tBins[a]
 			}
 		}
-		f.add(tItems, items, ys[i] == 1)
+		f.add(tBins, bins, ys[i] == 1)
 	}
 	got := make([]float64, m)
 	err := f.solve(ridge, got)
@@ -230,15 +227,15 @@ func TestCoalitionDrawMatchesUniformIndices(t *testing.T) {
 
 // headPool serves the first serve samples of its stock to every tuple.
 type headPool struct {
-	stock []perturb.Sample
+	stock []perturb.Pooled
 	serve int
 }
 
-func (p *headPool) ForTuple(_ []dataset.Item, max int) []perturb.Sample {
+func (p *headPool) ForTuple(_ []dataset.Item, max int) []perturb.Pooled {
 	return p.stock[:min(p.serve, max)]
 }
 
-func (p *headPool) ForItemset(dataset.Itemset, int) []perturb.Sample { return nil }
+func (p *headPool) ForItemset(dataset.Itemset, int) []perturb.Pooled { return nil }
 
 // One Explainer explains tuple after tuple out of the same scratch: an
 // explanation must not depend on what the one before it left there,
@@ -247,11 +244,11 @@ func TestExplainerReuseLeavesNothingBehind(t *testing.T) {
 	st := env(t, 21)
 	cls := rf.Func{Classes: 2, F: func(x []float64) int { return (int(x[0]) + int(x[2])) & 1 }}
 	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(22)))
-	pool := &headPool{stock: make([]perturb.Sample, 180)}
+	pool := &headPool{stock: make([]perturb.Pooled, 180)}
 	for i := range pool.stock {
 		s := gen.ForItemset(nil)
 		s.Label = cls.Predict(s.Row)
-		pool.stock[i] = s
+		pool.stock[i] = s.Pooled()
 	}
 	rng := rand.New(rand.NewSource(23))
 	e := New(st, cls, Config{NumSamples: 200, BaseSamples: 20}, rng)

@@ -8,6 +8,7 @@ import (
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
+	"shahin/internal/perturb"
 	"shahin/internal/rf"
 )
 
@@ -39,7 +40,7 @@ func TestHotpathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tItems := st.ItemizeRow(tuple, nil)
+	tBins := perturb.BinsOf(st.ItemizeRow(tuple, nil), make([]uint16, m))
 	phi := make([]float64, m)
 	for _, tc := range []struct {
 		name          string
@@ -48,7 +49,7 @@ func TestHotpathAllocs(t *testing.T) {
 	}{
 		{"shap.(*fit).add", 0, 0, func() {
 			e.fit.n = samples - 1
-			e.fit.add(tItems, tItems, true)
+			e.fit.add(tBins, tBins, true)
 		}},
 		{"shap.(*fit).solve", 0, 0, func() {
 			if err := e.fit.solve(ridge, phi); err != nil {

@@ -67,13 +67,15 @@ type Explainer struct {
 
 	// Scratch one explanation after another reuses: the regression, the
 	// coalition draw's permutation (the identity between draws) and swap
-	// log, the freeze flags, frozen items, tuple's items and fresh draw.
-	fit           *fit
-	perm, swaps   []int
-	freeze        []bool
-	required      dataset.Itemset
-	tItems, items []dataset.Item
-	row           []float64
+	// log, the freeze flags, frozen items, tuple's items and bins, and the
+	// fresh draw's row and bins.
+	fit         *fit
+	perm, swaps []int
+	freeze      []bool
+	required    dataset.Itemset
+	tItems      []dataset.Item
+	tBins, bins []uint16
+	row         []float64
 
 	// baseRate caches E[1{C(x)=class}] under the product marginal: a
 	// tuple-independent invariant (paper §3.4), computed once per class.
@@ -116,7 +118,8 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 		}
 		e.freeze = make([]bool, m)
 		e.required = make(dataset.Itemset, m)
-		e.tItems, e.items = make([]dataset.Item, m), make([]dataset.Item, m)
+		e.tItems = make([]dataset.Item, m)
+		e.tBins, e.bins = make([]uint16, m), make([]uint16, m)
 		e.row = make([]float64, m)
 	}
 	return e
@@ -159,6 +162,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	}
 	target := e.cls.Predict(t)
 	tItems := e.st.ItemizeRow(t, e.tItems[:0])
+	tBins := perturb.BinsOf(tItems, e.tBins)
 	phi0 := e.base(target)
 	const fx = 1.0 // f(t) = 1{C(t)=target} by construction
 
@@ -173,7 +177,7 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	// the tuple contains fill the budget first, already labelled.
 	if pool != nil {
 		for _, s := range pool.ForTuple(tItems, e.ReuseCap()) {
-			e.fit.add(tItems, s.Items, s.Label == target)
+			e.fit.add(tBins, s.Bins, s.Label == target)
 		}
 	}
 
@@ -186,16 +190,16 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 		required := e.drawCoalition(tItems, 1+e.sizeSampler.Draw(e.rng))
 		if pool != nil {
 			if got := pool.ForItemset(required, 1); len(got) == 1 {
-				e.fit.add(tItems, got[0].Items, got[0].Label == target)
+				e.fit.add(tBins, got[0].Bins, got[0].Label == target)
 				continue
 			}
 		}
-		e.gen.FillTuple(t, e.freeze, e.row, e.items)
+		e.gen.FillTuple(t, e.freeze, e.row, e.bins)
 		label := e.cls.Predict(e.row)
 		if obs != nil {
-			obs.Observe(perturb.Sample{Row: e.row, Items: e.items, Label: label})
+			obs.Observe(perturb.Pooled{Bins: e.bins, Label: label})
 		}
-		e.fit.add(tItems, e.items, label == target)
+		e.fit.add(tBins, e.bins, label == target)
 	}
 
 	phi := make([]float64, m)

@@ -128,20 +128,20 @@ type subsetPool struct {
 	st     *dataset.Stats
 	cls    rf.Classifier
 	gen    *perturb.Generator
-	stock  [][]perturb.Sample // ordered, so serving order is deterministic
+	stock  [][]perturb.Pooled // ordered, so serving order is deterministic
 	serves int
 }
 
-func (p *subsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample { return nil }
+func (p *subsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled { return nil }
 
-func (p *subsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Sample {
-	var out []perturb.Sample
+func (p *subsetPool) ForItemset(required dataset.Itemset, max int) []perturb.Pooled {
+	var out []perturb.Pooled
 	for _, samples := range p.stock {
 		for i := range samples {
 			if len(out) >= max {
 				return out
 			}
-			if perturb.MatchesBins(required, samples[i].Items) {
+			if perturb.MatchesBins(required, samples[i].Bins) {
 				out = append(out, samples[i])
 				p.serves++
 			}
@@ -161,16 +161,16 @@ func TestExplainWithPoolSavesInvocations(t *testing.T) {
 	// may match by chance.
 	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(10)))
 	frozen := dataset.Itemset{tItems[0]}
-	samples := make([]perturb.Sample, 2000)
+	samples := make([]perturb.Pooled, 2000)
 	for i := range samples {
 		s := gen.ForItemset(frozen)
 		s.Label = cls.Predict(s.Row)
-		samples[i] = s
+		samples[i] = s.Pooled()
 	}
 	pool := &subsetPool{
 		st:    st,
 		cls:   cls,
-		stock: [][]perturb.Sample{samples},
+		stock: [][]perturb.Pooled{samples},
 	}
 
 	counting := rf.NewCounting(cls)

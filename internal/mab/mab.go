@@ -177,8 +177,9 @@ func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 			pull(i, need)
 		}
 	}
+	order := make([]int, len(arms)) // rankByMean's, every round
 	if n >= len(arms) {
-		return rankByMean(counts, len(arms)), counts, nil
+		return rankByMean(counts, order), counts, nil
 	}
 
 	round := 1
@@ -187,7 +188,7 @@ func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 		// Partition arms into the current top-n (J) and the rest; find the
 		// weakest member of J (lowest LB) and the strongest outsider
 		// (highest UB).
-		order := rankByMean(counts, len(counts))
+		rankByMean(counts, order)
 		worstIn, bestOut := -1, -1
 		var worstLB, bestUB float64
 		// Outsiders come in descending-mean order and only a strictly
@@ -223,7 +224,7 @@ func TopN(arms []Arm, n int, cfg Config) ([]int, []Counts, error) {
 	// Budget exhausted or out of reach: return the current empirical
 	// best. This mirrors the anytime behaviour of the reference
 	// implementation.
-	return rankByMean(counts, len(counts))[:n], counts, nil
+	return rankByMean(counts, order)[:n], counts, nil
 }
 
 // reachable reports whether UB_out − LB_in ≤ Eps could still hold for
@@ -243,11 +244,10 @@ func (c Config) reachable(in, out Counts, nArms, round, rem int) bool {
 	return ub-LowerBound(meanIn, in.Pulls+extra, b) <= c.Eps
 }
 
-// rankByMean returns arm indices ordered by descending empirical mean
-// (stable by index for ties). Only the full ordering of the first k is
-// guaranteed meaningful to callers.
-func rankByMean(counts []Counts, k int) []int {
-	order := make([]int, len(counts))
+// rankByMean writes into order, which has one cell per arm, the arm
+// indices by descending empirical mean (stable by index for ties), and
+// returns it.
+func rankByMean(counts []Counts, order []int) []int {
 	for i := range order {
 		order[i] = i
 	}
@@ -262,5 +262,5 @@ func rankByMean(counts []Counts, k int) []int {
 			}
 		}
 	}
-	return order[:k]
+	return order
 }

@@ -9,7 +9,8 @@ import (
 
 // topNReference is TopN as it stood before outsider bounds were pruned:
 // every outsider's upper bound is bisected in every round, and so are
-// both bounds of the reachability stop. It is the oracle
+// both bounds of the reachability stop, and each ranking is a fresh
+// slice (rankFresh). It is the oracle
 // TestTopNMatchesReference and FuzzTopN hold the pruned loop to.
 func topNReference(arms []Arm, n int, cfg Config) ([]int, []Counts) {
 	c := cfg.fill()
@@ -29,12 +30,12 @@ func topNReference(arms []Arm, n int, cfg Config) ([]int, []Counts) {
 		}
 	}
 	if n >= len(arms) {
-		return rankByMean(counts, len(arms)), counts
+		return rankFresh(counts, len(arms)), counts
 	}
 	round := 1
 	for totalPulls < c.MaxPulls {
 		b := beta(len(arms), round, c.Delta)
-		order := rankByMean(counts, len(counts))
+		order := rankFresh(counts, len(counts))
 		worstIn, bestOut := -1, -1
 		var worstLB, bestUB float64
 		for rank, i := range order {
@@ -67,7 +68,27 @@ func topNReference(arms []Arm, n int, cfg Config) ([]int, []Counts) {
 		pull(bestOut, c.Batch)
 		round++
 	}
-	return rankByMean(counts, len(counts))[:n], counts
+	return rankFresh(counts, len(counts))[:n], counts
+}
+
+// rankFresh is rankByMean as it stood before TopN kept one order for
+// every round: a fresh identity, sorted, each call.
+func rankFresh(counts []Counts, k int) []int {
+	order := make([]int, len(counts))
+	for i := range order {
+		order[i] = i
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0; j-- {
+			a, b := order[j-1], order[j]
+			if counts[b].Mean() > counts[a].Mean() {
+				order[j-1], order[j] = order[j], order[j-1]
+			} else {
+				break
+			}
+		}
+	}
+	return order[:k]
 }
 
 // pullCall is one Pull(arm, k) as the bandit issued it.

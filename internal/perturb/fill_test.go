@@ -103,7 +103,8 @@ func (s edgeSource) Int63() int64 {
 // a tuple, ForTuple and FillTuple over random freeze masks, every Fill
 // into cells the last draw left dirty — from the generator and from the
 // reference, on two copies of the same source, and demands the same bits
-// in every cell, the items ItemizeRow makes of the row, and both streams
+// in every cell, the bins (Fill) or items (For) ItemizeRow makes of the
+// row, and both streams
 // standing at the same draw after every sample. It returns how often a
 // frozen numeric bin's value itemised elsewhere, the case the guard
 // exists for.
@@ -114,21 +115,22 @@ func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, sour
 	pick := rand.New(rand.NewSource(int64(n)))
 	p := st.NumAttrs()
 	row, want := make([]float64, p), make([]float64, p)
-	items := make([]dataset.Item, p)
+	bins := make([]uint16, p)
 	freeze := make([]bool, p)
 
-	same := func(what string, i int, got []float64, items []dataset.Item) {
+	same := func(what string, i int, got []float64, bins []uint16, items []dataset.Item) {
 		t.Helper()
 		for a := range want {
 			if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
 				t.Fatalf("%s %d: attribute %d is %v, reference drew %v", what, i, a, got[a], want[a])
 			}
 		}
-		if items != nil {
-			for a, it := range st.ItemizeRow(got, nil) {
-				if items[a] != it {
-					t.Fatalf("%s %d: attribute %d (value %v) carries item %v, ItemizeRow says %v", what, i, a, got[a], items[a], it)
-				}
+		for a, it := range st.ItemizeRow(got, nil) {
+			if bins != nil && int(bins[a]) != it.Bin() {
+				t.Fatalf("%s %d: attribute %d (value %v) carries bin %d, ItemizeRow says %v", what, i, a, got[a], bins[a], it)
+			}
+			if items != nil && items[a] != it {
+				t.Fatalf("%s %d: attribute %d (value %v) carries item %v, ItemizeRow says %v", what, i, a, got[a], items[a], it)
 			}
 		}
 		if g.rng.Int63() != ref.rng.Int63() {
@@ -145,16 +147,16 @@ func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, sour
 			}
 		}
 		ref.fillItemset(frozen, want)
-		g.FillItemset(frozen, row, items)
-		same(fmt.Sprintf("FillItemset(%v)", frozen), i, row, items)
+		g.FillItemset(frozen, row, bins)
+		same(fmt.Sprintf("FillItemset(%v)", frozen), i, row, bins, nil)
 
 		ref.fillItemset(frozen, want)
 		g.FillItemset(frozen, row, nil)
-		same(fmt.Sprintf("FillItemset(%v, row only)", frozen), i, row, nil)
+		same(fmt.Sprintf("FillItemset(%v, row only)", frozen), i, row, nil, nil)
 
 		ref.fillItemset(frozen, want)
 		s := g.ForItemset(frozen)
-		same(fmt.Sprintf("ForItemset(%v)", frozen), i, s.Row, s.Items)
+		same(fmt.Sprintf("ForItemset(%v)", frozen), i, s.Row, nil, s.Items)
 		if s.Label != -1 {
 			t.Fatalf("ForItemset %d: fresh sample labelled %d", i, s.Label)
 		}
@@ -164,14 +166,14 @@ func assertFillMatches(t testing.TB, st *dataset.Stats, tuples [][]float64, sour
 		}
 		ref.forTuple(tuple, freeze, want)
 		s = g.ForTuple(tuple, freeze)
-		same(fmt.Sprintf("ForTuple(%v)", freeze), i, s.Row, s.Items)
+		same(fmt.Sprintf("ForTuple(%v)", freeze), i, s.Row, nil, s.Items)
 
 		for a := range freeze {
 			freeze[a] = pick.Intn(3) == 0
 		}
 		ref.forTuple(tuple, freeze, want)
-		g.FillTuple(tuple, freeze, row, items)
-		same(fmt.Sprintf("FillTuple(%v)", freeze), i, row, items)
+		g.FillTuple(tuple, freeze, row, bins)
+		same(fmt.Sprintf("FillTuple(%v)", freeze), i, row, bins, nil)
 	}
 	return ref.frozen
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
@@ -45,8 +46,8 @@ func TestForItemsetFreezesBins(t *testing.T) {
 		if st.Bin(2, s.Row[2]) != 1 {
 			t.Fatalf("attr 2 bin=%d want 1", st.Bin(2, s.Row[2]))
 		}
-		if !MatchesBins(frozen, s.Items) {
-			t.Fatal("MatchesBins rejects its own frozen sample")
+		if !frozen.ContainsAll(s.Items) {
+			t.Fatal("the sample's items leave out its frozen itemset")
 		}
 	}
 }
@@ -139,23 +140,25 @@ func TestBinaryEncodeReusesBuffer(t *testing.T) {
 }
 
 func TestMatchesBins(t *testing.T) {
-	items := []dataset.Item{dataset.MakeItem(0, 1), dataset.MakeItem(1, 2)}
-	if !MatchesBins(dataset.Itemset{dataset.MakeItem(0, 1)}, items) {
+	bins := []uint16{1, 2}
+	if !MatchesBins(dataset.Itemset{dataset.MakeItem(0, 1)}, bins) {
 		t.Fatal("matching itemset rejected")
 	}
-	if MatchesBins(dataset.Itemset{dataset.MakeItem(0, 2)}, items) {
+	if MatchesBins(dataset.Itemset{dataset.MakeItem(0, 2)}, bins) {
 		t.Fatal("mismatching itemset accepted")
 	}
-	if !MatchesBins(nil, items) {
+	if !MatchesBins(nil, bins) {
 		t.Fatal("empty itemset must match everything")
 	}
 }
 
+// TestSampleBytes: a pooled sample is charged its bins and a header of
+// exactly the struct's size, so a byte budget counts what it holds.
 func TestSampleBytes(t *testing.T) {
-	s := Sample{Row: make([]float64, 10), Items: make([]dataset.Item, 10)}
-	want := int64(10*8 + 10*4 + 48)
-	if got := s.Bytes(); got != want {
-		t.Fatalf("Bytes=%d want %d", got, want)
+	s := Pooled{Bins: make([]uint16, 10)}
+	want := int64(10*2) + int64(unsafe.Sizeof(s))
+	if got := s.Bytes(); got != want || unsafe.Sizeof(s) != 32 {
+		t.Fatalf("Bytes=%d want %d (header %d B)", got, want, unsafe.Sizeof(s))
 	}
 }
 
@@ -248,10 +251,11 @@ func BenchmarkMatchesBins(b *testing.B) {
 	d, st, g := benchEnv(b)
 	tItems := st.ItemizeRow(d.Rows(0, 1)[0], nil)
 	frozen := dataset.Itemset{tItems[0], tItems[len(tItems)/2]}
-	s := g.ForItemset(frozen)
+	bins := make([]uint16, len(tItems))
+	g.FillItemset(frozen, make([]float64, len(tItems)), bins)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchBool = MatchesBins(frozen, s.Items)
+		benchBool = MatchesBins(frozen, bins)
 	}
 }
