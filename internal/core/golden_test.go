@@ -29,19 +29,19 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/runners_golden.j
 const goldenPath = "testdata/runners_golden.json"
 
 // goldenFaults is a seeded, call-indexed fault profile: transient errors
-// with retries, and a short hard outage that opens the breaker (an open
-// breaker rejects calls before they reach the injector, so twelve outage
-// calls last a few hundred predictions — some tuples degrade, not all).
-// No deadline and microsecond backoff keep it independent of the wall
-// clock.
-func goldenFaults(seed int64) *fault.Config {
+// with retries, and a short hard outage from call start that opens the
+// breaker (an open breaker rejects calls before they reach the injector,
+// so twelve outage calls last a few hundred predictions — some tuples
+// degrade, not all). No deadline and microsecond backoff keep it
+// independent of the wall clock.
+func goldenFaults(seed, start int64) *fault.Config {
 	return &fault.Config{
 		FailRate:             0.03,
 		Seed:                 seed,
 		MaxRetries:           2,
 		RetryBase:            time.Microsecond,
 		RetryMax:             4 * time.Microsecond,
-		OutageStart:          2500,
+		OutageStart:          start,
 		OutageCalls:          60,
 		BreakerThreshold:     5,
 		BreakerCooldownCalls: 40,
@@ -254,7 +254,7 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 			}
 			for _, profile := range []string{"", "/midfill"} {
 				opts := smallOpts(kind, 9)
-				opts.Fault = goldenFaults(13)
+				opts.Fault = goldenFaults(13, 2500)
 				if profile != "" {
 					opts.Fault = midFill
 				}
@@ -290,7 +290,11 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 // flushes across a staleness re-mine), Sequential and Greedy, for all four
 // explainer kinds, with and without a recorder, and — on the serial
 // runners — with and without injected faults. The determinism tests
-// compare a run with itself; this compares it with the last commit.
+// compare a run with itself; this compares it with the last commit. A
+// faulted run's outage starts halfway through the calls the same run
+// makes past its pool's labels without the outage, so it lands among
+// the explanations of every run however the pool's size moves, and every
+// faulted run must degrade an answer.
 func TestRunnersGolden(t *testing.T) {
 	env := goldenEnv(t)
 	got := map[string]string{}
@@ -309,11 +313,22 @@ func TestRunnersGolden(t *testing.T) {
 						opts.Recorder = obs.NewRecorder()
 					}
 					if faulty {
-						opts.Fault = goldenFaults(13)
+						probe := smallOpts(kind, 9)
+						probe.Fault = goldenFaults(13, 0)
+						probe.Fault.OutageCalls = 0
+						_, reps, _, err := rn.run(st, cls, probe, tuples)
+						if err != nil {
+							t.Fatalf("%s without its outage: %v", name, err)
+						}
+						r := reps[len(reps)-1]
+						opts.Fault = goldenFaults(13, r.PoolInvocations+(r.Invocations-r.PoolInvocations)/2)
 					}
 					exps, reps, _, err := rn.run(st, cls, opts, tuples)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
+					}
+					if faulty && reps[len(reps)-1].Degraded == 0 {
+						t.Errorf("%s: no answer degraded: the outage never reached the ladder", name)
 					}
 					got[name] = goldenLine(t, exps, reps)
 					names = append(names, name)

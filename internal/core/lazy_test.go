@@ -198,7 +198,7 @@ func TestStreamRefusedFill(t *testing.T) {
 		// outage lands in fills.
 		recompute int
 	}{
-		{name: "faults", fault: func(*testing.T) *fault.Config { return goldenFaults(13) }, recompute: 10},
+		{name: "faults", fault: func(*testing.T) *fault.Config { return goldenFaults(13, 2500) }, recompute: 10},
 		{name: "outage", fault: shortOutage, recompute: 20},
 		{name: "cancelled", cut: 19, recompute: 20},
 	} {

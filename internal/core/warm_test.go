@@ -48,7 +48,7 @@ func TestWarmIsAStream(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/fault=%v", kind, faulty), func(t *testing.T) {
 				opts := smallOpts(kind, 11)
 				if faulty {
-					opts.Fault = goldenFaults(12)
+					opts.Fault = goldenFaults(12, 2500)
 				}
 				for name, sizes := range schedules {
 					wTrip, sTrip := &tripwire{Classifier: env.cls}, &tripwire{Classifier: env.cls}
@@ -447,7 +447,7 @@ func TestStreamSpanForestBounded(t *testing.T) {
 	env := newEnv(t, 5, 40)
 	opts := smallOpts(LIME, 5)
 	opts.LIME.NumSamples = 20
-	opts.Fault = goldenFaults(6)
+	opts.Fault = goldenFaults(6, 2500)
 	rec := obs.NewRecorder()
 	opts.Recorder = rec
 	s, err := NewStream(env.st, env.cls, opts)
