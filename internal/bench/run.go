@@ -64,13 +64,6 @@ func runDist(env *Env, opts core.Options, tuples [][]float64, k int) (*core.Resu
 	return res, nil
 }
 
-// runGreedy runs the GREEDY baseline with the paper's default budget of
-// 10x the raw batch size.
-func runGreedy(env *Env, opts core.Options, tuples [][]float64) (*core.Result, error) {
-	budget := int64(10 * len(tuples) * len(tuples[0]) * 8)
-	return core.Greedy(env.Stats, env.Classifier(), opts, tuples, budget)
-}
-
 // speedup returns baseline / measured wall-time ratio.
 func speedup(baseline, measured time.Duration) float64 {
 	if measured <= 0 {
