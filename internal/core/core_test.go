@@ -232,42 +232,6 @@ func TestBatchAnchor(t *testing.T) {
 	}
 }
 
-func TestGreedyReusesAndEvicts(t *testing.T) {
-	env := newEnv(t, 13, 30)
-	opts := smallOpts(LIME, 14)
-	// Small budget forces eviction churn.
-	res, err := Greedy(env.st, env.cls, opts, env.tuples, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Explanations) != len(env.tuples) {
-		t.Fatalf("explained %d", len(res.Explanations))
-	}
-	if res.Report.ReusedSamples == 0 {
-		t.Fatal("greedy never reused")
-	}
-	seq, err := SequentialCtx(context.Background(), env.st, env.cls, opts, env.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Invocations >= seq.Report.Invocations {
-		t.Fatal("greedy saved nothing")
-	}
-}
-
-func TestGreedyAnchorFallsBackToSequential(t *testing.T) {
-	env := newEnv(t, 15, 5)
-	res, err := Greedy(env.st, env.cls, smallOpts(Anchor, 16), env.tuples, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range res.Explanations {
-		if e.Rule == nil {
-			t.Fatal("anchor greedy produced no rules")
-		}
-	}
-}
-
 func TestStreamWarmupAndReuse(t *testing.T) {
 	env := newEnv(t, 17, 150)
 	opts := smallOpts(LIME, 18)

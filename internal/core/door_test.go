@@ -95,16 +95,11 @@ func entryPoints() []entryPoint {
 				return SequentialCtx(context.Background(), st, cls, opts, tuples)
 			})}, nil
 		}},
-		{name: "greedy", open: func(st *dataset.Stats, cls rf.Classifier, opts Options) (*opened, error) {
-			return &opened{trace: noTrace, explain: all(func(tuples [][]float64) (*Result, error) {
-				return Greedy(st, cls, opts, tuples, 1<<20)
-			})}, nil
-		}},
 	}
 }
 
 // TestEntryPointsRefuseAlike: a malformed call gets the same answer at
-// each of core's five entry points — an error naming the cause (and the
+// each of core's four entry points — an error naming the cause (and the
 // tuple, when it is a tuple), never a panic — and leaves no trace: no
 // tuple in a window, no flush number spent, nothing pooled, so the next
 // good call on a long-lived runner answers the bytes a fresh one does.

@@ -240,10 +240,6 @@ func TestEventReconciliation(t *testing.T) {
 				l.total = w.Report()
 				return l, nil
 			}},
-		{name: "greedy", seed: 45, n: 30, reuse: true,
-			run: func(env *testEnv, opts Options) (ledger, error) {
-				return oneResult(Greedy(env.st, env.cls, opts, env.tuples, 1<<20))
-			}},
 		// The exact path's unit of work is node visits, one classifier
 		// call per tuple, nothing pooled.
 		{name: "batch-exact", seed: 47, n: 20, exact: true,

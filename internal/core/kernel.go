@@ -350,25 +350,7 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 // repository through eng: the pool view for the perturbation explainers,
 // the shared caches for Anchor.
 func (ps *poolState) step(eng *engine) *tupleStep {
-	s := &tupleStep{eng: eng, sh: ps.sh}
-	if ps.pool != nil { // a nil *itemsetPool would make a non-nil tuplePool
-		s.pool = ps.pool
-	}
-	return s
-}
-
-// tuplePool is what the per-tuple step needs of a pool: serve samples,
-// charging them to the tuple at hand.
-type tuplePool interface {
-	explain.Pool
-	// nothingPooled reports that the pool has nothing to serve and learns
-	// nothing from being asked. (Not "empty": the linker keeps every
-	// reachable type's method that shares an interface method's name
-	// and signature, and the standard library has several of those.)
-	nothingPooled() bool
-	// beginTuple resets the per-tuple consumption allowance and charges
-	// what the pool serves from here on to c.
-	beginTuple(c *Cost)
+	return &tupleStep{eng: eng, pool: ps.pool, sh: ps.sh}
 }
 
 // frame is what every run executes in: the root stage (span, wall clock,
@@ -386,7 +368,7 @@ type frame struct {
 // ExactSHAP request decided once — the prototype the runs' engines fork
 // (nil off the exact path), or the downgrade every report is stamped
 // with. Batch and Stream embed theirs for life (Warm through its
-// Stream); Sequential and Greedy build one per call.
+// Stream); Sequential builds one per call.
 type runner struct {
 	opts          Options
 	st            *dataset.Stats
@@ -457,7 +439,7 @@ func (f *frame) enter(ctx context.Context) context.Context {
 // the bookkeeping every explanation gets wherever it runs.
 type tupleStep struct {
 	eng  *engine
-	pool tuplePool      // nil: nothing pooled (Sequential, Anchor, the exact path)
+	pool *itemsetPool   // nil: nothing pooled (Sequential, Anchor, the exact path)
 	sh   *anchor.Shared // nil: Anchor (if that is the kind) runs on fresh per-tuple caches
 }
 
@@ -475,7 +457,7 @@ func (s *tupleStep) run(i int, t []float64) (Explanation, Cost, error) {
 	var pool explain.Pool
 	if s.pool != nil {
 		s.pool.beginTuple(c)
-		if !s.pool.nothingPooled() {
+		if len(s.pool.itemsets) != 0 {
 			pool = s.pool
 		}
 	}

@@ -1,4 +1,4 @@
-// Package core implements Shahin itself: five entry points, each a
+// Package core implements Shahin itself: four entry points, each a
 // runner, an admission and a window policy over one pool.
 //
 // The pool (poolState, kernel.go) is the paper's algorithm: a repository
@@ -18,8 +18,7 @@
 // window, border included (before the first, also at each power of two
 // from 16), and promotes border itemsets in between. Warm is a Stream
 // behind a flush gate.
-// Sequential and Greedy, the baselines, are the step up front: with no
-// pool, or over a store that keeps all it sees.
+// Sequential, the baseline, is the step up front with no pool.
 package core
 
 import (

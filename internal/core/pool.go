@@ -54,8 +54,6 @@ type itemsetPool struct {
 	cost *Cost // the tuple being explained
 }
 
-var _ tuplePool = (*itemsetPool)(nil)
-
 func newItemsetPool(repo sampleSource, itemsets []dataset.Itemset) *itemsetPool {
 	p := &itemsetPool{
 		repo:     repo,
@@ -85,8 +83,6 @@ func (p *itemsetPool) beginTuple(c *Cost) {
 	p.tuple++
 	p.cost = c
 }
-
-func (p *itemsetPool) nothingPooled() bool { return len(p.itemsets) == 0 }
 
 // hit charges one repository entry that served the tuple; the first is
 // the itemset the tuple's reuse is credited to.

@@ -209,73 +209,6 @@ func TestPoolForItemsetConsumption(t *testing.T) {
 	}
 }
 
-func TestGreedyStoreEviction(t *testing.T) {
-	s := mk(0, 0, 0, 0, 0)
-	g := newGreedyStore(3 * s.Bytes())
-	for i := 0; i < 10; i++ {
-		g.Observe(mk(i%2, uint16(i%3), 0, 0, 0))
-	}
-	live := len(g.samples) - g.head
-	if live != 3 {
-		t.Fatalf("live samples=%d want 3", live)
-	}
-	if g.used > 3*s.Bytes() {
-		t.Fatalf("used %d over budget", g.used)
-	}
-}
-
-func TestGreedyStoreNewestFirst(t *testing.T) {
-	g := newGreedyStore(0)
-	g.Observe(mk(0, 1, 5, 5, 5))
-	g.Observe(mk(1, 1, 5, 5, 5))
-	g.beginTuple(new(Cost))
-	// The tuple agrees with the stored samples on 2 of 4 attributes,
-	// meeting the 50% locality threshold.
-	tuple := []dataset.Item{
-		dataset.MakeItem(0, 1), dataset.MakeItem(1, 5),
-		dataset.MakeItem(2, 9), dataset.MakeItem(3, 9),
-	}
-	got := g.ForTuple(tuple, 1)
-	if len(got) != 1 || got[0].Label != 1 {
-		t.Fatalf("expected newest sample first, got %+v", got)
-	}
-	// Second request must serve the remaining (older) sample.
-	got = g.ForTuple(tuple, 1)
-	if len(got) != 1 || got[0].Label != 0 {
-		t.Fatalf("expected older sample second, got %+v", got)
-	}
-}
-
-func TestGreedyStoreForItemsetGuard(t *testing.T) {
-	g := newGreedyStore(0)
-	g.Observe(mk(1, 1, 2, 3, 0))
-	g.beginTuple(new(Cost))
-	big := dataset.Itemset{
-		dataset.MakeItem(0, 1), dataset.MakeItem(1, 2),
-		dataset.MakeItem(2, 3), dataset.MakeItem(3, 0),
-	}
-	if got := g.ForItemset(big, 1); len(got) != 0 {
-		t.Fatal("4-item requirement should be skipped")
-	}
-	small := dataset.Itemset{dataset.MakeItem(0, 1), dataset.MakeItem(2, 3)}
-	if got := g.ForItemset(small, 1); len(got) != 1 {
-		t.Fatalf("matching requirement served %d", len(got))
-	}
-}
-
-func TestMatchingBins(t *testing.T) {
-	a := []dataset.Item{dataset.MakeItem(0, 1), dataset.MakeItem(1, 2)}
-	if got := matchingBins(a, []uint16{9, 2}); got != 1 {
-		t.Fatalf("matchingBins=%d want 1", got)
-	}
-	if got := matchingBins(a, []uint16{9, 9}); got != 0 {
-		t.Fatalf("matchingBins=%d want 0", got)
-	}
-	if got := matchingBins(a, []uint16{1, 2}); got != 2 {
-		t.Fatalf("matchingBins=%d want 2", got)
-	}
-}
-
 func TestEffectiveSupport(t *testing.T) {
 	cases := []struct {
 		min  float64

@@ -128,9 +128,9 @@ type Pool interface {
 }
 
 // Observer is an optional extension of Pool: explainers push every fresh
-// labelled perturbation to an observing pool, which is how the GREEDY
-// baseline (paper §4.1) accumulates its cache. The sample's bins are the
-// explainer's scratch, valid only during the call: keep a copy.
+// labelled perturbation to an observing pool, which is how bench's
+// greedyStore, the GREEDY baseline (paper §4.1), fills. The sample's bins
+// are the explainer's scratch, valid only during the call: keep a copy.
 type Observer interface {
 	Observe(s perturb.Pooled)
 }

@@ -130,7 +130,7 @@ func (p *frozenPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pool
 func (p *frozenPool) ForItemset(dataset.Itemset, int) []perturb.Pooled { return nil }
 
 // observingStore keeps a copy of every fresh sample it observes, as
-// core's greedyStore does, and serves them back newest first to a tuple
+// bench's greedyStore does, and serves them back newest first to a tuple
 // whose bins one shares on half the attributes.
 type observingStore struct {
 	kept   []perturb.Pooled

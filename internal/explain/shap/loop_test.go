@@ -171,7 +171,7 @@ func (p *frozenPool) ForItemset(required dataset.Itemset, max int) []perturb.Poo
 }
 
 // observingStore keeps a copy of every fresh sample it observes, as
-// core's greedyStore does, and serves them back newest first: to a
+// bench's greedyStore does, and serves them back newest first: to a
 // tuple whose bins one shares on half the attributes, to a coalition of
 // at most three items whose bins one carries.
 type observingStore struct {

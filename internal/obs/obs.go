@@ -31,7 +31,6 @@ const (
 	StageBatch      = "batch"
 	StageStream     = "stream"
 	StageSequential = "sequential"
-	StageGreedy     = "greedy"
 	StageMine       = "mine"
 	StagePoolBuild  = "pool-build"
 	StagePreLabel   = "pre-label"
