@@ -34,10 +34,6 @@ func TestConfigFill(t *testing.T) {
 	if c.Delay != 50*time.Microsecond || len(c.Batches) != 3 {
 		t.Fatalf("defaults %+v", c)
 	}
-	q := Quick()
-	if q.Batch <= 0 || q.Rows <= 0 {
-		t.Fatal("Quick config degenerate")
-	}
 }
 
 func TestNewEnv(t *testing.T) {

@@ -44,7 +44,7 @@ type Config struct {
 	// Recorder, when non-nil, instruments every run of the suite: spans
 	// per stage, live counters, and latency histograms, servable over
 	// HTTP while experiments are in flight. nil keeps runs uninstrumented
-	// (the zero-overhead default the testing.B benchmarks measure).
+	// (the zero-overhead default the package's tests run with).
 	Recorder *obs.Recorder `json:"-"`
 }
 
@@ -80,22 +80,6 @@ func (c Config) Fill() Config {
 		c.Tau = 100
 	}
 	return c
-}
-
-// Quick returns a reduced config for the testing.B benchmarks, small
-// enough that every experiment completes in seconds.
-func Quick() Config {
-	return Config{
-		Rows:        3000,
-		Batch:       60,
-		Batches:     []int{25, 75},
-		Trees:       30,
-		Delay:       10 * time.Microsecond,
-		Seed:        1,
-		LIMESamples: 250,
-		SHAPSamples: 160,
-		Tau:         50,
-	}.Fill()
 }
 
 // Options builds the core.Options for an explainer kind under this
