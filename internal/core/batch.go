@@ -19,11 +19,11 @@ import (
 // Batch is Shahin's batch variant: given the whole set of tuples up
 // front, it mines frequent itemsets over a uniform sample and serves
 // labelled perturbations frozen on them to every tuple's explanation
-// (Algorithms 1–3 of the paper). Because it knows its tuples, LIME and
-// KernelSHAP runs label only what they will read: a demand pass fills τ
-// perturbations for each itemset some tuple's ForTuple selection reaches,
-// before any tuple is explained. Anchor's beam decides what it reads as
-// it runs, so Anchor labels every mined itemset up front.
+// (Algorithms 1–3 of the paper). A pooled itemset is labelled the first
+// time it is read: LIME and KernelSHAP runs know what their tuples'
+// ForTuple selections reach, so a demand pass fills those before any
+// tuple is explained; Anchor's beam decides what it reads as it runs, so
+// its pool fills as the search reads it.
 type Batch struct{ runner }
 
 // NewBatch creates a batch explainer over the training statistics and a
@@ -58,7 +58,8 @@ func (b *Batch) ExplainAllCtx(ctx context.Context, tuples [][]float64) (*Result,
 	defer f.span.End()
 	f.span.SetAttr("explainer", opts.Explainer.String())
 	eng := f.eng
-	ps, rep, err := b.buildPool(f, rng, tuples)
+	var rep Report
+	ps, err := b.buildPool(f, rng, tuples, &rep)
 	if err != nil {
 		return nil, err
 	}
@@ -168,33 +169,38 @@ func poolBudget(opts Options, batch int) int {
 }
 
 // buildPool is steps 1–2 of a batch run (overhead, then pool
-// construction), under f: itemise every tuple, mine a uniform sample of
-// them — max(1000, 1%) per the paper's heuristic — and label the pool. A
-// LIME or KernelSHAP pool labels what the tuples' ForTuple selections
-// reach (fillDemanded); Anchor's labels τ perturbations per frequent
-// itemset. The exact TreeSHAP path neither perturbs nor pools: it mines
-// nothing and gets an empty pool its engines never draw from.
-func (b *Batch) buildPool(f *frame, rng *rand.Rand, tuples [][]float64) (*poolState, Report, error) {
+// construction), under f, charged to rep: itemise every tuple, mine a
+// uniform sample of them — max(1000, 1%) per the paper's heuristic — and
+// fill: what the tuples' ForTuple selections reach (fillDemanded), or for
+// Anchor, what its search reads as it runs. The exact TreeSHAP path
+// neither perturbs nor pools: it mines nothing and gets an empty pool its
+// engines never draw from.
+func (b *Batch) buildPool(f *frame, rng *rand.Rand, tuples [][]float64, rep *Report) (*poolState, error) {
 	eng := f.eng
 	ps := newPoolState(b.opts, eng.cls.NumClasses(), len(tuples))
-	var rows, demand []dataset.Itemset
+	gen := perturb.NewGenerator(b.st, rng)
+	var rows []dataset.Itemset
 	if b.opts.Explainer != ExactSHAP {
 		rows = itemize(b.st, tuples)
 	}
+	var demand func(*Report) int
 	if eng.reuseCap() > 0 {
-		demand = rows
+		demand = func(d *Report) int { return ps.fillDemanded(f.ctx, eng, gen, rows, d) }
+	} else if ps.sh != nil {
+		ps.fillOnMatch(eng, gen, rep)
 	}
-	_, rep, err := ps.refresh(f.ctx, eng, perturb.NewGenerator(b.st, rng), func() []dataset.Itemset {
+	_, d, err := ps.refresh(func() []dataset.Itemset {
 		if rows == nil {
 			return nil
 		}
 		return sampleRows(rows, fim.SampleSize(len(rows)), rng)
 	}, false, demand, f.span)
-	return ps, rep, err
+	rep.add(d)
+	return ps, err
 }
 
 // fillDemanded is a batch's demand pass, run by refresh inside its
-// pool-build stage and charged to d: over the lazy pool fillOnMatch makes,
+// pool-build stage and charged to d: through the fill fillOnMatch installs,
 // it walks each row's ForTuple selection under the engine's reuse cap —
 // what the row's explanation will ask the pool first — so every itemset a
 // selection reaches is filled. A selection depends on the row's items,
@@ -202,9 +208,10 @@ func (b *Batch) buildPool(f *frame, rng *rand.Rand, tuples [][]float64) (*poolSt
 // later walks the same one; a fill that fails drops its itemset, as on a
 // stream, and no selection walks it again. The walk reads the repository
 // by Peek (it is no tuple's read) and charges what it serves to no tuple.
-// Afterwards the pool is eager and holds only what was filled, in mining
-// order: the repository the workers snapshot is fixed. Cancelling ctx
-// stops the pass between rows. It returns how many itemsets are pooled.
+// Afterwards the fill is taken out and the pool holds only what was
+// filled, in mining order: the repository the workers snapshot is fixed.
+// Cancelling ctx stops the pass between rows. It returns how many
+// itemsets are pooled.
 func (ps *poolState) fillDemanded(ctx context.Context, eng *engine, gen *perturb.Generator, rows []dataset.Itemset, d *Report) int {
 	ps.fillOnMatch(eng, gen, d)
 	ps.pool.repo = peeked{ps.repo}

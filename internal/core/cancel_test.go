@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,40 +340,48 @@ func TestCancelReturnsPromptly(t *testing.T) {
 }
 
 // witness is the classifier a run whose pool is checked is handed: a
-// pooled sample keeps only its bins, so the witness records, for each
-// bin encoding, the labels the classifier gave rows with those bins.
+// pooled sample keeps only its bins and label, so the witness numbers
+// its calls and records, for each bin encoding and label, the calls that
+// gave them.
 type witness struct {
 	rf.Classifier
-	st   *dataset.Stats
-	mu   sync.Mutex
-	gave map[string]uint64 // fmt.Sprint of the bins → bit set of labels
+	st    *dataset.Stats
+	mu    sync.Mutex
+	n     int
+	calls map[string][]int // fmt.Sprint of the bins and the label → those calls' numbers, ascending
 }
 
 func newWitness(st *dataset.Stats, cls rf.Classifier) *witness {
-	return &witness{Classifier: cls, st: st, gave: make(map[string]uint64)}
+	return &witness{Classifier: cls, st: st, calls: make(map[string][]int)}
 }
 
 func (w *witness) Predict(x []float64) int {
 	y := w.Classifier.Predict(x)
 	items := w.st.ItemizeRow(x, nil)
-	key := fmt.Sprint(perturb.BinsOf(items, make([]uint16, len(items))))
+	key := fmt.Sprint(perturb.BinsOf(items, make([]uint16, len(items))), y)
 	w.mu.Lock()
-	w.gave[key] |= 1 << y
+	w.calls[key] = append(w.calls[key], w.n)
+	w.n++
 	w.mu.Unlock()
 	return y
 }
 
-// checkPoolLabels asserts that every sample a persistent pool holds
-// carries a label the classifier gave a row with the sample's bins —
-// none stored from the degradation ladder's guesses.
+// checkPoolLabels asserts that every sample a persistent pool holds is
+// one real classifier call's: an entry's samples, in the order stored,
+// match calls in the order made, each with the sample's bins and label.
+// A sample stored from the degradation ladder's guesses had no call.
 func checkPoolLabels(t *testing.T, ps *poolState, w *witness) {
 	t.Helper()
 	for _, key := range ps.repo.Keys() {
-		samples, _ := ps.repo.Get(key)
+		samples, _ := ps.repo.Peek(key)
+		prev := -1
 		for i, s := range samples {
-			if gave := w.gave[fmt.Sprint(s.Bins)]; gave&(1<<s.Label) == 0 {
-				t.Fatalf("pooled sample %d of an itemset is labelled %d, the classifier gave its bins %b", i, s.Label, gave)
+			calls := w.calls[fmt.Sprint(s.Bins, s.Label)]
+			j, _ := slices.BinarySearch(calls, prev+1)
+			if j == len(calls) {
+				t.Fatalf("pooled sample %d of %v, bins %v labelled %d, matches no classifier call after call %d", i, key.Itemset(), s.Bins, s.Label, prev)
 			}
+			prev = calls[j]
 		}
 	}
 }

@@ -78,8 +78,8 @@ type Cost struct {
 	Itemset dataset.Itemset
 	Status  Status
 
-	// aside is wall time inside the unit spent on units of their own (a
-	// stream's pooled itemsets filled while the tuple was explained);
+	// aside is wall time inside the unit spent on units of their own (the
+	// pooled itemsets filled while the tuple was explained);
 	// the step takes it off Duration.
 	aside time.Duration
 }

@@ -10,6 +10,7 @@ import (
 	"shahin/internal/cache"
 	"shahin/internal/dataset"
 	"shahin/internal/explain/lime"
+	"shahin/internal/fault"
 	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -54,9 +55,9 @@ func selection(p *itemsetPool, items dataset.Itemset, max int) []read {
 }
 
 // eagerPool is the oracle of the demand pass: the pool a batch over
-// tuples would build if it labelled every mined itemset, as Anchor's
-// does — buildPool's steps with no demand. It returns the run's reuse cap
-// beside it.
+// tuples would build if it labelled every mined itemset — buildPool's
+// mine with no demand, then materialize on each itemset in mining order.
+// It returns the run's reuse cap beside it.
 func eagerPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) (*poolState, int) {
 	t.Helper()
 	b, err := NewBatch(st, cls, opts)
@@ -67,11 +68,17 @@ func eagerPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 	f := b.begin(context.Background(), rng, obs.StageBatch, len(tuples))
 	defer f.span.End()
 	ps := newPoolState(b.opts, cls.NumClasses(), len(tuples))
+	gen := perturb.NewGenerator(st, rng)
 	rows := itemize(st, tuples)
-	if _, _, err := ps.refresh(f.ctx, f.eng, perturb.NewGenerator(st, rng), func() []dataset.Itemset {
+	if _, _, err := ps.refresh(func() []dataset.Itemset {
 		return sampleRows(rows, fim.SampleSize(len(rows)), rng)
 	}, false, nil, f.span); err != nil {
 		t.Fatal(err)
+	}
+	for _, set := range ps.sets {
+		if !ps.materialize(f.eng, gen, set, new(Report)) {
+			t.Fatalf("the eager pool did not store %v", set)
+		}
 	}
 	return ps, f.eng.reuseCap()
 }
@@ -83,7 +90,7 @@ func eagerPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 // one worker and at four; the pass labelled τ samples per pooled itemset;
 // and every pooled itemset is served to some tuple. The mutants "the
 // demand pass ignores max", "the parallel path skips the demand pass"
-// and "the eager refresh is restored" each fail it.
+// and "fillDemanded keeps the itemsets it did not fill" each fail it.
 func TestBatchDemandPool(t *testing.T) {
 	env := newEnv(t, 7, 80)
 	rows := itemize(env.st, env.tuples)
@@ -107,7 +114,7 @@ func TestBatchDemandPool(t *testing.T) {
 					t.Errorf("w%d: %d pool invocations for %d pooled itemsets at τ=%d", w, rep.PoolInvocations, rep.FrequentItemsets, opts.Tau)
 				}
 				// batchPool fails unless the run built this pool.
-				pools = append(pools, batchPool(t, env.st, env.cls, opts, env.tuples, rep))
+				pools = append(pools, batchPool(t, env.st, env.cls, opts, env.tuples, rep, nil))
 				if w == 1 {
 					reused = rep.ReusedSamples
 				}
@@ -245,4 +252,123 @@ func FuzzDemandPool(f *testing.F) {
 				len(want), pooled, ps.repo.Len(), rep.PoolInvocations, r.opts.Tau)
 		}
 	})
+}
+
+// TestBatchAnchorFillsAtFirstRead holds a fault-free Batch Anchor run to
+// the one fill rule, on the recidivism forest (the golden twin's rules
+// end at one item, so bootstrap would read nothing pooled). The search
+// calls Shared.Fill on every rule it reads: on each candidate, and on a
+// fresh candidate's sub-rules right after it, before bootstrap scans
+// them. Every pooled rule it is called on holds τ labels when it
+// returns; a rule filled there gets exactly τ and its first invariant
+// entry (nothing read its trials before the fill); and the pool's calls
+// are τ per such fill, so nothing the search never read was labelled.
+// The mutants "Fill skipped in bootstrap", "Fill called after Lookup"
+// and "the batch labels every mined itemset up front" each fail it.
+func TestBatchAnchorFillsAtFirstRead(t *testing.T) {
+	env := newExactEnv(t, 7, 40)
+	opts := smallOpts(Anchor, 9)
+	b, err := NewBatch(env.st, env.forest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.ExplainAll(env.tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads []dataset.Itemset
+	filled := 0
+	ps := batchPool(t, env.st, env.forest, opts, env.tuples, res.Report, func(ps *poolState) {
+		fill := ps.sh.Fill
+		ps.sh.Fill = func(rule dataset.Itemset) {
+			key, entries, held := rule.Key(), ps.sh.Inv.Len(), ps.repo.Contains(rule.Key())
+			fill(rule)
+			reads = append(reads, slices.Clone(rule))
+			if !pooled(ps, rule) {
+				return
+			}
+			got, _ := ps.repo.Peek(key)
+			if len(got) < opts.Tau {
+				t.Errorf("%v was read holding %d samples, want at least τ=%d", rule, len(got), opts.Tau)
+			}
+			if !held {
+				filled++
+				if len(got) != opts.Tau || ps.sh.Inv.Len() != entries+1 {
+					t.Errorf("the fill of %v stored %d samples and made %d invariant entries; want τ=%d and 1",
+						rule, len(got), ps.sh.Inv.Len()-entries, opts.Tau)
+				}
+			}
+		}
+	})
+	if n := int64(opts.Tau * filled); filled == 0 || res.Report.PoolInvocations != n {
+		t.Fatalf("%d pool invocations for %d fills in Shared.Fill at τ=%d", res.Report.PoolInvocations, filled, opts.Tau)
+	}
+	// The reads are candidates, each a fresh one (not pooled, not a
+	// candidate before) followed by its sub-rules, which bootstrap scans.
+	candidates := map[dataset.ItemsetKey]bool{}
+	scanned := 0
+	for i := 0; i < len(reads); {
+		rule := reads[i]
+		i++
+		if candidates[rule.Key()] || pooled(ps, rule) {
+			continue
+		}
+		candidates[rule.Key()] = true
+		var want, got []string
+		for skip := range rule {
+			want = append(want, slices.Delete(slices.Clone(rule), skip, skip+1).String())
+		}
+		for _, sub := range reads[i:min(i+len(rule), len(reads))] {
+			got = append(got, sub.String())
+			if pooled(ps, sub) {
+				scanned++
+			}
+		}
+		i += len(rule)
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("read %d, the fresh candidate %v, is followed by %v; want its sub-rules %v", i-len(rule)-1, rule, got, want)
+		}
+	}
+	if scanned == 0 {
+		t.Fatal("bootstrap read no pooled sub-rule: the run does not exercise it")
+	}
+}
+
+// TestBatchAnchorRefusedFill: a Batch Anchor fill with a label the
+// classifier did not give stores nothing and drops its own itemset only.
+// Under the midfill profile (one call in twenty-five fails, no retry),
+// each seed refuses some fills and still pools more than one itemset,
+// every label of which is a classifier call's. A pool that stops at the
+// first refused fill holds one.
+func TestBatchAnchorRefusedFill(t *testing.T) {
+	st, plain, tuples := goldenEnv(t)(Anchor)
+	tuples = tuples[:40]
+	for seed := int64(13); seed <= 15; seed++ {
+		opts := smallOpts(Anchor, 9)
+		opts.Fault = &fault.Config{FailRate: 0.04, Seed: seed, BreakerThreshold: -1}
+		b, err := NewBatch(st, plain, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.ExplainAll(tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := newWitness(st, plain)
+		ps := batchPool(t, st, cls, opts, tuples, res.Report, nil)
+		held := 0
+		for _, s := range ps.sets {
+			if ps.repo.Contains(s.Key()) {
+				held++
+			}
+		}
+		fills := int(res.Report.PoolInvocations) / opts.Tau
+		if len(ps.sets) <= 1 || fills <= held {
+			t.Errorf("seed %d: %d itemsets pooled, %d fills of which %d stored; want more than one pooled and some fill refused",
+				seed, len(ps.sets), fills, held)
+		}
+		checkPoolLabels(t, ps, cls)
+	}
 }

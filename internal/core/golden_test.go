@@ -196,11 +196,12 @@ func goldenEnv(t *testing.T) func(Kind) (*dataset.Stats, rf.Classifier, [][]floa
 	}
 }
 
-// batchPool rebuilds the pool a serial Batch run over tuples built and
-// dropped: ExplainAllCtx's own buildPool under a fresh frame (a
-// perturbation explainer adds nothing to the repository after it). ran
-// is that run's report; a pool built at another cost is not its pool.
-func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64, ran Report) *poolState {
+// batchPool rebuilds the pool a Batch run over tuples built and dropped:
+// ExplainAllCtx's steps under a fresh frame — buildPool, then the explain
+// phase, in which Anchor's pool fills; watch, if set, sees the pool
+// between the two. ran is that run's report; a pool built at another
+// cost is not its pool.
+func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64, ran Report, watch func(*poolState)) *poolState {
 	t.Helper()
 	b, err := NewBatch(st, cls, opts)
 	if err != nil {
@@ -209,8 +210,16 @@ func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 	rng := rand.New(rand.NewSource(b.opts.Seed))
 	f := b.begin(context.Background(), rng, obs.StageBatch, len(tuples))
 	defer f.span.End()
-	ps, rep, err := b.buildPool(f, rng, tuples)
+	var rep Report
+	ps, err := b.buildPool(f, rng, tuples, &rep)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if watch != nil {
+		watch(ps)
+	}
+	ps.attach(f.eng)
+	if _, _, err := ps.step(f.eng).explainAll(f, ps, tuples, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.PoolInvocations != ran.PoolInvocations || rep.FrequentItemsets != ran.FrequentItemsets {
@@ -222,25 +231,25 @@ func batchPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 
 // TestPooledLabelsAreClassifierLabels: a pooled label is served to every
 // later tuple as the classifier's own, so after a seeded fault run every
-// sample a runner's pool holds must carry a label the classifier gave
-// its items — none the degradation ladder supplied while the backend was
-// failing. (ExactSHAP under a fault chain runs as pooled KernelSHAP.)
+// sample a runner's pool holds must be one the classifier labelled, call
+// for call (checkPoolLabels) — none the degradation ladder supplied while
+// the backend was failing. (ExactSHAP under a fault chain runs as pooled
+// KernelSHAP.)
 // Anchor's repository also takes its own pulls' samples, which are kept
 // only when none of the pull's labels was guessed.
 //
 // Two profiles: the golden one, its outage moved to the run's first
 // fill (firstFill) and its breaker held open ten times as long, so the
 // outage spans thousands of calls of fills; and midfill, which fails one
-// call in twenty-five with no retry, so most fills (eager and lazy) take
-// a guess and a few take none. The mutant "materialize stores every
-// label" (stored := true) fails every subtest of both.
+// call in twenty-five with no retry, so most fills take a guess and a few
+// take none. The mutant "materialize stores every label" (stored := true)
+// fails every subtest of both, at this cooldown and at the profile's own.
 func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 	env := goldenEnv(t)
 	midFill := &fault.Config{FailRate: 0.04, Seed: 13, BreakerThreshold: -1}
 	degraded, pooled := 0, 0
 	for _, kind := range AllKinds() {
 		st, plain, tuples := env(kind)
-		cls := newWitness(st, plain)
 		for _, rn := range goldenRunners() {
 			if !rn.faults || rn.name == "sequential" {
 				continue // Sequential pools nothing
@@ -249,15 +258,17 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 				opts := smallOpts(kind, 9)
 				opts.Fault = midFill
 				if profile == "" {
-					opts.Fault = goldenFaults(13, firstFill(t, rn, st, cls, kind, tuples))
+					opts.Fault = goldenFaults(13, firstFill(t, rn, st, plain, kind, tuples))
 					opts.Fault.BreakerCooldownCalls = 400
 				}
+				cls := newWitness(st, plain)
 				_, reps, ps, err := rn.run(st, cls, opts, tuples)
 				if err != nil {
 					t.Fatalf("%s/%s%s: %v", rn.name, kind, profile, err)
 				}
 				if rn.name == "batch-w1" {
-					ps = batchPool(t, st, cls, opts, tuples[:40], reps[0])
+					cls = newWitness(st, plain)
+					ps = batchPool(t, st, cls, opts, tuples[:40], reps[0], nil)
 				}
 				degraded += reps[len(reps)-1].Degraded
 				if profile != "" {
@@ -275,32 +286,45 @@ func TestPooledLabelsAreClassifierLabels(t *testing.T) {
 	}
 }
 
-// firstFill is the call at which rn's run over tuples begins its first
-// fill, read from a recorded run under the golden profile without its
-// outage: the calls of every tuple explained before the first pre_label
-// event. A fill at first match runs aside from its tuple, so only that
-// tuple's first calls go uncounted: the outage starts at or just before
-// the fill.
+// firstFill is the attempt at which rn's run over tuples begins its
+// first fill, read from a recorded run under the golden profile without
+// its outage: the chain's attempts (calls that reached the classifier,
+// and injected failures) when the pool first counts labels, less the
+// fill's own. Fills run in the middle of tuples, so the outage starts at
+// the fill, wherever in its tuple the fill falls.
 func firstFill(t *testing.T, rn goldenRunner, st *dataset.Stats, cls rf.Classifier, kind Kind, tuples [][]float64) int64 {
 	t.Helper()
 	opts := smallOpts(kind, 9)
 	opts.Fault = goldenFaults(13, 0)
 	opts.Fault.OutageCalls = 0
 	opts.Recorder = obs.NewRecorder()
-	if _, _, _, err := rn.run(st, cls, opts, tuples); err != nil {
+	at := &fillStart{Classifier: cls, rec: opts.Recorder, at: -1}
+	if _, _, _, err := rn.run(st, at, opts, tuples); err != nil {
 		t.Fatalf("%s/%s without its outage: %v", rn.name, kind, err)
 	}
-	var calls int64
 	for _, e := range opts.Recorder.Events() {
-		switch e.Type {
-		case obs.EventPreLabel:
-			return calls
-		case obs.EventTupleExplained:
-			calls += e.Fresh
+		if e.Type == obs.EventPreLabel && at.at >= 0 {
+			return at.at - e.Fresh
 		}
 	}
 	t.Fatalf("%s/%s filled nothing", rn.name, kind)
 	return 0
+}
+
+// fillStart is a classifier that notes the chain's attempts at the first
+// call after the pool first counts labels.
+type fillStart struct {
+	rf.Classifier
+	rec       *obs.Recorder
+	calls, at int64
+}
+
+func (f *fillStart) Predict(x []float64) int {
+	if f.at < 0 && f.rec.Counter(obs.CounterPoolInvocations).Value() > 0 {
+		f.at = f.calls + f.rec.Counter(obs.CounterFaultsInjected).Value()
+	}
+	f.calls++
+	return f.Classifier.Predict(x)
 }
 
 // TestRunnersGolden pins every runner's answers and counters against

@@ -23,8 +23,9 @@ import (
 // and the window of tuples it is next mined from: Batch builds one per
 // call, a Stream (and so a Warm) keeps one for life. Which rows of the
 // window are mined, and when, is the runner's policy; everything done
-// with them — mine, cap, evict, and fill unless the pool is lazy — is
-// refresh, and everything a stream does around a refresh is renew.
+// with them — mine, cap, evict — is refresh, and everything a stream
+// does around a refresh is renew. An itemset is labelled the first time
+// it is read (fillOnMatch).
 type poolState struct {
 	opts Options
 
@@ -41,16 +42,12 @@ type poolState struct {
 	maxSets int
 	// row is materialize's scratch: each perturbation is labelled in it.
 	row []float64
-	// window is the itemised tuples observed since the last complete
-	// renew; cov is the rows last mined (see attach).
+	// window is the itemised tuples observed since the last renew; cov
+	// is the rows last mined (see attach).
 	window, cov []dataset.Itemset
-	// complete records that the last refresh ran to its end: every itemset
-	// it mined is pooled. A refresh cut short by cancellation leaves it
-	// false, and the stream retries over the same window. renews counts
-	// the renews that were complete (atomic: Warm's accessor reads it
-	// while a flush runs).
-	complete bool
-	renews   atomic.Int64
+	// renews counts the renews (atomic: Warm's accessor reads it while a
+	// flush runs).
+	renews atomic.Int64
 }
 
 // newPoolState creates an empty pool for a classifier with nClasses
@@ -97,16 +94,14 @@ func (ps *poolState) attach(eng *engine) {
 }
 
 // renew refreshes a stream's pool over its window — border included,
-// unless warmUp — charging rep and recording the remine event. A
-// complete refresh is counted and starts a new window (the mined rows
-// stay behind as the coverage sample); one cut short is not counted and
-// keeps its window, so the next renew finishes the job. A warm-up renew
-// is neither counted nor starts a new window. It returns the negative
+// unless warmUp — charging rep and recording the remine event. A renew
+// is counted and starts a new window (the mined rows stay behind as the
+// coverage sample); a warm-up renew is neither. It returns the negative
 // border refresh mined. Config is validated at construction, so mining
 // a non-empty window cannot fail; if it somehow does, the old pool and
 // window stay.
-func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Generator, warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
-	border, d, err := ps.refresh(ctx, eng, gen, func() []dataset.Itemset { return ps.window }, !warmUp, nil, parent)
+func (ps *poolState) renew(warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
+	border, d, err := ps.refresh(func() []dataset.Itemset { return ps.window }, !warmUp, nil, parent)
 	rep.add(d)
 	if err != nil {
 		return nil, err
@@ -115,54 +110,46 @@ func (ps *poolState) renew(ctx context.Context, eng *engine, gen *perturb.Genera
 		Type: obs.EventRemine, Tuple: -1, Itemsets: d.FrequentItemsets,
 		Fresh: d.PoolInvocations, DurMS: ms(d.MineTime + d.PoolTime),
 	})
-	if ps.complete && !warmUp {
+	if !warmUp {
 		ps.window = make([]dataset.Itemset, 0, len(ps.window))
 		ps.renews.Add(1)
 	}
 	return border, nil
 }
 
-// warmUp reports whether a lazy pool should mine its window although no
-// renew is due: until its first complete renew, each time the window
-// reaches a power of two of at least 16 (where the 10 % support is
-// already refresh's floor of five rows) and below every, the renew
-// period. A lazy pool labels an itemset only when a tuple contains it,
-// so a warm-up mine costs the mine alone; an eager one would label τ
-// samples per itemset that no tuple may ask for.
+// warmUp reports whether a LIME or KernelSHAP pool should mine its
+// window although no renew is due: until its first renew, each time the
+// window reaches a power of two of at least 16 (where the 10 % support
+// is already refresh's floor of five rows) and below every, the renew
+// period. The pool labels an itemset only when a tuple contains it, so a
+// warm-up mine costs the mine alone. Anchor's search reads rules, not
+// the tuple's itemsets, and an early pool costs it calls.
 func (ps *poolState) warmUp(every int) bool {
 	n := len(ps.window)
-	return ps.lazy() && ps.renews.Load() == 0 && n >= 16 && n < every && n&(n-1) == 0
+	return ps.pool != nil && ps.renews.Load() == 0 && n >= 16 && n < every && n&(n-1) == 0
 }
 
 // promote pools set, a border itemset whose running frequency crossed
-// the threshold, between renews if there is room and, if eager, the
-// classifier labelled all samples.
-func (ps *poolState) promote(eng *engine, gen *perturb.Generator, set dataset.Itemset, rep *Report) bool {
-	if ps.lazy() {
-		if len(ps.sets) >= ps.maxSets {
-			return false
-		}
-	} else if ps.repo.Len() >= ps.maxSets || !ps.materialize(eng, gen, set, -1, rep) {
+// the threshold, between renews if there is room.
+func (ps *poolState) promote(set dataset.Itemset) bool {
+	if len(ps.sets) >= ps.maxSets {
 		return false
 	}
 	ps.setSets(append(ps.sets, set))
 	return true
 }
 
-// fillOnMatch makes the pool lazy, as a stream's is: refresh and promote
-// record itemsets without labelling them, and the first tuple that
-// contains one the repository does not hold (never filled, or evicted)
-// fills it through materialize, as a unit of its own charged to rep. A
-// fill that stores nothing takes its itemset out of the pool until the
-// next renew: an outage costs at most one failed fill per itemset per
-// window. A batch's pool is lazy only for its demand pass
-// (fillDemanded); Anchor's stays eager (its repository also takes its
-// own pulls).
+// fillOnMatch installs the pool's one fill rule: the first read of a
+// pooled itemset the repository does not hold (never filled, or
+// evicted) fills it through materialize, as a unit of its own charged to
+// rep, aside from the tuple that read it. The perturbation explainers
+// read through ForTuple; Anchor through Shared.Fill, called on each
+// candidate rule and sub-rule before the search reads it, which fills
+// only the pooled ones. A fill that stores nothing takes its itemset out
+// of the pool until the next renew: an outage costs at most one failed
+// fill per itemset per window.
 func (ps *poolState) fillOnMatch(eng *engine, gen *perturb.Generator, rep *Report) {
-	if ps.pool == nil {
-		return
-	}
-	ps.pool.fill = func(set dataset.Itemset) (time.Duration, bool) {
+	fill := func(set dataset.Itemset) (time.Duration, bool) {
 		if ps.repo.Contains(set.Key()) {
 			return 0, true
 		}
@@ -170,17 +157,23 @@ func (ps *poolState) fillOnMatch(eng *engine, gen *perturb.Generator, rep *Repor
 			return 0, false
 		}
 		stored := false
-		d := eng.aside(func() { stored = ps.materialize(eng, gen, set, -1, rep) })
+		d := eng.aside(func() { stored = ps.materialize(eng, gen, set, rep) })
 		if !stored {
 			ps.setSets(slices.DeleteFunc(slices.Clone(ps.sets), func(s dataset.Itemset) bool { return slices.Equal(s, set) }))
 		}
 		return d, stored
 	}
+	if ps.pool != nil {
+		ps.pool.fill = fill
+		return
+	}
+	ps.sh.Fill = func(rule dataset.Itemset) {
+		if i := slices.IndexFunc(ps.sets, func(s dataset.Itemset) bool { return slices.Equal(s, rule) }); i >= 0 {
+			d, _ := fill(ps.sets[i])
+			eng.cls.cost.aside += d
+		}
+	}
 }
-
-// lazy reports whether the pool is filled at first match (fillOnMatch)
-// rather than at refresh.
-func (ps *poolState) lazy() bool { return ps.pool != nil && ps.pool.fill != nil }
 
 // poolCap is how many itemsets a pool may hold: MaxItemsets, and — the
 // paper sets τ "automatically based on the resource constraints" — no
@@ -200,17 +193,14 @@ const (
 
 // refresh brings the pool in line with the rows window returns: mine
 // the first maxSets of their frequent itemsets (and the first
-// MaxItemsets of the negative border, when asked), evict repository
-// entries that fell infrequent ("any frequent itemset that becomes
-// infrequent is kicked out along its perturbations", §3.5), and label:
-// given demand, the rows whose ForTuple selections a batch will walk,
-// what those reach (fillDemanded); otherwise, unless the pool is lazy,
-// every mined itemset not yet present. Mine and pool-build stages open
-// under parent; the report carries their cost and how many itemsets are
-// pooled. Cancelling ctx, or a label the classifier did not give, stops
-// an eager fill at the itemset being labelled, which is not stored; what
-// was pooled before stays, and complete turns false.
-func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Generator, window func() []dataset.Itemset, border bool, demand []dataset.Itemset, parent *obs.Span) ([]fim.Mined, Report, error) {
+// MaxItemsets of the negative border, when asked), pool them, and evict
+// repository entries that fell infrequent ("any frequent itemset that
+// becomes infrequent is kicked out along its perturbations", §3.5). It
+// labels nothing itself: demand, a batch's demand pass, runs inside the
+// pool-build stage, charged to the report, and returns how many
+// itemsets stay pooled. Mine and pool-build stages open under parent;
+// the report carries their cost and how many itemsets are pooled.
+func (ps *poolState) refresh(window func() []dataset.Itemset, border bool, demand func(*Report) int, parent *obs.Span) ([]fim.Mined, Report, error) {
 	rec := ps.opts.Recorder
 	var d Report
 	mine := beginStage(rec, parent, obs.StageMine)
@@ -248,21 +238,14 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 		}
 	}
 	preLabelSpan := build.span.Child(obs.StagePreLabel)
-	sets := make([]dataset.Itemset, 0, len(frequent))
-	eager := demand == nil && !ps.lazy()
-	materialised := 0
-	for _, m := range frequent {
-		if eager && !ps.repo.Contains(m.Set.Key()) {
-			if ctx.Err() != nil || !ps.materialize(eng, gen, m.Set, m.Support, &d) {
-				break
-			}
-			materialised++
-		}
-		sets = append(sets, m.Set)
+	sets := make([]dataset.Itemset, len(frequent))
+	for i, m := range frequent {
+		sets[i] = m.Set
 	}
 	ps.setSets(sets)
+	materialised := 0
 	if demand != nil {
-		materialised = ps.fillDemanded(ctx, eng, gen, demand, &d)
+		materialised = demand(&d)
 	}
 	preLabelSpan.End()
 	build.span.SetAttr("pool_invocations", d.PoolInvocations)
@@ -275,27 +258,26 @@ func (ps *poolState) refresh(ctx context.Context, eng *engine, gen *perturb.Gene
 			Fresh: d.PoolInvocations, DurMS: ms(d.PoolTime),
 		})
 	}
-	ps.cov, ps.complete = rows, len(sets) == len(frequent)
+	ps.cov = rows
 	d.FrequentItemsets = len(ps.sets)
 	return mined.Border, d, nil
 }
 
-// materialize is the pool's one labelling path (Algorithm 1, lines 2–4):
-// τ perturbations frozen on set, each drawn into the pool's scratch row,
-// labelled there through eng's meter and stored as its bins and label —
-// at refresh or promotion on an eager pool, at first match on a lazy one.
+// materialize is the pool's one labelling path (Algorithm 1, lines 2–4),
+// run by the fill for an itemset the repository does not hold: τ
+// perturbations frozen on set, each drawn into the pool's scratch row,
+// labelled there through eng's meter and stored as its bins and label.
 // The bins of all τ are one slab, each sample's slice capped at one bin
-// per attribute. For Anchor their class histogram also seeds the
-// rule's precision in the invariant cache and the mined support doubles
-// as its coverage (Algorithm 2, line 3); support < 0 means unknown. The
-// cost record is folded into rep, the recorder's counters and a
-// pre_label event. If any label is the bridge's guess — the backend was
-// failing, or the context died on the way — nothing is stored and it
-// reports false: a pooled label is served to every later tuple as the
+// per attribute. For Anchor their class histogram also seeds the rule's
+// precision in the invariant cache (Algorithm 2, line 3). The cost
+// record is folded into rep, the recorder's counters and a pre_label
+// event. If any label is the bridge's guess — the backend was failing,
+// or the context died on the way — nothing is stored and it reports
+// false: a pooled label is served to every later tuple as the
 // classifier's own.
 //
 //shahin:hotpath
-func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, support float64, rep *Report) bool {
+func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set dataset.Itemset, rep *Report) bool {
 	c := eng.begin()
 	c.Itemset = set
 	sw := stopwatch()
@@ -305,29 +287,21 @@ func (ps *poolState) materialize(eng *engine, gen *perturb.Generator, set datase
 	}
 	samples := make([]perturb.Pooled, ps.opts.Tau)
 	slab := make([]uint16, len(samples)*p)
-	var hist []int
-	if ps.sh != nil {
-		hist = make([]int, eng.cls.NumClasses())
-	}
 	for j := range samples {
 		bins := slab[j*p : (j+1)*p : (j+1)*p]
 		gen.FillItemset(set, ps.row, bins)
-		y := eng.cls.Predict(ps.row)
-		if hist != nil {
-			hist[y]++
-		}
-		samples[j] = perturb.Pooled{Bins: bins, Label: y}
+		samples[j] = perturb.Pooled{Bins: bins, Label: eng.cls.Predict(ps.row)}
 	}
 	stored := eng.tupleStatus() == StatusOK
 	if stored {
 		if ps.sh != nil {
+			hist := make([]int, eng.cls.NumClasses())
+			for _, s := range samples {
+				hist[s.Label]++
+			}
 			rr, _ := ps.sh.Inv.Lookup(set.Key())
 			rr.AddTrials(hist)
-			if support >= 0 {
-				rr.Coverage, rr.HasCoverage = support, true
-			}
 		}
-		ps.repo.Delete(set.Key()) // replacing what Anchor's own pulls stored under the itemset, if any
 		ps.repo.Append(set.Key(), samples)
 	}
 	c.Duration, _ = sw.end()

@@ -5,16 +5,16 @@
 // of labelled perturbations, the itemsets it is keyed by, the window of
 // tuples it is next mined from, and Anchor's coverage sample. Refresh
 // brings it in line with a set of rows: mine their frequent itemsets,
-// cap them, evict what fell infrequent, and label τ perturbations per
-// itemset not held — or, on a lazy pool, when a tuple first contains it.
-// The step explains a tuple against it and keeps the books.
+// cap them and evict what fell infrequent. An itemset's τ perturbations
+// are labelled when it is first read (fillOnMatch). The step explains a
+// tuple against it and keeps the books.
 //
 // A runner is options defaulted, inputs checked and ExactSHAP decided,
 // once; admit refuses an empty or wrong-width call before any state
 // moves. An entry point adds which rows are mined and when. Batch
 // (Algorithms 1–3) refreshes once over a uniform sample of the batch,
 // then steps through every tuple, on Options.Workers goroutines if asked.
-// Stream (§3.5) renews a lazy pool every StreamRecompute tuples over its
+// Stream (§3.5) renews its pool every StreamRecompute tuples over its
 // window, border included (before the first, also at each power of two
 // from 16), and promotes border itemsets in between. Warm is a Stream
 // behind a flush gate.

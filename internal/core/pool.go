@@ -44,11 +44,11 @@ type itemsetPool struct {
 	tuple    int
 	window   []perturb.Pooled // what the last ForTuple/ForItemset returned
 
-	// fill, set on a stream's pool, makes it lazy: ForTuple calls it for
-	// each pooled itemset the tuple contains, and it labels the itemset's
-	// samples if the source does not hold them. It reports the time that
-	// took, which is not the tuple's, and false when the itemset has no
-	// samples to serve.
+	// fill, set on a stream's pool and for a batch's demand pass: ForTuple
+	// calls it for each pooled itemset the tuple contains, and it labels
+	// the itemset's samples if the source does not hold them. It reports
+	// the time that took, which is not the tuple's, and false when the
+	// itemset has no samples to serve.
 	fill func(dataset.Itemset) (time.Duration, bool)
 
 	cost *Cost // the tuple being explained
@@ -94,8 +94,8 @@ func (p *itemsetPool) hit(f dataset.Itemset) {
 }
 
 // ForTuple implements explain.Pool: samples of every pooled itemset the
-// tuple contains, best itemsets first — on a lazy pool, filling the ones
-// it reaches that are not yet held.
+// tuple contains, best itemsets first — filling, while fill is set, the
+// ones it reaches that are not yet held.
 func (p *itemsetPool) ForTuple(tupleItems []dataset.Item, max int) []perturb.Pooled {
 	sw := stopwatch()
 	var filling time.Duration

@@ -17,8 +17,8 @@ import (
 // tuples seen since (before the first, also at 16, 32, 64… tuples), and
 // the negative border is tracked so that a border itemset whose running
 // frequency crosses the support threshold is promoted before the next
-// re-mine. The pool is lazy: an itemset is labelled when a tuple first
-// matches it, not when it is mined or promoted.
+// re-mine. An itemset is labelled when it is first read, not when it is
+// mined or promoted.
 type Stream struct {
 	runner
 	// eng is the stream's for life; each call points its bridge at the
@@ -126,7 +126,7 @@ func (s *Stream) explain(f *frame, t []float64) (Explanation, Cost, error) {
 		if warmUp || len(s.ps.window) >= s.opts.StreamRecompute {
 			span := f.span.Child(obs.StageRemine)
 			span.SetAttr("rows", len(s.ps.window))
-			border, err := s.ps.renew(f.ctx, s.eng, s.gen, warmUp, span, &s.rep)
+			border, err := s.ps.renew(warmUp, span, &s.rep)
 			span.End()
 			if err == nil && !warmUp {
 				s.retrack(border)
@@ -171,7 +171,7 @@ func (s *Stream) track(t []float64) {
 		if ts.frequent || ts.count < minCount {
 			continue
 		}
-		if !s.ps.promote(s.eng, s.gen, ts.set, &s.rep) {
+		if !s.ps.promote(ts.set) {
 			break
 		}
 		ts.frequent = true
@@ -201,6 +201,6 @@ func (s *Stream) Report() Report {
 	return rep
 }
 
-// Mines reports how many window renews have run to their end, warm-up
+// Mines reports how many window renews have run, warm-up
 // mines not included (diagnostics and tests).
 func (s *Stream) Mines() int { return int(s.ps.renews.Load()) }

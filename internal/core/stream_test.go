@@ -174,8 +174,9 @@ func TestStreamAnchorCoverage(t *testing.T) {
 // TestStreamPoolsBeforeFirstRemine: a stream shorter than its renew
 // period still reuses samples. Its warm-up mines give the tuples after
 // the sixteenth a pool, so LIME and SHAP call the classifier less than
-// Sequential does on the same tuples. Anchor's pool is eager and is
-// never warmed up: its count is the one it had without warm-up mines.
+// Sequential does on the same tuples. Anchor's pool is never warmed up
+// (an early pool costs its search calls): its count is the one it had
+// without warm-up mines.
 func TestStreamPoolsBeforeFirstRemine(t *testing.T) {
 	env := newEnv(t, 7, 50)
 	for _, kind := range []Kind{LIME, SHAP, Anchor} {

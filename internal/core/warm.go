@@ -24,7 +24,7 @@ import (
 // slot honours cancellation, and so the cheap accessors (Report,
 // Flushes, Remines) never block behind a running flush — the first two
 // share a separate short-hold mutex with the counters, and Remines reads
-// the pool's own count of complete renews.
+// the pool's own count of renews.
 type Warm struct {
 	// s is owned by the gate holder (a capacity-1 channel; send to
 	// acquire, receive to release).
@@ -177,7 +177,7 @@ func (w *Warm) Flushes() int {
 	return w.flushes
 }
 
-// Remines reports how many renews the stream has completed, warm-up
+// Remines reports how many renews the stream has run, warm-up
 // mines not included.
 func (w *Warm) Remines() int { return w.s.Mines() }
 

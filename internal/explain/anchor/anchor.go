@@ -58,11 +58,12 @@ func (c Config) fill() Config {
 }
 
 // Shared is the batch-level state Shahin threads through every
-// explanation: the rule-invariant cache and the labelled-perturbation
-// repository. Sequential Anchor uses a fresh Shared per tuple.
+// explanation: the rule-invariant cache, the labelled-perturbation
+// repository, and Fill, called (if set) on each rule before it is read.
 type Shared struct {
 	Inv  *cache.Invariants
 	Repo *cache.Repo
+	Fill func(dataset.Itemset)
 }
 
 // NewShared creates an empty shared state for a classifier with nClasses
@@ -153,9 +154,12 @@ func (e *Explainer) ExplainShared(t []float64, sh *Shared) (*explain.Rule, error
 		prior := make([]mab.Counts, len(cands))
 		results := make([]*cache.RuleResult, len(cands))
 		for i, cand := range cands {
+			if sh.Fill != nil {
+				sh.Fill(cand)
+			}
 			rr, known := sh.Inv.Lookup(cand.Key())
 			if !known {
-				e.bootstrap(cand, rr, sh.Repo)
+				e.bootstrap(cand, rr, sh)
 			}
 			results[i] = rr
 			arms[i] = &ruleArm{e: e, sh: sh, items: cand, rr: rr, target: target}
@@ -283,8 +287,8 @@ func insertItem(rule dataset.Itemset, it dataset.Item) dataset.Itemset {
 // bootstrap seeds a fresh rule's trials by scanning the repository entries
 // of its immediate sub-rules for samples that also satisfy the new rule —
 // the paper's "bootstrap the computation of precision for candidate rules
-// containing a superset of frequent itemsets". No classifier calls occur.
-func (e *Explainer) bootstrap(rule dataset.Itemset, rr *cache.RuleResult, repo *cache.Repo) {
+// containing a superset of frequent itemsets". Only sh.Fill calls the model.
+func (e *Explainer) bootstrap(rule dataset.Itemset, rr *cache.RuleResult, sh *Shared) {
 	if len(rule) < 1 {
 		return
 	}
@@ -298,7 +302,10 @@ func (e *Explainer) bootstrap(rule dataset.Itemset, rr *cache.RuleResult, repo *
 				sub = append(sub, it)
 			}
 		}
-		samples, ok := repo.Get(sub.Key())
+		if sh.Fill != nil {
+			sh.Fill(sub)
+		}
+		samples, ok := sh.Repo.Get(sub.Key())
 		if !ok {
 			continue
 		}

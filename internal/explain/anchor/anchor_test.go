@@ -440,7 +440,7 @@ func TestBootstrapFromSubsetSamples(t *testing.T) {
 	// Bootstrap the superset rule.
 	super := dataset.Itemset{dataset.MakeItem(0, 1), dataset.MakeItem(1, 0)}
 	rrSuper, _ := sh.Inv.Lookup(super.Key())
-	e.bootstrap(super, rrSuper, sh.Repo)
+	e.bootstrap(super, rrSuper, sh)
 	if counting.Invocations() != base {
 		t.Fatal("bootstrap invoked the classifier")
 	}
