@@ -189,12 +189,12 @@ func (b *Batch) buildPool(f *frame, rng *rand.Rand, tuples [][]float64, rep *Rep
 	} else if ps.sh != nil {
 		ps.fillOnMatch(eng, gen, rep)
 	}
-	_, d, err := ps.refresh(func() []dataset.Itemset {
+	d, err := ps.refresh(func() []dataset.Itemset {
 		if rows == nil {
 			return nil
 		}
 		return sampleRows(rows, fim.SampleSize(len(rows)), rng)
-	}, false, demand, f.span)
+	}, demand, f.span)
 	rep.add(d)
 	return ps, err
 }

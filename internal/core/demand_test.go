@@ -70,9 +70,9 @@ func eagerPool(t *testing.T, st *dataset.Stats, cls rf.Classifier, opts Options,
 	ps := newPoolState(b.opts, cls.NumClasses(), len(tuples))
 	gen := perturb.NewGenerator(st, rng)
 	rows := itemize(st, tuples)
-	if _, _, err := ps.refresh(func() []dataset.Itemset {
+	if _, err := ps.refresh(func() []dataset.Itemset {
 		return sampleRows(rows, fim.SampleSize(len(rows)), rng)
-	}, false, nil, f.span); err != nil {
+	}, nil, f.span); err != nil {
 		t.Fatal(err)
 	}
 	for _, set := range ps.sets {

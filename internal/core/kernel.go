@@ -93,18 +93,16 @@ func (ps *poolState) attach(eng *engine) {
 	eng.setCoverage(cov)
 }
 
-// renew refreshes a stream's pool over its window — border included,
-// unless warmUp — charging rep and recording the remine event. A renew
-// is counted and starts a new window (the mined rows stay behind as the
-// coverage sample); a warm-up renew is neither. It returns the negative
-// border refresh mined. Config is validated at construction, so mining
-// a non-empty window cannot fail; if it somehow does, the old pool and
-// window stay.
-func (ps *poolState) renew(warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mined, error) {
-	border, d, err := ps.refresh(func() []dataset.Itemset { return ps.window }, !warmUp, nil, parent)
+// renew refreshes a stream's pool over its window, charging rep and
+// recording the remine event. A renew is counted and starts a new window
+// (the mined rows stay behind as the coverage sample); a warm-up renew is
+// neither. Config is validated at construction, so mining a non-empty
+// window cannot fail; if it somehow does, the old pool and window stay.
+func (ps *poolState) renew(warmUp bool, parent *obs.Span, rep *Report) error {
+	d, err := ps.refresh(func() []dataset.Itemset { return ps.window }, nil, parent)
 	rep.add(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ps.opts.Recorder.Emit(obs.Event{
 		Type: obs.EventRemine, Tuple: -1, Itemsets: d.FrequentItemsets,
@@ -114,7 +112,7 @@ func (ps *poolState) renew(warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mi
 		ps.window = make([]dataset.Itemset, 0, len(ps.window))
 		ps.renews.Add(1)
 	}
-	return border, nil
+	return nil
 }
 
 // warmUp reports whether a LIME or KernelSHAP pool should mine its
@@ -127,16 +125,6 @@ func (ps *poolState) renew(warmUp bool, parent *obs.Span, rep *Report) ([]fim.Mi
 func (ps *poolState) warmUp(every int) bool {
 	n := len(ps.window)
 	return ps.pool != nil && ps.renews.Load() == 0 && n >= 16 && n < every && n&(n-1) == 0
-}
-
-// promote pools set, a border itemset whose running frequency crossed
-// the threshold, between renews if there is room.
-func (ps *poolState) promote(set dataset.Itemset) bool {
-	if len(ps.sets) >= ps.maxSets {
-		return false
-	}
-	ps.setSets(append(ps.sets, set))
-	return true
 }
 
 // fillOnMatch installs the pool's one fill rule: the first read of a
@@ -192,15 +180,14 @@ const (
 )
 
 // refresh brings the pool in line with the rows window returns: mine
-// the first maxSets of their frequent itemsets (and the first
-// MaxItemsets of the negative border, when asked), pool them, and evict
+// the first maxSets of their frequent itemsets, pool them, and evict
 // repository entries that fell infrequent ("any frequent itemset that
 // becomes infrequent is kicked out along its perturbations", §3.5). It
 // labels nothing itself: demand, a batch's demand pass, runs inside the
 // pool-build stage, charged to the report, and returns how many
 // itemsets stay pooled. Mine and pool-build stages open under parent;
 // the report carries their cost and how many itemsets are pooled.
-func (ps *poolState) refresh(window func() []dataset.Itemset, border bool, demand func(*Report) int, parent *obs.Span) ([]fim.Mined, Report, error) {
+func (ps *poolState) refresh(window func() []dataset.Itemset, demand func(*Report) int, parent *obs.Span) (Report, error) {
 	rec := ps.opts.Recorder
 	var d Report
 	mine := beginStage(rec, parent, obs.StageMine)
@@ -208,10 +195,8 @@ func (ps *poolState) refresh(window func() []dataset.Itemset, border bool, deman
 	mined, err := fim.Mine(rows, fim.Config{
 		MinSupport:  effectiveSupport(minSupport, len(rows)),
 		MaxLen:      maxItemsetLen,
-		WithBorder:  border,
 		MaxPerLevel: 4 * ps.opts.MaxItemsets,
 		Keep:        ps.maxSets,
-		KeepBorder:  ps.opts.MaxItemsets,
 	})
 	var frequent []fim.Mined
 	if err == nil {
@@ -222,7 +207,7 @@ func (ps *poolState) refresh(window func() []dataset.Itemset, border bool, deman
 	d.MineTime, mineAllocs = mine.end()
 	d.OverheadTime = d.MineTime
 	if err != nil {
-		return nil, d, fmt.Errorf("core: mining frequent itemsets: %w", err)
+		return d, fmt.Errorf("core: mining frequent itemsets: %w", err)
 	}
 
 	build := beginStage(rec, parent, obs.StagePoolBuild)
@@ -260,7 +245,7 @@ func (ps *poolState) refresh(window func() []dataset.Itemset, border bool, deman
 	}
 	ps.cov = rows
 	d.FrequentItemsets = len(ps.sets)
-	return mined.Border, d, nil
+	return d, nil
 }
 
 // materialize is the pool's one labelling path (Algorithm 1, lines 2–4),

@@ -72,9 +72,8 @@ func pooled(ps *poolState, set dataset.Itemset) bool {
 	return slices.ContainsFunc(ps.sets, func(s dataset.Itemset) bool { return slices.Equal(s, set) })
 }
 
-// TestStreamFillsAtFirstMatch: a stream's refresh and its border
-// promotions label nothing; every classifier call its pool makes is a
-// fill of τ, made for a tuple that
+// TestStreamFillsAtFirstMatch: a stream's refresh labels nothing; every
+// classifier call its pool makes is a fill of τ, made for a tuple that
 // contains the itemset and served at least one of its samples to that
 // tuple, and the fills are fewer than the itemsets the stream mined. A
 // fill's time is its own: the tuple's duration and its fills' fit in the
@@ -83,31 +82,26 @@ func pooled(ps *poolState, set dataset.Itemset) bool {
 func TestStreamFillsAtFirstMatch(t *testing.T) {
 	env := newEnv(t, 7, 120)
 	for _, tc := range []struct {
-		name           string
-		kind           Kind
-		recompute, tau int
-		wantPromotions bool
+		name string
+		kind Kind
 	}{
-		{"LIME", LIME, 20, 50, false},
-		{"SHAP", SHAP, 20, 50, false},
-		// A 60-tuple period reaches the 50-tuple window promotion needs,
-		// and a small τ leaves the cap room to promote.
-		{"LIME-border", LIME, 60, 20, true},
+		{"LIME", LIME},
+		{"SHAP", SHAP},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kind := tc.kind
 			opts := smallOpts(kind, 9)
-			opts.StreamRecompute, opts.Tau = tc.recompute, tc.tau
+			opts.StreamRecompute = 20
 			opts.Recorder = obs.NewRecorder()
 			s, err := NewStream(env.st, env.cls, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			w := watchFills(s)
-			mined, promoted := 0, 0
+			mined := 0
 			for i, tup := range env.tuples {
 				renews, explained, fills, t0 := s.Mines(), s.rep.ExplainTime, len(w.fills), time.Now()
-				sets, cov := len(s.ps.sets), len(s.ps.cov)
+				cov := len(s.ps.cov)
 				if _, err := s.Explain(tup); err != nil {
 					t.Fatal(err)
 				}
@@ -120,8 +114,6 @@ func TestStreamFillsAtFirstMatch(t *testing.T) {
 				}
 				if s.Mines() > renews || len(s.ps.cov) != cov { // a renew or a warm-up mine
 					mined += len(s.ps.sets)
-				} else {
-					promoted += len(s.ps.sets) - sets
 				}
 				items := env.st.ItemizeRow(tup, nil)
 				for _, f := range w.fills {
@@ -145,9 +137,6 @@ func TestStreamFillsAtFirstMatch(t *testing.T) {
 			}
 			if len(w.fills) >= mined {
 				t.Errorf("%d fills for %d mined itemsets: nothing was left unlabelled", len(w.fills), mined)
-			}
-			if tc.wantPromotions && promoted == 0 {
-				t.Error("no border itemset was promoted: the case does not exercise promotion")
 			}
 			if kind == LIME && rep.Cache.Misses != 0 {
 				t.Errorf("%d cache misses: an unfilled itemset was looked up, not filled", rep.Cache.Misses)

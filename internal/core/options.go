@@ -15,9 +15,8 @@
 // (Algorithms 1–3) refreshes once over a uniform sample of the batch,
 // then steps through every tuple, on Options.Workers goroutines if asked.
 // Stream (§3.5) renews its pool every StreamRecompute tuples over its
-// window, border included (before the first, also at each power of two
-// from 16), and promotes border itemsets in between. Warm is a Stream
-// behind a flush gate.
+// window (before the first, also at each power of two from 16), and
+// only then. Warm is a Stream behind a flush gate.
 // Sequential, the baseline, is the step up front with no pool.
 package core
 

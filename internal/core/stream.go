@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"shahin/internal/dataset"
-	"shahin/internal/fim"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
@@ -15,10 +14,8 @@ import (
 // at a time, the repository lives under a byte budget with LRU eviction,
 // frequent itemsets are re-mined every StreamRecompute tuples over the
 // tuples seen since (before the first, also at 16, 32, 64… tuples), and
-// the negative border is tracked so that a border itemset whose running
-// frequency crosses the support threshold is promoted before the next
-// re-mine. An itemset is labelled when it is first read, not when it is
-// mined or promoted.
+// the pool changes only there. An itemset is labelled when it is first
+// read, not when it is mined.
 type Stream struct {
 	runner
 	// eng is the stream's for life; each call points its bridge at the
@@ -28,19 +25,9 @@ type Stream struct {
 	ps   *poolState
 	step *tupleStep
 
-	tracked []*trackedSet // frequent itemsets + negative border
-
 	// rep accumulates every cost as it is charged; Report adds the pool's
 	// and the chain's current state.
 	rep Report
-}
-
-// trackedSet is one itemset whose running frequency the stream maintains
-// between re-mines.
-type trackedSet struct {
-	set      dataset.Itemset
-	count    int  // occurrences in the current window
-	frequent bool // currently pooled
 }
 
 // NewStream creates a streaming explainer. Anchor measures rule coverage
@@ -115,22 +102,22 @@ func (s *Stream) leave(f *frame) {
 }
 
 // explain is the stream's step for one tuple under the frame enter
-// opened: track it, renew the pool when due (a re-mine span under f),
-// and explain it.
+// opened: add it to the window, renew the pool when due (a re-mine span
+// under f), and explain it.
 func (s *Stream) explain(f *frame, t []float64) (Explanation, Cost, error) {
-	// The exact path never mines, pools, or tracks the border; its only
-	// per-tuple bookkeeping is the walk itself.
+	// The exact path never mines or pools; its only per-tuple bookkeeping
+	// is the walk itself.
 	if s.eng.exact == nil {
-		s.track(t)
+		sw := stopwatch()
+		s.ps.observe(s.st, t)
+		d, _ := sw.end()
+		s.rep.OverheadTime += d
 		warmUp := s.ps.warmUp(s.opts.StreamRecompute)
 		if warmUp || len(s.ps.window) >= s.opts.StreamRecompute {
 			span := f.span.Child(obs.StageRemine)
 			span.SetAttr("rows", len(s.ps.window))
-			border, err := s.ps.renew(warmUp, span, &s.rep)
+			_ = s.ps.renew(warmUp, span, &s.rep) // a failed renew keeps the old pool and window
 			span.End()
-			if err == nil && !warmUp {
-				s.retrack(border)
-			}
 		}
 	}
 	s.ps.attach(s.eng)
@@ -142,54 +129,6 @@ func (s *Stream) explain(f *frame, t []float64) (Explanation, Cost, error) {
 	s.rep.ExplainTime += c.Duration
 	s.rep.Tuples++
 	return exp, c, nil
-}
-
-// track adds the tuple to the window and to the running counts of the
-// tracked itemsets, and promotes border itemsets between re-mines: one
-// whose running window frequency clears the threshold is pooled
-// immediately. The window must be large enough (and the count high
-// enough in absolute terms) that small-sample variance does not promote
-// marginal itemsets, and the pool size cap still applies.
-func (s *Stream) track(t []float64) {
-	sw := stopwatch()
-	defer func() {
-		d, _ := sw.end()
-		s.rep.OverheadTime += d
-	}()
-	items := s.ps.observe(s.st, t)
-	for _, ts := range s.tracked {
-		if ts.set.ContainsAll(items) {
-			ts.count++
-		}
-	}
-	if len(s.ps.window) < 50 {
-		return
-	}
-	// The count the next re-mine will ask of this window; at least 5.
-	minCount := fim.MinCount(minSupport, len(s.ps.window))
-	for _, ts := range s.tracked {
-		if ts.frequent || ts.count < minCount {
-			continue
-		}
-		if !s.ps.promote(ts.set) {
-			break
-		}
-		ts.frequent = true
-	}
-}
-
-// retrack rebuilds the tracked list after a refresh: the pooled
-// itemsets, and the border refresh mined, which is only its most
-// promising MaxItemsets (sorted by support within each length; an
-// unbounded border would make per-tuple count maintenance expensive).
-func (s *Stream) retrack(border []fim.Mined) {
-	s.tracked = s.tracked[:0]
-	for _, set := range s.ps.sets {
-		s.tracked = append(s.tracked, &trackedSet{set: set, frequent: true})
-	}
-	for _, m := range border {
-		s.tracked = append(s.tracked, &trackedSet{set: m.Set})
-	}
 }
 
 // Report returns a snapshot of the stream's accumulated cost accounting.

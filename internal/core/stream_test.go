@@ -16,87 +16,36 @@ var (
 	flavourB = []float64{3, 1, 1, 1, 1, -0.1}
 )
 
-// borderStream returns a stream that re-mines every 60 tuples, past its
-// first re-mine over 57 A and 3 B tuples: B's items, at 5 % support,
-// are tracked on the negative border.
-func borderStream(t *testing.T, seed int64) *Stream {
-	t.Helper()
-	env := newEnv(t, seed, 0)
-	opts := smallOpts(LIME, seed+1)
+// TestStreamPoolsOnlyAtRenew: a stream's pool changes only at a renew.
+// The first window of a period-60 stream holds 57 A and 3 B tuples, so
+// B's item {a0=b3}, at 5 % support, is not pooled. In the next window
+// one tuple in four is B: the item crosses the 10 % a mine asks by the
+// window's tenth tuple, yet it is pooled only by the renew at the
+// window's end. Killed mutant: "promote restored" (a tracked itemset
+// whose running count clears the threshold is pooled between renews).
+func TestStreamPoolsOnlyAtRenew(t *testing.T) {
+	env := newEnv(t, 60, 0)
+	opts := smallOpts(LIME, 61)
 	opts.StreamRecompute = 60
 	s, err := NewStream(env.st, env.cls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
+	b := dataset.Itemset{dataset.MakeItem(0, 3)}
+	for i := 0; i < 120; i++ {
 		tup := flavourA
-		if i%20 == 0 {
+		if i < 60 && i%20 == 0 || i >= 60 && i%4 == 0 {
 			tup = flavourB
 		}
 		if _, err := s.Explain(tup); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s.Mines() != 1 {
-		t.Fatalf("mines=%d want 1", s.Mines())
-	}
-	if ts := trackedB(s); ts == nil || ts.frequent {
-		t.Fatalf("{a0=b3} is not on the tracked border after the first re-mine: %+v", ts)
-	}
-	return s
-}
-
-// trackedB is the stream's tracked entry for {a0=b3}, nil if untracked.
-func trackedB(s *Stream) *trackedSet {
-	key := dataset.Itemset{dataset.MakeItem(0, 3)}.Key()
-	for _, ts := range s.tracked {
-		if ts.set.Key() == key {
-			return ts
+		if want := i == 119; pooled(s.ps, b) != want {
+			t.Fatalf("after tuple %d (%d renews): {a0=b3} pooled=%t, want %t", i, s.Mines(), !want, want)
 		}
 	}
-	return nil
-}
-
-// TestStreamBorderPromotion: a border itemset that becomes frequent is
-// promoted once the window reaches 50 tuples, without waiting for the
-// next re-mine.
-func TestStreamBorderPromotion(t *testing.T) {
-	s := borderStream(t, 60)
-	key := dataset.Itemset{dataset.MakeItem(0, 3)}.Key()
-	promoted := false
-	for i := 0; i < 55; i++ {
-		if _, err := s.Explain(flavourB); err != nil {
-			t.Fatal(err)
-		}
-		if s.Mines() == 1 && s.ps.repo.Contains(key) {
-			promoted = true
-			break
-		}
-	}
-	if !promoted {
-		t.Fatal("border itemset never promoted between re-mines")
-	}
-}
-
-// TestStreamBorderPromotesAtMineThreshold: promotion asks the count the
-// next re-mine would, ⌈10 % · window⌉. At 5 of 59 tuples (8.5 %) the
-// border itemset is not frequent, and stays on the border.
-func TestStreamBorderPromotesAtMineThreshold(t *testing.T) {
-	s := borderStream(t, 62)
-	for i := 1; i <= 59; i++ {
-		tup := flavourA
-		if i%12 == 0 || i == 59 {
-			tup = flavourB
-		}
-		if _, err := s.Explain(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ts := trackedB(s); len(s.ps.window) != 59 || ts.count != 5 {
-		t.Fatalf("window %d, {a0=b3} counted %d: want 5 of 59", len(s.ps.window), ts.count)
-	}
-	if trackedB(s).frequent {
-		t.Fatal("{a0=b3} promoted at 5 of 59 tuples, below the 10 % support the re-mine asks")
+	if s.Mines() != 2 {
+		t.Fatalf("mines=%d want 2", s.Mines())
 	}
 }
 
@@ -217,7 +166,7 @@ func TestStreamPoolsBeforeFirstRemine(t *testing.T) {
 // TestStreamWarmUpMines: until its first renew, a stream mines the
 // window it has so far when it holds 16, 32 and 64 tuples (a period of
 // 100), and at no other tuple. A warm-up mine is not counted, keeps the
-// window, tracks nothing, charges its mine time, logs a re_mine event
+// window, charges its mine time, logs a re_mine event
 // and opens a remine span that says how many rows it read. The renew at
 // 100 mines exactly the first hundred tuples.
 func TestStreamWarmUpMines(t *testing.T) {
@@ -241,17 +190,17 @@ func TestStreamWarmUpMines(t *testing.T) {
 		}
 		switch {
 		case n < 100:
-			if s.Mines() != 0 || len(s.ps.window) != n || len(s.tracked) != 0 {
-				t.Fatalf("after %d tuples: %d renews counted, %d tuples in the window, %d tracked; want 0, %d, 0",
-					n, s.Mines(), len(s.ps.window), len(s.tracked), n)
+			if s.Mines() != 0 || len(s.ps.window) != n {
+				t.Fatalf("after %d tuples: %d renews counted, %d tuples in the window; want 0, %d",
+					n, s.Mines(), len(s.ps.window), n)
 			}
 			if n == 16 && (s.Report().MineTime == 0 || len(s.ps.sets) == 0) {
 				t.Fatalf("the warm-up mine at 16 charged %v and pooled %d itemsets", s.Report().MineTime, len(s.ps.sets))
 			}
 		case n == 100:
-			if s.Mines() != 1 || len(s.ps.window) != 0 || len(s.tracked) == 0 {
-				t.Fatalf("the renew at 100: %d counted, %d tuples left in the window, %d tracked; want 1, 0, some",
-					s.Mines(), len(s.ps.window), len(s.tracked))
+			if s.Mines() != 1 || len(s.ps.window) != 0 {
+				t.Fatalf("the renew at 100: %d counted, %d tuples left in the window; want 1, 0",
+					s.Mines(), len(s.ps.window))
 			}
 			if len(s.ps.cov) != 100 {
 				t.Fatalf("the renew at 100 mined %d rows", len(s.ps.cov))

@@ -12,8 +12,8 @@ import (
 
 // Warm is the serving variant of Shahin: one Stream (§3.5 of the paper)
 // behind a flush gate. A flush streams its tuples through the stream's
-// per-tuple step in order, so its pool, window, negative border, cache,
-// RNG and explainer workspaces persist across ExplainAllCtx calls, and a
+// per-tuple step in order, so its pool, window, cache, RNG and
+// explainer workspaces persist across ExplainAllCtx calls, and a
 // tuple arriving in flush 40 reuses samples labelled for flush 1. The
 // pool warms up and renews as the stream's does: staleAfter is its renew
 // period. Answers depend on the order of the tuples only, not on how

@@ -27,8 +27,7 @@
 //
 //   - NewBatch: all tuples known up front (Algorithms 1–3).
 //   - NewStream: requests arrive one at a time under a memory budget
-//     (§3.5) with periodic itemset re-mining and negative-border
-//     promotion.
+//     (§3.5); its pool changes only when it re-mines, periodically.
 //   - Sequential: the no-reuse baseline the paper evaluates against,
 //     useful for measuring speedups on your own workload.
 //
