@@ -81,7 +81,7 @@ func goldenRunners() []goldenRunner {
 		return func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
 			opts.StreamRecompute = recompute
 			if recompute >= 50 {
-				opts.Tau = 20 // a small τ lifts the itemset cap, leaving room to promote
+				opts.Tau = 20 // a small τ lifts the itemset cap: many cheap itemsets
 			}
 			s, err := NewStream(st, cls, opts)
 			if err != nil {
@@ -101,8 +101,9 @@ func goldenRunners() []goldenRunner {
 	return []goldenRunner{
 		{"batch-w1", true, batch(1)},
 		{"batch-w4", false, batch(4)},
-		// Promotion needs a 50-tuple window, which a period of 20 never
-		// reaches; a period of 60 does.
+		// Two renew periods over 120 tuples: six renews, or two. The names
+		// are the border's, which streams no longer track; subtests of
+		// TestPooledLabelsAreClassifierLabels carry them.
 		{"stream-border", true, stream(20)},
 		{"stream-border-r60", true, stream(60)},
 		{"warm", true, func(st *dataset.Stats, cls rf.Classifier, opts Options, tuples [][]float64) ([]Explanation, []Report, *poolState, error) {
