@@ -181,8 +181,9 @@ const (
 
 // refresh brings the pool in line with the rows window returns: mine
 // the first maxSets of their frequent itemsets, pool them, and evict
-// repository entries that fell infrequent ("any frequent itemset that
-// becomes infrequent is kicked out along its perturbations", §3.5). It
+// the pooled itemsets that fell infrequent ("any frequent itemset that
+// becomes infrequent is kicked out along its perturbations", §3.5);
+// the samples Anchor's pulls stored under other rules stay. It
 // labels nothing itself: demand, a batch's demand pass, runs inside the
 // pool-build stage, charged to the report, and returns how many
 // itemsets stay pooled. Mine and pool-build stages open under parent;
@@ -211,13 +212,13 @@ func (ps *poolState) refresh(window func() []dataset.Itemset, demand func(*Repor
 	}
 
 	build := beginStage(rec, parent, obs.StagePoolBuild)
-	if ps.repo.Len() > 0 {
+	if len(ps.sets) > 0 {
 		keep := make(map[dataset.ItemsetKey]bool, len(frequent))
 		for _, m := range frequent {
 			keep[m.Set.Key()] = true
 		}
-		for _, key := range ps.repo.Keys() {
-			if !keep[key] {
+		for _, set := range ps.sets {
+			if key := set.Key(); !keep[key] {
 				ps.repo.Delete(key)
 			}
 		}

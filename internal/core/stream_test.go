@@ -86,6 +86,74 @@ func TestStreamEvictsStaleItemsets(t *testing.T) {
 	}
 }
 
+// TestStreamRenewEvictsOnlyDroppedItemsets: a renew evicts only what
+// fell out of the pool. Anchor's pulls store samples under their rules'
+// keys in the pool's repository; across each renew of a period-40 Anchor
+// stream on the recidivism forest, under a budget that evicts nothing,
+// every key that was not pooled survives, and every pooled itemset the
+// new mine dropped is gone. The state is read at the renewing tuple's
+// first pool read, before its search stores anything.
+func TestStreamRenewEvictsOnlyDroppedItemsets(t *testing.T) {
+	env := newExactEnv(t, 7, 120)
+	opts := smallOpts(Anchor, 9)
+	opts.StreamRecompute = 40
+	s, err := NewStream(env.st, env.forest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		keys                        []dataset.ItemsetKey // the repository before the tuple
+		sets                        []dataset.Itemset    // the pool before the tuple
+		renews, kept, dropped, read int
+	)
+	fill := s.ps.sh.Fill
+	s.ps.sh.Fill = func(rule dataset.Itemset) {
+		if s.Mines() > renews {
+			renews = s.Mines()
+			old := map[dataset.ItemsetKey]bool{}
+			for _, set := range sets {
+				old[set.Key()] = true
+			}
+			unpooled, lost := 0, 0
+			for _, key := range keys {
+				if !old[key] {
+					unpooled++
+					if !s.ps.repo.Contains(key) {
+						lost++
+					}
+				}
+			}
+			if lost > 0 {
+				t.Errorf("renew %d evicted %d of the %d keys that were not pooled", renews, lost, unpooled)
+			}
+			kept += unpooled
+			for _, set := range sets {
+				if pooled(s.ps, set) || !slices.Contains(keys, set.Key()) {
+					continue
+				}
+				dropped++
+				if s.ps.repo.Contains(set.Key()) {
+					t.Errorf("renew %d: %v fell out of the pool and kept its samples", renews, set)
+				}
+			}
+			read++
+		}
+		fill(rule)
+	}
+	for i, tup := range env.tuples {
+		keys, sets = s.ps.repo.Keys(), slices.Clone(s.ps.sets)
+		if _, err := s.Explain(tup); err != nil {
+			t.Fatalf("tuple %d: %v", i, err)
+		}
+	}
+	if read != 3 || kept == 0 || dropped == 0 {
+		t.Fatalf("%d renews read, %d unpooled keys and %d dropped itemsets across them: the run does not exercise the rule", read, kept, dropped)
+	}
+	if ev := s.Report().Cache.Evictions; ev != 0 {
+		t.Fatalf("%d evictions under the default budget", ev)
+	}
+}
+
 // TestStreamAnchorCoverage: once the stream has mined a window, Anchor
 // measures coverage against it, so a rule that holds on a tenth of that
 // window cannot report zero. (The stream's Anchor explainer used to be
