@@ -81,10 +81,10 @@ func SampleSize(batch int) int {
 	return n
 }
 
-// MinCount is the absolute count a relative support asks of rows
+// minCount is the absolute count a relative support asks of rows
 // transactions: the least whole count at or above support·rows, and at
 // least one. An itemset is frequent when it occurs in that many rows.
-func MinCount(support float64, rows int) int {
+func minCount(support float64, rows int) int {
 	n := int(support * float64(rows))
 	if float64(n) < support*float64(rows) {
 		n++
@@ -111,7 +111,7 @@ func Mine(rows []dataset.Itemset, cfg Config) (*Result, error) {
 	m := &miner{
 		cfg:      cfg,
 		res:      res,
-		minCount: int32(MinCount(cfg.MinSupport, len(rows))),
+		minCount: int32(minCount(cfg.MinSupport, len(rows))),
 		hist:     make([]int32, len(rows)+1),
 	}
 	for level := m.singletons(rows); len(level) > 1; {

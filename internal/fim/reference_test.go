@@ -24,7 +24,7 @@ func referenceMine(rows []dataset.Itemset, cfg Config) (*Result, error) {
 	if len(rows) == 0 {
 		return res, nil
 	}
-	minCount := MinCount(cfg.MinSupport, len(rows))
+	need := minCount(cfg.MinSupport, len(rows))
 
 	counts := make(map[dataset.Item]int)
 	for _, row := range rows {
@@ -35,7 +35,7 @@ func referenceMine(rows []dataset.Itemset, cfg Config) (*Result, error) {
 	itemBM := make(map[dataset.Item]*bitset.Set)
 	var level []refNode
 	for it, c := range counts {
-		if c < minCount {
+		if c < need {
 			if cfg.WithBorder {
 				res.Border = append(res.Border, Mined{
 					Set:     dataset.Itemset{it},
@@ -87,7 +87,7 @@ func referenceMine(rows []dataset.Itemset, cfg Config) (*Result, error) {
 					continue
 				}
 				cnt := bitset.AndCount(level[i].bm, itemBM[lb])
-				if cnt >= minCount {
+				if cnt >= need {
 					next = append(next, refNode{
 						set: cand,
 						bm:  bitset.And(level[i].bm, itemBM[lb]),
