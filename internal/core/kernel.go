@@ -73,11 +73,10 @@ func (ps *poolState) setSets(sets []dataset.Itemset) {
 	}
 }
 
-// observe itemises t into the window and returns its items.
-func (ps *poolState) observe(st *dataset.Stats, t []float64) dataset.Itemset {
+// observe itemises t into the window.
+func (ps *poolState) observe(st *dataset.Stats, t []float64) {
 	items := append(dataset.Itemset(nil), st.ItemizeRow(t, nil)...)
 	ps.window = append(ps.window, items)
-	return items
 }
 
 // attach points eng at the pool as it now stands: the degradation ladder
