@@ -102,41 +102,30 @@ func TestStreamRenewEvictsOnlyDroppedItemsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		keys                        []dataset.ItemsetKey // the repository before the tuple
-		sets                        []dataset.Itemset    // the pool before the tuple
-		renews, kept, dropped, read int
+		keys                []dataset.ItemsetKey // the repository before the tuple
+		sets                []dataset.Itemset    // the pool before the tuple
+		read, kept, dropped int
 	)
 	fill := s.ps.sh.Fill
 	s.ps.sh.Fill = func(rule dataset.Itemset) {
-		if s.Mines() > renews {
-			renews = s.Mines()
-			old := map[dataset.ItemsetKey]bool{}
-			for _, set := range sets {
-				old[set.Key()] = true
-			}
-			unpooled, lost := 0, 0
-			for _, key := range keys {
-				if !old[key] {
-					unpooled++
-					if !s.ps.repo.Contains(key) {
-						lost++
-					}
-				}
-			}
-			if lost > 0 {
-				t.Errorf("renew %d evicted %d of the %d keys that were not pooled", renews, lost, unpooled)
-			}
-			kept += unpooled
-			for _, set := range sets {
-				if pooled(s.ps, set) || !slices.Contains(keys, set.Key()) {
-					continue
-				}
-				dropped++
-				if s.ps.repo.Contains(set.Key()) {
-					t.Errorf("renew %d: %v fell out of the pool and kept its samples", renews, set)
-				}
-			}
+		if s.Mines() > read { // the renewing tuple's first pool read
 			read++
+			wrong := 0
+			for _, key := range keys {
+				i := slices.IndexFunc(sets, func(set dataset.Itemset) bool { return set.Key() == key })
+				drop := i >= 0 && !pooled(s.ps, sets[i])
+				if drop {
+					dropped++
+				} else if i < 0 {
+					kept++
+				}
+				if s.ps.repo.Contains(key) == drop {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("renew %d: %d of %d keys held wrongly; want all but the dropped pooled itemsets", read, wrong, len(keys))
+			}
 		}
 		fill(rule)
 	}
