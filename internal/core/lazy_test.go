@@ -81,15 +81,8 @@ func pooled(ps *poolState, set dataset.Itemset) bool {
 // miss (LIME asks the pool only through ForTuple).
 func TestStreamFillsAtFirstMatch(t *testing.T) {
 	env := newEnv(t, 7, 120)
-	for _, tc := range []struct {
-		name string
-		kind Kind
-	}{
-		{"LIME", LIME},
-		{"SHAP", SHAP},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			kind := tc.kind
+	for _, kind := range []Kind{LIME, SHAP} {
+		t.Run(kind.String(), func(t *testing.T) {
 			opts := smallOpts(kind, 9)
 			opts.StreamRecompute = 20
 			opts.Recorder = obs.NewRecorder()

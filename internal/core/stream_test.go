@@ -223,9 +223,9 @@ func TestStreamPoolsBeforeFirstRemine(t *testing.T) {
 // TestStreamWarmUpMines: until its first renew, a stream mines the
 // window it has so far when it holds 16, 32 and 64 tuples (a period of
 // 100), and at no other tuple. A warm-up mine is not counted, keeps the
-// window, charges its mine time, logs a re_mine event
-// and opens a remine span that says how many rows it read. The renew at
-// 100 mines exactly the first hundred tuples.
+// window, charges its mine time, logs a re_mine event and opens a remine
+// span that says how many rows it read. The renew at 100 mines exactly
+// the first hundred tuples.
 func TestStreamWarmUpMines(t *testing.T) {
 	env := newEnv(t, 7, 120)
 	opts := smallOpts(SHAP, 8)
